@@ -24,8 +24,8 @@
 //             Schema: docs/SERVE.md.
 //             Options: --in PATH|-, --out PATH|-, --threads,
 //             --schedule-policy fifo|ljf|edf|priority|srpt,
-//             --dedup on|off, --calibrate on|off,
-//             --summary-json PATH, --cache-dir PATH (persistent
+//             --dedup on|off, --summary-json PATH,
+//             --cache-dir PATH (persistent
 //             disk-backed result cache — docs/PERSIST.md),
 //             --trace PATH, --metrics-json PATH, --metrics
 //             (observability artifacts — docs/OBSERVABILITY.md)
@@ -59,10 +59,8 @@
 
 #include "core/stcl_sweep.hpp"
 #include "core/thermal_scheduler.hpp"
-#include "dispatch/calibrator.hpp"
 #include "dispatch/disk_result_memo.hpp"
 #include "dispatch/work_queue.hpp"
-#include "persist/blob_file.hpp"
 #include "persist/segment_store.hpp"
 #include "floorplan/flp_io.hpp"
 #include "gen/generator.hpp"
@@ -106,7 +104,6 @@ struct CommonArgs {
   std::string out_path = "-";
   std::string schedule_policy = "fifo";
   std::string dedup = "on";
-  std::string calibrate = "on";
   std::string summary_json_path;
   // serve observability artifacts (docs/OBSERVABILITY.md) — none of
   // these may change the results stream's bytes.
@@ -170,14 +167,6 @@ bool parse_dedup(const std::string& value) {
   if (value == "on") return true;
   if (value == "off") return false;
   throw InvalidArgument("invalid --dedup value '" + value +
-                        "' (expected 'on' or 'off')");
-}
-
-/// "on" | "off" -> bool; anything else is a usage error (exit 2).
-bool parse_calibrate(const std::string& value) {
-  if (value == "on") return true;
-  if (value == "off") return false;
-  throw InvalidArgument("invalid --calibrate value '" + value +
                         "' (expected 'on' or 'off')");
 }
 
@@ -247,8 +236,8 @@ void print_global_usage(std::ostream& out) {
          "            thread count, policy, and dedup setting)\n"
          "            [--in PATH|-] [--out PATH|-] [--threads N]\n"
          "            [--schedule-policy fifo|ljf|edf|priority|srpt]\n"
-         "            [--dedup on|off] [--calibrate on|off]\n"
-         "            [--summary-json PATH] [--solver-backend B]\n"
+         "            [--dedup on|off] [--summary-json PATH]\n"
+         "            [--solver-backend B]\n"
          "            [--cache-dir PATH] [--trace PATH]\n"
          "            [--metrics-json PATH] [--metrics]\n"
          "  cache     Inspect/maintain a --cache-dir result cache\n"
@@ -277,11 +266,8 @@ void print_global_usage(std::ostream& out) {
          "skewed batches), 'edf' (earliest deadline_s first), 'priority'\n"
          "(smallest cost/priority ratio first), or 'srpt' (cheapest\n"
          "first). --dedup ('on' default) memoizes result records by\n"
-         "request content so duplicate requests execute once.\n"
-         "--calibrate ('on' default) fits the cost model's constants\n"
-         "from measured wall times (docs/DISPATCH.md); with --cache-dir\n"
-         "the fit persists across restarts. None of these change the\n"
-         "output bytes.\n"
+         "request content so duplicate requests execute once. Neither\n"
+         "changes the output bytes.\n"
          "--summary-json writes per-batch execution stats (makespan,\n"
          "tail latency, memo hit rate, per-request timings) to PATH.\n"
          "--trace records per-thread spans for the batch and writes\n"
@@ -467,36 +453,6 @@ int cmd_serve(const CommonArgs& args) {
     }
   }
 
-  // Self-calibrating cost model (--calibrate on, the default): estimate
-  // placement costs with constants fitted from measured wall times.
-  // With --cache-dir the fit's state persists next to the result cache
-  // ("calibration.v1"), so a restarted server starts warm. Persistence
-  // problems are never fatal: a torn or unreadable record just means
-  // starting from the hand-tuned defaults.
-  std::unique_ptr<dispatch::CostCalibrator> calibrator;
-  const std::string calibration_path =
-      args.cache_dir.empty() ? "" : args.cache_dir + "/" + "calibration.v1";
-  if (parse_calibrate(args.calibrate)) {
-    calibrator = std::make_unique<dispatch::CostCalibrator>();
-    if (!calibration_path.empty()) {
-      try {
-        if (const auto payload = persist::read_blob_file(
-                persist::real_fs(), calibration_path)) {
-          if (auto restored = dispatch::CostCalibrator::deserialize(*payload)) {
-            *calibrator = std::move(*restored);
-          } else {
-            std::cerr << "note: ignoring damaged calibration state in '"
-                      << calibration_path << "'\n";
-          }
-        }
-      } catch (const persist::IoError& e) {
-        std::cerr << "note: cannot read calibration state: " << e.what()
-                  << '\n';
-      }
-    }
-    options.calibrator = calibrator.get();
-  }
-
   // --trace records per-thread spans for exactly the batch window; the
   // recorder is started before the first request is parsed and stopped
   // before any artifact is written, so the trace never observes its own
@@ -509,14 +465,6 @@ int cmd_serve(const CommonArgs& args) {
       scenario::serve_stream(in, out, runner, options);
   if (tracing) trace.stop();
 
-  if (calibrator != nullptr && !calibration_path.empty()) {
-    try {
-      persist::write_blob_file(persist::real_fs(), args.cache_dir,
-                               "calibration.v1", calibrator->serialize());
-    } catch (const persist::IoError& e) {
-      std::cerr << "note: cannot save calibration state: " << e.what() << '\n';
-    }
-  }
   // A full disk or closed pipe must be a runtime error, not a silent
   // success with a truncated results file.
   out.flush();
@@ -590,12 +538,6 @@ int cmd_serve(const CommonArgs& args) {
     std::cerr << "; disk cache: " << summary.disk_hits << " hits, "
               << summary.disk_records << " records in "
               << summary.disk_segments << " segments";
-  }
-  if (summary.calibration_enabled) {
-    std::cerr << "; calibration: " << summary.calibration_samples
-              << " samples"
-              << (summary.calibration_active ? " (fitted constants)"
-                                             : " (warming up)");
   }
   if (summary.deadline_requests > 0) {
     std::cerr << "; deadlines: " << summary.deadline_met << "/"
@@ -826,11 +768,6 @@ int main(int argc, char** argv) {
                    "Memoize results by request content, on or off "
                    "(duplicate requests execute once; output unchanged)",
                    &args.dedup);
-    cli.add_string("calibrate",
-                   "Fit cost-model constants from measured wall times, "
-                   "on (default) or off; with --cache-dir the fit "
-                   "persists across restarts (output unchanged)",
-                   &args.calibrate);
     cli.add_string("summary-json",
                    "Write per-batch execution stats (makespan, tail "
                    "latency, memo hit rate, per-request timings) to PATH",
@@ -920,7 +857,6 @@ int main(int argc, char** argv) {
     if (is_serve) {
       parse_schedule_policy(args.schedule_policy);
       parse_dedup(args.dedup);
-      parse_calibrate(args.calibrate);
     }
     if (is_gen) {
       parse_order_pattern(args.gen_order);

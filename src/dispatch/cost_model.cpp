@@ -5,6 +5,26 @@
 
 namespace thermo::dispatch {
 
+namespace {
+
+// Relative units, fitted to rank the skewed bench_dispatch batch against
+// measured per-request wall time.
+/// Ops per back-substitution: dense touches all n² factor entries...
+constexpr double kDenseOpsPerNodeSq = 1.0;
+/// ...sparse touches every factor non-zero; the nnz itself comes from
+/// solve_nnz or predicted_factor_nnz, so this constant is per-entry.
+constexpr double kSparseOpsPerNnz = 1.0;
+/// Oracle validations per scheduled core (committed sessions plus the
+/// discard/re-try churn of Algorithm 1's weighting loop).
+constexpr double kValidationsPerCore = 2.0;
+/// Session-model + bookkeeping cost per oracle call, in node units
+/// (keeps tiny steady requests from rounding to zero).
+constexpr double kPerCallOverhead = 50.0;
+/// Fixed per-request floor (parse, SoC build, serialization).
+constexpr double kPerRequest = 1000.0;
+
+}  // namespace
+
 double predicted_factor_nnz(std::size_t nodes) {
   const double n = static_cast<double>(std::max<std::size_t>(nodes, 1));
   return n * (4.0 + std::log2(n));
@@ -15,21 +35,19 @@ double CostModel::estimate(const CostFeatures& features) const {
   const double nnz = features.solve_nnz > 0.0
                          ? features.solve_nnz
                          : predicted_factor_nnz(features.nodes);
-  const double solve_ops =
-      features.sparse ? constants_.sparse_ops_per_nnz * nnz
-                      : constants_.dense_ops_per_node_sq * n * n;
+  const double solve_ops = features.sparse ? kSparseOpsPerNnz * nnz
+                                           : kDenseOpsPerNodeSq * n * n;
   const double solves_per_call =
       features.transient ? std::max(1.0, features.steps_per_call) : 1.0;
   const double calls =
       features.oracle_calls > 0.0
           ? features.oracle_calls
-          : constants_.validations_per_core *
+          : kValidationsPerCore *
                 static_cast<double>(std::max<std::size_t>(features.cores, 1));
   const double points =
       static_cast<double>(std::max<std::size_t>(features.stcl_points, 1));
-  return constants_.per_request +
-         points * calls *
-             (solves_per_call * solve_ops + constants_.per_call_overhead);
+  return kPerRequest +
+         points * calls * (solves_per_call * solve_ops + kPerCallOverhead);
 }
 
 }  // namespace thermo::dispatch

@@ -20,8 +20,7 @@
 // request must score far above an Alpha request, which measures ~100×
 // slower — ROADMAP "Backend-aware serve placement"). bench_dispatch
 // validates the ranking against measured per-request wall time on every
-// CI run; the constants are a struct so callers can re-calibrate
-// without recompiling the layer.
+// CI run. The constants are fixed, file-local to cost_model.cpp.
 #pragma once
 
 #include <cstddef>
@@ -58,39 +57,12 @@ struct CostFeatures {
 /// requests against small transient sweeps.
 double predicted_factor_nnz(std::size_t nodes);
 
-/// Calibrated constants (relative units). Defaults were fitted against
-/// BENCH_dispatch.json measurements on the skewed demo batch; override
-/// to re-calibrate for different hardware.
-struct CostConstants {
-  /// Ops per back-substitution: dense touches all n² factor entries...
-  double dense_ops_per_node_sq = 1.0;
-  /// ...sparse touches every factor non-zero; the nnz itself comes from
-  /// solve_nnz or predicted_factor_nnz, so this constant is per-entry.
-  /// (Replaces the pre-ordering sparse_ops_per_node = 24·n guess.)
-  double sparse_ops_per_nnz = 1.0;
-  /// Oracle validations per scheduled core (committed sessions plus the
-  /// discard/re-try churn of Algorithm 1's weighting loop).
-  double validations_per_core = 2.0;
-  /// Session-model + bookkeeping cost per oracle call, in node units
-  /// (keeps tiny steady requests from rounding to zero).
-  double per_call_overhead = 50.0;
-  /// Fixed per-request floor (parse, SoC build, serialization).
-  double per_request = 1000.0;
-};
-
 class CostModel {
  public:
   CostModel() = default;
-  explicit CostModel(const CostConstants& constants)
-      : constants_(constants) {}
-
-  const CostConstants& constants() const { return constants_; }
 
   /// Estimated relative cost; > 0, monotone in every feature.
   double estimate(const CostFeatures& features) const;
-
- private:
-  CostConstants constants_;
 };
 
 }  // namespace thermo::dispatch

@@ -188,7 +188,7 @@ ScenarioRequest make_chained(Rng& rng) {
 /// few ladder resolutions. 64..160 per side keeps a generated stream's
 /// grid slice heavy (4k..26k nodes, always the sparse backend) without
 /// turning every stream into a 100k-node soak — that scale has its own
-/// dedicated smoke (cmake/Run100kServeSmoke.cmake).
+/// dedicated smoke (smoke.thermosched_serve_100k in apps/CMakeLists.txt).
 ScenarioRequest make_grid(Rng& rng) {
   ScenarioRequest r;
   r.kind = RequestKind::kGridSteady;

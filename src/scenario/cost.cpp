@@ -148,7 +148,7 @@ dispatch::CostFeatures request_cost_features(const ScenarioRequest& request) {
     case RequestKind::kGridSteady:
       // One steady-state solve of the rows·cols grid: a single oracle
       // call, no transient stepping. The cold factorization is folded
-      // into the per-call term by calibration.
+      // into the fixed per-call term.
       features.transient = false;
       features.steps_per_call = 0.0;
       features.stcl_points = 1;

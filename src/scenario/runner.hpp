@@ -20,8 +20,8 @@
 //
 // Determinism: a result record depends only on the request content,
 // never on thread interleaving or cache state, so a batch's output is
-// bit-identical for 1 and N threads (pinned by the serve smoke test and
-// bench_serve).
+// bit-identical for 1 and N threads (pinned by the serve-matrix smoke
+// tests, cmake/RunServeMatrix.cmake).
 #pragma once
 
 #include <cstddef>

@@ -100,17 +100,9 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
   // memo's content address (identical bytes ⇔ identical record — the
   // id and backend defaults are already resolved above, so two lines
   // that differ only in *those* do not alias). Keys are only
-  // serialized when the memo will actually read them. With a calibrator
-  // wired in, costs come from its current constants (fitted seconds
-  // once warm); placement consumes only their ordering, so a different
-  // model can never change output bytes.
-  const dispatch::CostModel cost_model = options.calibrator != nullptr
-                                             ? options.calibrator->model()
-                                             : dispatch::CostModel();
-  const bool calibration_active =
-      options.calibrator != nullptr && options.calibrator->ready();
+  // serialized when the memo will actually read them.
+  const dispatch::CostModel cost_model;
   std::vector<dispatch::Job> jobs(n);
-  std::vector<dispatch::CostFeatures> features(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (lines[i].valid) {
       if (options.dedup) {
@@ -122,8 +114,8 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
         keyed.priority = 1.0;
         jobs[i].memo_key = to_json_line(keyed);
       }
-      features[i] = request_cost_features(lines[i].request);
-      jobs[i].cost = cost_model.estimate(features[i]);
+      jobs[i].cost =
+          cost_model.estimate(request_cost_features(lines[i].request));
       jobs[i].deadline = lines[i].request.deadline_s > 0.0
                              ? lines[i].request.deadline_s
                              : dispatch::kNoDeadline;
@@ -194,37 +186,6 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
     }
   }
 
-  if (options.calibrator != nullptr) {
-    summary.calibration_enabled = true;
-    summary.calibration_active = calibration_active;
-    // Close the loop: fold this batch's executed ok requests back into
-    // the fit (memo hits carry no measurement; failed records measure
-    // error-path time, not scenario cost), then score the fixed
-    // constants against the post-batch fit on the same jobs.
-    std::vector<std::size_t> observed;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (lines[i].valid && !stats.timings[i].memo_hit && ok_flags[i] != 0) {
-        options.calibrator->observe(features[i], stats.timings[i].wall_seconds);
-        observed.push_back(i);
-      }
-    }
-    summary.calibration_samples = options.calibrator->samples();
-    const dispatch::CostModel fixed_model;
-    const dispatch::CostModel fitted_model = options.calibrator->model();
-    std::vector<double> fixed_estimates, fitted_estimates, measured;
-    fixed_estimates.reserve(observed.size());
-    fitted_estimates.reserve(observed.size());
-    measured.reserve(observed.size());
-    for (const std::size_t i : observed) {
-      fixed_estimates.push_back(fixed_model.estimate(features[i]));
-      fitted_estimates.push_back(fitted_model.estimate(features[i]));
-      measured.push_back(stats.timings[i].wall_seconds);
-    }
-    summary.fixed_error =
-        dispatch::median_relative_error(fixed_estimates, measured);
-    summary.calibrated_error =
-        dispatch::median_relative_error(fitted_estimates, measured);
-  }
   if (options.disk_memo != nullptr && options.dedup) {
     summary.disk_cache_enabled = true;
     summary.disk_hits = options.disk_memo->disk_hits() - disk_hits_before;
@@ -244,7 +205,7 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
 
 JsonValue serve_summary_to_json(const ServeSummary& summary) {
   JsonValue out = JsonValue::object();
-  out.set("schema", JsonValue::string("thermo.serve_summary.v1"));
+  out.set("schema", JsonValue::string("thermo.serve_summary.v2"));
   out.set("requests",
           JsonValue::number(static_cast<double>(summary.requests)));
   out.set("ok", JsonValue::number(static_cast<double>(summary.succeeded)));
@@ -279,23 +240,6 @@ JsonValue serve_summary_to_json(const ServeSummary& summary) {
   slo.set("missed",
           JsonValue::number(static_cast<double>(summary.deadline_missed)));
   out.set("slo", std::move(slo));
-
-  // Cost-model calibration. `enabled` mirrors --calibrate; `active`
-  // says placement actually used fitted constants (kMinSamples reached
-  // before this batch); the two errors compare the hand-tuned defaults
-  // to the post-batch fit on this batch's executed requests.
-  JsonValue calibration = JsonValue::object();
-  calibration.set("enabled", JsonValue::boolean(summary.calibration_enabled));
-  if (summary.calibration_enabled) {
-    calibration.set("active", JsonValue::boolean(summary.calibration_active));
-    calibration.set(
-        "samples",
-        JsonValue::number(static_cast<double>(summary.calibration_samples)));
-    calibration.set("fixed_error", JsonValue::number(summary.fixed_error));
-    calibration.set("calibrated_error",
-                    JsonValue::number(summary.calibrated_error));
-  }
-  out.set("calibration", std::move(calibration));
 
   // Disk tier of the memo (serve --cache-dir). `enabled` is always
   // present so consumers can branch without probing for keys; counts

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "dispatch/calibrator.hpp"
 #include "dispatch/engine.hpp"
 #include "scenario/runner.hpp"
 #include "thermal/backend.hpp"
@@ -64,15 +63,6 @@ struct ServeOptions {
   /// written). Ignored when dedup is off — without content addressing
   /// there is nothing to key the cache by.
   dispatch::DiskResultMemo* disk_memo = nullptr;
-  /// Self-calibrating cost model (borrowed) — what `thermosched serve
-  /// --calibrate on` wires in. When set, job costs are estimated with
-  /// the calibrator's current constants (the hand-tuned defaults until
-  /// it has seen CostCalibrator::kMinSamples executions), and every
-  /// executed ok request's (features, measured wall) pair is folded
-  /// back in after the batch — so a long-lived process converges on
-  /// *this machine's* seconds. Output bytes are unchanged: calibration
-  /// only reorders execution starts. nullptr = fixed constants.
-  dispatch::CostCalibrator* calibrator = nullptr;
 };
 
 /// Per-request execution facts, index-aligned with the (non-blank)
@@ -82,8 +72,7 @@ struct RequestTiming {
   std::string id;             ///< resolved id ("line-<n>" when absent)
   bool ok = false;            ///< the record's ok flag
   bool memo_hit = false;      ///< served from the memo / a duplicate
-  double cost = 0.0;          ///< CostModel estimate (relative units,
-                              ///< or seconds once a calibrator is warm)
+  double cost = 0.0;          ///< CostModel estimate (relative units)
   double wall_seconds = 0.0;  ///< execution wall time (0 on memo hits)
   double cpu_seconds = 0.0;   ///< executing thread's CPU time
   /// Execution-window start to execution start (same steady clock as
@@ -125,17 +114,6 @@ struct ServeSummary {
   std::size_t deadline_requests = 0;
   std::size_t deadline_met = 0;
   std::size_t deadline_missed = 0;
-  bool calibration_enabled = false;  ///< a calibrator served this batch
-  /// The calibrator was ready() when placement ran — costs were fitted
-  /// seconds, not the hand-tuned defaults.
-  bool calibration_active = false;
-  std::size_t calibration_samples = 0;  ///< after folding in this batch
-  /// Scale-free median relative estimate error over this batch's
-  /// executed ok requests (dispatch::median_relative_error): the fixed
-  /// hand-tuned constants vs the calibrator's post-batch fit. Both 0
-  /// when nothing executed or no calibrator was given.
-  double fixed_error = 0.0;
-  double calibrated_error = 0.0;
   std::vector<RequestTiming> request_timings;  ///< input order
   ScenarioRunner::Stats runner;  ///< model-cache hits/misses
 };
@@ -148,7 +126,7 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
                           ScenarioRunner& runner,
                           const ServeOptions& options = {});
 
-/// The `--summary-json` payload (schema "thermo.serve_summary.v1"):
+/// The `--summary-json` payload (schema "thermo.serve_summary.v2"):
 /// batch counts, policy/dedup, makespan + tail latency, memo hit rate,
 /// and the per-request timings. docs/SERVE.md documents every field.
 JsonValue serve_summary_to_json(const ServeSummary& summary);

@@ -69,20 +69,25 @@ TEST(CostModel, SteadyIsCheaperThanTransientAndSparseScalesLinearly) {
   EXPECT_GT(model.estimate(dense), model.estimate(steady));
 }
 
-TEST(CostModel, ConstantsAreOverridable) {
-  CostConstants constants;
-  constants.per_request = 7.0;
-  constants.validations_per_core = 1.0;
-  constants.per_call_overhead = 0.0;
-  constants.dense_ops_per_node_sq = 1.0;
-  const CostModel model(constants);
+TEST(CostModel, DefaultFormulaIsPinned) {
+  const CostModel model;
   CostFeatures f;
   f.nodes = 10;
   f.cores = 2;
   f.transient = false;
   f.stcl_points = 3;
-  // 7 + 3 points * 2 calls * (1 solve * 100 ops) = 607, exactly.
-  EXPECT_DOUBLE_EQ(model.estimate(f), 607.0);
+  // 1000 per request + 3 points * (2 validations/core * 2 cores)
+  //   * (1 solve * 10² dense ops + 50 per call) = 2800, exactly.
+  EXPECT_DOUBLE_EQ(model.estimate(f), 2800.0);
+
+  // Sparse, transient: nnz(L) predicted as 16 * (4 + log2 16) = 128, so
+  // 1000 + 1 point * 4 calls * (10 steps * 128 + 50) = 6320, exactly.
+  f.nodes = 16;
+  f.sparse = true;
+  f.transient = true;
+  f.steps_per_call = 10.0;
+  f.stcl_points = 1;
+  EXPECT_DOUBLE_EQ(model.estimate(f), 6320.0);
 }
 
 TEST(SchedulePolicy, NamesRoundTrip) {

@@ -12,18 +12,19 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "scenario/demo.hpp"
+#include "gen_test_util.hpp"
 #include "util/json.hpp"
 
 namespace thermo::scenario {
 namespace {
 
-/// 20 demo requests followed by the same 20 lines again: with dedup on,
-/// the second half must be answered from the memo (20 exact hits).
+/// 20 generated requests followed by the same 20 lines again: with
+/// dedup on, the second half must be answered from the memo (20 exact
+/// hits).
 std::string duplicated_batch() {
   std::string half;
-  for (const ScenarioRequest& request : demo_batch(20, 7)) {
-    half += to_json_line(request) + "\n";
+  for (const std::string& line : testing::small_gen_lines(20, 7)) {
+    half += line + "\n";
   }
   return half + half;
 }

@@ -13,24 +13,24 @@
 
 #include "dispatch/result_memo.hpp"
 #include "scenario/cost.hpp"
-#include "scenario/demo.hpp"
+#include "gen_test_util.hpp"
 
 namespace thermo::scenario {
 namespace {
 
-/// A randomized-but-reproducible 50-line batch: 46 demo requests (mixed
-/// SoCs, corners, STCL spans — see demo_batch) with four invalid lines
+/// A randomized-but-reproducible 50-line batch: 46 generated requests
+/// (mixed SoCs, kinds, corners, STCL spans) with four invalid lines
 /// spliced in at fixed positions, which must produce ok:false records
 /// *in place*.
 std::string mixed_batch() {
   std::string input;
   std::size_t line = 0;
-  for (const ScenarioRequest& request : demo_batch(46, 33)) {
+  for (const std::string& request : testing::small_gen_lines(46, 33)) {
     if (line == 3) input += "{definitely not json\n";
     if (line == 10) input += "{\"tl\":-40}\n";
     if (line == 27) input += "{\"soc\":{\"kind\":\"alhpa\"}}\n";
     if (line == 40) input += "{\"stcl\":{\"min\":5}}\n";
-    input += to_json_line(request) + "\n";
+    input += request + "\n";
     ++line;
   }
   return input;
@@ -85,7 +85,7 @@ TEST(ServeDispatch, InvalidLinesFailInPlace) {
   std::istringstream lines(run.records);
   for (std::string l; std::getline(lines, l);) records.push_back(l);
   ASSERT_EQ(records.size(), 50u);
-  // The invalid lines were spliced in before demo lines 3/10/27/40, so
+  // The invalid lines were spliced in before gen lines 3/10/27/40, so
   // they landed at batch slots 3, 11, 29, and 43 (each earlier splice
   // shifts the later ones by one).
   for (const std::size_t slot : {std::size_t{3}, std::size_t{11},
@@ -114,7 +114,7 @@ TEST(ServeDispatch, PerRequestTimingsRideInTheSummaryOnly) {
   }
   EXPECT_EQ(ok_count, run.summary.succeeded);
   // Valid requests carry a positive cost estimate; every request ran
-  // (the demo batch has no duplicate lines for the memo to collapse).
+  // (the generated batch has no duplicate lines for the memo to collapse).
   EXPECT_GT(run.summary.request_timings[0].cost, 0.0);
   // Wall-clock must never leak into the deterministic records.
   EXPECT_EQ(run.records.find("wall"), std::string::npos);
@@ -188,7 +188,7 @@ TEST(ServeDispatch, SummaryJsonSchemaAndCounts) {
   options.policy = dispatch::SchedulePolicy::kLjf;
   const RunOutput run = run_serve(mixed_batch(), options);
   const JsonValue json = serve_summary_to_json(run.summary);
-  EXPECT_EQ(json.find("schema")->as_string(), "thermo.serve_summary.v1");
+  EXPECT_EQ(json.find("schema")->as_string(), "thermo.serve_summary.v2");
   EXPECT_EQ(json.find("requests")->as_number(), 50.0);
   EXPECT_EQ(json.find("ok")->as_number(), 46.0);
   EXPECT_EQ(json.find("failed")->as_number(), 4.0);

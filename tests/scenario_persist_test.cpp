@@ -9,16 +9,24 @@
 //     cache keys are canonical request content, not execution order;
 //   * with dedup off the disk cache is ignored (nothing to key by) and
 //     the output bytes STILL match — caching changes when work runs,
-//     never what is written.
+//     never what is written;
+//   * a directory left by an older build, which also kept a cost-model
+//     calibration blob next to its segments, still serves, verifies and
+//     compacts — and the stray blob is left untouched.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dispatch/disk_result_memo.hpp"
-#include "scenario/demo.hpp"
+#include "persist/segment_store.hpp"
 #include "scenario/serve.hpp"
+#include "gen_test_util.hpp"
 #include "persist_test_util.hpp"
 
 namespace thermo::scenario {
@@ -33,10 +41,8 @@ constexpr std::size_t kSeed = 77;
 /// tail, so within-batch dedup and the cross-process cache both get
 /// exercised. 24 distinct requests, 32 lines total.
 std::string duplicated_batch() {
-  std::vector<std::string> lines;
-  for (const ScenarioRequest& request : demo_batch(kDistinct, kSeed)) {
-    lines.push_back(to_json_line(request));
-  }
+  const std::vector<std::string> lines =
+      testing::small_gen_lines(kDistinct, kSeed);
   std::string input;
   for (const std::string& line : lines) input += line + "\n";
   for (std::size_t i = 0; i < lines.size(); i += 3) input += lines[i] + "\n";
@@ -117,12 +123,12 @@ TEST(ScenarioPersist, SecondBatchExtendsTheCacheInsteadOfReplacingIt) {
   // process serves EITHER batch entirely from disk.
   const ScopedTempDir dir("serve-cache");
   std::string batch_a;
-  for (const ScenarioRequest& request : demo_batch(10, 5)) {
-    batch_a += to_json_line(request) + "\n";
+  for (const std::string& line : testing::small_gen_lines(10, 5)) {
+    batch_a += line + "\n";
   }
   std::string batch_b;
-  for (const ScenarioRequest& request : demo_batch(10, 6)) {
-    batch_b += to_json_line(request) + "\n";
+  for (const std::string& line : testing::small_gen_lines(10, 6)) {
+    batch_b += line + "\n";
   }
 
   const RunOutput first = serve_once(batch_a, dir.path(), {});
@@ -136,6 +142,62 @@ TEST(ScenarioPersist, SecondBatchExtendsTheCacheInsteadOfReplacingIt) {
   const RunOutput replay_b = serve_once(batch_b, dir.path(), {});
   EXPECT_EQ(replay_b.records, second.records);
   EXPECT_EQ(replay_b.summary.executed, 0u);
+}
+
+/// The `calibration.v1` blob older builds wrote next to the segments
+/// (framed "thermoblob v1 <length> <fnv1a64>\n<payload>"), verbatim.
+constexpr std::string_view kOldCalibrationBlob =
+    "thermoblob v1 302 6824723730206566221\n"
+    R"({"schema":"thermo.calibration.v2","samples":5,"xtx":[90388901.44934753,)"
+    R"(17555950670061.033,0,1780034843.1821673,17555950670061.031,)"
+    R"(8214979605931155456,0,609635499184725.1,0,0,0,0,1780034843.1821675,)"
+    R"(609635499184725.2,0,50333834544.36655],"xty":[19276.529164247448,)"
+    R"(4710728987.412015,0,446763.51205955056]})";
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(ScenarioPersist, OldCacheDirWithCalibrationBlobStillWorks) {
+  const ScopedTempDir dir("serve-cache");
+  std::string input;
+  for (const std::string& line : testing::small_gen_lines(8, 11)) {
+    input += line + "\n";
+  }
+  const RunOutput first = serve_once(input, dir.path(), {});
+  ASSERT_EQ(first.summary.failed, 0u);
+  ASSERT_EQ(first.summary.executed, 8u);
+
+  const std::string blob_path = dir.path() + "/calibration.v1";
+  {
+    std::ofstream blob(blob_path, std::ios::binary);
+    blob << kOldCalibrationBlob;
+  }
+
+  // What `thermosched cache verify|compact` open: the existing store,
+  // schema-checked, never created.
+  {
+    persist::StoreOptions options;
+    options.schema_revision = dispatch::kResultSchemaRevision;
+    options.schema_policy = persist::SchemaPolicy::kFailOnMismatch;
+    options.create_if_missing = false;
+    persist::SegmentStore store(dir.path(), options);
+    const persist::SegmentStore::VerifyReport report = store.verify();
+    EXPECT_TRUE(report.clean());
+    EXPECT_EQ(report.valid_records, 8u);
+    EXPECT_EQ(store.compact(), 8u);
+    EXPECT_TRUE(store.verify().clean());
+  }
+
+  // A later `serve --cache-dir` replays every record from disk.
+  const RunOutput replay = serve_once(input, dir.path(), {});
+  EXPECT_EQ(replay.records, first.records);
+  EXPECT_EQ(replay.summary.executed, 0u);
+  EXPECT_EQ(replay.summary.disk_hits, 8u);
+
+  ASSERT_TRUE(std::filesystem::exists(blob_path));
+  EXPECT_EQ(read_file(blob_path), kOldCalibrationBlob);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/thermal_scheduler.hpp"
-#include "scenario/demo.hpp"
 #include "scenario/serve.hpp"
 #include "soc/alpha.hpp"
 #include "thermal/analyzer.hpp"
@@ -225,25 +224,6 @@ TEST(ServeStream, AnswersEveryLineInOrderAndDeterministically) {
   EXPECT_NE(records[2].find(R"("id":"line-4","ok":false)"), std::string::npos);
   EXPECT_NE(records[2].find("tl: must be finite and > 0"), std::string::npos);
   EXPECT_NE(records[3].find(R"("id":"line-5","ok":true)"), std::string::npos);
-}
-
-TEST(DemoBatch, IsDeterministicAndCoversKinds) {
-  const std::vector<ScenarioRequest> a = demo_batch(25, 20);
-  const std::vector<ScenarioRequest> b = demo_batch(25, 20);
-  ASSERT_EQ(a.size(), 25u);
-  bool saw_alpha = false, saw_fig1 = false, saw_synthetic = false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(to_json_line(a[i]), to_json_line(b[i]));
-    saw_alpha |= a[i].soc.kind == SocKind::kAlpha;
-    saw_fig1 |= a[i].soc.kind == SocKind::kFig1;
-    saw_synthetic |= a[i].soc.kind == SocKind::kSynthetic;
-  }
-  EXPECT_TRUE(saw_alpha);
-  EXPECT_TRUE(saw_fig1);
-  EXPECT_TRUE(saw_synthetic);
-  // A different seed produces a different batch (the synthetic seeds
-  // are drawn from the generator).
-  EXPECT_NE(to_json_line(demo_batch(25, 21)[2]), to_json_line(a[2]));
 }
 
 }  // namespace
