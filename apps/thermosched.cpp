@@ -69,7 +69,6 @@
 #include "scenario/serve.hpp"
 #include "soc/alpha.hpp"
 #include "thermal/analyzer.hpp"
-#include "thermal/backend.hpp"
 #include "thermal/solver_cache.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
@@ -111,8 +110,6 @@ struct CommonArgs {
   std::string metrics_json_path;  // --metrics-json: registry snapshot
   bool metrics_table = false;     // --metrics: stderr metric table
   std::string cache_dir;  // serve + cache (docs/PERSIST.md)
-  // schedule/sweep/serve: thermal solver backend (docs/SOLVERS.md)
-  std::string solver_backend = "auto";
   // gen-only knobs (docs/GEN.md)
   long long gen_count = 1000;
   long long gen_seed = 1;
@@ -125,17 +122,6 @@ struct CommonArgs {
   double gen_mix_grid = 0.0;
   double gen_deadline_rate = 0.0;
 };
-
-/// "dense" | "sparse" | "auto" -> SolverBackend; anything else is a
-/// usage error (exit 2), matching the scenario layer's wording.
-thermal::SolverBackend parse_solver_backend(const std::string& name) {
-  const auto backend = thermal::solver_backend_from_name(name);
-  if (!backend) {
-    throw InvalidArgument("unknown solver backend '" + name +
-                          "' (expected 'dense', 'sparse', or 'auto')");
-  }
-  return *backend;
-}
 
 /// Policy name -> SchedulePolicy; anything else is a usage error
 /// (exit 2) with this exact message (pinned by the serve smoke docs).
@@ -224,20 +210,19 @@ void print_global_usage(std::ostream& out) {
          "commands:\n"
          "  schedule  Run Algorithm 1, print the thermal-safe schedule\n"
          "            [--flp PATH --density D | --alpha] [--tl C] [--stcl S]\n"
-         "            [--stc-scale X] [--solver-backend B] [--csv]\n"
+         "            [--stc-scale X] [--csv]\n"
          "  simulate  Simulate one test session through the RC oracle\n"
          "            --cores a,b,c [--flp PATH --density D | --alpha] [--csv]\n"
          "  sweep     Algorithm 1 once per STCL value, across a thread pool\n"
          "            [--stcl-min S] [--stcl-max S] [--step S] [--threads N]\n"
          "            [--flp PATH --density D | --alpha] [--tl C]\n"
-         "            [--stc-scale X] [--solver-backend B] [--csv]\n"
+         "            [--stc-scale X] [--csv]\n"
          "  serve     Stream JSONL scenario requests -> JSONL results\n"
          "            (schema: docs/SERVE.md; byte-deterministic for any\n"
          "            thread count, policy, and dedup setting)\n"
          "            [--in PATH|-] [--out PATH|-] [--threads N]\n"
          "            [--schedule-policy fifo|ljf|edf|priority|srpt]\n"
          "            [--dedup on|off] [--summary-json PATH]\n"
-         "            [--solver-backend B]\n"
          "            [--cache-dir PATH] [--trace PATH]\n"
          "            [--metrics-json PATH] [--metrics]\n"
          "  cache     Inspect/maintain a --cache-dir result cache\n"
@@ -254,11 +239,6 @@ void print_global_usage(std::ostream& out) {
          "            [--flp PATH --density D | --alpha] [--csv]\n"
          "\n"
          "`thermosched <command> --help` lists that command's options.\n"
-         "\n"
-         "--solver-backend picks the thermal factorization: 'dense',\n"
-         "'sparse', or 'auto' (default; by node count — docs/SOLVERS.md).\n"
-         "For serve it is the batch default; a request's explicit\n"
-         "solver.backend field always wins.\n"
          "\n"
          "serve scheduling (docs/SERVE.md \"Scheduling policy\"):\n"
          "--schedule-policy orders execution starts — 'fifo' (default,\n"
@@ -285,7 +265,7 @@ void print_global_usage(std::ostream& out) {
          "exit codes: 0 success; 1 runtime error (bad input file, scheduler\n"
          "failure, unwritable --out/--summary-json path); 2 usage error\n"
          "(unknown command/flag, malformed value — including an unknown\n"
-         "--schedule-policy, --dedup, or --solver-backend value).\n";
+         "--schedule-policy or --dedup value).\n";
 }
 
 core::SocSpec build_soc(const CommonArgs& args) {
@@ -311,9 +291,7 @@ double stc_scale_for(const CommonArgs& args) {
 
 int cmd_schedule(const CommonArgs& args) {
   const core::SocSpec soc = build_soc(args);
-  thermal::ThermalAnalyzer::Options analyzer_options;
-  analyzer_options.backend = parse_solver_backend(args.solver_backend);
-  thermal::ThermalAnalyzer analyzer(soc.flp, soc.package, analyzer_options);
+  thermal::ThermalAnalyzer analyzer(soc.flp, soc.package);
   core::ThermalSchedulerOptions options;
   options.temperature_limit = args.tl;
   options.stc_limit = args.stcl;
@@ -381,7 +359,6 @@ int cmd_sweep(const CommonArgs& args) {
 
   core::StclSweepConfig config;
   config.threads = static_cast<std::size_t>(std::max(0LL, args.threads));
-  config.analyzer.backend = parse_solver_backend(args.solver_backend);
   config.scheduler.temperature_limit = args.tl;
   config.scheduler.model.stc_scale = stc_scale_for(args);
   config.scheduler.solo_policy = core::SoloViolationPolicy::kRaiseLimit;
@@ -440,7 +417,6 @@ int cmd_serve(const CommonArgs& args) {
   scenario::ScenarioRunner runner;
   scenario::ServeOptions options;
   options.threads = static_cast<std::size_t>(std::max(0LL, args.threads));
-  options.default_backend = parse_solver_backend(args.solver_backend);
   options.policy = parse_schedule_policy(args.schedule_policy);
   options.dedup = parse_dedup(args.dedup);
   std::unique_ptr<dispatch::DiskResultMemo> disk_memo;
@@ -833,13 +809,6 @@ int main(int argc, char** argv) {
     cli.add_int("threads", "Worker threads, 0 = all hardware threads",
                 &args.threads);
   }
-  if (is_schedule || is_sweep || is_serve) {
-    cli.add_string("solver-backend",
-                   "Thermal solver backend: dense, sparse, or auto "
-                   "(default auto; serve: batch default, an explicit "
-                   "solver.backend in a request wins)",
-                   &args.solver_backend);
-  }
 
   // For `cache <action>` the flags start after the action word; for
   // `cache --help` the help flag itself must reach the parser.
@@ -849,11 +818,8 @@ int main(int argc, char** argv) {
     if (!cli.parse(argc - arg_offset, argv + arg_offset)) {
       return kExitOk;  // --help
     }
-    // A malformed backend/policy/dedup value is a usage error like any
-    // other malformed flag value, so validate it before the command runs.
-    if (is_schedule || is_sweep || is_serve) {
-      parse_solver_backend(args.solver_backend);
-    }
+    // A malformed policy/dedup value is a usage error like any other
+    // malformed flag value, so validate it before the command runs.
     if (is_serve) {
       parse_schedule_policy(args.schedule_policy);
       parse_dedup(args.dedup);

@@ -7,8 +7,7 @@
 //    under a representative hot session;
 //  * whether the block oracle's *ranking* of sessions survives at grid
 //    granularity (it must, for Algorithm 1's accept/reject decisions to
-//    be meaningful);
-//  * grid solve cost vs grid resolution (CG iterations).
+//    be meaningful).
 #include <algorithm>
 #include <iostream>
 
@@ -94,16 +93,7 @@ int main() {
     }
   }
   std::cout << "pairwise rank agreement: " << concordant << "/" << pairs
-            << "\n\n";
+            << "\n";
 
-  Table cost({"grid", "cells", "CG iterations"});
-  for (std::size_t side : {16, 32, 64, 96}) {
-    const thermal::GridThermalModel g(
-        soc.flp, soc.package, thermal::GridOptions{side, side});
-    const auto r = g.solve(power);
-    cost.add_row({std::to_string(side) + "x" + std::to_string(side),
-                  std::to_string(side * side), std::to_string(r.iterations)});
-  }
-  cost.print(std::cout);
   return 0;
 }

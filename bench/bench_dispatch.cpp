@@ -74,8 +74,6 @@ std::string skewed_batch(std::size_t small_count) {
   whale.stcl.max = 120.0;
   whale.stcl.step = 10.0;
   whale.solver.transient = false;
-  whale.solver.backend = thermal::SolverBackend::kSparse;
-  whale.solver.backend_explicit = true;
   input += scenario::to_json_line(whale) + "\n";  // deliberately LAST
   return input;
 }

@@ -9,11 +9,6 @@ namespace {
 
 // Relative units, fitted to rank the skewed bench_dispatch batch against
 // measured per-request wall time.
-/// Ops per back-substitution: dense touches all n² factor entries...
-constexpr double kDenseOpsPerNodeSq = 1.0;
-/// ...sparse touches every factor non-zero; the nnz itself comes from
-/// solve_nnz or predicted_factor_nnz, so this constant is per-entry.
-constexpr double kSparseOpsPerNnz = 1.0;
 /// Oracle validations per scheduled core (committed sessions plus the
 /// discard/re-try churn of Algorithm 1's weighting loop).
 constexpr double kValidationsPerCore = 2.0;
@@ -31,12 +26,10 @@ double predicted_factor_nnz(std::size_t nodes) {
 }
 
 double CostModel::estimate(const CostFeatures& features) const {
-  const double n = static_cast<double>(std::max<std::size_t>(features.nodes, 1));
-  const double nnz = features.solve_nnz > 0.0
-                         ? features.solve_nnz
-                         : predicted_factor_nnz(features.nodes);
-  const double solve_ops = features.sparse ? kSparseOpsPerNnz * nnz
-                                           : kDenseOpsPerNodeSq * n * n;
+  // A back-substitution touches every non-zero of the sparse factor.
+  const double solve_ops = features.solve_nnz > 0.0
+                               ? features.solve_nnz
+                               : predicted_factor_nnz(features.nodes);
   const double solves_per_call =
       features.transient ? std::max(1.0, features.steps_per_call) : 1.0;
   const double calls =

@@ -6,19 +6,18 @@
 // STCL point, Algorithm 1 alternates cheap model-guided construction
 // with oracle validations; each validation is either one steady-state
 // back-substitution or `steps` backward-Euler back-substitutions; each
-// back-substitution touches n² matrix entries on the dense backend and
-// nnz(L) factor entries on the sparse one — the *post-ordering* fill,
-// supplied directly (solve_nnz) or predicted from n
-// (predicted_factor_nnz; docs/SOLVERS.md "Ordering"). The model simply
-// multiplies those factors out:
+// back-substitution touches the nnz(L) entries of the sparse factor —
+// the *post-ordering* fill, supplied directly (solve_nnz) or predicted
+// from n (predicted_factor_nnz; docs/SOLVERS.md "Ordering"). The model
+// simply multiplies those factors out:
 //
 //   cost ≈ stcl_points · validations(cores) · solves_per_validation
-//          · solve_ops(nodes, backend)   (+ fixed per-request overhead)
+//          · nnz(L)   (+ fixed per-request overhead)
 //
 // The output is a RELATIVE unit, not seconds: LJF only needs correct
-// *ordering*, so constants are calibrated to rank (a 1034-node sparse
-// request must score far above an Alpha request, which measures ~100×
-// slower — ROADMAP "Backend-aware serve placement"). bench_dispatch
+// *ordering*, so constants are calibrated to rank (a 1034-node request
+// must score far above an Alpha request, which measures ~100× slower).
+// bench_dispatch
 // validates the ranking against measured per-request wall time on every
 // CI run. The constants are fixed, file-local to cost_model.cpp.
 #pragma once
@@ -28,12 +27,11 @@
 namespace thermo::dispatch {
 
 /// What the estimator needs to know about one request. Deliberately
-/// backend-agnostic plain numbers: the scenario layer maps a parsed
+/// plain numbers: the scenario layer maps a parsed
 /// request onto this (scenario/cost.hpp); dispatch never sees JSON.
 struct CostFeatures {
   std::size_t nodes = 0;       ///< thermal nodes of the (estimated) model
   std::size_t cores = 0;       ///< cores to schedule (drives validations)
-  bool sparse = false;         ///< resolved solver backend is sparse
   bool transient = true;       ///< transient oracle (false = steady)
   double steps_per_call = 0.0; ///< BE steps per oracle call (transient)
   std::size_t stcl_points = 1; ///< Algorithm 1 runs in the request
@@ -44,7 +42,7 @@ struct CostFeatures {
   double oracle_calls = 0.0;
   /// Non-zeros of the post-ordering sparse factor L, when known (e.g.
   /// from an already-factored model). 0 (default) falls back to
-  /// predicted_factor_nnz(nodes). Ignored on the dense backend.
+  /// predicted_factor_nnz(nodes).
   double solve_nnz = 0.0;
 };
 
@@ -52,7 +50,7 @@ struct CostFeatures {
 /// thermal model: ≈ n·(4 + log2 n). RC lattices keep ~4 off-diagonal
 /// couplings per node, and min-degree ordering holds fill growth to
 /// roughly a log factor on 2-D meshes (measured: a 64×64 grid factors
-/// at ~15·n, a 317×317 at ~20·n — see BENCH_backend.json fill columns).
+/// at ~15·n, a 317×317 at ~20·n).
 /// Replaces the old flat c·n guess, which under-ranked 100k-node grid
 /// requests against small transient sweeps.
 double predicted_factor_nnz(std::size_t nodes);

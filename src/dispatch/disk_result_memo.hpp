@@ -31,8 +31,10 @@ namespace thermo::dispatch {
 
 /// Payload schema revision of serve result records. Bump on any change
 /// to the canonical request serialization (the keys) or the JSONL
-/// result-line format (the values).
-inline constexpr std::uint32_t kResultSchemaRevision = 1;
+/// result-line format (the values). Revision 2: `solver.backend` left
+/// the canonical request form, every solve went sparse, and ok:false
+/// messages lost their source-file prefix.
+inline constexpr std::uint32_t kResultSchemaRevision = 2;
 
 class DiskResultMemo final : public ResultMemo {
  public:

@@ -24,7 +24,7 @@ namespace thermo::floorplan {
 /// Block names are "b<r>_<c>" (row 0 at the bottom, matching the
 /// HotSpot lower-left-origin convention). Every interior block has
 /// exactly 4 neighbours — the regular lattice used to scale the RC node
-/// count in bench_solver_perf and the grid-discretisation ablation.
+/// count in tests and the grid-discretisation ablation.
 /// Throws InvalidArgument unless rows, cols and both dimensions are
 /// positive.
 Floorplan make_grid_floorplan(std::size_t rows, std::size_t cols,

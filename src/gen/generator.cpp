@@ -186,7 +186,7 @@ ScenarioRequest make_chained(Rng& rng) {
 
 /// One fine-grid steady request: a named SoC discretised at one of a
 /// few ladder resolutions. 64..160 per side keeps a generated stream's
-/// grid slice heavy (4k..26k nodes, always the sparse backend) without
+/// grid slice heavy (4k..26k nodes) without
 /// turning every stream into a 100k-node soak — that scale has its own
 /// dedicated smoke (smoke.thermosched_serve_100k in apps/CMakeLists.txt).
 ScenarioRequest make_grid(Rng& rng) {

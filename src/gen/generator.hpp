@@ -76,7 +76,7 @@ struct GenConfig {
 
   /// Size skew: synthetic core counts are drawn from `core_ladder` with
   /// Zipf probability P(rank k) ∝ 1/(k+1)^zipf_skew — rank 0 (smallest)
-  /// dominates, the big sparse-backend whales form the heavy tail.
+  /// dominates, the big whales form the heavy tail.
   /// 0 = uniform over the ladder.
   double zipf_skew = 1.5;
 
@@ -97,10 +97,8 @@ struct GenConfig {
   KindMix mix;
   OrderPattern order = OrderPattern::kShuffled;
 
-  /// Synthetic sweep sizes. The default ladder spans the dense/sparse
-  /// crossover: cores + 10 package nodes gives 18..512 thermal nodes
-  /// around thermal::kSparseBackendCrossover = 256 (246 cores = exactly
-  /// 256 nodes, the first auto-sparse rung).
+  /// Synthetic sweep sizes: cores + 10 package nodes gives 18..512
+  /// thermal nodes.
   std::vector<std::size_t> core_ladder = {8, 16, 34, 64, 128, 246, 502};
 
   /// Throws InvalidArgument on out-of-range knobs

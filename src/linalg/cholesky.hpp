@@ -1,19 +1,16 @@
 // Cholesky factorization for symmetric positive-definite systems.
 //
 // Thermal conductance matrices (after grounding the ambient node) are
-// SPD, so this is the default steady-state solver: half the flops of LU
-// and a built-in sanity check (a non-SPD conductance matrix indicates a
-// model bug, e.g. a negative stamped conductance).
+// SPD. The thermal layer factors them sparsely (sparse_cholesky.hpp);
+// this dense factor is the test oracle that path is checked against.
 //
-// Preconditions and cost (see docs/SOLVERS.md for the selection guide):
+// Preconditions and cost (docs/SOLVERS.md):
 //  * the input must be symmetric positive definite. Symmetry is NOT
 //    verified (only the lower triangle is read); positive definiteness
 //    is detected during factorization and reported as NumericalError.
 //  * factorization is n^3/3 flops; each subsequent solve is two
 //    triangular substitutions, 2 n^2 flops. When the matrix is reused
-//    across many right-hand sides — the paper's Algorithm 1 evaluates
-//    thousands of candidate sessions against one fixed G — keep the
-//    CholeskyFactor (or let thermal::ThermalSolverCache do it) and call
+//    across many right-hand sides, keep the CholeskyFactor and call
 //    solve() per rhs instead of the one-shot cholesky_solve().
 #pragma once
 

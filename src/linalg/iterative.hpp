@@ -1,11 +1,8 @@
 // Iterative solvers for sparse SPD / diagonally dominant systems.
 //
-// These are the large-floorplan escape hatch: past a few thousand nodes
-// the O(n^3) dense factorizations stop paying off and the O(nnz) per
-// iteration of CG wins (docs/SOLVERS.md quantifies the crossover).
-// Unlike the factor objects in cholesky.hpp/lu.hpp there is nothing to
-// cache — every solve restarts from scratch — so the thermal layer's
-// ThermalSolverCache does not apply to this path.
+// Test references: the thermal layer solves through a cached sparse
+// factor (sparse_cholesky.hpp; docs/SOLVERS.md). Unlike a factor there
+// is nothing to cache here — every solve restarts from scratch.
 #pragma once
 
 #include <cstddef>

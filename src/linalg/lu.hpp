@@ -1,9 +1,8 @@
 // LU decomposition with partial pivoting.
 //
-// The general-purpose dense factorization: used to factor the transient
-// backward-Euler system matrix (C/dt + G) once per step size and
-// back-substitute per step, and as a cross-check for the Cholesky path
-// (docs/SOLVERS.md compares the three solvers).
+// The general-purpose dense factorization, behind LinearImplicitStepper.
+// The thermal layer solves sparsely; LU is a test oracle for it
+// (docs/SOLVERS.md).
 //
 // Preconditions and behaviour:
 //  * any square, non-singular matrix is accepted — no symmetry or
@@ -17,7 +16,7 @@
 //    input.
 //  * factorization is 2 n^3/3 flops (twice Cholesky); each solve() is
 //    2 n^2. Reuse the factor across right-hand sides — that is what
-//    LinearImplicitStepper and thermal::ThermalSolverCache do.
+//    LinearImplicitStepper does.
 #pragma once
 
 #include "linalg/dense_matrix.hpp"

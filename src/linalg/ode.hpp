@@ -1,15 +1,14 @@
 // ODE integrators.
 //
-// Two families:
+// Two families, both test oracles for the thermal layer's sparse
+// backward-Euler stepper (sparse_cholesky.hpp; docs/SOLVERS.md):
 //  * generic explicit integrators (RK4, adaptive RK45) over an arbitrary
-//    right-hand side f(t, y) — used for cross-checks in tests;
-//  * a dedicated implicit (backward Euler) stepper for the *linear*
-//    thermal system  C dT/dt = p - G (T - T_amb), which is stiff: die
-//    nodes have millisecond time constants while the heat sink has
-//    second-scale ones. The BE system matrix (C/dt + G) is factored once
-//    per step size and reused; step() is const and thread-safe, so one
-//    stepper can serve many concurrent transient simulations (that is
-//    how thermal::ThermalSolverCache shares it — see docs/SOLVERS.md).
+//    right-hand side f(t, y);
+//  * a dense implicit (backward Euler) stepper for the *linear* system
+//    C dT/dt = p - G (T - T_amb), which is stiff: die nodes have
+//    millisecond time constants while the heat sink has second-scale
+//    ones. The BE system matrix (C/dt + G) is LU-factored once per step
+//    size and reused; step() is const and thread-safe.
 #pragma once
 
 #include <functional>

@@ -51,9 +51,8 @@ class SparseMatrix {
   Vector multiply(const Vector& x) const;
 
   /// y = A x into a caller-owned buffer (resized to rows()). The
-  /// allocation-free fast path the iterative solvers and the sparse
-  /// simulation backend share: one SpMV per CG iteration / RK stage
-  /// with no per-call vector churn.
+  /// allocation-free fast path the iterative solvers use: one SpMV per
+  /// CG iteration with no per-call vector churn.
   void multiply_into(const Vector& x, Vector& y) const;
 
   /// Entry lookup (binary search within the row); 0 if absent.

@@ -1,6 +1,6 @@
 // Sparse Cholesky factorization (LDLᵗ variant) for symmetric positive-
-// definite systems in CSR form — the sparse-backend counterpart of
-// cholesky.hpp.
+// definite systems in CSR form — the factorization every thermal solve
+// uses (dense cholesky.hpp is its test oracle).
 //
 // Thermal conductance matrices have ~5 off-diagonals per die row plus a
 // handful of package rows that touch every die block. By default the
@@ -13,7 +13,7 @@
 // ~80k; on banded thermal numberings it never loses by much, and
 // Ordering::kNatural remains available for baselines and tests.
 //
-// Preconditions and cost (docs/SOLVERS.md "Choosing a backend"):
+// Preconditions and cost (docs/SOLVERS.md):
 //  * the input must be symmetric positive definite. Symmetry is NOT
 //    verified (only the lower triangle, col <= row, is read); a
 //    non-positive pivot is detected during factorization and reported
@@ -27,9 +27,8 @@
 //    diagonal D, so no square roots are taken; solve() is forward
 //    substitution, a diagonal scale, and back substitution.
 //  * solve() is const, deterministic, and thread-safe — the factor is
-//    shareable across sweep workers exactly like the dense factors
-//    (thermal::ThermalSolverCache caches both kinds under the same
-//    model identity).
+//    shareable across sweep workers (thermal::ThermalSolverCache keys
+//    it by model identity).
 #pragma once
 
 #include <cstddef>
@@ -105,9 +104,9 @@ class SparseCholeskyFactor {
 /// Backward-Euler stepper for the linear constant-coefficient system
 ///     C dy/dt = b - G y
 /// with diagonal capacitance C and SPARSE SPD G: factors (C/dt + G)
-/// once with SparseCholeskyFactor and back-substitutes per step. The
-/// sparse-backend counterpart of LinearImplicitStepper (linalg/ode.hpp)
-/// with the same step() semantics; step() is const and thread-safe.
+/// once with SparseCholeskyFactor and back-substitutes per step. Same
+/// step() semantics as the dense LinearImplicitStepper (linalg/ode.hpp),
+/// its test oracle; step() is const and thread-safe.
 class SparseImplicitStepper {
  public:
   /// Factors (C/dt + G); dt must be > 0, capacitance entries > 0, and

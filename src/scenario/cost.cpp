@@ -7,7 +7,6 @@
 #include <sstream>
 #include <string>
 
-#include "thermal/backend.hpp"
 #include "thermal/rc_model.hpp"
 
 namespace thermo::scenario {
@@ -108,10 +107,7 @@ dispatch::CostFeatures request_cost_features(const ScenarioRequest& request) {
   features.nodes = request.kind == RequestKind::kGridSteady
                        ? request.grid.rows * request.grid.cols + 10
                        : features.cores + thermal::RCModel::kPackageNodes;
-  features.sparse =
-      thermal::resolve_backend(request.solver.backend, features.nodes) ==
-      thermal::SolverBackend::kSparse;
-  // Post-ordering fill model for the sparse back-substitution term
+  // Post-ordering fill model for the back-substitution term
   // (docs/SOLVERS.md "Ordering"); estimate() would apply the same
   // default, set explicitly here so the feature record is complete.
   features.solve_nnz = dispatch::predicted_factor_nnz(features.nodes);

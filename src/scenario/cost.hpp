@@ -14,8 +14,6 @@
 //     by path), falling back to a fixed moderate guess when the file is
 //     unreadable — a wrong count only costs scheduling quality, never
 //     correctness;
-//   * backend: thermal::resolve_backend over the estimated node count,
-//     exactly the resolution the solve will use;
 //   * transient steps per oracle call: mean test length / dt (named
 //     SoCs ship 1 s tests; synthetic carries its length range);
 //   * STCL points: the span's expanded size;

@@ -321,15 +321,16 @@ const char* core_order_name(core::CoreOrder order) {
   return "?";
 }
 
-thermal::SolverBackend parse_backend(const JsonValue& v,
-                                     const std::string& path) {
+/// `solver.backend` is legacy: every solve uses the sparse
+/// factorization. Streams written before it was retired name "auto" or
+/// "sparse", which are accepted and dropped; anything else is rejected.
+void check_legacy_backend(const JsonValue& v, const std::string& path) {
   const std::string name = require_string(v, path);
-  const auto backend = thermal::solver_backend_from_name(name);
-  if (!backend) {
-    fail(path, "unknown backend '" + name +
-                   "' (expected 'dense', 'sparse', or 'auto')");
+  if (name != "auto" && name != "sparse") {
+    fail(path, "unsupported backend '" + name +
+                   "' (every solve uses the sparse factorization; omit the "
+                   "field)");
   }
-  return *backend;
 }
 
 SolverSpec parse_solver(const JsonValue& v) {
@@ -344,8 +345,7 @@ SolverSpec parse_solver(const JsonValue& v) {
     } else if (key == "transient") {
       solver.transient = require_bool(value, path);
     } else if (key == "backend") {
-      solver.backend = parse_backend(value, path);
-      solver.backend_explicit = true;
+      check_legacy_backend(value, path);
     } else {
       fail("solver", "unknown field '" + key + "'");
     }
@@ -563,8 +563,6 @@ JsonValue to_json(const ScenarioRequest& request) {
   JsonValue solver = JsonValue::object();
   solver.set("dt", JsonValue::number(request.solver.dt));
   solver.set("transient", JsonValue::boolean(request.solver.transient));
-  solver.set("backend", JsonValue::string(thermal::solver_backend_name(
-                            request.solver.backend)));
   out.set("solver", std::move(solver));
   return out;
 }

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "core/thermal_scheduler.hpp"
-#include "thermal/backend.hpp"
+#include "thermal/analyzer.hpp"
 #include "util/json.hpp"
 
 namespace thermo::scenario {
@@ -122,13 +122,10 @@ struct StclSpan {
 struct SolverSpec {
   double dt = 1e-3;       ///< backward-Euler step [s]
   bool transient = true;  ///< false = steady-state (faster, pessimistic)
-  /// Factor representation: dense, sparse, or auto by node count
-  /// (thermal/backend.hpp; docs/SOLVERS.md "Choosing a backend").
-  thermal::SolverBackend backend = thermal::SolverBackend::kAuto;
-  /// True when the request JSON named `solver.backend` explicitly.
-  /// serve's `--solver-backend` batch default applies only to requests
-  /// that left it out (mirrors the "id"/"line-<n>" assignment rule).
-  bool backend_explicit = false;
+  /// Always kSparse; not part of the canonical form and not read (see
+  /// thermal::SolverBackend). The parser accepts a legacy
+  /// `solver.backend` of "auto" or "sparse" and drops it.
+  thermal::SolverBackend backend = thermal::SolverBackend::kSparse;
 };
 
 /// Kind kPtrace: the power trace to replay and the wall-clock length of

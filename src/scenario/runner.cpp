@@ -267,7 +267,6 @@ void run_stcl_sweep(const ScenarioRequest& request, const core::SocSpec& soc,
                                          : auto_stc_scale(request.soc.kind);
   config.analyzer.dt = request.solver.dt;
   config.analyzer.transient = request.solver.transient;
-  config.analyzer.backend = request.solver.backend;
   // threads = 1: runs inline on this thread — serve already fans
   // *requests* across a pool, so per-request point loops stay serial.
   config.threads = 1;
@@ -293,7 +292,6 @@ void run_ptrace(const ScenarioRequest& request, const core::SocSpec& soc,
   thermal::ThermalAnalyzer::Options options;
   options.dt = request.solver.dt;
   options.transient = true;  // enforced at parse: replay carries state
-  options.backend = request.solver.backend;
   thermal::ThermalAnalyzer analyzer(model, options);
 
   std::vector<double> state = analyzer.ambient_node_state();
@@ -330,7 +328,6 @@ void run_chained(const ScenarioRequest& request, const core::SocSpec& soc,
   thermal::ThermalAnalyzer::Options sched_options;
   sched_options.dt = request.solver.dt;
   sched_options.transient = request.solver.transient;
-  sched_options.backend = request.solver.backend;
   thermal::ThermalAnalyzer sched_analyzer(model, sched_options);
 
   const core::ThermalAwareScheduler scheduler(options);
@@ -362,7 +359,7 @@ void run_chained(const ScenarioRequest& request, const core::SocSpec& soc,
       sched_analyzer.simulation_effort() + check_analyzer.simulation_effort();
 }
 
-void run_grid_steady(const ScenarioRequest& request, const core::SocSpec& soc,
+void run_grid_steady(const core::SocSpec& soc,
                      const std::shared_ptr<const thermal::GridThermalModel>& model,
                      ScenarioResult& result) {
   // Every block dissipates its test power simultaneously — the
@@ -372,8 +369,7 @@ void run_grid_steady(const ScenarioRequest& request, const core::SocSpec& soc,
   for (std::size_t i = 0; i < soc.tests.size(); ++i) {
     power[i] = soc.tests[i].power;
   }
-  const thermal::GridSteadyResult steady =
-      model->solve(power, request.solver.backend);
+  const thermal::GridSteadyResult steady = model->solve(power);
 
   result.grid.rows = model->rows();
   result.grid.cols = model->cols();
@@ -425,8 +421,8 @@ ScenarioResult ScenarioRunner::run(const ScenarioRequest& request) {
     if (request.kind == RequestKind::kGridSteady) {
       // The block-level RCModel is never consulted for a grid solve, so
       // skip model_for entirely — at 100k nodes the savings matter.
-      run_grid_steady(request, soc,
-                      grid_model_for(request.soc, soc, request.grid), result);
+      run_grid_steady(soc, grid_model_for(request.soc, soc, request.grid),
+                      result);
     } else {
       const auto model = model_for(request.soc, soc);
       switch (request.kind) {

@@ -19,8 +19,8 @@ namespace thermo::scenario {
 namespace {
 
 /// One non-blank input line after the parse pass: either a runnable
-/// request (id resolved, batch backend default applied) or a ready-made
-/// ok:false record. Parsing happens up front on the calling thread —
+/// request (id resolved) or a ready-made ok:false record. Parsing
+/// happens up front on the calling thread —
 /// the dispatch engine needs the canonical serialization (the memo's
 /// content address) and the cost estimate before placement, and a
 /// parse costs microseconds next to a scheduler run.
@@ -31,16 +31,12 @@ struct PreparedLine {
   std::string id;             ///< resolved id, for the timing summary
 };
 
-PreparedLine prepare_line(const std::string& text, std::size_t line_number,
-                          const ServeOptions& options) {
+PreparedLine prepare_line(const std::string& text, std::size_t line_number) {
   PreparedLine prepared;
   try {
     prepared.request = parse_request_line(text);
     if (prepared.request.id.empty()) {
       prepared.request.id = "line-" + std::to_string(line_number);
-    }
-    if (!prepared.request.solver.backend_explicit) {
-      prepared.request.solver.backend = options.default_backend;
     }
     prepared.id = prepared.request.id;
     prepared.valid = true;
@@ -89,7 +85,7 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
       if (!raw.empty() && raw.back() == '\r') raw.pop_back();  // CRLF input
       if (trim(raw).empty()) continue;
       const obs::ScopedTimer line_timer(parse_ns);
-      lines.push_back(prepare_line(raw, number, options));
+      lines.push_back(prepare_line(raw, number));
       if (!lines.back().valid) parse_errors_metric.add();
     }
   }
@@ -98,9 +94,9 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
 
   // Job descriptions for the engine: the canonical serialization is the
   // memo's content address (identical bytes ⇔ identical record — the
-  // id and backend defaults are already resolved above, so two lines
-  // that differ only in *those* do not alias). Keys are only
-  // serialized when the memo will actually read them.
+  // id default is already resolved above, so two lines that differ only
+  // in it do not alias). Keys are only serialized when the memo will
+  // actually read them.
   const dispatch::CostModel cost_model;
   std::vector<dispatch::Job> jobs(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -27,7 +27,6 @@
 
 #include "dispatch/engine.hpp"
 #include "scenario/runner.hpp"
-#include "thermal/backend.hpp"
 #include "util/json.hpp"
 
 namespace thermo::dispatch {
@@ -39,10 +38,6 @@ namespace thermo::scenario {
 struct ServeOptions {
   /// Worker threads; 0 picks std::thread::hardware_concurrency.
   std::size_t threads = 0;
-  /// Batch-level solver backend applied to every request whose JSON did
-  /// not name `solver.backend` itself (a request's explicit choice
-  /// always wins) — what `thermosched serve --solver-backend` sets.
-  thermal::SolverBackend default_backend = thermal::SolverBackend::kAuto;
   /// Execution-start order: kFifo = input order (historical behaviour),
   /// kLjf = longest-job-first by estimated cost — cuts makespan on
   /// skewed batches (bench_dispatch gates this). Output bytes do not

@@ -7,6 +7,7 @@
 
 #include "sweep/thread_pool.hpp"
 #include "thermal/solver_cache.hpp"
+#include "thermal/steady_state.hpp"
 #include "thermal/transient.hpp"
 #include "util/error.hpp"
 
@@ -45,8 +46,9 @@ void ScenarioSweep::for_each_index(
 std::vector<ScenarioOutcome> ScenarioSweep::run(
     const thermal::RCModel& model,
     const std::vector<PowerScenario>& scenarios) const {
-  // Factor eagerly on the calling thread so workers start with a warm
-  // cache instead of serializing on the first lookup's factorization.
+  // Factor eagerly on the calling thread — exactly the factors the
+  // workers' solves below look up — so workers start with a warm cache
+  // instead of serializing on the first lookup's factorization.
   bool any_steady = false, any_transient = false;
   for (const PowerScenario& s : scenarios) {
     if (s.duration > 0.0) {
@@ -56,12 +58,8 @@ std::vector<ScenarioOutcome> ScenarioSweep::run(
     }
   }
   auto& cache = thermal::ThermalSolverCache::instance();
-  if (any_steady && options_.solver == thermal::SteadySolver::kCholesky) {
-    cache.cholesky(model);
-  } else if (any_steady && options_.solver == thermal::SteadySolver::kLu) {
-    cache.lu(model);
-  }
-  if (any_transient) cache.stepper(model, options_.dt);
+  if (any_steady) cache.sparse_cholesky(model);
+  if (any_transient) cache.sparse_stepper(model, options_.dt);
 
   std::vector<ScenarioOutcome> outcomes(scenarios.size());
   for_each_index(scenarios.size(), [&](std::size_t i) {
@@ -80,8 +78,8 @@ std::vector<ScenarioOutcome> ScenarioSweep::run(
             result.peak_temperature.begin() +
                 static_cast<std::ptrdiff_t>(model.block_count()));
       } else {
-        const thermal::SteadyStateResult result = thermal::solve_steady_state(
-            model, scenario.block_power, options_.solver);
+        const thermal::SteadyStateResult result =
+            thermal::solve_steady_state(model, scenario.block_power);
         out.block_peak.assign(
             result.temperature.begin(),
             result.temperature.begin() +

@@ -31,16 +31,12 @@
 #include <vector>
 
 #include "thermal/rc_model.hpp"
-#include "thermal/steady_state.hpp"
 
 namespace thermo::sweep {
 
 struct SweepOptions {
   /// Worker threads; 0 picks std::thread::hardware_concurrency.
   std::size_t threads = 0;
-  /// Steady-state solver for duration == 0 scenarios. Only kCholesky and
-  /// kLu benefit from the factor cache.
-  thermal::SteadySolver solver = thermal::SteadySolver::kCholesky;
   /// Backward-Euler step for transient (duration > 0) scenarios.
   double dt = 1e-3;
 };

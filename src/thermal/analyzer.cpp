@@ -34,7 +34,6 @@ SessionSimulation ThermalAnalyzer::simulate_session(
   if (options_.transient) {
     TransientOptions topt;
     topt.dt = options_.dt;
-    topt.backend = options_.backend;
     const TransientResult result = simulate_transient(
         *model_, block_power, duration, ambient_state(*model_), topt);
     out.peak_temperature.assign(
@@ -58,9 +57,7 @@ SessionSimulation ThermalAnalyzer::simulate_session(
 
 std::vector<double> ThermalAnalyzer::steady_block_temperatures(
     const std::vector<double>& block_power) const {
-  SteadyStateOptions sopt;
-  sopt.backend = options_.backend;
-  const SteadyStateResult result = solve_steady_state(*model_, block_power, sopt);
+  const SteadyStateResult result = solve_steady_state(*model_, block_power);
   return std::vector<double>(
       result.temperature.begin(),
       result.temperature.begin() +
@@ -76,7 +73,6 @@ ThermalAnalyzer::Chained ThermalAnalyzer::simulate_session_from(
 
   TransientOptions topt;
   topt.dt = options_.dt;
-  topt.backend = options_.backend;
   const TransientResult result =
       simulate_transient(*model_, block_power, duration, initial_state, topt);
 
@@ -108,7 +104,6 @@ std::vector<double> ThermalAnalyzer::cool_down(
   if (gap == 0.0) return state;
   TransientOptions topt;
   topt.dt = options_.dt;
-  topt.backend = options_.backend;
   const TransientResult result = simulate_transient(
       *model_, std::vector<double>(model_->block_count(), 0.0), gap, state,
       topt);

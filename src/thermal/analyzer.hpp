@@ -15,6 +15,12 @@
 
 namespace thermo::thermal {
 
+/// The factorization every thermal solve uses: sparse LDLᵗ
+/// (linalg/sparse_cholesky.hpp; docs/SOLVERS.md). One value, kept only
+/// so callers that still name it (ThermalAnalyzer::Options::backend,
+/// scenario::SolverSpec::backend) compile; nothing reads it.
+enum class SolverBackend { kSparse };
+
 /// Outcome of simulating one test session.
 struct SessionSimulation {
   /// Per-block maximum temperature reached during the session [deg C].
@@ -35,10 +41,8 @@ class ThermalAnalyzer {
     /// actual duration; when false, steady-state temperatures are used
     /// as a (faster, more pessimistic) oracle.
     bool transient = true;
-    /// Factor representation for every solve this analyzer performs
-    /// (backend.hpp): dense, sparse, or — the default — picked by the
-    /// model's node count.
-    SolverBackend backend = SolverBackend::kAuto;
+    /// Always kSparse; not read (see SolverBackend).
+    SolverBackend backend = SolverBackend::kSparse;
   };
 
   ThermalAnalyzer(const floorplan::Floorplan& fp, const PackageParams& package);

@@ -163,8 +163,8 @@ double GridThermalModel::coverage(std::size_t block, std::size_t row,
   return 0.0;
 }
 
-GridSteadyResult GridThermalModel::solve(const std::vector<double>& block_power,
-                                         SolverBackend backend) const {
+GridSteadyResult GridThermalModel::solve(
+    const std::vector<double>& block_power) const {
   THERMO_REQUIRE(block_power.size() == floorplan_.size(),
                  "power vector size must equal the block count");
   const double a_cell = cell_w_ * cell_h_;
@@ -179,24 +179,13 @@ GridSteadyResult GridThermalModel::solve(const std::vector<double>& block_power,
     }
   }
 
-  // Unified solve path: the resolved backend picks a cached factor
-  // from the process-wide ThermalSolverCache, exactly like RCModel's
-  // steady path — a repeated solve on the same grid is one
-  // back-substitution.
-  ThermalSolverCache& cache = ThermalSolverCache::instance();
-  std::vector<double> rise;
-  if (resolve_backend(backend, node_count()) == SolverBackend::kSparse) {
-    rise = cache.sparse_cholesky(*this)->solve(power);
-  } else {
-    THERMO_REQUIRE(node_count() <= RCModel::kDenseMirrorMaxNodes,
-                   "grid model: dense backend disabled above " +
-                       std::to_string(RCModel::kDenseMirrorMaxNodes) +
-                       " nodes; use the sparse backend");
-    rise = cache.cholesky(*this)->solve(power);
-  }
+  // A repeated solve on the same grid is one back-substitution through
+  // the process-wide ThermalSolverCache, exactly like RCModel's steady
+  // path.
+  const std::vector<double> rise =
+      ThermalSolverCache::instance().sparse_cholesky(*this)->solve(power);
 
   GridSteadyResult result;
-  result.iterations = 0;
   result.cell_temperature.resize(cell_count());
   for (std::size_t cell = 0; cell < cell_count(); ++cell) {
     result.cell_temperature[cell] = package_.ambient + rise[cell];

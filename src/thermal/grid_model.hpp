@@ -10,12 +10,10 @@
 // Purpose: a higher-fidelity steady-state oracle to quantify the
 // discretisation error of the block model (bench_ablation_grid) and to
 // expose intra-block temperature gradients that block granularity hides.
-// Steady state only. Solves route through SolverBackend +
-// ThermalSolverCache exactly like RCModel: the resolved backend picks a
-// cached dense Cholesky (small grids) or a cached fill-ordered sparse
-// LDLᵗ factor (everything else), so repeated solves on one grid pay a
-// single factorization — 100k-node grids (317×317+) factor once and
-// back-substitute per power map.
+// Steady state only. Solves route through ThermalSolverCache exactly
+// like RCModel: a cached fill-ordered sparse LDLᵗ factor, so repeated
+// solves on one grid pay a single factorization — 100k-node grids
+// (317×317+) factor once and back-substitute per power map.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +22,6 @@
 
 #include "floorplan/floorplan.hpp"
 #include "linalg/sparse.hpp"
-#include "thermal/backend.hpp"
 #include "thermal/package.hpp"
 
 namespace thermo::thermal {
@@ -41,9 +38,6 @@ struct GridSteadyResult {
   std::vector<double> block_max_temperature;
   /// Per-block area-weighted mean temperature [deg C].
   std::vector<double> block_mean_temperature;
-  /// Iterative-solver iterations; 0 for the direct factor backends
-  /// (kept so telemetry consumers need no schema change).
-  std::size_t iterations = 0;
 };
 
 class GridThermalModel {
@@ -69,10 +63,9 @@ class GridThermalModel {
   /// Fraction of cell (r, c) covered by block b (0..1).
   double coverage(std::size_t block, std::size_t row, std::size_t col) const;
 
-  /// Steady-state solve for per-block power [W] through the resolved
-  /// backend's cached factor (ThermalSolverCache).
-  GridSteadyResult solve(const std::vector<double>& block_power,
-                         SolverBackend backend = SolverBackend::kAuto) const;
+  /// Steady-state solve for per-block power [W] through the cached
+  /// sparse factor (ThermalSolverCache).
+  GridSteadyResult solve(const std::vector<double>& block_power) const;
 
   /// The sparse conductance matrix (ambient eliminated onto diagonal).
   const linalg::SparseMatrix& conductance() const { return conductance_; }

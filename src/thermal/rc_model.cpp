@@ -19,31 +19,6 @@ RCModel::RCModel(const fp::Floorplan& floorplan, const PackageParams& package)
   build();
 }
 
-RCModel::RCModel(const RCModel& other)
-    : floorplan_(other.floorplan_),
-      package_(other.package_),
-      identity_(other.identity_),
-      block_count_(other.block_count_),
-      sparse_(other.sparse_),
-      capacitance_(other.capacitance_),
-      ambient_conductance_(other.ambient_conductance_),
-      node_names_(other.node_names_) {}
-
-RCModel& RCModel::operator=(const RCModel& other) {
-  if (this == &other) return *this;
-  floorplan_ = other.floorplan_;
-  package_ = other.package_;
-  identity_ = other.identity_;
-  block_count_ = other.block_count_;
-  sparse_ = other.sparse_;
-  capacitance_ = other.capacitance_;
-  ambient_conductance_ = other.ambient_conductance_;
-  node_names_ = other.node_names_;
-  std::lock_guard<std::mutex> lock(dense_mutex_);
-  dense_.reset();
-  return *this;
-}
-
 void RCModel::stamp(linalg::SparseMatrix::Builder& builder, std::size_t a,
                     std::size_t b, double g) {
   THERMO_ENSURE(std::isfinite(g) && g > 0.0, "stamped conductance must be positive");
@@ -208,22 +183,9 @@ void RCModel::build() {
   }
 
   sparse_ = builder.build();
-  // Symmetry validation runs on the CSR matrix directly — no dense
-  // mirror is materialised for it (O(nnz·log) instead of O(n²)).
+  // Symmetry validation runs on the CSR matrix directly (O(nnz·log)).
   THERMO_ENSURE(sparse_.is_symmetric(1e-9),
                 "conductance matrix must be symmetric");
-}
-
-const linalg::DenseMatrix& RCModel::conductance() const {
-  std::lock_guard<std::mutex> lock(dense_mutex_);
-  if (!dense_) {
-    THERMO_REQUIRE(node_count() <= kDenseMirrorMaxNodes,
-                   "dense conductance mirror disabled above " +
-                       std::to_string(kDenseMirrorMaxNodes) +
-                       " nodes; use conductance_sparse()");
-    dense_ = std::make_unique<linalg::DenseMatrix>(sparse_.to_dense());
-  }
-  return *dense_;
 }
 
 const std::string& RCModel::node_name(std::size_t node) const {

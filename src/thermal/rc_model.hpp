@@ -30,13 +30,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "floorplan/floorplan.hpp"
-#include "linalg/dense_matrix.hpp"
 #include "linalg/sparse.hpp"
 #include "thermal/package.hpp"
 
@@ -47,14 +44,8 @@ class RCModel {
   /// Builds the network. The floorplan must be valid (no overlaps) and is
   /// copied into the model. Throws InvalidArgument otherwise.
   /// Assembly is sparse-first: conductances stamp straight into a CSR
-  /// builder, so construction is O(nnz) time and memory — the dense n×n
-  /// mirror is only materialised if conductance() is called.
+  /// builder, so construction is O(nnz) time and memory.
   RCModel(const floorplan::Floorplan& fp, const PackageParams& package);
-
-  // The lazy dense mirror lives behind a mutex; copies share matrices
-  // and identity but rebuild the mirror on demand.
-  RCModel(const RCModel& other);
-  RCModel& operator=(const RCModel& other);
 
   std::size_t block_count() const { return block_count_; }
   std::size_t node_count() const { return block_count_ + kPackageNodes; }
@@ -76,20 +67,10 @@ class RCModel {
   /// new one, which is what invalidates stale cache entries.
   std::uint64_t identity() const { return identity_; }
 
-  /// Largest node count for which the dense mirror may be materialised
-  /// (3.2 GB at the cap); above it conductance() throws and callers
-  /// must stay on the sparse path.
-  static constexpr std::size_t kDenseMirrorMaxNodes = 20000;
-
   /// Symmetric positive-definite conductance matrix G [W/K] over all
-  /// nodes, ambient eliminated (to-ambient conductance on the diagonal).
-  /// DENSE MIRROR, built lazily on first call (thread-safe) — only the
-  /// dense backend, the kLu cross-check path, and tests want it. Throws
-  /// InvalidArgument above kDenseMirrorMaxNodes.
-  const linalg::DenseMatrix& conductance() const;
-
-  /// The CSR matrix G — the primary representation; assembly stamps
-  /// directly into it and the sparse backend factors it as-is.
+  /// nodes, ambient eliminated (to-ambient conductance on the diagonal),
+  /// in CSR form: assembly stamps directly into it and the solver cache
+  /// factors it as-is.
   const linalg::SparseMatrix& conductance_sparse() const { return sparse_; }
 
   /// Per-node heat capacity [J/K] (all positive).
@@ -123,9 +104,6 @@ class RCModel {
   std::vector<double> capacitance_;
   std::vector<double> ambient_conductance_;
   std::vector<std::string> node_names_;
-  // Lazy dense mirror (nullptr until conductance() is first called).
-  mutable std::mutex dense_mutex_;
-  mutable std::unique_ptr<linalg::DenseMatrix> dense_;
 };
 
 }  // namespace thermo::thermal

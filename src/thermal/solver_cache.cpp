@@ -41,8 +41,7 @@ CacheMetrics& cache_metrics() {
 }  // namespace
 
 bool ThermalSolverCache::Key::operator<(const Key& other) const {
-  return std::tie(model, dt_bits, kind) <
-         std::tie(other.model, other.dt_bits, other.kind);
+  return std::tie(model, dt_bits) < std::tie(other.model, other.dt_bits);
 }
 
 ThermalSolverCache& ThermalSolverCache::instance() {
@@ -70,8 +69,8 @@ std::shared_ptr<const void> ThermalSolverCache::lookup(
     ++misses_;
     metrics.misses.add();
   }
-  // Factor OUTSIDE the lock: an O(n^3) factorization must not stall
-  // every other worker's cache lookup. Two threads racing the same key
+  // Factor OUTSIDE the lock: a factorization must not stall every other
+  // worker's cache lookup. Two threads racing the same key
   // may both factor; the first insert wins and both share its result
   // (the loser's work is discarded — rare, and merely wasted cycles).
   std::shared_ptr<const void> value;
@@ -100,38 +99,9 @@ std::shared_ptr<const void> ThermalSolverCache::lookup(
   return value;
 }
 
-std::shared_ptr<const linalg::CholeskyFactor> ThermalSolverCache::cholesky(
-    const RCModel& model) {
-  auto value = lookup(Key{model.identity(), 0, 0}, [&] {
-    return std::shared_ptr<const void>(
-        std::make_shared<const linalg::CholeskyFactor>(model.conductance()));
-  });
-  return std::static_pointer_cast<const linalg::CholeskyFactor>(value);
-}
-
-std::shared_ptr<const linalg::LuFactor> ThermalSolverCache::lu(
-    const RCModel& model) {
-  auto value = lookup(Key{model.identity(), 0, 1}, [&] {
-    return std::shared_ptr<const void>(
-        std::make_shared<const linalg::LuFactor>(model.conductance()));
-  });
-  return std::static_pointer_cast<const linalg::LuFactor>(value);
-}
-
-std::shared_ptr<const linalg::LinearImplicitStepper> ThermalSolverCache::stepper(
-    const RCModel& model, double dt) {
-  THERMO_REQUIRE(dt > 0.0, "solver cache: dt must be positive");
-  auto value = lookup(Key{model.identity(), bits_of(dt), 2}, [&] {
-    return std::shared_ptr<const void>(
-        std::make_shared<const linalg::LinearImplicitStepper>(
-            model.conductance(), model.capacitance(), dt));
-  });
-  return std::static_pointer_cast<const linalg::LinearImplicitStepper>(value);
-}
-
 std::shared_ptr<const linalg::SparseCholeskyFactor>
 ThermalSolverCache::sparse_cholesky(const RCModel& model) {
-  auto value = lookup(Key{model.identity(), 0, 3}, [&] {
+  auto value = lookup(Key{model.identity(), 0}, [&] {
     return std::shared_ptr<const void>(
         std::make_shared<const linalg::SparseCholeskyFactor>(
             model.conductance_sparse()));
@@ -142,7 +112,7 @@ ThermalSolverCache::sparse_cholesky(const RCModel& model) {
 std::shared_ptr<const linalg::SparseImplicitStepper>
 ThermalSolverCache::sparse_stepper(const RCModel& model, double dt) {
   THERMO_REQUIRE(dt > 0.0, "solver cache: dt must be positive");
-  auto value = lookup(Key{model.identity(), bits_of(dt), 4}, [&] {
+  auto value = lookup(Key{model.identity(), bits_of(dt)}, [&] {
     return std::shared_ptr<const void>(
         std::make_shared<const linalg::SparseImplicitStepper>(
             model.conductance_sparse(), model.capacitance(), dt));
@@ -150,46 +120,14 @@ ThermalSolverCache::sparse_stepper(const RCModel& model, double dt) {
   return std::static_pointer_cast<const linalg::SparseImplicitStepper>(value);
 }
 
-std::shared_ptr<const linalg::CholeskyFactor> ThermalSolverCache::cholesky(
-    const GridThermalModel& model) {
-  auto value = lookup(Key{model.identity(), 0, 0}, [&] {
-    return std::shared_ptr<const void>(
-        std::make_shared<const linalg::CholeskyFactor>(
-            model.conductance().to_dense()));
-  });
-  return std::static_pointer_cast<const linalg::CholeskyFactor>(value);
-}
-
 std::shared_ptr<const linalg::SparseCholeskyFactor>
 ThermalSolverCache::sparse_cholesky(const GridThermalModel& model) {
-  auto value = lookup(Key{model.identity(), 0, 3}, [&] {
+  auto value = lookup(Key{model.identity(), 0}, [&] {
     return std::shared_ptr<const void>(
         std::make_shared<const linalg::SparseCholeskyFactor>(
             model.conductance()));
   });
   return std::static_pointer_cast<const linalg::SparseCholeskyFactor>(value);
-}
-
-void ThermalSolverCache::invalidate(const RCModel& model) {
-  std::scoped_lock lock(mutex_);
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->first.model == model.identity()) {
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void ThermalSolverCache::invalidate(const GridThermalModel& model) {
-  std::scoped_lock lock(mutex_);
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->first.model == model.identity()) {
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 void ThermalSolverCache::clear() {

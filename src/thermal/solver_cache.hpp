@@ -1,17 +1,15 @@
-// ThermalSolverCache: process-wide cache of matrix factorizations keyed
-// by model identity (RCModel and GridThermalModel share one identity
-// counter — thermal/model_identity.hpp).
+// ThermalSolverCache: process-wide cache of sparse matrix factorizations
+// keyed by model identity (RCModel and GridThermalModel share one
+// identity counter — thermal/model_identity.hpp).
 //
 // The paper's Algorithm 1 validates thousands of candidate sessions
 // against ONE fixed conductance matrix G — only the power vector (the
 // right-hand side) changes per candidate. The same holds for every
 // scenario sweep: the floorplan is fixed, the workloads vary. Factoring
-// G once (n^3/3 flops) and back-substituting per solve (2 n^2) turns
-// the steady-state hot path from cubic to quadratic; the transient
-// backward-Euler system matrix (C/dt + G) gets the same treatment per
-// (model, dt) pair. Each factor exists in a dense and a sparse flavour
-// (SolverBackend, backend.hpp) cached as separate entries; the sparse
-// LDLᵗ flavour drops both costs to ~linear in n on RC networks.
+// G once as sparse LDLᵗ (linalg/sparse_cholesky.hpp) and
+// back-substituting per solve (2·nnz(L)) keeps the steady-state hot path
+// near-linear in the node count; the transient backward-Euler system
+// matrix (C/dt + G) gets the same treatment per (model, dt) pair.
 // docs/SOLVERS.md has the full cost model.
 //
 // Keying: RCModel::identity() is process-unique per *construction*, so
@@ -21,15 +19,15 @@
 // always sound).
 //
 // Concurrency: lookups take one mutex, but factorization itself runs
-// OUTSIDE it — an O(n^3) factor never stalls other workers' lookups.
+// OUTSIDE it — a factorization never stalls other workers' lookups.
 // Two threads racing the same cold key may both factor; the first
 // insert wins and both share its result. The returned factor objects
 // are const and thread-safe, so a sweep::ScenarioSweep fanning one
 // model across N threads factors (effectively) once and solves N-wide;
 // ScenarioSweep::run additionally pre-warms the needed keys before the
 // fan-out so workers start on cache hits. Entries are evicted
-// least-recently-used beyond `capacity()` to bound memory (a dense
-// factor is n^2 doubles; a sparse one nnz(L) + n).
+// least-recently-used beyond `capacity()` to bound memory (a factor
+// holds nnz(L) + n doubles).
 #pragma once
 
 #include <cstddef>
@@ -39,9 +37,6 @@
 #include <memory>
 #include <mutex>
 
-#include "linalg/cholesky.hpp"
-#include "linalg/lu.hpp"
-#include "linalg/ode.hpp"
 #include "linalg/sparse_cholesky.hpp"
 #include "thermal/grid_model.hpp"
 #include "thermal/rc_model.hpp"
@@ -57,45 +52,23 @@ class ThermalSolverCache {
 
   explicit ThermalSolverCache(std::size_t capacity = 32);
 
-  /// Cholesky factor of the model's conductance matrix G (steady state).
-  std::shared_ptr<const linalg::CholeskyFactor> cholesky(const RCModel& model);
-
-  /// LU factor of G (reference / cross-check steady-state path).
-  std::shared_ptr<const linalg::LuFactor> lu(const RCModel& model);
-
-  /// Backward-Euler stepper for (C/dt + G), keyed by (model, dt). The
-  /// dt key is the exact bit pattern — two dts compare equal iff their
-  /// doubles are identical.
-  std::shared_ptr<const linalg::LinearImplicitStepper> stepper(
-      const RCModel& model, double dt);
-
-  /// Sparse LDLᵗ factor of G (the SolverBackend::kSparse steady path).
-  /// Cached under the same RCModel::identity() keying as the dense
-  /// factors — invalidate(model) drops both kinds together.
+  /// Sparse LDLᵗ factor of the model's conductance matrix G (steady
+  /// state).
   std::shared_ptr<const linalg::SparseCholeskyFactor> sparse_cholesky(
       const RCModel& model);
 
-  /// Sparse backward-Euler stepper for (C/dt + G), keyed by (model, dt)
-  /// exactly like stepper() — the SolverBackend::kSparse transient path.
+  /// Sparse backward-Euler stepper for (C/dt + G), keyed by (model, dt).
+  /// The dt key is the exact bit pattern — two dts compare equal iff
+  /// their doubles are identical.
   std::shared_ptr<const linalg::SparseImplicitStepper> sparse_stepper(
       const RCModel& model, double dt);
 
-  /// Grid-model factors, keyed by GridThermalModel::identity() — the
+  /// Grid-model factor, keyed by GridThermalModel::identity() — the
   /// identity space is shared with RCModel (thermal/model_identity.hpp),
   /// so grid and block factors coexist in one cache without aliasing.
   /// Steady-state only (the grid model has no transient path).
-  std::shared_ptr<const linalg::CholeskyFactor> cholesky(
-      const GridThermalModel& model);
   std::shared_ptr<const linalg::SparseCholeskyFactor> sparse_cholesky(
       const GridThermalModel& model);
-
-  /// Drops every entry belonging to `model` (all kinds, all dts).
-  /// Factors already handed out stay valid — shared_ptr keeps them
-  /// alive for their holders.
-  void invalidate(const RCModel& model);
-
-  /// Same, for a grid model's factors.
-  void invalidate(const GridThermalModel& model);
 
   /// Drops everything.
   void clear();
@@ -116,9 +89,9 @@ class ThermalSolverCache {
  private:
   struct Key {
     std::uint64_t model = 0;
-    std::uint64_t dt_bits = 0;  // 0 for the steady-state factors
-    int kind = 0;  // 0 = cholesky, 1 = lu, 2 = stepper,
-                   // 3 = sparse cholesky, 4 = sparse stepper
+    /// 0 for the factor of G; otherwise the stepper's dt (dt > 0, so
+    /// its bit pattern is never 0).
+    std::uint64_t dt_bits = 0;
     bool operator<(const Key& other) const;
   };
   struct Entry {

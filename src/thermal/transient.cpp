@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "linalg/ode.hpp"
 #include "thermal/solver_cache.hpp"
 #include "util/error.hpp"
 
@@ -50,77 +49,27 @@ TransientResult simulate_transient(const RCModel& model,
 
   if (duration == 0.0) return result;
 
-  const std::vector<double>& capacitance = model.capacitance();
-
-  if (options.integrator == TransientIntegrator::kBackwardEuler) {
-    // The (C/dt + G) factor is shared through the solver cache: repeated
-    // sessions on the same model at the same dt — Algorithm 1 validates
-    // thousands — pay the factorization once. The backend picks dense LU
-    // or sparse LDLᵗ; both stepper kinds share the same loop below.
-    ThermalSolverCache& cache = ThermalSolverCache::instance();
-    const auto run_backward_euler = [&](const auto& stepper_for) {
-      const auto stepper = stepper_for(options.dt);
-      double t = 0.0;
-      while (t < duration - 1e-15) {
-        const double step = std::min(options.dt, duration - t);
-        if (step < options.dt * (1.0 - 1e-12)) {
-          // Final fractional remainder: also cached, keyed by its own
-          // (model, step). Real workloads re-simulate the same durations
-          // (Algorithm 1 re-validates fixed-length sessions), so the
-          // remainder factor is reused; a burst of one-off durations at
-          // worst churns the LRU, it cannot grow the cache unboundedly.
-          state = stepper_for(step)->step(state, power);
-        } else {
-          state = stepper->step(state, power);
-        }
-        t += step;
-        ++result.steps;
-        record(state);
-      }
-    };
-    if (resolve_backend(options.backend, n) == SolverBackend::kSparse) {
-      run_backward_euler(
-          [&](double dt) { return cache.sparse_stepper(model, dt); });
+  // The (C/dt + G) factor is shared through the solver cache: repeated
+  // sessions on the same model at the same dt — Algorithm 1 validates
+  // thousands — pay the factorization once.
+  ThermalSolverCache& cache = ThermalSolverCache::instance();
+  const auto stepper = cache.sparse_stepper(model, options.dt);
+  double t = 0.0;
+  while (t < duration - 1e-15) {
+    const double step = std::min(options.dt, duration - t);
+    if (step < options.dt * (1.0 - 1e-12)) {
+      // Final fractional remainder: also cached, keyed by its own
+      // (model, step). Real workloads re-simulate the same durations
+      // (Algorithm 1 re-validates fixed-length sessions), so the
+      // remainder factor is reused; a burst of one-off durations at
+      // worst churns the LRU, it cannot grow the cache unboundedly.
+      state = cache.sparse_stepper(model, step)->step(state, power);
     } else {
-      run_backward_euler([&](double dt) { return cache.stepper(model, dt); });
+      state = stepper->step(state, power);
     }
-  } else {
-    const auto integrate = [&](const linalg::OdeRhs& rhs) {
-      state = linalg::rk4_integrate(
-          rhs, 0.0, duration, state, options.dt,
-          [&](double, const linalg::Vector& x) {
-            ++result.steps;
-            record(x);
-          });
-    };
-    if (resolve_backend(options.backend, n) == SolverBackend::kSparse) {
-      // Matrix-free path: the stage derivative is one SpMV through the
-      // CSR fast path — O(nnz) per stage instead of the dense n²
-      // product. Column order within a CSR row matches the dense scan
-      // order and adding explicit zeros is the identity, so the two
-      // paths agree to roundoff (pinned in thermal_backend_test).
-      const auto& g = model.conductance_sparse();
-      linalg::Vector product;
-      const auto rhs = [&](double, const linalg::Vector& x) {
-        g.multiply_into(x, product);
-        linalg::Vector dx(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          dx[i] = (power[i] - product[i]) / capacitance[i];
-        }
-        return dx;
-      };
-      integrate(rhs);
-    } else {
-      const auto& g = model.conductance();
-      const auto rhs = [&](double, const linalg::Vector& x) {
-        linalg::Vector dx = g.multiply(x);
-        for (std::size_t i = 0; i < n; ++i) {
-          dx[i] = (power[i] - dx[i]) / capacitance[i];
-        }
-        return dx;
-      };
-      integrate(rhs);
-    }
+    t += step;
+    ++result.steps;
+    record(state);
   }
 
   for (std::size_t i = 0; i < n; ++i) {

@@ -6,42 +6,24 @@
 // Every simulated second here is charged to "simulation effort".
 //
 // The system is stiff (die time constants are milliseconds, the heat
-// sink's are tens of seconds), so the default integrator is backward
-// Euler with a factored system matrix; RK4 is available for
-// cross-validation on short horizons.
-//
-// The backward-Euler system matrix (C/dt + G) is factor-cached per
-// (model, dt) through ThermalSolverCache (solver_cache.hpp): the first
-// simulated session pays the factorization, every later session on the
-// same model and step size pays only back-substitution per step. The
-// factor representation follows TransientOptions::backend (backend.hpp):
-// dense LU below the kAuto crossover, sparse LDLᵗ above it — the sparse
-// path is what keeps per-step cost linear in the node count on
-// thousand-node SoCs. docs/SOLVERS.md covers the cost model and solver
-// trade-offs.
+// sink's are tens of seconds), so the integrator is backward Euler with
+// a factored system matrix. (C/dt + G) is factored as sparse LDLᵗ and
+// cached per (model, dt) through ThermalSolverCache (solver_cache.hpp):
+// the first simulated session pays the factorization, every later
+// session on the same model and step size pays only back-substitution
+// per step, linear in the factor's non-zeros. docs/SOLVERS.md covers the
+// cost model.
 #pragma once
 
 #include <functional>
 #include <vector>
 
-#include "thermal/backend.hpp"
 #include "thermal/rc_model.hpp"
 
 namespace thermo::thermal {
 
-enum class TransientIntegrator {
-  kBackwardEuler,  ///< implicit, unconditionally stable (default)
-  kRk4             ///< explicit, accurate but needs tiny steps when stiff
-};
-
 struct TransientOptions {
-  double dt = 1e-3;  ///< step size [s]
-  TransientIntegrator integrator = TransientIntegrator::kBackwardEuler;
-  /// Matrix representation: for kBackwardEuler it picks the factor of
-  /// (C/dt + G); for kRk4 it picks the G product per stage — dense n²
-  /// below the kAuto crossover, the CSR SpMV fast path
-  /// (SparseMatrix::multiply_into) at and above it.
-  SolverBackend backend = SolverBackend::kAuto;
+  double dt = 1e-3;  ///< backward-Euler step size [s]
   /// Optional per-step observer (t, absolute node temperatures).
   std::function<void(double, const std::vector<double>&)> observer;
 };

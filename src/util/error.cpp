@@ -6,11 +6,11 @@
 namespace thermo::detail {
 
 [[noreturn]] void throw_require_failure(const char* kind, const char* expr,
-                                        const std::string& message,
-                                        std::source_location loc) {
+                                        const std::string& message) {
+  // No source location: the message reaches ok:false serve records, which
+  // must not depend on where the library was built.
   std::ostringstream os;
-  os << loc.file_name() << ':' << loc.line() << ": " << kind << " failed ["
-     << expr << "]: " << message;
+  os << kind << " failed [" << expr << "]: " << message;
   if (std::string_view(kind) == "invariant") {
     throw LogicError(os.str());
   }

@@ -7,7 +7,6 @@
 // external inputs throw `ParseError`.
 #pragma once
 
-#include <source_location>
 #include <stdexcept>
 #include <string>
 
@@ -45,8 +44,7 @@ class ParseError : public Error {
 
 namespace detail {
 [[noreturn]] void throw_require_failure(const char* kind, const char* expr,
-                                        const std::string& message,
-                                        std::source_location loc);
+                                        const std::string& message);
 }  // namespace detail
 
 }  // namespace thermo
@@ -55,8 +53,8 @@ namespace detail {
 #define THERMO_REQUIRE(cond, message)                                     \
   do {                                                                    \
     if (!(cond)) {                                                        \
-      ::thermo::detail::throw_require_failure(                            \
-          "precondition", #cond, (message), std::source_location::current()); \
+      ::thermo::detail::throw_require_failure("precondition", #cond,      \
+                                              (message));                 \
     }                                                                     \
   } while (false)
 
@@ -64,7 +62,7 @@ namespace detail {
 #define THERMO_ENSURE(cond, message)                                      \
   do {                                                                    \
     if (!(cond)) {                                                        \
-      ::thermo::detail::throw_require_failure(                            \
-          "invariant", #cond, (message), std::source_location::current()); \
+      ::thermo::detail::throw_require_failure("invariant", #cond,         \
+                                              (message));                 \
     }                                                                     \
   } while (false)

@@ -75,9 +75,8 @@ TEST(SparseCholeskyTest, MatchesDenseCholeskyOnRandomSpdSystems) {
     for (int trial = 0; trial < 3; ++trial) {
       const Vector b = random_rhs(rng, n);
       // Two direct factorizations of a well-conditioned SPD system:
-      // the documented cross-backend tolerance is 1e-9 relative
-      // (docs/SOLVERS.md "Choosing a backend"); these small systems
-      // agree far tighter.
+      // the documented agreement bound is 1e-9 relative
+      // (docs/SOLVERS.md); these small systems agree far tighter.
       EXPECT_LT(max_rel_diff(sparse.solve(b), dense.solve(b)), 1e-11)
           << "n=" << n << " trial=" << trial;
     }

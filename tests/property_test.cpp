@@ -3,14 +3,20 @@
 // valid input, not just the bundled evaluation systems.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <ostream>
+#include <tuple>
 
 #include "core/safety_checker.hpp"
 #include "core/session_model.hpp"
 #include "core/thermal_scheduler.hpp"
+#include "linalg/cholesky.hpp"
+#include "linalg/ode.hpp"
 #include "soc/synthetic.hpp"
 #include "thermal/analyzer.hpp"
 #include "thermal/steady_state.hpp"
+#include "thermal/transient.hpp"
 #include "util/rng.hpp"
 
 namespace thermo {
@@ -72,17 +78,45 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u, 5u, 6u),
                        ::testing::Values(4u, 8u, 14u)));
 
-class ThermalInvariants : public ::testing::TestWithParam<std::uint64_t> {};
+/// A random SoC for the thermal invariants: `cores` blocks, so
+/// cores + 10 package nodes thermal nodes.
+struct ThermalCase {
+  std::uint64_t seed;
+  std::size_t cores;
+};
+
+/// Test-name printer: the 10-core cases print as their seed alone, as
+/// they did when the seed was the whole parameter.
+void PrintTo(const ThermalCase& c, std::ostream* os) {
+  *os << c.seed;
+  if (c.cores != 10) *os << "_cores" << c.cores;
+}
+
+class ThermalInvariants : public ::testing::TestWithParam<ThermalCase> {};
 
 TEST_P(ThermalInvariants, SteadyStateBoundsAndMonotonicity) {
-  const core::SocSpec soc = random_soc(GetParam() + 100, 10);
+  const core::SocSpec soc = random_soc(GetParam().seed + 100, GetParam().cores);
   const thermal::RCModel model(soc.flp, soc.package);
 
-  // Steady state bounds 1 s transient peaks (paper modification 1).
+  // M-matrix property: from ambient under constant non-negative power,
+  // every backward-Euler iterate is >= the previous one at every node
+  // ((C/dt + G)^-1 is entrywise non-negative).
   const auto power = soc.test_powers();
-  const auto steady = thermal::solve_steady_state(model, power);
+  std::vector<double> previous = thermal::ambient_state(model);
+  std::size_t decreases = 0;
+  thermal::TransientOptions options;
+  options.observer = [&](double, const std::vector<double>& temperature) {
+    for (std::size_t n = 0; n < temperature.size(); ++n) {
+      if (temperature[n] < previous[n] - 1e-12) ++decreases;
+    }
+    previous = temperature;
+  };
   const auto transient = thermal::simulate_transient(
-      model, power, 1.0, thermal::ambient_state(model));
+      model, power, 1.0, thermal::ambient_state(model), options);
+  EXPECT_EQ(decreases, 0u);
+
+  // Steady state bounds 1 s transient peaks (paper modification 1).
+  const auto steady = thermal::solve_steady_state(model, power);
   for (std::size_t n = 0; n < model.node_count(); ++n) {
     EXPECT_LE(transient.peak_temperature[n], steady.temperature[n] + 1e-6);
   }
@@ -96,8 +130,78 @@ TEST_P(ThermalInvariants, SteadyStateBoundsAndMonotonicity) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ThermalInvariants,
-                         ::testing::Range<std::uint64_t>(1, 7));
+// Seeds 1..6 on 10-core SoCs, plus two SoCs of 300 cores (310 thermal
+// nodes) — the sizes Algorithm 1 sees on large synthetic requests.
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, ThermalInvariants,
+    ::testing::Values(ThermalCase{1, 10}, ThermalCase{2, 10},
+                      ThermalCase{3, 10}, ThermalCase{4, 10},
+                      ThermalCase{5, 10}, ThermalCase{6, 10},
+                      ThermalCase{1, 300}, ThermalCase{2, 300}));
+
+double max_rel_diff(const std::vector<double>& a,
+                    const std::vector<double>& b) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double scale =
+        std::max(1e-30, std::max(std::fabs(a[i]), std::fabs(b[i])));
+    worst = std::max(worst, std::fabs(a[i] - b[i]) / scale);
+  }
+  return worst;
+}
+
+TEST(SolverBackendTest, BackendsAgreeOnRandomSyntheticSocs) {
+  // The sparse solve path against the dense linalg oracles on the same
+  // network: steady state vs dense Cholesky of G, and the backward-Euler
+  // transient vs LinearImplicitStepper (dense LU of C/dt + G). Two
+  // direct factorizations of one well-conditioned SPD system, so the
+  // documented 1e-9 relative bound is generous.
+  constexpr double kTolerance = 1e-9;
+  const std::tuple<std::uint64_t, std::size_t> cases[] = {
+      {1, 40}, {5, 40}, {9, 40}, {3, 300}};
+  for (const auto& [seed, cores] : cases) {
+    const core::SocSpec soc = random_soc(seed, cores);
+    const thermal::RCModel model(soc.flp, soc.package);
+    const linalg::DenseMatrix g = model.conductance_sparse().to_dense();
+    const std::vector<double> power = soc.test_powers();
+    const std::vector<double> node_power = model.expand_power(power);
+
+    const auto steady = thermal::solve_steady_state(model, power);
+    EXPECT_LT(max_rel_diff(steady.rise,
+                           linalg::CholeskyFactor(g).solve(node_power)),
+              kTolerance)
+        << "seed=" << seed << " cores=" << cores;
+
+    thermal::TransientOptions options;
+    options.dt = 1e-3;
+    const auto initial = thermal::ambient_state(model);
+    const auto transient =
+        thermal::simulate_transient(model, power, 0.035, initial, options);
+    const linalg::LinearImplicitStepper oracle(g, model.capacitance(),
+                                               options.dt);
+    std::vector<double> rise(model.node_count(), 0.0);
+    std::vector<double> peak_rise = rise;
+    for (std::size_t step = 0; step < transient.steps; ++step) {
+      rise = oracle.step(rise, node_power);
+      for (std::size_t n = 0; n < rise.size(); ++n) {
+        peak_rise[n] = std::max(peak_rise[n], rise[n]);
+      }
+    }
+    ASSERT_EQ(transient.steps, 35u);
+    std::vector<double> final_temperature(rise.size());
+    std::vector<double> peak_temperature(rise.size());
+    for (std::size_t n = 0; n < rise.size(); ++n) {
+      final_temperature[n] = soc.package.ambient + rise[n];
+      peak_temperature[n] = soc.package.ambient + peak_rise[n];
+    }
+    EXPECT_LT(max_rel_diff(transient.final_temperature, final_temperature),
+              kTolerance)
+        << "seed=" << seed << " cores=" << cores;
+    EXPECT_LT(max_rel_diff(transient.peak_temperature, peak_temperature),
+              kTolerance)
+        << "seed=" << seed << " cores=" << cores;
+  }
+}
 
 class SessionModelInvariants : public ::testing::TestWithParam<std::uint64_t> {
 };

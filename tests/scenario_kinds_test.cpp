@@ -41,7 +41,7 @@ constexpr const char* kPtraceGolden =
     R"({"id":"pt","kind":"ptrace","soc":{"kind":"fig1","power_scale":1},)"
     R"("ptrace":{"text":"C1 C2 C3 C4 C5 C6 C7\n12 0 0 0 15 15 15\n)"
     R"(0 15 15 15 0 0 0\n","step_duration":0.05},)"
-    R"("solver":{"dt":0.01,"transient":true,"backend":"auto"}})";
+    R"("solver":{"dt":0.01,"transient":true}})";
 
 constexpr const char* kChainedInput =
     R"({"id":"ch","kind":"chained","soc":{"kind":"fig1"},"stcl":60,)"
@@ -52,7 +52,7 @@ constexpr const char* kChainedGolden =
     R"("tl":155,"stcl":60,"stc_scale":0,"weight_factor":1.1,)"
     R"("solo_policy":"raise-limit","core_order":"desc-solo-tc",)"
     R"("chained":{"cooling_gap":0.25},)"
-    R"("solver":{"dt":0.01,"transient":false,"backend":"auto"}})";
+    R"("solver":{"dt":0.01,"transient":false}})";
 
 TEST(KindGolden, PtraceCanonicalForm) {
   EXPECT_EQ(normalize(kPtraceInput), kPtraceGolden);
@@ -204,7 +204,7 @@ TEST(KindServe, ChainedGoldenRecord) {
       R"({"id":"ch","ok":true,"kind":"chained","soc":"fig1-hypothetical",)"
       R"("cores":7,"schedule":{"stcl":60,"length":1,"sessions":1,)"
       R"("effective_tl":155},"chained":{"cooling_gap":0.25,)"
-      R"("independent_max_temperature":135.66064041622144,)"
+      R"("independent_max_temperature":135.66064041622133,)"
       R"("chained_max_temperature":103.60444397187887,"violations":0,)"
       R"("safe":true},"simulation_effort":2})");
 }

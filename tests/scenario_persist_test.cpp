@@ -10,9 +10,10 @@
 //   * with dedup off the disk cache is ignored (nothing to key by) and
 //     the output bytes STILL match — caching changes when work runs,
 //     never what is written;
-//   * a directory left by an older build, which also kept a cost-model
-//     calibration blob next to its segments, still serves, verifies and
-//     compacts — and the stray blob is left untouched.
+//   * a directory left by an older build (result schema revision 1,
+//     plus a cost-model calibration blob next to its segments) is wiped
+//     on open, then serves, verifies and compacts like a fresh one — and
+//     the stray blob is left untouched.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -160,20 +161,40 @@ std::string read_file(const std::string& path) {
 }
 
 TEST(ScenarioPersist, OldCacheDirWithCalibrationBlobStillWorks) {
-  const ScopedTempDir dir("serve-cache");
   std::string input;
+  std::vector<std::string> keys;
   for (const std::string& line : testing::small_gen_lines(8, 11)) {
     input += line + "\n";
+    keys.push_back(to_json_line(parse_request_line(line)));
   }
-  const RunOutput first = serve_once(input, dir.path(), {});
-  ASSERT_EQ(first.summary.failed, 0u);
-  ASSERT_EQ(first.summary.executed, 8u);
 
+  // A directory left by a revision-1 build: stale records stored under
+  // the current keys, so only the revision wipe keeps them from being
+  // served, plus the calibration blob those builds wrote.
+  const ScopedTempDir dir("serve-cache");
+  {
+    persist::StoreOptions old;
+    old.schema_revision = 1;
+    persist::SegmentStore store(dir.path(), old);
+    for (const std::string& key : keys) {
+      ASSERT_TRUE(store.put(key, R"({"id":"stale","ok":true})"));
+    }
+  }
   const std::string blob_path = dir.path() + "/calibration.v1";
   {
     std::ofstream blob(blob_path, std::ios::binary);
     blob << kOldCalibrationBlob;
   }
+
+  // Opening it wipes the old revision: everything executes, and the
+  // bytes equal a serve over an empty directory.
+  const ScopedTempDir empty("serve-cache-empty");
+  const RunOutput cold = serve_once(input, empty.path(), {});
+  ASSERT_EQ(cold.summary.failed, 0u);
+  const RunOutput first = serve_once(input, dir.path(), {});
+  EXPECT_EQ(first.records, cold.records);
+  EXPECT_EQ(first.summary.executed, 8u);
+  EXPECT_EQ(first.summary.disk_hits, 0u);
 
   // What `thermosched cache verify|compact` open: the existing store,
   // schema-checked, never created.

@@ -33,7 +33,7 @@ constexpr const char* kDefaultGolden =
     R"("soc":{"kind":"alpha","power_scale":1},"tl":155,"stcl":50,)"
     R"("stc_scale":0,"weight_factor":1.1,"solo_policy":"raise-limit",)"
     R"("core_order":"desc-solo-tc",)"
-    R"("solver":{"dt":0.001,"transient":true,"backend":"auto"}})";
+    R"("solver":{"dt":0.001,"transient":true}})";
 
 TEST(ScenarioGolden, EmptyRequestNormalizesToDefaults) {
   EXPECT_EQ(normalize("{}"), kDefaultGolden);
@@ -66,7 +66,7 @@ TEST(ScenarioGolden, SyntheticFullForm) {
       R"("power_scale":1},"tl":155,"stcl":50,"stc_scale":0,)"
       R"("weight_factor":1.1,"solo_policy":"raise-limit",)"
       R"("core_order":"desc-solo-tc",)"
-      R"("solver":{"dt":0.001,"transient":true,"backend":"auto"}})");
+      R"("solver":{"dt":0.001,"transient":true}})");
 }
 
 TEST(ScenarioGolden, StclRangeKeepsObjectForm) {
@@ -100,25 +100,16 @@ TEST(ScenarioParse, FieldsAreApplied) {
   EXPECT_EQ(r.core_order, core::CoreOrder::kDescendingPower);
   EXPECT_DOUBLE_EQ(r.solver.dt, 0.01);
   EXPECT_FALSE(r.solver.transient);
-  EXPECT_EQ(r.solver.backend, thermal::SolverBackend::kSparse);
-  EXPECT_TRUE(r.solver.backend_explicit);
 }
 
-TEST(ScenarioParse, BackendDefaultsToAutoAndTracksExplicitness) {
-  // Omitted: auto, and marked implicit so `thermosched serve
-  // --solver-backend` may substitute its batch default.
-  const ScenarioRequest omitted = parse_request_line("{}");
-  EXPECT_EQ(omitted.solver.backend, thermal::SolverBackend::kAuto);
-  EXPECT_FALSE(omitted.solver.backend_explicit);
-
-  // Named — even as "auto" — is explicit and must win over any default.
-  const ScenarioRequest named =
-      parse_request_line(R"({"solver":{"backend":"auto"}})");
-  EXPECT_EQ(named.solver.backend, thermal::SolverBackend::kAuto);
-  EXPECT_TRUE(named.solver.backend_explicit);
-  EXPECT_EQ(parse_request_line(R"({"solver":{"backend":"dense"}})")
-                .solver.backend,
-            thermal::SolverBackend::kDense);
+TEST(ScenarioParse, LegacyBackendIsAcceptedAndDropped) {
+  // Streams written before solver.backend was retired name "auto" or
+  // "sparse": both parse, and the canonical form no longer carries the
+  // field, so they normalize (and memoize) exactly like omitting it.
+  const std::string omitted = normalize("{}");
+  EXPECT_EQ(normalize(R"({"solver":{"backend":"auto"}})"), omitted);
+  EXPECT_EQ(normalize(R"({"solver":{"backend":"sparse"}})"), omitted);
+  EXPECT_EQ(omitted.find("backend"), std::string::npos);
 }
 
 // --- malformed input: the messages are part of the interface ---------
@@ -196,9 +187,15 @@ TEST(ScenarioValidation, EnumsAndSolver) {
             "scenario request: solver: unknown field 'fast'");
   EXPECT_EQ(validation_error_of(R"({"solver":{"transient":1}})"),
             "scenario request: solver.transient: expected a bool, got number");
-  EXPECT_EQ(validation_error_of(R"({"solver":{"backend":"cuda"}})"),
-            "scenario request: solver.backend: unknown backend 'cuda' "
-            "(expected 'dense', 'sparse', or 'auto')");
+  // Every other backend — including the deleted "dense" — gets one
+  // exact message.
+  for (const std::string name : {"dense", "cuda", ""}) {
+    EXPECT_EQ(validation_error_of(R"({"solver":{"backend":")" + name + "\"}}"),
+              "scenario request: solver.backend: unsupported backend '" +
+                  name +
+                  "' (every solve uses the sparse factorization; omit the "
+                  "field)");
+  }
   EXPECT_EQ(validation_error_of(R"({"solver":{"backend":true}})"),
             "scenario request: solver.backend: expected a string, got bool");
 }

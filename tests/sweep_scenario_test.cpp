@@ -9,9 +9,11 @@
 #include <memory>
 #include <stdexcept>
 
+#include "floorplan/generator.hpp"
 #include "sweep/thread_pool.hpp"
 #include "test_helpers.hpp"
 #include "thermal/analyzer.hpp"
+#include "thermal/solver_cache.hpp"
 #include "thermal/transient.hpp"
 #include "util/error.hpp"
 
@@ -162,6 +164,28 @@ TEST_F(ScenarioSweepTest, AnalyzersSharingAModelShareFactors) {
   // Same power pattern (indices 0..5 hit distinct blocks) — just assert
   // the fan-out ran and produced sane temperatures above ambient.
   for (double peak : peaks) EXPECT_GT(peak, 45.0);
+}
+
+TEST_F(ScenarioSweepTest, PrewarmBuildsExactlyTheFactorsWorkersUse) {
+  // run() factors on the calling thread before the fan-out; the workers
+  // must then find exactly those factors. A 300-node model with steady
+  // and transient scenarios (durations a multiple of dt) needs one
+  // factor of G and one stepper: two misses on a fresh model, however
+  // many workers run.
+  const thermal::RCModel model(
+      floorplan::make_grid_floorplan(10, 29, 0.016, 0.016),
+      thermal::PackageParams{});
+  ASSERT_EQ(model.node_count(), 300u);
+  thermal::ThermalSolverCache& cache = thermal::ThermalSolverCache::instance();
+  cache.reset_stats();
+  SweepOptions options;
+  options.threads = 4;
+  const auto outcomes =
+      ScenarioSweep(options).run(model, mixed_scenarios(model.block_count()));
+  for (const ScenarioOutcome& outcome : outcomes) {
+    EXPECT_TRUE(outcome.ok) << outcome.error;
+  }
+  EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST(ThreadPoolTest, RunsAllSubmittedTasks) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "linalg/cholesky.hpp"
 #include "test_helpers.hpp"
 #include "thermal/rc_model.hpp"
 #include "thermal/steady_state.hpp"
@@ -143,25 +144,37 @@ TEST(GridModel, SolveValidatesPowerVector) {
 }
 
 TEST(GridModel, BackendsAgreeAndSparseIsBitReproducible) {
-  // Grid solves route through SolverBackend + ThermalSolverCache like
-  // RCModel: the dense and sparse factors must agree to the documented
-  // 1e-9 relative tolerance, and repeated sparse solves (cached factor
-  // or a rebuilt one) must be bit-identical — the property the serve
-  // 1-vs-N-thread determinism smokes rely on.
-  const GridThermalModel grid(quad_floorplan(), PackageParams{},
-                              GridOptions{12, 12});
+  // The grid solve (cached sparse LDLᵗ factor) must agree with a dense
+  // Cholesky oracle on the same conductance matrix to the documented
+  // 1e-9 relative tolerance, and repeated solves must be bit-identical —
+  // the property the serve 1-vs-N-thread determinism smokes rely on.
+  const floorplan::Floorplan fp = quad_floorplan();
+  const GridThermalModel grid(fp, PackageParams{}, GridOptions{12, 12});
   const std::vector<double> power = {6.0, 1.5, 0.0, 3.0};
+  const GridSteadyResult sparse = grid.solve(power);
 
-  const GridSteadyResult dense = grid.solve(power, SolverBackend::kDense);
-  const GridSteadyResult sparse = grid.solve(power, SolverBackend::kSparse);
-  ASSERT_EQ(dense.cell_temperature.size(), sparse.cell_temperature.size());
+  // Oracle: the same cell power spreading, then a dense factorization.
+  const double a_cell = fp.chip_width() * fp.chip_height() /
+                        static_cast<double>(grid.cell_count());
+  std::vector<double> node_power(grid.node_count(), 0.0);
+  for (std::size_t b = 0; b < power.size(); ++b) {
+    for (std::size_t r = 0; r < grid.rows(); ++r) {
+      for (std::size_t c = 0; c < grid.cols(); ++c) {
+        node_power[r * grid.cols() + c] += power[b] / fp.block(b).area() *
+                                           grid.coverage(b, r, c) * a_cell;
+      }
+    }
+  }
+  const std::vector<double> rise =
+      linalg::CholeskyFactor(grid.conductance().to_dense()).solve(node_power);
+  const double ambient = PackageParams{}.ambient;
   for (std::size_t cell = 0; cell < grid.cell_count(); ++cell) {
-    const double a = dense.cell_temperature[cell];
+    const double a = ambient + rise[cell];
     const double b = sparse.cell_temperature[cell];
     EXPECT_NEAR(a, b, 1e-9 * std::max(1.0, std::fabs(a))) << "cell=" << cell;
   }
 
-  const GridSteadyResult again = grid.solve(power, SolverBackend::kSparse);
+  const GridSteadyResult again = grid.solve(power);
   for (std::size_t cell = 0; cell < grid.cell_count(); ++cell) {
     EXPECT_DOUBLE_EQ(sparse.cell_temperature[cell],
                      again.cell_temperature[cell]);

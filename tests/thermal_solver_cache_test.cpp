@@ -1,6 +1,8 @@
 // ThermalSolverCache: cached solves must agree with cold solves, cache
-// entries must be invalidated by model identity (never aliased across
-// different models), and the hit/miss accounting must reflect reuse.
+// entries must be keyed by model identity (never aliased across
+// different models), the hit/miss accounting must reflect reuse, and
+// LRU eviction must stay correct for both factor kinds (G and the
+// backward-Euler (C/dt + G)).
 #include "thermal/solver_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -8,8 +10,7 @@
 #include <memory>
 #include <vector>
 
-#include "linalg/cholesky.hpp"
-#include "linalg/lu.hpp"
+#include "linalg/sparse_cholesky.hpp"
 #include "test_helpers.hpp"
 #include "thermal/steady_state.hpp"
 #include "thermal/transient.hpp"
@@ -33,7 +34,7 @@ TEST(ThermalSolverCacheTest, CachedSteadySolveMatchesColdSolve) {
 
   // Cold: factor from scratch, outside the cache.
   const std::vector<double> expanded = model.expand_power(block_power);
-  const linalg::CholeskyFactor cold(model.conductance());
+  const linalg::SparseCholeskyFactor cold(model.conductance_sparse());
   const std::vector<double> cold_rise = cold.solve(expanded);
 
   // First call factors into the cache; second call reuses the factor.
@@ -48,32 +49,17 @@ TEST(ThermalSolverCacheTest, CachedSteadySolveMatchesColdSolve) {
   }
 }
 
-TEST(ThermalSolverCacheTest, CachedLuSolveMatchesColdSolve) {
-  const RCModel model(quad_floorplan(), PackageParams{});
-  const auto block_power = centre_power(4, 8.0);
-  const std::vector<double> cold_rise =
-      linalg::LuFactor(model.conductance()).solve(model.expand_power(block_power));
-  const SteadyStateResult cached =
-      solve_steady_state(model, block_power, SteadySolver::kLu);
-  const SteadyStateResult again =
-      solve_steady_state(model, block_power, SteadySolver::kLu);
-  for (std::size_t i = 0; i < cold_rise.size(); ++i) {
-    EXPECT_DOUBLE_EQ(cached.rise[i], cold_rise[i]);
-    EXPECT_DOUBLE_EQ(again.rise[i], cold_rise[i]);
-  }
-}
-
 TEST(ThermalSolverCacheTest, RepeatLookupsHitTheCache) {
   ThermalSolverCache& cache = ThermalSolverCache::instance();
   const RCModel model(nine_floorplan(), PackageParams{});
 
   cache.reset_stats();
-  const auto first = cache.cholesky(model);
+  const auto first = cache.sparse_cholesky(model);
   const auto stats_after_first = cache.stats();
   EXPECT_EQ(stats_after_first.misses, 1u);
   EXPECT_EQ(stats_after_first.hits, 0u);
 
-  const auto second = cache.cholesky(model);
+  const auto second = cache.sparse_cholesky(model);
   const auto stats_after_second = cache.stats();
   EXPECT_EQ(stats_after_second.misses, 1u);
   EXPECT_EQ(stats_after_second.hits, 1u);
@@ -85,7 +71,8 @@ TEST(ThermalSolverCacheTest, CopiesShareIdentityAndFactors) {
   const RCModel model(nine_floorplan(), PackageParams{});
   const RCModel copy = model;  // NOLINT(performance-unnecessary-copy-initialization)
   EXPECT_EQ(model.identity(), copy.identity());
-  EXPECT_EQ(cache.cholesky(model).get(), cache.cholesky(copy).get());
+  EXPECT_EQ(cache.sparse_cholesky(model).get(),
+            cache.sparse_cholesky(copy).get());
 }
 
 TEST(ThermalSolverCacheTest, DistinctModelsNeverAliasEntries) {
@@ -95,7 +82,7 @@ TEST(ThermalSolverCacheTest, DistinctModelsNeverAliasEntries) {
   const RCModel a(nine_floorplan(), PackageParams{});
   const RCModel b(nine_floorplan(), PackageParams{});
   EXPECT_NE(a.identity(), b.identity());
-  EXPECT_NE(cache.cholesky(a).get(), cache.cholesky(b).get());
+  EXPECT_NE(cache.sparse_cholesky(a).get(), cache.sparse_cholesky(b).get());
 
   // A genuinely different model (hotter package) must produce different
   // temperatures even when solved back-to-back through the cache.
@@ -108,29 +95,9 @@ TEST(ThermalSolverCacheTest, DistinctModelsNeverAliasEntries) {
   EXPECT_GT(warm.rise[4], cool.rise[4]);
 }
 
-TEST(ThermalSolverCacheTest, InvalidateDropsOnlyThatModel) {
-  ThermalSolverCache& cache = ThermalSolverCache::instance();
-  const RCModel a(nine_floorplan(), PackageParams{});
-  const RCModel b(quad_floorplan(), PackageParams{});
-  const auto factor_a = cache.cholesky(a);
-  const auto factor_b = cache.cholesky(b);
-
-  cache.invalidate(a);
-  cache.reset_stats();
-  cache.cholesky(a);  // must refactor
-  cache.cholesky(b);  // must still be cached
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-
-  // The handed-out factor stays usable after invalidation.
-  EXPECT_NO_THROW(factor_a->solve(std::vector<double>(a.node_count(), 1.0)));
-}
-
 TEST(ThermalSolverCacheTest, GridModelFactorsHitTheCache) {
   // GridThermalModel keys live in the same cache as RCModel keys
-  // (shared identity counter): repeat lookups must hit, and the dense
-  // and sparse flavours are separate entries.
+  // (shared identity counter): repeat lookups must hit.
   ThermalSolverCache& cache = ThermalSolverCache::instance();
   const GridThermalModel grid(quad_floorplan(), PackageParams{},
                               GridOptions{6, 6});
@@ -139,12 +106,10 @@ TEST(ThermalSolverCacheTest, GridModelFactorsHitTheCache) {
   const auto first = cache.sparse_cholesky(grid);
   const auto second = cache.sparse_cholesky(grid);
   EXPECT_EQ(first.get(), second.get());
-  const auto dense = cache.cholesky(grid);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 2u);  // one sparse factor + one dense factor
+  EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(first->size(), grid.node_count());
-  EXPECT_EQ(dense->size(), grid.node_count());
 }
 
 TEST(ThermalSolverCacheTest, GridAndBlockModelsNeverAlias) {
@@ -159,29 +124,6 @@ TEST(ThermalSolverCacheTest, GridAndBlockModelsNeverAlias) {
   EXPECT_NE(
       static_cast<const void*>(cache.sparse_cholesky(block).get()),
       static_cast<const void*>(cache.sparse_cholesky(grid).get()));
-}
-
-TEST(ThermalSolverCacheTest, InvalidateDropsGridEntries) {
-  ThermalSolverCache& cache = ThermalSolverCache::instance();
-  const GridThermalModel grid(quad_floorplan(), PackageParams{},
-                              GridOptions{5, 5});
-  const RCModel block(nine_floorplan(), PackageParams{});
-  const auto grid_factor = cache.sparse_cholesky(grid);
-  cache.cholesky(grid);
-  cache.cholesky(block);
-
-  cache.invalidate(grid);
-  cache.reset_stats();
-  cache.sparse_cholesky(grid);  // must refactor
-  cache.cholesky(grid);         // must refactor
-  cache.cholesky(block);        // untouched by the grid invalidation
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.hits, 1u);
-
-  // Handed-out factors stay valid after invalidation.
-  EXPECT_NO_THROW(
-      grid_factor->solve(std::vector<double>(grid.node_count(), 1.0)));
 }
 
 TEST(ThermalSolverCacheTest, GridKeysParticipateInLruEviction) {
@@ -207,24 +149,38 @@ TEST(ThermalSolverCacheTest, GridKeysParticipateInLruEviction) {
 }
 
 TEST(ThermalSolverCacheTest, TransientStepperIsCachedPerDt) {
+  // Through simulate_transient: repeat sessions at one dt reuse one
+  // stepper; a new dt, or a fractional final step, is its own key.
   ThermalSolverCache& cache = ThermalSolverCache::instance();
-  const RCModel model(nine_floorplan(), PackageParams{});
-  const auto s1 = cache.stepper(model, 1e-3);
-  const auto s2 = cache.stepper(model, 1e-3);
-  const auto s3 = cache.stepper(model, 2e-3);
-  EXPECT_EQ(s1.get(), s2.get());
-  EXPECT_NE(s1.get(), s3.get());
-  EXPECT_THROW(cache.stepper(model, 0.0), InvalidArgument);
-}
-
-TEST(ThermalSolverCacheTest, RepeatedTransientSimulationsAgreeExactly) {
   const RCModel model(nine_floorplan(), PackageParams{});
   const auto block_power = centre_power(9, 10.0);
   const auto initial = ambient_state(model);
   TransientOptions options;
   options.dt = 1e-3;
 
-  ThermalSolverCache::instance().invalidate(model);  // cold first run
+  cache.reset_stats();
+  simulate_transient(model, block_power, 0.01, initial, options);
+  simulate_transient(model, block_power, 0.02, initial, options);
+  EXPECT_EQ(cache.stats().misses, 1u);
+
+  options.dt = 2e-3;
+  simulate_transient(model, block_power, 0.01, initial, options);
+  EXPECT_EQ(cache.stats().misses, 2u);
+
+  // 0.0105 s at dt = 2e-3: five full steps plus a 0.5 ms remainder.
+  simulate_transient(model, block_power, 0.0105, initial, options);
+  EXPECT_EQ(cache.stats().misses, 3u);
+}
+
+TEST(ThermalSolverCacheTest, RepeatedTransientSimulationsAgreeExactly) {
+  // A freshly constructed model has no cache entries, so the first run
+  // factors cold and the second reuses the cached stepper.
+  const RCModel model(nine_floorplan(), PackageParams{});
+  const auto block_power = centre_power(9, 10.0);
+  const auto initial = ambient_state(model);
+  TransientOptions options;
+  options.dt = 1e-3;
+
   const TransientResult cold =
       simulate_transient(model, block_power, 0.02, initial, options);
   const TransientResult cached =
@@ -241,18 +197,19 @@ TEST(ThermalSolverCacheTest, EvictionBeyondCapacityStaysCorrect) {
   const RCModel a(nine_floorplan(), PackageParams{});
   const RCModel b(quad_floorplan(), PackageParams{});
   const RCModel c(nine_floorplan(), PackageParams{});
-  small.cholesky(a);
-  small.cholesky(b);
-  small.cholesky(c);  // evicts the LRU entry (a)
+  small.sparse_cholesky(a);
+  small.sparse_cholesky(b);
+  small.sparse_cholesky(c);  // evicts the LRU entry (a)
   EXPECT_EQ(small.stats().entries, 2u);
 
   small.reset_stats();
-  const auto refactored = small.cholesky(a);
+  const auto refactored = small.sparse_cholesky(a);
   EXPECT_EQ(small.stats().misses, 1u);
   // Still solves correctly after the round-trip through eviction.
-  const auto rise = refactored->solve(a.expand_power(centre_power(9, 10.0)));
+  const auto power = a.expand_power(centre_power(9, 10.0));
+  const auto rise = refactored->solve(power);
   const auto expected =
-      linalg::CholeskyFactor(a.conductance()).solve(a.expand_power(centre_power(9, 10.0)));
+      linalg::SparseCholeskyFactor(a.conductance_sparse()).solve(power);
   for (std::size_t i = 0; i < rise.size(); ++i) {
     EXPECT_DOUBLE_EQ(rise[i], expected[i]);
   }
@@ -261,11 +218,73 @@ TEST(ThermalSolverCacheTest, EvictionBeyondCapacityStaysCorrect) {
 TEST(ThermalSolverCacheTest, ClearEmptiesTheCache) {
   ThermalSolverCache cache(8);
   const RCModel model(quad_floorplan(), PackageParams{});
-  cache.cholesky(model);
-  cache.stepper(model, 1e-3);
+  cache.sparse_cholesky(model);
+  cache.sparse_stepper(model, 1e-3);
   EXPECT_EQ(cache.stats().entries, 2u);
   cache.clear();
   EXPECT_EQ(cache.stats().entries, 0u);
+}
+
+// --- stepper entries: the (C/dt + G) key space -----------------------
+
+TEST(SparseSolverCacheTest, RepeatSparseLookupsHitTheCache) {
+  ThermalSolverCache cache(8);
+  const RCModel model(nine_floorplan(), PackageParams{});
+  const auto first = cache.sparse_stepper(model, 1e-3);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  const auto second = cache.sparse_stepper(model, 1e-3);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(first.get(), second.get());
+
+  // The steady factor of G and the stepper of the same model are
+  // distinct entries.
+  cache.sparse_cholesky(model);
+  EXPECT_EQ(cache.stats().entries, 2u);
+}
+
+TEST(SparseSolverCacheTest, DistinctModelsNeverAlias) {
+  ThermalSolverCache cache(8);
+  const RCModel a(nine_floorplan(), PackageParams{});
+  const RCModel b(nine_floorplan(), PackageParams{});
+  EXPECT_NE(cache.sparse_stepper(a, 1e-3).get(),
+            cache.sparse_stepper(b, 1e-3).get());
+  const RCModel copy = a;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_EQ(cache.sparse_stepper(a, 1e-3).get(),
+            cache.sparse_stepper(copy, 1e-3).get());
+}
+
+TEST(SparseSolverCacheTest, SparseStepperIsCachedPerDt) {
+  ThermalSolverCache cache(8);
+  const RCModel model(nine_floorplan(), PackageParams{});
+  const auto s1 = cache.sparse_stepper(model, 1e-3);
+  const auto s2 = cache.sparse_stepper(model, 1e-3);
+  const auto s3 = cache.sparse_stepper(model, 2e-3);
+  EXPECT_EQ(s1.get(), s2.get());
+  EXPECT_NE(s1.get(), s3.get());
+  EXPECT_THROW(cache.sparse_stepper(model, 0.0), InvalidArgument);
+}
+
+TEST(SparseSolverCacheTest, LruEvictionBeyondCapacityStaysCorrect) {
+  ThermalSolverCache small(2);
+  const RCModel a(nine_floorplan(), PackageParams{});
+  small.sparse_stepper(a, 1e-3);
+  small.sparse_stepper(a, 2e-3);
+  small.sparse_stepper(a, 4e-3);  // evicts the LRU entry (dt = 1e-3)
+  EXPECT_EQ(small.stats().entries, 2u);
+
+  small.reset_stats();
+  const auto refactored = small.sparse_stepper(a, 1e-3);
+  EXPECT_EQ(small.stats().misses, 1u);
+  const auto power = a.expand_power(std::vector<double>(9, 10.0));
+  const std::vector<double> from(a.node_count(), 0.0);
+  const auto next = refactored->step(from, power);
+  const auto expected =
+      linalg::SparseImplicitStepper(a.conductance_sparse(), a.capacitance(),
+                                    1e-3)
+          .step(from, power);
+  for (std::size_t i = 0; i < next.size(); ++i) {
+    EXPECT_DOUBLE_EQ(next[i], expected[i]);
+  }
 }
 
 }  // namespace

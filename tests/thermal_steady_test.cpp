@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "linalg/iterative.hpp"
+#include "linalg/lu.hpp"
 #include "linalg/vector_ops.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -99,15 +101,22 @@ TEST_F(SteadyStateTest, SmallerBlockRunsHotterAtSamePower) {
 }
 
 TEST_F(SteadyStateTest, AllSolversAgree) {
+  // The cached sparse factor against the linalg reference solvers on the
+  // same G: dense LU and Jacobi-preconditioned CG.
   std::vector<double> power(9, 0.0);
   power[1] = 4.0;
   power[6] = 8.0;
-  const auto chol = solve_steady_state(model_, power, SteadySolver::kCholesky);
-  const auto lu = solve_steady_state(model_, power, SteadySolver::kLu);
-  const auto cg =
-      solve_steady_state(model_, power, SteadySolver::kConjugateGradient);
-  EXPECT_LT(linalg::norm_inf(linalg::subtract(chol.rise, lu.rise)), 1e-8);
-  EXPECT_LT(linalg::norm_inf(linalg::subtract(chol.rise, cg.rise)), 1e-6);
+  const auto sparse = solve_steady_state(model_, power);
+  const auto full_power = model_.expand_power(power);
+  const auto lu = linalg::LuFactor(model_.conductance_sparse().to_dense())
+                      .solve(full_power);
+  linalg::IterativeOptions options;
+  options.tolerance = 1e-12;
+  const auto cg = linalg::conjugate_gradient(model_.conductance_sparse(),
+                                             full_power, options);
+  ASSERT_TRUE(cg.converged);
+  EXPECT_LT(linalg::norm_inf(linalg::subtract(sparse.rise, lu)), 1e-8);
+  EXPECT_LT(linalg::norm_inf(linalg::subtract(sparse.rise, cg.solution)), 1e-6);
 }
 
 TEST_F(SteadyStateTest, ResidualIsSmall) {
@@ -115,7 +124,7 @@ TEST_F(SteadyStateTest, ResidualIsSmall) {
   const auto r = solve_steady_state(model_, power);
   const auto full_power = model_.expand_power(power);
   const auto residual = linalg::subtract(
-      full_power, model_.conductance().multiply(r.rise));
+      full_power, model_.conductance_sparse().multiply(r.rise));
   EXPECT_LT(linalg::norm_inf(residual), 1e-8);
 }
 
