@@ -1,5 +1,6 @@
 #include "core/session_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -108,6 +109,37 @@ double SessionThermalModel::session_characteristic(
     stc = std::max(stc, tc * power[i] * weight[i]);
   }
   return stc * options_.stc_scale;
+}
+
+SessionThermalModel::IncrementalStc SessionThermalModel::characteristic_with(
+    const std::vector<bool>& active, std::size_t core, double base,
+    const std::vector<double>& power, const std::vector<double>& weight) const {
+  THERMO_REQUIRE(active.size() == core_count(),
+                 "active mask size must equal the core count");
+  THERMO_REQUIRE(power.size() == core_count(),
+                 "power vector size must equal the core count");
+  THERMO_REQUIRE(weight.size() == core_count(),
+                 "weight vector size must equal the core count");
+  THERMO_REQUIRE(core < core_count() && active[core],
+                 "core must be a member of the active mask");
+
+  IncrementalStc stc{base, 0};
+  // Folds core i's term into the max; false once the session is enclosed.
+  const auto fold = [&](std::size_t i) {
+    ++stc.terms;
+    const double tc = thermal_characteristic(active, i, power[i]);
+    if (std::isinf(tc)) {
+      stc.unscaled = kInfiniteResistance;
+      return false;
+    }
+    stc.unscaled = std::max(stc.unscaled, tc * power[i] * weight[i]);
+    return true;
+  };
+  if (!fold(core)) return stc;
+  for (const LateralPath& path : lateral_[core]) {
+    if (active[path.other] && !fold(path.other)) break;
+  }
+  return stc;
 }
 
 double SessionThermalModel::lateral_resistance(std::size_t i,

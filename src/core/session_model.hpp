@@ -78,6 +78,26 @@ class SessionThermalModel {
                                 const std::vector<double>& power,
                                 const std::vector<double>& weight) const;
 
+  /// Result of characteristic_with: an unscaled STC and the number of
+  /// TC * P * W terms evaluated to get it.
+  struct IncrementalStc {
+    double unscaled = 0.0;
+    std::size_t terms = 0;
+  };
+
+  /// Unscaled STC of the session `active`, which must include `core`,
+  /// given `base`, the unscaled STC of the same session without `core`
+  /// (0 for an empty one). Under modifications 2-3 adding
+  /// `core` changes only its own term and those of its active lateral
+  /// neighbours, so only those are evaluated: O(deg) instead of O(n).
+  /// `unscaled * stc_scale` is bit-identical to session_characteristic:
+  /// removing a positive conductance from a fixed-order sum never raises
+  /// it, so no other term shrinks, and the max of exact terms is exact.
+  IncrementalStc characteristic_with(const std::vector<bool>& active,
+                                     std::size_t core, double base,
+                                     const std::vector<double>& power,
+                                     const std::vector<double>& weight) const;
+
   /// Lateral resistance between adjacent cores i and j [K/W]
   /// (+infinity when not adjacent). Mirrors the RC simulator's formula.
   double lateral_resistance(std::size_t i, std::size_t j) const;

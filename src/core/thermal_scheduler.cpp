@@ -5,6 +5,7 @@
 #include <numeric>
 #include <sstream>
 
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -53,6 +54,20 @@ std::vector<std::size_t> make_order(const SocSpec& soc,
                      return ascending ? key[a] < key[b] : key[a] > key[b];
                    });
   return indices;
+}
+
+/// Algorithm 1's economics, added to the obs registry once per run.
+void record_counters(std::size_t stc_evaluations, std::size_t stc_terms,
+                     std::size_t validations, std::size_t discarded) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
+  static obs::Counter& evaluations = registry.counter("core.stc_evaluations");
+  static obs::Counter& terms = registry.counter("core.stc_terms");
+  static obs::Counter& simulated = registry.counter("core.validations");
+  static obs::Counter& dropped = registry.counter("core.discarded_sessions");
+  evaluations.add(stc_evaluations);
+  terms.add(stc_terms);
+  simulated.add(validations);
+  dropped.add(discarded);
 }
 
 }  // namespace
@@ -119,16 +134,26 @@ ScheduleResult ThermalAwareScheduler::generate(
   };
 
   std::size_t attempts = 0;
+  std::size_t stc_evaluations = 0;
+  std::size_t stc_terms = 0;
   while (remaining() > 0) {
-    // Session construction (lines 9-15).
+    // Session construction (lines 9-15). `session_stc` is the unscaled STC
+    // of the cores accepted so far; a candidate re-evaluates only itself
+    // and its active neighbours, bit-identically to a full rescan.
     TestSession session;
     std::vector<bool> active(n, false);
+    double session_stc = 0.0;
     for (std::size_t candidate : order) {
       if (scheduled[candidate]) continue;
       active[candidate] = true;
-      const double stc = model.session_characteristic(active, power, weight);
-      if (stc <= options_.stc_limit) {
+      const SessionThermalModel::IncrementalStc stc =
+          model.characteristic_with(active, candidate, session_stc, power,
+                                    weight);
+      ++stc_evaluations;
+      stc_terms += stc.terms;
+      if (stc.unscaled * options_.model.stc_scale <= options_.stc_limit) {
         session.cores.push_back(candidate);
+        session_stc = stc.unscaled;
       } else {
         active[candidate] = false;
       }
@@ -200,6 +225,8 @@ ScheduleResult ThermalAwareScheduler::generate(
     result.max_temperature =
         std::max(result.max_temperature, outcome.max_temperature);
   }
+  record_counters(stc_evaluations, stc_terms, result.simulation_count,
+                  result.discarded_sessions);
   return result;
 }
 

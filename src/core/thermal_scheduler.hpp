@@ -8,7 +8,9 @@
 //      TL"; we additionally support excluding the core).
 //   2. *Session construction* (lines 9-15): scan the unscheduled cores
 //      in a deterministic order and greedily add each core whose
-//      addition keeps STC(TS) <= STCL.
+//      addition keeps STC(TS) <= STCL. Each candidate re-evaluates only
+//      itself and its active neighbours (O(deg), bit-identical to a
+//      full rescan; SessionThermalModel::characteristic_with).
 //   3. *Validation* (lines 16-23): simulate the session with the full RC
 //      model. Every core whose peak temperature reaches TL gets its
 //      weight multiplied by weight_factor (1.1 in the paper), making it
@@ -58,7 +60,9 @@ struct ThermalSchedulerOptions {
   SoloViolationPolicy solo_policy = SoloViolationPolicy::kThrow;
   double raise_limit_margin = 1.0;   ///< [K], for kRaiseLimit
   CoreOrder core_order = CoreOrder::kDescendingSoloTc;
-  std::size_t max_attempts = 100000;  ///< simulate() call cap
+  /// Cap on validation simulations (construction attempts). The n
+  /// solo pre-pass simulations are not counted.
+  std::size_t max_attempts = 100000;
   SessionModelOptions model;
 };
 
@@ -69,8 +73,8 @@ class ThermalAwareScheduler {
   const ThermalSchedulerOptions& options() const { return options_; }
 
   /// Generates a thermal-safe schedule. The analyzer provides the
-  /// simulate() oracle; its effort counter is reset at the start of the
-  /// run. Throws InvalidArgument on inconsistent inputs, LogicError when
+  /// simulate_session() oracle; its effort counter is reset at the start
+  /// of the run. Throws InvalidArgument on inconsistent inputs, LogicError when
   /// the attempt cap is exhausted.
   ScheduleResult generate(const SocSpec& soc,
                           thermal::ThermalAnalyzer& analyzer) const;

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/safety_checker.hpp"
+#include "obs/metrics.hpp"
 #include "soc/alpha.hpp"
+#include "soc/synthetic.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -224,6 +228,58 @@ TEST_P(StclSweepProperty, CompleteSafeAndAccounted) {
 INSTANTIATE_TEST_SUITE_P(StclRange, StclSweepProperty,
                          ::testing::Values(20.0, 30.0, 40.0, 50.0, 60.0, 70.0,
                                            80.0, 90.0, 100.0));
+
+// Algorithm 1's obs counters on a 300-core synthetic SoC at 3x power
+// and a loose STCL (TL binds, so the reweight loop runs: 60 sessions, 17
+// discarded at this seed): validations and discards
+// match the result exactly, and the TC*P*W terms evaluated per STC
+// evaluation are bounded by 1 + the largest lateral degree — the O(deg)
+// cost of incremental session construction as a deterministic count.
+TEST(ThermalSchedulerObs, CountersMatchTheResultAndCostIsPerNeighbour) {
+  Rng rng(7);
+  soc::SyntheticOptions synthetic;
+  synthetic.core_count = 300;
+  SocSpec soc = soc::make_synthetic_soc(rng, synthetic);
+  for (CoreTest& test : soc.tests) test.power *= 3.0;
+  thermal::ThermalAnalyzer::Options oracle;
+  oracle.transient = false;
+  thermal::ThermalAnalyzer analyzer(soc.flp, soc.package, oracle);
+  ThermalSchedulerOptions options = basic_options(155.0, 1000.0);
+  options.solo_policy = SoloViolationPolicy::kRaiseLimit;
+  options.model.stc_scale = 10.0;
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
+  const auto value = [&](const char* name) {
+    return registry.counter(name).value();
+  };
+  const std::uint64_t evaluations_before = value("core.stc_evaluations");
+  const std::uint64_t terms_before = value("core.stc_terms");
+  const std::uint64_t validations_before = value("core.validations");
+  const std::uint64_t discarded_before = value("core.discarded_sessions");
+  const ScheduleResult result =
+      ThermalAwareScheduler(options).generate(soc, analyzer);
+  const std::uint64_t evaluations =
+      value("core.stc_evaluations") - evaluations_before;
+  const std::uint64_t terms = value("core.stc_terms") - terms_before;
+
+  ASSERT_EQ(result.schedule.session_count(), 60u);
+  ASSERT_EQ(result.discarded_sessions, 17u);
+  EXPECT_EQ(value("core.validations") - validations_before,
+            result.simulation_count);
+  EXPECT_EQ(value("core.discarded_sessions") - discarded_before,
+            result.discarded_sessions);
+
+  std::vector<std::uint64_t> degree(soc.core_count(), 0);
+  for (const floorplan::Adjacency& adj : soc.flp.adjacencies()) {
+    ++degree[adj.a];
+    ++degree[adj.b];
+  }
+  const std::uint64_t max_degree =
+      *std::max_element(degree.begin(), degree.end());
+  EXPECT_GE(evaluations, soc.core_count());
+  EXPECT_GE(terms, evaluations);
+  EXPECT_LE(terms, (1 + max_degree) * evaluations);
+}
 
 }  // namespace
 }  // namespace thermo::core

@@ -248,5 +248,66 @@ TEST_P(SessionModelInvariants, StcIsMonotoneUnderMembershipGrowth) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SessionModelInvariants,
                          ::testing::Range<std::uint64_t>(1, 9));
 
+// Incremental STC (SessionThermalModel::characteristic_with) against the
+// full rescan (session_characteristic), compared with EXPECT_EQ: the
+// scheduler's session construction is claimed bit-identical, not close.
+class IncrementalStcExactness
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::size_t>> {
+};
+
+TEST_P(IncrementalStcExactness, EveryConstructionStepMatchesTheRescan) {
+  const auto [seed, cores] = GetParam();
+  const core::SocSpec soc = random_soc(seed + 500, cores);
+  Rng rng(seed);
+  // Weights W = 1.1^k, k in 0..10, built as the scheduler builds them.
+  std::vector<double> weight(cores, 1.0);
+  for (double& w : weight) {
+    for (std::size_t k = rng.uniform_index(11); k > 0; --k) w *= 1.1;
+  }
+  std::vector<double> power = soc.test_powers();
+  // A zero-power core: TC 0 even when enclosed, so it may join anywhere.
+  power[rng.uniform_index(cores)] = 0.0;
+
+  std::size_t enclosed = 0;
+  for (const bool vertical : {false, true}) {
+    for (const double stc_scale : {1.0, 2.8e-3, 10.0, 0.37}) {
+      core::SessionModelOptions options;
+      options.include_vertical_path = vertical;
+      options.stc_scale = stc_scale;
+      const core::SessionThermalModel model(soc.flp, soc.package, options);
+
+      std::vector<std::size_t> order(cores);
+      for (std::size_t i = 0; i < cores; ++i) order[i] = i;
+      rng.shuffle(order);
+      // Accept most finite candidates, so sessions grow large enough to
+      // enclose interior cores (STC +inf), which are then rejected.
+      std::vector<bool> active(cores, false);
+      double session_stc = 0.0;
+      for (const std::size_t candidate : order) {
+        active[candidate] = true;
+        const auto step = model.characteristic_with(active, candidate,
+                                                    session_stc, power, weight);
+        const double expected =
+            model.session_characteristic(active, power, weight);
+        ASSERT_EQ(step.unscaled * stc_scale, expected)
+            << "seed=" << seed << " cores=" << cores << " vertical=" << vertical
+            << " stc_scale=" << stc_scale << " candidate=" << candidate;
+        if (std::isinf(expected)) ++enclosed;
+        if (std::isfinite(expected) && rng.chance(0.9)) {
+          session_stc = step.unscaled;
+        } else {
+          active[candidate] = false;
+        }
+      }
+    }
+  }
+  EXPECT_GT(enclosed, 0u) << "no step exercised an enclosed core";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomSocs, IncrementalStcExactness,
+    ::testing::Combine(::testing::Values(1u, 2u, 3u),
+                       ::testing::Values(20u, 90u, 400u)));
+
 }  // namespace
 }  // namespace thermo
