@@ -7,8 +7,8 @@ namespace thermo::dispatch {
 
 namespace {
 
-// Relative units, fitted to rank the skewed bench_dispatch batch against
-// measured per-request wall time.
+// Relative units, fitted to rank the skewed bench_serve_gates batch
+// against measured per-request wall time.
 /// Oracle validations per scheduled core (committed sessions plus the
 /// discard/re-try churn of Algorithm 1's weighting loop).
 constexpr double kValidationsPerCore = 2.0;

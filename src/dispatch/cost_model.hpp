@@ -17,7 +17,7 @@
 // The output is a RELATIVE unit, not seconds: LJF only needs correct
 // *ordering*, so constants are calibrated to rank (a 1034-node request
 // must score far above an Alpha request, which measures ~100× slower).
-// bench_dispatch
+// bench_serve_gates
 // validates the ranking against measured per-request wall time on every
 // CI run. The constants are fixed, file-local to cost_model.cpp.
 #pragma once

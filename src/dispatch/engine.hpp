@@ -17,7 +17,7 @@
 //               exists, emitted in input order as soon as its index is
 //               next;
 //   timing      per-job wall + thread-CPU seconds and the batch
-//               makespan, for the serve summary and bench_dispatch.
+//               makespan, for the serve summary and bench_serve_gates.
 //
 // Hard invariant (pinned by tests + smoke + bench): because execute is
 // pure per job and records are placed by input index, the output bytes

@@ -36,8 +36,8 @@
 //
 // The policy reorders *execution start* only. Result placement is by
 // input index (dispatch::OrderedWriter), so output bytes are identical
-// across policies — the hard serve invariant. bench_dispatch gates the
-// makespan and deadline-miss wins in CI.
+// across policies — the hard serve invariant. bench_serve_gates gates
+// the makespan and deadline-miss wins in CI.
 //
 // Usage: push() every job, seal() once, then pop() concurrently from
 // worker threads. pop() after seal() is a lock-free atomic fetch over a

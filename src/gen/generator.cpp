@@ -82,8 +82,8 @@ ScenarioRequest make_sweep(Rng& rng, std::size_t cores) {
     r.soc.synthetic.test_length_max = length;
     if (cores >= 128) {
       // The big rungs need headroom: many hot cores in one session push
-      // peaks well past the default 155 C (bench_dispatch's whale uses
-      // the same corner).
+      // peaks well past the default 155 C (bench_serve_gates's whale
+      // uses the same corner).
       r.tl = 400.0;
     }
   }

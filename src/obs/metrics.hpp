@@ -45,7 +45,7 @@ namespace thermo::obs {
 
 /// Master recording switch, default ON. A relaxed load of one atomic —
 /// the whole cost of disabled observability. Toggling does not reset
-/// anything; bench_obs flips it to measure instrumentation overhead.
+/// anything; bench_serve_gates flips it to measure the overhead.
 bool enabled();
 void set_enabled(bool on);
 

@@ -2,7 +2,7 @@
 // parse/canonical-serialize fixpoint for every emitted line, statistical
 // accuracy of the dup/kind-mix knobs, arrival-order patterns, and exact
 // config-validation messages. These are the contracts docs/GEN.md
-// documents and bench_gen gates on.
+// documents; tests/obs_serve_test.cpp serves a generated stream.
 #include <gtest/gtest.h>
 
 #include <algorithm>

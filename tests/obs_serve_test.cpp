@@ -1,7 +1,8 @@
 // Observability through the serve pipeline: tracing and metrics may
 // never change the output bytes — {trace on,off} x {1,4} threads must
 // be byte-identical — and when they record, they record *exactly*: the
-// registry's counters must equal the summary's own stats, and the
+// registry's counters must equal the summary's own stats (memo hits ==
+// the generator's duplicate count under every placement), and the
 // per-request queue_wait_s must ride the summary JSON additively.
 #include "scenario/serve.hpp"
 
@@ -10,6 +11,7 @@
 #include <sstream>
 #include <string>
 
+#include "gen/generator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "gen_test_util.hpp"
@@ -29,16 +31,21 @@ std::string duplicated_batch() {
   return half + half;
 }
 
-std::string run_serve(const std::string& input, std::size_t threads,
+std::string run_serve(const std::string& input, const ServeOptions& options,
                       ServeSummary* summary_out = nullptr) {
   std::istringstream in(input);
   std::ostringstream out;
   ScenarioRunner runner;
-  ServeOptions options;
-  options.threads = threads;
   const ServeSummary summary = serve_stream(in, out, runner, options);
   if (summary_out != nullptr) *summary_out = summary;
   return out.str();
+}
+
+std::string run_serve(const std::string& input, std::size_t threads,
+                      ServeSummary* summary_out = nullptr) {
+  ServeOptions options;
+  options.threads = threads;
+  return run_serve(input, options, summary_out);
 }
 
 TEST(ObsServe, TracingNeverChangesOutputBytes) {
@@ -81,28 +88,67 @@ TEST(ObsServe, MetricsDisabledChangesNothingButTheCounts) {
 }
 
 TEST(ObsServe, CountersExactlyMatchSummaryStats) {
-  const std::string input = duplicated_batch();
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
-  registry.reset();
-  ServeSummary summary;
-  run_serve(input, 4, &summary);
+  // Two inputs: the 20+20 duplicated batch, and a shuffled gen stream
+  // with duplicates whose generator reports the duplicate count. Fresh
+  // lines carry unique ids, so the memo can hit only on verbatim copies:
+  // memo hits == duplicates, exactly, under every placement.
+  gen::GenConfig config;
+  config.seed = 23;
+  config.count = 200;
+  config.zipf_skew = 3.0;
+  config.dup_rate = 0.3;
+  config.order = gen::OrderPattern::kShuffled;
+  const gen::GeneratedStream stream = gen::generate_stream(config);
+  std::string generated;
+  for (const std::string& line : stream.lines) generated += line + "\n";
+  ASSERT_GT(stream.stats.duplicates, 0u);
+  const struct {
+    std::string input;
+    std::size_t requests;
+    std::size_t duplicates;
+  } cases[] = {{duplicated_batch(), 40, 20},
+               {generated, stream.stats.count, stream.stats.duplicates}};
 
-  EXPECT_EQ(summary.requests, 40u);
-  EXPECT_EQ(summary.memo_hits, 20u);
-  // The registry saw exactly what the summary reports — same events,
-  // counted at different layers.
-  EXPECT_EQ(registry.counter("scenario.requests").value(),
-            summary.requests);
-  EXPECT_EQ(registry.counter("dispatch.memo_hits").value(),
-            summary.memo_hits);
-  EXPECT_EQ(registry.counter("dispatch.executed").value(),
-            summary.executed);
-  EXPECT_EQ(registry.counter("dispatch.batches").value(), 1u);
-  // Executed requests each record one exec + one queue-wait sample.
-  EXPECT_EQ(registry.histogram("dispatch.exec_ns").count(),
-            summary.executed);
-  EXPECT_EQ(registry.histogram("dispatch.queue_wait_ns").count(),
-            summary.executed);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
+  for (const auto& c : cases) {
+    const std::string reference = run_serve(c.input, 1);
+    for (const dispatch::SchedulePolicy policy :
+         {dispatch::SchedulePolicy::kFifo, dispatch::SchedulePolicy::kLjf}) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE(std::string("requests=") + std::to_string(c.requests) +
+                     " policy=" + dispatch::schedule_policy_name(policy) +
+                     " threads=" + std::to_string(threads));
+        ServeOptions options;
+        options.threads = threads;
+        options.policy = policy;
+        registry.reset();
+        ServeSummary summary;
+        EXPECT_EQ(run_serve(c.input, options, &summary), reference);
+
+        EXPECT_EQ(summary.requests, c.requests);
+        EXPECT_EQ(summary.failed, 0u);
+        EXPECT_EQ(summary.memo_hits, c.duplicates);
+        // The registry saw exactly what the summary reports — same
+        // events, counted at different layers.
+        EXPECT_EQ(registry.counter("scenario.requests").value(),
+                  summary.requests);
+        EXPECT_EQ(registry.counter("dispatch.memo_hits").value(),
+                  summary.memo_hits);
+        EXPECT_EQ(registry.counter("dispatch.executed").value(),
+                  summary.executed);
+        EXPECT_EQ(registry.counter("dispatch.batches").value(), 1u);
+        // Executed requests each record one exec + one queue-wait sample.
+        EXPECT_EQ(registry.histogram("dispatch.exec_ns").count(),
+                  summary.executed);
+        EXPECT_EQ(registry.histogram("dispatch.queue_wait_ns").count(),
+                  summary.executed);
+
+        // Dedup off writes the same bytes.
+        options.dedup = false;
+        EXPECT_EQ(run_serve(c.input, options), reference);
+      }
+    }
+  }
 }
 
 TEST(ObsServe, QueueWaitRidesTheSummaryJson) {

@@ -7,6 +7,8 @@
 //     answered from disk (>= 99% disk-hit rate, and in fact 100%);
 //   * this holds across thread counts x schedule policies, because the
 //     cache keys are canonical request content, not execution order;
+//   * each cold run bumps the `dispatch.disk_memo.hits` counter by
+//     exactly its summary's disk_hits;
 //   * with dedup off the disk cache is ignored (nothing to key by) and
 //     the output bytes STILL match — caching changes when work runs,
 //     never what is written;
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "dispatch/disk_result_memo.hpp"
+#include "obs/metrics.hpp"
 #include "persist/segment_store.hpp"
 #include "scenario/serve.hpp"
 #include "gen_test_util.hpp"
@@ -85,13 +88,19 @@ TEST(ScenarioPersist, ColdProcessServesByteIdenticallyFromDisk) {
 
   // Cold processes: every (policy x threads) config must answer the
   // whole batch from disk with byte-identical output.
+  const obs::Counter& disk_hit_counter =
+      obs::MetricsRegistry::instance().counter("dispatch.disk_memo.hits");
   for (const dispatch::SchedulePolicy policy :
        {dispatch::SchedulePolicy::kFifo, dispatch::SchedulePolicy::kLjf}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       ServeOptions options;
       options.policy = policy;
       options.threads = threads;
+      const std::uint64_t hits_before = disk_hit_counter.value();
       const RunOutput cold = serve_once(input, dir.path(), options);
+      // The registry counts the same disk answers the summary reports.
+      EXPECT_EQ(disk_hit_counter.value() - hits_before,
+                cold.summary.disk_hits);
       EXPECT_EQ(cold.records, warm.records)
           << "policy=" << dispatch::schedule_policy_name(policy)
           << " threads=" << threads;
