@@ -1,33 +1,26 @@
-// Serve-stack timing gates: the four serve properties that only wall
-// time can show. Every exact serve property — byte identity across
-// threads/policy/dedup, memo and registry counters, trace balance, warm
-// `executed == 0` — is a gtest or a serve-matrix row instead.
+// Serve-stack timing gates: the four serve properties only wall time can
+// show. Exact serve properties are gtests and serve-matrix rows; the
+// smoke.bench_{dispatch,gen,obs,persist} ctests check this record's exact
+// fields (cmake/CheckServeGates.cmake).
 //
-//   ./build/bench/bench_serve_gates                        # table
 //   ./build/bench/bench_serve_gates --json BENCH_serve_gates.json
 //
-// Gates (schema "thermo.bench_serve_gates.v1", one object per gate under
-// "gates", each holding its measured numbers and `ok`):
-//   ljf        skewed batch (60 small Alpha requests, the 1024-core whale
-//              LAST): fifo makespan >= 1.3 x ljf makespan, and the
-//              whale's serial wall time is above every small request's
-//              — the cost rank ljf relies on. The margin makes the gate
-//              bite: with identical orders only noise separates them;
-//   edf        deadline batch (one deadline-free whale per worker FIRST, 12
-//              Alpha requests due 100 ms into the window behind them):
-//              fifo misses some deadline and edf misses fewer;
-//   overhead   a seeded gen stream served with observability off vs on
-//              (metrics + an active trace): min wall on <= 1.05 x off
-//              + 0.05 s, same bytes;
-//   warm_cache the same stream served cold, then warm, each through a
-//              fresh DiskResultMemo: warm >= 2x faster, byte-identical,
-//              executed == 0; verify() is clean and a re-serve after
-//              compact() is byte-identical too.
+// Schema "thermo.bench_serve_gates.v1": "stream" (lines, duplicates and
+// memo_hits of the shared gen stream), then one object per gate under
+// "gates", each holding its measured numbers and `ok`:
+//   ljf        60 small Alpha requests, the 1024-core whale LAST: fifo
+//              makespan >= 1.3 x ljf's (identical orders differ only by
+//              noise), and the whale's serial wall tops every small's;
+//   edf        one deadline-free whale per worker FIRST, then 12 Alpha
+//              requests due at 100 ms: fifo misses some, edf fewer;
+//   overhead   the gen stream, observability off vs on (metrics + trace):
+//              min wall on <= 1.05 x off + 0.05 s, same bytes;
+//   warm_cache the stream cold, then warm, each through a fresh
+//              DiskResultMemo: warm >= 2x faster, executed == 0, bytes
+//              identical, also after verify() (clean) and compact().
 // Timed numbers are the min over --reps runs, each with a fresh runner.
-//
-// One enforcement rule: enforced = threads >= 4 && hardware threads >= 4
-// && count >= 1000 && reps >= 2. Enforced, the bench exits 1 when any
-// gate fails; otherwise the gates are recorded only.
+// enforced = threads >= 4 && hardware threads >= 4 && count >= 1000 &&
+// reps >= 2. Enforced, a failed gate exits 1; else gates are recorded.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -118,7 +111,10 @@ void keep_min(T* best, T value, long long rep) {
   if (rep == 0 || value < *best) *best = value;
 }
 
-JsonValue num(double value) { return JsonValue::number(value); }
+template <typename T>
+JsonValue num(T value) {
+  return JsonValue::number(static_cast<double>(value));
+}
 
 }  // namespace
 
@@ -132,12 +128,10 @@ int main(int argc, char** argv) {
                 "Serve-stack timing gates: ljf and edf placement, "
                 "observability overhead, warm disk-cache replay");
   cli.add_int("threads", "Worker threads for every timed serve", &threads);
-  cli.add_int("reps", "Timed repetitions per configuration (min wins)",
-              &reps);
+  cli.add_int("reps", "Timed repetitions per config (min wins)", &reps);
   cli.add_int("count", "Lines in the seeded gen stream", &count);
   cli.add_string("cache-dir", "Cache directory (wiped at start)", &cache_dir);
-  cli.add_string("json", "Write BENCH_serve_gates.json-style record here",
-                 &json_path);
+  cli.add_string("json", "Write the JSON record here", &json_path);
   try {
     if (!cli.parse(argc, argv)) return 0;
     THERMO_REQUIRE(threads >= 1, "--threads must be >= 1");
@@ -213,8 +207,9 @@ int main(int argc, char** argv) {
     config.count = static_cast<std::size_t>(count);
     config.dup_rate = 0.25;
     config.order = gen::OrderPattern::kShuffled;
+    const gen::GeneratedStream generated = gen::generate_stream(config);
     std::ostringstream stream_buffer;
-    gen::write_stream(gen::generate_stream(config), stream_buffer);
+    gen::write_stream(generated, stream_buffer);
     const std::string stream = stream_buffer.str();
 
     // overhead: OFF/ON alternate inside each rep so drift hits both.
@@ -222,6 +217,7 @@ int main(int argc, char** argv) {
     double off_wall = 0.0;
     double on_wall = 0.0;
     bool obs_bytes_identical = true;
+    std::size_t memo_hits = 0;
     for (long long rep = 0; rep < reps; ++rep) {
       obs::set_enabled(false);
       const Run off = serve(stream, workers, SchedulePolicy::kFifo, true);
@@ -231,6 +227,7 @@ int main(int argc, char** argv) {
       recorder.stop();
       THERMO_REQUIRE(off.summary.failed == 0, "gen stream failed");
       obs_bytes_identical = obs_bytes_identical && on.output == off.output;
+      memo_hits = on.summary.memo_hits;
       keep_min(&off_wall, off.summary.wall_seconds, rep);
       keep_min(&on_wall, on.summary.wall_seconds, rep);
     }
@@ -294,10 +291,9 @@ int main(int argc, char** argv) {
       ljf.set("cost_rank_ok", JsonValue::boolean(cost_rank_ok));
       ljf.set("ok", JsonValue::boolean(ljf_ok));
       JsonValue edf = JsonValue::object();
-      edf.set("deadline_requests",
-              num(static_cast<double>(deadline_requests)));
-      edf.set("fifo_missed", num(static_cast<double>(fifo_missed)));
-      edf.set("edf_missed", num(static_cast<double>(edf_missed)));
+      edf.set("deadline_requests", num(deadline_requests));
+      edf.set("fifo_missed", num(fifo_missed));
+      edf.set("edf_missed", num(edf_missed));
       edf.set("ok", JsonValue::boolean(edf_ok));
       JsonValue overhead = JsonValue::object();
       overhead.set("off_wall_s", num(off_wall));
@@ -309,12 +305,15 @@ int main(int argc, char** argv) {
       cache.set("cold_wall_s", num(cold.summary.wall_seconds));
       cache.set("warm_wall_s", num(warm.summary.wall_seconds));
       cache.set("speedup", num(cache_speedup));
-      cache.set("warm_executed",
-                num(static_cast<double>(warm.summary.executed)));
-      cache.set("disk_hits", num(static_cast<double>(warm.summary.disk_hits)));
+      cache.set("warm_executed", num(warm.summary.executed));
+      cache.set("disk_hits", num(warm.summary.disk_hits));
       cache.set("verify_clean", JsonValue::boolean(verify_clean));
       cache.set("bytes_identical", JsonValue::boolean(cache_bytes_identical));
       cache.set("ok", JsonValue::boolean(cache_ok));
+      JsonValue stream_record = JsonValue::object();
+      stream_record.set("lines", num(generated.lines.size()));
+      stream_record.set("duplicates", num(generated.stats.duplicates));
+      stream_record.set("memo_hits", num(memo_hits));
       JsonValue gates = JsonValue::object();
       gates.set("ljf", std::move(ljf));
       gates.set("edf", std::move(edf));
@@ -322,11 +321,12 @@ int main(int argc, char** argv) {
       gates.set("warm_cache", std::move(cache));
       JsonValue record = JsonValue::object();
       record.set("schema", JsonValue::string("thermo.bench_serve_gates.v1"));
-      record.set("threads", num(static_cast<double>(threads)));
-      record.set("hardware_threads", num(static_cast<double>(hardware)));
-      record.set("reps", num(static_cast<double>(reps)));
-      record.set("count", num(static_cast<double>(count)));
+      record.set("threads", num(threads));
+      record.set("hardware_threads", num(hardware));
+      record.set("reps", num(reps));
+      record.set("count", num(count));
       record.set("enforced", JsonValue::boolean(enforced));
+      record.set("stream", std::move(stream_record));
       record.set("gates", std::move(gates));
       std::ofstream out(json_path);
       THERMO_REQUIRE(static_cast<bool>(out),
