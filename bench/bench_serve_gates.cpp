@@ -8,7 +8,7 @@
 // Schema "thermo.bench_serve_gates.v1": "stream" (lines, duplicates and
 // memo_hits of the shared gen stream), then one object per gate under
 // "gates", each holding its measured numbers and `ok`:
-//   ljf        60 small Alpha requests, the 1024-core whale LAST: fifo
+//   ljf        60 small Alpha requests, the 1536-core whale LAST: fifo
 //              makespan >= 1.3 x ljf's (identical orders differ only by
 //              noise), and the whale's serial wall tops every small's;
 //   edf        one deadline-free whale per worker FIRST, then 12 Alpha
@@ -45,22 +45,25 @@ namespace {
 using namespace thermo;
 using dispatch::SchedulePolicy;
 
-/// The 1024-core synthetic SoC (1034 thermal nodes), steady oracle,
-/// nine STCL points: on 4 busy workers about as long as a third of the
-/// 60 small requests, the skew at which ljf gains most (fifo/ljf -> 1.75).
+/// A 1536-core synthetic SoC at 3x power, steady oracle, nine STCL
+/// points: on 4 busy workers about as long as a third of the 60 small
+/// requests, the skew at which ljf gains most (fifo/ljf -> 1.75). TL
+/// binds, so the cost is each point's session construction and
+/// validations; the solo pre-pass runs once per request and is small.
 /// Distinct power corners keep the memo out of it.
 std::string heavy_line(const std::string& id, double power_scale) {
   scenario::ScenarioRequest heavy;
   heavy.id = id;
   heavy.soc.kind = scenario::SocKind::kSynthetic;
   heavy.soc.synthetic.seed = 7;
-  heavy.soc.synthetic.cores = 1024;
+  heavy.soc.synthetic.cores = 1536;
   heavy.soc.synthetic.test_length_min = 0.02;
   heavy.soc.synthetic.test_length_max = 0.02;
-  heavy.soc.power_scale = power_scale;
-  heavy.tl = 400.0;
-  heavy.stcl.min = 100.0;
-  heavy.stcl.max = 180.0;
+  heavy.soc.power_scale = 3.0 * power_scale;
+  heavy.tl = 155.0;
+  heavy.stc_scale = 10.0;
+  heavy.stcl.min = 50.0;
+  heavy.stcl.max = 130.0;
   heavy.stcl.step = 10.0;
   heavy.solver.transient = false;
   return scenario::to_json_line(heavy) + "\n";

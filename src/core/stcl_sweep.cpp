@@ -11,16 +11,28 @@ std::vector<StclSweepPoint> sweep_stcl(
     const std::vector<double>& stcl_values, const StclSweepConfig& config) {
   THERMO_REQUIRE(model != nullptr, "stcl sweep requires a model");
 
+  if (stcl_values.empty()) return {};
+  const auto options_at = [&](std::size_t i) {
+    ThermalSchedulerOptions options = config.scheduler;
+    options.stc_limit = stcl_values[i];
+    return options;
+  };
+
+  // The solo pre-pass depends on neither STCL nor TL: run it once, after
+  // the checks point 0's own generate() made first, so errors keep their
+  // precedence.
+  thermal::ThermalAnalyzer prepass_analyzer(model, config.analyzer);
+  (void)ThermalAwareScheduler(options_at(0));
+  const SoloPrepass prepass = solo_prepass(soc, prepass_analyzer);
+
   sweep::SweepOptions sweep_options;
   sweep_options.threads = config.threads;
   const sweep::ScenarioSweep sweeper(sweep_options);
 
   return sweeper.map(stcl_values.size(), [&](std::size_t i) {
     thermal::ThermalAnalyzer analyzer(model, config.analyzer);
-    ThermalSchedulerOptions options = config.scheduler;
-    options.stc_limit = stcl_values[i];
-    const ThermalAwareScheduler scheduler(options);
-    const ScheduleResult result = scheduler.generate(soc, analyzer);
+    const ThermalAwareScheduler scheduler(options_at(i));
+    const ScheduleResult result = scheduler.generate(soc, analyzer, prepass);
     return StclSweepPoint{stcl_values[i],
                           result.schedule_length,
                           result.simulation_effort,

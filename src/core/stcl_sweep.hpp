@@ -5,7 +5,9 @@
 // against simulation effort (Section 5); picking it means scanning a
 // range. Every point in the scan schedules the SAME SoC, so all points
 // share one RCModel — its factorizations are computed once through the
-// solver cache and back-substituted by every worker. Each point gets a
+// solver cache and back-substituted by every worker — and one solo
+// pre-pass (core::solo_prepass, paper lines 1-7), run once before the
+// fan-out and handed to every point's generate(). Each point gets a
 // private ThermalAnalyzer (the effort accounting is not thread-safe).
 //
 // Shared by `thermosched sweep` and examples/explore_stcl.cpp; results

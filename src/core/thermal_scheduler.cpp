@@ -72,11 +72,35 @@ void record_counters(std::size_t stc_evaluations, std::size_t stc_terms,
 
 }  // namespace
 
-ScheduleResult ThermalAwareScheduler::generate(
-    const SocSpec& soc, thermal::ThermalAnalyzer& analyzer) const {
+SoloPrepass solo_prepass(const SocSpec& soc,
+                         thermal::ThermalAnalyzer& analyzer) {
   soc.validate();
   THERMO_REQUIRE(analyzer.model().block_count() == soc.core_count(),
                  "analyzer was built for a different floorplan");
+  SoloPrepass prepass;
+  prepass.bcmt.resize(soc.core_count());
+  analyzer.reset_effort();
+  for (std::size_t i = 0; i < soc.core_count(); ++i) {
+    prepass.bcmt[i] =
+        analyzer.solo_peak(i, soc.tests[i].power, soc.tests[i].length);
+  }
+  prepass.effort = analyzer.simulation_effort();
+  analyzer.reset_effort();
+  return prepass;
+}
+
+ScheduleResult ThermalAwareScheduler::generate(
+    const SocSpec& soc, thermal::ThermalAnalyzer& analyzer) const {
+  return generate(soc, analyzer, solo_prepass(soc, analyzer));
+}
+
+ScheduleResult ThermalAwareScheduler::generate(
+    const SocSpec& soc, thermal::ThermalAnalyzer& analyzer,
+    const SoloPrepass& prepass) const {
+  THERMO_REQUIRE(analyzer.model().block_count() == soc.core_count(),
+                 "analyzer was built for a different floorplan");
+  THERMO_REQUIRE(prepass.bcmt.size() == soc.core_count(),
+                 "pre-pass was run on a different SoC");
 
   const std::size_t n = soc.core_count();
   const SessionThermalModel model(soc.flp, soc.package, options_.model);
@@ -86,19 +110,10 @@ ScheduleResult ThermalAwareScheduler::generate(
   analyzer.reset_effort();
   effective_tl_ = options_.temperature_limit;
 
-  // ---- Pre-pass: per-core solo simulation (paper lines 1-7) ----
-  result.bcmt.assign(n, 0.0);
+  // ---- Pre-pass results (paper lines 1-7) and the solo policy ----
+  result.bcmt = prepass.bcmt;
+  result.precheck_effort = prepass.effort;
   std::vector<bool> excluded(n, false);
-  for (std::size_t i = 0; i < n; ++i) {
-    TestSession solo;
-    solo.cores.push_back(i);
-    const thermal::SessionSimulation sim =
-        analyzer.simulate_session(solo.power_map(soc), solo.length(soc));
-    result.bcmt[i] = sim.peak_temperature[i];
-  }
-  result.precheck_effort = analyzer.simulation_effort();
-  analyzer.reset_effort();
-
   for (std::size_t i = 0; i < n; ++i) {
     if (result.bcmt[i] < effective_tl_) continue;
     std::ostringstream note;

@@ -3,9 +3,13 @@
 //
 // Flow:
 //   1. *Pre-pass* (paper lines 1-7): simulate every core alone, record
-//      BCMT(i). Cores violating TL are handled per SoloViolationPolicy
-//      (the paper offers "fix the core's test infrastructure or raise
-//      TL"; we additionally support excluding the core).
+//      BCMT(i) (solo_prepass). The steady oracle solves only entry i of
+//      G⁻¹·(pᵢeᵢ), on i's elimination-tree path; the transient oracle
+//      steps the full session. The pre-pass depends on neither TL nor
+//      STCL, so sweep_stcl runs it once and hands it to every point.
+//      Cores violating TL are handled per SoloViolationPolicy inside
+//      generate() (the paper offers "fix the core's test infrastructure
+//      or raise TL"; we additionally support excluding the core).
 //   2. *Session construction* (lines 9-15): scan the unscheduled cores
 //      in a deterministic order and greedily add each core whose
 //      addition keeps STC(TS) <= STCL. Each candidate re-evaluates only
@@ -66,6 +70,17 @@ struct ThermalSchedulerOptions {
   SessionModelOptions model;
 };
 
+/// Output of the solo pre-pass (paper lines 1-7).
+struct SoloPrepass {
+  std::vector<double> bcmt;  ///< BCMT(i): core i's peak temperature alone
+  double effort = 0.0;       ///< simulated time it cost [s]
+};
+
+/// Validates `soc` against the analyzer, then simulates every core alone
+/// (ThermalAnalyzer::solo_peak). The analyzer's effort is reset before
+/// and after. Throws what SocSpec::validate throws.
+SoloPrepass solo_prepass(const SocSpec& soc, thermal::ThermalAnalyzer& analyzer);
+
 class ThermalAwareScheduler {
  public:
   explicit ThermalAwareScheduler(ThermalSchedulerOptions options = {});
@@ -78,6 +93,13 @@ class ThermalAwareScheduler {
   /// the attempt cap is exhausted.
   ScheduleResult generate(const SocSpec& soc,
                           thermal::ThermalAnalyzer& analyzer) const;
+
+  /// The same run with the pre-pass already done: `prepass` must come
+  /// from solo_prepass(soc, ·) on an analyzer with the same model and
+  /// oracle options (it validated `soc`). The solo-violation policy
+  /// still applies here. Bit-identical to generate(soc, analyzer).
+  ScheduleResult generate(const SocSpec& soc, thermal::ThermalAnalyzer& analyzer,
+                          const SoloPrepass& prepass) const;
 
   /// Effective TL used in the last generate() call (differs from
   /// options().temperature_limit only under kRaiseLimit).

@@ -18,7 +18,9 @@ Floorplan make_grid_floorplan(std::size_t rows, std::size_t cols,
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
       Block block;
-      block.name = "b" + std::to_string(r) + "_" + std::to_string(c);
+      // Appended: GCC 12 flags `"b" + std::to_string(r)` (-Wrestrict).
+      block.name = "b";
+      block.name.append(std::to_string(r)).append("_").append(std::to_string(c));
       block.width = bw;
       block.height = bh;
       block.x = static_cast<double>(c) * bw;
@@ -93,7 +95,8 @@ Floorplan make_slicing_floorplan(Rng& rng, const SlicingOptions& options) {
   Floorplan fp("slicing" + std::to_string(options.block_count));
   for (std::size_t i = 0; i < regions.size(); ++i) {
     Block block;
-    block.name = "c" + std::to_string(i);
+    block.name = "c";  // appended, as in make_grid_floorplan
+    block.name.append(std::to_string(i));
     block.x = regions[i].x;
     block.y = regions[i].y;
     block.width = regions[i].w;

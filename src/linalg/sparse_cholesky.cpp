@@ -48,11 +48,12 @@ void SparseCholeskyFactor::factorize(const SparseMatrix& a) {
   const std::vector<std::size_t>& ai = a.col_indices();
   const std::vector<double>& ax = a.values();
 
-  // Symbolic pass: elimination tree and per-column non-zero counts of L.
+  // Symbolic pass: elimination tree (kept for solve_entry) and
+  // per-column non-zero counts of L.
   // Row k of A's strictly-lower triangle reaches column k of L through
   // tree paths; walking each entry's column up to the root marked with
   // `flag == k` visits every L column that gains an entry in row k.
-  std::vector<std::size_t> parent(n_, kNone);
+  parent_.assign(n_, kNone);
   std::vector<std::size_t> flag(n_, kNone);
   std::vector<std::size_t> count(n_, 0);
   for (std::size_t k = 0; k < n_; ++k) {
@@ -60,8 +61,8 @@ void SparseCholeskyFactor::factorize(const SparseMatrix& a) {
     for (std::size_t p = ap[k]; p < ap[k + 1]; ++p) {
       std::size_t i = ai[p];
       if (i >= k) continue;
-      for (; flag[i] != k; i = parent[i]) {
-        if (parent[i] == kNone) parent[i] = k;
+      for (; flag[i] != k; i = parent_[i]) {
+        if (parent_[i] == kNone) parent_[i] = k;
         ++count[i];
         flag[i] = k;
       }
@@ -97,7 +98,7 @@ void SparseCholeskyFactor::factorize(const SparseMatrix& a) {
       }
       y[col] += ax[p];
       std::size_t len = 0;
-      for (std::size_t i = col; flag[i] != k; i = parent[i]) {
+      for (std::size_t i = col; flag[i] != k; i = parent_[i]) {
         pattern[len++] = i;
         flag[i] = k;
       }
@@ -139,6 +140,37 @@ Vector SparseCholeskyFactor::solve(const Vector& b) const {
   solve_in_place(px);
   Vector x(n_);
   for (std::size_t k = 0; k < n_; ++k) x[perm_[k]] = px[k];
+  return x;
+}
+
+double SparseCholeskyFactor::solve_entry(std::size_t i, double b,
+                                         Vector& scratch) const {
+  THERMO_REQUIRE(i < n_, "sparse cholesky solve_entry: index out of range");
+  THERMO_REQUIRE(scratch.size() == n_,
+                 "sparse cholesky solve_entry: scratch size mismatch");
+  // solve_in_place restricted to the path: every column off the path
+  // holds +0 in the full solve, so its updates are exact no-ops, and the
+  // kept updates run in the same order.
+  const std::size_t k = perm_.empty() ? i : inv_perm_[i];
+  std::vector<std::size_t> path;
+  scratch[k] = b;
+  for (std::size_t j = k; j != kNone; j = parent_[j]) {
+    path.push_back(j);
+    const double xj = scratch[j];
+    for (std::size_t q = col_offsets_[j]; q < col_offsets_[j + 1]; ++q) {
+      scratch[row_indices_[q]] -= values_[q] * xj;
+    }
+  }
+  for (auto it = path.rbegin(); it != path.rend(); ++it) {
+    const std::size_t j = *it;
+    double sum = scratch[j] / diag_[j];  // D, then Lᵗ: ancestors are final
+    for (std::size_t q = col_offsets_[j]; q < col_offsets_[j + 1]; ++q) {
+      sum -= values_[q] * scratch[row_indices_[q]];
+    }
+    scratch[j] = sum;
+  }
+  const double x = scratch[k];
+  for (std::size_t j : path) scratch[j] = 0.0;
   return x;
 }
 

@@ -26,6 +26,10 @@
 //    pass fills L column by column). A = L·D·Lᵗ with unit-lower L and
 //    diagonal D, so no square roots are taken; solve() is forward
 //    substitution, a diagonal scale, and back substitution.
+//  * solve_entry() returns one entry of A⁻¹·(b·eᵢ) by walking only i's
+//    elimination-tree path: Σ over the path of |col j of L| flops
+//    twice, bit-identical to solve() (docs/SOLVERS.md "Single-entry
+//    solves").
 //  * solve() is const, deterministic, and thread-safe — the factor is
 //    shareable across sweep workers (thermal::ThermalSolverCache keys
 //    it by model identity).
@@ -84,6 +88,13 @@ class SparseCholeskyFactor {
   /// reusable, thread-safe). b and x are in the original index order.
   Vector solve(const Vector& b) const;
 
+  /// x[i] of A x = b·eᵢ, bit-identical to solve(b·eᵢ)[i]. Forward
+  /// substitution of a unit right-hand side only touches i's path to
+  /// the root of the elimination tree, and entry i of the backward pass
+  /// only reads that same path. `scratch` is caller-owned, size n, all
+  /// zero on entry and again on return.
+  double solve_entry(std::size_t i, double b, Vector& scratch) const;
+
  private:
   void factorize(const SparseMatrix& a);
   void solve_in_place(Vector& x) const;
@@ -92,6 +103,7 @@ class SparseCholeskyFactor {
   Ordering ordering_ = Ordering::kNatural;
   std::vector<std::size_t> perm_;      // position -> original index
   std::vector<std::size_t> inv_perm_;  // original index -> position
+  std::vector<std::size_t> parent_;    // elimination tree, factor order
   // L in compressed-sparse-column form, strictly lower triangle, row
   // indices increasing within each column (the natural order in which
   // the up-looking algorithm emits them).

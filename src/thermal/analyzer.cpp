@@ -1,7 +1,10 @@
 #include "thermal/analyzer.hpp"
 
 #include <algorithm>
+#include <cmath>
 
+#include "obs/metrics.hpp"
+#include "thermal/solver_cache.hpp"
 #include "util/error.hpp"
 
 namespace thermo::thermal {
@@ -53,6 +56,31 @@ SessionSimulation ThermalAnalyzer::simulate_session(
   simulation_effort_ += duration;
   ++simulation_count_;
   return out;
+}
+
+double ThermalAnalyzer::solo_peak(std::size_t block, double power,
+                                  double duration) {
+  THERMO_REQUIRE(block < model_->block_count(), "block index out of range");
+  if (options_.transient) {
+    std::vector<double> block_power(model_->block_count(), 0.0);
+    block_power[block] = power;
+    return simulate_session(block_power, duration).peak_temperature[block];
+  }
+  // simulate_session's and expand_power's checks, in their order and
+  // with their text (the checked expression is part of the error bytes).
+  THERMO_REQUIRE(duration > 0.0, "session duration must be positive");
+  const double p = power;
+  THERMO_REQUIRE(std::isfinite(p) && p >= 0.0,
+                 "block power must be finite and non-negative");
+  const auto factor = ThermalSolverCache::instance().sparse_cholesky(*model_);
+  scratch_.resize(model_->node_count(), 0.0);
+  const double rise = factor->solve_entry(block, power, scratch_);
+  static obs::Counter& entry_solves =
+      obs::MetricsRegistry::instance().counter("thermal.entry_solves");
+  entry_solves.add();
+  simulation_effort_ += duration;
+  ++simulation_count_;
+  return model_->package().ambient + rise;
 }
 
 std::vector<double> ThermalAnalyzer::steady_block_temperatures(

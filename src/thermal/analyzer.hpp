@@ -68,6 +68,15 @@ class ThermalAnalyzer {
   SessionSimulation simulate_session(const std::vector<double>& block_power,
                                      double duration);
 
+  /// Peak temperature of `block` when it alone dissipates `power` for
+  /// `duration` — bit for bit simulate_session(power·e_block,
+  /// duration).peak_temperature[block], with the same checks and the
+  /// same effort and count charge. Algorithm 1's solo pre-pass calls it
+  /// once per core. The steady oracle solves only the block's entry
+  /// (SparseCholeskyFactor::solve_entry); the transient oracle steps
+  /// the full session.
+  double solo_peak(std::size_t block, double power, double duration);
+
   /// Steady-state block temperatures for a power map (no effort charge;
   /// used for reporting and the motivational example).
   std::vector<double> steady_block_temperatures(
@@ -110,6 +119,7 @@ class ThermalAnalyzer {
   Options options_;
   double simulation_effort_ = 0.0;
   std::size_t simulation_count_ = 0;
+  std::vector<double> scratch_;  // solo_peak's solve_entry workspace
 };
 
 }  // namespace thermo::thermal

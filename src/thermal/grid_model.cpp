@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/metrics.hpp"
 #include "thermal/model_identity.hpp"
 #include "thermal/solver_cache.hpp"
 #include "util/error.hpp"
@@ -184,6 +185,9 @@ GridSteadyResult GridThermalModel::solve(
   // path.
   const std::vector<double> rise =
       ThermalSolverCache::instance().sparse_cholesky(*this)->solve(power);
+  static obs::Counter& solves =
+      obs::MetricsRegistry::instance().counter("thermal.solves");
+  solves.add();
 
   GridSteadyResult result;
   result.cell_temperature.resize(cell_count());

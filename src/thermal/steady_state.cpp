@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/metrics.hpp"
 #include "thermal/solver_cache.hpp"
 #include "util/error.hpp"
 
@@ -15,6 +16,9 @@ SteadyStateResult solve_steady_state(const RCModel& model,
   // Factor-cached: G is fixed per model, only the power vector changes
   // across calls (see solver_cache.hpp).
   result.rise = ThermalSolverCache::instance().sparse_cholesky(model)->solve(power);
+  static obs::Counter& solves =
+      obs::MetricsRegistry::instance().counter("thermal.solves");
+  solves.add();
 
   result.temperature.resize(result.rise.size());
   const double ambient = model.package().ambient;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/metrics.hpp"
 #include "thermal/solver_cache.hpp"
 #include "util/error.hpp"
 
@@ -71,6 +72,9 @@ TransientResult simulate_transient(const RCModel& model,
     ++result.steps;
     record(state);
   }
+  static obs::Counter& steps =
+      obs::MetricsRegistry::instance().counter("thermal.steps");
+  steps.add(result.steps);
 
   for (std::size_t i = 0; i < n; ++i) {
     result.final_temperature[i] = ambient + state[i];

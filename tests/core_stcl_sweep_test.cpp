@@ -4,11 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <string>
 
+#include "obs/metrics.hpp"
+#include "soc/synthetic.hpp"
 #include "test_helpers.hpp"
 #include "thermal/analyzer.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace thermo::core {
 namespace {
@@ -86,6 +92,138 @@ TEST(StclSweepTest, EmptyValueListYieldsEmptyResult) {
   const auto model =
       std::make_shared<const thermal::RCModel>(soc.flp, soc.package);
   EXPECT_TRUE(sweep_stcl(soc, model, {}, StclSweepConfig{}).empty());
+}
+
+// A 300-core synthetic SoC at 3x power under the steady oracle, with TL
+// at the fourth-hottest solo temperature, so four cores violate TL alone
+// and the solo policy has work to do (kExclude notes all four;
+// kRaiseLimit notes fewer, since each raise lifts TL past some of them).
+struct HotSoc {
+  SocSpec soc;
+  std::shared_ptr<const thermal::RCModel> model;
+  thermal::ThermalAnalyzer::Options oracle;
+  double tl = 0.0;
+};
+
+HotSoc hot_soc() {
+  Rng rng(7);
+  soc::SyntheticOptions synthetic;
+  synthetic.core_count = 300;
+  HotSoc hot{soc::make_synthetic_soc(rng, synthetic), nullptr, {}, 0.0};
+  for (CoreTest& test : hot.soc.tests) test.power *= 3.0;
+  hot.model =
+      std::make_shared<const thermal::RCModel>(hot.soc.flp, hot.soc.package);
+  hot.oracle.transient = false;
+  thermal::ThermalAnalyzer analyzer(hot.model, hot.oracle);
+  std::vector<double> bcmt = solo_prepass(hot.soc, analyzer).bcmt;
+  std::sort(bcmt.begin(), bcmt.end());
+  hot.tl = bcmt[bcmt.size() - 4];
+  return hot;
+}
+
+void expect_same_result(const ScheduleResult& a, const ScheduleResult& b) {
+  ASSERT_EQ(a.schedule.session_count(), b.schedule.session_count());
+  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+  for (std::size_t s = 0; s < a.schedule.session_count(); ++s) {
+    EXPECT_EQ(a.schedule.sessions[s].cores, b.schedule.sessions[s].cores);
+    EXPECT_EQ(a.outcomes[s].length, b.outcomes[s].length);
+    EXPECT_EQ(a.outcomes[s].max_temperature, b.outcomes[s].max_temperature);
+    EXPECT_EQ(a.outcomes[s].hottest_core, b.outcomes[s].hottest_core);
+  }
+  EXPECT_EQ(a.schedule_length, b.schedule_length);
+  EXPECT_EQ(a.simulation_effort, b.simulation_effort);
+  EXPECT_EQ(a.precheck_effort, b.precheck_effort);
+  EXPECT_EQ(a.max_temperature, b.max_temperature);
+  EXPECT_EQ(a.discarded_sessions, b.discarded_sessions);
+  EXPECT_EQ(a.simulation_count, b.simulation_count);
+  EXPECT_EQ(a.bcmt, b.bcmt);
+  EXPECT_EQ(a.notes, b.notes);
+}
+
+// The sweep runs the solo pre-pass once (n entry solves, not n per
+// point) and hands it to every point; each point still equals its own
+// generate() run, and a handed pre-pass gives generate() bit-identical
+// results, notes included, under every solo policy.
+TEST(StclSweepTest, SharedPrepassRunsOnceAndMatchesPerPointRuns) {
+  const HotSoc hot = hot_soc();
+  const std::vector<double> stcls{300.0, 600.0, 1000.0};
+  obs::Counter& entry_solves =
+      obs::MetricsRegistry::instance().counter("thermal.entry_solves");
+  for (const SoloViolationPolicy policy :
+       {SoloViolationPolicy::kRaiseLimit, SoloViolationPolicy::kExclude}) {
+    StclSweepConfig config;
+    config.scheduler.temperature_limit = hot.tl;
+    config.scheduler.solo_policy = policy;
+    config.scheduler.model.stc_scale = 10.0;
+    config.analyzer = hot.oracle;
+    config.threads = 2;
+    const std::uint64_t before = entry_solves.value();
+    const auto points = sweep_stcl(hot.soc, hot.model, stcls, config);
+    EXPECT_EQ(entry_solves.value() - before, hot.soc.core_count());
+
+    ASSERT_EQ(points.size(), stcls.size());
+    for (std::size_t i = 0; i < stcls.size(); ++i) {
+      thermal::ThermalAnalyzer analyzer(hot.model, hot.oracle);
+      ThermalSchedulerOptions options = config.scheduler;
+      options.stc_limit = stcls[i];
+      const ThermalAwareScheduler scheduler(options);
+      const ScheduleResult direct = scheduler.generate(hot.soc, analyzer);
+      EXPECT_FALSE(direct.notes.empty());
+      EXPECT_EQ(points[i].stcl, stcls[i]);
+      EXPECT_EQ(points[i].schedule_length, direct.schedule_length);
+      EXPECT_EQ(points[i].simulation_effort, direct.simulation_effort);
+      EXPECT_EQ(points[i].sessions, direct.schedule.session_count());
+      EXPECT_EQ(points[i].max_temperature, direct.max_temperature);
+      EXPECT_EQ(points[i].discarded_sessions, direct.discarded_sessions);
+      EXPECT_EQ(points[i].effective_temperature_limit,
+                scheduler.effective_temperature_limit());
+
+      const SoloPrepass prepass = solo_prepass(hot.soc, analyzer);
+      expect_same_result(scheduler.generate(hot.soc, analyzer, prepass),
+                         direct);
+    }
+  }
+}
+
+TEST(StclSweepTest, SharedPrepassKeepsTheSoloViolationError) {
+  const HotSoc hot = hot_soc();
+  StclSweepConfig config;
+  config.scheduler.temperature_limit = hot.tl;
+  config.scheduler.model.stc_scale = 10.0;
+  config.analyzer = hot.oracle;
+  const auto error = [](auto&& run) {
+    try {
+      run();
+    } catch (const InvalidArgument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  ThermalSchedulerOptions options = config.scheduler;
+  options.stc_limit = 300.0;
+  thermal::ThermalAnalyzer analyzer(hot.model, hot.oracle);
+  const std::string direct = error(
+      [&] { ThermalAwareScheduler(options).generate(hot.soc, analyzer); });
+  EXPECT_NE(direct.find("violates TL alone"), std::string::npos) << direct;
+  EXPECT_EQ(error([&] {
+              sweep_stcl(hot.soc, hot.model, {300.0, 600.0}, config);
+            }),
+            direct);
+}
+
+// The transient oracle's pre-pass steps every solo session in full: no
+// entry solves (its points against direct runs: the first test above).
+TEST(StclSweepTest, TransientOracleMakesNoEntrySolves) {
+  const SocSpec soc = nine_soc();
+  const auto model =
+      std::make_shared<const thermal::RCModel>(soc.flp, soc.package);
+  StclSweepConfig config;
+  config.scheduler.temperature_limit = 150.0;
+  obs::Counter& entry_solves =
+      obs::MetricsRegistry::instance().counter("thermal.entry_solves");
+  const std::uint64_t before = entry_solves.value();
+  EXPECT_EQ(sweep_stcl(soc, model, {20.0, 40.0, 80.0}, config).size(), 3u);
+  EXPECT_EQ(entry_solves.value(), before);
 }
 
 }  // namespace

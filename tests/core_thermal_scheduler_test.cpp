@@ -231,8 +231,8 @@ INSTANTIATE_TEST_SUITE_P(StclRange, StclSweepProperty,
 
 // Algorithm 1's obs counters on a 300-core synthetic SoC at 3x power
 // and a loose STCL (TL binds, so the reweight loop runs: 60 sessions, 17
-// discarded at this seed): validations and discards
-// match the result exactly, and the TC*P*W terms evaluated per STC
+// discarded at this seed): validations, discards and the thermal solve
+// counts match the result exactly, and the TC*P*W terms evaluated per STC
 // evaluation are bounded by 1 + the largest lateral degree — the O(deg)
 // cost of incremental session construction as a deterministic count.
 TEST(ThermalSchedulerObs, CountersMatchTheResultAndCostIsPerNeighbour) {
@@ -256,6 +256,9 @@ TEST(ThermalSchedulerObs, CountersMatchTheResultAndCostIsPerNeighbour) {
   const std::uint64_t terms_before = value("core.stc_terms");
   const std::uint64_t validations_before = value("core.validations");
   const std::uint64_t discarded_before = value("core.discarded_sessions");
+  const std::uint64_t solves_before = value("thermal.solves");
+  const std::uint64_t entry_solves_before = value("thermal.entry_solves");
+  const std::uint64_t steps_before = value("thermal.steps");
   const ScheduleResult result =
       ThermalAwareScheduler(options).generate(soc, analyzer);
   const std::uint64_t evaluations =
@@ -268,6 +271,12 @@ TEST(ThermalSchedulerObs, CountersMatchTheResultAndCostIsPerNeighbour) {
             result.simulation_count);
   EXPECT_EQ(value("core.discarded_sessions") - discarded_before,
             result.discarded_sessions);
+  // The steady oracle: one entry solve per core in the pre-pass, one
+  // full solve per validation, no steps.
+  EXPECT_EQ(value("thermal.entry_solves") - entry_solves_before,
+            soc.core_count());
+  EXPECT_EQ(value("thermal.solves") - solves_before, result.simulation_count);
+  EXPECT_EQ(value("thermal.steps"), steps_before);
 
   std::vector<std::uint64_t> degree(soc.core_count(), 0);
   for (const floorplan::Adjacency& adj : soc.flp.adjacencies()) {

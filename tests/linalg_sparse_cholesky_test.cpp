@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "linalg/cholesky.hpp"
 #include "linalg/ode.hpp"
@@ -132,6 +134,58 @@ TEST(SparseCholeskyTest, RejectsNonSpdAndBadShapes) {
   Rng rng(1);
   const SparseCholeskyFactor factor(random_spd(rng, 4, 0));
   EXPECT_THROW(factor.solve(Vector(5, 0.0)), InvalidArgument);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// solve_entry(i, b) against solve(b·eᵢ)[i], bit for bit, at every node
+/// and for a random b and b = +0, with the scratch checked all zero
+/// after every call. Why the bits agree: with b·eᵢ as right-hand side
+/// every entry off i's elimination-tree path stays +0 in the full
+/// solve, so each update solve_entry skips is x − v·(±0) — an exact
+/// no-op that also leaves a +0 as +0 — and every update it keeps runs
+/// on the same operands in the same order as in solve().
+void expect_entry_solves_match(const SparseCholeskyFactor& factor, Rng& rng) {
+  const std::size_t n = factor.size();
+  Vector scratch(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double b = rng.uniform(-5.0, 5.0);
+    Vector rhs(n, 0.0);
+    rhs[i] = b;
+    EXPECT_EQ(bits(factor.solve_entry(i, b, scratch)),
+              bits(factor.solve(rhs)[i]))
+        << "n=" << n << " i=" << i;
+    EXPECT_EQ(scratch, Vector(n, 0.0)) << "n=" << n << " i=" << i;
+    EXPECT_EQ(bits(factor.solve_entry(i, 0.0, scratch)), bits(0.0))
+        << "n=" << n << " i=" << i;
+    EXPECT_EQ(scratch, Vector(n, 0.0)) << "n=" << n << " i=" << i;
+  }
+}
+
+TEST(SparseCholeskyTest, SolveEntryIsBitIdenticalToFullSolve) {
+  Rng rng(17);
+  for (std::size_t n : {1u, 2u, 5u, 17u, 40u, 63u}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const SparseMatrix a = random_spd(rng, n, 2 * n);
+      expect_entry_solves_match(SparseCholeskyFactor(a, Ordering::kNatural),
+                                rng);
+      expect_entry_solves_match(SparseCholeskyFactor(a, Ordering::kMinDegree),
+                                rng);
+    }
+  }
+  // A diagonal matrix: every node is a root of the elimination forest.
+  SparseMatrix::Builder diagonal(6, 6);
+  for (std::size_t i = 0; i < 6; ++i) diagonal.add(i, i, 1.5 + i);
+  expect_entry_solves_match(SparseCholeskyFactor(diagonal.build()), rng);
+}
+
+TEST(SparseCholeskyTest, SolveEntryRejectsBadArguments) {
+  Rng rng(2);
+  const SparseCholeskyFactor factor(random_spd(rng, 4, 0));
+  Vector scratch(4, 0.0);
+  EXPECT_THROW(factor.solve_entry(4, 1.0, scratch), InvalidArgument);
+  Vector short_scratch(3, 0.0);
+  EXPECT_THROW(factor.solve_entry(0, 1.0, short_scratch), InvalidArgument);
 }
 
 TEST(SparseImplicitStepperTest, TracksDenseStepper) {

@@ -4,15 +4,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <ostream>
 #include <tuple>
 
 #include "core/safety_checker.hpp"
+#include "core/schedule.hpp"
 #include "core/session_model.hpp"
 #include "core/thermal_scheduler.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/ode.hpp"
+#include "linalg/sparse_cholesky.hpp"
 #include "soc/synthetic.hpp"
 #include "thermal/analyzer.hpp"
 #include "thermal/steady_state.hpp"
@@ -308,6 +313,56 @@ INSTANTIATE_TEST_SUITE_P(
     RandomSocs, IncrementalStcExactness,
     ::testing::Combine(::testing::Values(1u, 2u, 3u),
                        ::testing::Values(20u, 90u, 400u)));
+
+// The solo pre-pass's path solve on the RC models Algorithm 1 runs on,
+// in the min-degree ordering the solver cache uses: solve_entry at every
+// node, and ThermalAnalyzer::solo_peak at every core, bit for bit
+// against the full solve (the exactness argument is in
+// linalg_sparse_cholesky_test.cpp and docs/SOLVERS.md).
+class PathSolveExactness : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PathSolveExactness, EntrySolvesAndSoloPeaksMatchTheFullSolve) {
+  const std::size_t cores = GetParam();
+  const core::SocSpec soc = random_soc(cores, cores);
+  const auto model =
+      std::make_shared<const thermal::RCModel>(soc.flp, soc.package);
+  const linalg::SparseCholeskyFactor factor(model->conductance_sparse(),
+                                            linalg::Ordering::kMinDegree);
+  const std::size_t n = model->node_count();
+  std::vector<double> scratch(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double b = i < cores ? soc.tests[i].power : 1.0;
+    std::vector<double> rhs(n, 0.0);
+    rhs[i] = b;
+    const double entry = factor.solve_entry(i, b, scratch);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(entry),
+              std::bit_cast<std::uint64_t>(factor.solve(rhs)[i]))
+        << "cores=" << cores << " node=" << i;
+    ASSERT_EQ(scratch, std::vector<double>(n, 0.0)) << "node=" << i;
+  }
+
+  thermal::ThermalAnalyzer::Options steady;
+  steady.transient = false;
+  thermal::ThermalAnalyzer path(model, steady);
+  thermal::ThermalAnalyzer full(model, steady);
+  for (std::size_t i = 0; i < cores; ++i) {
+    core::TestSession solo;
+    solo.cores.push_back(i);
+    const double peak =
+        path.solo_peak(i, soc.tests[i].power, soc.tests[i].length);
+    const thermal::SessionSimulation sim =
+        full.simulate_session(solo.power_map(soc), solo.length(soc));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(peak),
+              std::bit_cast<std::uint64_t>(sim.peak_temperature[i]))
+        << "cores=" << cores << " core=" << i;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(path.simulation_effort()),
+            std::bit_cast<std::uint64_t>(full.simulation_effort()));
+  EXPECT_EQ(path.simulation_count(), cores);
+}
+
+INSTANTIATE_TEST_SUITE_P(SyntheticSocs, PathSolveExactness,
+                         ::testing::Values(8u, 246u, 1000u));
 
 }  // namespace
 }  // namespace thermo

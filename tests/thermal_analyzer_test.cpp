@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <utility>
+
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -78,6 +82,54 @@ TEST_F(AnalyzerTest, ValidatesInputs) {
   ThermalAnalyzer::Options bad;
   bad.dt = 0.0;
   EXPECT_THROW(ThermalAnalyzer(fp_, pkg_, bad), InvalidArgument);
+}
+
+// solo_peak is the solo pre-pass's oracle: under either oracle it
+// returns simulate_session's peak at the block and charges the same
+// effort and count. (Bit-equality at scale: property_test.cpp.)
+TEST_F(AnalyzerTest, SoloPeakMatchesASoloSessionUnderBothOracles) {
+  for (const bool transient : {true, false}) {
+    ThermalAnalyzer::Options options;
+    options.transient = transient;
+    ThermalAnalyzer path(fp_, pkg_, options);
+    ThermalAnalyzer full(fp_, pkg_, options);
+    for (std::size_t b = 0; b < 4; ++b) {
+      std::vector<double> power(4, 0.0);
+      power[b] = 3.0 + static_cast<double>(b);
+      EXPECT_EQ(path.solo_peak(b, power[b], 0.5 + static_cast<double>(b)),
+                full.simulate_session(power, 0.5 + static_cast<double>(b))
+                    .peak_temperature[b])
+          << "transient=" << transient << " block=" << b;
+    }
+    EXPECT_EQ(path.simulation_effort(), full.simulation_effort());
+    EXPECT_EQ(path.simulation_count(), 4u);
+    EXPECT_EQ(path.solo_peak(2, 0.0, 1.0), pkg_.ambient);
+  }
+}
+
+TEST_F(AnalyzerTest, SoloPeakChecksInputsLikeASession) {
+  ThermalAnalyzer::Options options;
+  options.transient = false;
+  ThermalAnalyzer steady(fp_, pkg_, options);
+  const auto error = [](auto&& run) {
+    try {
+      run();
+    } catch (const InvalidArgument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  for (const auto& [power, duration] :
+       {std::pair{1.0, 0.0}, std::pair{-1.0, 1.0},
+        std::pair{std::nan(""), 1.0}, std::pair{-1.0, -1.0}}) {
+    const std::string solo = error([&] { steady.solo_peak(0, power, duration); });
+    EXPECT_NE(solo, "no error");
+    EXPECT_EQ(solo, error([&] {
+                steady.simulate_session({power, 0.0, 0.0, 0.0}, duration);
+              }));
+  }
+  EXPECT_THROW(steady.solo_peak(4, 1.0, 1.0), InvalidArgument);
+  EXPECT_EQ(steady.simulation_count(), 0u);
 }
 
 }  // namespace
