@@ -60,7 +60,7 @@
 #include "core/stcl_sweep.hpp"
 #include "core/thermal_scheduler.hpp"
 #include "dispatch/disk_result_memo.hpp"
-#include "dispatch/work_queue.hpp"
+#include "dispatch/execution_order.hpp"
 #include "persist/segment_store.hpp"
 #include "floorplan/flp_io.hpp"
 #include "gen/generator.hpp"
@@ -358,7 +358,7 @@ int cmd_sweep(const CommonArgs& args) {
       std::make_shared<const thermal::RCModel>(soc.flp, soc.package);
 
   core::StclSweepConfig config;
-  config.threads = static_cast<std::size_t>(std::max(0LL, args.threads));
+  config.threads = static_cast<std::size_t>(args.threads);
   config.scheduler.temperature_limit = args.tl;
   config.scheduler.model.stc_scale = stc_scale_for(args);
   config.scheduler.solo_policy = core::SoloViolationPolicy::kRaiseLimit;
@@ -416,7 +416,7 @@ int cmd_serve(const CommonArgs& args) {
 
   scenario::ScenarioRunner runner;
   scenario::ServeOptions options;
-  options.threads = static_cast<std::size_t>(std::max(0LL, args.threads));
+  options.threads = static_cast<std::size_t>(args.threads);
   options.policy = parse_schedule_policy(args.schedule_policy);
   options.dedup = parse_dedup(args.dedup);
   std::unique_ptr<dispatch::DiskResultMemo> disk_memo;
@@ -823,6 +823,9 @@ int main(int argc, char** argv) {
     if (is_serve) {
       parse_schedule_policy(args.schedule_policy);
       parse_dedup(args.dedup);
+    }
+    if ((is_sweep || is_serve) && args.threads < 0) {
+      throw InvalidArgument("--threads must be >= 0");
     }
     if (is_gen) {
       parse_order_pattern(args.gen_order);

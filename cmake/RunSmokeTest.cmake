@@ -1,22 +1,36 @@
-# Smoke-test driver: run a binary and require (a) exit code 0 and (b) non-empty
-# stdout. CTest's PASS_REGULAR_EXPRESSION ignores the exit code, so a plain
-# add_test() cannot express both conditions — this script can.
+# Smoke-test wrapper: run a binary and require (a) the expected exit code
+# (SMOKE_EXIT, default 0), (b) non-empty stdout when that code is 0, and
+# (c) when SMOKE_STDERR is set, that text somewhere in stderr.
+# CTest's PASS_REGULAR_EXPRESSION ignores the exit code, so a plain
+# add_test() cannot express these conditions together — this script can.
 #
-# Usage: cmake -DSMOKE_BIN=<path> [-DSMOKE_ARGS="a;b;c"] -P RunSmokeTest.cmake
+# Usage: cmake -DSMOKE_BIN=<path> [-DSMOKE_ARGS="a;b;c"] [-DSMOKE_EXIT=<code>]
+#              [-DSMOKE_STDERR=<text>] -P RunSmokeTest.cmake
 if(NOT SMOKE_BIN)
   message(FATAL_ERROR "SMOKE_BIN not set")
+endif()
+if(NOT DEFINED SMOKE_EXIT)
+  set(SMOKE_EXIT 0)
 endif()
 execute_process(
   COMMAND "${SMOKE_BIN}" ${SMOKE_ARGS}
   OUTPUT_VARIABLE smoke_out
   ERROR_VARIABLE smoke_err
   RESULT_VARIABLE smoke_rc)
-if(NOT smoke_rc EQUAL 0)
-  message(FATAL_ERROR "${SMOKE_BIN} exited with ${smoke_rc}\nstdout:\n${smoke_out}\nstderr:\n${smoke_err}")
+if(NOT smoke_rc EQUAL SMOKE_EXIT)
+  message(FATAL_ERROR "${SMOKE_BIN} exited with ${smoke_rc}, expected ${SMOKE_EXIT}\nstdout:\n${smoke_out}\nstderr:\n${smoke_err}")
 endif()
-string(STRIP "${smoke_out}" smoke_stripped)
-if(smoke_stripped STREQUAL "")
-  message(FATAL_ERROR "${SMOKE_BIN} exited 0 but printed nothing to stdout")
+if(DEFINED SMOKE_STDERR)
+  string(FIND "${smoke_err}" "${SMOKE_STDERR}" smoke_pos)
+  if(smoke_pos EQUAL -1)
+    message(FATAL_ERROR "${SMOKE_BIN} stderr lacks '${SMOKE_STDERR}'\nstderr:\n${smoke_err}")
+  endif()
+endif()
+if(SMOKE_EXIT EQUAL 0)
+  string(STRIP "${smoke_out}" smoke_stripped)
+  if(smoke_stripped STREQUAL "")
+    message(FATAL_ERROR "${SMOKE_BIN} exited 0 but printed nothing to stdout")
+  endif()
 endif()
 string(LENGTH "${smoke_out}" smoke_len)
-message(STATUS "smoke OK: ${SMOKE_BIN} printed ${smoke_len} bytes")
+message(STATUS "smoke OK: ${SMOKE_BIN} exited ${smoke_rc}, printed ${smoke_len} bytes")

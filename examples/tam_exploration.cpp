@@ -7,9 +7,10 @@
 // test-access literature it builds on (Iyengar & Chakrabarty).
 //
 // Every TAM width shares the same floorplan and package, i.e. the same
-// RC network — so the widths are fanned across a sweep::ScenarioSweep
-// thread pool with one shared RCModel, and the expensive factorizations
-// are computed once for the whole exploration (solver cache).
+// RC network — so the widths are fanned across threads
+// (sweep::for_each_index) with one shared RCModel, and the expensive
+// factorizations are computed once for the whole exploration (solver
+// cache).
 //
 //   ./tam_exploration [--tl 150] [--stcl 300] [--max-width 64] [--threads 0]
 #include <iostream>
@@ -17,7 +18,7 @@
 
 #include "core/thermal_scheduler.hpp"
 #include "soc/alpha.hpp"
-#include "sweep/scenario_sweep.hpp"
+#include "sweep/for_each_index.hpp"
 #include "testaccess/test_structure.hpp"
 #include "thermal/analyzer.hpp"
 #include "util/cli.hpp"
@@ -71,10 +72,6 @@ int main(int argc, char** argv) {
   const auto model =
       std::make_shared<const thermal::RCModel>(base.flp, base.package);
 
-  sweep::SweepOptions sweep_options;
-  sweep_options.threads = threads > 0 ? static_cast<std::size_t>(threads) : 0;
-  const sweep::ScenarioSweep sweeper(sweep_options);
-
   struct Row {
     long long width = 0;
     double longest = 0.0;
@@ -84,12 +81,13 @@ int main(int argc, char** argv) {
     double length = 0.0;
     double max_temperature = 0.0;
   };
-  const std::vector<Row> rows = sweeper.map(widths.size(), [&](std::size_t i) {
+  std::vector<Row> rows(widths.size());
+  const auto schedule_width = [&](std::size_t i) {
     const core::SocSpec soc = testaccess::make_soc_from_structures(
         base.flp, structures, static_cast<std::size_t>(widths[i]), clock_hz,
         base.package);
 
-    Row row;
+    Row& row = rows[i];
     row.width = widths[i];
     for (const auto& test : soc.tests) {
       row.longest = std::max(row.longest, test.length);
@@ -107,8 +105,10 @@ int main(int argc, char** argv) {
     row.sessions = result.schedule.session_count();
     row.length = result.schedule_length;
     row.max_temperature = result.max_temperature;
-    return row;
-  });
+  };
+  const std::size_t workers = sweep::for_each_index(
+      threads > 0 ? static_cast<std::size_t>(threads) : 0, rows.size(),
+      schedule_width);
 
   Table table({"TAM width", "longest test [s]", "total test time [s]",
                "hottest core power [W]", "sessions", "schedule length [s]",
@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
                    format_double(row.max_temperature, 1)});
   }
   std::cout << "TL = " << tl << " C, STCL = " << stcl << " ("
-            << sweeper.thread_count() << " threads)\n";
+            << workers << " threads)\n";
   table.print(std::cout);
   std::cout << "\nnote: beyond the thermal knee, widening the TAM stops "
                "helping - tests get\nshorter but hotter, and the scheduler "

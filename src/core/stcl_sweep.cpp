@@ -1,6 +1,6 @@
 #include "core/stcl_sweep.hpp"
 
-#include "sweep/scenario_sweep.hpp"
+#include "sweep/for_each_index.hpp"
 #include "thermal/analyzer.hpp"
 #include "util/error.hpp"
 
@@ -25,22 +25,20 @@ std::vector<StclSweepPoint> sweep_stcl(
   (void)ThermalAwareScheduler(options_at(0));
   const SoloPrepass prepass = solo_prepass(soc, prepass_analyzer);
 
-  sweep::SweepOptions sweep_options;
-  sweep_options.threads = config.threads;
-  const sweep::ScenarioSweep sweeper(sweep_options);
-
-  return sweeper.map(stcl_values.size(), [&](std::size_t i) {
+  std::vector<StclSweepPoint> points(stcl_values.size());
+  sweep::for_each_index(config.threads, points.size(), [&](std::size_t i) {
     thermal::ThermalAnalyzer analyzer(model, config.analyzer);
     const ThermalAwareScheduler scheduler(options_at(i));
     const ScheduleResult result = scheduler.generate(soc, analyzer, prepass);
-    return StclSweepPoint{stcl_values[i],
-                          result.schedule_length,
-                          result.simulation_effort,
-                          result.schedule.session_count(),
-                          result.max_temperature,
-                          result.discarded_sessions,
-                          scheduler.effective_temperature_limit()};
+    points[i] = StclSweepPoint{stcl_values[i],
+                               result.schedule_length,
+                               result.simulation_effort,
+                               result.schedule.session_count(),
+                               result.max_temperature,
+                               result.discarded_sessions,
+                               scheduler.effective_temperature_limit()};
   });
+  return points;
 }
 
 std::vector<double> stcl_range(double min, double max, double step) {

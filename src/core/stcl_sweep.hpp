@@ -1,5 +1,5 @@
 // Parallel STCL exploration: run Algorithm 1 once per STCL value,
-// fanned across a sweep::ScenarioSweep thread pool.
+// fanned across threads by sweep::for_each_index.
 //
 // The paper exposes STCL as the user knob trading schedule efficiency
 // against simulation effort (Section 5); picking it means scanning a
@@ -50,7 +50,8 @@ struct StclSweepPoint {
 /// Runs Algorithm 1 on `soc` once per value in `stcl_values` (result i
 /// corresponds to stcl_values[i]). `model` must match the SoC's
 /// floorplan; pass one instance so the whole sweep shares its cached
-/// factors. Throws what the scheduler throws (first failure wins).
+/// factors. Throws what the scheduler throws (first failure wins, once
+/// every other point has run).
 std::vector<StclSweepPoint> sweep_stcl(
     const SocSpec& soc, std::shared_ptr<const thermal::RCModel> model,
     const std::vector<double>& stcl_values, const StclSweepConfig& config);

@@ -1,5 +1,5 @@
 // CostModel: estimate how expensive a scenario request is *before*
-// running it, so the WorkQueue's longest-job-first policy can place the
+// running it, so execution_order's longest-job-first policy can place the
 // whales first.
 //
 // Every request in this system lowers to the same shape of work: per

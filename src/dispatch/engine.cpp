@@ -1,17 +1,15 @@
 #include "dispatch/engine.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <ctime>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sweep/thread_pool.hpp"
+#include "sweep/for_each_index.hpp"
 #include "util/error.hpp"
 
 namespace thermo::dispatch {
@@ -111,19 +109,16 @@ EngineStats run_batch(const std::vector<Job>& jobs,
     for (std::size_t i = 0; i < n; ++i) scheduled.push_back(i);
   }
 
-  WorkQueue queue(options.policy);
+  std::vector<std::size_t> order;
   {
     obs::TraceSpan sort_span("dispatch.policy_sort");
     obs::ScopedTimer sort_timer(metrics.policy_sort_ns);
+    std::vector<WorkItem> items;
+    items.reserve(scheduled.size());
     for (const std::size_t i : scheduled) {
-      WorkItem item;
-      item.index = i;
-      item.cost = jobs[i].cost;
-      item.deadline = jobs[i].deadline;
-      item.priority = jobs[i].priority;
-      queue.push(item);
+      items.push_back({i, jobs[i].cost, jobs[i].deadline, jobs[i].priority});
     }
-    queue.seal();
+    order = execution_order(std::move(items), options.policy);
   }
 
   // Execution-window origin: done_seconds and the makespan share this
@@ -163,28 +158,11 @@ EngineStats run_batch(const std::vector<Job>& jobs,
     writer.push(i, std::move(record));
   };
 
-  const std::size_t threads = std::min(
-      scheduled.size(),
-      options.threads != 0
-          ? options.threads
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency()));
-  stats.threads = threads;
   exec_start = std::chrono::steady_clock::now();
-  if (threads <= 1) {
-    while (const auto i = queue.pop()) run_one(*i);
-  } else {
-    // One task per worker pulling from the policy-ordered queue (same
-    // shared-counter shape as sweep::ScenarioSweep, but the pop ORDER
-    // is the policy's — under ljf a freed worker always takes the most
-    // expensive remaining job).
-    sweep::ThreadPool pool(threads);
-    for (std::size_t w = 0; w < threads; ++w) {
-      pool.submit([&] {
-        while (const auto i = queue.pop()) run_one(*i);
-      });
-    }
-    pool.wait_idle();  // rethrows the first execute exception, if any
-  }
+  // Rethrows the first execute exception, if any, after the rest ran.
+  stats.threads = sweep::for_each_index(
+      options.threads, order.size(),
+      [&](std::size_t slot) { run_one(order[slot]); });
   stats.makespan_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     exec_start)

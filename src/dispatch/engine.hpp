@@ -2,12 +2,12 @@
 // memoization and streaming ordered output.
 //
 // This is the layer between a batch front-end (scenario::serve_stream)
-// and the raw worker pool (sweep::ThreadPool): the front-end describes
+// and the fan-out (sweep::for_each_index): the front-end describes
 // each job as {content address, estimated cost} plus a pure execute
 // function, and the engine owns *how* the batch runs —
 //
-//   placement   WorkQueue orders execution starts (fifo / ljf / edf /
-//               priority / srpt, or a registered third-party policy);
+//   placement   execution_order orders execution starts (fifo / ljf /
+//               edf / priority / srpt);
 //   dedup       jobs sharing a content address execute once: a prior
 //               batch's record is served from the ResultMemo, and
 //               within-batch duplicates are grouped behind one leader
@@ -31,9 +31,9 @@
 #include <string>
 #include <vector>
 
+#include "dispatch/execution_order.hpp"
 #include "dispatch/ordered_writer.hpp"
 #include "dispatch/result_memo.hpp"
-#include "dispatch/work_queue.hpp"
 
 namespace thermo::dispatch {
 
@@ -83,7 +83,7 @@ struct EngineStats {
   /// count capped by the number of scheduled jobs — 0 when everything
   /// was answered from the memo.
   std::size_t threads = 0;
-  double makespan_seconds = 0.0;  ///< execution window (pops to last completion)
+  double makespan_seconds = 0.0;  ///< execution window (first start to last completion)
   std::size_t max_buffered = 0;   ///< writer high-water mark (skew cost)
   std::vector<JobTiming> timings; ///< index-aligned with the jobs
 };
@@ -106,8 +106,8 @@ struct EngineOptions {
 /// most once per job). Records stream to `writer` in index order;
 /// `writer` must be constructed for exactly jobs.size() records and is
 /// finish()ed before returning. Exceptions escaping execute propagate
-/// (first one wins) — front-ends that want per-job error records must
-/// catch inside execute.
+/// once every other job has run (first one wins) — front-ends that want
+/// per-job error records must catch inside execute.
 EngineStats run_batch(const std::vector<Job>& jobs,
                       const std::function<std::string(std::size_t)>& execute,
                       OrderedWriter& writer, const EngineOptions& options = {});

@@ -13,7 +13,7 @@
 //
 // Thread safety: run() is safe to call concurrently (the model cache is
 // mutex-guarded; each run builds private analyzers/schedulers), which is
-// how serve_stream fans requests across a sweep::ScenarioSweep pool.
+// how serve_stream fans requests across threads (dispatch::run_batch).
 // Per-request failures — bad .flp paths, scheduler throws — are captured
 // in the result record (`ok:false` + the error message); run() itself
 // only propagates non-thermo exceptions (e.g. bad_alloc).

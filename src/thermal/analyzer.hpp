@@ -52,7 +52,7 @@ class ThermalAnalyzer {
   /// Shares an existing model instead of building a private one. Because
   /// cached factorizations are keyed by RCModel::identity(), analyzers
   /// sharing one model also share its factors — this is how a
-  /// sweep::ScenarioSweep gives every worker thread its own effort
+  /// sweep::for_each_index gives every worker thread its own effort
   /// accounting (analyzers are not thread-safe) while the expensive
   /// factorizations are computed once. Throws InvalidArgument on null.
   explicit ThermalAnalyzer(std::shared_ptr<const RCModel> model);

@@ -1,6 +1,6 @@
-// The dispatch layer in isolation: cost-model ordering, work-queue
-// policies, the content-addressed result memo (FNV addressing, LRU,
-// stats), the streaming ordered writer, and the engine's hard
+// The dispatch layer in isolation: cost-model ordering, the
+// execution_order policies, the content-addressed result memo (FNV
+// addressing, LRU, stats), the streaming ordered writer, and the engine's hard
 // invariant — output bytes identical across thread counts, policies,
 // and dedup settings.
 #include "dispatch/engine.hpp"
@@ -17,9 +17,9 @@
 #include <vector>
 
 #include "dispatch/cost_model.hpp"
+#include "dispatch/execution_order.hpp"
 #include "dispatch/ordered_writer.hpp"
 #include "dispatch/result_memo.hpp"
-#include "dispatch/work_queue.hpp"
 #include "util/error.hpp"
 
 namespace thermo::dispatch {
@@ -105,149 +105,84 @@ TEST(SchedulePolicy, NamesRoundTrip) {
   EXPECT_EQ(schedule_policy_from_name(""), std::nullopt);
 }
 
-TEST(SchedulePolicy, BuiltinsAreRegistered) {
-  for (const char* name : {"fifo", "ljf", "edf", "priority", "srpt"}) {
-    EXPECT_TRUE(schedule_policy_registered(name)) << name;
-  }
-  EXPECT_FALSE(schedule_policy_registered("sjf"));
-  const std::vector<std::string> names = registered_schedule_policies();
-  for (const char* builtin : {"fifo", "ljf", "edf", "priority", "srpt"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), builtin), names.end())
-        << builtin << " missing from registered_schedule_policies()";
-  }
-}
-
-TEST(SchedulePolicy, RegistryAcceptsThirdPartyPoliciesOnce) {
-  // Largest-index-first: trivially wrong as a scheduler, obviously
-  // distinguishable from every built-in order.
-  register_schedule_policy("test.reverse",
-                           [](const WorkItem& a, const WorkItem& b) {
-                             return a.index > b.index;
-                           });
-  EXPECT_TRUE(schedule_policy_registered("test.reverse"));
-  WorkQueue queue(std::string_view("test.reverse"));
-  queue.push(0, 1.0);
-  queue.push(1, 2.0);
-  queue.push(2, 3.0);
-  queue.seal();
-  EXPECT_EQ(queue.pop(), 2u);
-  EXPECT_EQ(queue.pop(), 1u);
-  EXPECT_EQ(queue.pop(), 0u);
-
-  // First registration wins forever: a retaken name throws, built-ins
-  // included; the empty name is never valid.
-  EXPECT_THROW(register_schedule_policy("test.reverse", {}), InvalidArgument);
-  EXPECT_THROW(register_schedule_policy("fifo", {}), InvalidArgument);
-  EXPECT_THROW(register_schedule_policy("", {}), InvalidArgument);
-}
-
-TEST(SchedulePolicy, QueueRejectsUnknownPolicyName) {
-  EXPECT_THROW(WorkQueue(std::string_view("no-such-policy")), InvalidArgument);
-  EXPECT_THROW(WorkQueue(std::string_view("")), InvalidArgument);
-}
-
-TEST(WorkQueue, FifoPopsInInsertionOrder) {
-  WorkQueue queue(SchedulePolicy::kFifo);
-  queue.push(0, 5.0);
-  queue.push(1, 50.0);
-  queue.push(2, 0.5);
-  queue.seal();
-  EXPECT_EQ(queue.pop(), 0u);
-  EXPECT_EQ(queue.pop(), 1u);
-  EXPECT_EQ(queue.pop(), 2u);
-  EXPECT_EQ(queue.pop(), std::nullopt);
-}
-
-TEST(WorkQueue, LjfPopsByDescendingCostWithIndexTiebreak) {
-  WorkQueue queue(SchedulePolicy::kLjf);
-  queue.push(0, 1.0);
-  queue.push(1, 9.0);
-  queue.push(2, 1.0);
-  queue.push(3, 100.0);
-  queue.push(4, 9.0);
-  queue.seal();
-  std::vector<std::size_t> order;
-  while (const auto i = queue.pop()) order.push_back(*i);
-  EXPECT_EQ(order, (std::vector<std::size_t>{3, 1, 4, 0, 2}));
-}
-
 /// Builds a WorkItem inline; kNoDeadline / priority 1 defaults apply.
 WorkItem item(std::size_t index, double cost, double deadline = kNoDeadline,
               double priority = 1.0) {
-  WorkItem out;
-  out.index = index;
-  out.cost = cost;
-  out.deadline = deadline;
-  out.priority = priority;
-  return out;
+  return {index, cost, deadline, priority};
 }
 
-std::vector<std::size_t> drain(WorkQueue& queue) {
-  queue.seal();
-  std::vector<std::size_t> order;
-  while (const auto i = queue.pop()) order.push_back(*i);
-  return order;
+using Order = std::vector<std::size_t>;
+
+TEST(WorkQueue, FifoPopsInInsertionOrder) {
+  EXPECT_EQ(execution_order({item(0, 5.0), item(1, 50.0), item(2, 0.5)},
+                            SchedulePolicy::kFifo),
+            (Order{0, 1, 2}));
+}
+
+TEST(WorkQueue, LjfPopsByDescendingCostWithIndexTiebreak) {
+  EXPECT_EQ(execution_order({item(0, 1.0), item(1, 9.0), item(2, 1.0),
+                             item(3, 100.0), item(4, 9.0)},
+                            SchedulePolicy::kLjf),
+            (Order{3, 1, 4, 0, 2}));
 }
 
 TEST(WorkQueue, EdfPopsByAscendingDeadlineWithDeadlineFreeLast) {
-  WorkQueue queue(SchedulePolicy::kEdf);
-  queue.push(item(0, 9.0));             // no deadline: after every deadlined job
-  queue.push(item(1, 1.0, 5.0));
-  queue.push(item(2, 1.0, 0.5));
-  queue.push(item(3, 1.0, 5.0));        // ties 1 on deadline: index breaks it
-  queue.push(item(4, 50.0, 2.0));
-  queue.push(item(5, 1.0));             // ties 0 at kNoDeadline: index again
-  EXPECT_EQ(drain(queue), (std::vector<std::size_t>{2, 4, 1, 3, 0, 5}));
+  EXPECT_EQ(execution_order(
+                {
+                    item(0, 9.0),          // no deadline: after every deadlined job
+                    item(1, 1.0, 5.0),
+                    item(2, 1.0, 0.5),
+                    item(3, 1.0, 5.0),     // ties 1 on deadline: index breaks it
+                    item(4, 50.0, 2.0),
+                    item(5, 1.0),          // ties 0 at kNoDeadline: index again
+                },
+                SchedulePolicy::kEdf),
+            (Order{2, 4, 1, 3, 0, 5}));
 }
 
 TEST(WorkQueue, PriorityPopsByAscendingCostOverPriorityRatio) {
-  WorkQueue queue(SchedulePolicy::kPriority);
-  queue.push(item(0, 8.0, kNoDeadline, 1.0));  // ratio 8
-  queue.push(item(1, 8.0, kNoDeadline, 4.0));  // ratio 2
-  queue.push(item(2, 1.0, kNoDeadline, 1.0));  // ratio 1
-  queue.push(item(3, 4.0, kNoDeadline, 2.0));  // ratio 2: ties 1, index breaks
-  queue.push(item(4, 2.0, kNoDeadline, 0.25)); // ratio 8: ties 0, index breaks
-  EXPECT_EQ(drain(queue), (std::vector<std::size_t>{2, 1, 3, 0, 4}));
+  EXPECT_EQ(execution_order(
+                {
+                    item(0, 8.0, kNoDeadline, 1.0),   // ratio 8
+                    item(1, 8.0, kNoDeadline, 4.0),   // ratio 2
+                    item(2, 1.0, kNoDeadline, 1.0),   // ratio 1
+                    item(3, 4.0, kNoDeadline, 2.0),   // ratio 2: ties 1, index breaks
+                    item(4, 2.0, kNoDeadline, 0.25),  // ratio 8: ties 0, index breaks
+                },
+                SchedulePolicy::kPriority),
+            (Order{2, 1, 3, 0, 4}));
 }
 
 TEST(WorkQueue, SrptPopsByAscendingCostWithIndexTiebreak) {
-  WorkQueue queue(SchedulePolicy::kSrpt);
-  queue.push(item(0, 9.0));
-  queue.push(item(1, 1.0));
-  queue.push(item(2, 100.0));
-  queue.push(item(3, 1.0));  // ties 1: index breaks it
-  queue.push(item(4, 0.5));
-  EXPECT_EQ(drain(queue), (std::vector<std::size_t>{4, 1, 3, 0, 2}));
+  EXPECT_EQ(execution_order({item(0, 9.0), item(1, 1.0), item(2, 100.0),
+                             item(3, 1.0),  // ties 1: index breaks it
+                             item(4, 0.5)},
+                            SchedulePolicy::kSrpt),
+            (Order{4, 1, 3, 0, 2}));
 }
 
 TEST(WorkQueue, PushRejectsUnusableItems) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  WorkQueue queue(SchedulePolicy::kEdf);
-  EXPECT_THROW(queue.push(item(0, -1.0)), InvalidArgument);        // cost < 0
-  EXPECT_THROW(queue.push(item(0, inf)), InvalidArgument);         // cost inf
-  EXPECT_THROW(queue.push(item(0, nan)), InvalidArgument);         // cost NaN
-  EXPECT_THROW(queue.push(item(0, 1.0, nan)), InvalidArgument);    // deadline NaN
-  EXPECT_THROW(queue.push(item(0, 1.0, 0.0)), InvalidArgument);    // deadline 0
-  EXPECT_THROW(queue.push(item(0, 1.0, -2.0)), InvalidArgument);   // deadline < 0
-  EXPECT_THROW(queue.push(item(0, 1.0, 1.0, 0.0)), InvalidArgument);   // prio 0
-  EXPECT_THROW(queue.push(item(0, 1.0, 1.0, -1.0)), InvalidArgument);  // prio < 0
-  EXPECT_THROW(queue.push(item(0, 1.0, 1.0, inf)), InvalidArgument);   // prio inf
-  EXPECT_THROW(queue.push(item(0, 1.0, 1.0, nan)), InvalidArgument);   // prio NaN
+  for (const WorkItem& bad : {
+           item(1, -1.0),                 // cost < 0
+           item(1, inf),                  // cost inf
+           item(1, nan),                  // cost NaN
+           item(1, 1.0, nan),             // deadline NaN
+           item(1, 1.0, 0.0),             // deadline 0
+           item(1, 1.0, -2.0),            // deadline < 0
+           item(1, 1.0, 1.0, 0.0),        // prio 0
+           item(1, 1.0, 1.0, -1.0),       // prio < 0
+           item(1, 1.0, 1.0, inf),        // prio inf
+           item(1, 1.0, 1.0, nan),        // prio NaN
+       }) {
+    // One bad item rejects the whole batch.
+    EXPECT_THROW(execution_order({item(0, 1.0), bad}, SchedulePolicy::kEdf),
+                 InvalidArgument);
+  }
   // kNoDeadline (+inf) is the explicit "no deadline" value, not misuse.
-  queue.push(item(0, 1.0, kNoDeadline));
-  queue.seal();
-  EXPECT_EQ(queue.pop(), 0u);  // none of the rejected pushes got in
-  EXPECT_EQ(queue.pop(), std::nullopt);
-}
-
-TEST(WorkQueue, GuardsAgainstMisuse) {
-  WorkQueue queue;
-  queue.push(0, 1.0);
-  EXPECT_THROW(queue.pop(), InvalidArgument);  // pop before seal
-  queue.seal();
-  EXPECT_THROW(queue.push(1, 1.0), InvalidArgument);  // push after seal
-  EXPECT_THROW(queue.seal(), InvalidArgument);        // double seal
+  EXPECT_EQ(execution_order({item(0, 1.0, kNoDeadline)}, SchedulePolicy::kEdf),
+            (Order{0}));
 }
 
 TEST(ResultMemo, Fnv1a64ReferenceVectors) {

@@ -23,8 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "dispatch/execution_order.hpp"
 #include "dispatch/result_memo.hpp"
-#include "dispatch/work_queue.hpp"
 #include "gen/generator.hpp"
 #include "scenario/request.hpp"
 #include "scenario/serve.hpp"
@@ -135,18 +135,21 @@ TEST(ServeSlo, ByteIdenticalAcrossThreadsAndPolicies) {
   const RunOutput reference = run_serve(input, reference_options, runner);
   ASSERT_EQ(reference.summary.failed, 0u);
 
-  for (const std::string& policy : dispatch::registered_schedule_policies()) {
-    const auto builtin = dispatch::schedule_policy_from_name(policy);
-    if (!builtin) continue;  // other suites may have registered test policies
+  for (const dispatch::SchedulePolicy policy :
+       {dispatch::SchedulePolicy::kFifo, dispatch::SchedulePolicy::kLjf,
+        dispatch::SchedulePolicy::kEdf, dispatch::SchedulePolicy::kPriority,
+        dispatch::SchedulePolicy::kSrpt}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       ServeOptions options;
-      options.policy = *builtin;
+      options.policy = policy;
       options.threads = threads;
       const RunOutput run = run_serve(input, options, runner);
       EXPECT_EQ(run.records, reference.records)
-          << "policy=" << policy << " threads=" << threads;
+          << "policy=" << dispatch::schedule_policy_name(policy)
+          << " threads=" << threads;
       EXPECT_EQ(run.summary.deadline_missed, reference.summary.deadline_missed)
-          << "policy=" << policy << " threads=" << threads;
+          << "policy=" << dispatch::schedule_policy_name(policy)
+          << " threads=" << threads;
     }
   }
 }

@@ -1,150 +1,162 @@
-// ScenarioSweep: results must be bit-identical for 1 and N threads, must
-// match the direct (unswept) solver calls, and per-scenario failures
-// must be captured without poisoning the batch. Plus ThreadPool basics.
-#include "sweep/scenario_sweep.hpp"
+// sweep::for_each_index: every index runs exactly once on
+// min(threads, n) workers, the first exception surfaces after the other
+// indices ran, each worker records one `sweep.tasks` count, and thermal
+// solves fanned over one shared model are bit-identical to the same
+// solves on the calling thread.
+#include "sweep/for_each_index.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
-#include "floorplan/generator.hpp"
-#include "sweep/thread_pool.hpp"
+#include "obs/metrics.hpp"
 #include "test_helpers.hpp"
 #include "thermal/analyzer.hpp"
-#include "thermal/solver_cache.hpp"
+#include "thermal/steady_state.hpp"
 #include "thermal/transient.hpp"
-#include "util/error.hpp"
 
 namespace thermo::sweep {
 namespace {
 
 using thermo::testing::nine_floorplan;
 
-std::vector<PowerScenario> mixed_scenarios(std::size_t blocks) {
-  std::vector<PowerScenario> scenarios;
+constexpr double kDt = 1e-3;
+
+/// One power map: simulated transiently for `duration` > 0 s from
+/// ambient, else solved to steady state.
+struct PowerCase {
+  std::vector<double> block_power;
+  double duration = 0.0;
+};
+
+/// Twelve power maps over `blocks` blocks; every third is transient.
+std::vector<PowerCase> mixed_cases(std::size_t blocks) {
+  std::vector<PowerCase> cases;
   for (std::size_t i = 0; i < 12; ++i) {
-    PowerScenario s;
-    s.name = "case" + std::to_string(i);
-    s.block_power.assign(blocks, 0.0);
+    PowerCase c;
+    c.block_power.assign(blocks, 0.0);
     for (std::size_t b = i % 3; b < blocks; b += 1 + i % 4) {
-      s.block_power[b] = 2.0 + 0.5 * static_cast<double>(i);
+      c.block_power[b] = 2.0 + 0.5 * static_cast<double>(i);
     }
-    s.duration = (i % 3 == 0) ? 0.01 : 0.0;  // mix transient and steady
-    scenarios.push_back(std::move(s));
+    c.duration = (i % 3 == 0) ? 0.01 : 0.0;
+    cases.push_back(std::move(c));
   }
-  return scenarios;
+  return cases;
+}
+
+/// Peak node temperatures of `c`, computed directly on this thread.
+std::vector<double> direct_peak(const thermal::RCModel& model,
+                                const PowerCase& c) {
+  if (c.duration > 0.0) {
+    thermal::TransientOptions options;
+    options.dt = kDt;
+    return thermal::simulate_transient(model, c.block_power, c.duration,
+                                       thermal::ambient_state(model), options)
+        .peak_temperature;
+  }
+  return thermal::solve_steady_state(model, c.block_power).temperature;
 }
 
 class ScenarioSweepTest : public ::testing::Test {
  protected:
+  /// direct_peak of every case, fanned across `threads` workers that
+  /// share model_ (and so its cached factors).
+  std::vector<std::vector<double>> fanned_peaks(
+      const std::vector<PowerCase>& cases, std::size_t threads) const {
+    std::vector<std::vector<double>> peaks(cases.size());
+    for_each_index(threads, cases.size(), [&](std::size_t i) {
+      peaks[i] = direct_peak(model_, cases[i]);
+    });
+    return peaks;
+  }
+
   thermal::RCModel model_{nine_floorplan(), thermal::PackageParams{}};
 };
 
 TEST_F(ScenarioSweepTest, OneAndManyThreadsProduceIdenticalResults) {
-  const auto scenarios = mixed_scenarios(model_.block_count());
-
-  SweepOptions serial_options;
-  serial_options.threads = 1;
-  SweepOptions parallel_options;
-  parallel_options.threads = 4;
-  const auto serial = ScenarioSweep(serial_options).run(model_, scenarios);
-  const auto parallel = ScenarioSweep(parallel_options).run(model_, scenarios);
-
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].name, scenarios[i].name);  // index order preserved
-    EXPECT_TRUE(serial[i].ok);
-    EXPECT_TRUE(parallel[i].ok);
-    ASSERT_EQ(serial[i].block_peak.size(), parallel[i].block_peak.size());
-    for (std::size_t b = 0; b < serial[i].block_peak.size(); ++b) {
-      // Shared factor + independent back-substitution: bitwise equal.
-      EXPECT_DOUBLE_EQ(serial[i].block_peak[b], parallel[i].block_peak[b]);
-    }
-    EXPECT_DOUBLE_EQ(serial[i].max_temperature, parallel[i].max_temperature);
-    EXPECT_EQ(serial[i].hottest_block, parallel[i].hottest_block);
-  }
+  const auto cases = mixed_cases(model_.block_count());
+  // Shared factor + independent back-substitution: bitwise equal.
+  EXPECT_EQ(fanned_peaks(cases, 1), fanned_peaks(cases, 4));
 }
 
 TEST_F(ScenarioSweepTest, SteadyScenarioMatchesDirectSolve) {
-  PowerScenario scenario;
-  scenario.name = "steady";
-  scenario.block_power.assign(model_.block_count(), 0.0);
-  scenario.block_power[4] = 10.0;
-
-  const auto outcomes = ScenarioSweep().run(model_, {scenario});
-  ASSERT_EQ(outcomes.size(), 1u);
-  ASSERT_TRUE(outcomes[0].ok);
-
-  const thermal::SteadyStateResult direct =
-      thermal::solve_steady_state(model_, scenario.block_power);
-  for (std::size_t b = 0; b < model_.block_count(); ++b) {
-    EXPECT_DOUBLE_EQ(outcomes[0].block_peak[b], direct.temperature[b]);
+  const auto cases = mixed_cases(model_.block_count());
+  const auto peaks = fanned_peaks(cases, 4);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    if (cases[i].duration > 0.0) continue;
+    EXPECT_EQ(peaks[i], direct_peak(model_, cases[i])) << "case " << i;
   }
-  EXPECT_EQ(outcomes[0].hottest_block, 4u);
 }
 
 TEST_F(ScenarioSweepTest, TransientScenarioMatchesDirectSimulation) {
-  PowerScenario scenario;
-  scenario.name = "transient";
-  scenario.block_power.assign(model_.block_count(), 0.0);
-  scenario.block_power[0] = 12.0;
-  scenario.duration = 0.02;
-
-  SweepOptions options;
-  options.dt = 1e-3;
-  const auto outcomes = ScenarioSweep(options).run(model_, {scenario});
-  ASSERT_EQ(outcomes.size(), 1u);
-  ASSERT_TRUE(outcomes[0].ok);
-
-  thermal::TransientOptions topt;
-  topt.dt = options.dt;
-  const thermal::TransientResult direct = thermal::simulate_transient(
-      model_, scenario.block_power, scenario.duration,
-      thermal::ambient_state(model_), topt);
-  for (std::size_t b = 0; b < model_.block_count(); ++b) {
-    EXPECT_DOUBLE_EQ(outcomes[0].block_peak[b], direct.peak_temperature[b]);
-  }
-}
-
-TEST_F(ScenarioSweepTest, BadScenarioIsCapturedWithoutPoisoningTheBatch) {
-  auto scenarios = mixed_scenarios(model_.block_count());
-  scenarios[3].block_power.resize(2);  // wrong size: solver must reject
-
-  const auto outcomes = ScenarioSweep().run(model_, scenarios);
-  ASSERT_EQ(outcomes.size(), scenarios.size());
-  EXPECT_FALSE(outcomes[3].ok);
-  EXPECT_FALSE(outcomes[3].error.empty());
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (i != 3) {
-      EXPECT_TRUE(outcomes[i].ok) << "scenario " << i << ": "
-                                  << outcomes[i].error;
-    }
+  const auto cases = mixed_cases(model_.block_count());
+  const auto peaks = fanned_peaks(cases, 4);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    if (cases[i].duration == 0.0) continue;
+    EXPECT_EQ(peaks[i], direct_peak(model_, cases[i])) << "case " << i;
   }
 }
 
 TEST_F(ScenarioSweepTest, MapReturnsResultsInIndexOrder) {
-  SweepOptions options;
-  options.threads = 4;
-  const auto squares =
-      ScenarioSweep(options).map(100, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(squares.size(), 100u);
-  for (std::size_t i = 0; i < squares.size(); ++i) {
-    EXPECT_EQ(squares[i], i * i);
+  constexpr std::size_t n = 100;
+  const std::size_t hardware =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  for (const std::size_t threads : {0u, 1u, 3u, 64u}) {
+    std::vector<std::atomic<int>> calls(n);
+    std::vector<std::size_t> squares(n);
+    const std::size_t workers =
+        for_each_index(threads, n, [&](std::size_t i) {
+          ++calls[i];
+          squares[i] = i * i;
+        });
+    EXPECT_EQ(workers, std::min(threads == 0 ? hardware : threads, n))
+        << "threads=" << threads;
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(calls[i].load(), 1) << "threads=" << threads << " i=" << i;
+      EXPECT_EQ(squares[i], i * i);
+    }
+  }
+}
+
+TEST_F(ScenarioSweepTest, EmptyRangeReturnsZeroAndNeverCallsFn) {
+  for (const std::size_t threads : {0u, 1u, 4u}) {
+    bool called = false;
+    EXPECT_EQ(for_each_index(threads, 0, [&](std::size_t) { called = true; }),
+              0u);
+    EXPECT_FALSE(called);
   }
 }
 
 TEST_F(ScenarioSweepTest, MapPropagatesExceptions) {
-  SweepOptions options;
-  options.threads = 2;
-  const ScenarioSweep sweeper(options);
-  EXPECT_THROW(sweeper.map(8,
-                           [](std::size_t i) -> int {
-                             if (i == 5) throw std::runtime_error("boom");
-                             return 0;
-                           }),
-               std::runtime_error);
+  // The throw at i = 5 must neither stop the other seven indices nor be
+  // lost: it is rethrown once they have all run, inline or fanned out.
+  for (const std::size_t threads : {1u, 2u}) {
+    std::atomic<int> others{0};
+    EXPECT_THROW(for_each_index(threads, 8,
+                                [&](std::size_t i) {
+                                  if (i == 5) throw std::runtime_error("boom");
+                                  ++others;
+                                }),
+                 std::runtime_error)
+        << "threads=" << threads;
+    EXPECT_EQ(others.load(), 7) << "threads=" << threads;
+  }
+}
+
+TEST_F(ScenarioSweepTest, SweepTasksCountWorkersNotIndices) {
+  obs::Counter& tasks = obs::MetricsRegistry::instance().counter("sweep.tasks");
+  const auto noop = [](std::size_t) {};
+  const std::uint64_t before = tasks.value();
+  EXPECT_EQ(for_each_index(3, 50, noop), 3u);
+  EXPECT_EQ(tasks.value(), before + 3);  // one per worker loop
+  EXPECT_EQ(for_each_index(1, 50, noop), 1u);
+  EXPECT_EQ(tasks.value(), before + 3);  // inline: nothing recorded
 }
 
 TEST_F(ScenarioSweepTest, AnalyzersSharingAModelShareFactors) {
@@ -152,67 +164,16 @@ TEST_F(ScenarioSweepTest, AnalyzersSharingAModelShareFactors) {
   // are per-thread, the model (and thus the cached factors) is shared.
   const auto model = std::make_shared<const thermal::RCModel>(
       nine_floorplan(), thermal::PackageParams{});
-  SweepOptions options;
-  options.threads = 3;
-  const auto peaks =
-      ScenarioSweep(options).map(6, [&](std::size_t i) {
-        thermal::ThermalAnalyzer analyzer(model);
-        std::vector<double> power(model->block_count(), 0.0);
-        power[i % model->block_count()] = 10.0;
-        return analyzer.simulate_session(power, 0.01).max_temperature;
-      });
-  // Same power pattern (indices 0..5 hit distinct blocks) — just assert
-  // the fan-out ran and produced sane temperatures above ambient.
+  std::vector<double> peaks(6);
+  for_each_index(3, peaks.size(), [&](std::size_t i) {
+    thermal::ThermalAnalyzer analyzer(model);
+    std::vector<double> power(model->block_count(), 0.0);
+    power[i % model->block_count()] = 10.0;
+    peaks[i] = analyzer.simulate_session(power, 0.01).max_temperature;
+  });
+  // Indices 0..5 hit distinct blocks — just assert the fan-out ran and
+  // produced sane temperatures above ambient.
   for (double peak : peaks) EXPECT_GT(peak, 45.0);
-}
-
-TEST_F(ScenarioSweepTest, PrewarmBuildsExactlyTheFactorsWorkersUse) {
-  // run() factors on the calling thread before the fan-out; the workers
-  // must then find exactly those factors. A 300-node model with steady
-  // and transient scenarios (durations a multiple of dt) needs one
-  // factor of G and one stepper: two misses on a fresh model, however
-  // many workers run.
-  const thermal::RCModel model(
-      floorplan::make_grid_floorplan(10, 29, 0.016, 0.016),
-      thermal::PackageParams{});
-  ASSERT_EQ(model.node_count(), 300u);
-  thermal::ThermalSolverCache& cache = thermal::ThermalSolverCache::instance();
-  cache.reset_stats();
-  SweepOptions options;
-  options.threads = 4;
-  const auto outcomes =
-      ScenarioSweep(options).run(model, mixed_scenarios(model.block_count()));
-  for (const ScenarioOutcome& outcome : outcomes) {
-    EXPECT_TRUE(outcome.ok) << outcome.error;
-  }
-  EXPECT_EQ(cache.stats().misses, 2u);
-}
-
-TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.size(), 3u);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&count] { ++count; });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPoolTest, WaitIdleRethrowsFirstTaskException) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The pool remains usable afterwards.
-  std::atomic<int> count{0};
-  pool.submit([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
-}
-
-TEST(ThreadPoolTest, DefaultSizeIsAtLeastOne) {
-  ThreadPool pool;
-  EXPECT_GE(pool.size(), 1u);
 }
 
 }  // namespace
