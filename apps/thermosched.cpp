@@ -11,8 +11,8 @@
 //             Options: --cores a,b,c (required), --flp/--density |
 //             --alpha, --csv
 //   sweep     Run Algorithm 1 once per STCL value in a range, fanned
-//             across a thread pool that shares the model's cached
-//             factorizations (src/sweep).
+//             across worker threads that share the model's cached
+//             factorizations (sweep::for_each_index).
 //             Options: --stcl-min, --stcl-max, --step, --threads,
 //             --flp/--density | --alpha, --tl, --stc-scale, --csv
 //   serve     Stream JSONL scenario requests through the scenario
@@ -53,6 +53,7 @@
 //      solver failure — the message is printed to stderr as "error: ..."
 //   2  usage error: unknown command, unknown flag, malformed flag value
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -62,12 +63,11 @@
 #include "dispatch/disk_result_memo.hpp"
 #include "dispatch/execution_order.hpp"
 #include "persist/segment_store.hpp"
-#include "floorplan/flp_io.hpp"
 #include "gen/generator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "scenario/runner.hpp"
 #include "scenario/serve.hpp"
-#include "soc/alpha.hpp"
 #include "thermal/analyzer.hpp"
 #include "thermal/solver_cache.hpp"
 #include "util/cli.hpp"
@@ -213,7 +213,7 @@ void print_global_usage(std::ostream& out) {
          "            [--stc-scale X] [--csv]\n"
          "  simulate  Simulate one test session through the RC oracle\n"
          "            --cores a,b,c [--flp PATH --density D | --alpha] [--csv]\n"
-         "  sweep     Algorithm 1 once per STCL value, across a thread pool\n"
+         "  sweep     Algorithm 1 once per STCL value, across worker threads\n"
          "            [--stcl-min S] [--stcl-max S] [--step S] [--threads N]\n"
          "            [--flp PATH --density D | --alpha] [--tl C]\n"
          "            [--stc-scale X] [--csv]\n"
@@ -268,25 +268,26 @@ void print_global_usage(std::ostream& out) {
          "--schedule-policy or --dedup value).\n";
 }
 
+/// The SoC the --alpha/--flp/--density flags name, as a serve request
+/// would name it: --flp without --alpha loads that file, anything else
+/// is the bundled Alpha SoC.
+scenario::SocSelector soc_selector(const CommonArgs& args) {
+  scenario::SocSelector selector;
+  if (!args.alpha && !args.flp_path.empty()) {
+    selector.kind = scenario::SocKind::kFlp;
+    selector.flp_path = args.flp_path;
+    selector.flp_density = args.density;
+  }
+  return selector;
+}
+
 core::SocSpec build_soc(const CommonArgs& args) {
-  if (args.alpha || args.flp_path.empty()) {
-    return soc::alpha_soc();
-  }
-  core::SocSpec soc;
-  soc.flp = floorplan::load_flp(args.flp_path);
-  soc.name = soc.flp.name();
-  soc.package = thermal::PackageParams{};
-  for (std::size_t i = 0; i < soc.flp.size(); ++i) {
-    soc.tests.push_back(
-        core::CoreTest{args.density * soc.flp.block(i).area(), 1.0});
-  }
-  soc.validate();
-  return soc;
+  return scenario::ScenarioRunner::build_soc(soc_selector(args));
 }
 
 double stc_scale_for(const CommonArgs& args) {
   if (args.stc_scale > 0.0) return args.stc_scale;
-  return args.alpha || args.flp_path.empty() ? soc::alpha_stc_scale() : 2.8e-3;
+  return scenario::auto_stc_scale(soc_selector(args).kind);
 }
 
 int cmd_schedule(const CommonArgs& args) {
@@ -826,6 +827,33 @@ int main(int argc, char** argv) {
     }
     if ((is_sweep || is_serve) && args.threads < 0) {
       throw InvalidArgument("--threads must be >= 0");
+    }
+    // Numeric flags take the bounds and wording of the request fields
+    // they mirror (scenario/request.cpp), so a bad value is a usage
+    // error here just as it is an ok:false record in serve.
+    const auto require_positive = [](double value, const char* flag) {
+      if (!std::isfinite(value) || value <= 0.0) {
+        throw InvalidArgument(std::string(flag) + " must be finite and > 0");
+      }
+    };
+    if (!is_serve && !is_gen && !is_cache) {
+      require_positive(args.density, "--density");
+    }
+    if (is_schedule || is_sweep) {
+      require_positive(args.tl, "--tl");
+      if (!std::isfinite(args.stc_scale) || args.stc_scale < 0.0) {
+        throw InvalidArgument(
+            "--stc-scale must be finite and >= 0 (0 = auto)");
+      }
+    }
+    if (is_schedule) require_positive(args.stcl, "--stcl");
+    if (is_sweep) {
+      require_positive(args.stcl_min, "--stcl-min");
+      require_positive(args.stcl_max, "--stcl-max");
+      require_positive(args.step, "--step");
+      if (args.stcl_max < args.stcl_min) {
+        throw InvalidArgument("--stcl-max must be >= --stcl-min");
+      }
     }
     if (is_gen) {
       parse_order_pattern(args.gen_order);

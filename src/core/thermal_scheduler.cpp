@@ -7,7 +7,6 @@
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
-#include "util/logging.hpp"
 
 namespace thermo::core {
 
@@ -181,9 +180,6 @@ ScheduleResult ThermalAwareScheduler::generate(
         if (scheduled[candidate]) continue;
         session.cores.push_back(candidate);
         active[candidate] = true;
-        THERMO_DEBUG() << "STCL " << options_.stc_limit
-                       << " admits no core; forcing '"
-                       << soc.flp.block(candidate).name << "' alone";
         break;
       }
     }

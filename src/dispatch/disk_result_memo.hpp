@@ -5,8 +5,8 @@
 // Tiering on find(): memory hit (the inherited LRU table) → disk hit
 // (persist::SegmentStore::get, checksum-verified; the record is promoted
 // into memory) → miss (the engine executes). insert() writes through:
-// the record is appended durably (fsync before insert() returns, under
-// the store's default SyncMode::kEveryRecord) and cached in memory.
+// the record is appended durably (the store fsyncs every record before
+// insert() returns) and cached in memory.
 // First-insert-wins holds across both tiers for the same reason as in
 // the base class: records are pure functions of their content-address
 // keys, so any duplicate — racing threads, racing *processes*, a

@@ -66,7 +66,6 @@ EngineStats run_batch(const std::vector<Job>& jobs,
                       OrderedWriter& writer, const EngineOptions& options) {
   const std::size_t n = jobs.size();
   EngineStats stats;
-  stats.jobs = n;
   stats.timings.resize(n);
   EngineMetrics& metrics = engine_metrics();
   obs::TraceSpan batch_span("dispatch.batch");

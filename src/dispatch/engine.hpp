@@ -76,7 +76,6 @@ struct JobTiming {
 };
 
 struct EngineStats {
-  std::size_t jobs = 0;       ///< batch size
   std::size_t executed = 0;   ///< jobs that actually ran
   std::size_t memo_hits = 0;  ///< cross-batch memo hits + grouped dups
   /// Workers that actually executed: the configured (or hardware)

@@ -18,11 +18,7 @@ ResultMemo::ResultMemo(std::size_t capacity) : capacity_(capacity) {
 std::optional<std::string> ResultMemo::find(std::string_view key) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  ++stats_.hits;
+  if (it == entries_.end()) return std::nullopt;
   lru_.splice(lru_.begin(), lru_, it->second.recency);
   return it->second.record;
 }
@@ -44,19 +40,10 @@ void ResultMemo::insert(std::string_view key, std::string record) {
   if (entries_.size() >= capacity_) {
     entries_.erase(std::string_view(lru_.back()));
     lru_.pop_back();
-    ++stats_.evictions;
   }
   lru_.emplace_front(key);
   entries_.emplace(std::string_view(lru_.front()),
                    Entry{std::move(record), lru_.begin()});
-  ++stats_.insertions;
-}
-
-ResultMemo::Stats ResultMemo::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  Stats out = stats_;
-  out.entries = entries_.size();
-  return out;
 }
 
 }  // namespace thermo::dispatch

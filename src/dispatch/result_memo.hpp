@@ -18,14 +18,11 @@
 // Recency is a splice-maintained list, so find/insert/evict are all
 // O(1) — a full cache fed fresh keys must not degrade to scanning
 // thousands of entries per insert while workers contend on the mutex.
-// All operations are mutex-guarded; stats() reports hits/misses/
-// insertions/evictions for the serve summary and bench.
 //
 // Concurrency contract (tests/dispatch_test.cpp hammers it): every
-// operation, stats counters included, is serialized on one mutex, so
-// hits + misses always equals the number of find() calls and
-// insertions - evictions always equals entries, no matter how many
-// workers race. What the memo can NOT check by locking is the
+// operation is serialized on one mutex, so a record is found exactly
+// when it was inserted and not yet evicted, no matter how many workers
+// race. What the memo can NOT check by locking is the
 // single-writer-per-key *value* semantics it is built on: all writers
 // of one key must derive the record from the key's content, so racing
 // inserts carry identical bytes and first-insert-wins loses nothing.
@@ -71,8 +68,8 @@ class ResultMemo {
 
   std::size_t capacity() const { return capacity_; }
 
-  /// The record stored under `key`, or nullopt. Counts a hit or miss
-  /// and refreshes the entry's LRU stamp.
+  /// The record stored under `key`, or nullopt. A hit refreshes the
+  /// entry's LRU stamp.
   virtual std::optional<std::string> find(std::string_view key);
 
   /// Stores `record` under `key` (first insert wins on a racing
@@ -82,15 +79,6 @@ class ResultMemo {
   /// is the premise that makes first-insert-wins lossless. A divergent
   /// duplicate throws LogicError.
   virtual void insert(std::string_view key, std::string record);
-
-  struct Stats {
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    std::size_t insertions = 0;
-    std::size_t evictions = 0;
-    std::size_t entries = 0;  ///< current resident records
-  };
-  Stats stats() const;
 
  private:
   struct Entry {
@@ -115,7 +103,6 @@ class ResultMemo {
   std::list<std::string> lru_;  ///< keys, most recently used first
   std::unordered_map<std::string_view, Entry, FnvHash, std::equal_to<>>
       entries_;
-  Stats stats_;
 };
 
 }  // namespace thermo::dispatch

@@ -7,30 +7,6 @@
 
 namespace thermo::floorplan {
 
-Floorplan make_grid_floorplan(std::size_t rows, std::size_t cols,
-                              double chip_width, double chip_height) {
-  THERMO_REQUIRE(rows > 0 && cols > 0, "grid floorplan needs rows, cols > 0");
-  THERMO_REQUIRE(chip_width > 0.0 && chip_height > 0.0,
-                 "grid floorplan needs positive chip dimensions");
-  Floorplan fp("grid" + std::to_string(rows) + "x" + std::to_string(cols));
-  const double bw = chip_width / static_cast<double>(cols);
-  const double bh = chip_height / static_cast<double>(rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      Block block;
-      // Appended: GCC 12 flags `"b" + std::to_string(r)` (-Wrestrict).
-      block.name = "b";
-      block.name.append(std::to_string(r)).append("_").append(std::to_string(c));
-      block.width = bw;
-      block.height = bh;
-      block.x = static_cast<double>(c) * bw;
-      block.y = static_cast<double>(r) * bh;
-      fp.add_block(std::move(block));
-    }
-  }
-  return fp;
-}
-
 namespace {
 
 struct Region {
@@ -95,7 +71,8 @@ Floorplan make_slicing_floorplan(Rng& rng, const SlicingOptions& options) {
   Floorplan fp("slicing" + std::to_string(options.block_count));
   for (std::size_t i = 0; i < regions.size(); ++i) {
     Block block;
-    block.name = "c";  // appended, as in make_grid_floorplan
+    // Appended: GCC 12 flags `"c" + std::to_string(i)` (-Wrestrict).
+    block.name = "c";
     block.name.append(std::to_string(i));
     block.x = regions[i].x;
     block.y = regions[i].y;

@@ -1,16 +1,14 @@
-// Synthetic floorplan generators: parameterised die geometries for
-// property tests (random valid floorplans), solver-scaling studies
-// (grids of arbitrary node count), and synthetic-SoC scenarios
-// (soc::make_synthetic_soc builds on the slicing generator).
+// Synthetic floorplan generator: random slicing floorplans for property
+// tests and synthetic-SoC scenarios (soc::make_synthetic_soc builds on
+// it).
 //
-// Both generators guarantee what Floorplan::validate() checks — blocks
+// The generator guarantees what Floorplan::validate() checks — blocks
 // with positive dimensions, pairwise non-overlapping, covering the die
 // exactly — so downstream code (RCModel construction, the session
 // model's adjacency walk) can rely on a well-formed adjacency graph
-// without re-validating. Both are deterministic: the grid from its
-// arguments alone, the slicing tree from the Rng state, which is how
-// scenario requests reproduce "the same random SoC" from a seed
-// (docs/SERVE.md, soc.kind = "synthetic").
+// without re-validating. It is deterministic for a given Rng state,
+// which is how scenario requests reproduce "the same random SoC" from a
+// seed (docs/SERVE.md, soc.kind = "synthetic").
 #pragma once
 
 #include <cstddef>
@@ -19,16 +17,6 @@
 #include "util/rng.hpp"
 
 namespace thermo::floorplan {
-
-/// Uniform rows x cols grid covering chip_width x chip_height metres.
-/// Block names are "b<r>_<c>" (row 0 at the bottom, matching the
-/// HotSpot lower-left-origin convention). Every interior block has
-/// exactly 4 neighbours — the regular lattice used to scale the RC node
-/// count in tests and the grid-discretisation ablation.
-/// Throws InvalidArgument unless rows, cols and both dimensions are
-/// positive.
-Floorplan make_grid_floorplan(std::size_t rows, std::size_t cols,
-                              double chip_width, double chip_height);
 
 struct SlicingOptions {
   std::size_t block_count = 12;   ///< number of leaf blocks (>= 1)
@@ -49,7 +37,7 @@ struct SlicingOptions {
 /// region — preferring to cut across its longer span, coin-flipping on
 /// ties — until `block_count` leaves exist. The result mimics real
 /// hierarchical layouts: a mix of large and small rectangles with
-/// irregular adjacency, unlike the grid's uniform lattice. Always valid
+/// irregular adjacency, unlike a uniform lattice. Always valid
 /// and fully covering; deterministic for a given RNG state. Blocks are
 /// named "c<index>" in creation order. Throws InvalidArgument on
 /// non-positive dimensions, min_cut_fraction outside (0, 0.5), or a

@@ -1,7 +1,5 @@
 #include "linalg/iterative.hpp"
 
-#include <cmath>
-
 #include "util/error.hpp"
 
 namespace thermo::linalg {
@@ -61,83 +59,6 @@ IterativeResult conjugate_gradient(const SparseMatrix& a, const Vector& b,
     for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
   }
   return result;  // converged == false
-}
-
-IterativeResult gauss_seidel(const SparseMatrix& a, const Vector& b,
-                             const IterativeOptions& options) {
-  check_system(a, b);
-  const std::size_t n = a.rows();
-  IterativeResult result;
-  result.solution.assign(n, 0.0);
-  const double b_norm = norm2(b);
-  if (b_norm == 0.0) {
-    result.converged = true;
-    return result;
-  }
-
-  const auto& offsets = a.row_offsets();
-  const auto& cols = a.col_indices();
-  const auto& values = a.values();
-
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-    for (std::size_t r = 0; r < n; ++r) {
-      double sum = b[r];
-      double diag = 0.0;
-      for (std::size_t k = offsets[r]; k < offsets[r + 1]; ++k) {
-        if (cols[k] == r) {
-          diag = values[k];
-        } else {
-          sum -= values[k] * result.solution[cols[k]];
-        }
-      }
-      if (diag == 0.0) throw NumericalError("Gauss-Seidel: zero diagonal entry");
-      result.solution[r] = sum / diag;
-    }
-    result.iterations = iter + 1;
-    const Vector residual = subtract(b, a.multiply(result.solution));
-    result.residual = norm2(residual) / b_norm;
-    if (result.residual <= options.tolerance) {
-      result.converged = true;
-      return result;
-    }
-  }
-  return result;
-}
-
-IterativeResult jacobi(const SparseMatrix& a, const Vector& b,
-                       const IterativeOptions& options) {
-  check_system(a, b);
-  const std::size_t n = a.rows();
-  IterativeResult result;
-  result.solution.assign(n, 0.0);
-  const double b_norm = norm2(b);
-  if (b_norm == 0.0) {
-    result.converged = true;
-    return result;
-  }
-
-  const Vector diag = a.diagonal();
-  for (double d : diag) {
-    if (d == 0.0) throw NumericalError("Jacobi: zero diagonal entry");
-  }
-
-  Vector next(n);
-  Vector ax;  // SpMV buffer reused across iterations (multiply_into)
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-    a.multiply_into(result.solution, ax);
-    for (std::size_t i = 0; i < n; ++i) {
-      next[i] = result.solution[i] + (b[i] - ax[i]) / diag[i];
-    }
-    result.solution.swap(next);
-    result.iterations = iter + 1;
-    const Vector residual = subtract(b, a.multiply(result.solution));
-    result.residual = norm2(residual) / b_norm;
-    if (result.residual <= options.tolerance) {
-      result.converged = true;
-      return result;
-    }
-  }
-  return result;
 }
 
 }  // namespace thermo::linalg

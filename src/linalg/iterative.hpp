@@ -1,6 +1,6 @@
-// Iterative solvers for sparse SPD / diagonally dominant systems.
+// Iterative solver for sparse SPD systems.
 //
-// Test references: the thermal layer solves through a cached sparse
+// A test reference: the thermal layer solves through a cached sparse
 // factor (sparse_cholesky.hpp; docs/SOLVERS.md). Unlike a factor there
 // is nothing to cache here — every solve restarts from scratch.
 #pragma once
@@ -34,15 +34,5 @@ struct IterativeResult {
 /// converged = false). Grounded thermal conductance matrices qualify.
 IterativeResult conjugate_gradient(const SparseMatrix& a, const Vector& b,
                                    const IterativeOptions& options = {});
-
-/// Gauss-Seidel sweeps; converges for diagonally dominant systems
-/// (thermal conductance matrices qualify: each row's diagonal carries
-/// the sum of its off-diagonals plus any conductance to ambient).
-IterativeResult gauss_seidel(const SparseMatrix& a, const Vector& b,
-                             const IterativeOptions& options = {});
-
-/// Jacobi iteration; mostly a reference implementation for tests.
-IterativeResult jacobi(const SparseMatrix& a, const Vector& b,
-                       const IterativeOptions& options = {});
 
 }  // namespace thermo::linalg

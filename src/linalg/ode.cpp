@@ -1,7 +1,6 @@
 #include "linalg/ode.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/error.hpp"
 
@@ -37,80 +36,6 @@ Vector rk4_integrate(const OdeRhs& f, double t0, double t1, Vector y0, double dt
     y0 = rk4_step(f, t, y0, step);
     t += step;
     if (observer) observer(t, y0);
-  }
-  return y0;
-}
-
-Vector rkf45_integrate(const OdeRhs& f, double t0, double t1, Vector y0,
-                       const AdaptiveOptions& options,
-                       const std::function<void(double, const Vector&)>& observer) {
-  THERMO_REQUIRE(t1 >= t0, "rkf45_integrate: t1 must be >= t0");
-  // Fehlberg coefficients.
-  static constexpr double a2 = 1.0 / 4, a3 = 3.0 / 8, a4 = 12.0 / 13, a5 = 1.0,
-                          a6 = 1.0 / 2;
-  static constexpr double b21 = 1.0 / 4;
-  static constexpr double b31 = 3.0 / 32, b32 = 9.0 / 32;
-  static constexpr double b41 = 1932.0 / 2197, b42 = -7200.0 / 2197,
-                          b43 = 7296.0 / 2197;
-  static constexpr double b51 = 439.0 / 216, b52 = -8.0, b53 = 3680.0 / 513,
-                          b54 = -845.0 / 4104;
-  static constexpr double b61 = -8.0 / 27, b62 = 2.0, b63 = -3544.0 / 2565,
-                          b64 = 1859.0 / 4104, b65 = -11.0 / 40;
-  // 4th order solution weights.
-  static constexpr double c1 = 25.0 / 216, c3 = 1408.0 / 2565,
-                          c4 = 2197.0 / 4104, c5 = -1.0 / 5;
-  // 5th order solution weights (for the error estimate).
-  static constexpr double d1 = 16.0 / 135, d3 = 6656.0 / 12825,
-                          d4 = 28561.0 / 56430, d5 = -9.0 / 50, d6 = 2.0 / 55;
-
-  const std::size_t n = y0.size();
-  double t = t0;
-  double dt = std::clamp(options.dt_initial, options.dt_min, options.dt_max);
-
-  for (std::size_t steps = 0; t < t1; ++steps) {
-    if (steps >= options.max_steps) {
-      throw NumericalError("rkf45: step budget exhausted");
-    }
-    dt = std::min(dt, t1 - t);
-
-    auto stage = [&](const std::vector<std::pair<double, const Vector*>>& terms,
-                     double frac) {
-      Vector arg = y0;
-      for (const auto& [coeff, k] : terms) axpy(dt * coeff, *k, arg);
-      return f(t + frac * dt, arg);
-    };
-
-    const Vector k1 = f(t, y0);
-    const Vector k2 = stage({{b21, &k1}}, a2);
-    const Vector k3 = stage({{b31, &k1}, {b32, &k2}}, a3);
-    const Vector k4 = stage({{b41, &k1}, {b42, &k2}, {b43, &k3}}, a4);
-    const Vector k5 = stage({{b51, &k1}, {b52, &k2}, {b53, &k3}, {b54, &k4}}, a5);
-    const Vector k6 =
-        stage({{b61, &k1}, {b62, &k2}, {b63, &k3}, {b64, &k4}, {b65, &k5}}, a6);
-
-    double error = 0.0;
-    Vector y4(n), y5(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      y4[i] = y0[i] + dt * (c1 * k1[i] + c3 * k3[i] + c4 * k4[i] + c5 * k5[i]);
-      y5[i] = y0[i] + dt * (d1 * k1[i] + d3 * k3[i] + d4 * k4[i] + d5 * k5[i] +
-                            d6 * k6[i]);
-      const double scale =
-          options.abs_tol + options.rel_tol * std::max(std::fabs(y0[i]), std::fabs(y4[i]));
-      error = std::max(error, std::fabs(y5[i] - y4[i]) / scale);
-    }
-
-    if (error <= 1.0) {
-      t += dt;
-      y0 = std::move(y5);  // local extrapolation: accept the 5th-order value
-      if (observer) observer(t, y0);
-    }
-    const double factor =
-        error > 0.0 ? 0.9 * std::pow(error, -0.2) : 4.0;
-    dt *= std::clamp(factor, 0.2, 4.0);
-    dt = std::clamp(dt, options.dt_min, options.dt_max);
-    if (dt <= options.dt_min && error > 1.0) {
-      throw NumericalError("rkf45: step size collapsed below dt_min");
-    }
   }
   return y0;
 }

@@ -2,7 +2,7 @@
 //
 // Two families, both test oracles for the thermal layer's sparse
 // backward-Euler stepper (sparse_cholesky.hpp; docs/SOLVERS.md):
-//  * generic explicit integrators (RK4, adaptive RK45) over an arbitrary
+//  * a generic explicit integrator (RK4) over an arbitrary
 //    right-hand side f(t, y);
 //  * a dense implicit (backward Euler) stepper for the *linear* system
 //    C dT/dt = p - G (T - T_amb), which is stiff: die nodes have
@@ -30,21 +30,6 @@ Vector rk4_step(const OdeRhs& f, double t, const Vector& y, double dt);
 Vector rk4_integrate(const OdeRhs& f, double t0, double t1, Vector y0,
                      double dt,
                      const std::function<void(double, const Vector&)>& observer = {});
-
-struct AdaptiveOptions {
-  double abs_tol = 1e-8;
-  double rel_tol = 1e-6;
-  double dt_initial = 1e-3;
-  double dt_min = 1e-12;
-  double dt_max = 1.0;
-  std::size_t max_steps = 2000000;
-};
-
-/// Adaptive Runge-Kutta-Fehlberg 4(5). Throws NumericalError when the
-/// step size collapses below dt_min or the step budget is exhausted.
-Vector rkf45_integrate(const OdeRhs& f, double t0, double t1, Vector y0,
-                       const AdaptiveOptions& options = {},
-                       const std::function<void(double, const Vector&)>& observer = {});
 
 /// Backward-Euler stepper for the linear constant-coefficient system
 ///     C dy/dt = b - G y

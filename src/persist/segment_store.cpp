@@ -230,7 +230,7 @@ std::optional<std::uint32_t> parse_segment_name(std::string_view name) {
 
 /// Store observability (docs/OBSERVABILITY.md): what each disk-facing
 /// operation costs, fsync separated out because it dominates
-/// SyncMode::kEveryRecord appends — the numbers `thermosched cache
+/// appends (every record is fsynced) — the numbers `thermosched cache
 /// stats` reports for tuning.
 struct StoreMetrics {
   obs::Counter& appends;
@@ -284,8 +284,8 @@ SegmentStore::~SegmentStore() {
       active_->close();
     }
   } catch (const Error&) {
-    // Destruction must not throw; anything unsynced here was already
-    // unacknowledged under kOnRotate, and kEveryRecord synced per put.
+    // Destruction must not throw; every acknowledged put() was already
+    // synced.
   }
 }
 
@@ -399,20 +399,15 @@ bool SegmentStore::put(std::string_view key, std::string_view value) {
   THERMO_REQUIRE(key.size() <= kMaxLength && value.size() <= kMaxLength,
                  "SegmentStore record exceeds the 64 MiB field bound");
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (index_.find(std::string(key)) != index_.end()) {
-    ++stats_.deduped_puts;
-    return false;
-  }
+  if (index_.find(std::string(key)) != index_.end()) return false;
   const std::string frame = encode_frame(key, value);
   try {
     obs::TraceSpan append_span("persist.append");
     obs::ScopedTimer append_timer(store_metrics().append_ns);
     ensure_active();
     active_->append(frame);
-    if (options_.sync_mode == SyncMode::kEveryRecord) {
-      obs::ScopedTimer fsync_timer(store_metrics().fsync_ns);
-      active_->sync();
-    }
+    obs::ScopedTimer fsync_timer(store_metrics().fsync_ns);
+    active_->sync();
   } catch (...) {
     // The segment now (possibly) ends in a partial frame. Never append
     // after a tail we are not certain of: abandon the segment — its torn
@@ -442,17 +437,10 @@ std::optional<std::string> SegmentStore::get(std::string_view key) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(std::string(key));
   if (it == index_.end()) {
-    ++stats_.get_misses;
     store_metrics().get_misses.add();
     return std::nullopt;
   }
   const Location loc = it->second;
-  // Under kOnRotate a record in the active segment may still sit in
-  // application buffers; flush so the range read below can see it.
-  if (active_ && loc.seq == active_seq_ &&
-      options_.sync_mode == SyncMode::kOnRotate) {
-    active_->sync();
-  }
   // A failed read is TRANSIENT (it says nothing about the bytes on
   // disk) and propagates as IoError — the caller may retry and the
   // record stays indexed. Only a successful read whose bytes fail
@@ -464,13 +452,10 @@ std::optional<std::string> SegmentStore::get(std::string_view key) {
     // The bytes under this index entry are no longer what was written
     // (external truncation/corruption since open). Serving them would
     // violate the never-wrong-bytes contract; degrade to a miss.
-    ++stats_.read_corruptions;
-    ++stats_.get_misses;
     store_metrics().get_misses.add();
     index_.erase(it);
     return std::nullopt;
   }
-  ++stats_.get_hits;
   store_metrics().get_hits.add();
   return std::string(view.value);
 }
@@ -478,11 +463,6 @@ std::optional<std::string> SegmentStore::get(std::string_view key) {
 bool SegmentStore::contains(std::string_view key) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return index_.find(std::string(key)) != index_.end();
-}
-
-void SegmentStore::sync() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (active_) active_->sync();
 }
 
 SegmentStore::VerifyReport SegmentStore::verify() {
@@ -536,10 +516,7 @@ std::size_t SegmentStore::compact() {
     const std::string frame =
         fs_.read_range(segment_path(loc.seq), loc.offset, loc.frame_length);
     const FrameView view = decode_frame(frame);
-    if (!view.ok || view.key != *key) {
-      ++stats_.read_corruptions;  // damaged since open: scrubbed, not copied
-      continue;
-    }
+    if (!view.ok || view.key != *key) continue;  // damaged since open: scrubbed
     out->append(frame);
     relocated.emplace_back(*key, Location{new_seq, offset, frame.size()});
     offset += frame.size();

@@ -19,8 +19,8 @@
 //
 // Crash-consistency contract (proved by tests/persist_crash_test.cpp
 // over every injected crash point, including short and torn writes):
-//   * put() returning under SyncMode::kEveryRecord means the record is
-//     durable: it survives any later crash, byte-identical;
+//   * put() returning true means the record is durable (fsynced): it
+//     survives any later crash, byte-identical;
 //   * a crash at ANY point leaves the directory openable; at most the
 //     one in-flight (unacknowledged) record is missing;
 //   * a checksum-invalid frame is never served — corruption degrades to
@@ -57,16 +57,6 @@ namespace thermo::persist {
 /// (what the caller serializes into records).
 inline constexpr std::uint32_t kSegmentFormatVersion = 1;
 
-/// When appended bytes become durable.
-enum class SyncMode {
-  /// fsync after every appended record: put() returning == durable.
-  /// The crash contract above assumes this mode (the default).
-  kEveryRecord,
-  /// fsync only on rotation, compaction, and close: faster bulk loads,
-  /// but a crash may lose every record since the last sync.
-  kOnRotate,
-};
-
 /// What to do when the directory holds segments of a different payload
 /// schema revision.
 enum class SchemaPolicy {
@@ -83,7 +73,6 @@ struct StoreOptions {
   std::uint32_t schema_revision = 1;
   /// Rotate to a new segment once the active one reaches this size.
   std::uint64_t segment_size_cap = 8ull << 20;
-  SyncMode sync_mode = SyncMode::kEveryRecord;
   SchemaPolicy schema_policy = SchemaPolicy::kWipeOnMismatch;
   /// false: opening a nonexistent directory throws IoError instead of
   /// creating it (inspection tools).
@@ -114,16 +103,12 @@ class SegmentStore {
   bool contains(std::string_view key) const;
 
   /// Appends {key, value} unless the key is already present (first
-  /// insert wins; returns false without touching disk). Under
-  /// kEveryRecord the record is durable when this returns true. A
+  /// insert wins; returns false without touching disk). Every appended
+  /// record is fsynced, so it is durable when this returns true. A
   /// failed append abandons the active segment (its partial tail frame
   /// is scrubbed by the next compact) so a transient I/O error cannot
   /// corrupt records appended after it.
   bool put(std::string_view key, std::string_view value);
-
-  /// fsyncs the active segment (no-op without one). Under kOnRotate
-  /// this is the caller's durability barrier.
-  void sync();
 
   /// One damaged region found by a scan.
   struct Damage {
@@ -157,10 +142,6 @@ class SegmentStore {
     std::size_t segments = 0;       ///< segment files on disk
     std::uint64_t disk_bytes = 0;   ///< total segment bytes
     std::size_t appends = 0;        ///< put()s that wrote a frame
-    std::size_t deduped_puts = 0;   ///< put()s refused (key present)
-    std::size_t get_hits = 0;
-    std::size_t get_misses = 0;
-    std::size_t read_corruptions = 0;  ///< frames dropped at get() time
     std::size_t damaged_at_open = 0;   ///< damage entries in the open scan
     std::uint32_t schema_revision = 0;
     bool wiped_on_open = false;  ///< schema bump cleared a previous store

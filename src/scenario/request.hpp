@@ -190,8 +190,8 @@ struct ScenarioRequest {
   double tl = 155.0;  ///< temperature limit TL [deg C]
   StclSpan stcl;
 
-  /// STC normalisation; 0 selects the per-SoC default (alpha_stc_scale()
-  /// for the Alpha SoC, 2.8e-3 otherwise — same rule as the CLI).
+  /// STC normalisation; 0 selects the per-SoC default, auto_stc_scale()
+  /// (scenario/runner.hpp).
   double stc_scale = 0.0;
 
   double weight_factor = 1.1;  ///< W multiplier on violation (paper: 1.1)

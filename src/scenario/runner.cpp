@@ -19,14 +19,6 @@ namespace thermo::scenario {
 
 namespace {
 
-/// Per-SoC default STC normalisation, the same rule the CLI applies:
-/// the Alpha SoC ships a calibrated scale; everything else uses the
-/// generic 2.8e-3 that places typical block-level SoCs on the paper's
-/// 20..100 STCL axis.
-double auto_stc_scale(SocKind kind) {
-  return kind == SocKind::kAlpha ? soc::alpha_stc_scale() : 2.8e-3;
-}
-
 /// Per-kind run observability: execution count + wall histogram + the
 /// span name (a static literal, as the trace ring requires).
 struct KindMetrics {
@@ -144,6 +136,10 @@ JsonValue to_json(const ScenarioResult& result) {
   out.set("points", std::move(points));
   out.set("simulation_effort", JsonValue::number(result.simulation_effort));
   return out;
+}
+
+double auto_stc_scale(SocKind kind) {
+  return kind == SocKind::kAlpha ? soc::alpha_stc_scale() : 2.8e-3;
 }
 
 core::SocSpec ScenarioRunner::build_soc(const SocSelector& selector) {

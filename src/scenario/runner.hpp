@@ -102,6 +102,12 @@ struct ScenarioResult {
 /// Serializes a result record (canonical member order, deterministic).
 JsonValue to_json(const ScenarioResult& result);
 
+/// Per-SoC default STC normalisation, used when a request (or the CLI's
+/// --stc-scale) is 0: the Alpha SoC ships a calibrated scale; every
+/// other SoC uses the generic 2.8e-3 that places typical block-level
+/// SoCs on the paper's 20..100 STCL axis.
+double auto_stc_scale(SocKind kind);
+
 class ScenarioRunner {
  public:
   ScenarioRunner() = default;

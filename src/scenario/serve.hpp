@@ -40,7 +40,7 @@ struct ServeOptions {
   std::size_t threads = 0;
   /// Execution-start order: kFifo = input order (historical behaviour),
   /// kLjf = longest-job-first by estimated cost — cuts makespan on
-  /// skewed batches (bench_dispatch gates this). Output bytes do not
+  /// skewed batches (bench_serve_gates gates this). Output bytes do not
   /// depend on the choice.
   dispatch::SchedulePolicy policy = dispatch::SchedulePolicy::kFifo;
   /// Memoize result records by canonical request content so duplicate

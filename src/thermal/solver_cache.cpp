@@ -140,10 +140,4 @@ ThermalSolverCache::Stats ThermalSolverCache::stats() const {
   return Stats{hits_, misses_, entries_.size()};
 }
 
-void ThermalSolverCache::reset_stats() {
-  std::scoped_lock lock(mutex_);
-  hits_ = 0;
-  misses_ = 0;
-}
-
 }  // namespace thermo::thermal

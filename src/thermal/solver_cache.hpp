@@ -82,9 +82,6 @@ class ThermalSolverCache {
   };
   Stats stats() const;
 
-  /// Zeroes the hit/miss counters (entries stay cached).
-  void reset_stats();
-
  private:
   struct Key {
     std::uint64_t model = 0;

@@ -82,14 +82,4 @@ TransientResult simulate_transient(const RCModel& model,
   return result;
 }
 
-double max_block_peak(const RCModel& model, const TransientResult& result) {
-  THERMO_REQUIRE(result.peak_temperature.size() == model.node_count(),
-                 "result does not match the model");
-  THERMO_REQUIRE(model.block_count() > 0, "model has no blocks");
-  return *std::max_element(
-      result.peak_temperature.begin(),
-      result.peak_temperature.begin() +
-          static_cast<std::ptrdiff_t>(model.block_count()));
-}
-
 }  // namespace thermo::thermal

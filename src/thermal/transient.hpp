@@ -49,7 +49,4 @@ TransientResult simulate_transient(const RCModel& model,
 /// All-nodes-at-ambient initial state for a model.
 std::vector<double> ambient_state(const RCModel& model);
 
-/// Maximum die-block entry of a per-node peak-temperature vector.
-double max_block_peak(const RCModel& model, const TransientResult& result);
-
 }  // namespace thermo::thermal

@@ -1,7 +1,5 @@
 #include "util/rng.hpp"
 
-#include <cmath>
-
 #include "util/error.hpp"
 
 namespace thermo {
@@ -60,26 +58,6 @@ long long Rng::uniform_int(long long lo, long long hi) {
   THERMO_REQUIRE(lo <= hi, "uniform_int requires lo <= hi");
   const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
   return lo + static_cast<long long>(uniform_index(span));
-}
-
-double Rng::normal() {
-  if (has_spare_normal_) {
-    has_spare_normal_ = false;
-    return spare_normal_;
-  }
-  double u1 = uniform();
-  while (u1 <= 0.0) u1 = uniform();
-  const double u2 = uniform();
-  const double radius = std::sqrt(-2.0 * std::log(u1));
-  const double angle = 2.0 * M_PI * u2;
-  spare_normal_ = radius * std::sin(angle);
-  has_spare_normal_ = true;
-  return radius * std::cos(angle);
-}
-
-double Rng::normal(double mean, double stddev) {
-  THERMO_REQUIRE(stddev >= 0.0, "normal() requires stddev >= 0");
-  return mean + stddev * normal();
 }
 
 bool Rng::chance(double p) {

@@ -28,12 +28,6 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   long long uniform_int(long long lo, long long hi);
 
-  /// Standard normal via Box-Muller.
-  double normal();
-
-  /// Normal with mean/stddev.
-  double normal(double mean, double stddev);
-
   /// Bernoulli(p).
   bool chance(double p);
 
@@ -48,8 +42,6 @@ class Rng {
 
  private:
   std::uint64_t state_[4];
-  bool has_spare_normal_ = false;
-  double spare_normal_ = 0.0;
 };
 
 }  // namespace thermo

@@ -48,12 +48,6 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.substr(0, prefix.size()) == prefix;
 }
 
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
 std::optional<double> parse_double(std::string_view s) {
   s = trim(s);
   if (s.empty()) return std::nullopt;

@@ -20,9 +20,6 @@ std::vector<std::string> split_whitespace(std::string_view s);
 /// True if `s` begins with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix);
 
-/// Lower-cases ASCII letters.
-std::string to_lower(std::string_view s);
-
 /// Parses a floating point number; std::nullopt if the whole string is not
 /// a valid number.
 std::optional<double> parse_double(std::string_view s);

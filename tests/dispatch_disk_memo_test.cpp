@@ -14,6 +14,7 @@
 
 #include "dispatch/engine.hpp"
 #include "dispatch/ordered_writer.hpp"
+#include "obs/metrics.hpp"
 #include "persist/fault_fs.hpp"
 #include "persist_test_util.hpp"
 
@@ -28,9 +29,12 @@ TEST(DiskResultMemo, MemoryTierAnswersBeforeDisk) {
   const ScopedTempDir dir("diskmemo");
   DiskResultMemo memo(dir.path());
   memo.insert("k", "record");
+  const obs::Counter& store_hits =
+      obs::MetricsRegistry::instance().counter("persist.get_hits");
+  const std::uint64_t store_hits_before = store_hits.value();
   EXPECT_EQ(memo.find("k"), "record");
   EXPECT_EQ(memo.disk_hits(), 0u);  // resident in memory, disk untouched
-  EXPECT_EQ(memo.store().stats().get_hits, 0u);
+  EXPECT_EQ(store_hits.value(), store_hits_before);
 }
 
 TEST(DiskResultMemo, ColdProcessInheritsEveryRecordFromDisk) {

@@ -8,31 +8,6 @@
 namespace thermo::floorplan {
 namespace {
 
-TEST(GridGenerator, ProducesExpectedBlockCountAndSize) {
-  const Floorplan fp = make_grid_floorplan(3, 4, 0.012, 0.009);
-  EXPECT_EQ(fp.size(), 12u);
-  EXPECT_DOUBLE_EQ(fp.chip_width(), 0.012);
-  EXPECT_DOUBLE_EQ(fp.chip_height(), 0.009);
-  EXPECT_DOUBLE_EQ(fp.block(0).width, 0.003);
-  EXPECT_DOUBLE_EQ(fp.block(0).height, 0.003);
-}
-
-TEST(GridGenerator, ResultValidatesWithFullCoverage) {
-  const ValidationReport report = make_grid_floorplan(5, 5, 0.01, 0.01).validate();
-  EXPECT_TRUE(report.ok);
-  EXPECT_NEAR(report.coverage, 1.0, 1e-9);
-}
-
-TEST(GridGenerator, InteriorBlockHasFourNeighbours) {
-  const Floorplan fp = make_grid_floorplan(3, 3, 0.01, 0.01);
-  EXPECT_EQ(fp.neighbours(*fp.index_of("b1_1")).size(), 4u);
-}
-
-TEST(GridGenerator, RejectsDegenerateArguments) {
-  EXPECT_THROW(make_grid_floorplan(0, 3, 0.01, 0.01), InvalidArgument);
-  EXPECT_THROW(make_grid_floorplan(3, 3, 0.0, 0.01), InvalidArgument);
-}
-
 TEST(SlicingGenerator, ExactBlockCount) {
   Rng rng(1);
   SlicingOptions options;

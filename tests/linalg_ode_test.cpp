@@ -58,37 +58,6 @@ TEST(Rk4, RejectsBackwardHorizon) {
   EXPECT_THROW(rk4_integrate(kDecay, 1.0, 0.0, {1.0}, 0.1), InvalidArgument);
 }
 
-TEST(Rkf45, MatchesExponentialDecay) {
-  const Vector y = rkf45_integrate(kDecay, 0.0, 2.0, {1.0});
-  EXPECT_NEAR(y[0], std::exp(-2.0), 1e-6);
-}
-
-TEST(Rkf45, HandlesOscillator) {
-  // y'' = -y as a system; energy x^2 + v^2 conserved.
-  const OdeRhs osc = [](double, const Vector& y) {
-    return Vector{y[1], -y[0]};
-  };
-  AdaptiveOptions options;
-  options.rel_tol = 1e-9;
-  options.abs_tol = 1e-12;
-  const Vector y = rkf45_integrate(osc, 0.0, 2.0 * M_PI, {1.0, 0.0}, options);
-  EXPECT_NEAR(y[0], 1.0, 1e-6);
-  EXPECT_NEAR(y[1], 0.0, 1e-6);
-}
-
-TEST(Rkf45, StepBudgetThrows) {
-  AdaptiveOptions options;
-  options.max_steps = 3;
-  options.dt_max = 1e-4;
-  EXPECT_THROW(rkf45_integrate(kDecay, 0.0, 1.0, {1.0}, options),
-               NumericalError);
-}
-
-TEST(Rkf45, ZeroLengthHorizonReturnsInitial) {
-  const Vector y = rkf45_integrate(kDecay, 0.0, 0.0, {3.0});
-  EXPECT_DOUBLE_EQ(y[0], 3.0);
-}
-
 TEST(ImplicitStepper, ConvergesToSteadyState) {
   // C y' = b - G y with C=1, G=2, b=4: steady state y = 2.
   const auto g = DenseMatrix::from_rows({{2.0}});

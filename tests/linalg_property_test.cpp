@@ -67,16 +67,11 @@ TEST_P(SolverAgreement, AllFourSolversProduceTheSameSolution) {
     const Vector x_lu = lu_solve(dense, b);
     const Vector x_chol = cholesky_solve(dense, b);
     const IterativeResult cg = conjugate_gradient(a, b);
-    IterativeOptions gs_options;
-    gs_options.max_iterations = 50000;
-    const IterativeResult gs = gauss_seidel(a, b, gs_options);
 
     ASSERT_TRUE(cg.converged);
-    ASSERT_TRUE(gs.converged);
     const double scale = 1.0 + norm_inf(x_lu);
     EXPECT_LT(norm_inf(subtract(x_lu, x_chol)) / scale, 1e-9);
     EXPECT_LT(norm_inf(subtract(x_lu, cg.solution)) / scale, 1e-6);
-    EXPECT_LT(norm_inf(subtract(x_lu, gs.solution)) / scale, 1e-5);
   }
 }
 

@@ -38,9 +38,6 @@ TEST(SegmentStore, PutGetRoundTripsBinaryPayloads) {
   const auto stats = store.stats();
   EXPECT_EQ(stats.records, 32u);
   EXPECT_EQ(stats.appends, 32u);
-  EXPECT_EQ(stats.get_hits, 32u);
-  EXPECT_EQ(stats.get_misses, 1u);
-  EXPECT_EQ(stats.read_corruptions, 0u);
 }
 
 TEST(SegmentStore, FirstPutWinsAndDuplicatesNeverTouchDisk) {
@@ -50,7 +47,7 @@ TEST(SegmentStore, FirstPutWinsAndDuplicatesNeverTouchDisk) {
   const std::uint64_t bytes_after_first = store.stats().disk_bytes;
   EXPECT_FALSE(store.put("k", "value"));
   EXPECT_EQ(store.stats().disk_bytes, bytes_after_first);
-  EXPECT_EQ(store.stats().deduped_puts, 1u);
+  EXPECT_EQ(store.stats().appends, 1u);
   EXPECT_EQ(store.get("k"), "value");
 }
 
@@ -247,22 +244,11 @@ TEST(SegmentStore, GetReverifiesChecksumsAndDegradesToAMiss) {
     file.write(&byte, 1);
   }
 
+  EXPECT_TRUE(store.contains("victim"));
   EXPECT_EQ(store.get("victim"), std::nullopt);
-  EXPECT_EQ(store.stats().read_corruptions, 1u);
-  EXPECT_EQ(store.get("victim"), std::nullopt);  // dropped, plain miss now
-  EXPECT_EQ(store.stats().read_corruptions, 1u);
+  EXPECT_FALSE(store.contains("victim"));  // dropped from the index
+  EXPECT_EQ(store.get("victim"), std::nullopt);  // plain miss now
   EXPECT_EQ(store.get("witness"), "intact");
-}
-
-TEST(SegmentStore, OnRotateModeStillServesBufferedRecords) {
-  const ScopedTempDir dir("segstore");
-  StoreOptions options;
-  options.sync_mode = SyncMode::kOnRotate;
-  SegmentStore store(dir.path(), options);
-  store.put("k", "buffered");
-  // The record may still sit in application buffers; get() must flush
-  // enough to serve it.
-  EXPECT_EQ(store.get("k"), "buffered");
 }
 
 TEST(SegmentStore, ForeignFilesInTheDirectoryAreIgnored) {

@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "util/logging.hpp"
-
 namespace thermo {
 namespace {
 
@@ -33,33 +29,6 @@ TEST(ErrorHierarchy, AllDeriveFromError) {
   EXPECT_THROW(throw LogicError("x"), Error);
   EXPECT_THROW(throw NumericalError("x"), Error);
   EXPECT_THROW(throw ParseError("x"), Error);
-}
-
-TEST(Logging, RespectsLevel) {
-  std::ostringstream sink;
-  Logger::instance().set_sink(&sink);
-  Logger::instance().set_level(LogLevel::kWarn);
-  THERMO_INFO() << "hidden";
-  THERMO_WARN() << "visible";
-  Logger::instance().set_sink(nullptr);
-  const std::string out = sink.str();
-  EXPECT_EQ(out.find("hidden"), std::string::npos);
-  EXPECT_NE(out.find("visible"), std::string::npos);
-}
-
-TEST(Logging, OffSilencesEverything) {
-  std::ostringstream sink;
-  Logger::instance().set_sink(&sink);
-  Logger::instance().set_level(LogLevel::kOff);
-  THERMO_ERROR() << "nope";
-  Logger::instance().set_sink(nullptr);
-  Logger::instance().set_level(LogLevel::kWarn);
-  EXPECT_TRUE(sink.str().empty());
-}
-
-TEST(Logging, LevelNames) {
-  EXPECT_STREQ(log_level_name(LogLevel::kTrace), "trace");
-  EXPECT_STREQ(log_level_name(LogLevel::kError), "error");
 }
 
 }  // namespace

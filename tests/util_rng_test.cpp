@@ -79,34 +79,6 @@ TEST(Rng, UniformIntRejectsInvertedRange) {
   EXPECT_THROW(rng.uniform_int(3, 2), InvalidArgument);
 }
 
-TEST(Rng, NormalMomentsRoughlyStandard) {
-  Rng rng(14);
-  const int n = 100000;
-  double sum = 0.0, sum2 = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const double x = rng.normal();
-    sum += x;
-    sum2 += x * x;
-  }
-  const double mean = sum / n;
-  const double var = sum2 / n - mean * mean;
-  EXPECT_NEAR(mean, 0.0, 0.02);
-  EXPECT_NEAR(var, 1.0, 0.03);
-}
-
-TEST(Rng, NormalWithParamsShiftsAndScales) {
-  Rng rng(15);
-  const int n = 50000;
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += rng.normal(10.0, 2.0);
-  EXPECT_NEAR(sum / n, 10.0, 0.05);
-}
-
-TEST(Rng, NormalRejectsNegativeStddev) {
-  Rng rng(16);
-  EXPECT_THROW(rng.normal(0.0, -1.0), InvalidArgument);
-}
-
 TEST(Rng, ChanceProbabilityRoughlyRespected) {
   Rng rng(17);
   int hits = 0;

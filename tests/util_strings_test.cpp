@@ -58,10 +58,6 @@ TEST(StartsWith, Basics) {
   EXPECT_TRUE(starts_with("anything", ""));
 }
 
-TEST(ToLower, AsciiOnly) {
-  EXPECT_EQ(to_lower("MiXeD123"), "mixed123");
-}
-
 TEST(ParseDouble, ValidNumbers) {
   EXPECT_DOUBLE_EQ(*parse_double("1.5"), 1.5);
   EXPECT_DOUBLE_EQ(*parse_double("-2e-3"), -2e-3);
