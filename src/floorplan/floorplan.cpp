@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -15,6 +16,35 @@ double interval_overlap(double a0, double a1, double b0, double b1) {
   return std::min(a1, b1) - std::max(a0, b0);
 }
 
+using Edge = double (Block::*)() const;
+using IndexPair = std::pair<std::size_t, std::size_t>;
+
+/// Appends (min, max) index pairs of blocks a != b whose `near` edge of
+/// a lies within 2·kGeomTol of the `far` edge of b, found by binary
+/// search over the sorted `far` edges. A computed |near - far| below
+/// kGeomTol means the exact gap is below 2·kGeomTol, so this is a
+/// superset of the pairs the abutment test can accept.
+void abutment_candidates(const std::vector<Block>& blocks, Edge near, Edge far,
+                         std::vector<IndexPair>& out) {
+  std::vector<std::pair<double, std::size_t>> edges;
+  edges.reserve(blocks.size());
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    edges.emplace_back((blocks[b].*far)(), b);
+  }
+  std::sort(edges.begin(), edges.end());
+  for (std::size_t a = 0; a < blocks.size(); ++a) {
+    const double edge = (blocks[a].*near)();
+    auto it = std::lower_bound(
+        edges.begin(), edges.end(),
+        std::pair{edge - 2.0 * kGeomTol, std::size_t{0}});
+    for (; it != edges.end() && it->first <= edge + 2.0 * kGeomTol; ++it) {
+      if (it->second != a) {
+        out.emplace_back(std::min(a, it->second), std::max(a, it->second));
+      }
+    }
+  }
+}
+
 }  // namespace
 
 std::size_t Floorplan::add_block(Block block) {
@@ -24,8 +54,9 @@ std::size_t Floorplan::add_block(Block block) {
   THERMO_REQUIRE(std::isfinite(block.x) && std::isfinite(block.y) &&
                      std::isfinite(block.width) && std::isfinite(block.height),
                  "block '" + block.name + "' has non-finite geometry");
-  THERMO_REQUIRE(!index_of(block.name).has_value(),
+  THERMO_REQUIRE(!index_.contains(block.name),
                  "duplicate block name '" + block.name + "'");
+  index_.emplace(block.name, blocks_.size());
   blocks_.push_back(std::move(block));
   invalidate_cache();
   return blocks_.size() - 1;
@@ -37,10 +68,9 @@ const Block& Floorplan::block(std::size_t i) const {
 }
 
 std::optional<std::size_t> Floorplan::index_of(std::string_view name) const {
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    if (blocks_[i].name == name) return i;
-  }
-  return std::nullopt;
+  const auto it = index_.find(name);
+  if (it == index_.end()) return std::nullopt;
+  return it->second;
 }
 
 void Floorplan::invalidate_cache() { cache_valid_ = false; }
@@ -69,33 +99,39 @@ void Floorplan::compute_cache() const {
     max_y_ = std::max(max_y_, b.top());
   }
 
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const Block& a = blocks_[i];
-      const Block& b = blocks_[j];
-      double length = 0.0;
-      Side side = Side::kNorth;
-      // Vertical abutment: a's top touches b's bottom or vice versa.
-      if (std::fabs(a.top() - b.bottom()) < kGeomTol) {
-        length = interval_overlap(a.left(), a.right(), b.left(), b.right());
-        side = Side::kNorth;
-      } else if (std::fabs(b.top() - a.bottom()) < kGeomTol) {
-        length = interval_overlap(a.left(), a.right(), b.left(), b.right());
-        side = Side::kSouth;
-      } else if (std::fabs(a.right() - b.left()) < kGeomTol) {
-        length = interval_overlap(a.bottom(), a.top(), b.bottom(), b.top());
-        side = Side::kEast;
-      } else if (std::fabs(b.right() - a.left()) < kGeomTol) {
-        length = interval_overlap(a.bottom(), a.top(), b.bottom(), b.top());
-        side = Side::kWest;
-      }
-      if (length > kGeomTol) {
-        adjacencies_.push_back(Adjacency{i, j, length, side});
-        // The (i, j) loop order visits each list's entries in strictly
-        // increasing neighbour index, so the lists come out sorted.
-        adj_[i].emplace_back(j, length);
-        adj_[j].emplace_back(i, length);
-      }
+  // Only pairs with a top/bottom or right/left edge within tolerance
+  // can abut; test those, in (i, j) order, with the per-pair rule.
+  std::vector<IndexPair> candidates;
+  abutment_candidates(blocks_, &Block::top, &Block::bottom, candidates);
+  abutment_candidates(blocks_, &Block::right, &Block::left, candidates);
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  for (const auto& [i, j] : candidates) {
+    const Block& a = blocks_[i];
+    const Block& b = blocks_[j];
+    double length = 0.0;
+    Side side = Side::kNorth;
+    // Vertical abutment: a's top touches b's bottom or vice versa.
+    if (std::fabs(a.top() - b.bottom()) < kGeomTol) {
+      length = interval_overlap(a.left(), a.right(), b.left(), b.right());
+      side = Side::kNorth;
+    } else if (std::fabs(b.top() - a.bottom()) < kGeomTol) {
+      length = interval_overlap(a.left(), a.right(), b.left(), b.right());
+      side = Side::kSouth;
+    } else if (std::fabs(a.right() - b.left()) < kGeomTol) {
+      length = interval_overlap(a.bottom(), a.top(), b.bottom(), b.top());
+      side = Side::kEast;
+    } else if (std::fabs(b.right() - a.left()) < kGeomTol) {
+      length = interval_overlap(a.bottom(), a.top(), b.bottom(), b.top());
+      side = Side::kWest;
+    }
+    if (length > kGeomTol) {
+      adjacencies_.push_back(Adjacency{i, j, length, side});
+      // The (i, j) pair order visits each list's entries in strictly
+      // increasing neighbour index, so the lists come out sorted.
+      adj_[i].emplace_back(j, length);
+      adj_[j].emplace_back(i, length);
     }
   }
 
@@ -196,15 +232,37 @@ ValidationReport Floorplan::validate() const {
     report.errors.push_back("floorplan has no blocks");
     return report;
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
+  // Sweep over blocks sorted by left edge. An active block whose right
+  // edge lies at or before the current block's left edge has an
+  // x-overlap <= 0 with it and with every later block, so it leaves the
+  // active list; each remaining pair gets the all-pairs overlap test.
+  std::vector<std::size_t> by_left(n);
+  std::iota(by_left.begin(), by_left.end(), std::size_t{0});
+  std::sort(by_left.begin(), by_left.end(), [&](std::size_t a, std::size_t b) {
+    return std::pair{blocks_[a].left(), a} < std::pair{blocks_[b].left(), b};
+  });
+  std::vector<std::size_t> active;
+  std::vector<IndexPair> overlapping;
+  for (const std::size_t k : by_left) {
+    const Block& current = blocks_[k];
+    std::erase_if(active, [&](std::size_t a) {
+      return blocks_[a].right() <= current.left();
+    });
+    for (const std::size_t a : active) {
+      const std::size_t i = std::min(a, k);
+      const std::size_t j = std::max(a, k);
       if (blocks_[i].overlaps(blocks_[j], kGeomTol)) {
-        std::ostringstream os;
-        os << "blocks '" << blocks_[i].name << "' and '" << blocks_[j].name
-           << "' overlap";
-        report.errors.push_back(os.str());
+        overlapping.emplace_back(i, j);
       }
     }
+    active.push_back(k);
+  }
+  std::sort(overlapping.begin(), overlapping.end());
+  for (const auto& [i, j] : overlapping) {
+    std::ostringstream os;
+    os << "blocks '" << blocks_[i].name << "' and '" << blocks_[j].name
+       << "' overlap";
+    report.errors.push_back(os.str());
   }
 
   compute_cache();
@@ -219,7 +277,7 @@ ValidationReport Floorplan::validate() const {
     report.warnings.push_back(os.str());
   }
   for (std::size_t i = 0; i < n; ++i) {
-    if (neighbours(i).empty() && boundary_exposure(i) <= kGeomTol) {
+    if (neighbour_edges(i).empty() && boundary_exposure(i) <= kGeomTol) {
       report.warnings.push_back("block '" + blocks_[i].name +
                                 "' is thermally detached (no neighbours, no "
                                 "boundary exposure)");

@@ -6,9 +6,11 @@
 
 #include <array>
 #include <cstddef>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -89,8 +91,9 @@ class Floorplan {
   double boundary_exposure(std::size_t i) const;
 
   /// Checks geometric consistency: positive dimensions, no pairwise
-  /// overlap; warns about poor area coverage (< 95 % of bbox) and blocks
-  /// with no neighbours and no boundary exposure.
+  /// overlap (a sweep over blocks sorted by left edge, errors listed in
+  /// (i, j) order); warns about poor area coverage (< 95 % of bbox) and
+  /// blocks with no neighbours and no boundary exposure.
   ValidationReport validate() const;
 
   /// Throws InvalidArgument when validate() reports errors.
@@ -100,8 +103,19 @@ class Floorplan {
   void invalidate_cache();
   void compute_cache() const;
 
+  /// Transparent hash so index_of looks names up without a copy.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::string name_;
   std::vector<Block> blocks_;
+  /// Block name -> index: O(1) duplicate checks in add_block.
+  std::unordered_map<std::string, std::size_t, NameHash, std::equal_to<>>
+      index_;
 
   // lazily computed
   mutable bool cache_valid_ = false;

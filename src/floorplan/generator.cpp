@@ -1,5 +1,6 @@
 #include "floorplan/generator.hpp"
 
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,17 @@ struct Region {
   double x, y, w, h;
 };
 
+/// Heap key of a region: its area and index. The heap's top is the
+/// largest area, the smallest index among equal areas — the first
+/// largest region.
+struct Candidate {
+  double area;
+  std::size_t index;
+  bool operator<(const Candidate& other) const {
+    return area < other.area || (area == other.area && index > other.index);
+  }
+};
+
 }  // namespace
 
 Floorplan make_slicing_floorplan(Rng& rng, const SlicingOptions& options) {
@@ -23,14 +35,15 @@ Floorplan make_slicing_floorplan(Rng& rng, const SlicingOptions& options) {
                  "min_cut_fraction must lie in (0, 0.5)");
 
   std::vector<Region> regions{{0.0, 0.0, options.chip_width, options.chip_height}};
+  std::priority_queue<Candidate> largest_first;
+  const auto push = [&](std::size_t i) {
+    largest_first.push({regions[i].w * regions[i].h, i});
+  };
+  push(0);
   // Repeatedly split the largest region until we have enough leaves.
   while (regions.size() < options.block_count) {
-    std::size_t largest = 0;
-    for (std::size_t i = 1; i < regions.size(); ++i) {
-      if (regions[i].w * regions[i].h > regions[largest].w * regions[largest].h) {
-        largest = i;
-      }
-    }
+    const std::size_t largest = largest_first.top().index;
+    largest_first.pop();
     Region region = regions[largest];
     const bool can_cut_vertical = region.w >= 2.0 * options.min_block_dim;
     const bool can_cut_horizontal = region.h >= 2.0 * options.min_block_dim;
@@ -66,6 +79,8 @@ Floorplan make_slicing_floorplan(Rng& rng, const SlicingOptions& options) {
     }
     regions[largest] = first;
     regions.push_back(second);
+    push(largest);
+    push(regions.size() - 1);
   }
 
   Floorplan fp("slicing" + std::to_string(options.block_count));

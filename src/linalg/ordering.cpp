@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
-#include <set>
 #include <utility>
 
 #include "util/error.hpp"
@@ -24,8 +24,8 @@ std::vector<std::size_t> min_degree_ordering(const SparseMatrix& a) {
   const std::vector<std::size_t>& ap = a.row_offsets();
   const std::vector<std::size_t>& ai = a.col_indices();
 
-  // Off-diagonal adjacency; lists stay sorted throughout (CSR columns
-  // are already sorted, and elimination updates merge in order).
+  // Off-diagonal adjacency sets, stored as unordered lists: the
+  // ordering depends only on each list's size.
   std::vector<std::vector<std::size_t>> adj(n);
   for (std::size_t r = 0; r < n; ++r) {
     adj[r].reserve(ap[r + 1] - ap[r]);
@@ -64,52 +64,57 @@ std::vector<std::size_t> min_degree_ordering(const SparseMatrix& a) {
     }
   }
 
-  // Pending nodes keyed by (current degree, index): begin() is always
-  // the unique minimum-degree, minimum-index node, so the ordering is
-  // deterministic.
+  // Pending nodes in a lazy binary min-heap on (degree, index). The
+  // top is the minimum-degree, minimum-index node, so the ordering is
+  // deterministic. A degree change pushes a new entry; a popped entry
+  // whose node is already eliminated or whose degree is out of date is
+  // skipped.
+  using Entry = std::pair<std::size_t, std::size_t>;
   std::vector<std::size_t> degree(n, 0);
-  std::set<std::pair<std::size_t, std::size_t>> queue;
+  std::vector<Entry> heap;
   for (std::size_t i = 0; i < n; ++i) {
     if (withheld[i]) continue;
     degree[i] = adj[i].size();
-    queue.emplace(degree[i], i);
+    heap.emplace_back(degree[i], i);
   }
+  std::make_heap(heap.begin(), heap.end(), std::greater<>{});
 
+  std::vector<char> eliminated(n, 0);
+  std::vector<std::size_t> mark(n, 0);
+  std::size_t stamp = 0;
   std::vector<std::size_t> clique;
-  std::vector<std::size_t> merged;
-  while (!queue.empty()) {
-    const std::size_t v = queue.begin()->second;
-    queue.erase(queue.begin());
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    const auto [d, v] = heap.back();
+    heap.pop_back();
+    if (eliminated[v] || d != degree[v]) continue;
+    eliminated[v] = 1;
     perm.push_back(v);
 
     clique = std::move(adj[v]);
     adj[v].clear();
     adj[v].shrink_to_fit();
 
-    // Drop v from each neighbour, then union the elimination clique
-    // into each neighbour's list (sorted merge).
-    for (std::size_t w : clique) {
+    // One pass per neighbour: drop v, stamp the rest, then append the
+    // clique members it lacks — the elimination clique unioned in.
+    for (const std::size_t w : clique) {
       std::vector<std::size_t>& list = adj[w];
-      const auto it = std::lower_bound(list.begin(), list.end(), v);
-      if (it != list.end() && *it == v) list.erase(it);
-    }
-    for (std::size_t w : clique) {
-      std::vector<std::size_t>& list = adj[w];
-      merged.clear();
-      merged.reserve(list.size() + clique.size());
-      std::size_t li = 0;
-      for (std::size_t u : clique) {
-        if (u == w) continue;
-        while (li < list.size() && list[li] < u) merged.push_back(list[li++]);
-        if (li < list.size() && list[li] == u) ++li;
-        merged.push_back(u);
+      ++stamp;
+      for (std::size_t k = 0; k < list.size();) {
+        if (list[k] == v) {
+          list[k] = list.back();
+          list.pop_back();
+        } else {
+          mark[list[k++]] = stamp;
+        }
       }
-      while (li < list.size()) merged.push_back(list[li++]);
-      list.swap(merged);
+      for (const std::size_t u : clique) {
+        if (u != w && mark[u] != stamp) list.push_back(u);
+      }
       if (list.size() != degree[w]) {
-        queue.erase({degree[w], w});
         degree[w] = list.size();
-        queue.emplace(degree[w], w);
+        heap.emplace_back(degree[w], w);
+        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
       }
     }
   }

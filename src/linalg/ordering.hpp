@@ -17,9 +17,14 @@
 //    degree, index) — eliminating near-dense rows last is also the
 //    fill-optimal place for them.
 //  * Plain minimum degree, no approximate-degree / supernode
-//    amalgamation: elimination unions are sorted-vector merges, and
-//    the pending queue is a std::set<(degree, node)> so the ordering
-//    is a pure function of the sparsity pattern — identical on every
+//    amalgamation. The next node depends only on current degrees and
+//    the index tie-break, and a degree is the size of a neighbour set,
+//    so adjacency sets are unordered lists (one stamp-array pass per
+//    clique member drops the eliminated node and appends the missing
+//    clique nodes) and the pending queue is a lazy binary min-heap on
+//    (degree, node) that skips entries gone stale. The permutation is
+//    the one a std::set<(degree, node)> queue with sorted merges gives,
+//    a pure function of the sparsity pattern — identical on every
 //    platform and run (the determinism contract in docs/SOLVERS.md).
 //
 // symbolic_factor_nonzeros() counts strictly-lower nnz(L) for a

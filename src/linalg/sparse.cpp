@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <numeric>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -30,39 +30,41 @@ SparseMatrix SparseMatrix::Builder::build() const {
   m.rows_ = rows_;
   m.cols_ = cols_;
 
-  // Sort COO triplets by (row, col) via an index permutation. The
-  // insertion-index tie-break makes the sort stable, so duplicate
-  // stamps at one (row, col) are summed in the exact order add() saw
-  // them — assembly through the builder is bit-identical to summing
-  // the same stamps into a dense accumulator, which keeps golden
-  // serve records byte-stable when models assemble sparse-first.
-  std::vector<std::size_t> order(coo_rows_.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (coo_rows_[a] != coo_rows_[b]) return coo_rows_[a] < coo_rows_[b];
-    if (coo_cols_[a] != coo_cols_[b]) return coo_cols_[a] < coo_cols_[b];
-    return a < b;
-  });
+  // Order the COO triplets by (row, col, insertion index): a stable
+  // counting sort by row, then each row's (col, insertion index) pairs
+  // sorted. The pairs are unique, so that is the stable sort by column,
+  // and duplicate stamps at one (row, col) are summed in the exact
+  // order add() saw them — assembly through the builder is
+  // bit-identical to summing the same stamps into a dense accumulator,
+  // which keeps golden serve records byte-stable.
+  const std::size_t count = coo_rows_.size();
+  std::vector<std::size_t> row_start(rows_ + 1, 0);
+  for (const std::size_t r : coo_rows_) ++row_start[r + 1];
+  for (std::size_t r = 0; r < rows_; ++r) row_start[r + 1] += row_start[r];
+  std::vector<std::pair<std::size_t, std::size_t>> slots(count);
+  std::vector<std::size_t> next(row_start.begin(), row_start.end() - 1);
+  for (std::size_t k = 0; k < count; ++k) {
+    slots[next[coo_rows_[k]]++] = {coo_cols_[k], k};
+  }
 
   m.row_offsets_.assign(rows_ + 1, 0);
-  for (std::size_t k : order) {
-    const std::size_t r = coo_rows_[k];
-    const std::size_t c = coo_cols_[k];
-    const double v = coo_values_[k];
-    // Merge duplicates: same (r, c) as the last emitted entry.
-    if (!m.col_indices_.empty() && m.row_offsets_[r + 1] > m.row_offsets_[r] &&
-        m.col_indices_.back() == c &&
-        m.row_offsets_[r + 1] == m.col_indices_.size()) {
-      m.values_.back() += v;
-      continue;
+  for (std::size_t r = 0; r < rows_; ++r) {
+    const auto begin =
+        slots.begin() + static_cast<std::ptrdiff_t>(row_start[r]);
+    const auto end =
+        slots.begin() + static_cast<std::ptrdiff_t>(row_start[r + 1]);
+    std::sort(begin, end);
+    for (auto it = begin; it != end; ++it) {
+      const double v = coo_values_[it->second];
+      // Merge duplicates: same column as the previous entry of the row.
+      if (it != begin && it->first == (it - 1)->first) {
+        m.values_.back() += v;
+        continue;
+      }
+      m.col_indices_.push_back(it->first);
+      m.values_.push_back(v);
     }
-    m.col_indices_.push_back(c);
-    m.values_.push_back(v);
     m.row_offsets_[r + 1] = m.col_indices_.size();
-  }
-  // Fill gaps for empty rows: offsets must be non-decreasing.
-  for (std::size_t r = 1; r <= rows_; ++r) {
-    m.row_offsets_[r] = std::max(m.row_offsets_[r], m.row_offsets_[r - 1]);
   }
   return m;
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -69,6 +73,105 @@ TEST_P(SlicingProperty, AlwaysValidAndCovering) {
 
 INSTANTIATE_TEST_SUITE_P(BlockCounts, SlicingProperty,
                          ::testing::Values(2, 3, 5, 8, 13, 21, 34, 55));
+
+// Brute-force reference: the generator with the per-split linear scan
+// for the first largest region, which a max-heap on (area, -index)
+// replaced. Same RNG draws, same tie-break, so the same blocks.
+struct ReferenceRegion {
+  double x, y, w, h;
+};
+
+std::vector<ReferenceRegion> reference_slicing(Rng& rng,
+                                               const SlicingOptions& options) {
+  std::vector<ReferenceRegion> regions{
+      {0.0, 0.0, options.chip_width, options.chip_height}};
+  while (regions.size() < options.block_count) {
+    std::size_t largest = 0;
+    for (std::size_t i = 1; i < regions.size(); ++i) {
+      if (regions[i].w * regions[i].h > regions[largest].w * regions[largest].h) {
+        largest = i;
+      }
+    }
+    const ReferenceRegion region = regions[largest];
+    const bool can_cut_vertical = region.w >= 2.0 * options.min_block_dim;
+    const bool can_cut_horizontal = region.h >= 2.0 * options.min_block_dim;
+    if (!can_cut_vertical && !can_cut_horizontal) {
+      throw InvalidArgument("reference: cannot cut");
+    }
+    bool cut_vertical;
+    if (can_cut_vertical && can_cut_horizontal) {
+      cut_vertical = region.w > region.h ? true
+                    : region.h > region.w ? false
+                                          : rng.chance(0.5);
+    } else {
+      cut_vertical = can_cut_vertical;
+    }
+    const double fraction =
+        rng.uniform(options.min_cut_fraction, 1.0 - options.min_cut_fraction);
+    ReferenceRegion first = region;
+    ReferenceRegion second = region;
+    if (cut_vertical) {
+      first.w = region.w * fraction;
+      second.x = region.x + first.w;
+      second.w = region.w - first.w;
+    } else {
+      first.h = region.h * fraction;
+      second.y = region.y + first.h;
+      second.h = region.h - first.h;
+    }
+    regions[largest] = first;
+    regions.push_back(second);
+  }
+  return regions;
+}
+
+void expect_slicing_matches_reference(std::uint64_t seed,
+                                      const SlicingOptions& options) {
+  Rng rng(seed);
+  Rng reference_rng(seed);
+  const Floorplan fp = make_slicing_floorplan(rng, options);
+  const std::vector<ReferenceRegion> regions =
+      reference_slicing(reference_rng, options);
+  ASSERT_EQ(fp.size(), regions.size());
+  for (std::size_t i = 0; i < regions.size(); ++i) {
+    const Block& b = fp.block(i);
+    std::string name = "c";  // appended: GCC 12 -Wrestrict misfires on "c" + ...
+    name.append(std::to_string(i));
+    EXPECT_EQ(b.name, name);
+    EXPECT_EQ(b.x, regions[i].x) << "seed " << seed << " block " << i;
+    EXPECT_EQ(b.y, regions[i].y) << "seed " << seed << " block " << i;
+    EXPECT_EQ(b.width, regions[i].w) << "seed " << seed << " block " << i;
+    EXPECT_EQ(b.height, regions[i].h) << "seed " << seed << " block " << i;
+  }
+  // Both consumed the same draws.
+  EXPECT_EQ(rng.next_u64(), reference_rng.next_u64()) << "seed " << seed;
+}
+
+TEST(SlicingOracle, MatchesLinearScanBlockForBlock) {
+  for (const std::size_t count : {1u, 2u, 3u, 8u, 55u, 246u, 1000u}) {
+    for (const std::uint64_t seed : {1u, 7u, 29u, 103u}) {
+      SlicingOptions options;
+      options.block_count = count;
+      expect_slicing_matches_reference(seed * 131 + count, options);
+    }
+  }
+}
+
+TEST(SlicingOracle, EqualAreaTiesPickTheFirstLargestRegion) {
+  // Cut fractions pinned to within an ulp of one half on a square chip:
+  // halves come out with exactly equal areas, so nearly every split is
+  // a tie the index tie-break must settle as the linear scan did.
+  for (const std::size_t count : {4u, 17u, 64u, 300u}) {
+    for (const std::uint64_t seed : {3u, 11u}) {
+      SlicingOptions options;
+      options.block_count = count;
+      options.chip_width = options.chip_height = 0.016;
+      options.min_block_dim = 1e-9;
+      options.min_cut_fraction = std::nextafter(0.5, 0.0);
+      expect_slicing_matches_reference(seed, options);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace thermo::floorplan

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "test_helpers.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace thermo::floorplan {
 namespace {
@@ -172,6 +180,232 @@ TEST(Floorplan, OutOfRangeIndicesThrow) {
   EXPECT_THROW(fp.shared_edge(0, 4), InvalidArgument);
   EXPECT_THROW(fp.neighbours(4), InvalidArgument);
   EXPECT_THROW(fp.boundary_exposure(4), InvalidArgument);
+}
+
+TEST(Floorplan, IndexOfSurvivesCopies) {
+  Floorplan fp = quad_floorplan();
+  Floorplan copy = fp;
+  copy.add_block({"e", 1e-3, 1e-3, 2e-3, 0.0});
+  EXPECT_EQ(*copy.index_of("e"), 4u);
+  EXPECT_FALSE(fp.index_of("e").has_value());
+  EXPECT_EQ(*copy.index_of("c"), 2u);
+  EXPECT_THROW(copy.add_block({"b", 1e-3, 1e-3, 3e-3, 0.0}), InvalidArgument);
+  fp = copy;
+  EXPECT_EQ(*fp.index_of("e"), 4u);
+  EXPECT_FALSE(fp.index_of("f").has_value());
+}
+
+// --- Brute-force references -------------------------------------------
+// The all-pairs loops that validate() and the adjacency cache replaced
+// with sweeps over sorted edges. The sweeps must reproduce them exactly:
+// same pairs, same (i, j) order, same bits.
+
+double reference_interval_overlap(double a0, double a1, double b0, double b1) {
+  return std::min(a1, b1) - std::max(a0, b0);
+}
+
+std::vector<Adjacency> reference_adjacencies(const std::vector<Block>& blocks) {
+  std::vector<Adjacency> out;
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    for (std::size_t j = i + 1; j < blocks.size(); ++j) {
+      const Block& a = blocks[i];
+      const Block& b = blocks[j];
+      double length = 0.0;
+      Side side = Side::kNorth;
+      if (std::fabs(a.top() - b.bottom()) < kGeomTol) {
+        length = reference_interval_overlap(a.left(), a.right(), b.left(), b.right());
+        side = Side::kNorth;
+      } else if (std::fabs(b.top() - a.bottom()) < kGeomTol) {
+        length = reference_interval_overlap(a.left(), a.right(), b.left(), b.right());
+        side = Side::kSouth;
+      } else if (std::fabs(a.right() - b.left()) < kGeomTol) {
+        length = reference_interval_overlap(a.bottom(), a.top(), b.bottom(), b.top());
+        side = Side::kEast;
+      } else if (std::fabs(b.right() - a.left()) < kGeomTol) {
+        length = reference_interval_overlap(a.bottom(), a.top(), b.bottom(), b.top());
+        side = Side::kWest;
+      }
+      if (length > kGeomTol) out.push_back(Adjacency{i, j, length, side});
+    }
+  }
+  return out;
+}
+
+struct ReferenceBox {
+  double min_x, min_y, max_x, max_y;
+};
+
+ReferenceBox reference_box(const std::vector<Block>& blocks) {
+  ReferenceBox box{blocks[0].left(), blocks[0].bottom(), blocks[0].right(),
+                   blocks[0].top()};
+  for (const Block& b : blocks) {
+    box.min_x = std::min(box.min_x, b.left());
+    box.max_x = std::max(box.max_x, b.right());
+    box.min_y = std::min(box.min_y, b.bottom());
+    box.max_y = std::max(box.max_y, b.top());
+  }
+  return box;
+}
+
+/// N, S, E, W exposure of block i on the bounding box.
+std::array<double, 4> reference_exposure(const std::vector<Block>& blocks,
+                                         std::size_t i) {
+  const ReferenceBox box = reference_box(blocks);
+  const Block& b = blocks[i];
+  std::array<double, 4> exposure{0.0, 0.0, 0.0, 0.0};
+  if (std::fabs(b.top() - box.max_y) < kGeomTol) exposure[0] = b.width;
+  if (std::fabs(b.bottom() - box.min_y) < kGeomTol) exposure[1] = b.width;
+  if (std::fabs(b.right() - box.max_x) < kGeomTol) exposure[2] = b.height;
+  if (std::fabs(b.left() - box.min_x) < kGeomTol) exposure[3] = b.height;
+  return exposure;
+}
+
+ValidationReport reference_validate(const std::vector<Block>& blocks) {
+  ValidationReport report;
+  const std::size_t n = blocks.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (blocks[i].overlaps(blocks[j], kGeomTol)) {
+        report.errors.push_back("blocks '" + blocks[i].name + "' and '" +
+                                blocks[j].name + "' overlap");
+      }
+    }
+  }
+  const ReferenceBox box = reference_box(blocks);
+  double block_area = 0.0;
+  for (const Block& b : blocks) block_area += b.area();
+  const double bbox_area = (box.max_x - box.min_x) * (box.max_y - box.min_y);
+  report.coverage = bbox_area > 0.0 ? block_area / bbox_area : 0.0;
+  if (report.coverage < 0.95) {
+    std::ostringstream os;
+    os << "blocks cover only " << report.coverage * 100.0
+       << "% of the chip bounding box";
+    report.warnings.push_back(os.str());
+  }
+  const std::vector<Adjacency> adjacencies = reference_adjacencies(blocks);
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool has_neighbour = std::any_of(
+        adjacencies.begin(), adjacencies.end(),
+        [i](const Adjacency& e) { return e.a == i || e.b == i; });
+    const std::array<double, 4> exposure = reference_exposure(blocks, i);
+    const double exposed = exposure[0] + exposure[1] + exposure[2] + exposure[3];
+    if (!has_neighbour && exposed <= kGeomTol) {
+      report.warnings.push_back("block '" + blocks[i].name +
+                                "' is thermally detached (no neighbours, no "
+                                "boundary exposure)");
+    }
+  }
+  report.ok = report.errors.empty();
+  return report;
+}
+
+/// Random blocks on a coarse lattice, so edges abut exactly, corners
+/// meet and interiors overlap often; some coordinates are then nudged
+/// by just under or just over kGeomTol (and around 2·kGeomTol).
+Floorplan random_messy_floorplan(Rng& rng, std::size_t count, double unit,
+                                 long long lattice) {
+  const double nudges[] = {0.0,   0.5,   0.999, 1.001,
+                           1.5,   1.999, 2.001, 3.0};
+  const auto nudge = [&](double value) {
+    if (!rng.chance(0.3)) return value;
+    const double sign = rng.chance(0.5) ? 1.0 : -1.0;
+    return value + sign * nudges[rng.uniform_index(8)] * kGeomTol;
+  };
+  Floorplan fp("messy");
+  for (std::size_t i = 0; i < count; ++i) {
+    Block b;
+    b.name = "b";
+    b.name.append(std::to_string(i));
+    b.x = nudge(unit * static_cast<double>(rng.uniform_int(0, lattice)));
+    b.y = nudge(unit * static_cast<double>(rng.uniform_int(0, lattice)));
+    b.width = nudge(unit * static_cast<double>(rng.uniform_int(1, 4)));
+    b.height = nudge(unit * static_cast<double>(rng.uniform_int(1, 4)));
+    fp.add_block(std::move(b));
+  }
+  return fp;
+}
+
+void expect_matches_reference(const Floorplan& fp, const std::string& label) {
+  const std::vector<Block>& blocks = fp.blocks();
+  const ValidationReport expected = reference_validate(blocks);
+  const ValidationReport report = fp.validate();
+  EXPECT_EQ(report.ok, expected.ok) << label;
+  EXPECT_EQ(report.errors, expected.errors) << label;
+  EXPECT_EQ(report.warnings, expected.warnings) << label;
+  EXPECT_EQ(report.coverage, expected.coverage) << label;
+
+  const std::vector<Adjacency> adjacencies = reference_adjacencies(blocks);
+  ASSERT_EQ(fp.adjacencies().size(), adjacencies.size()) << label;
+  std::vector<std::vector<std::pair<std::size_t, double>>> edges(blocks.size());
+  for (std::size_t k = 0; k < adjacencies.size(); ++k) {
+    const Adjacency& want = adjacencies[k];
+    const Adjacency& got = fp.adjacencies()[k];
+    EXPECT_EQ(got.a, want.a) << label << " adjacency " << k;
+    EXPECT_EQ(got.b, want.b) << label << " adjacency " << k;
+    EXPECT_EQ(got.shared_length, want.shared_length) << label << " adjacency " << k;
+    EXPECT_EQ(got.side_of_a, want.side_of_a) << label << " adjacency " << k;
+    edges[want.a].emplace_back(want.b, want.shared_length);
+    edges[want.b].emplace_back(want.a, want.shared_length);
+  }
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    EXPECT_EQ(fp.neighbour_edges(i), edges[i]) << label << " block " << i;
+    const std::array<double, 4> exposure = reference_exposure(blocks, i);
+    EXPECT_EQ(fp.boundary_exposure(i, Side::kNorth), exposure[0]) << label;
+    EXPECT_EQ(fp.boundary_exposure(i, Side::kSouth), exposure[1]) << label;
+    EXPECT_EQ(fp.boundary_exposure(i, Side::kEast), exposure[2]) << label;
+    EXPECT_EQ(fp.boundary_exposure(i, Side::kWest), exposure[3]) << label;
+  }
+}
+
+TEST(FloorplanOracle, SweepsMatchAllPairsOnMessyFloorplans) {
+  std::size_t overlaps = 0;
+  std::size_t adjacent = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const std::size_t count = 1 + rng.uniform_index(seed % 4 == 0 ? 200 : 40);
+    const double unit = seed % 2 == 0 ? 1e-4 : 1e-3;
+    const long long lattice = seed % 3 == 0 ? 30 : 10;
+    const Floorplan fp = random_messy_floorplan(rng, count, unit, lattice);
+    expect_matches_reference(fp, "seed " + std::to_string(seed));
+    overlaps += fp.validate().errors.size();
+    adjacent += fp.adjacencies().size();
+  }
+  // The family must actually exercise both checks.
+  EXPECT_GT(overlaps, 100u);
+  EXPECT_GT(adjacent, 100u);
+}
+
+TEST(FloorplanOracle, GapsAroundTheToleranceMatchAllPairs) {
+  // A 1 mm block and a neighbour shifted right by a gap around
+  // kGeomTol, on each side of the candidate window, above and below,
+  // plus a corner-touching block that shares no edge length.
+  for (const double gap : {0.0, 0.5, 0.999, 1.001, 1.999, 2.0, 2.001, -0.999,
+                           -1.001, -1.999, -2.001}) {
+    Floorplan fp("gap");
+    fp.add_block({"a", 1e-3, 1e-3, 0.0, 0.0});
+    fp.add_block({"b", 1e-3, 1e-3, 1e-3 + gap * kGeomTol, 0.0});
+    fp.add_block({"c", 1e-3, 1e-3, 0.0, 1e-3 + gap * kGeomTol});
+    fp.add_block({"d", 1e-3, 1e-3, 1e-3, 1e-3});
+    fp.add_block({"e", 1e-3, 1e-3, 2e-3, 2e-3});
+    expect_matches_reference(fp, "gap " + std::to_string(gap));
+  }
+}
+
+TEST(FloorplanOracle, GridOfTouchingBlocksMatchesAllPairs) {
+  Floorplan fp("grid");
+  for (int r = 0; r < 20; ++r) {
+    for (int c = 0; c < 20; ++c) {
+      Block b;
+      b.name = "g";
+      b.name.append(std::to_string(r * 20 + c));
+      b.width = b.height = 1e-4;
+      b.x = c * 1e-4;
+      b.y = r * 1e-4;
+      fp.add_block(std::move(b));
+    }
+  }
+  expect_matches_reference(fp, "grid");
+  EXPECT_EQ(fp.adjacencies().size(), 2u * 20u * 19u);
 }
 
 }  // namespace

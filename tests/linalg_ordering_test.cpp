@@ -14,6 +14,7 @@
 
 #include "linalg/cholesky.hpp"
 #include "linalg/sparse_cholesky.hpp"
+#include "min_degree_reference.hpp"
 #include "util/rng.hpp"
 
 namespace thermo::linalg {
@@ -224,6 +225,60 @@ TEST(OrderedFactorTest, OrderedNaturalAndDenseSolvesAgree) {
       }
     }
   }
+}
+
+/// Symmetric pattern: a ring, random couplings, and `hubs` rows each
+/// coupled to a random share of all nodes — some past the dense-row
+/// threshold max(16, 4·sqrt(n)), some just under it.
+SparseMatrix random_pattern_with_dense_rows(Rng& rng, std::size_t n,
+                                            std::size_t extra,
+                                            std::size_t hubs) {
+  SparseMatrix::Builder builder(n, n);
+  auto couple = [&](std::size_t i, std::size_t j) {
+    builder.add(i, j, -1.0);
+    builder.add(j, i, -1.0);
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    builder.add(i, i, 4.0);
+    couple(i, (i + 1) % n);
+  }
+  for (std::size_t e = 0; e < extra; ++e) {
+    const std::size_t i = rng.uniform_index(n);
+    const std::size_t j = rng.uniform_index(n);
+    if (i != j) couple(i, j);
+  }
+  const std::size_t threshold = std::max<std::size_t>(
+      16, 4 * static_cast<std::size_t>(std::sqrt(static_cast<double>(n))));
+  for (std::size_t h = 0; h < hubs; ++h) {
+    const std::size_t hub = rng.uniform_index(n);
+    const std::size_t reach =
+        h % 2 == 0 ? threshold + 1 + rng.uniform_index(n / 2)
+                   : threshold - 2 - rng.uniform_index(4);
+    for (std::size_t k = 0; k < reach; ++k) {
+      const std::size_t j = rng.uniform_index(n);
+      if (j != hub) couple(hub, j);
+    }
+  }
+  return builder.build();
+}
+
+TEST(MinDegreeOracle, MatchesSetReferenceOnRandomGraphsWithDenseRows) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    Rng rng(seed);
+    for (const std::size_t n : {2u, 17u, 120u, 400u, 1500u}) {
+      const SparseMatrix a =
+          random_pattern_with_dense_rows(rng, n, n * (seed % 3), seed % 4);
+      EXPECT_EQ(min_degree_ordering(a),
+                thermo::testing::reference_min_degree_ordering(a))
+          << "seed=" << seed << " n=" << n;
+    }
+  }
+}
+
+TEST(MinDegreeOracle, MatchesSetReferenceOnGridLaplacian) {
+  const SparseMatrix a = grid_laplacian(64);
+  EXPECT_EQ(min_degree_ordering(a),
+            thermo::testing::reference_min_degree_ordering(a));
 }
 
 }  // namespace
