@@ -16,12 +16,27 @@
 #   4. Needles: REQUEST_NEEDLES in the input, RESULT_NEEDLES in the
 #      reference records, SUMMARY_NEEDLES in the summary JSON. A needle
 #      `N*text` must occur exactly N times; a plain `text` at least once.
+#   5. MODE (optional) adds what the serves leave besides records:
+#      cache  every config is a separate process serving through one
+#             shared --cache-dir and writing its own summary. The
+#             reference must persist one record per executed request;
+#             `cache stats` (reporting that count) and `cache verify`
+#             (exit 0) run after it, `cache compact` before the last
+#             config; every later config must execute 0 requests and
+#             take one disk hit per persisted record.
+#      trace  every non-reference config adds --trace, --metrics-json
+#             and --metrics; each trace must pass CHECK_TRACE (balanced
+#             B/E spans, per-thread monotonic timestamps) with at least
+#             RECORDS events, and each metrics file must name the
+#             dispatch, scenario and thermal counters below.
 #
 # Usage: cmake -DSCHED_BIN=<thermosched> -DWORK_DIR=<scratch dir>
 #              (-DGEN_ARGS=<flag;value;...> | -DBATCH=<line;line;...>)
 #              -DCONFIGS=<threads:policy:dedup;...> -DRECORDS=N -DOKS=N
 #              [-DREQUEST_NEEDLES=...] [-DRESULT_NEEDLES=...]
-#              [-DSUMMARY_NEEDLES=...] -P RunServeMatrix.cmake
+#              [-DSUMMARY_NEEDLES=...] [-DMODE=cache|trace]
+#              [-DPYTHON_BIN=<python3> -DCHECK_TRACE=<check_trace.py>]
+#              -P RunServeMatrix.cmake
 cmake_minimum_required(VERSION 3.24)
 foreach(required SCHED_BIN WORK_DIR CONFIGS RECORDS OKS)
   if("${${required}}" STREQUAL "")
@@ -31,10 +46,17 @@ endforeach()
 if("${GEN_ARGS}" STREQUAL "" AND "${BATCH}" STREQUAL "")
   message(FATAL_ERROR "one of GEN_ARGS or BATCH must be set")
 endif()
+if(NOT "${MODE}" MATCHES "^(|cache|trace)$")
+  message(FATAL_ERROR "MODE must be empty, cache or trace")
+endif()
+if(MODE STREQUAL "trace" AND ("${PYTHON_BIN}" STREQUAL "" OR
+                              "${CHECK_TRACE}" STREQUAL ""))
+  message(FATAL_ERROR "MODE trace needs PYTHON_BIN and CHECK_TRACE")
+endif()
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(requests "${WORK_DIR}/requests.jsonl")
-set(summary "${WORK_DIR}/summary.json")
+set(cache_dir "${WORK_DIR}/cache")
 
 # Occurrences of the literal `needle` in `text` (no regex: JSON needles
 # are full of regex metacharacters).
@@ -70,13 +92,24 @@ function(check_needles what text)
   endforeach()
 endfunction()
 
+# run_checked(<command>...): fails unless the command exits 0; its
+# stdout lands in `run_output`.
 function(run_checked)
   execute_process(COMMAND ${ARGN}
-    OUTPUT_VARIABLE ignored ERROR_VARIABLE err RESULT_VARIABLE rc)
+    OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
     string(REPLACE ";" " " command "${ARGN}")
-    message(FATAL_ERROR "${command}\nexited with ${rc}\n${err}")
+    message(FATAL_ERROR "${command}\nexited with ${rc}\n${out}${err}")
   endif()
+  set(run_output "${out}" PARENT_SCOPE)
+endfunction()
+
+# summary_field(<out> <summary file> <key>...): one value of a serve
+# summary; JSON booleans read as ON/OFF.
+function(summary_field out path)
+  file(READ "${path}" text)
+  string(JSON value GET "${text}" ${ARGN})
+  set(${out} "${value}" PARENT_SCOPE)
 endfunction()
 
 if(NOT "${GEN_ARGS}" STREQUAL "")
@@ -103,20 +136,54 @@ file(READ "${requests}" request_text)
 check_needles("request stream" "${request_text}" ${REQUEST_NEEDLES})
 
 set(reference "")
+set(index 0)
+list(LENGTH CONFIGS config_count)
 foreach(config IN LISTS CONFIGS)
+  math(EXPR index "${index} + 1")
   string(REPLACE ":" ";" fields "${config}")
   list(GET fields 0 threads)
   list(GET fields 1 policy)
   list(GET fields 2 dedup)
-  set(outfile "${WORK_DIR}/results_t${threads}_${policy}_${dedup}.jsonl")
+  set(outfile "${WORK_DIR}/results_${index}_t${threads}_${policy}_${dedup}.jsonl")
+  set(summary "${WORK_DIR}/summary_${index}.json")
+  set(trace "${WORK_DIR}/trace_${index}.json")
+  set(metrics "${WORK_DIR}/metrics_${index}.json")
   set(command "${SCHED_BIN}" serve --in "${requests}" --out "${outfile}"
       --threads ${threads} --schedule-policy ${policy} --dedup ${dedup})
-  if("${reference}" STREQUAL "")
-    run_checked(${command} --summary-json "${summary}")
-    set(reference "${outfile}")
-    continue()
+  if("${reference}" STREQUAL "" OR MODE STREQUAL "cache")
+    list(APPEND command --summary-json "${summary}")
+  endif()
+  if(MODE STREQUAL "cache")
+    list(APPEND command --cache-dir "${cache_dir}")
+    if(index GREATER 1 AND index EQUAL config_count)
+      run_checked("${SCHED_BIN}" cache compact --cache-dir "${cache_dir}")
+    endif()
+  elseif(MODE STREQUAL "trace" AND NOT "${reference}" STREQUAL "")
+    list(APPEND command --trace "${trace}" --metrics-json "${metrics}"
+         --metrics)
   endif()
   run_checked(${command})
+
+  if("${reference}" STREQUAL "")
+    set(reference "${outfile}")
+    if(MODE STREQUAL "cache")
+      summary_field(enabled "${summary}" disk_cache enabled)
+      summary_field(executed "${summary}" memo executed)
+      summary_field(persisted "${summary}" disk_cache records)
+      if(NOT enabled OR NOT persisted EQUAL executed)
+        message(FATAL_ERROR
+          "the reference executed ${executed} requests but persisted "
+          "${persisted} records (disk cache enabled: ${enabled})")
+      endif()
+      run_checked("${SCHED_BIN}" cache stats --cache-dir "${cache_dir}")
+      if(NOT run_output MATCHES "records[ |]+${persisted}[ |]")
+        message(FATAL_ERROR
+          "cache stats does not report ${persisted} records:\n${run_output}")
+      endif()
+      run_checked("${SCHED_BIN}" cache verify --cache-dir "${cache_dir}")
+    endif()
+    continue()
+  endif()
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E compare_files "${reference}" "${outfile}"
     RESULT_VARIABLE cmp_rc)
@@ -124,6 +191,22 @@ foreach(config IN LISTS CONFIGS)
     message(FATAL_ERROR
       "serve output for ${config} differs from the reference "
       "(${reference} vs ${outfile}) — serve lost determinism")
+  endif()
+  if(MODE STREQUAL "cache")
+    summary_field(executed "${summary}" memo executed)
+    summary_field(disk_hits "${summary}" disk_cache hits)
+    if(NOT executed EQUAL 0 OR NOT disk_hits EQUAL persisted)
+      message(FATAL_ERROR
+        "config ${index} (${config}) executed ${executed} requests and took "
+        "${disk_hits} disk hits; want 0 and ${persisted}")
+    endif()
+  elseif(MODE STREQUAL "trace")
+    run_checked("${PYTHON_BIN}" "${CHECK_TRACE}" "${trace}"
+                --min-events ${RECORDS})
+    file(READ "${metrics}" metrics_text)
+    check_needles("metrics ${metrics}" "${metrics_text}"
+      "\"dispatch.jobs\"" "\"dispatch.exec_ns\"" "\"dispatch.queue_wait_ns\""
+      "\"scenario.requests\"" "\"thermal.factor_ns\"")
   endif()
 endforeach()
 
@@ -133,10 +216,9 @@ if(NOT record_count EQUAL RECORDS)
   message(FATAL_ERROR "expected ${RECORDS} result records, got ${record_count}")
 endif()
 check_needles("results" "${results}" "${OKS}*\"ok\":true" ${RESULT_NEEDLES})
-file(READ "${summary}" summary_text)
+file(READ "${WORK_DIR}/summary_1.json" summary_text)
 check_needles("summary JSON" "${summary_text}" ${SUMMARY_NEEDLES})
 
-list(LENGTH CONFIGS config_count)
 message(STATUS
   "serve matrix OK: ${RECORDS} records (${OKS} ok) byte-identical across "
   "${config_count} configs")

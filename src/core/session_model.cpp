@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "thermal/rc_model.hpp"
 #include "util/error.hpp"
 
 namespace thermo::core {
@@ -22,16 +23,11 @@ SessionThermalModel::SessionThermalModel(const fp::Floorplan& floorplan,
   boundary_conductance_.assign(n, 0.0);
   vertical_conductance_.assign(n, 0.0);
 
-  // Lateral die resistances: identical formula to the RC simulator so
-  // the guide model and the oracle agree on the die-level physics.
+  // Lateral die conductances: the RC simulator's own formula, so the
+  // guide model and the oracle agree on the die-level physics.
   for (const fp::Adjacency& adj : floorplan.adjacencies()) {
-    const fp::Block& a = floorplan.block(adj.a);
-    const fp::Block& b = floorplan.block(adj.b);
-    const double da = a.centroid_to_side(adj.side_of_a);
-    const double db = b.centroid_to_side(adj.side_of_a);
-    const double resistance =
-        (da + db) / (package.k_die * package.t_die * adj.shared_length);
-    const double conductance = 1.0 / resistance;
+    const double conductance =
+        thermal::lateral_conductance(floorplan, adj, package);
     lateral_[adj.a].push_back({adj.b, conductance});
     lateral_[adj.b].push_back({adj.a, conductance});
   }
@@ -52,14 +48,11 @@ SessionThermalModel::SessionThermalModel(const fp::Floorplan& floorplan,
     boundary_conductance_[i] = conductance;
   }
 
-  // Vertical path (extension): half-die + TIM + spreading, as in the RC
-  // simulator's block -> spreader-centre resistance.
+  // Vertical path (extension): the RC simulator's block ->
+  // spreader-centre conductance (half-die + TIM + spreading).
   for (std::size_t i = 0; i < n; ++i) {
-    const double area = floorplan.block(i).area();
-    const double r_die = package.t_die / (2.0 * package.k_die * area);
-    const double r_tim = package.t_tim / (package.k_tim * area);
-    const double r_spread = 0.475 / (package.k_spreader * std::sqrt(area));
-    vertical_conductance_[i] = 1.0 / (r_die + r_tim + r_spread);
+    vertical_conductance_[i] =
+        thermal::vertical_conductance(floorplan.block(i).area(), package);
   }
 }
 

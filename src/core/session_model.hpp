@@ -27,6 +27,12 @@
 // vertical resistance in parallel (an extension; off by default to match
 // the paper, exercised by the model-fidelity ablation).
 //
+// The lateral and vertical die conductances come from the oracle's own
+// formulas (thermal::lateral_conductance / thermal::vertical_conductance
+// in thermal/rc_model.hpp), so each resistance here is exactly 1 / the
+// matching RCModel conductance; only the boundary paths are the session
+// model's own.
+//
 // docs/SCHEDULING.md explains how the scheduler uses STC/STCL and how
 // stc_scale places a SoC on the paper's STCL axis.
 #pragma once
@@ -99,14 +105,15 @@ class SessionThermalModel {
                                      const std::vector<double>& weight) const;
 
   /// Lateral resistance between adjacent cores i and j [K/W]
-  /// (+infinity when not adjacent). Mirrors the RC simulator's formula.
+  /// (+infinity when not adjacent): 1 / RCModel::conductance_between.
   double lateral_resistance(std::size_t i, std::size_t j) const;
 
   /// Combined resistance from core i to the chip boundary [K/W]
   /// (+infinity for interior blocks).
   double boundary_resistance(std::size_t i) const;
 
-  /// Vertical resistance of core i through the package [K/W].
+  /// Vertical resistance of core i into the spreader centre [K/W]:
+  /// 1 / RCModel::conductance_between(i, spreader_center_index()).
   double vertical_resistance(std::size_t i) const;
 
   static constexpr double kInfiniteResistance =

@@ -27,9 +27,7 @@ double predicted_factor_nnz(std::size_t nodes) {
 
 double CostModel::estimate(const CostFeatures& features) const {
   // A back-substitution touches every non-zero of the sparse factor.
-  const double solve_ops = features.solve_nnz > 0.0
-                               ? features.solve_nnz
-                               : predicted_factor_nnz(features.nodes);
+  const double solve_ops = predicted_factor_nnz(features.nodes);
   const double solves_per_call =
       features.transient ? std::max(1.0, features.steps_per_call) : 1.0;
   const double calls =

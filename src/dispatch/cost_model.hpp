@@ -7,8 +7,8 @@
 // with oracle validations; each validation is either one steady-state
 // back-substitution or `steps` backward-Euler back-substitutions; each
 // back-substitution touches the nnz(L) entries of the sparse factor —
-// the *post-ordering* fill, supplied directly (solve_nnz) or predicted
-// from n (predicted_factor_nnz; docs/SOLVERS.md "Ordering"). The model
+// the *post-ordering* fill, predicted from n (predicted_factor_nnz;
+// docs/SOLVERS.md "Ordering"). The model
 // simply multiplies those factors out:
 //
 //   cost ≈ stcl_points · validations(cores) · solves_per_validation
@@ -40,10 +40,6 @@ struct CostFeatures {
   /// trace step). 0 (default) keeps the Algorithm 1 estimate of
   /// validations_per_core * cores.
   double oracle_calls = 0.0;
-  /// Non-zeros of the post-ordering sparse factor L, when known (e.g.
-  /// from an already-factored model). 0 (default) falls back to
-  /// predicted_factor_nnz(nodes).
-  double solve_nnz = 0.0;
 };
 
 /// Predicted nnz(L) of a fill-ordered sparse factor of an n-node

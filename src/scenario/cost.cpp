@@ -105,12 +105,9 @@ dispatch::CostFeatures request_cost_features(const ScenarioRequest& request) {
   // request shape (no estimate needed) and is what makes a 317×317 grid
   // solve rank as the whale it is.
   features.nodes = request.kind == RequestKind::kGridSteady
-                       ? request.grid.rows * request.grid.cols + 10
-                       : features.cores + thermal::RCModel::kPackageNodes;
-  // Post-ordering fill model for the back-substitution term
-  // (docs/SOLVERS.md "Ordering"); estimate() would apply the same
-  // default, set explicitly here so the feature record is complete.
-  features.solve_nnz = dispatch::predicted_factor_nnz(features.nodes);
+                       ? request.grid.rows * request.grid.cols
+                       : features.cores;
+  features.nodes += thermal::kPackageNodes;
   switch (request.kind) {
     case RequestKind::kStclSweep:
       features.transient = request.solver.transient;

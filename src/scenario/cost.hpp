@@ -8,7 +8,7 @@
 // request *names*, a cached line count — one read per distinct path per
 // process, never per request):
 //   * node/core counts: exact for the named SoCs (alpha = 15 cores,
-//     fig1 = 7, + 10 package nodes — thermal::RCModel::kPackageNodes)
+//     fig1 = 7, + 10 package nodes — thermal::kPackageNodes)
 //     and for synthetic (cores field); a `.flp` request's block count is
 //     read off the file itself (one non-comment line per block, cached
 //     by path), falling back to a fixed moderate guess when the file is

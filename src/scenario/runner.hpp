@@ -146,18 +146,24 @@ class ScenarioRunner {
   static constexpr std::size_t kMaxCachedModels = 64;
 
  private:
-  struct CachedModel {
-    std::shared_ptr<const thermal::RCModel> model;
+  template <typename Model>
+  struct Cached {
+    std::shared_ptr<const Model> model;
     std::uint64_t last_used = 0;  ///< LRU stamp (monotonic use counter)
   };
-  struct CachedGrid {
-    std::shared_ptr<const thermal::GridThermalModel> model;
-    std::uint64_t last_used = 0;
-  };
+  template <typename Model>
+  using ModelCache = std::map<std::string, Cached<Model>>;
+
+  /// The model `cache` holds under `key`, else `build()` — run under the
+  /// lock, after evicting the least recently used entry of a full cache.
+  template <typename Model, typename Build>
+  std::shared_ptr<const Model> cached(ModelCache<Model>& cache,
+                                      const std::string& key,
+                                      const Build& build);
 
   mutable std::mutex mutex_;
-  std::map<std::string, CachedModel> models_;
-  std::map<std::string, CachedGrid> grids_;
+  ModelCache<thermal::RCModel> models_;
+  ModelCache<thermal::GridThermalModel> grids_;
   std::uint64_t use_counter_ = 0;
   Stats stats_;
 };

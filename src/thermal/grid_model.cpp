@@ -36,21 +36,8 @@ GridThermalModel::GridThermalModel(const floorplan::Floorplan& fp,
   const double y0 = floorplan_.min_y();
 
   const std::size_t cells = cell_count();
-  const std::size_t sp_c = cells, sp_n = cells + 1, sp_s = cells + 2,
-                    sp_e = cells + 3, sp_w = cells + 4;
-  const std::size_t sk_c = cells + 5, sk_n = cells + 6, sk_s = cells + 7,
-                    sk_e = cells + 8, sk_w = cells + 9;
-
+  const std::size_t sp_c = cells;
   linalg::SparseMatrix::Builder builder(node_count(), node_count());
-  auto stamp = [&](std::size_t a, std::size_t b, double g) {
-    builder.add(a, a, g);
-    builder.add(b, b, g);
-    builder.add(a, b, -g);
-    builder.add(b, a, -g);
-  };
-  auto stamp_ambient = [&](std::size_t node, double g) {
-    builder.add(node, node, g);
-  };
 
   // Lateral cell-to-cell conduction through shared faces.
   const double g_horizontal =
@@ -60,10 +47,12 @@ GridThermalModel::GridThermalModel(const floorplan::Floorplan& fp,
   for (std::size_t r = 0; r < options_.rows; ++r) {
     for (std::size_t c = 0; c < options_.cols; ++c) {
       if (c + 1 < options_.cols) {
-        stamp(cell_index(r, c), cell_index(r, c + 1), g_horizontal);
+        stamp_conductance(builder, cell_index(r, c), cell_index(r, c + 1),
+                          g_horizontal);
       }
       if (r + 1 < options_.rows) {
-        stamp(cell_index(r, c), cell_index(r + 1, c), g_vertical);
+        stamp_conductance(builder, cell_index(r, c), cell_index(r + 1, c),
+                          g_vertical);
       }
     }
   }
@@ -77,45 +66,11 @@ GridThermalModel::GridThermalModel(const floorplan::Floorplan& fp,
       package_.t_die / (2.0 * package_.k_die * a_cell) +
       package_.t_tim / (package_.k_tim * a_cell);
   for (std::size_t cell = 0; cell < cells; ++cell) {
-    stamp(cell, sp_c, 1.0 / r_cell_vertical);
+    stamp_conductance(builder, cell, sp_c, 1.0 / r_cell_vertical);
   }
 
-  // Package: identical topology and formulas to RCModel.
-  {
-    const double side = package_.spreader_side;
-    const double r_lat =
-        (side / 2.0) / (package_.k_spreader * package_.t_spreader * side);
-    for (std::size_t node : {sp_n, sp_s, sp_e, sp_w}) {
-      stamp(sp_c, node, 1.0 / r_lat);
-    }
-    const double a_spr = side * side;
-    const double r_center =
-        package_.t_spreader / (2.0 * package_.k_spreader * a_spr) +
-        package_.t_sink / (2.0 * package_.k_sink * a_spr);
-    stamp(sp_c, sk_c, 1.0 / r_center);
-    const double a_quadrant = a_spr / 4.0;
-    const double r_side =
-        package_.t_spreader / (2.0 * package_.k_spreader * a_quadrant) +
-        package_.t_sink / (2.0 * package_.k_sink * a_quadrant);
-    stamp(sp_n, sk_n, 1.0 / r_side);
-    stamp(sp_s, sk_s, 1.0 / r_side);
-    stamp(sp_e, sk_e, 1.0 / r_side);
-    stamp(sp_w, sk_w, 1.0 / r_side);
-
-    const double sink_side = package_.sink_side;
-    const double r_sink_lat =
-        (sink_side / 2.0) / (package_.k_sink * package_.t_sink * sink_side);
-    for (std::size_t node : {sk_n, sk_s, sk_e, sk_w}) {
-      stamp(sk_c, node, 1.0 / r_sink_lat);
-    }
-    const double a_sink = sink_side * sink_side;
-    const double a_side_conv = (a_sink - a_spr) / 4.0;
-    stamp_ambient(sk_c, a_spr / (package_.r_convec * a_sink));
-    for (std::size_t node : {sk_n, sk_s, sk_e, sk_w}) {
-      stamp_ambient(node,
-                    std::max(a_side_conv, 1e-12) / (package_.r_convec * a_sink));
-    }
-  }
+  // The package network after the die cells, as in RCModel.
+  stamp_package(builder, sp_c, package_);
 
   conductance_ = builder.build();
   THERMO_ENSURE(conductance_.is_symmetric(1e-9),

@@ -4,8 +4,9 @@
 // The die is discretised into rows x cols uniform cells; block powers
 // are spread over the cells they cover by area overlap. Cells couple
 // laterally to their 4-neighbours and vertically into the same
-// 10-node spreader/sink/convection package used by RCModel, so the two
-// models share package physics and differ only in die granularity.
+// 10-node spreader/sink/convection package used by RCModel — one
+// stamp_package (thermal/rc_model.hpp) stamps both — so the two models
+// share package physics and differ only in die granularity.
 //
 // Purpose: a higher-fidelity steady-state oracle to quantify the
 // discretisation error of the block model (bench_ablation_grid) and to
@@ -23,6 +24,7 @@
 #include "floorplan/floorplan.hpp"
 #include "linalg/sparse.hpp"
 #include "thermal/package.hpp"
+#include "thermal/rc_model.hpp"
 
 namespace thermo::thermal {
 
@@ -48,8 +50,8 @@ class GridThermalModel {
   std::size_t rows() const { return options_.rows; }
   std::size_t cols() const { return options_.cols; }
   std::size_t cell_count() const { return options_.rows * options_.cols; }
-  /// Total node count: cells + 10 package nodes.
-  std::size_t node_count() const { return cell_count() + 10; }
+  /// Total node count: cells + the package nodes.
+  std::size_t node_count() const { return cell_count() + kPackageNodes; }
 
   const floorplan::Floorplan& floorplan() const { return floorplan_; }
   const PackageParams& package() const { return package_; }

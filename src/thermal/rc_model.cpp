@@ -9,6 +9,108 @@ namespace thermo::thermal {
 
 namespace fp = thermo::floorplan;
 
+double lateral_conductance(const fp::Floorplan& floorplan,
+                           const fp::Adjacency& adj,
+                           const PackageParams& package) {
+  const fp::Block& a = floorplan.block(adj.a);
+  const fp::Block& b = floorplan.block(adj.b);
+  const double da = a.centroid_to_side(adj.side_of_a);
+  // The side of b facing a is the opposite one; centroid distance is
+  // symmetric per axis, so reuse the same axis extent.
+  const double db = b.centroid_to_side(adj.side_of_a);
+  const double resistance =
+      (da + db) / (package.k_die * package.t_die * adj.shared_length);
+  return 1.0 / resistance;
+}
+
+double vertical_conductance(double area, const PackageParams& package) {
+  const double r_die = package.t_die / (2.0 * package.k_die * area);
+  const double r_tim = package.t_tim / (package.k_tim * area);
+  // Constriction (spreading) resistance of a square heat source of side
+  // sqrt(area) into the copper spreader; 0.475/(k*L) is the classic
+  // square-source half-space approximation.
+  const double r_spread = 0.475 / (package.k_spreader * std::sqrt(area));
+  return 1.0 / (r_die + r_tim + r_spread);
+}
+
+void stamp_conductance(linalg::SparseMatrix::Builder& builder, std::size_t a,
+                       std::size_t b, double g) {
+  THERMO_ENSURE(std::isfinite(g) && g > 0.0, "stamped conductance must be positive");
+  builder.add(a, a, g);
+  builder.add(b, b, g);
+  builder.add(a, b, -g);
+  builder.add(b, a, -g);
+}
+
+std::array<double, kPackageNodes> stamp_package(
+    linalg::SparseMatrix::Builder& builder, std::size_t first,
+    const PackageParams& package) {
+  const std::size_t sp_c = first;
+  const std::size_t sp_n = sp_c + 1, sp_s = sp_c + 2, sp_e = sp_c + 3,
+                    sp_w = sp_c + 4;
+  const std::size_t sk_c = first + 5;
+  const std::size_t sk_n = sk_c + 1, sk_s = sk_c + 2, sk_e = sk_c + 3,
+                    sk_w = sk_c + 4;
+
+  // --- spreader lateral: centre <-> periphery (half-side copper slab) ---
+  {
+    const double side = package.spreader_side;
+    const double r_lat = (side / 2.0) /
+                         (package.k_spreader * package.t_spreader * side);
+    for (std::size_t node : {sp_n, sp_s, sp_e, sp_w}) {
+      stamp_conductance(builder, sp_c, node, 1.0 / r_lat);
+    }
+  }
+
+  // --- spreader -> sink vertical ---
+  const double a_spr = package.spreader_side * package.spreader_side;
+  {
+    // Centre column: spreader half-thickness + sink half-thickness over
+    // the spreader footprint.
+    const double r_center =
+        package.t_spreader / (2.0 * package.k_spreader * a_spr) +
+        package.t_sink / (2.0 * package.k_sink * a_spr);
+    stamp_conductance(builder, sp_c, sk_c, 1.0 / r_center);
+    // Periphery quadrants drain into the matching sink periphery node.
+    const double a_quadrant = a_spr / 4.0;
+    const double r_side =
+        package.t_spreader / (2.0 * package.k_spreader * a_quadrant) +
+        package.t_sink / (2.0 * package.k_sink * a_quadrant);
+    stamp_conductance(builder, sp_n, sk_n, 1.0 / r_side);
+    stamp_conductance(builder, sp_s, sk_s, 1.0 / r_side);
+    stamp_conductance(builder, sp_e, sk_e, 1.0 / r_side);
+    stamp_conductance(builder, sp_w, sk_w, 1.0 / r_side);
+  }
+
+  // --- sink lateral: centre <-> periphery ---
+  {
+    const double side = package.sink_side;
+    const double r_lat =
+        (side / 2.0) / (package.k_sink * package.t_sink * side);
+    for (std::size_t node : {sk_n, sk_s, sk_e, sk_w}) {
+      stamp_conductance(builder, sk_c, node, 1.0 / r_lat);
+    }
+  }
+
+  // --- convection to ambient, split by footprint area ---
+  // R_node = r_convec * (A_sink / A_node): nodes in parallel recombine
+  // to exactly r_convec. The centre node sits under the spreader.
+  const double a_sink = package.sink_side * package.sink_side;
+  const double a_side = (a_sink - a_spr) / 4.0;
+  // A degenerate package (sink == spreader) keeps the periphery
+  // grounded through a tiny leak so G stays non-singular.
+  const double g_side = a_side > 0.0 ? a_side / (package.r_convec * a_sink) : 1e-9;
+  std::array<double, kPackageNodes> ambient{};
+  ambient[5] = a_spr / (package.r_convec * a_sink);
+  for (std::size_t k = 6; k < kPackageNodes; ++k) ambient[k] = g_side;
+  for (std::size_t k = 5; k < kPackageNodes; ++k) {
+    THERMO_ENSURE(std::isfinite(ambient[k]) && ambient[k] > 0.0,
+                  "ambient conductance must be positive");
+    builder.add(first + k, first + k, ambient[k]);
+  }
+  return ambient;
+}
+
 RCModel::RCModel(const fp::Floorplan& floorplan, const PackageParams& package)
     : floorplan_(floorplan),
       package_(package),
@@ -17,22 +119,6 @@ RCModel::RCModel(const fp::Floorplan& floorplan, const PackageParams& package)
   floorplan_.require_valid();
   block_count_ = floorplan_.size();
   build();
-}
-
-void RCModel::stamp(linalg::SparseMatrix::Builder& builder, std::size_t a,
-                    std::size_t b, double g) {
-  THERMO_ENSURE(std::isfinite(g) && g > 0.0, "stamped conductance must be positive");
-  builder.add(a, a, g);
-  builder.add(b, b, g);
-  builder.add(a, b, -g);
-  builder.add(b, a, -g);
-}
-
-void RCModel::stamp_to_ambient(linalg::SparseMatrix::Builder& builder,
-                               std::size_t node, double g) {
-  THERMO_ENSURE(std::isfinite(g) && g > 0.0, "ambient conductance must be positive");
-  builder.add(node, node, g);
-  ambient_conductance_[node] += g;
 }
 
 void RCModel::build() {
@@ -45,7 +131,6 @@ void RCModel::build() {
   linalg::SparseMatrix::Builder builder(total, total);
   builder.reserve(16 * total);
   capacitance_.assign(total, 0.0);
-  ambient_conductance_.assign(total, 0.0);
   node_names_.clear();
   node_names_.reserve(total);
   for (std::size_t i = 0; i < n; ++i) {
@@ -57,99 +142,25 @@ void RCModel::build() {
     node_names_.emplace_back(name);
   }
 
+  for (const fp::Adjacency& adj : floorplan_.adjacencies()) {
+    stamp_conductance(builder, adj.a, adj.b,
+                      lateral_conductance(floorplan_, adj, package_));
+  }
   const std::size_t sp_c = spreader_center_index();
+  for (std::size_t i = 0; i < n; ++i) {
+    stamp_conductance(builder, i, sp_c,
+                      vertical_conductance(floorplan_.block(i).area(), package_));
+  }
+  ambient_conductance_.assign(n, 0.0);
+  const auto package_ambient = stamp_package(builder, sp_c, package_);
+  ambient_conductance_.insert(ambient_conductance_.end(),
+                              package_ambient.begin(), package_ambient.end());
+
   const std::size_t sp_n = sp_c + 1, sp_s = sp_c + 2, sp_e = sp_c + 3,
                     sp_w = sp_c + 4;
   const std::size_t sk_c = sink_center_index();
   const std::size_t sk_n = sk_c + 1, sk_s = sk_c + 2, sk_e = sk_c + 3,
                     sk_w = sk_c + 4;
-
-  // --- die lateral conductances ---
-  for (const fp::Adjacency& adj : floorplan_.adjacencies()) {
-    const fp::Block& a = floorplan_.block(adj.a);
-    const fp::Block& b = floorplan_.block(adj.b);
-    const double da = a.centroid_to_side(adj.side_of_a);
-    // The side of b facing a is the opposite one; centroid distance is
-    // symmetric per axis, so reuse the same axis extent.
-    const double db = b.centroid_to_side(adj.side_of_a);
-    const double resistance =
-        (da + db) / (package_.k_die * package_.t_die * adj.shared_length);
-    stamp(builder, adj.a, adj.b, 1.0 / resistance);
-  }
-
-  // --- die vertical path: block -> spreader centre ---
-  for (std::size_t i = 0; i < n; ++i) {
-    const double area = floorplan_.block(i).area();
-    const double r_die = package_.t_die / (2.0 * package_.k_die * area);
-    const double r_tim = package_.t_tim / (package_.k_tim * area);
-    // Constriction (spreading) resistance of a square heat source of
-    // side sqrt(area) into the copper spreader; 0.475/(k*L) is the
-    // classic square-source half-space approximation.
-    const double r_spread = 0.475 / (package_.k_spreader * std::sqrt(area));
-    stamp(builder, i, sp_c, 1.0 / (r_die + r_tim + r_spread));
-  }
-
-  // --- spreader lateral: centre <-> periphery (half-side copper slab) ---
-  {
-    const double side = package_.spreader_side;
-    const double r_lat = (side / 2.0) /
-                         (package_.k_spreader * package_.t_spreader * side);
-    for (std::size_t node : {sp_n, sp_s, sp_e, sp_w}) {
-      stamp(builder, sp_c, node, 1.0 / r_lat);
-    }
-  }
-
-  // --- spreader -> sink vertical ---
-  {
-    const double a_spr = package_.spreader_side * package_.spreader_side;
-    // Centre column: spreader half-thickness + sink half-thickness over
-    // the spreader footprint.
-    const double r_center =
-        package_.t_spreader / (2.0 * package_.k_spreader * a_spr) +
-        package_.t_sink / (2.0 * package_.k_sink * a_spr);
-    stamp(builder, sp_c, sk_c, 1.0 / r_center);
-    // Periphery quadrants drain into the matching sink periphery node.
-    const double a_quadrant = a_spr / 4.0;
-    const double r_side =
-        package_.t_spreader / (2.0 * package_.k_spreader * a_quadrant) +
-        package_.t_sink / (2.0 * package_.k_sink * a_quadrant);
-    stamp(builder, sp_n, sk_n, 1.0 / r_side);
-    stamp(builder, sp_s, sk_s, 1.0 / r_side);
-    stamp(builder, sp_e, sk_e, 1.0 / r_side);
-    stamp(builder, sp_w, sk_w, 1.0 / r_side);
-  }
-
-  // --- sink lateral: centre <-> periphery ---
-  {
-    const double side = package_.sink_side;
-    const double r_lat =
-        (side / 2.0) / (package_.k_sink * package_.t_sink * side);
-    for (std::size_t node : {sk_n, sk_s, sk_e, sk_w}) {
-      stamp(builder, sk_c, node, 1.0 / r_lat);
-    }
-  }
-
-  // --- convection to ambient, split by footprint area ---
-  {
-    const double a_sink = package_.sink_side * package_.sink_side;
-    const double a_spr = package_.spreader_side * package_.spreader_side;
-    const double a_center = a_spr;  // centre node sits under the spreader
-    const double a_side = (a_sink - a_spr) / 4.0;
-    // R_node = r_convec * (A_sink / A_node): nodes in parallel recombine
-    // to exactly r_convec.
-    stamp_to_ambient(builder, sk_c, a_center / (package_.r_convec * a_sink));
-    if (a_side > 0.0) {
-      for (std::size_t node : {sk_n, sk_s, sk_e, sk_w}) {
-        stamp_to_ambient(builder, node, a_side / (package_.r_convec * a_sink));
-      }
-    } else {
-      // Degenerate package (sink == spreader): keep periphery grounded
-      // through a tiny leak so G stays non-singular.
-      for (std::size_t node : {sk_n, sk_s, sk_e, sk_w}) {
-        stamp_to_ambient(builder, node, 1e-9);
-      }
-    }
-  }
 
   // --- capacitances ---
   for (std::size_t i = 0; i < n; ++i) {

@@ -14,20 +14,26 @@
 // Conductance stamping:
 //  * die block <-> die block: lateral silicon slab through the shared
 //    edge, R = (d_i + d_j) / (k_die * t_die * w_shared) with d_* the
-//    centroid-to-edge distances;
+//    centroid-to-edge distances (lateral_conductance);
 //  * die block -> spreader centre: half-die vertical conduction + TIM
 //    + constriction/spreading resistance into the spreader,
-//    R = t_die/(2 k_die A) + t_tim/(k_tim A) + 0.475/(k_sp sqrt(A));
-//  * spreader centre <-> periphery: half-side copper slab;
-//  * spreader -> sink, sink centre <-> periphery: same slab forms;
-//  * sink -> ambient: total r_convec split across the five sink nodes
-//    proportionally to their footprint area.
+//    R = t_die/(2 k_die A) + t_tim/(k_tim A) + 0.475/(k_sp sqrt(A))
+//    (vertical_conductance);
+//  * the package (stamp_package): spreader centre <-> periphery is a
+//    half-side copper slab; spreader -> sink and sink centre <->
+//    periphery use the same slab forms; sink -> ambient splits the
+//    total r_convec across the five sink nodes by footprint area.
+//
+// The free functions below are the one copy of these formulas:
+// GridThermalModel stamps the same package after its die cells, and
+// core::SessionThermalModel takes its die resistances from them.
 //
 // Chip side walls are adiabatic (HotSpot convention): no lateral path
 // from a die block to ambient. The *session model* (src/core) makes the
 // opposite modelling choice on purpose — see the paper, Section 2.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -39,6 +45,33 @@
 
 namespace thermo::thermal {
 
+/// Package (non-die) nodes appended after the die nodes: spreader
+/// centre, N, S, E, W, then sink centre, N, S, E, W.
+inline constexpr std::size_t kPackageNodes = 10;
+
+/// Conductance [W/K] of the silicon slab between two adjacent die
+/// blocks of `fp` through their shared edge.
+double lateral_conductance(const floorplan::Floorplan& fp,
+                           const floorplan::Adjacency& adjacency,
+                           const PackageParams& package);
+
+/// Conductance [W/K] from a die block of `area` [m²] into the spreader
+/// centre.
+double vertical_conductance(double area, const PackageParams& package);
+
+/// Stamps conductance `g` between nodes `a` and `b`; `g` must be finite
+/// and positive.
+void stamp_conductance(linalg::SparseMatrix::Builder& builder,
+                       std::size_t a, std::size_t b, double g);
+
+/// Stamps the package network on nodes [first, first + kPackageNodes),
+/// `first` being the spreader centre. Call it after the die stamps, so
+/// every model sums each diagonal in the same order. Returns each
+/// package node's conductance to ambient (already on the diagonal).
+std::array<double, kPackageNodes> stamp_package(
+    linalg::SparseMatrix::Builder& builder, std::size_t first,
+    const PackageParams& package);
+
 class RCModel {
  public:
   /// Builds the network. The floorplan must be valid (no overlaps) and is
@@ -49,9 +82,6 @@ class RCModel {
 
   std::size_t block_count() const { return block_count_; }
   std::size_t node_count() const { return block_count_ + kPackageNodes; }
-
-  /// Number of package (non-die) nodes appended after the block nodes.
-  static constexpr std::size_t kPackageNodes = 10;
 
   std::size_t spreader_center_index() const { return block_count_; }
   std::size_t sink_center_index() const { return block_count_ + 5; }
@@ -91,10 +121,6 @@ class RCModel {
 
  private:
   void build();
-  void stamp(linalg::SparseMatrix::Builder& builder, std::size_t a,
-             std::size_t b, double conductance);
-  void stamp_to_ambient(linalg::SparseMatrix::Builder& builder,
-                        std::size_t node, double conductance);
 
   floorplan::Floorplan floorplan_;
   PackageParams package_;

@@ -7,8 +7,13 @@
 
 #include <cmath>
 
+#include "soc/alpha.hpp"
+#include "soc/fig1.hpp"
+#include "soc/synthetic.hpp"
 #include "test_helpers.hpp"
+#include "thermal/rc_model.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace thermo::core {
 namespace {
@@ -208,6 +213,38 @@ TEST_F(SessionModelTest, ValidatesArguments) {
   SessionModelOptions bad;
   bad.stc_scale = 0.0;
   EXPECT_THROW(SessionThermalModel(fp_, pkg_, bad), InvalidArgument);
+}
+
+// The session model's die resistances are the oracle's: every lateral
+// resistance is exactly 1 / RCModel's conductance across that adjacency,
+// every vertical one 1 / its conductance into the spreader centre.
+TEST(SessionModelOracleAgreement, DieResistancesAreExactlyTheRcConductances) {
+  std::vector<SocSpec> socs{soc::alpha_soc(), soc::fig1_soc()};
+  for (std::size_t cores : {8, 246, 1000}) {
+    for (std::uint64_t seed : {1, 2, 3}) {
+      Rng rng(seed);
+      soc::SyntheticOptions options;
+      options.core_count = cores;
+      socs.push_back(soc::make_synthetic_soc(rng, options));
+    }
+  }
+  std::size_t pairs = 0;
+  for (const SocSpec& soc : socs) {
+    SCOPED_TRACE(soc.name);
+    const SessionThermalModel session(soc.flp, soc.package);
+    const thermal::RCModel rc(soc.flp, soc.package);
+    for (const floorplan::Adjacency& adj : soc.flp.adjacencies()) {
+      EXPECT_EQ(session.lateral_resistance(adj.a, adj.b),
+                1.0 / rc.conductance_between(adj.a, adj.b));
+      ++pairs;
+    }
+    for (std::size_t i = 0; i < soc.flp.size(); ++i) {
+      EXPECT_EQ(session.vertical_resistance(i),
+                1.0 / rc.conductance_between(i, rc.spreader_center_index()));
+      ++pairs;
+    }
+  }
+  EXPECT_GT(pairs, 10000u);
 }
 
 }  // namespace

@@ -36,7 +36,7 @@ TEST(Package, RejectsNonPhysicalValues) {
 TEST(RcModel, NodeCountIsBlocksPlusPackage) {
   const RCModel model(quad_floorplan(), PackageParams{});
   EXPECT_EQ(model.block_count(), 4u);
-  EXPECT_EQ(model.node_count(), 4u + RCModel::kPackageNodes);
+  EXPECT_EQ(model.node_count(), 4u + kPackageNodes);
 }
 
 TEST(RcModel, ConductanceMatrixIsSymmetric) {
