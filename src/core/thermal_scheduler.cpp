@@ -191,13 +191,13 @@ ScheduleResult ThermalAwareScheduler::generate(
                        std::to_string(options_.max_attempts) + ")");
     }
     const double length = session.length(soc);
-    const thermal::SessionSimulation sim =
-        analyzer.simulate_session(session.power_map(soc), length);
+    const thermal::SessionPeaks sim =
+        analyzer.session_peaks(session.cores, session.power_map(soc), length);
 
     bool valid = true;
-    for (std::size_t core : session.cores) {
-      if (sim.peak_temperature[core] >= effective_tl_) {
-        weight[core] *= options_.weight_factor;
+    for (std::size_t t = 0; t < session.size(); ++t) {
+      if (sim.core_peak[t] >= effective_tl_) {
+        weight[session.cores[t]] *= options_.weight_factor;
         valid = false;
       }
     }

@@ -16,10 +16,12 @@
 //      itself and its active neighbours (O(deg), bit-identical to a
 //      full rescan; SessionThermalModel::characteristic_with).
 //   3. *Validation* (lines 16-23): simulate the session with the full RC
-//      model. Every core whose peak temperature reaches TL gets its
-//      weight multiplied by weight_factor (1.1 in the paper), making it
-//      less likely to join a busy session; the session is discarded and
-//      construction restarts. Simulation effort accumulates either way.
+//      model (ThermalAnalyzer::session_peaks; the steady oracle solves
+//      only the session cores' elimination-tree paths). Every core whose
+//      peak temperature reaches TL gets its weight multiplied by
+//      weight_factor (1.1 in the paper), making it less likely to join a
+//      busy session; the session is discarded and construction restarts.
+//      Simulation effort accumulates either way.
 //   4. Repeat until every core is scheduled (lines 24-28).
 //
 // Robustness beyond the pseudocode:
@@ -88,7 +90,7 @@ class ThermalAwareScheduler {
   const ThermalSchedulerOptions& options() const { return options_; }
 
   /// Generates a thermal-safe schedule. The analyzer provides the
-  /// simulate_session() oracle; its effort counter is reset at the start
+  /// session_peaks() oracle; its effort counter is reset at the start
   /// of the run. Throws InvalidArgument on inconsistent inputs, LogicError when
   /// the attempt cap is exhausted.
   ScheduleResult generate(const SocSpec& soc,

@@ -1,5 +1,6 @@
 #include "linalg/sparse_cholesky.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -48,7 +49,7 @@ void SparseCholeskyFactor::factorize(const SparseMatrix& a) {
   const std::vector<std::size_t>& ai = a.col_indices();
   const std::vector<double>& ax = a.values();
 
-  // Symbolic pass: elimination tree (kept for solve_entry) and
+  // Symbolic pass: elimination tree (kept for the path solves) and
   // per-column non-zero counts of L.
   // Row k of A's strictly-lower triangle reaches column k of L through
   // tree paths; walking each entry's column up to the root marked with
@@ -143,35 +144,74 @@ Vector SparseCholeskyFactor::solve(const Vector& b) const {
   return x;
 }
 
-double SparseCholeskyFactor::solve_entry(std::size_t i, double b,
-                                         Vector& scratch) const {
-  THERMO_REQUIRE(i < n_, "sparse cholesky solve_entry: index out of range");
-  THERMO_REQUIRE(scratch.size() == n_,
-                 "sparse cholesky solve_entry: scratch size mismatch");
-  // solve_in_place restricted to the path: every column off the path
-  // holds +0 in the full solve, so its updates are exact no-ops, and the
-  // kept updates run in the same order.
-  const std::size_t k = perm_.empty() ? i : inv_perm_[i];
-  std::vector<std::size_t> path;
-  scratch[k] = b;
-  for (std::size_t j = k; j != kNone; j = parent_[j]) {
-    path.push_back(j);
-    const double xj = scratch[j];
+void SparseCholeskyFactor::solve_subset(std::span<const std::size_t> s,
+                                        std::span<double> values,
+                                        PathScratch& scratch) const {
+  THERMO_REQUIRE(s.size() == values.size(),
+                 "sparse cholesky path solve: size mismatch");
+  THERMO_REQUIRE(scratch.x.size() == n_ && scratch.on_path.size() == n_,
+                 "sparse cholesky path solve: scratch size mismatch");
+  for (const std::size_t i : s) {
+    THERMO_REQUIRE(i < n_, "sparse cholesky path solve: index out of range");
+  }
+  const auto position = [&](std::size_t i) {  // index in factor order
+    return perm_.empty() ? i : inv_perm_[i];
+  };
+  // Mark the union of the paths; each walk stops at the first node an
+  // earlier walk already marked, since the rest of its path is marked too.
+  std::vector<std::size_t>& path = scratch.path;
+  for (const std::size_t i : s) {
+    for (std::size_t j = position(i);
+         j != kNone && scratch.on_path[j] == 0; j = parent_[j]) {
+      scratch.on_path[j] = 1;
+      path.push_back(j);
+    }
+  }
+  // solve_in_place restricted to the union: every column off it holds +0
+  // in the full solve, so its updates are exact no-ops, and the kept
+  // updates run in the same order. One path is already ascending; a
+  // union is listed in order by scanning the marks from its lowest node,
+  // which beats sorting it on validation unions (most of the tree).
+  if (s.size() > 1) {
+    std::size_t lo = n_;
+    for (const std::size_t i : s) lo = std::min(lo, position(i));
+    path.clear();
+    for (std::size_t j = lo; j < n_; ++j) {
+      if (scratch.on_path[j] != 0) path.push_back(j);
+    }
+  }
+  Vector& x = scratch.x;
+  for (std::size_t t = 0; t < s.size(); ++t) {
+    x[position(s[t])] = values[t];
+  }
+  for (const std::size_t j : path) {
+    const double xj = x[j];
     for (std::size_t q = col_offsets_[j]; q < col_offsets_[j + 1]; ++q) {
-      scratch[row_indices_[q]] -= values_[q] * xj;
+      x[row_indices_[q]] -= values_[q] * xj;
     }
   }
   for (auto it = path.rbegin(); it != path.rend(); ++it) {
     const std::size_t j = *it;
-    double sum = scratch[j] / diag_[j];  // D, then Lᵗ: ancestors are final
+    double sum = x[j] / diag_[j];  // D, then Lᵗ: ancestors are final
     for (std::size_t q = col_offsets_[j]; q < col_offsets_[j + 1]; ++q) {
-      sum -= values_[q] * scratch[row_indices_[q]];
+      sum -= values_[q] * x[row_indices_[q]];
     }
-    scratch[j] = sum;
+    x[j] = sum;
   }
-  const double x = scratch[k];
-  for (std::size_t j : path) scratch[j] = 0.0;
-  return x;
+  for (std::size_t t = 0; t < s.size(); ++t) {
+    values[t] = x[position(s[t])];
+  }
+  for (const std::size_t j : path) {
+    x[j] = 0.0;
+    scratch.on_path[j] = 0;
+  }
+  path.clear();
+}
+
+double SparseCholeskyFactor::solve_entry(std::size_t i, double b,
+                                         PathScratch& scratch) const {
+  solve_subset({&i, 1}, {&b, 1}, scratch);
+  return b;
 }
 
 void SparseCholeskyFactor::solve_in_place(Vector& x) const {

@@ -26,16 +26,18 @@
 //    pass fills L column by column). A = L·D·Lᵗ with unit-lower L and
 //    diagonal D, so no square roots are taken; solve() is forward
 //    substitution, a diagonal scale, and back substitution.
-//  * solve_entry() returns one entry of A⁻¹·(b·eᵢ) by walking only i's
-//    elimination-tree path: Σ over the path of |col j of L| flops
-//    twice, bit-identical to solve() (docs/SOLVERS.md "Single-entry
-//    solves").
+//  * solve_subset() returns the entries on a set S of A⁻¹·b, for b
+//    supported on S, by walking only the union of S's elimination-tree
+//    paths: Σ over the union of |col j of L| flops twice, bit-identical
+//    to solve() on S (docs/SOLVERS.md "Path solves"). solve_entry() is
+//    its |S| = 1 case.
 //  * solve() is const, deterministic, and thread-safe — the factor is
 //    shareable across sweep workers (thermal::ThermalSolverCache keys
 //    it by model identity).
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "linalg/sparse.hpp"
@@ -54,6 +56,17 @@ enum class Ordering {
 /// Below it the fill win is negligible and natural order keeps small
 /// models' historical bit-exact results (argmax tie-breaks included).
 inline constexpr std::size_t kOrderingAutoMinNodes = 64;
+
+/// Caller-owned workspace of SparseCholeskyFactor's path solves: sized
+/// to the factor, all zero (and `path` empty) between calls. Reusing one
+/// keeps path solves allocation-free; it is not shareable across
+/// threads.
+struct PathScratch {
+  explicit PathScratch(std::size_t n = 0) : x(n, 0.0), on_path(n, 0) {}
+  Vector x;
+  std::vector<unsigned char> on_path;
+  std::vector<std::size_t> path;
+};
 
 class SparseCholeskyFactor {
  public:
@@ -88,12 +101,20 @@ class SparseCholeskyFactor {
   /// reusable, thread-safe). b and x are in the original index order.
   Vector solve(const Vector& b) const;
 
-  /// x[i] of A x = b·eᵢ, bit-identical to solve(b·eᵢ)[i]. Forward
-  /// substitution of a unit right-hand side only touches i's path to
-  /// the root of the elimination tree, and entry i of the backward pass
-  /// only reads that same path. `scratch` is caller-owned, size n, all
-  /// zero on entry and again on return.
-  double solve_entry(std::size_t i, double b, Vector& scratch) const;
+  /// Path solve: for distinct indices s and b supported on them
+  /// (b[s[t]] = values[t], zero elsewhere), overwrites values[t] with
+  /// x[s[t]] of A x = b, bit-identical to solve(b)[s[t]]. Forward
+  /// substitution only touches the union of the s[t]'s paths to the
+  /// root of the elimination tree (closed under ancestors), and the
+  /// backward entries on s only read that union, so it walks the union
+  /// alone, in ascending order. `scratch` must be PathScratch(size());
+  /// it is all zero again on return.
+  void solve_subset(std::span<const std::size_t> s, std::span<double> values,
+                    PathScratch& scratch) const;
+
+  /// x[i] of A x = b·eᵢ, bit-identical to solve(b·eᵢ)[i]: solve_subset
+  /// with s = {i}.
+  double solve_entry(std::size_t i, double b, PathScratch& scratch) const;
 
  private:
   void factorize(const SparseMatrix& a);

@@ -73,7 +73,7 @@ double ThermalAnalyzer::solo_peak(std::size_t block, double power,
   THERMO_REQUIRE(std::isfinite(p) && p >= 0.0,
                  "block power must be finite and non-negative");
   const auto factor = ThermalSolverCache::instance().sparse_cholesky(*model_);
-  scratch_.resize(model_->node_count(), 0.0);
+  fit_scratch();
   const double rise = factor->solve_entry(block, power, scratch_);
   static obs::Counter& entry_solves =
       obs::MetricsRegistry::instance().counter("thermal.entry_solves");
@@ -81,6 +81,80 @@ double ThermalAnalyzer::solo_peak(std::size_t block, double power,
   simulation_effort_ += duration;
   ++simulation_count_;
   return model_->package().ambient + rise;
+}
+
+SessionPeaks ThermalAnalyzer::session_peaks(
+    const std::vector<std::size_t>& cores,
+    const std::vector<double>& block_power, double duration) {
+  for (const std::size_t core : cores) {
+    THERMO_REQUIRE(core < model_->block_count(), "block index out of range");
+  }
+  SessionPeaks out;
+  out.core_peak.resize(cores.size());
+  if (!options_.transient) {
+    // simulate_session's and expand_power's checks, in their order and
+    // with their text, then that the cores are distinct and cover every
+    // powered block (on_path is free here and is zeroed again before
+    // the solve).
+    THERMO_REQUIRE(duration > 0.0, "session duration must be positive");
+    model_->check_block_power(block_power);
+    fit_scratch();
+    std::vector<unsigned char>& in_session = scratch_.on_path;
+    bool distinct = true;
+    for (const std::size_t core : cores) {
+      distinct = distinct && in_session[core] == 0;
+      in_session[core] = 1;
+    }
+    bool covered = true;
+    for (std::size_t b = 0; b < block_power.size(); ++b) {
+      covered = covered && (block_power[b] == 0.0 || in_session[b] != 0);
+    }
+    for (const std::size_t core : cores) in_session[core] = 0;
+    THERMO_REQUIRE(distinct, "session cores must be distinct");
+    THERMO_REQUIRE(covered, "session cores must cover every powered block");
+    for (std::size_t t = 0; t < cores.size(); ++t) {
+      out.core_peak[t] = block_power[cores[t]];
+    }
+    const auto factor = ThermalSolverCache::instance().sparse_cholesky(*model_);
+    // G is an irreducibly diagonally dominant M-matrix, so the block
+    // maximum of a positive rise lies on a powered core; scanning the
+    // cores with ties to the lower index matches max_element's first
+    // maximum over all blocks.
+    factor->solve_subset(cores, out.core_peak, scratch_);
+    const double ambient = model_->package().ambient;
+    double max_rise = 0.0;
+    for (std::size_t t = 0; t < cores.size(); ++t) {
+      max_rise = std::max(max_rise, out.core_peak[t]);
+      out.core_peak[t] += ambient;
+      if (t == 0 || out.core_peak[t] > out.max_temperature ||
+          (out.core_peak[t] == out.max_temperature &&
+           cores[t] < out.hottest_block)) {
+        out.max_temperature = out.core_peak[t];
+        out.hottest_block = cores[t];
+      }
+    }
+    if (max_rise > 0.0) {
+      static obs::Counter& solves =
+          obs::MetricsRegistry::instance().counter("thermal.solves");
+      solves.add();
+      simulation_effort_ += duration;
+      ++simulation_count_;
+      return out;
+    }
+  }
+  const SessionSimulation sim = simulate_session(block_power, duration);
+  for (std::size_t t = 0; t < cores.size(); ++t) {
+    out.core_peak[t] = sim.peak_temperature[cores[t]];
+  }
+  out.max_temperature = sim.max_temperature;
+  out.hottest_block = sim.hottest_block;
+  return out;
+}
+
+void ThermalAnalyzer::fit_scratch() {
+  if (scratch_.x.size() != model_->node_count()) {
+    scratch_ = linalg::PathScratch(model_->node_count());
+  }
 }
 
 std::vector<double> ThermalAnalyzer::steady_block_temperatures(

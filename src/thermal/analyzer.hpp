@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "linalg/sparse_cholesky.hpp"
 #include "thermal/rc_model.hpp"
 #include "thermal/steady_state.hpp"
 #include "thermal/transient.hpp"
@@ -31,6 +32,16 @@ struct SessionSimulation {
   std::size_t hottest_block = 0;
   /// Duration that was simulated [s].
   double simulated_time = 0.0;
+};
+
+/// What Algorithm 1's validation reads from one session
+/// (ThermalAnalyzer::session_peaks).
+struct SessionPeaks {
+  /// core_peak[t]: peak temperature of the t-th session core [deg C].
+  std::vector<double> core_peak;
+  /// Maximum over all blocks [deg C], and the first block reaching it.
+  double max_temperature = 0.0;
+  std::size_t hottest_block = 0;
 };
 
 class ThermalAnalyzer {
@@ -77,6 +88,21 @@ class ThermalAnalyzer {
   /// the full session.
   double solo_peak(std::size_t block, double power, double duration);
 
+  /// The session cores' peaks, max_temperature and hottest_block of
+  /// simulate_session(block_power, duration), with the same checks and
+  /// the same effort and count charge. `cores` must be distinct block
+  /// indices covering every block with non-zero power (InvalidArgument
+  /// otherwise); Algorithm 1 validates each session through it. The
+  /// steady oracle solves only the union of the cores' elimination-tree
+  /// paths (SparseCholeskyFactor::solve_subset), so the peaks are bit
+  /// for bit those of the full solve, and takes the maximum over the
+  /// cores, which the maximum principle makes the block maximum
+  /// (docs/SOLVERS.md "Path solves"). It falls back to the full solve
+  /// when no core heats up. The transient oracle steps the full session.
+  SessionPeaks session_peaks(const std::vector<std::size_t>& cores,
+                             const std::vector<double>& block_power,
+                             double duration);
+
   /// Steady-state block temperatures for a power map (no effort charge;
   /// used for reporting and the motivational example).
   std::vector<double> steady_block_temperatures(
@@ -108,18 +134,21 @@ class ThermalAnalyzer {
   /// "simulation effort".
   double simulation_effort() const { return simulation_effort_; }
 
-  /// Number of simulate_session calls so far.
+  /// Number of effort-charging calls so far: simulate_session,
+  /// simulate_session_from, solo_peak and session_peaks.
   std::size_t simulation_count() const { return simulation_count_; }
 
   /// Resets the effort accounting (a scheduler run starts from zero).
   void reset_effort();
 
  private:
+  void fit_scratch();  // sizes scratch_ to the model on first use
+
   std::shared_ptr<const RCModel> model_;
   Options options_;
   double simulation_effort_ = 0.0;
   std::size_t simulation_count_ = 0;
-  std::vector<double> scratch_;  // solo_peak's solve_entry workspace
+  linalg::PathScratch scratch_;  // solo_peak's and session_peaks' path solves
 };
 
 }  // namespace thermo::thermal

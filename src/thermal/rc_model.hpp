@@ -113,6 +113,10 @@ class RCModel {
   /// nodes dissipate nothing).
   std::vector<double> expand_power(const std::vector<double>& block_power) const;
 
+  /// expand_power's checks alone: one power per block, each finite and
+  /// non-negative. Throws InvalidArgument otherwise.
+  void check_block_power(const std::vector<double>& block_power) const;
+
   /// Direct conductance between two nodes [W/K] (0 when not connected).
   double conductance_between(std::size_t a, std::size_t b) const;
 

@@ -138,6 +138,13 @@ TEST(SparseCholeskyTest, RejectsNonSpdAndBadShapes) {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
+/// The path-solve workspace is all zero, with an empty path, between calls.
+void expect_clean(const PathScratch& scratch, std::size_t n) {
+  EXPECT_EQ(scratch.x, Vector(n, 0.0));
+  EXPECT_EQ(scratch.on_path, std::vector<unsigned char>(n, 0));
+  EXPECT_TRUE(scratch.path.empty());
+}
+
 /// solve_entry(i, b) against solve(b·eᵢ)[i], bit for bit, at every node
 /// and for a random b and b = +0, with the scratch checked all zero
 /// after every call. Why the bits agree: with b·eᵢ as right-hand side
@@ -147,7 +154,7 @@ std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 /// on the same operands in the same order as in solve().
 void expect_entry_solves_match(const SparseCholeskyFactor& factor, Rng& rng) {
   const std::size_t n = factor.size();
-  Vector scratch(n, 0.0);
+  PathScratch scratch(n);
   for (std::size_t i = 0; i < n; ++i) {
     const double b = rng.uniform(-5.0, 5.0);
     Vector rhs(n, 0.0);
@@ -155,10 +162,41 @@ void expect_entry_solves_match(const SparseCholeskyFactor& factor, Rng& rng) {
     EXPECT_EQ(bits(factor.solve_entry(i, b, scratch)),
               bits(factor.solve(rhs)[i]))
         << "n=" << n << " i=" << i;
-    EXPECT_EQ(scratch, Vector(n, 0.0)) << "n=" << n << " i=" << i;
+    expect_clean(scratch, n);
     EXPECT_EQ(bits(factor.solve_entry(i, 0.0, scratch)), bits(0.0))
         << "n=" << n << " i=" << i;
-    EXPECT_EQ(scratch, Vector(n, 0.0)) << "n=" << n << " i=" << i;
+    expect_clean(scratch, n);
+  }
+}
+
+/// solve_subset(S, b_S) against solve(b) on S, bit for bit, for random
+/// sets S of every size 1…n in random order, with b supported on S
+/// (some of its entries +0). The argument of expect_entry_solves_match
+/// carries over: the union of S's paths is closed under ancestors, so
+/// every entry off it stays +0 in the full solve, and walking the union
+/// in ascending order keeps the full solve's order of updates.
+void expect_subset_solves_match(const SparseCholeskyFactor& factor, Rng& rng) {
+  const std::size_t n = factor.size();
+  PathScratch scratch(n);
+  std::vector<std::size_t> nodes(n);
+  for (std::size_t i = 0; i < n; ++i) nodes[i] = i;
+  for (std::size_t k = 1; k <= n; ++k) {
+    rng.shuffle(nodes);
+    const std::vector<std::size_t> s(nodes.begin(),
+                                     nodes.begin() + static_cast<long>(k));
+    Vector rhs(n, 0.0);
+    Vector values(k);
+    for (std::size_t t = 0; t < k; ++t) {
+      values[t] = rng.chance(0.2) ? 0.0 : rng.uniform(-5.0, 5.0);
+      rhs[s[t]] = values[t];
+    }
+    const Vector full = factor.solve(rhs);
+    factor.solve_subset(s, values, scratch);
+    for (std::size_t t = 0; t < k; ++t) {
+      EXPECT_EQ(bits(values[t]), bits(full[s[t]]))
+          << "n=" << n << " k=" << k << " node=" << s[t];
+    }
+    expect_clean(scratch, n);
   }
 }
 
@@ -179,13 +217,33 @@ TEST(SparseCholeskyTest, SolveEntryIsBitIdenticalToFullSolve) {
   expect_entry_solves_match(SparseCholeskyFactor(diagonal.build()), rng);
 }
 
+TEST(SparseCholeskyTest, SolveSubsetIsBitIdenticalToFullSolve) {
+  Rng rng(23);
+  for (std::size_t n : {1u, 2u, 5u, 17u, 40u, 63u, 150u}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const SparseMatrix a = random_spd(rng, n, 2 * n);
+      expect_subset_solves_match(SparseCholeskyFactor(a, Ordering::kNatural),
+                                 rng);
+      expect_subset_solves_match(SparseCholeskyFactor(a, Ordering::kMinDegree),
+                                 rng);
+    }
+  }
+  SparseMatrix::Builder diagonal(6, 6);
+  for (std::size_t i = 0; i < 6; ++i) diagonal.add(i, i, 1.5 + i);
+  expect_subset_solves_match(SparseCholeskyFactor(diagonal.build()), rng);
+}
+
 TEST(SparseCholeskyTest, SolveEntryRejectsBadArguments) {
   Rng rng(2);
   const SparseCholeskyFactor factor(random_spd(rng, 4, 0));
-  Vector scratch(4, 0.0);
+  PathScratch scratch(4);
   EXPECT_THROW(factor.solve_entry(4, 1.0, scratch), InvalidArgument);
-  Vector short_scratch(3, 0.0);
+  PathScratch short_scratch(3);
   EXPECT_THROW(factor.solve_entry(0, 1.0, short_scratch), InvalidArgument);
+  const std::vector<std::size_t> s = {0, 1};
+  Vector one(1, 1.0);
+  EXPECT_THROW(factor.solve_subset(s, one, scratch), InvalidArgument);
+  expect_clean(scratch, 4);
 }
 
 TEST(SparseImplicitStepperTest, TracksDenseStepper) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <ostream>
+#include <string>
 #include <tuple>
 
 #include "core/safety_checker.hpp"
@@ -329,7 +330,7 @@ TEST_P(PathSolveExactness, EntrySolvesAndSoloPeaksMatchTheFullSolve) {
   const linalg::SparseCholeskyFactor factor(model->conductance_sparse(),
                                             linalg::Ordering::kMinDegree);
   const std::size_t n = model->node_count();
-  std::vector<double> scratch(n, 0.0);
+  linalg::PathScratch scratch(n);
   for (std::size_t i = 0; i < n; ++i) {
     const double b = i < cores ? soc.tests[i].power : 1.0;
     std::vector<double> rhs(n, 0.0);
@@ -338,7 +339,7 @@ TEST_P(PathSolveExactness, EntrySolvesAndSoloPeaksMatchTheFullSolve) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(entry),
               std::bit_cast<std::uint64_t>(factor.solve(rhs)[i]))
         << "cores=" << cores << " node=" << i;
-    ASSERT_EQ(scratch, std::vector<double>(n, 0.0)) << "node=" << i;
+    ASSERT_EQ(scratch.x, std::vector<double>(n, 0.0)) << "node=" << i;
   }
 
   thermal::ThermalAnalyzer::Options steady;
@@ -361,8 +362,156 @@ TEST_P(PathSolveExactness, EntrySolvesAndSoloPeaksMatchTheFullSolve) {
   EXPECT_EQ(path.simulation_count(), cores);
 }
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// session_peaks on `path` against simulate_session on `full` (both
+/// steady analyzers over one model), bit for bit.
+void expect_session_peaks_match(thermal::ThermalAnalyzer& path,
+                                thermal::ThermalAnalyzer& full,
+                                const std::vector<std::size_t>& cores,
+                                const std::vector<double>& block_power,
+                                double duration) {
+  const thermal::SessionPeaks peaks =
+      path.session_peaks(cores, block_power, duration);
+  const thermal::SessionSimulation sim =
+      full.simulate_session(block_power, duration);
+  ASSERT_EQ(peaks.core_peak.size(), cores.size());
+  for (std::size_t t = 0; t < cores.size(); ++t) {
+    EXPECT_EQ(bits(peaks.core_peak[t]), bits(sim.peak_temperature[cores[t]]))
+        << "core=" << cores[t];
+  }
+  EXPECT_EQ(bits(peaks.max_temperature), bits(sim.max_temperature));
+  EXPECT_EQ(peaks.hottest_block, sim.hottest_block);
+}
+
+// Algorithm 1's steady validation on the RC models it runs on:
+// solve_subset on random node sets S against solve() on S, and
+// ThermalAnalyzer::session_peaks against simulate_session on random
+// sessions with some cores at zero power, an all-zero-power session
+// (the no-rise fallback) and the all-cores session (a path union of
+// nearly every node).
+TEST_P(PathSolveExactness, SubsetSolvesAndSessionPeaksMatchTheFullSolve) {
+  const std::size_t cores = GetParam();
+  const core::SocSpec soc = random_soc(cores + 7, cores);
+  const auto model =
+      std::make_shared<const thermal::RCModel>(soc.flp, soc.package);
+  const std::size_t n = model->node_count();
+  Rng rng(cores);
+  linalg::PathScratch scratch(n);
+  std::vector<std::size_t> nodes(n);
+  for (std::size_t i = 0; i < n; ++i) nodes[i] = i;
+  for (const linalg::Ordering ordering :
+       {linalg::Ordering::kNatural, linalg::Ordering::kMinDegree}) {
+    const linalg::SparseCholeskyFactor factor(model->conductance_sparse(),
+                                              ordering);
+    for (int trial = 0; trial < 40; ++trial) {
+      // Mostly session-sized sets, some up to every node.
+      const auto k = static_cast<std::size_t>(
+          trial == 0 ? static_cast<long long>(n)
+          : trial % 2 ? rng.uniform_int(1, std::min<long long>(12, n))
+                      : rng.uniform_int(1, static_cast<long long>(n)));
+      rng.shuffle(nodes);
+      const std::vector<std::size_t> s(nodes.begin(),
+                                       nodes.begin() + static_cast<long>(k));
+      std::vector<double> rhs(n, 0.0);
+      std::vector<double> values(k);
+      for (std::size_t t = 0; t < k; ++t) {
+        values[t] = rng.chance(0.25) ? 0.0 : rng.uniform(0.0, 20.0);
+        rhs[s[t]] = values[t];
+      }
+      const std::vector<double> x = factor.solve(rhs);
+      factor.solve_subset(s, values, scratch);
+      for (std::size_t t = 0; t < k; ++t) {
+        EXPECT_EQ(bits(values[t]), bits(x[s[t]]))
+            << "cores=" << cores << " k=" << k << " node=" << s[t];
+      }
+      ASSERT_EQ(scratch.x, std::vector<double>(n, 0.0));
+    }
+  }
+
+  thermal::ThermalAnalyzer::Options steady;
+  steady.transient = false;
+  thermal::ThermalAnalyzer path(model, steady);
+  thermal::ThermalAnalyzer full(model, steady);
+  std::vector<std::size_t> all(cores);
+  for (std::size_t i = 0; i < cores; ++i) all[i] = i;
+  for (int trial = 0; trial < 60; ++trial) {
+    rng.shuffle(all);
+    const auto k = static_cast<std::size_t>(
+        rng.uniform_int(1, std::min<long long>(8, cores)));
+    const std::vector<std::size_t> session(all.begin(),
+                                           all.begin() + static_cast<long>(k));
+    std::vector<double> power(cores, 0.0);
+    for (const std::size_t core : session) {
+      power[core] = rng.chance(0.25) ? 0.0 : soc.tests[core].power;
+    }
+    expect_session_peaks_match(path, full, session, power, 0.5 + trial);
+  }
+  // No power at all: every rise is +0 and the full solve's argmax is
+  // block 0, which need not be a session core.
+  const std::vector<std::size_t> cold = {cores - 1};
+  expect_session_peaks_match(path, full, cold, std::vector<double>(cores, 0.0),
+                             1.0);
+  // Every core: the path union holds nearly every node.
+  std::sort(all.begin(), all.end());
+  expect_session_peaks_match(path, full, all, soc.test_powers(), 2.0);
+
+  EXPECT_EQ(bits(path.simulation_effort()), bits(full.simulation_effort()));
+  EXPECT_EQ(path.simulation_count(), full.simulation_count());
+}
+
 INSTANTIATE_TEST_SUITE_P(SyntheticSocs, PathSolveExactness,
                          ::testing::Values(8u, 246u, 1000u));
+
+// Ties: a mirror-symmetric m×m grid of equal blocks, validated with
+// mirror-image cores at equal power, where blocks can reach the same
+// peak bit for bit. session_peaks scans the cores with ties to the lower
+// block index, so it must name the same hottest block as
+// simulate_session's first maximum, whatever order the cores come in.
+TEST(SessionPeaksTies, MirrorSymmetricSessionsNameTheSameHottestBlock) {
+  constexpr std::size_t m = 8;
+  floorplan::Floorplan fp("mirror");
+  for (std::size_t r = 0; r < m; ++r) {
+    for (std::size_t c = 0; c < m; ++c) {
+      fp.add_block({std::to_string(r * m + c), 1e-3, 1e-3,
+                    static_cast<double>(c) * 1e-3,
+                    static_cast<double>(r) * 1e-3});
+    }
+  }
+  const auto model =
+      std::make_shared<const thermal::RCModel>(fp, thermal::PackageParams{});
+  thermal::ThermalAnalyzer::Options steady;
+  steady.transient = false;
+  thermal::ThermalAnalyzer path(model, steady);
+  thermal::ThermalAnalyzer full(model, steady);
+  const auto at = [](std::size_t r, std::size_t c) { return r * m + c; };
+  std::size_t ties = 0;
+  for (std::size_t r = 0; r < m; ++r) {
+    for (std::size_t c = 0; c < m / 2; ++c) {
+      // Left-right, top-bottom and four-fold mirror images, listed
+      // highest index first.
+      for (const std::vector<std::size_t>& session :
+           {std::vector<std::size_t>{at(r, m - 1 - c), at(r, c)},
+            std::vector<std::size_t>{at(m - 1 - r, c), at(r, c)},
+            std::vector<std::size_t>{at(m - 1 - r, m - 1 - c),
+                                     at(m - 1 - r, c), at(r, m - 1 - c),
+                                     at(r, c)}}) {
+        std::vector<double> power(m * m, 0.0);
+        for (const std::size_t core : session) power[core] = 2.0;
+        const thermal::SessionSimulation sim =
+            thermal::ThermalAnalyzer(model, steady).simulate_session(power, 1.0);
+        for (const std::size_t core : session) {
+          if (core != sim.hottest_block &&
+              sim.peak_temperature[core] == sim.max_temperature) {
+            ++ties;
+          }
+        }
+        expect_session_peaks_match(path, full, session, power, 1.0);
+      }
+    }
+  }
+  EXPECT_GT(ties, 0u) << "no session produced a tie";
+}
 
 }  // namespace
 }  // namespace thermo

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -130,6 +131,94 @@ TEST_F(AnalyzerTest, SoloPeakChecksInputsLikeASession) {
   }
   EXPECT_THROW(steady.solo_peak(4, 1.0, 1.0), InvalidArgument);
   EXPECT_EQ(steady.simulation_count(), 0u);
+}
+
+// session_peaks is Algorithm 1's validation oracle: under either oracle
+// it returns simulate_session's peaks at the session cores, its maximum
+// and hottest block, and charges the same effort and count. The
+// all-zero session takes the steady oracle's no-rise fallback.
+// (Bit-equality at scale and under ties: property_test.cpp.)
+TEST_F(AnalyzerTest, SessionPeaksMatchASessionUnderBothOracles) {
+  const std::vector<std::pair<std::vector<std::size_t>, std::vector<double>>>
+      sessions = {{{1, 0}, {3.0, 4.0, 0.0, 0.0}},
+                  {{3}, {0.0, 0.0, 0.0, 5.0}},
+                  {{2, 0}, {0.0, 0.0, 2.0, 0.0}},
+                  {{2, 1}, {0.0, 0.0, 0.0, 0.0}},
+                  {{3, 2, 1, 0}, {1.0, 2.0, 3.0, 4.0}}};
+  for (const bool transient : {true, false}) {
+    ThermalAnalyzer::Options options;
+    options.transient = transient;
+    ThermalAnalyzer path(fp_, pkg_, options);
+    ThermalAnalyzer full(fp_, pkg_, options);
+    for (const auto& [cores, power] : sessions) {
+      const SessionPeaks peaks = path.session_peaks(cores, power, 1.5);
+      const SessionSimulation sim = full.simulate_session(power, 1.5);
+      ASSERT_EQ(peaks.core_peak.size(), cores.size());
+      for (std::size_t t = 0; t < cores.size(); ++t) {
+        EXPECT_EQ(peaks.core_peak[t], sim.peak_temperature[cores[t]])
+            << "transient=" << transient << " core=" << cores[t];
+      }
+      EXPECT_EQ(peaks.max_temperature, sim.max_temperature);
+      EXPECT_EQ(peaks.hottest_block, sim.hottest_block);
+    }
+    EXPECT_EQ(path.simulation_effort(), full.simulation_effort());
+    EXPECT_EQ(path.simulation_count(), sessions.size());
+  }
+}
+
+TEST_F(AnalyzerTest, SessionPeaksChecksInputsLikeASession) {
+  ThermalAnalyzer::Options options;
+  options.transient = false;
+  ThermalAnalyzer steady(fp_, pkg_, options);
+  const auto error = [](auto&& run) {
+    try {
+      run();
+    } catch (const InvalidArgument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  for (const auto& [power, duration] :
+       {std::pair{std::vector<double>{1.0, 0.0, 0.0, 0.0}, 0.0},
+        std::pair{std::vector<double>{-1.0, 0.0, 0.0, 0.0}, 1.0},
+        std::pair{std::vector<double>{std::nan(""), 0.0, 0.0, 0.0}, 1.0},
+        std::pair{std::vector<double>{1.0, 0.0}, 1.0},
+        std::pair{std::vector<double>{-1.0}, -1.0}}) {
+    const std::string peaks =
+        error([&] { steady.session_peaks({0}, power, duration); });
+    EXPECT_NE(peaks, "no error");
+    EXPECT_EQ(peaks,
+              error([&] { steady.simulate_session(power, duration); }));
+  }
+  EXPECT_THROW(steady.session_peaks({4}, {1.0, 0.0, 0.0, 0.0}, 1.0),
+               InvalidArgument);
+  // Block 1 is powered but not a session core.
+  const std::vector<double> two_hot = {1.0, 1.0, 0.0, 0.0};
+  const auto names = [](const std::string& what, const std::string& text) {
+    return what.find(text) != std::string::npos;
+  };
+  EXPECT_TRUE(names(error([&] { steady.session_peaks({0}, two_hot, 1.0); }),
+                    "session cores must cover every powered block"));
+  // A repeated core: as many cores as powered blocks, yet block 1 is
+  // not among them.
+  EXPECT_TRUE(
+      names(error([&] { steady.session_peaks({0, 0}, two_hot, 1.0); }),
+            "session cores must be distinct"));
+  EXPECT_TRUE(names(error([&] {
+                      steady.session_peaks({0, 0}, {1.0, 0.0, 0.0, 0.0}, 1.0);
+                    }),
+                    "session cores must be distinct"));
+  EXPECT_EQ(steady.simulation_count(), 0u);
+  // The failed checks leave the workspace clean: a valid session after
+  // them still matches the full solve.
+  const std::vector<double> power = {1.0, 2.0, 0.0, 0.0};
+  const SessionPeaks peaks = steady.session_peaks({1, 0}, power, 1.0);
+  const SessionSimulation sim = steady.simulate_session(power, 1.0);
+  EXPECT_EQ(peaks.core_peak,
+            (std::vector<double>{sim.peak_temperature[1],
+                                 sim.peak_temperature[0]}));
+  EXPECT_EQ(peaks.hottest_block, sim.hottest_block);
+  EXPECT_EQ(steady.simulation_count(), 2u);
 }
 
 }  // namespace
