@@ -51,7 +51,8 @@
 //   0  success (including --help)
 //   1  runtime error: unreadable/malformed input file, scheduler or
 //      solver failure — the message is printed to stderr as "error: ..."
-//   2  usage error: unknown command, unknown flag, malformed flag value
+//   2  usage error: unknown command, unknown flag, malformed flag value,
+//      missing required flag
 #include <algorithm>
 #include <cmath>
 #include <fstream>
@@ -319,9 +320,6 @@ int cmd_schedule(const CommonArgs& args) {
 }
 
 int cmd_simulate(const CommonArgs& args) {
-  if (args.cores.empty()) {
-    throw InvalidArgument("simulate requires --cores a,b,c");
-  }
   const core::SocSpec soc = build_soc(args);
   thermal::ThermalAnalyzer analyzer(soc.flp, soc.package);
   core::TestSession session;
@@ -583,9 +581,6 @@ int cmd_gen(const CommonArgs& args) {
 }
 
 int cmd_cache(const std::string& action, const CommonArgs& args) {
-  if (args.cache_dir.empty()) {
-    throw InvalidArgument("cache " + action + " requires --cache-dir PATH");
-  }
   // Inspection never creates or destroys data: a missing directory is an
   // error, and a schema mismatch is reported instead of wiped (only the
   // serving path — which owns the cache — may invalidate it).
@@ -824,6 +819,14 @@ int main(int argc, char** argv) {
     if (is_serve) {
       parse_schedule_policy(args.schedule_policy);
       parse_dedup(args.dedup);
+    }
+    // A missing required flag is a usage error too.
+    if (is_simulate && args.cores.empty()) {
+      throw InvalidArgument("simulate requires --cores a,b,c");
+    }
+    if (is_cache && args.cache_dir.empty()) {
+      throw InvalidArgument("cache " + cache_action +
+                            " requires --cache-dir PATH");
     }
     if ((is_sweep || is_serve) && args.threads < 0) {
       throw InvalidArgument("--threads must be >= 0");

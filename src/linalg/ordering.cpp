@@ -125,49 +125,4 @@ std::vector<std::size_t> min_degree_ordering(const SparseMatrix& a) {
   return perm;
 }
 
-std::size_t symbolic_factor_nonzeros(const SparseMatrix& a,
-                                     const std::vector<std::size_t>& perm) {
-  THERMO_REQUIRE(a.rows() == a.cols(),
-                 "symbolic factor: matrix must be square");
-  const std::size_t n = a.rows();
-  if (n == 0) return 0;
-  const std::vector<std::size_t>& ap = a.row_offsets();
-  const std::vector<std::size_t>& ai = a.col_indices();
-
-  std::vector<std::size_t> inv;
-  if (!perm.empty()) {
-    THERMO_REQUIRE(perm.size() == n,
-                   "symbolic factor: permutation size mismatch");
-    inv.assign(n, kNone);
-    for (std::size_t k = 0; k < n; ++k) {
-      THERMO_REQUIRE(perm[k] < n && inv[perm[k]] == kNone,
-                     "symbolic factor: not a permutation");
-      inv[perm[k]] = k;
-    }
-  }
-
-  // Elimination-tree column counts — the same walk as the symbolic
-  // pass in SparseCholeskyFactor, summed instead of stored. Reading
-  // the whole row of A and keeping entries that land strictly below
-  // the diagonal AFTER permutation needs pattern symmetry, which
-  // stamped conductance matrices provide by construction.
-  std::vector<std::size_t> parent(n, kNone);
-  std::vector<std::size_t> flag(n, kNone);
-  std::size_t nnz = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t row = perm.empty() ? k : perm[k];
-    flag[k] = k;
-    for (std::size_t q = ap[row]; q < ap[row + 1]; ++q) {
-      std::size_t i = perm.empty() ? ai[q] : inv[ai[q]];
-      if (i >= k) continue;
-      for (; flag[i] != k; i = parent[i]) {
-        if (parent[i] == kNone) parent[i] = k;
-        ++nnz;
-        flag[i] = k;
-      }
-    }
-  }
-  return nnz;
-}
-
 }  // namespace thermo::linalg

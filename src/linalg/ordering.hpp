@@ -26,13 +26,6 @@
 //    the one a std::set<(degree, node)> queue with sorted merges gives,
 //    a pure function of the sparsity pattern — identical on every
 //    platform and run (the determinism contract in docs/SOLVERS.md).
-//
-// symbolic_factor_nonzeros() counts strictly-lower nnz(L) for a
-// (optionally permuted) pattern via the elimination-tree column-count
-// pass — the symbolic half of SparseCholeskyFactor without allocating
-// or computing the numeric factor, so benches can report pre-ordering
-// fill at sizes where actually factoring the unordered matrix would be
-// too slow or too large.
 #pragma once
 
 #include <cstddef>
@@ -47,12 +40,5 @@ namespace thermo::linalg {
 /// k-th (i.e. new position -> old index). Deterministic; values are
 /// ignored, only the pattern matters. Requires a square matrix.
 std::vector<std::size_t> min_degree_ordering(const SparseMatrix& a);
-
-/// Strictly-lower non-zero count of the Cholesky factor L of P·A·Pᵗ,
-/// where perm[k] = original index eliminated k-th (empty = natural
-/// order). Symbolic only — O(nnz(L) walk work, O(n) memory, no numeric
-/// factor is formed. Requires a square, structurally symmetric matrix.
-std::size_t symbolic_factor_nonzeros(const SparseMatrix& a,
-                                     const std::vector<std::size_t>& perm = {});
 
 }  // namespace thermo::linalg

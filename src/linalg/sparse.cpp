@@ -1,7 +1,6 @@
 #include "linalg/sparse.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <utility>
 
@@ -69,41 +68,6 @@ SparseMatrix SparseMatrix::Builder::build() const {
   return m;
 }
 
-SparseMatrix SparseMatrix::from_dense(const DenseMatrix& dense, double drop_tol) {
-  // Test/interop convenience only: scanning n² entries defeats the
-  // sparse-first assembly path. Hot paths stamp through Builder; the
-  // debug assertion catches any large-n caller that densifies.
-  assert(dense.rows() * dense.cols() <= std::size_t{4096} * 4096 &&
-         "from_dense on a large matrix: hot paths must assemble via Builder");
-  Builder builder(dense.rows(), dense.cols());
-  for (std::size_t r = 0; r < dense.rows(); ++r) {
-    for (std::size_t c = 0; c < dense.cols(); ++c) {
-      const double v = dense(r, c);
-      if (std::fabs(v) > drop_tol) builder.add(r, c, v);
-    }
-  }
-  return builder.build();
-}
-
-Vector SparseMatrix::multiply(const Vector& x) const {
-  Vector y;
-  multiply_into(x, y);
-  return y;
-}
-
-void SparseMatrix::multiply_into(const Vector& x, Vector& y) const {
-  THERMO_REQUIRE(x.size() == cols_, "sparse multiply: dimension mismatch");
-  THERMO_REQUIRE(&x != &y, "sparse multiply: x and y must not alias");
-  y.resize(rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double sum = 0.0;
-    for (std::size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-      sum += values_[k] * x[col_indices_[k]];
-    }
-    y[r] = sum;
-  }
-}
-
 double SparseMatrix::at(std::size_t row, std::size_t col) const {
   THERMO_REQUIRE(row < rows_ && col < cols_, "sparse at: index out of range");
   const auto begin = col_indices_.begin() +
@@ -113,23 +77,6 @@ double SparseMatrix::at(std::size_t row, std::size_t col) const {
   const auto it = std::lower_bound(begin, end, col);
   if (it == end || *it != col) return 0.0;
   return values_[static_cast<std::size_t>(it - col_indices_.begin())];
-}
-
-Vector SparseMatrix::diagonal() const {
-  THERMO_REQUIRE(rows_ == cols_, "diagonal: matrix must be square");
-  Vector d(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) d[r] = at(r, r);
-  return d;
-}
-
-DenseMatrix SparseMatrix::to_dense() const {
-  DenseMatrix dense(rows_, cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-      dense(r, col_indices_[k]) += values_[k];
-    }
-  }
-  return dense;
 }
 
 bool SparseMatrix::is_symmetric(double tol) const {

@@ -1,15 +1,14 @@
 // Compressed-sparse-row matrix with a COO-style builder. Thermal
-// conductance matrices are ~5 non-zeros per row, so large floorplans
-// (hundreds of blocks) solve much faster through CSR + CG than dense.
+// conductance matrices are ~5 non-zeros per row; every solve factors
+// them sparsely (sparse_cholesky.hpp).
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
-#include "linalg/dense_matrix.hpp"
-#include "linalg/vector_ops.hpp"
-
 namespace thermo::linalg {
+
+using Vector = std::vector<double>;
 
 class SparseMatrix {
  public:
@@ -41,27 +40,12 @@ class SparseMatrix {
     std::vector<double> coo_values_;
   };
 
-  static SparseMatrix from_dense(const DenseMatrix& dense, double drop_tol = 0.0);
-
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::size_t nonzeros() const { return values_.size(); }
 
-  /// y = A x.
-  Vector multiply(const Vector& x) const;
-
-  /// y = A x into a caller-owned buffer (resized to rows()). The
-  /// allocation-free fast path the iterative solvers use: one SpMV per
-  /// CG iteration with no per-call vector churn.
-  void multiply_into(const Vector& x, Vector& y) const;
-
   /// Entry lookup (binary search within the row); 0 if absent.
   double at(std::size_t row, std::size_t col) const;
-
-  /// Diagonal entries (0 when absent). Requires square.
-  Vector diagonal() const;
-
-  DenseMatrix to_dense() const;
 
   bool is_symmetric(double tol = 1e-12) const;
 

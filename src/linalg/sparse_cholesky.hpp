@@ -1,6 +1,6 @@
 // Sparse Cholesky factorization (LDLᵗ variant) for symmetric positive-
 // definite systems in CSR form — the factorization every thermal solve
-// uses (dense cholesky.hpp is its test oracle).
+// uses; the dense Cholesky in tests/oracles/ is its test oracle.
 //
 // Thermal conductance matrices have ~5 off-diagonals per die row plus a
 // handful of package rows that touch every die block. By default the
@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "linalg/sparse.hpp"
-#include "linalg/vector_ops.hpp"
 
 namespace thermo::linalg {
 
@@ -138,8 +137,9 @@ class SparseCholeskyFactor {
 ///     C dy/dt = b - G y
 /// with diagonal capacitance C and SPARSE SPD G: factors (C/dt + G)
 /// once with SparseCholeskyFactor and back-substitutes per step. Same
-/// step() semantics as the dense LinearImplicitStepper (linalg/ode.hpp),
-/// its test oracle; step() is const and thread-safe.
+/// step() semantics as the dense LinearImplicitStepper
+/// (tests/oracles/ode.hpp), its test oracle; step() is const and
+/// thread-safe.
 class SparseImplicitStepper {
  public:
   /// Factors (C/dt + G); dt must be > 0, capacitance entries > 0, and

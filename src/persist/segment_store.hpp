@@ -48,7 +48,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "persist/fault_fs.hpp"
+#include "persist/fs.hpp"
 
 namespace thermo::persist {
 
@@ -78,7 +78,8 @@ struct StoreOptions {
   /// creating it (inspection tools).
   bool create_if_missing = true;
   /// Filesystem to operate through (borrowed; must outlive the store).
-  /// nullptr = the real filesystem. Tests substitute a FaultFs.
+  /// nullptr = the real filesystem. The crash tests substitute a fault
+  /// injector (tests/oracles/fault_fs.hpp).
   Fs* fs = nullptr;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <istream>
 #include <string>
 #include <utility>
@@ -31,6 +32,19 @@ struct PreparedLine {
   std::string id;             ///< resolved id, for the timing summary
 };
 
+/// A line that never reaches the runner: its ok:false record. Such
+/// lines get no memo key, so the record is never memoized.
+PreparedLine failed_line(std::string id, std::string error) {
+  ScenarioResult result;
+  result.id = std::move(id);
+  result.ok = false;
+  result.error = std::move(error);
+  PreparedLine failed;
+  failed.error_record = to_json(result).dump();
+  failed.id = result.id;
+  return failed;
+}
+
 PreparedLine prepare_line(const std::string& text, std::size_t line_number) {
   PreparedLine prepared;
   try {
@@ -42,14 +56,9 @@ PreparedLine prepare_line(const std::string& text, std::size_t line_number) {
     prepared.valid = true;
   } catch (const Error& e) {
     // Malformed JSON or an invalid request body: the record carries the
-    // parser's message; the rest of the batch is unaffected. The record
-    // depends on the line NUMBER, so it is never memoized (no key).
-    ScenarioResult result;
-    result.id = "line-" + std::to_string(line_number);
-    result.ok = false;
-    result.error = e.what();
-    prepared.error_record = to_json(result).dump();
-    prepared.id = result.id;
+    // parser's message and the line NUMBER; the rest of the batch is
+    // unaffected.
+    return failed_line("line-" + std::to_string(line_number), e.what());
   }
   return prepared;
 }
@@ -101,6 +110,18 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
   std::vector<dispatch::Job> jobs(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (lines[i].valid) {
+      // A positive but tiny solver.dt overflows the step count, and a
+      // non-finite cost would abort the placement of the whole batch.
+      const double cost =
+          cost_model.estimate(request_cost_features(lines[i].request));
+      if (!std::isfinite(cost)) {
+        lines[i] = failed_line(lines[i].id,
+                               "scenario request: estimated cost is not "
+                               "finite (solver.dt too small for the test "
+                               "lengths)");
+        continue;
+      }
+      jobs[i].cost = cost;
       if (options.dedup) {
         // The memo key strips the SLO envelope: deadline/priority only
         // say how urgently to serve, the record is identical — two
@@ -110,8 +131,6 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
         keyed.priority = 1.0;
         jobs[i].memo_key = to_json_line(keyed);
       }
-      jobs[i].cost =
-          cost_model.estimate(request_cost_features(lines[i].request));
       jobs[i].deadline = lines[i].request.deadline_s > 0.0
                              ? lines[i].request.deadline_s
                              : dispatch::kNoDeadline;

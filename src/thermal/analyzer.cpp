@@ -89,29 +89,29 @@ SessionPeaks ThermalAnalyzer::session_peaks(
   for (const std::size_t core : cores) {
     THERMO_REQUIRE(core < model_->block_count(), "block index out of range");
   }
+  // simulate_session's and expand_power's checks, in their order and
+  // with their text, then that the cores are distinct and cover every
+  // powered block (on_path is free here and is zeroed again before
+  // the solve).
+  THERMO_REQUIRE(duration > 0.0, "session duration must be positive");
+  model_->check_block_power(block_power);
+  fit_scratch();
+  std::vector<unsigned char>& in_session = scratch_.on_path;
+  bool distinct = true;
+  for (const std::size_t core : cores) {
+    distinct = distinct && in_session[core] == 0;
+    in_session[core] = 1;
+  }
+  bool covered = true;
+  for (std::size_t b = 0; b < block_power.size(); ++b) {
+    covered = covered && (block_power[b] == 0.0 || in_session[b] != 0);
+  }
+  for (const std::size_t core : cores) in_session[core] = 0;
+  THERMO_REQUIRE(distinct, "session cores must be distinct");
+  THERMO_REQUIRE(covered, "session cores must cover every powered block");
   SessionPeaks out;
   out.core_peak.resize(cores.size());
   if (!options_.transient) {
-    // simulate_session's and expand_power's checks, in their order and
-    // with their text, then that the cores are distinct and cover every
-    // powered block (on_path is free here and is zeroed again before
-    // the solve).
-    THERMO_REQUIRE(duration > 0.0, "session duration must be positive");
-    model_->check_block_power(block_power);
-    fit_scratch();
-    std::vector<unsigned char>& in_session = scratch_.on_path;
-    bool distinct = true;
-    for (const std::size_t core : cores) {
-      distinct = distinct && in_session[core] == 0;
-      in_session[core] = 1;
-    }
-    bool covered = true;
-    for (std::size_t b = 0; b < block_power.size(); ++b) {
-      covered = covered && (block_power[b] == 0.0 || in_session[b] != 0);
-    }
-    for (const std::size_t core : cores) in_session[core] = 0;
-    THERMO_REQUIRE(distinct, "session cores must be distinct");
-    THERMO_REQUIRE(covered, "session cores must cover every powered block");
     for (std::size_t t = 0; t < cores.size(); ++t) {
       out.core_peak[t] = block_power[cores[t]];
     }

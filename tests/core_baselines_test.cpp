@@ -5,7 +5,7 @@
 
 #include "core/power_scheduler.hpp"
 #include "core/safety_checker.hpp"
-#include "core/sequential_scheduler.hpp"
+#include "oracles/sequential_scheduler.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 

@@ -2,8 +2,8 @@
 #include <gtest/gtest.h>
 
 #include "core/safety_checker.hpp"
-#include "core/sequential_scheduler.hpp"
 #include "core/thermal_scheduler.hpp"
+#include "oracles/sequential_scheduler.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 

@@ -15,7 +15,7 @@
 #include "dispatch/engine.hpp"
 #include "dispatch/ordered_writer.hpp"
 #include "obs/metrics.hpp"
-#include "persist/fault_fs.hpp"
+#include "oracles/fault_fs.hpp"
 #include "persist_test_util.hpp"
 
 namespace thermo::dispatch {

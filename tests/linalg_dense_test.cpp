@@ -1,10 +1,10 @@
-#include "linalg/dense_matrix.hpp"
+#include "oracles/dense_matrix.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "linalg/vector_ops.hpp"
+#include "oracles/vector_ops.hpp"
 #include "util/error.hpp"
 
 namespace thermo::linalg {

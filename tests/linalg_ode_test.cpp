@@ -1,4 +1,4 @@
-#include "linalg/ode.hpp"
+#include "oracles/ode.hpp"
 
 #include <gtest/gtest.h>
 

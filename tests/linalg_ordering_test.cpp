@@ -12,9 +12,10 @@
 #include <cmath>
 #include <vector>
 
-#include "linalg/cholesky.hpp"
 #include "linalg/sparse_cholesky.hpp"
-#include "min_degree_reference.hpp"
+#include "oracles/cholesky.hpp"
+#include "oracles/min_degree_reference.hpp"
+#include "oracles/sparse_ops.hpp"
 #include "util/rng.hpp"
 
 namespace thermo::linalg {
@@ -208,7 +209,7 @@ TEST(OrderedFactorTest, OrderedNaturalAndDenseSolvesAgree) {
       const SparseMatrix a = random_spd(rng, n, 3 * n);
       const SparseCholeskyFactor ordered(a, Ordering::kMinDegree);
       const SparseCholeskyFactor natural(a, Ordering::kNatural);
-      const CholeskyFactor dense(a.to_dense());
+      const CholeskyFactor dense(to_dense(a));
 
       Vector b(n);
       for (double& v : b) v = rng.uniform(-5.0, 5.0);

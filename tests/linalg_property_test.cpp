@@ -5,12 +5,13 @@
 
 #include <cmath>
 
-#include "linalg/cholesky.hpp"
-#include "linalg/iterative.hpp"
-#include "linalg/lu.hpp"
-#include "linalg/ode.hpp"
 #include "linalg/sparse.hpp"
-#include "linalg/vector_ops.hpp"
+#include "oracles/cholesky.hpp"
+#include "oracles/iterative.hpp"
+#include "oracles/lu.hpp"
+#include "oracles/ode.hpp"
+#include "oracles/sparse_ops.hpp"
+#include "oracles/vector_ops.hpp"
 #include "util/rng.hpp"
 
 namespace thermo::linalg {
@@ -62,7 +63,7 @@ TEST_P(SolverAgreement, AllFourSolversProduceTheSameSolution) {
     Rng rng(seed * 131 + GetParam());
     const SparseMatrix a = random_conductance(GetParam(), rng);
     const Vector b = random_rhs(a.rows(), rng);
-    const DenseMatrix dense = a.to_dense();
+    const DenseMatrix dense = to_dense(a);
 
     const Vector x_lu = lu_solve(dense, b);
     const Vector x_chol = cholesky_solve(dense, b);
@@ -92,7 +93,7 @@ TEST_P(SolverAgreement, SolutionIsNonNegativeForNonNegativeRhs) {
   Rng rng(GetParam() + 1234);
   const SparseMatrix a = random_conductance(GetParam(), rng);
   const Vector b = random_rhs(a.rows(), rng);
-  const Vector x = cholesky_solve(a.to_dense(), b);
+  const Vector x = cholesky_solve(to_dense(a), b);
   for (double v : x) EXPECT_GE(v, -1e-12);
 }
 
@@ -104,7 +105,7 @@ class OdeAgreement : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(OdeAgreement, BackwardEulerMatchesRk4OnRandomRcSystems) {
   Rng rng(GetParam() * 7 + 5);
   const SparseMatrix a = random_conductance(GetParam(), rng);
-  const DenseMatrix g = a.to_dense();
+  const DenseMatrix g = to_dense(a);
   const std::size_t n = g.rows();
   Vector capacitance(n);
   for (double& c : capacitance) c = rng.uniform(0.5, 2.0);
@@ -130,7 +131,7 @@ TEST_P(OdeAgreement, BackwardEulerMatchesRk4OnRandomRcSystems) {
 TEST_P(OdeAgreement, SteadyStateOfOdeMatchesLinearSolve) {
   Rng rng(GetParam() * 13 + 17);
   const SparseMatrix a = random_conductance(GetParam(), rng);
-  const DenseMatrix g = a.to_dense();
+  const DenseMatrix g = to_dense(a);
   const std::size_t n = g.rows();
   const Vector capacitance(n, 1.0);
   const Vector b = random_rhs(n, rng);

@@ -1,9 +1,9 @@
 // Direct solvers: LU and Cholesky.
 #include <gtest/gtest.h>
 
-#include "linalg/cholesky.hpp"
-#include "linalg/lu.hpp"
-#include "linalg/vector_ops.hpp"
+#include "oracles/cholesky.hpp"
+#include "oracles/lu.hpp"
+#include "oracles/vector_ops.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 

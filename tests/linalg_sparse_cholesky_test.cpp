@@ -10,8 +10,9 @@
 #include <cmath>
 #include <cstdint>
 
-#include "linalg/cholesky.hpp"
-#include "linalg/ode.hpp"
+#include "oracles/cholesky.hpp"
+#include "oracles/ode.hpp"
+#include "oracles/sparse_ops.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -73,7 +74,7 @@ TEST(SparseCholeskyTest, MatchesDenseCholeskyOnRandomSpdSystems) {
   for (std::size_t n : {3u, 10u, 40u, 97u}) {
     const SparseMatrix a = random_spd(rng, n, 2 * n);
     const SparseCholeskyFactor sparse(a);
-    const CholeskyFactor dense(a.to_dense());
+    const CholeskyFactor dense(to_dense(a));
     for (int trial = 0; trial < 3; ++trial) {
       const Vector b = random_rhs(rng, n);
       // Two direct factorizations of a well-conditioned SPD system:
@@ -254,7 +255,7 @@ TEST(SparseImplicitStepperTest, TracksDenseStepper) {
   const double dt = 1e-2;
 
   const SparseImplicitStepper sparse(g, capacitance, dt);
-  const LinearImplicitStepper dense(g.to_dense(), capacitance, dt);
+  const LinearImplicitStepper dense(to_dense(g), capacitance, dt);
   EXPECT_DOUBLE_EQ(sparse.dt(), dt);
   EXPECT_EQ(sparse.size(), 30u);
 
@@ -283,9 +284,9 @@ TEST(SparseMatrixTest, MultiplyIntoMatchesMultiply) {
   Rng rng(5);
   const SparseMatrix a = random_spd(rng, 20, 40);
   const Vector x = random_rhs(rng, 20);
-  const Vector expected = a.multiply(x);
+  const Vector expected = multiply(a, x);
   Vector y(3, 99.0);  // wrong size on purpose: must be resized
-  a.multiply_into(x, y);
+  multiply_into(a, x, y);
   ASSERT_EQ(y.size(), expected.size());
   for (std::size_t i = 0; i < y.size(); ++i) {
     EXPECT_DOUBLE_EQ(y[i], expected[i]);

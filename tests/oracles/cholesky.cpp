@@ -1,4 +1,4 @@
-#include "linalg/cholesky.hpp"
+#include "oracles/cholesky.hpp"
 
 #include <cmath>
 

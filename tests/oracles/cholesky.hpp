@@ -14,7 +14,7 @@
 //    solve() per rhs instead of the one-shot cholesky_solve().
 #pragma once
 
-#include "linalg/dense_matrix.hpp"
+#include "oracles/dense_matrix.hpp"
 
 namespace thermo::linalg {
 

@@ -1,4 +1,4 @@
-#include "linalg/dense_matrix.hpp"
+#include "oracles/dense_matrix.hpp"
 
 #include <cmath>
 

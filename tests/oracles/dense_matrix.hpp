@@ -5,7 +5,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "linalg/vector_ops.hpp"
+#include "oracles/vector_ops.hpp"
 
 namespace thermo::linalg {
 

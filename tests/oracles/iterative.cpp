@@ -1,5 +1,6 @@
-#include "linalg/iterative.hpp"
+#include "oracles/iterative.hpp"
 
+#include "oracles/sparse_ops.hpp"
 #include "util/error.hpp"
 
 namespace thermo::linalg {
@@ -24,7 +25,7 @@ IterativeResult conjugate_gradient(const SparseMatrix& a, const Vector& b,
     return result;
   }
 
-  Vector diag = a.diagonal();
+  Vector diag = diagonal(a);
   for (double& d : diag) {
     if (d == 0.0) throw NumericalError("CG: zero diagonal entry");
   }
@@ -37,7 +38,7 @@ IterativeResult conjugate_gradient(const SparseMatrix& a, const Vector& b,
 
   Vector ap;  // SpMV buffer reused across iterations (multiply_into)
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-    a.multiply_into(p, ap);
+    multiply_into(a, p, ap);
     const double p_ap = dot(p, ap);
     if (p_ap <= 0.0) {
       throw NumericalError("CG: matrix is not positive definite");

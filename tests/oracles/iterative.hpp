@@ -8,7 +8,7 @@
 #include <cstddef>
 
 #include "linalg/sparse.hpp"
-#include "linalg/vector_ops.hpp"
+#include "oracles/vector_ops.hpp"
 
 namespace thermo::linalg {
 

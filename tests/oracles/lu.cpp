@@ -1,4 +1,4 @@
-#include "linalg/lu.hpp"
+#include "oracles/lu.hpp"
 
 #include <cmath>
 

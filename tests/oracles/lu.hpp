@@ -19,7 +19,7 @@
 //    LinearImplicitStepper does.
 #pragma once
 
-#include "linalg/dense_matrix.hpp"
+#include "oracles/dense_matrix.hpp"
 
 namespace thermo::linalg {
 

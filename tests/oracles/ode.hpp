@@ -13,9 +13,9 @@
 
 #include <functional>
 
-#include "linalg/dense_matrix.hpp"
-#include "linalg/lu.hpp"
-#include "linalg/vector_ops.hpp"
+#include "oracles/dense_matrix.hpp"
+#include "oracles/lu.hpp"
+#include "oracles/vector_ops.hpp"
 
 namespace thermo::linalg {
 

@@ -1,4 +1,4 @@
-#include "core/sequential_scheduler.hpp"
+#include "oracles/sequential_scheduler.hpp"
 
 #include <algorithm>
 

@@ -1,4 +1,4 @@
-#include "linalg/vector_ops.hpp"
+#include "oracles/vector_ops.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -1,12 +1,11 @@
-// Free functions on std::vector<double> used throughout the numeric code.
+// Free functions on linalg::Vector for the dense and iterative oracles.
 #pragma once
 
 #include <cstddef>
-#include <vector>
+
+#include "linalg/sparse.hpp"  // Vector
 
 namespace thermo::linalg {
-
-using Vector = std::vector<double>;
 
 /// y += alpha * x (sizes must match).
 void axpy(double alpha, const Vector& x, Vector& y);

@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "persist/fault_fs.hpp"
+#include "oracles/fault_fs.hpp"
 #include "persist/segment_store.hpp"
 #include "persist_test_util.hpp"
 #include "util/error.hpp"

@@ -16,9 +16,10 @@
 #include "core/schedule.hpp"
 #include "core/session_model.hpp"
 #include "core/thermal_scheduler.hpp"
-#include "linalg/cholesky.hpp"
-#include "linalg/ode.hpp"
 #include "linalg/sparse_cholesky.hpp"
+#include "oracles/cholesky.hpp"
+#include "oracles/ode.hpp"
+#include "oracles/sparse_ops.hpp"
 #include "soc/synthetic.hpp"
 #include "thermal/analyzer.hpp"
 #include "thermal/steady_state.hpp"
@@ -168,7 +169,7 @@ TEST(SolverBackendTest, BackendsAgreeOnRandomSyntheticSocs) {
   for (const auto& [seed, cores] : cases) {
     const core::SocSpec soc = random_soc(seed, cores);
     const thermal::RCModel model(soc.flp, soc.package);
-    const linalg::DenseMatrix g = model.conductance_sparse().to_dense();
+    const linalg::DenseMatrix g = linalg::to_dense(model.conductance_sparse());
     const std::vector<double> power = soc.test_powers();
     const std::vector<double> node_power = model.expand_power(power);
 

@@ -100,6 +100,29 @@ TEST(ServeDispatch, InvalidLinesFailInPlace) {
   EXPECT_NE(records[43].find("requires both min and max"), std::string::npos);
 }
 
+TEST(ServeDispatch, NonFiniteCostFailsOnlyItsLine) {
+  // dt = 1e-320 parses (positive, finite) but overflows the cost
+  // estimate's step count: that line alone fails, and is not memoized.
+  const std::string good = R"({"id":"good","soc":{"kind":"alpha"}})" "\n";
+  const std::string expected =
+      run_serve(good, {}).records +
+      R"({"id":"line-2","ok":false,"error":"scenario request: estimated cost )"
+      R"x(is not finite (solver.dt too small for the test lengths)"})x" "\n";
+  for (const dispatch::SchedulePolicy policy :
+       {dispatch::SchedulePolicy::kFifo, dispatch::SchedulePolicy::kLjf}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      ServeOptions options;
+      options.policy = policy;
+      options.threads = threads;
+      const RunOutput run =
+          run_serve(good + R"({"solver":{"dt":1e-320}})" "\n", options);
+      EXPECT_EQ(run.records, expected)
+          << dispatch::schedule_policy_name(policy) << " x" << threads;
+      EXPECT_EQ(run.summary.memo_hits, 0u);
+    }
+  }
+}
+
 TEST(ServeDispatch, ErrorRecordsCarryNoSourcePaths) {
   // Records are pure functions of the request bytes: a failed library
   // precondition must not leak the build's source paths into them (the

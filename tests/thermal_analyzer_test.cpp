@@ -170,6 +170,7 @@ TEST_F(AnalyzerTest, SessionPeaksChecksInputsLikeASession) {
   ThermalAnalyzer::Options options;
   options.transient = false;
   ThermalAnalyzer steady(fp_, pkg_, options);
+  ThermalAnalyzer transient(fp_, pkg_);
   const auto error = [](auto&& run) {
     try {
       run();
@@ -178,47 +179,50 @@ TEST_F(AnalyzerTest, SessionPeaksChecksInputsLikeASession) {
     }
     return std::string("no error");
   };
-  for (const auto& [power, duration] :
-       {std::pair{std::vector<double>{1.0, 0.0, 0.0, 0.0}, 0.0},
-        std::pair{std::vector<double>{-1.0, 0.0, 0.0, 0.0}, 1.0},
-        std::pair{std::vector<double>{std::nan(""), 0.0, 0.0, 0.0}, 1.0},
-        std::pair{std::vector<double>{1.0, 0.0}, 1.0},
-        std::pair{std::vector<double>{-1.0}, -1.0}}) {
-    const std::string peaks =
-        error([&] { steady.session_peaks({0}, power, duration); });
-    EXPECT_NE(peaks, "no error");
-    EXPECT_EQ(peaks,
-              error([&] { steady.simulate_session(power, duration); }));
+  for (ThermalAnalyzer* oracle : {&steady, &transient}) {
+    SCOPED_TRACE(oracle == &steady ? "steady" : "transient");
+    for (const auto& [power, duration] :
+         {std::pair{std::vector<double>{1.0, 0.0, 0.0, 0.0}, 0.0},
+          std::pair{std::vector<double>{-1.0, 0.0, 0.0, 0.0}, 1.0},
+          std::pair{std::vector<double>{std::nan(""), 0.0, 0.0, 0.0}, 1.0},
+          std::pair{std::vector<double>{1.0, 0.0}, 1.0},
+          std::pair{std::vector<double>{-1.0}, -1.0}}) {
+      const std::string peaks =
+          error([&] { oracle->session_peaks({0}, power, duration); });
+      EXPECT_NE(peaks, "no error");
+      EXPECT_EQ(peaks,
+                error([&] { oracle->simulate_session(power, duration); }));
+    }
+    EXPECT_THROW(oracle->session_peaks({4}, {1.0, 0.0, 0.0, 0.0}, 1.0),
+                 InvalidArgument);
+    // Block 1 is powered but not a session core.
+    const std::vector<double> two_hot = {1.0, 1.0, 0.0, 0.0};
+    const auto names = [](const std::string& what, const std::string& text) {
+      return what.find(text) != std::string::npos;
+    };
+    EXPECT_TRUE(names(error([&] { oracle->session_peaks({0}, two_hot, 1.0); }),
+                      "session cores must cover every powered block"));
+    // A repeated core: as many cores as powered blocks, yet block 1 is
+    // not among them.
+    EXPECT_TRUE(
+        names(error([&] { oracle->session_peaks({0, 0}, two_hot, 1.0); }),
+              "session cores must be distinct"));
+    EXPECT_TRUE(names(error([&] {
+                        oracle->session_peaks({0, 0}, {1.0, 0.0, 0.0, 0.0}, 1.0);
+                      }),
+                      "session cores must be distinct"));
+    EXPECT_EQ(oracle->simulation_count(), 0u);
+    // The failed checks leave the workspace clean: a valid session after
+    // them still matches the full solve.
+    const std::vector<double> power = {1.0, 2.0, 0.0, 0.0};
+    const SessionPeaks peaks = oracle->session_peaks({1, 0}, power, 1.0);
+    const SessionSimulation sim = oracle->simulate_session(power, 1.0);
+    EXPECT_EQ(peaks.core_peak,
+              (std::vector<double>{sim.peak_temperature[1],
+                                   sim.peak_temperature[0]}));
+    EXPECT_EQ(peaks.hottest_block, sim.hottest_block);
+    EXPECT_EQ(oracle->simulation_count(), 2u);
   }
-  EXPECT_THROW(steady.session_peaks({4}, {1.0, 0.0, 0.0, 0.0}, 1.0),
-               InvalidArgument);
-  // Block 1 is powered but not a session core.
-  const std::vector<double> two_hot = {1.0, 1.0, 0.0, 0.0};
-  const auto names = [](const std::string& what, const std::string& text) {
-    return what.find(text) != std::string::npos;
-  };
-  EXPECT_TRUE(names(error([&] { steady.session_peaks({0}, two_hot, 1.0); }),
-                    "session cores must cover every powered block"));
-  // A repeated core: as many cores as powered blocks, yet block 1 is
-  // not among them.
-  EXPECT_TRUE(
-      names(error([&] { steady.session_peaks({0, 0}, two_hot, 1.0); }),
-            "session cores must be distinct"));
-  EXPECT_TRUE(names(error([&] {
-                      steady.session_peaks({0, 0}, {1.0, 0.0, 0.0, 0.0}, 1.0);
-                    }),
-                    "session cores must be distinct"));
-  EXPECT_EQ(steady.simulation_count(), 0u);
-  // The failed checks leave the workspace clean: a valid session after
-  // them still matches the full solve.
-  const std::vector<double> power = {1.0, 2.0, 0.0, 0.0};
-  const SessionPeaks peaks = steady.session_peaks({1, 0}, power, 1.0);
-  const SessionSimulation sim = steady.simulate_session(power, 1.0);
-  EXPECT_EQ(peaks.core_peak,
-            (std::vector<double>{sim.peak_temperature[1],
-                                 sim.peak_temperature[0]}));
-  EXPECT_EQ(peaks.hottest_block, sim.hottest_block);
-  EXPECT_EQ(steady.simulation_count(), 2u);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 
 #include <cmath>
 
-#include "linalg/cholesky.hpp"
+#include "oracles/cholesky.hpp"
+#include "oracles/sparse_ops.hpp"
 #include "test_helpers.hpp"
 #include "thermal/rc_model.hpp"
 #include "thermal/steady_state.hpp"
@@ -166,7 +167,7 @@ TEST(GridModel, BackendsAgreeAndSparseIsBitReproducible) {
     }
   }
   const std::vector<double> rise =
-      linalg::CholeskyFactor(grid.conductance().to_dense()).solve(node_power);
+      linalg::CholeskyFactor(linalg::to_dense(grid.conductance())).solve(node_power);
   const double ambient = PackageParams{}.ambient;
   for (std::size_t cell = 0; cell < grid.cell_count(); ++cell) {
     const double a = ambient + rise[cell];

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "linalg/ordering.hpp"
-#include "min_degree_reference.hpp"
+#include "oracles/min_degree_reference.hpp"
 #include "soc/fig1.hpp"
 #include "soc/synthetic.hpp"
 #include "thermal/grid_model.hpp"

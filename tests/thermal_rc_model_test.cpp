@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "oracles/sparse_ops.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -42,14 +43,14 @@ TEST(RcModel, NodeCountIsBlocksPlusPackage) {
 TEST(RcModel, ConductanceMatrixIsSymmetric) {
   const RCModel model(nine_floorplan(), PackageParams{});
   EXPECT_TRUE(model.conductance_sparse().is_symmetric(1e-12));
-  EXPECT_TRUE(model.conductance_sparse().to_dense().is_symmetric(1e-12));
+  EXPECT_TRUE(linalg::to_dense(model.conductance_sparse()).is_symmetric(1e-12));
 }
 
 TEST(RcModel, RowSumsEqualAmbientConductance) {
   // Kirchhoff: sum of row r equals the conductance from node r to
   // ambient (all internal couplings cancel).
   const RCModel model(nine_floorplan(), PackageParams{});
-  const linalg::DenseMatrix g = model.conductance_sparse().to_dense();
+  const linalg::DenseMatrix g = linalg::to_dense(model.conductance_sparse());
   for (std::size_t r = 0; r < model.node_count(); ++r) {
     double row_sum = 0.0;
     for (std::size_t c = 0; c < model.node_count(); ++c) row_sum += g(r, c);

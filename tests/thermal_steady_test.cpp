@@ -2,9 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "linalg/iterative.hpp"
-#include "linalg/lu.hpp"
-#include "linalg/vector_ops.hpp"
+#include "oracles/iterative.hpp"
+#include "oracles/lu.hpp"
+#include "oracles/sparse_ops.hpp"
+#include "oracles/vector_ops.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -108,7 +109,7 @@ TEST_F(SteadyStateTest, AllSolversAgree) {
   power[6] = 8.0;
   const auto sparse = solve_steady_state(model_, power);
   const auto full_power = model_.expand_power(power);
-  const auto lu = linalg::LuFactor(model_.conductance_sparse().to_dense())
+  const auto lu = linalg::LuFactor(linalg::to_dense(model_.conductance_sparse()))
                       .solve(full_power);
   linalg::IterativeOptions options;
   options.tolerance = 1e-12;
@@ -124,7 +125,7 @@ TEST_F(SteadyStateTest, ResidualIsSmall) {
   const auto r = solve_steady_state(model_, power);
   const auto full_power = model_.expand_power(power);
   const auto residual = linalg::subtract(
-      full_power, model_.conductance_sparse().multiply(r.rise));
+      full_power, linalg::multiply(model_.conductance_sparse(), r.rise));
   EXPECT_LT(linalg::norm_inf(residual), 1e-8);
 }
 

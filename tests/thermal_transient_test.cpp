@@ -4,8 +4,9 @@
 
 #include <algorithm>
 
-#include "linalg/ode.hpp"
-#include "linalg/vector_ops.hpp"
+#include "oracles/ode.hpp"
+#include "oracles/sparse_ops.hpp"
+#include "oracles/vector_ops.hpp"
 #include "test_helpers.hpp"
 #include "thermal/steady_state.hpp"
 #include "util/error.hpp"
@@ -110,7 +111,7 @@ TEST_F(TransientTest, Rk4AgreesWithBackwardEulerOnShortHorizon) {
   const std::vector<double>& capacitance = model_.capacitance();
   const std::vector<double> p = model_.expand_power(power_);
   const auto rhs = [&](double, const linalg::Vector& x) {
-    linalg::Vector dx = g.multiply(x);
+    linalg::Vector dx = linalg::multiply(g, x);
     for (std::size_t i = 0; i < dx.size(); ++i) {
       dx[i] = (p[i] - dx[i]) / capacitance[i];
     }
