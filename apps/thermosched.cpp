@@ -508,7 +508,8 @@ int cmd_serve(const CommonArgs& args) {
             << (summary.dedup ? "on" : "off") << "); memo hits "
             << summary.memo_hits << "/" << summary.requests
             << "; models built " << summary.runner.model_misses
-            << ", reused " << summary.runner.model_hits;
+            << ", reused " << summary.runner.model_hits << "; socs built "
+            << summary.runner.soc_builds;
   if (summary.disk_cache_enabled) {
     std::cerr << "; disk cache: " << summary.disk_hits << " hits, "
               << summary.disk_records << " records in "

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/prepared_model.hpp"
 #include "core/schedule.hpp"
 #include "core/soc_spec.hpp"
 #include "thermal/analyzer.hpp"
@@ -53,7 +54,15 @@ class SafetyChecker {
   SafetyReport check(const SocSpec& soc, const TestSchedule& schedule,
                      thermal::ThermalAnalyzer& analyzer) const;
 
+  /// The same check of a SoC on a prepared geometry, without
+  /// re-validating it.
+  SafetyReport check(const PreparedSoc& soc, const TestSchedule& schedule,
+                     thermal::ThermalAnalyzer& analyzer) const;
+
  private:
+  SafetyReport check_valid(const SocSpec& soc, const TestSchedule& schedule,
+                           thermal::ThermalAnalyzer& analyzer) const;
+
   double temperature_limit_;
   Options options_;
 };

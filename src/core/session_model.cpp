@@ -10,13 +10,17 @@ namespace thermo::core {
 
 namespace fp = thermo::floorplan;
 
+void SessionModelOptions::validate() const {
+  THERMO_REQUIRE(stc_scale > 0.0, "stc_scale must be positive");
+}
+
 SessionThermalModel::SessionThermalModel(const fp::Floorplan& floorplan,
                                          const thermal::PackageParams& package,
                                          SessionModelOptions options)
     : options_(options) {
   package.validate();
   floorplan.require_valid();
-  THERMO_REQUIRE(options_.stc_scale > 0.0, "stc_scale must be positive");
+  options_.validate();
 
   const std::size_t n = floorplan.size();
   lateral_.assign(n, {});

@@ -55,6 +55,9 @@ struct SessionModelOptions {
   /// 20..100 in unnamed units; the SoC definitions in src/soc pick a
   /// scale placing their STC range onto that axis.
   double stc_scale = 1.0;
+
+  /// Throws InvalidArgument unless stc_scale > 0.
+  void validate() const;
 };
 
 class SessionThermalModel {

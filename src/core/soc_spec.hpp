@@ -41,6 +41,11 @@ struct SocSpec {
   /// matches the block count, and every power/length is finite and
   /// positive (length) / non-negative (power).
   void validate() const;
+
+  /// validate()'s checks after the floorplan's and the package's, in its
+  /// order: all a SoC needs once those passed for its geometry and only
+  /// `tests` changed (a power corner of an already validated SoC).
+  void validate_tests() const;
 };
 
 }  // namespace thermo::core

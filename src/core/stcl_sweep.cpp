@@ -6,11 +6,16 @@
 
 namespace thermo::core {
 
-std::vector<StclSweepPoint> sweep_stcl(
-    const SocSpec& soc, std::shared_ptr<const thermal::RCModel> model,
-    const std::vector<double>& stcl_values, const StclSweepConfig& config) {
-  THERMO_REQUIRE(model != nullptr, "stcl sweep requires a model");
+namespace {
 
+/// Both sweep_stcl overloads; `Soc` is a SocSpec or a PreparedSoc, and
+/// `factor` G's factor for the analyzers (null: each takes it from
+/// ThermalSolverCache).
+template <typename Soc>
+std::vector<StclSweepPoint> run_sweep(
+    const Soc& soc, const std::shared_ptr<const thermal::RCModel>& model,
+    const std::shared_ptr<const linalg::SparseCholeskyFactor>& factor,
+    const std::vector<double>& stcl_values, const StclSweepConfig& config) {
   if (stcl_values.empty()) return {};
   const auto options_at = [&](std::size_t i) {
     ThermalSchedulerOptions options = config.scheduler;
@@ -21,13 +26,13 @@ std::vector<StclSweepPoint> sweep_stcl(
   // The solo pre-pass depends on neither STCL nor TL: run it once, after
   // the checks point 0's own generate() made first, so errors keep their
   // precedence.
-  thermal::ThermalAnalyzer prepass_analyzer(model, config.analyzer);
+  thermal::ThermalAnalyzer prepass_analyzer(model, config.analyzer, factor);
   (void)ThermalAwareScheduler(options_at(0));
   const SoloPrepass prepass = solo_prepass(soc, prepass_analyzer);
 
   std::vector<StclSweepPoint> points(stcl_values.size());
   sweep::for_each_index(config.threads, points.size(), [&](std::size_t i) {
-    thermal::ThermalAnalyzer analyzer(model, config.analyzer);
+    thermal::ThermalAnalyzer analyzer(model, config.analyzer, factor);
     const ThermalAwareScheduler scheduler(options_at(i));
     const ScheduleResult result = scheduler.generate(soc, analyzer, prepass);
     points[i] = StclSweepPoint{stcl_values[i],
@@ -39,6 +44,23 @@ std::vector<StclSweepPoint> sweep_stcl(
                                scheduler.effective_temperature_limit()};
   });
   return points;
+}
+
+}  // namespace
+
+std::vector<StclSweepPoint> sweep_stcl(
+    const SocSpec& soc, std::shared_ptr<const thermal::RCModel> model,
+    const std::vector<double>& stcl_values, const StclSweepConfig& config) {
+  THERMO_REQUIRE(model != nullptr, "stcl sweep requires a model");
+  return run_sweep(soc, model, nullptr, stcl_values, config);
+}
+
+std::vector<StclSweepPoint> sweep_stcl(const PreparedSoc& soc,
+                                       const std::vector<double>& stcl_values,
+                                       const StclSweepConfig& config) {
+  return run_sweep(soc, soc.model.rc_model(),
+                   soc.model.steady_factor(config.analyzer), stcl_values,
+                   config);
 }
 
 std::vector<double> stcl_range(double min, double max, double step) {

@@ -56,6 +56,14 @@ std::vector<StclSweepPoint> sweep_stcl(
     const SocSpec& soc, std::shared_ptr<const thermal::RCModel> model,
     const std::vector<double>& stcl_values, const StclSweepConfig& config);
 
+/// The same sweep on a prepared geometry: its RC model, session model
+/// and (steady oracle) G factor serve every point, and the SoC is not
+/// re-validated. Bit-identical to sweep_stcl(soc.soc,
+/// soc.model.rc_model(), stcl_values, config).
+std::vector<StclSweepPoint> sweep_stcl(const PreparedSoc& soc,
+                                       const std::vector<double>& stcl_values,
+                                       const StclSweepConfig& config);
+
 /// The values min, min+step, … up to and including max (absolute 1e-9
 /// endpoint tolerance; computed by index so the spacing never drifts).
 /// Throws InvalidArgument unless step > 0, max >= min, and the range

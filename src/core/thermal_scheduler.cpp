@@ -69,11 +69,9 @@ void record_counters(std::size_t stc_evaluations, std::size_t stc_terms,
   dropped.add(discarded);
 }
 
-}  // namespace
-
-SoloPrepass solo_prepass(const SocSpec& soc,
-                         thermal::ThermalAnalyzer& analyzer) {
-  soc.validate();
+/// solo_prepass once the SoC is known to be valid.
+SoloPrepass run_prepass(const SocSpec& soc,
+                        thermal::ThermalAnalyzer& analyzer) {
   THERMO_REQUIRE(analyzer.model().block_count() == soc.core_count(),
                  "analyzer was built for a different floorplan");
   SoloPrepass prepass;
@@ -85,7 +83,31 @@ SoloPrepass solo_prepass(const SocSpec& soc,
   }
   prepass.effort = analyzer.simulation_effort();
   analyzer.reset_effort();
+  analyzer.flush_counters();
   return prepass;
+}
+
+/// generate()'s checks of its arguments, before the session model.
+void check_run_inputs(const SocSpec& soc,
+                      const thermal::ThermalAnalyzer& analyzer,
+                      const SoloPrepass& prepass) {
+  THERMO_REQUIRE(analyzer.model().block_count() == soc.core_count(),
+                 "analyzer was built for a different floorplan");
+  THERMO_REQUIRE(prepass.bcmt.size() == soc.core_count(),
+                 "pre-pass was run on a different SoC");
+}
+
+}  // namespace
+
+SoloPrepass solo_prepass(const SocSpec& soc,
+                         thermal::ThermalAnalyzer& analyzer) {
+  soc.validate();
+  return run_prepass(soc, analyzer);
+}
+
+SoloPrepass solo_prepass(const PreparedSoc& soc,
+                         thermal::ThermalAnalyzer& analyzer) {
+  return run_prepass(soc.soc, analyzer);
 }
 
 ScheduleResult ThermalAwareScheduler::generate(
@@ -96,13 +118,29 @@ ScheduleResult ThermalAwareScheduler::generate(
 ScheduleResult ThermalAwareScheduler::generate(
     const SocSpec& soc, thermal::ThermalAnalyzer& analyzer,
     const SoloPrepass& prepass) const {
-  THERMO_REQUIRE(analyzer.model().block_count() == soc.core_count(),
-                 "analyzer was built for a different floorplan");
-  THERMO_REQUIRE(prepass.bcmt.size() == soc.core_count(),
-                 "pre-pass was run on a different SoC");
-
-  const std::size_t n = soc.core_count();
+  check_run_inputs(soc, analyzer, prepass);
   const SessionThermalModel model(soc.flp, soc.package, options_.model);
+  return schedule(soc, model, analyzer, prepass);
+}
+
+ScheduleResult ThermalAwareScheduler::generate(
+    const PreparedSoc& soc, thermal::ThermalAnalyzer& analyzer,
+    const SoloPrepass& prepass) const {
+  check_run_inputs(soc.soc, analyzer, prepass);
+  // The one check of the session model's constructor that the prepared
+  // model has not already passed for these options.
+  options_.model.validate();
+  const SessionThermalModel& model = soc.model.session_model();
+  THERMO_REQUIRE(model.options().include_vertical_path ==
+                     options_.model.include_vertical_path,
+                 "prepared session model has other options");
+  return schedule(soc.soc, model, analyzer, prepass);
+}
+
+ScheduleResult ThermalAwareScheduler::schedule(
+    const SocSpec& soc, const SessionThermalModel& model,
+    thermal::ThermalAnalyzer& analyzer, const SoloPrepass& prepass) const {
+  const std::size_t n = soc.core_count();
   const std::vector<double> power = soc.test_powers();
 
   ScheduleResult result;
@@ -238,6 +276,7 @@ ScheduleResult ThermalAwareScheduler::generate(
   }
   record_counters(stc_evaluations, stc_terms, result.simulation_count,
                   result.discarded_sessions);
+  analyzer.flush_counters();
   return result;
 }
 

@@ -35,6 +35,7 @@
 // (STCL semantics, solo-violation policies, result metrics).
 #pragma once
 
+#include "core/prepared_model.hpp"
 #include "core/scheduler_result.hpp"
 #include "core/session_model.hpp"
 #include "core/soc_spec.hpp"
@@ -80,8 +81,14 @@ struct SoloPrepass {
 
 /// Validates `soc` against the analyzer, then simulates every core alone
 /// (ThermalAnalyzer::solo_peak). The analyzer's effort is reset before
-/// and after. Throws what SocSpec::validate throws.
+/// and after, and its solve counters are flushed. Throws what
+/// SocSpec::validate throws.
 SoloPrepass solo_prepass(const SocSpec& soc, thermal::ThermalAnalyzer& analyzer);
+
+/// The same pre-pass for a SoC on a prepared geometry, without
+/// re-validating it.
+SoloPrepass solo_prepass(const PreparedSoc& soc,
+                         thermal::ThermalAnalyzer& analyzer);
 
 class ThermalAwareScheduler {
  public:
@@ -103,11 +110,26 @@ class ThermalAwareScheduler {
   ScheduleResult generate(const SocSpec& soc, thermal::ThermalAnalyzer& analyzer,
                           const SoloPrepass& prepass) const;
 
+  /// The same run on a prepared geometry: `prepass` from
+  /// solo_prepass(soc, ·). Uses the prepared session model instead of
+  /// building one, and does not re-validate the SoC. Bit-identical to
+  /// generate(soc.soc, analyzer, prepass). The prepared model was built
+  /// with SessionModelOptions{}, so options().model may differ from it
+  /// only in stc_scale (InvalidArgument otherwise).
+  ScheduleResult generate(const PreparedSoc& soc,
+                          thermal::ThermalAnalyzer& analyzer,
+                          const SoloPrepass& prepass) const;
+
   /// Effective TL used in the last generate() call (differs from
   /// options().temperature_limit only under kRaiseLimit).
   double effective_temperature_limit() const { return effective_tl_; }
 
  private:
+  /// Algorithm 1 proper: every generate() overload ends here.
+  ScheduleResult schedule(const SocSpec& soc, const SessionThermalModel& model,
+                          thermal::ThermalAnalyzer& analyzer,
+                          const SoloPrepass& prepass) const;
+
   ThermalSchedulerOptions options_;
   mutable double effective_tl_ = 0.0;
 };

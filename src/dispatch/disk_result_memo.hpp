@@ -33,8 +33,11 @@ namespace thermo::dispatch {
 /// to the canonical request serialization (the keys) or the JSONL
 /// result-line format (the values). Revision 2: `solver.backend` left
 /// the canonical request form, every solve went sparse, and ok:false
-/// messages lost their source-file prefix.
-inline constexpr std::uint32_t kResultSchemaRevision = 2;
+/// messages lost their source-file prefix. Revision 3: transient
+/// sessions whose length is a whole number of steps within rounding
+/// (2 s at dt = 1 ms) no longer end with a sliver step, which moves the
+/// temperatures of those records.
+inline constexpr std::uint32_t kResultSchemaRevision = 3;
 
 class DiskResultMemo final : public ResultMemo {
  public:

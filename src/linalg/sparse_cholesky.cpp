@@ -129,19 +129,23 @@ void SparseCholeskyFactor::factorize(const SparseMatrix& a) {
 }
 
 Vector SparseCholeskyFactor::solve(const Vector& b) const {
-  THERMO_REQUIRE(b.size() == n_, "sparse cholesky solve: size mismatch");
+  Vector x = b;
+  Vector work;
+  solve_in_place(x, work);
+  return x;
+}
+
+void SparseCholeskyFactor::solve_in_place(Vector& x, Vector& work) const {
+  THERMO_REQUIRE(x.size() == n_, "sparse cholesky solve: size mismatch");
   if (perm_.empty()) {
-    Vector x = b;
-    solve_in_place(x);
-    return x;
+    substitute(x);
+    return;
   }
   // Permute into factor order, substitute, permute back.
-  Vector px(n_);
-  for (std::size_t k = 0; k < n_; ++k) px[k] = b[perm_[k]];
-  solve_in_place(px);
-  Vector x(n_);
-  for (std::size_t k = 0; k < n_; ++k) x[perm_[k]] = px[k];
-  return x;
+  work.resize(n_);
+  for (std::size_t k = 0; k < n_; ++k) work[k] = x[perm_[k]];
+  substitute(work);
+  for (std::size_t k = 0; k < n_; ++k) x[perm_[k]] = work[k];
 }
 
 void SparseCholeskyFactor::solve_subset(std::span<const std::size_t> s,
@@ -167,7 +171,7 @@ void SparseCholeskyFactor::solve_subset(std::span<const std::size_t> s,
       path.push_back(j);
     }
   }
-  // solve_in_place restricted to the union: every column off it holds +0
+  // substitute() restricted to the union: every column off it holds +0
   // in the full solve, so its updates are exact no-ops, and the kept
   // updates run in the same order. One path is already ascending; a
   // union is listed in order by scanning the marks from its lowest node,
@@ -214,7 +218,7 @@ double SparseCholeskyFactor::solve_entry(std::size_t i, double b,
   return b;
 }
 
-void SparseCholeskyFactor::solve_in_place(Vector& x) const {
+void SparseCholeskyFactor::substitute(Vector& x) const {
   // L z = b (unit diagonal implicit).
   for (std::size_t j = 0; j < n_; ++j) {
     const double xj = x[j];
@@ -264,14 +268,21 @@ SparseImplicitStepper::SparseImplicitStepper(const SparseMatrix& g,
       }()) {}
 
 Vector SparseImplicitStepper::step(const Vector& y, const Vector& b) const {
+  Vector next = y;
+  Vector work;
+  step_in_place(next, b, work);
+  return next;
+}
+
+void SparseImplicitStepper::step_in_place(Vector& y, const Vector& b,
+                                          Vector& work) const {
   THERMO_REQUIRE(y.size() == size(), "stepper: state size mismatch");
   THERMO_REQUIRE(b.size() == size(), "stepper: rhs size mismatch");
-  // (C/dt + G) y_next = C/dt y + b
-  Vector rhs(size());
+  // (C/dt + G) y_next = C/dt y + b, the right-hand side built over y.
   for (std::size_t i = 0; i < size(); ++i) {
-    rhs[i] = capacitance_[i] / dt_ * y[i] + b[i];
+    y[i] = capacitance_[i] / dt_ * y[i] + b[i];
   }
-  return factor_.solve(rhs);
+  factor_.solve_in_place(y, work);
 }
 
 }  // namespace thermo::linalg

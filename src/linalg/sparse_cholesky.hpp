@@ -100,6 +100,12 @@ class SparseCholeskyFactor {
   /// reusable, thread-safe). b and x are in the original index order.
   Vector solve(const Vector& b) const;
 
+  /// solve() in place: `x` holds b on entry and the solution on return.
+  /// `work` is caller-owned scratch for the permuted vector (sized on
+  /// first use), so a loop that reuses it allocates nothing. solve() is
+  /// this call on a copy of b, so the two are bit-identical.
+  void solve_in_place(Vector& x, Vector& work) const;
+
   /// Path solve: for distinct indices s and b supported on them
   /// (b[s[t]] = values[t], zero elsewhere), overwrites values[t] with
   /// x[s[t]] of A x = b, bit-identical to solve(b)[s[t]]. Forward
@@ -117,7 +123,7 @@ class SparseCholeskyFactor {
 
  private:
   void factorize(const SparseMatrix& a);
-  void solve_in_place(Vector& x) const;
+  void substitute(Vector& x) const;  // L, D, Lᵗ in factor order
 
   std::size_t n_ = 0;
   Ordering ordering_ = Ordering::kNatural;
@@ -152,7 +158,14 @@ class SparseImplicitStepper {
   const SparseCholeskyFactor& factor() const { return factor_; }
 
   /// Advances one step: returns y(t + dt) given y(t) and constant rhs b.
+  /// A wrapper over step_in_place.
   Vector step(const Vector& y, const Vector& b) const;
+
+  /// step() through caller-owned buffers: `y` holds y(t) on entry and
+  /// y(t + dt) on return, and `work` is SparseCholeskyFactor::
+  /// solve_in_place's scratch. A stepping loop that reuses both
+  /// allocates nothing per step.
+  void step_in_place(Vector& y, const Vector& b, Vector& work) const;
 
  private:
   Vector capacitance_;

@@ -78,6 +78,8 @@ struct SyntheticSpec {
   double power_density_max = 2e6;  ///< W/m^2
   double test_length_min = 1.0;    ///< s
   double test_length_max = 1.0;    ///< s
+
+  bool operator==(const SyntheticSpec&) const = default;
 };
 
 /// SoC selection: a kind plus its kind-specific parameters and a
@@ -103,6 +105,8 @@ struct SocSelector {
   /// power/length ranges) are deliberately excluded: the RC network is
   /// identical across them.
   std::string geometry_key() const;
+
+  bool operator==(const SocSelector&) const = default;
 };
 
 /// STCL values to schedule at: a single value (min == max) or an

@@ -142,7 +142,10 @@ double auto_stc_scale(SocKind kind) {
   return kind == SocKind::kAlpha ? soc::alpha_stc_scale() : 2.8e-3;
 }
 
-core::SocSpec ScenarioRunner::build_soc(const SocSelector& selector) {
+namespace {
+
+/// build_soc before its power scaling and checks.
+core::SocSpec make_soc(const SocSelector& selector) {
   core::SocSpec soc;
   switch (selector.kind) {
     case SocKind::kAlpha:
@@ -175,47 +178,102 @@ core::SocSpec ScenarioRunner::build_soc(const SocSelector& selector) {
       break;
     }
   }
-  if (selector.power_scale != 1.0) {
-    for (core::CoreTest& test : soc.tests) test.power *= selector.power_scale;
+  return soc;
+}
+
+void scale_powers(core::SocSpec& soc, double power_scale) {
+  if (power_scale != 1.0) {
+    for (core::CoreTest& test : soc.tests) test.power *= power_scale;
   }
+}
+
+/// Drops the least recently used entry of a full cache.
+template <typename Cache>
+void make_room(Cache& cache) {
+  if (cache.size() < ScenarioRunner::kMaxCachedModels) return;
+  auto victim = cache.begin();
+  for (auto cand = cache.begin(); cand != cache.end(); ++cand) {
+    if (cand->second.last_used < victim->second.last_used) victim = cand;
+  }
+  cache.erase(victim);
+}
+
+}  // namespace
+
+core::SocSpec ScenarioRunner::build_soc(const SocSelector& selector) {
+  core::SocSpec soc = make_soc(selector);
+  scale_powers(soc, selector.power_scale);
   soc.validate();
   return soc;
 }
 
-template <typename Model, typename Build>
-std::shared_ptr<const Model> ScenarioRunner::cached(ModelCache<Model>& cache,
-                                                    const std::string& key,
-                                                    const Build& build) {
+std::shared_ptr<ScenarioRunner::Entry> ScenarioRunner::entry_for(
+    const SocSelector& selector) {
+  std::string key = selector.geometry_key();
   const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = cache.find(key);
-  if (it != cache.end()) {
-    ++stats_.model_hits;
-    it->second.last_used = ++use_counter_;
-    return it->second.model;
+  auto it = models_.find(key);
+  if (it == models_.end()) {
+    make_room(models_);
+    it = models_.emplace(std::move(key),
+                         Cached<Entry>{std::make_shared<Entry>()}).first;
   }
-  if (cache.size() >= kMaxCachedModels) {
-    auto victim = cache.begin();
-    for (auto cand = cache.begin(); cand != cache.end(); ++cand) {
-      if (cand->second.last_used < victim->second.last_used) victim = cand;
+  it->second.last_used = ++use_counter_;
+  return it->second.value;
+}
+
+core::SocSpec ScenarioRunner::soc_for(Entry& entry,
+                                      const SocSelector& selector) {
+  SocSelector unscaled = selector;
+  unscaled.power_scale = 1.0;
+  std::shared_ptr<const core::SocSpec> built;
+  {
+    const std::lock_guard<std::mutex> lock(entry.mutex);
+    for (const auto& [key, soc] : entry.socs) {
+      if (key == unscaled) built = soc;
     }
-    cache.erase(victim);
+    if (built == nullptr) {
+      // validate()'s floorplan and package checks, once per SoC; they
+      // fill the floorplan's lazy geometry before any worker shares it.
+      core::SocSpec soc = make_soc(unscaled);
+      soc.flp.require_valid();
+      soc.package.validate();
+      built = std::make_shared<const core::SocSpec>(std::move(soc));
+      if (entry.socs.size() >= kMaxSocsPerModel) {
+        entry.socs.erase(entry.socs.begin());
+      }
+      entry.socs.emplace_back(std::move(unscaled), built);
+      const std::lock_guard<std::mutex> stats_lock(mutex_);
+      ++stats_.soc_builds;
+    }
   }
-  // Built under the lock: assembly is sparse-first, O(nnz) even for a
-  // 100k-node grid; the expensive fill-ordered factorization happens
-  // later in the solver cache, outside this mutex.
-  obs::TraceSpan build_span("scenario.model_build");
-  obs::ScopedTimer build_timer(model_build_ns());
-  std::shared_ptr<const Model> model = build();
-  cache.emplace(key, Cached<Model>{model, ++use_counter_});
-  ++stats_.model_misses;
+  core::SocSpec soc = *built;
+  scale_powers(soc, selector.power_scale);
+  soc.validate_tests();  // the rest of validate(), in its order
+  return soc;
+}
+
+std::shared_ptr<const core::PreparedModel> ScenarioRunner::prepared(
+    Entry& entry, const core::SocSpec& soc) {
+  std::shared_ptr<const core::PreparedModel> model;
+  bool built = false;
+  {
+    const std::lock_guard<std::mutex> lock(entry.mutex);
+    if (entry.model == nullptr) {
+      obs::TraceSpan build_span("scenario.model_build");
+      obs::ScopedTimer build_timer(model_build_ns());
+      entry.model = std::make_shared<const core::PreparedModel>(soc);
+      built = true;
+    }
+    model = entry.model;
+  }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  ++(built ? stats_.model_misses : stats_.model_hits);
   return model;
 }
 
 std::shared_ptr<const thermal::RCModel> ScenarioRunner::model_for(
     const SocSelector& selector, const core::SocSpec& soc) {
-  return cached(models_, selector.geometry_key(), [&] {
-    return std::make_shared<const thermal::RCModel>(soc.flp, soc.package);
-  });
+  return prepared(*entry_for(selector), soc)->rc_model();
 }
 
 std::shared_ptr<const thermal::GridThermalModel> ScenarioRunner::grid_model_for(
@@ -224,10 +282,25 @@ std::shared_ptr<const thermal::GridThermalModel> ScenarioRunner::grid_model_for(
   const std::string key = selector.geometry_key() + ":grid:" +
                           std::to_string(grid.rows) + "x" +
                           std::to_string(grid.cols);
-  return cached(grids_, key, [&] {
-    return std::make_shared<const thermal::GridThermalModel>(
-        soc.flp, soc.package, thermal::GridOptions{grid.rows, grid.cols});
-  });
+  const std::lock_guard<std::mutex> lock(mutex_);
+  auto it = grids_.find(key);
+  if (it != grids_.end()) {
+    ++stats_.model_hits;
+    it->second.last_used = ++use_counter_;
+    return it->second.value;
+  }
+  make_room(grids_);
+  // Built under the lock: assembly is sparse-first, O(nnz) even for a
+  // 100k-node grid; the expensive fill-ordered factorization happens
+  // later in the solver cache, outside this mutex.
+  obs::TraceSpan build_span("scenario.model_build");
+  obs::ScopedTimer build_timer(model_build_ns());
+  auto model = std::make_shared<const thermal::GridThermalModel>(
+      soc.flp, soc.package, thermal::GridOptions{grid.rows, grid.cols});
+  grids_.emplace(key, Cached<const thermal::GridThermalModel>{
+                          model, ++use_counter_});
+  ++stats_.model_misses;
+  return model;
 }
 
 ScenarioRunner::Stats ScenarioRunner::stats() const {
@@ -237,9 +310,8 @@ ScenarioRunner::Stats ScenarioRunner::stats() const {
 
 namespace {
 
-void run_stcl_sweep(const ScenarioRequest& request, const core::SocSpec& soc,
-                    const std::shared_ptr<const thermal::RCModel>& model,
-                    ScenarioResult& result) {
+void run_stcl_sweep(const ScenarioRequest& request,
+                    const core::PreparedSoc& soc, ScenarioResult& result) {
   core::StclSweepConfig config;
   config.scheduler.temperature_limit = request.tl;
   config.scheduler.weight_factor = request.weight_factor;
@@ -254,20 +326,19 @@ void run_stcl_sweep(const ScenarioRequest& request, const core::SocSpec& soc,
   // *requests* across a pool, so per-request point loops stay serial.
   config.threads = 1;
 
-  result.points = core::sweep_stcl(soc, model, request.stcl.values(), config);
+  result.points = core::sweep_stcl(soc, request.stcl.values(), config);
   for (const core::StclSweepPoint& point : result.points) {
     result.simulation_effort += point.simulation_effort;
   }
 }
 
-void run_ptrace(const ScenarioRequest& request, const core::SocSpec& soc,
-                const std::shared_ptr<const thermal::RCModel>& model,
+void run_ptrace(const ScenarioRequest& request, const core::PreparedSoc& soc,
                 ScenarioResult& result) {
   const thermal::PowerTrace trace =
       (request.ptrace.text.empty()
            ? thermal::load_ptrace(request.ptrace.path)
            : thermal::parse_ptrace_string(request.ptrace.text))
-          .aligned_to(soc.flp);
+          .aligned_to(soc.soc.flp);
   if (trace.step_count() == 0) {
     throw InvalidArgument("ptrace contains no time steps");
   }
@@ -275,7 +346,7 @@ void run_ptrace(const ScenarioRequest& request, const core::SocSpec& soc,
   thermal::ThermalAnalyzer::Options options;
   options.dt = request.solver.dt;
   options.transient = true;  // enforced at parse: replay carries state
-  thermal::ThermalAnalyzer analyzer(model, options);
+  thermal::ThermalAnalyzer analyzer(soc.model.rc_model(), options);
 
   std::vector<double> state = analyzer.ambient_node_state();
   std::size_t hottest = 0;
@@ -291,12 +362,11 @@ void run_ptrace(const ScenarioRequest& request, const core::SocSpec& soc,
       hottest = step.session.hottest_block;
     }
   }
-  result.ptrace.hottest = soc.flp.block(hottest).name;
+  result.ptrace.hottest = soc.soc.flp.block(hottest).name;
   result.simulation_effort = analyzer.simulation_effort();
 }
 
-void run_chained(const ScenarioRequest& request, const core::SocSpec& soc,
-                 const std::shared_ptr<const thermal::RCModel>& model,
+void run_chained(const ScenarioRequest& request, const core::PreparedSoc& soc,
                  ScenarioResult& result) {
   core::ThermalSchedulerOptions options;
   options.temperature_limit = request.tl;
@@ -311,16 +381,19 @@ void run_chained(const ScenarioRequest& request, const core::SocSpec& soc,
   thermal::ThermalAnalyzer::Options sched_options;
   sched_options.dt = request.solver.dt;
   sched_options.transient = request.solver.transient;
-  thermal::ThermalAnalyzer sched_analyzer(model, sched_options);
+  thermal::ThermalAnalyzer sched_analyzer(
+      soc.model.rc_model(), sched_options,
+      soc.model.steady_factor(sched_options));
 
   const core::ThermalAwareScheduler scheduler(options);
-  const core::ScheduleResult sched = scheduler.generate(soc, sched_analyzer);
+  const core::ScheduleResult sched = scheduler.generate(
+      soc, sched_analyzer, core::solo_prepass(soc, sched_analyzer));
 
   // The chained replay always needs transient state carry-over, whatever
   // oracle the schedule was *generated* with.
   thermal::ThermalAnalyzer::Options check_options = sched_options;
   check_options.transient = true;
-  thermal::ThermalAnalyzer check_analyzer(model, check_options);
+  thermal::ThermalAnalyzer check_analyzer(soc.model.rc_model(), check_options);
   core::SafetyChecker::Options chain;
   chain.chained = true;
   chain.cooling_gap = request.chained.cooling_gap;
@@ -397,26 +470,28 @@ ScenarioResult ScenarioRunner::run(const ScenarioRequest& request) {
   result.id = request.id;
   result.kind = request.kind;
   try {
-    const core::SocSpec soc = build_soc(request.soc);
+    const std::shared_ptr<Entry> entry = entry_for(request.soc);
+    const core::SocSpec soc = soc_for(*entry, request.soc);
     result.soc_name = soc.name;
     result.cores = soc.core_count();
 
     if (request.kind == RequestKind::kGridSteady) {
-      // The block-level RCModel is never consulted for a grid solve, so
-      // skip model_for entirely — at 100k nodes the savings matter.
+      // The block-level model is never consulted for a grid solve, so
+      // skip preparing it entirely — at 100k nodes the savings matter.
       run_grid_steady(soc, grid_model_for(request.soc, soc, request.grid),
                       result);
     } else {
-      const auto model = model_for(request.soc, soc);
+      const auto model = prepared(*entry, soc);
+      const core::PreparedSoc prepared_soc{soc, *model};
       switch (request.kind) {
         case RequestKind::kStclSweep:
-          run_stcl_sweep(request, soc, model, result);
+          run_stcl_sweep(request, prepared_soc, result);
           break;
         case RequestKind::kPtrace:
-          run_ptrace(request, soc, model, result);
+          run_ptrace(request, prepared_soc, result);
           break;
         case RequestKind::kChained:
-          run_chained(request, soc, model, result);
+          run_chained(request, prepared_soc, result);
           break;
         case RequestKind::kGridSteady:
           break;  // handled above

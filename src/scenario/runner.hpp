@@ -1,19 +1,28 @@
 // ScenarioRunner: lowers parsed ScenarioRequests onto the scheduling
-// stack (SoC construction -> shared RCModel -> ThermalAwareScheduler per
+// stack (SoC construction -> prepared model -> ThermalAwareScheduler per
 // STCL value) and renders machine-readable result records.
 //
 // Model sharing is the whole point of running scenarios through one
 // runner instead of one process each: every request whose SocSelector
-// has the same geometry_key() gets the *same* shared RCModel instance,
-// so the solver cache (keyed by RCModel::identity(), see
-// thermal/solver_cache.hpp) factors each distinct floorplan once per
-// batch no matter how many requests — or worker threads — reference it.
-// A 100-request Alpha batch performs one Cholesky factorization, not
-// 100.
+// has the same geometry_key() shares one cache entry, built once on
+// first use:
+//   * per selector without its power_scale, the SoC, built and its
+//     floorplan and package validated once; a request copies it,
+//     scales its test powers and checks only those;
+//   * one core::PreparedModel: the RCModel, the paper's session model
+//     and, after the first steady-oracle request, the sparse factor of G,
+//     which every analyzer on the geometry then solves with.
+// A 100-request Alpha batch builds the Alpha SoC once and factors G
+// once. Transient steppers stay in ThermalSolverCache
+// (thermal/solver_cache.hpp), keyed by (model, dt).
 //
-// Thread safety: run() is safe to call concurrently (the model cache is
-// mutex-guarded; each run builds private analyzers/schedulers), which is
-// how serve_stream fans requests across threads (dispatch::run_batch).
+// Thread safety: run() is safe to call concurrently, which is how
+// serve_stream fans requests across threads (dispatch::run_batch). The
+// geometry map is guarded by the runner's mutex; an entry's parts are
+// built under the entry's own mutex, outside the runner's, and are
+// read-only once built (the floorplans' lazy geometry is filled by
+// validation before they are shared). A failed build caches nothing, so
+// every request that hits it gets the same ok:false record.
 // Per-request failures — bad .flp paths, scheduler throws — are captured
 // in the result record (`ok:false` + the error message); run() itself
 // only propagates non-thermo exceptions (e.g. bad_alloc).
@@ -30,8 +39,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/prepared_model.hpp"
 #include "core/soc_spec.hpp"
 #include "core/stcl_sweep.hpp"
 #include "scenario/request.hpp"
@@ -112,58 +123,77 @@ class ScenarioRunner {
  public:
   ScenarioRunner() = default;
 
-  /// Executes one request: builds (or reuses) the SoC's RCModel, runs
-  /// Algorithm 1 once per STCL value, returns the filled record. Thermo
-  /// errors land in the record instead of propagating.
+  /// Executes one request: builds (or reuses) the SoC's prepared model,
+  /// runs Algorithm 1 once per STCL value, returns the filled record.
+  /// Thermo errors land in the record instead of propagating.
   ScenarioResult run(const ScenarioRequest& request);
 
   /// Builds the SocSpec a selector describes (validated; power_scale
   /// applied). Throws on invalid selectors, e.g. unreadable .flp files.
   static core::SocSpec build_soc(const SocSelector& selector);
 
-  /// The shared model for a selector's geometry, built on first use.
-  /// `soc` must be the selector's build_soc result.
+  /// The shared model for a selector's geometry: its prepared entry's,
+  /// built on first use. `soc` must be the selector's build_soc result.
   std::shared_ptr<const thermal::RCModel> model_for(
       const SocSelector& selector, const core::SocSpec& soc);
 
   /// The shared grid model for (geometry, rows×cols), built on first
-  /// use — same LRU discipline as model_for, so repeated grid_steady
-  /// requests on one discretisation share one cached sparse factor.
+  /// use under its own LRU bound, so repeated grid_steady requests on
+  /// one discretisation share one cached sparse factor.
   std::shared_ptr<const thermal::GridThermalModel> grid_model_for(
       const SocSelector& selector, const core::SocSpec& soc,
       const GridSpec& grid);
 
   struct Stats {
-    std::size_t model_hits = 0;    ///< requests that reused a cached model
+    std::size_t model_hits = 0;    ///< requests that reused a built model
     std::size_t model_misses = 0;  ///< model builds (distinct geometries + re-builds after eviction)
+    /// SoC builds: distinct selectors ignoring power_scale, plus
+    /// re-builds after eviction.
+    std::size_t soc_builds = 0;
   };
   Stats stats() const;
 
-  /// Cached-model bound. Like ThermalSolverCache, the cache is capped
+  /// Cached-geometry bound. Like ThermalSolverCache, the cache is capped
   /// so a long-lived runner fed ever-new geometries (synthetic seeds,
   /// .flp paths) cannot grow memory monotonically; the least recently
   /// used geometry is evicted and simply rebuilt if it returns.
   static constexpr std::size_t kMaxCachedModels = 64;
 
+  /// SoCs kept per geometry (selectors differing in power or length
+  /// ranges but not in geometry); the oldest is dropped beyond it.
+  static constexpr std::size_t kMaxSocsPerModel = 8;
+
  private:
-  template <typename Model>
+  /// One geometry: its built SoCs and its PreparedModel, each built on
+  /// first use under the entry's own mutex, outside the runner's, so a
+  /// build stalls only the requests that need it. A failed build leaves
+  /// nothing behind, so every request that hits it fails the same way.
+  struct Entry {
+    std::mutex mutex;
+    /// Validated SoCs keyed by their selector with power_scale 1
+    /// (oldest first); a request copies one and scales its powers.
+    std::vector<std::pair<SocSelector, std::shared_ptr<const core::SocSpec>>>
+        socs;
+    std::shared_ptr<const core::PreparedModel> model;
+  };
+  template <typename Value>
   struct Cached {
-    std::shared_ptr<const Model> model;
+    std::shared_ptr<Value> value;
     std::uint64_t last_used = 0;  ///< LRU stamp (monotonic use counter)
   };
-  template <typename Model>
-  using ModelCache = std::map<std::string, Cached<Model>>;
 
-  /// The model `cache` holds under `key`, else `build()` — run under the
-  /// lock, after evicting the least recently used entry of a full cache.
-  template <typename Model, typename Build>
-  std::shared_ptr<const Model> cached(ModelCache<Model>& cache,
-                                      const std::string& key,
-                                      const Build& build);
+  /// The selector's geometry entry, inserted empty on first use.
+  std::shared_ptr<Entry> entry_for(const SocSelector& selector);
+  /// The request's SoC: the entry's built SoC with power_scale applied,
+  /// checked like build_soc's result.
+  core::SocSpec soc_for(Entry& entry, const SocSelector& selector);
+  /// The entry's PreparedModel, built from `soc` on first use.
+  std::shared_ptr<const core::PreparedModel> prepared(Entry& entry,
+                                                      const core::SocSpec& soc);
 
   mutable std::mutex mutex_;
-  ModelCache<thermal::RCModel> models_;
-  ModelCache<thermal::GridThermalModel> grids_;
+  std::map<std::string, Cached<Entry>> models_;
+  std::map<std::string, Cached<const thermal::GridThermalModel>> grids_;
   std::uint64_t use_counter_ = 0;
   Stats stats_;
 };

@@ -22,9 +22,37 @@ ThermalAnalyzer::ThermalAnalyzer(std::shared_ptr<const RCModel> model)
 
 ThermalAnalyzer::ThermalAnalyzer(std::shared_ptr<const RCModel> model,
                                  Options options)
-    : model_(std::move(model)), options_(options) {
+    : ThermalAnalyzer(std::move(model), options, nullptr) {}
+
+ThermalAnalyzer::ThermalAnalyzer(
+    std::shared_ptr<const RCModel> model, Options options,
+    std::shared_ptr<const linalg::SparseCholeskyFactor> steady_factor)
+    : model_(std::move(model)),
+      options_(options),
+      steady_(std::move(steady_factor)) {
   THERMO_REQUIRE(model_ != nullptr, "analyzer requires a model");
   THERMO_REQUIRE(options_.dt > 0.0, "analyzer dt must be positive");
+  THERMO_REQUIRE(steady_ == nullptr || steady_->size() == model_->node_count(),
+                 "steady factor was built for a different model");
+}
+
+ThermalAnalyzer::~ThermalAnalyzer() { flush_counters(); }
+
+void ThermalAnalyzer::flush_counters() {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
+  static obs::Counter& entry_solves = registry.counter("thermal.entry_solves");
+  static obs::Counter& solves = registry.counter("thermal.solves");
+  if (pending_entry_solves_ > 0) entry_solves.add(pending_entry_solves_);
+  if (pending_solves_ > 0) solves.add(pending_solves_);
+  pending_entry_solves_ = 0;
+  pending_solves_ = 0;
+}
+
+const linalg::SparseCholeskyFactor& ThermalAnalyzer::steady_factor() const {
+  if (steady_ == nullptr) {
+    steady_ = ThermalSolverCache::instance().sparse_cholesky(*model_);
+  }
+  return *steady_;
 }
 
 SessionSimulation ThermalAnalyzer::simulate_session(
@@ -72,12 +100,10 @@ double ThermalAnalyzer::solo_peak(std::size_t block, double power,
   const double p = power;
   THERMO_REQUIRE(std::isfinite(p) && p >= 0.0,
                  "block power must be finite and non-negative");
-  const auto factor = ThermalSolverCache::instance().sparse_cholesky(*model_);
+  const linalg::SparseCholeskyFactor& factor = steady_factor();
   fit_scratch();
-  const double rise = factor->solve_entry(block, power, scratch_);
-  static obs::Counter& entry_solves =
-      obs::MetricsRegistry::instance().counter("thermal.entry_solves");
-  entry_solves.add();
+  const double rise = factor.solve_entry(block, power, scratch_);
+  ++pending_entry_solves_;
   simulation_effort_ += duration;
   ++simulation_count_;
   return model_->package().ambient + rise;
@@ -115,12 +141,11 @@ SessionPeaks ThermalAnalyzer::session_peaks(
     for (std::size_t t = 0; t < cores.size(); ++t) {
       out.core_peak[t] = block_power[cores[t]];
     }
-    const auto factor = ThermalSolverCache::instance().sparse_cholesky(*model_);
     // G is an irreducibly diagonally dominant M-matrix, so the block
     // maximum of a positive rise lies on a powered core; scanning the
     // cores with ties to the lower index matches max_element's first
     // maximum over all blocks.
-    factor->solve_subset(cores, out.core_peak, scratch_);
+    steady_factor().solve_subset(cores, out.core_peak, scratch_);
     const double ambient = model_->package().ambient;
     double max_rise = 0.0;
     for (std::size_t t = 0; t < cores.size(); ++t) {
@@ -134,9 +159,7 @@ SessionPeaks ThermalAnalyzer::session_peaks(
       }
     }
     if (max_rise > 0.0) {
-      static obs::Counter& solves =
-          obs::MetricsRegistry::instance().counter("thermal.solves");
-      solves.add();
+      ++pending_solves_;
       simulation_effort_ += duration;
       ++simulation_count_;
       return out;
@@ -159,11 +182,14 @@ void ThermalAnalyzer::fit_scratch() {
 
 std::vector<double> ThermalAnalyzer::steady_block_temperatures(
     const std::vector<double>& block_power) const {
-  const SteadyStateResult result = solve_steady_state(*model_, block_power);
-  return std::vector<double>(
-      result.temperature.begin(),
-      result.temperature.begin() +
-          static_cast<std::ptrdiff_t>(model_->block_count()));
+  // solve_steady_state's checks and arithmetic, on the held factor.
+  const std::vector<double> power = model_->expand_power(block_power);
+  const std::vector<double> rise = steady_factor().solve(power);
+  ++pending_solves_;
+  const double ambient = model_->package().ambient;
+  std::vector<double> out(model_->block_count());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = ambient + rise[i];
+  return out;
 }
 
 ThermalAnalyzer::Chained ThermalAnalyzer::simulate_session_from(

@@ -69,6 +69,20 @@ class ThermalAnalyzer {
   explicit ThermalAnalyzer(std::shared_ptr<const RCModel> model);
   ThermalAnalyzer(std::shared_ptr<const RCModel> model, Options options);
 
+  /// Also takes the factor of the model's G for the steady solves, as a
+  /// core::PreparedModel holds it. Without one (null, or the
+  /// constructors above), the first steady solve takes it from
+  /// ThermalSolverCache; either way the analyzer holds it, so no solve
+  /// looks it up.
+  ThermalAnalyzer(std::shared_ptr<const RCModel> model, Options options,
+                  std::shared_ptr<const linalg::SparseCholeskyFactor>
+                      steady_factor);
+
+  /// Adds the pending solve counts to the obs registry (flush_counters).
+  ~ThermalAnalyzer();
+  ThermalAnalyzer(const ThermalAnalyzer&) = delete;
+  ThermalAnalyzer& operator=(const ThermalAnalyzer&) = delete;
+
   const RCModel& model() const { return *model_; }
   const std::shared_ptr<const RCModel>& shared_model() const { return model_; }
   const Options& options() const { return options_; }
@@ -141,14 +155,26 @@ class ThermalAnalyzer {
   /// Resets the effort accounting (a scheduler run starts from zero).
   void reset_effort();
 
+  /// Adds the steady solves made since the last flush to the
+  /// `thermal.entry_solves` and `thermal.solves` counters. The solves
+  /// only count them locally, so the hot path touches no shared
+  /// counter; core::solo_prepass and ThermalAwareScheduler::generate
+  /// flush once per run, and the destructor flushes the rest.
+  void flush_counters();
+
  private:
   void fit_scratch();  // sizes scratch_ to the model on first use
+  const linalg::SparseCholeskyFactor& steady_factor() const;
 
   std::shared_ptr<const RCModel> model_;
   Options options_;
   double simulation_effort_ = 0.0;
   std::size_t simulation_count_ = 0;
   linalg::PathScratch scratch_;  // solo_peak's and session_peaks' path solves
+  // G's factor, from the constructor or fetched on the first steady solve.
+  mutable std::shared_ptr<const linalg::SparseCholeskyFactor> steady_;
+  std::size_t pending_entry_solves_ = 0;
+  mutable std::size_t pending_solves_ = 0;
 };
 
 }  // namespace thermo::thermal

@@ -18,6 +18,13 @@
 // factors (an RCModel is immutable after construction, so this is
 // always sound).
 //
+// Who holds what: a ThermalAnalyzer asks for G's factor at most once
+// and holds it, and a served geometry's core::PreparedModel factors G
+// here once and hands it to every analyzer, so the steady hot path never
+// takes this cache's mutex; G's entry then ages out of the LRU without
+// harm. Steppers are looked up once per simulated session and are
+// bounded by this cache alone.
+//
 // Concurrency: lookups take one mutex, but factorization itself runs
 // OUTSIDE it — a factorization never stalls other workers' lookups.
 // Two threads racing the same cold key may both factor; the first

@@ -52,25 +52,38 @@ TransientResult simulate_transient(const RCModel& model,
 
   // The (C/dt + G) factor is shared through the solver cache: repeated
   // sessions on the same model at the same dt — Algorithm 1 validates
-  // thousands — pay the factorization once.
+  // thousands — pay the factorization once. Every step reuses `state`
+  // and `work`, so stepping allocates nothing.
   ThermalSolverCache& cache = ThermalSolverCache::instance();
   const auto stepper = cache.sparse_stepper(model, options.dt);
-  double t = 0.0;
-  while (t < duration - 1e-15) {
-    const double step = std::min(options.dt, duration - t);
-    if (step < options.dt * (1.0 - 1e-12)) {
-      // Final fractional remainder: also cached, keyed by its own
-      // (model, step). Real workloads re-simulate the same durations
-      // (Algorithm 1 re-validates fixed-length sessions), so the
-      // remainder factor is reused; a burst of one-off durations at
-      // worst churns the LRU, it cannot grow the cache unboundedly.
-      state = cache.sparse_stepper(model, step)->step(state, power);
-    } else {
-      state = stepper->step(state, power);
-    }
-    t += step;
+  std::vector<double> work;
+  const auto advance = [&](const linalg::SparseImplicitStepper& by) {
+    by.step_in_place(state, power, work);
     ++result.steps;
     record(state);
+  };
+  // Whole steps are counted by index, as core::stcl_range counts its
+  // values: summing t += dt drifts, so a 2 s session at dt = 1 ms would
+  // end 1.1e-13 s short and take a 2001st step that factors its own
+  // stepper. A remainder of duration - t (the summed t, so its length
+  // keeps its bits) runs only when duration/dt lies more than
+  // kSliver·max(1, duration/dt) from a whole number, or when there is
+  // no whole step at all. It is cached by its own (model, step) key;
+  // Algorithm 1 re-validates fixed-length sessions, so it is reused.
+  constexpr double kSliver = 1e-9;
+  const double ratio = duration / options.dt;
+  const double tolerance = kSliver * std::max(1.0, ratio);
+  const double whole = std::floor(ratio + tolerance);
+  double t = 0.0;
+  for (double k = 0.0; k < whole; k += 1.0) {
+    advance(*stepper);
+    t += options.dt;
+  }
+  if (ratio - whole > tolerance || whole == 0.0) {
+    const double rest = duration - t;
+    if (rest > 0.0) {
+      advance(*cache.sparse_stepper(model, std::min(options.dt, rest)));
+    }
   }
   static obs::Counter& steps =
       obs::MetricsRegistry::instance().counter("thermal.steps");

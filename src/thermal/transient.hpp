@@ -11,8 +11,10 @@
 // cached per (model, dt) through ThermalSolverCache (solver_cache.hpp):
 // the first simulated session pays the factorization, every later
 // session on the same model and step size pays only back-substitution
-// per step, linear in the factor's non-zeros. docs/SOLVERS.md covers the
-// cost model.
+// per step, linear in the factor's non-zeros. Whole steps are counted
+// by index, and a final remainder step runs only when the duration is
+// not within rounding of a whole number of steps; stepping allocates
+// nothing. docs/SOLVERS.md covers the cost model ("The factor cache").
 #pragma once
 
 #include <functional>

@@ -1,0 +1,187 @@
+// The runner's prepared entries: each geometry's SoC, RC network,
+// session model and G factor are built once per batch, whatever the
+// power corners, oracles and threads asking for them, while a request
+// whose SoC cannot be built still fails on its own line with the exact
+// bytes of a fresh build.
+#include "scenario/runner.hpp"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <set>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "gen/generator.hpp"
+#include "obs/metrics.hpp"
+#include "scenario/serve.hpp"
+
+namespace thermo::scenario {
+namespace {
+
+struct Served {
+  std::string records;
+  ServeSummary summary;
+};
+
+Served serve(const std::string& input, std::size_t threads,
+             ScenarioRunner& runner) {
+  std::istringstream in(input);
+  std::ostringstream out;
+  ServeOptions options;
+  options.threads = threads;
+  const ServeSummary summary = serve_stream(in, out, runner, options);
+  return Served{out.str(), summary};
+}
+
+Served serve(const std::string& input, std::size_t threads) {
+  ScenarioRunner runner;
+  return serve(input, threads, runner);
+}
+
+std::uint64_t counter(const char* name) {
+  return obs::MetricsRegistry::instance().counter(name).value();
+}
+
+// Every factor, SoC and session model the stream needs is built exactly
+// once: factorizations equal the distinct (geometry, G or dt) keys, so
+// no factor is evicted and needed again; SoC builds equal the distinct
+// selectors ignoring power_scale; prepared models (one session model
+// each) equal the distinct geometries.
+TEST(PreparedModels, GenStreamBuildsEachPartOnce) {
+  gen::GenConfig config;
+  config.seed = 7;
+  config.count = 1500;
+  config.dup_rate = 0.3;
+  config.zipf_skew = 1.5;
+  std::string input;
+  std::set<std::pair<std::string, double>> factor_keys;  // dt 0: G
+  std::set<std::string> geometries;
+  std::vector<SocSelector> socs;
+  for (const std::string& line : gen::generate_stream(config).lines) {
+    input += line + "\n";
+    const ScenarioRequest request = parse_request_line(line);
+    const std::string geometry = request.soc.geometry_key();
+    geometries.insert(geometry);
+    SocSelector unscaled = request.soc;
+    unscaled.power_scale = 1.0;
+    if (std::find(socs.begin(), socs.end(), unscaled) == socs.end()) {
+      socs.push_back(unscaled);
+    }
+    const bool steady = request.kind != RequestKind::kPtrace &&
+                        !request.solver.transient;
+    factor_keys.emplace(geometry, steady ? 0.0 : request.solver.dt);
+    if (request.kind == RequestKind::kChained) {
+      factor_keys.emplace(geometry, request.solver.dt);  // chained replay
+    }
+  }
+
+  const std::uint64_t factorizations = counter("thermal.solver_cache.misses");
+  const Served run = serve(input, 1);
+  ASSERT_EQ(run.summary.failed, 0u);
+  EXPECT_EQ(counter("thermal.solver_cache.misses") - factorizations,
+            factor_keys.size());
+  EXPECT_EQ(run.summary.runner.soc_builds, socs.size());
+  EXPECT_EQ(run.summary.runner.model_misses, geometries.size());
+  EXPECT_EQ(run.summary.runner.model_hits + run.summary.runner.model_misses,
+            run.summary.executed);
+}
+
+// A steady run asks the solver cache for G once, on the entry's first
+// steady request, however many entry and validation solves follow.
+TEST(PreparedModels, SteadySolvesDoNotLookUpTheFactor) {
+  std::string input;
+  for (const char* scale : {"1", "1.2", "1.4"}) {
+    input += std::string(R"({"soc":{"kind":"synthetic","seed":5,"cores":64,)") +
+             R"("power_scale":)" + scale +
+             R"(},"tl":400,"stcl":{"min":60,"max":90,"step":10},)" +
+             R"("solver":{"transient":false}})" + "\n";
+  }
+  const auto lookups = [] {
+    return counter("thermal.solver_cache.hits") +
+           counter("thermal.solver_cache.misses");
+  };
+  const std::uint64_t lookups_before = lookups();
+  const std::uint64_t solves_before =
+      counter("thermal.entry_solves") + counter("thermal.solves");
+  const Served run = serve(input, 4);
+  ASSERT_EQ(run.summary.succeeded, 3u);
+  EXPECT_EQ(lookups() - lookups_before, 1u);
+  EXPECT_GT(counter("thermal.entry_solves") + counter("thermal.solves") -
+                solves_before,
+            3u * 64u);
+}
+
+// The exact ok:false bytes of a fresh build: a power_scale that
+// overflows a core's power fails on its own line even though its SoC
+// is cached, and a missing .flp fails every time it appears, since a
+// failed build is never cached.
+TEST(PreparedModels, FailedSocsKeepTheirErrorBytes) {
+  const std::string input =
+      R"({"id":"alpha","soc":{"kind":"alpha","power_scale":1.5},"tl":155,"stcl":50})" "\n"
+      R"({"id":"overflow","soc":{"kind":"alpha","power_scale":1e308},"tl":155,"stcl":50})" "\n"
+      R"({"id":"missing-a","soc":{"kind":"flp","path":"no_such_dir/missing.flp"},"tl":155,"stcl":50})" "\n"
+      R"({"id":"overflow-syn","soc":{"kind":"synthetic","seed":5,"cores":300,"power_scale":1e308},"tl":400,"stcl":90,"solver":{"transient":false}})" "\n"
+      R"({"id":"missing-b","soc":{"kind":"flp","path":"no_such_dir/missing.flp"},"tl":155,"stcl":50})" "\n";
+  const std::string power_error =
+      R"(precondition failed [std::isfinite(tests[i].power) && tests[i].power >= 0.0]: )";
+  const std::vector<std::string> failed = {
+      R"({"id":"overflow","ok":false,"error":")" + power_error +
+          R"(core 'L2_0': test power must be finite and non-negative"})",
+      R"({"id":"missing-a","ok":false,"error":"cannot open floorplan file 'no_such_dir/missing.flp'"})",
+      R"({"id":"overflow-syn","ok":false,"error":")" + power_error +
+          R"(core 'c2': test power must be finite and non-negative"})",
+      R"({"id":"missing-b","ok":false,"error":"cannot open floorplan file 'no_such_dir/missing.flp'"})"};
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const Served run = serve(input, threads);
+    std::vector<std::string> records;
+    std::istringstream lines(run.records);
+    for (std::string line; std::getline(lines, line);) {
+      records.push_back(line);
+    }
+    ASSERT_EQ(records.size(), 5u);
+    EXPECT_NE(records[0].find(R"("ok":true)"), std::string::npos);
+    EXPECT_EQ(std::vector<std::string>(records.begin() + 1, records.end()),
+              failed)
+        << threads << " threads";
+    // The overflow line failed before reaching the (cached) model.
+    EXPECT_EQ(run.summary.runner.model_misses, 1u);
+    EXPECT_EQ(run.summary.runner.model_hits, 0u);
+  }
+}
+
+// One SoC at several power corners under both oracles, served together
+// on 4 threads through one prepared entry, gives each line's bytes
+// from serving it alone.
+TEST(PreparedModels, PowerCornersServeLikeLinesAlone) {
+  std::vector<std::string> lines;
+  for (const char* scale : {"0.8", "1", "1.25", "1.6"}) {
+    for (const char* transient : {"true", "false"}) {
+      lines.push_back(
+          std::string(R"({"id":"s)") + scale + "-" + transient +
+          R"(","soc":{"kind":"synthetic","seed":11,"cores":34,"power_scale":)" +
+          scale + R"(},"tl":150,"stcl":{"min":40,"max":80,"step":20},)" +
+          R"("solver":{"dt":0.01,"transient":)" + transient + "}}");
+    }
+  }
+  lines.push_back(
+      R"({"id":"chained","kind":"chained","soc":{"kind":"synthetic","seed":11,"cores":34,"power_scale":1.1},"tl":150,"stcl":60,"solver":{"dt":0.01,"transient":false}})");
+  std::string input;
+  std::string alone;
+  for (const std::string& line : lines) {
+    input += line + "\n";
+    alone += serve(line + "\n", 1).records;
+  }
+  ScenarioRunner runner;
+  const Served together = serve(input, 4, runner);
+  EXPECT_EQ(together.records, alone);
+  EXPECT_EQ(together.summary.succeeded, lines.size());
+  EXPECT_EQ(runner.stats().model_misses, 1u);
+  EXPECT_EQ(runner.stats().soc_builds, 1u);
+}
+
+}  // namespace
+}  // namespace thermo::scenario

@@ -172,6 +172,24 @@ TEST(ThermalSolverCacheTest, TransientStepperIsCachedPerDt) {
   EXPECT_EQ(cache.stats().misses - misses_before, 3u);
 }
 
+TEST(ThermalSolverCacheTest, TransientStepsAreCountedByIndex) {
+  // Summing t += dt leaves 2.0 s at 1 ms 1.1e-13 s short, and 1.3 s
+  // short too: whole steps are counted by index instead, with no sliver
+  // step and no stepper besides dt's.
+  ThermalSolverCache& cache = ThermalSolverCache::instance();
+  const RCModel model(nine_floorplan(), PackageParams{});
+  const auto block_power = centre_power(9, 10.0);
+  const auto initial = ambient_state(model);
+  TransientOptions options;
+  options.dt = 1e-3;
+  const std::size_t misses_before = cache.stats().misses;
+  EXPECT_EQ(simulate_transient(model, block_power, 2.0, initial, options).steps,
+            2000u);
+  EXPECT_EQ(simulate_transient(model, block_power, 1.3, initial, options).steps,
+            1300u);
+  EXPECT_EQ(cache.stats().misses - misses_before, 1u);
+}
+
 TEST(ThermalSolverCacheTest, RepeatedTransientSimulationsAgreeExactly) {
   // A freshly constructed model has no cache entries, so the first run
   // factors cold and the second reuses the cached stepper.
