@@ -4,31 +4,28 @@
 // A served batch schedules the same few geometries thousands of times,
 // at different power corners and STCL values. Everything that depends
 // on the geometry alone is built here once:
-//   * the floorplan and package, validated once (the RC network keeps
-//     its own validated copy);
-//   * the RC network (thermal::RCModel);
-//   * the paper's session model (SessionThermalModel);
-//   * the sparse factor of G, on the first steady-oracle run only, so a
-//     geometry that is only ever stepped never factors it.
+//   * the RC network (thermal::RCModel), which keeps its own validated
+//     copy of the floorplan and package and, after the first
+//     steady-oracle solve, its factor of G (RCModel::steady_factor), so
+//     a geometry that is only ever stepped never factors it;
+//   * the paper's session model (SessionThermalModel).
 // scenario::ScenarioRunner keeps one per geometry_key(). Requests then
-// pass a PreparedSoc to solo_prepass, ThermalAwareScheduler::generate,
-// sweep_stcl and SafetyChecker::check, which skip re-validating the SoC
-// and rebuilding its session model. Each is bit-identical to its
-// SocSpec overload: the same checks that can fail run in the same order
-// with the same text, and the arithmetic is the same.
+// pass a PreparedSoc to ThermalAwareScheduler::generate and sweep_stcl,
+// which use the prepared session model instead of rebuilding it. Each
+// is bit-identical to its SocSpec overload: the same checks that can
+// fail run in the same order with the same text, and the arithmetic is
+// the same.
 //
 // Thread safety: every const member is safe to call concurrently. The
-// floorplan's lazily computed geometry is filled during construction
-// (validation computes it), so readers on several workers never write.
+// floorplan's lazily computed geometry and its validation record are
+// filled during construction, so readers on several workers never
+// write.
 #pragma once
 
 #include <memory>
-#include <mutex>
 
 #include "core/session_model.hpp"
 #include "core/soc_spec.hpp"
-#include "linalg/sparse_cholesky.hpp"
-#include "thermal/analyzer.hpp"
 #include "thermal/rc_model.hpp"
 
 namespace thermo::core {
@@ -45,18 +42,9 @@ class PreparedModel {
   }
   const SessionThermalModel& session_model() const { return session_; }
 
-  /// G's factor when `options` select the steady oracle, else null: the
-  /// third argument of a ThermalAnalyzer on rc_model(). Factored through
-  /// ThermalSolverCache on the first such call, then held, so the cache
-  /// is never asked for it again and its entry may age out.
-  std::shared_ptr<const linalg::SparseCholeskyFactor> steady_factor(
-      const thermal::ThermalAnalyzer::Options& options) const;
-
  private:
   std::shared_ptr<const thermal::RCModel> rc_;
   SessionThermalModel session_;
-  mutable std::mutex factor_mutex_;
-  mutable std::shared_ptr<const linalg::SparseCholeskyFactor> steady_;
 };
 
 /// One run's SoC on a prepared geometry: `soc` has passed

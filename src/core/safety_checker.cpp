@@ -23,18 +23,6 @@ SafetyReport SafetyChecker::check(const SocSpec& soc,
                                   const TestSchedule& schedule,
                                   thermal::ThermalAnalyzer& analyzer) const {
   soc.validate();
-  return check_valid(soc, schedule, analyzer);
-}
-
-SafetyReport SafetyChecker::check(const PreparedSoc& soc,
-                                  const TestSchedule& schedule,
-                                  thermal::ThermalAnalyzer& analyzer) const {
-  return check_valid(soc.soc, schedule, analyzer);
-}
-
-SafetyReport SafetyChecker::check_valid(
-    const SocSpec& soc, const TestSchedule& schedule,
-    thermal::ThermalAnalyzer& analyzer) const {
   schedule.require_well_formed(soc);
 
   SafetyReport report;

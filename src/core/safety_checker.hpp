@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "core/prepared_model.hpp"
 #include "core/schedule.hpp"
 #include "core/soc_spec.hpp"
 #include "thermal/analyzer.hpp"
@@ -49,20 +48,13 @@ class SafetyChecker {
   double temperature_limit() const { return temperature_limit_; }
   const Options& options() const { return options_; }
 
-  /// Simulates each session (from ambient, or chained per Options) and
-  /// flags every *active* core whose peak reaches the limit.
+  /// Validates `soc`, simulates each session (from ambient, or chained
+  /// per Options) and flags every *active* core whose peak reaches the
+  /// limit.
   SafetyReport check(const SocSpec& soc, const TestSchedule& schedule,
                      thermal::ThermalAnalyzer& analyzer) const;
 
-  /// The same check of a SoC on a prepared geometry, without
-  /// re-validating it.
-  SafetyReport check(const PreparedSoc& soc, const TestSchedule& schedule,
-                     thermal::ThermalAnalyzer& analyzer) const;
-
  private:
-  SafetyReport check_valid(const SocSpec& soc, const TestSchedule& schedule,
-                           thermal::ThermalAnalyzer& analyzer) const;
-
   double temperature_limit_;
   Options options_;
 };

@@ -20,10 +20,6 @@ double SocSpec::power_density(std::size_t i) const {
 void SocSpec::validate() const {
   flp.require_valid();
   package.validate();
-  validate_tests();
-}
-
-void SocSpec::validate_tests() const {
   THERMO_REQUIRE(tests.size() == flp.size(),
                  "SocSpec '" + name + "': tests.size() (" +
                      std::to_string(tests.size()) +

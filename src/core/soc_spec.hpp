@@ -39,13 +39,10 @@ struct SocSpec {
 
   /// Throws InvalidArgument unless the floorplan is valid, tests.size()
   /// matches the block count, and every power/length is finite and
-  /// positive (length) / non-negative (power).
+  /// positive (length) / non-negative (power). The floorplan remembers
+  /// that it passed (Floorplan::require_valid), so re-validating a copy
+  /// of a validated SoC costs O(n), spent on the tests alone.
   void validate() const;
-
-  /// validate()'s checks after the floorplan's and the package's, in its
-  /// order: all a SoC needs once those passed for its geometry and only
-  /// `tests` changed (a power corner of an already validated SoC).
-  void validate_tests() const;
 };
 
 }  // namespace thermo::core

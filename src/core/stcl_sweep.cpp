@@ -8,13 +8,12 @@ namespace thermo::core {
 
 namespace {
 
-/// Both sweep_stcl overloads; `Soc` is a SocSpec or a PreparedSoc, and
-/// `factor` G's factor for the analyzers (null: each takes it from
-/// ThermalSolverCache).
+/// Both sweep_stcl overloads; `Soc` is a SocSpec or a PreparedSoc on
+/// `spec`.
 template <typename Soc>
 std::vector<StclSweepPoint> run_sweep(
-    const Soc& soc, const std::shared_ptr<const thermal::RCModel>& model,
-    const std::shared_ptr<const linalg::SparseCholeskyFactor>& factor,
+    const Soc& soc, const SocSpec& spec,
+    const std::shared_ptr<const thermal::RCModel>& model,
     const std::vector<double>& stcl_values, const StclSweepConfig& config) {
   if (stcl_values.empty()) return {};
   const auto options_at = [&](std::size_t i) {
@@ -26,13 +25,13 @@ std::vector<StclSweepPoint> run_sweep(
   // The solo pre-pass depends on neither STCL nor TL: run it once, after
   // the checks point 0's own generate() made first, so errors keep their
   // precedence.
-  thermal::ThermalAnalyzer prepass_analyzer(model, config.analyzer, factor);
+  thermal::ThermalAnalyzer prepass_analyzer(model, config.analyzer);
   (void)ThermalAwareScheduler(options_at(0));
-  const SoloPrepass prepass = solo_prepass(soc, prepass_analyzer);
+  const SoloPrepass prepass = solo_prepass(spec, prepass_analyzer);
 
   std::vector<StclSweepPoint> points(stcl_values.size());
   sweep::for_each_index(config.threads, points.size(), [&](std::size_t i) {
-    thermal::ThermalAnalyzer analyzer(model, config.analyzer, factor);
+    thermal::ThermalAnalyzer analyzer(model, config.analyzer);
     const ThermalAwareScheduler scheduler(options_at(i));
     const ScheduleResult result = scheduler.generate(soc, analyzer, prepass);
     points[i] = StclSweepPoint{stcl_values[i],
@@ -52,15 +51,13 @@ std::vector<StclSweepPoint> sweep_stcl(
     const SocSpec& soc, std::shared_ptr<const thermal::RCModel> model,
     const std::vector<double>& stcl_values, const StclSweepConfig& config) {
   THERMO_REQUIRE(model != nullptr, "stcl sweep requires a model");
-  return run_sweep(soc, model, nullptr, stcl_values, config);
+  return run_sweep(soc, soc, model, stcl_values, config);
 }
 
 std::vector<StclSweepPoint> sweep_stcl(const PreparedSoc& soc,
                                        const std::vector<double>& stcl_values,
                                        const StclSweepConfig& config) {
-  return run_sweep(soc, soc.model.rc_model(),
-                   soc.model.steady_factor(config.analyzer), stcl_values,
-                   config);
+  return run_sweep(soc, soc.soc, soc.model.rc_model(), stcl_values, config);
 }
 
 std::vector<double> stcl_range(double min, double max, double step) {

@@ -4,8 +4,9 @@
 // The paper exposes STCL as the user knob trading schedule efficiency
 // against simulation effort (Section 5); picking it means scanning a
 // range. Every point in the scan schedules the SAME SoC, so all points
-// share one RCModel — its factorizations are computed once through the
-// solver cache and back-substituted by every worker — and one solo
+// share one RCModel — its factorizations are computed once (G's by the
+// model, steppers through the solver cache) and back-substituted by
+// every worker — and one solo
 // pre-pass (core::solo_prepass, paper lines 1-7), run once before the
 // fan-out and handed to every point's generate(). Each point gets a
 // private ThermalAnalyzer (the effort accounting is not thread-safe).
@@ -56,9 +57,8 @@ std::vector<StclSweepPoint> sweep_stcl(
     const SocSpec& soc, std::shared_ptr<const thermal::RCModel> model,
     const std::vector<double>& stcl_values, const StclSweepConfig& config);
 
-/// The same sweep on a prepared geometry: its RC model, session model
-/// and (steady oracle) G factor serve every point, and the SoC is not
-/// re-validated. Bit-identical to sweep_stcl(soc.soc,
+/// The same sweep on a prepared geometry: its RC model and session
+/// model serve every point. Bit-identical to sweep_stcl(soc.soc,
 /// soc.model.rc_model(), stcl_values, config).
 std::vector<StclSweepPoint> sweep_stcl(const PreparedSoc& soc,
                                        const std::vector<double>& stcl_values,

@@ -69,24 +69,6 @@ void record_counters(std::size_t stc_evaluations, std::size_t stc_terms,
   dropped.add(discarded);
 }
 
-/// solo_prepass once the SoC is known to be valid.
-SoloPrepass run_prepass(const SocSpec& soc,
-                        thermal::ThermalAnalyzer& analyzer) {
-  THERMO_REQUIRE(analyzer.model().block_count() == soc.core_count(),
-                 "analyzer was built for a different floorplan");
-  SoloPrepass prepass;
-  prepass.bcmt.resize(soc.core_count());
-  analyzer.reset_effort();
-  for (std::size_t i = 0; i < soc.core_count(); ++i) {
-    prepass.bcmt[i] =
-        analyzer.solo_peak(i, soc.tests[i].power, soc.tests[i].length);
-  }
-  prepass.effort = analyzer.simulation_effort();
-  analyzer.reset_effort();
-  analyzer.flush_counters();
-  return prepass;
-}
-
 /// generate()'s checks of its arguments, before the session model.
 void check_run_inputs(const SocSpec& soc,
                       const thermal::ThermalAnalyzer& analyzer,
@@ -102,12 +84,19 @@ void check_run_inputs(const SocSpec& soc,
 SoloPrepass solo_prepass(const SocSpec& soc,
                          thermal::ThermalAnalyzer& analyzer) {
   soc.validate();
-  return run_prepass(soc, analyzer);
-}
-
-SoloPrepass solo_prepass(const PreparedSoc& soc,
-                         thermal::ThermalAnalyzer& analyzer) {
-  return run_prepass(soc.soc, analyzer);
+  THERMO_REQUIRE(analyzer.model().block_count() == soc.core_count(),
+                 "analyzer was built for a different floorplan");
+  SoloPrepass prepass;
+  prepass.bcmt.resize(soc.core_count());
+  analyzer.reset_effort();
+  for (std::size_t i = 0; i < soc.core_count(); ++i) {
+    prepass.bcmt[i] =
+        analyzer.solo_peak(i, soc.tests[i].power, soc.tests[i].length);
+  }
+  prepass.effort = analyzer.simulation_effort();
+  analyzer.reset_effort();
+  analyzer.flush_counters();
+  return prepass;
 }
 
 ScheduleResult ThermalAwareScheduler::generate(

@@ -85,11 +85,6 @@ struct SoloPrepass {
 /// SocSpec::validate throws.
 SoloPrepass solo_prepass(const SocSpec& soc, thermal::ThermalAnalyzer& analyzer);
 
-/// The same pre-pass for a SoC on a prepared geometry, without
-/// re-validating it.
-SoloPrepass solo_prepass(const PreparedSoc& soc,
-                         thermal::ThermalAnalyzer& analyzer);
-
 class ThermalAwareScheduler {
  public:
   explicit ThermalAwareScheduler(ThermalSchedulerOptions options = {});
@@ -111,9 +106,9 @@ class ThermalAwareScheduler {
                           const SoloPrepass& prepass) const;
 
   /// The same run on a prepared geometry: `prepass` from
-  /// solo_prepass(soc, ·). Uses the prepared session model instead of
-  /// building one, and does not re-validate the SoC. Bit-identical to
-  /// generate(soc.soc, analyzer, prepass). The prepared model was built
+  /// solo_prepass(soc.soc, ·). Uses the prepared session model instead
+  /// of building one. Bit-identical to generate(soc.soc, analyzer,
+  /// prepass). The prepared model was built
   /// with SessionModelOptions{}, so options().model may differ from it
   /// only in stc_scale (InvalidArgument otherwise).
   ScheduleResult generate(const PreparedSoc& soc,

@@ -73,7 +73,10 @@ std::optional<std::size_t> Floorplan::index_of(std::string_view name) const {
   return it->second;
 }
 
-void Floorplan::invalidate_cache() { cache_valid_ = false; }
+void Floorplan::invalidate_cache() {
+  cache_valid_ = false;
+  validated_ = false;
+}
 
 void Floorplan::compute_cache() const {
   if (cache_valid_) return;
@@ -289,12 +292,14 @@ ValidationReport Floorplan::validate() const {
 }
 
 void Floorplan::require_valid() const {
+  if (validated_) return;
   const ValidationReport report = validate();
   if (!report.ok) {
     std::string message = "invalid floorplan '" + name_ + "':";
     for (const auto& e : report.errors) message += "\n  - " + e;
     throw InvalidArgument(message);
   }
+  validated_ = true;
 }
 
 }  // namespace thermo::floorplan

@@ -2,6 +2,16 @@
 // information (shared-edge lengths and chip-boundary exposure), the
 // geometric substrate for both the RC thermal model and the paper's test
 // session thermal model.
+//
+// Derived state is cached on the floorplan itself: the geometry is
+// computed lazily on first use, and a passing require_valid() is
+// remembered, so re-validating a floorplan (or a copy of one; copies
+// carry both) costs nothing. add_block drops both. A failed validation
+// is never remembered: every call re-checks and throws the same message.
+//
+// Concurrency: const members are safe to call from several threads only
+// once the floorplan has passed require_valid(), which fills the lazy
+// geometry and the pass record. Validate a floorplan before sharing it.
 #pragma once
 
 #include <array>
@@ -96,7 +106,9 @@ class Floorplan {
   /// blocks with no neighbours and no boundary exposure.
   ValidationReport validate() const;
 
-  /// Throws InvalidArgument when validate() reports errors.
+  /// Throws InvalidArgument when validate() reports errors. A pass is
+  /// remembered until the next add_block, so later calls (on this
+  /// floorplan or a copy) return at once.
   void require_valid() const;
 
  private:
@@ -119,6 +131,8 @@ class Floorplan {
 
   // lazily computed
   mutable bool cache_valid_ = false;
+  /// Set by a passing require_valid(), cleared by invalidate_cache().
+  mutable bool validated_ = false;
   mutable std::vector<Adjacency> adjacencies_;
   /// Per-block (neighbour, shared length) lists, sorted by neighbour.
   /// O(nnz) storage where the old dense n×n shared-edge matrix was

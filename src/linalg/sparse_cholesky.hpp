@@ -32,8 +32,8 @@
 //    to solve() on S (docs/SOLVERS.md "Path solves"). solve_entry() is
 //    its |S| = 1 case.
 //  * solve() is const, deterministic, and thread-safe — the factor is
-//    shareable across sweep workers (thermal::ThermalSolverCache keys
-//    it by model identity).
+//    shareable across sweep workers (an RCModel owns its factor of G;
+//    thermal::ThermalSolverCache keys the steppers by model identity).
 #pragma once
 
 #include <cstddef>

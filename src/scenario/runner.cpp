@@ -232,11 +232,11 @@ core::SocSpec ScenarioRunner::soc_for(Entry& entry,
       if (key == unscaled) built = soc;
     }
     if (built == nullptr) {
-      // validate()'s floorplan and package checks, once per SoC; they
-      // fill the floorplan's lazy geometry before any worker shares it.
+      // The floorplan is validated before any worker shares it: that
+      // fills its lazy geometry and its validation record, which every
+      // copy carries.
       core::SocSpec soc = make_soc(unscaled);
       soc.flp.require_valid();
-      soc.package.validate();
       built = std::make_shared<const core::SocSpec>(std::move(soc));
       if (entry.socs.size() >= kMaxSocsPerModel) {
         entry.socs.erase(entry.socs.begin());
@@ -248,7 +248,7 @@ core::SocSpec ScenarioRunner::soc_for(Entry& entry,
   }
   core::SocSpec soc = *built;
   scale_powers(soc, selector.power_scale);
-  soc.validate_tests();  // the rest of validate(), in its order
+  soc.validate();
   return soc;
 }
 
@@ -292,7 +292,7 @@ std::shared_ptr<const thermal::GridThermalModel> ScenarioRunner::grid_model_for(
   make_room(grids_);
   // Built under the lock: assembly is sparse-first, O(nnz) even for a
   // 100k-node grid; the expensive fill-ordered factorization happens
-  // later in the solver cache, outside this mutex.
+  // later, on the model's first solve, outside this mutex.
   obs::TraceSpan build_span("scenario.model_build");
   obs::ScopedTimer build_timer(model_build_ns());
   auto model = std::make_shared<const thermal::GridThermalModel>(
@@ -381,13 +381,12 @@ void run_chained(const ScenarioRequest& request, const core::PreparedSoc& soc,
   thermal::ThermalAnalyzer::Options sched_options;
   sched_options.dt = request.solver.dt;
   sched_options.transient = request.solver.transient;
-  thermal::ThermalAnalyzer sched_analyzer(
-      soc.model.rc_model(), sched_options,
-      soc.model.steady_factor(sched_options));
+  thermal::ThermalAnalyzer sched_analyzer(soc.model.rc_model(),
+                                          sched_options);
 
   const core::ThermalAwareScheduler scheduler(options);
   const core::ScheduleResult sched = scheduler.generate(
-      soc, sched_analyzer, core::solo_prepass(soc, sched_analyzer));
+      soc, sched_analyzer, core::solo_prepass(soc.soc, sched_analyzer));
 
   // The chained replay always needs transient state carry-over, whatever
   // oracle the schedule was *generated* with.
@@ -400,7 +399,7 @@ void run_chained(const ScenarioRequest& request, const core::PreparedSoc& soc,
   const core::SafetyChecker checker(scheduler.effective_temperature_limit(),
                                     chain);
   const core::SafetyReport report =
-      checker.check(soc, sched.schedule, check_analyzer);
+      checker.check(soc.soc, sched.schedule, check_analyzer);
 
   result.chained.stcl = request.stcl.min;
   result.chained.schedule_length = sched.schedule_length;

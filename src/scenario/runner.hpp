@@ -7,22 +7,24 @@
 // has the same geometry_key() shares one cache entry, built once on
 // first use:
 //   * per selector without its power_scale, the SoC, built and its
-//     floorplan and package validated once; a request copies it,
-//     scales its test powers and checks only those;
-//   * one core::PreparedModel: the RCModel, the paper's session model
-//     and, after the first steady-oracle request, the sparse factor of G,
-//     which every analyzer on the geometry then solves with.
+//     floorplan validated once; a request copies it, scales its test
+//     powers and validates the copy, which costs O(n) because the
+//     floorplan remembers its pass (Floorplan::require_valid);
+//   * one core::PreparedModel: the RCModel, which factors G on the
+//     first steady-oracle request and keeps it (RCModel::steady_factor),
+//     and the paper's session model.
 // A 100-request Alpha batch builds the Alpha SoC once and factors G
 // once. Transient steppers stay in ThermalSolverCache
-// (thermal/solver_cache.hpp), keyed by (model, dt).
+// (thermal/solver_cache.hpp), keyed by (model, dt). A grid model
+// likewise owns its factor, so it lives as long as the grid entry.
 //
 // Thread safety: run() is safe to call concurrently, which is how
 // serve_stream fans requests across threads (dispatch::run_batch). The
 // geometry map is guarded by the runner's mutex; an entry's parts are
 // built under the entry's own mutex, outside the runner's, and are
-// read-only once built (the floorplans' lazy geometry is filled by
-// validation before they are shared). A failed build caches nothing, so
-// every request that hits it gets the same ok:false record.
+// read-only once built (the floorplans' lazy geometry and validation
+// record are filled before they are shared). A failed build caches
+// nothing, so every request that hits it gets the same ok:false record.
 // Per-request failures — bad .flp paths, scheduler throws — are captured
 // in the result record (`ok:false` + the error message); run() itself
 // only propagates non-thermo exceptions (e.g. bad_alloc).
@@ -139,7 +141,7 @@ class ScenarioRunner {
 
   /// The shared grid model for (geometry, rows×cols), built on first
   /// use under its own LRU bound, so repeated grid_steady requests on
-  /// one discretisation share one cached sparse factor.
+  /// one discretisation share the model's one sparse factor.
   std::shared_ptr<const thermal::GridThermalModel> grid_model_for(
       const SocSelector& selector, const core::SocSpec& soc,
       const GridSpec& grid);
@@ -170,8 +172,9 @@ class ScenarioRunner {
   /// nothing behind, so every request that hits it fails the same way.
   struct Entry {
     std::mutex mutex;
-    /// Validated SoCs keyed by their selector with power_scale 1
-    /// (oldest first); a request copies one and scales its powers.
+    /// SoCs with a validated floorplan, keyed by their selector with
+    /// power_scale 1 (oldest first); a request copies one, scales its
+    /// powers and validates the copy.
     std::vector<std::pair<SocSelector, std::shared_ptr<const core::SocSpec>>>
         socs;
     std::shared_ptr<const core::PreparedModel> model;
@@ -185,7 +188,7 @@ class ScenarioRunner {
   /// The selector's geometry entry, inserted empty on first use.
   std::shared_ptr<Entry> entry_for(const SocSelector& selector);
   /// The request's SoC: the entry's built SoC with power_scale applied,
-  /// checked like build_soc's result.
+  /// validated like build_soc's result.
   core::SocSpec soc_for(Entry& entry, const SocSelector& selector);
   /// The entry's PreparedModel, built from `soc` on first use.
   std::shared_ptr<const core::PreparedModel> prepared(Entry& entry,

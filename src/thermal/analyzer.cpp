@@ -4,36 +4,19 @@
 #include <cmath>
 
 #include "obs/metrics.hpp"
-#include "thermal/solver_cache.hpp"
 #include "util/error.hpp"
 
 namespace thermo::thermal {
 
 ThermalAnalyzer::ThermalAnalyzer(const floorplan::Floorplan& fp,
-                                 const PackageParams& package)
-    : ThermalAnalyzer(fp, package, Options{}) {}
-
-ThermalAnalyzer::ThermalAnalyzer(const floorplan::Floorplan& fp,
                                  const PackageParams& package, Options options)
     : ThermalAnalyzer(std::make_shared<const RCModel>(fp, package), options) {}
 
-ThermalAnalyzer::ThermalAnalyzer(std::shared_ptr<const RCModel> model)
-    : ThermalAnalyzer(std::move(model), Options{}) {}
-
 ThermalAnalyzer::ThermalAnalyzer(std::shared_ptr<const RCModel> model,
                                  Options options)
-    : ThermalAnalyzer(std::move(model), options, nullptr) {}
-
-ThermalAnalyzer::ThermalAnalyzer(
-    std::shared_ptr<const RCModel> model, Options options,
-    std::shared_ptr<const linalg::SparseCholeskyFactor> steady_factor)
-    : model_(std::move(model)),
-      options_(options),
-      steady_(std::move(steady_factor)) {
+    : model_(std::move(model)), options_(options) {
   THERMO_REQUIRE(model_ != nullptr, "analyzer requires a model");
   THERMO_REQUIRE(options_.dt > 0.0, "analyzer dt must be positive");
-  THERMO_REQUIRE(steady_ == nullptr || steady_->size() == model_->node_count(),
-                 "steady factor was built for a different model");
 }
 
 ThermalAnalyzer::~ThermalAnalyzer() { flush_counters(); }
@@ -46,13 +29,6 @@ void ThermalAnalyzer::flush_counters() {
   if (pending_solves_ > 0) solves.add(pending_solves_);
   pending_entry_solves_ = 0;
   pending_solves_ = 0;
-}
-
-const linalg::SparseCholeskyFactor& ThermalAnalyzer::steady_factor() const {
-  if (steady_ == nullptr) {
-    steady_ = ThermalSolverCache::instance().sparse_cholesky(*model_);
-  }
-  return *steady_;
 }
 
 SessionSimulation ThermalAnalyzer::simulate_session(
@@ -100,7 +76,7 @@ double ThermalAnalyzer::solo_peak(std::size_t block, double power,
   const double p = power;
   THERMO_REQUIRE(std::isfinite(p) && p >= 0.0,
                  "block power must be finite and non-negative");
-  const linalg::SparseCholeskyFactor& factor = steady_factor();
+  const linalg::SparseCholeskyFactor& factor = model_->steady_factor();
   fit_scratch();
   const double rise = factor.solve_entry(block, power, scratch_);
   ++pending_entry_solves_;
@@ -145,7 +121,7 @@ SessionPeaks ThermalAnalyzer::session_peaks(
     // maximum of a positive rise lies on a powered core; scanning the
     // cores with ties to the lower index matches max_element's first
     // maximum over all blocks.
-    steady_factor().solve_subset(cores, out.core_peak, scratch_);
+    model_->steady_factor().solve_subset(cores, out.core_peak, scratch_);
     const double ambient = model_->package().ambient;
     double max_rise = 0.0;
     for (std::size_t t = 0; t < cores.size(); ++t) {
@@ -182,9 +158,9 @@ void ThermalAnalyzer::fit_scratch() {
 
 std::vector<double> ThermalAnalyzer::steady_block_temperatures(
     const std::vector<double>& block_power) const {
-  // solve_steady_state's checks and arithmetic, on the held factor.
+  // solve_steady_state's checks and arithmetic.
   const std::vector<double> power = model_->expand_power(block_power);
-  const std::vector<double> rise = steady_factor().solve(power);
+  const std::vector<double> rise = model_->steady_factor().solve(power);
   ++pending_solves_;
   const double ambient = model_->package().ambient;
   std::vector<double> out(model_->block_count());

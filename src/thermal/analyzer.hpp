@@ -2,7 +2,9 @@
 // and exposes "simulate this test session, give me per-core maximum
 // temperatures" — the simulate() oracle of Algorithm 1 — together with
 // the cumulative simulated-time accounting the paper calls
-// "simulation effort".
+// "simulation effort". Steady solves back-substitute through the
+// model's own factor of G (RCModel::steady_factor), transient sessions
+// through ThermalSolverCache's per-(model, dt) stepper.
 #pragma once
 
 #include <cstddef>
@@ -44,39 +46,34 @@ struct SessionPeaks {
   std::size_t hottest_block = 0;
 };
 
+/// ThermalAnalyzer::Options (declared outside the class so that its
+/// constructors can default it).
+struct AnalyzerOptions {
+  double dt = 1e-3;  ///< transient step [s]
+  /// When true (default), sessions are simulated transiently for their
+  /// actual duration; when false, steady-state temperatures are used
+  /// as a (faster, more pessimistic) oracle.
+  bool transient = true;
+  /// Always kSparse; not read (see SolverBackend).
+  SolverBackend backend = SolverBackend::kSparse;
+};
+
 class ThermalAnalyzer {
  public:
-  struct Options {
-    double dt = 1e-3;  ///< transient step [s]
-    /// When true (default), sessions are simulated transiently for their
-    /// actual duration; when false, steady-state temperatures are used
-    /// as a (faster, more pessimistic) oracle.
-    bool transient = true;
-    /// Always kSparse; not read (see SolverBackend).
-    SolverBackend backend = SolverBackend::kSparse;
-  };
+  using Options = AnalyzerOptions;
 
-  ThermalAnalyzer(const floorplan::Floorplan& fp, const PackageParams& package);
+  /// Builds a private model of `fp` and `package`.
   ThermalAnalyzer(const floorplan::Floorplan& fp, const PackageParams& package,
-                  Options options);
+                  Options options = {});
 
-  /// Shares an existing model instead of building a private one. Because
-  /// cached factorizations are keyed by RCModel::identity(), analyzers
-  /// sharing one model also share its factors — this is how a
+  /// Shares an existing model instead of building a private one.
+  /// Analyzers sharing one model share its factors too (the model owns
+  /// G's; steppers are keyed by its identity) — this is how a
   /// sweep::for_each_index gives every worker thread its own effort
   /// accounting (analyzers are not thread-safe) while the expensive
   /// factorizations are computed once. Throws InvalidArgument on null.
-  explicit ThermalAnalyzer(std::shared_ptr<const RCModel> model);
-  ThermalAnalyzer(std::shared_ptr<const RCModel> model, Options options);
-
-  /// Also takes the factor of the model's G for the steady solves, as a
-  /// core::PreparedModel holds it. Without one (null, or the
-  /// constructors above), the first steady solve takes it from
-  /// ThermalSolverCache; either way the analyzer holds it, so no solve
-  /// looks it up.
-  ThermalAnalyzer(std::shared_ptr<const RCModel> model, Options options,
-                  std::shared_ptr<const linalg::SparseCholeskyFactor>
-                      steady_factor);
+  explicit ThermalAnalyzer(std::shared_ptr<const RCModel> model,
+                           Options options = {});
 
   /// Adds the pending solve counts to the obs registry (flush_counters).
   ~ThermalAnalyzer();
@@ -164,15 +161,12 @@ class ThermalAnalyzer {
 
  private:
   void fit_scratch();  // sizes scratch_ to the model on first use
-  const linalg::SparseCholeskyFactor& steady_factor() const;
 
   std::shared_ptr<const RCModel> model_;
   Options options_;
   double simulation_effort_ = 0.0;
   std::size_t simulation_count_ = 0;
   linalg::PathScratch scratch_;  // solo_peak's and session_peaks' path solves
-  // G's factor, from the constructor or fetched on the first steady solve.
-  mutable std::shared_ptr<const linalg::SparseCholeskyFactor> steady_;
   std::size_t pending_entry_solves_ = 0;
   mutable std::size_t pending_solves_ = 0;
 };

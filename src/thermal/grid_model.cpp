@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "obs/metrics.hpp"
-#include "thermal/model_identity.hpp"
-#include "thermal/solver_cache.hpp"
 #include "util/error.hpp"
 
 namespace thermo::thermal {
@@ -21,8 +19,7 @@ GridThermalModel::GridThermalModel(const floorplan::Floorplan& fp,
                                    GridOptions options)
     : floorplan_(fp),
       package_(package),
-      options_(options),
-      identity_(next_model_identity()) {
+      options_(options) {
   package_.validate();
   floorplan_.require_valid();
   THERMO_REQUIRE(options_.rows >= 2 && options_.cols >= 2,
@@ -136,10 +133,8 @@ GridSteadyResult GridThermalModel::solve(
   }
 
   // A repeated solve on the same grid is one back-substitution through
-  // the process-wide ThermalSolverCache, exactly like RCModel's steady
-  // path.
-  const std::vector<double> rise =
-      ThermalSolverCache::instance().sparse_cholesky(*this)->solve(power);
+  // the model's own factor, exactly like RCModel's steady path.
+  const std::vector<double> rise = steady_factor().solve(power);
   static obs::Counter& solves =
       obs::MetricsRegistry::instance().counter("thermal.solves");
   solves.add();

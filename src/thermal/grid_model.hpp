@@ -11,14 +11,15 @@
 // Purpose: a higher-fidelity steady-state oracle to quantify the
 // discretisation error of the block model (bench_ablation_grid) and to
 // expose intra-block temperature gradients that block granularity hides.
-// Steady state only. Solves route through ThermalSolverCache exactly
-// like RCModel: a cached fill-ordered sparse LDLᵗ factor, so repeated
-// solves on one grid pay a single factorization — 100k-node grids
-// (317×317+) factor once and back-substitute per power map.
+// Steady state only. Like RCModel, the model owns its fill-ordered
+// sparse LDLᵗ factor of G (SteadyFactorSlot), built on the first solve
+// and shared by copies, so repeated solves on one grid pay a single
+// factorization — 100k-node grids (317×317+) factor once and
+// back-substitute per power map.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "floorplan/floorplan.hpp"
@@ -56,21 +57,20 @@ class GridThermalModel {
   const floorplan::Floorplan& floorplan() const { return floorplan_; }
   const PackageParams& package() const { return package_; }
 
-  /// Process-unique identity (thermal/model_identity.hpp), drawn from
-  /// the same counter as RCModel::identity() so ThermalSolverCache can
-  /// key grid factors alongside block-model factors without aliasing.
-  /// Copies share the identity; the model is immutable after build.
-  std::uint64_t identity() const { return identity_; }
-
   /// Fraction of cell (r, c) covered by block b (0..1).
   double coverage(std::size_t block, std::size_t row, std::size_t col) const;
 
-  /// Steady-state solve for per-block power [W] through the cached
-  /// sparse factor (ThermalSolverCache).
+  /// Steady-state solve for per-block power [W] through steady_factor().
   GridSteadyResult solve(const std::vector<double>& block_power) const;
 
   /// The sparse conductance matrix (ambient eliminated onto diagonal).
   const linalg::SparseMatrix& conductance() const { return conductance_; }
+
+  /// Sparse LDLᵗ factor of conductance(), built on the first call
+  /// (thread-safe) and shared with every copy of this model.
+  const linalg::SparseCholeskyFactor& steady_factor() const {
+    return steady_->get(conductance_);
+  }
 
  private:
   std::size_t cell_index(std::size_t row, std::size_t col) const {
@@ -80,12 +80,13 @@ class GridThermalModel {
   floorplan::Floorplan floorplan_;
   PackageParams package_;
   GridOptions options_;
-  std::uint64_t identity_ = 0;
   double cell_w_ = 0.0;
   double cell_h_ = 0.0;
   linalg::SparseMatrix conductance_;
   /// coverage_[b] lists (cell, fraction-of-cell-area) pairs.
   std::vector<std::vector<std::pair<std::size_t, double>>> coverage_;
+  std::shared_ptr<SteadyFactorSlot> steady_ =
+      std::make_shared<SteadyFactorSlot>();
 };
 
 }  // namespace thermo::thermal

@@ -1,13 +1,37 @@
 #include "thermal/rc_model.hpp"
 
+#include <atomic>
 #include <cmath>
 
-#include "thermal/model_identity.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace thermo::thermal {
 
 namespace fp = thermo::floorplan;
+
+namespace {
+
+/// The next process-unique RCModel identity (never 0).
+std::uint64_t next_identity() {
+  static std::atomic<std::uint64_t> counter{0};
+  return ++counter;
+}
+
+}  // namespace
+
+const linalg::SparseCholeskyFactor& SteadyFactorSlot::get(
+    const linalg::SparseMatrix& g) {
+  std::call_once(once_, [&] {
+    static obs::Histogram& factor_ns =
+        obs::MetricsRegistry::instance().histogram("thermal.factor_ns");
+    obs::TraceSpan factor_span("thermal.factor");
+    obs::ScopedTimer factor_timer(factor_ns);
+    factor_ = std::make_unique<const linalg::SparseCholeskyFactor>(g);
+  });
+  return *factor_;
+}
 
 double lateral_conductance(const fp::Floorplan& floorplan,
                            const fp::Adjacency& adj,
@@ -114,7 +138,7 @@ std::array<double, kPackageNodes> stamp_package(
 RCModel::RCModel(const fp::Floorplan& floorplan, const PackageParams& package)
     : floorplan_(floorplan),
       package_(package),
-      identity_(next_model_identity()) {
+      identity_(next_identity()) {
   package_.validate();
   floorplan_.require_valid();
   block_count_ = floorplan_.size();

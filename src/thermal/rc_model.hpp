@@ -24,6 +24,11 @@
 //    periphery use the same slab forms; sink -> ambient splits the
 //    total r_convec across the five sink nodes by footprint area.
 //
+// The model owns its derived steady-state factor: the sparse LDLᵗ
+// factor of G is built on the first steady_factor() call and shared by
+// every copy of the model (SteadyFactorSlot). Transient steppers, one
+// per (model, dt), stay in ThermalSolverCache (solver_cache.hpp).
+//
 // The free functions below are the one copy of these formulas:
 // GridThermalModel stamps the same package after its die cells, and
 // core::SessionThermalModel takes its die resistances from them.
@@ -36,11 +41,14 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "floorplan/floorplan.hpp"
 #include "linalg/sparse.hpp"
+#include "linalg/sparse_cholesky.hpp"
 #include "thermal/package.hpp"
 
 namespace thermo::thermal {
@@ -72,6 +80,22 @@ std::array<double, kPackageNodes> stamp_package(
     linalg::SparseMatrix::Builder& builder, std::size_t first,
     const PackageParams& package);
 
+/// The factor of one model's conductance matrix G, built on the first
+/// get() and kept for the model's lifetime. Concurrent first calls
+/// factor once (std::call_once). The factorization records the
+/// `thermal.factor` span and one `thermal.factor_ns` sample, as every
+/// factorization does. A model holds its slot through a shared_ptr, so
+/// copies of the model share the factor.
+class SteadyFactorSlot {
+ public:
+  /// The factor of `g`, which must be the owning model's G on every call.
+  const linalg::SparseCholeskyFactor& get(const linalg::SparseMatrix& g);
+
+ private:
+  std::once_flag once_;
+  std::unique_ptr<const linalg::SparseCholeskyFactor> factor_;
+};
+
 class RCModel {
  public:
   /// Builds the network. The floorplan must be valid (no overlaps) and is
@@ -91,17 +115,24 @@ class RCModel {
 
   /// Process-unique identity of the network, assigned at construction.
   /// An RCModel is immutable after construction, so the identity keys
-  /// the cached matrix factorizations (ThermalSolverCache): same
-  /// identity ⇒ same G and C, always. Copies share the identity (they
-  /// hold identical matrices); every freshly *constructed* model gets a
-  /// new one, which is what invalidates stale cache entries.
+  /// its transient steppers in ThermalSolverCache: same identity ⇒ same
+  /// G and C, always. Copies share the identity (they hold identical
+  /// matrices); every freshly *constructed* model gets a new one, which
+  /// is what invalidates stale cache entries.
   std::uint64_t identity() const { return identity_; }
 
   /// Symmetric positive-definite conductance matrix G [W/K] over all
   /// nodes, ambient eliminated (to-ambient conductance on the diagonal),
-  /// in CSR form: assembly stamps directly into it and the solver cache
-  /// factors it as-is.
+  /// in CSR form: assembly stamps directly into it and the factors are
+  /// built from it as-is.
   const linalg::SparseMatrix& conductance_sparse() const { return sparse_; }
+
+  /// Sparse LDLᵗ factor of G, built on the first call (thread-safe) and
+  /// shared with every copy of this model. Every steady-state solve on
+  /// the model back-substitutes through it.
+  const linalg::SparseCholeskyFactor& steady_factor() const {
+    return steady_->get(sparse_);
+  }
 
   /// Per-node heat capacity [J/K] (all positive).
   const std::vector<double>& capacitance() const { return capacitance_; }
@@ -134,6 +165,8 @@ class RCModel {
   std::vector<double> capacitance_;
   std::vector<double> ambient_conductance_;
   std::vector<std::string> node_names_;
+  std::shared_ptr<SteadyFactorSlot> steady_ =
+      std::make_shared<SteadyFactorSlot>();
 };
 
 }  // namespace thermo::thermal

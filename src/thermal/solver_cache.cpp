@@ -19,8 +19,8 @@ std::uint64_t bits_of(double dt) {
 }
 
 /// Cache observability (docs/OBSERVABILITY.md): hit/miss/eviction
-/// counts plus the wall time of the factorizations the cache exists to
-/// amortize.
+/// counts of stepper lookups plus the wall time of the factorizations
+/// the cache exists to amortize.
 struct CacheMetrics {
   obs::Counter& hits;
   obs::Counter& misses;
@@ -54,8 +54,10 @@ ThermalSolverCache::ThermalSolverCache(std::size_t capacity)
   THERMO_REQUIRE(capacity > 0, "solver cache capacity must be positive");
 }
 
-std::shared_ptr<const void> ThermalSolverCache::lookup(
-    const Key& key, const std::function<std::shared_ptr<const void>()>& make) {
+std::shared_ptr<const linalg::SparseImplicitStepper>
+ThermalSolverCache::sparse_stepper(const RCModel& model, double dt) {
+  THERMO_REQUIRE(dt > 0.0, "solver cache: dt must be positive");
+  const Key key{model.identity(), bits_of(dt)};
   CacheMetrics& metrics = cache_metrics();
   {
     std::scoped_lock lock(mutex_);
@@ -73,11 +75,12 @@ std::shared_ptr<const void> ThermalSolverCache::lookup(
   // worker's cache lookup. Two threads racing the same key
   // may both factor; the first insert wins and both share its result
   // (the loser's work is discarded — rare, and merely wasted cycles).
-  std::shared_ptr<const void> value;
+  std::shared_ptr<const linalg::SparseImplicitStepper> value;
   {
     obs::TraceSpan factor_span("thermal.factor");
     obs::ScopedTimer factor_timer(metrics.factor_ns);
-    value = make();
+    value = std::make_shared<const linalg::SparseImplicitStepper>(
+        model.conductance_sparse(), model.capacitance(), dt);
   }
   std::scoped_lock lock(mutex_);
   const auto [it, inserted] = entries_.try_emplace(key, Entry{value, tick_});
@@ -97,37 +100,6 @@ std::shared_ptr<const void> ThermalSolverCache::lookup(
     metrics.evictions.add();
   }
   return value;
-}
-
-std::shared_ptr<const linalg::SparseCholeskyFactor>
-ThermalSolverCache::sparse_cholesky(const RCModel& model) {
-  auto value = lookup(Key{model.identity(), 0}, [&] {
-    return std::shared_ptr<const void>(
-        std::make_shared<const linalg::SparseCholeskyFactor>(
-            model.conductance_sparse()));
-  });
-  return std::static_pointer_cast<const linalg::SparseCholeskyFactor>(value);
-}
-
-std::shared_ptr<const linalg::SparseImplicitStepper>
-ThermalSolverCache::sparse_stepper(const RCModel& model, double dt) {
-  THERMO_REQUIRE(dt > 0.0, "solver cache: dt must be positive");
-  auto value = lookup(Key{model.identity(), bits_of(dt)}, [&] {
-    return std::shared_ptr<const void>(
-        std::make_shared<const linalg::SparseImplicitStepper>(
-            model.conductance_sparse(), model.capacitance(), dt));
-  });
-  return std::static_pointer_cast<const linalg::SparseImplicitStepper>(value);
-}
-
-std::shared_ptr<const linalg::SparseCholeskyFactor>
-ThermalSolverCache::sparse_cholesky(const GridThermalModel& model) {
-  auto value = lookup(Key{model.identity(), 0}, [&] {
-    return std::shared_ptr<const void>(
-        std::make_shared<const linalg::SparseCholeskyFactor>(
-            model.conductance()));
-  });
-  return std::static_pointer_cast<const linalg::SparseCholeskyFactor>(value);
 }
 
 void ThermalSolverCache::clear() {

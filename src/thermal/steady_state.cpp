@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/metrics.hpp"
-#include "thermal/solver_cache.hpp"
 #include "util/error.hpp"
 
 namespace thermo::thermal {
@@ -13,9 +12,9 @@ SteadyStateResult solve_steady_state(const RCModel& model,
   const std::vector<double> power = model.expand_power(block_power);
 
   SteadyStateResult result;
-  // Factor-cached: G is fixed per model, only the power vector changes
-  // across calls (see solver_cache.hpp).
-  result.rise = ThermalSolverCache::instance().sparse_cholesky(model)->solve(power);
+  // G is fixed per model, only the power vector changes across calls:
+  // the model factors G once (RCModel::steady_factor).
+  result.rise = model.steady_factor().solve(power);
   static obs::Counter& solves =
       obs::MetricsRegistry::instance().counter("thermal.solves");
   solves.add();

@@ -8,10 +8,9 @@
 // solve through ThermalAnalyzer; transient.hpp covers the time-resolved
 // counterpart.
 //
-// The solve is factor-cached: G is fixed per RCModel, so repeated solves
-// on the same model reuse its sparse LDLᵗ factorization
-// (linalg/sparse_cholesky.hpp) through ThermalSolverCache
-// (solver_cache.hpp) and cost only two triangular substitutions.
+// G is fixed per RCModel, so the model factors it once as sparse LDLᵗ
+// (RCModel::steady_factor, linalg/sparse_cholesky.hpp) and repeated
+// solves on the same model cost only two triangular substitutions.
 // docs/SOLVERS.md has the cost model.
 #pragma once
 

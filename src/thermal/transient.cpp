@@ -41,11 +41,6 @@ TransientResult simulate_transient(const RCModel& model,
       const double temp = ambient + rise[i];
       result.peak_temperature[i] = std::max(result.peak_temperature[i], temp);
     }
-    if (options.observer) {
-      std::vector<double> absolute(n);
-      for (std::size_t i = 0; i < n; ++i) absolute[i] = ambient + rise[i];
-      options.observer(static_cast<double>(result.steps) * options.dt, absolute);
-    }
   };
 
   if (duration == 0.0) return result;

@@ -14,10 +14,12 @@
 // per step, linear in the factor's non-zeros. Whole steps are counted
 // by index, and a final remainder step runs only when the duration is
 // not within rounding of a whole number of steps; stepping allocates
-// nothing. docs/SOLVERS.md covers the cost model ("The factor cache").
+// nothing and reports only the final state and the per-node peaks (to
+// watch every step, chain one-step calls, each final state feeding the
+// next initial one). docs/SOLVERS.md covers the cost model ("The factor
+// cache").
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "thermal/rc_model.hpp"
@@ -26,8 +28,6 @@ namespace thermo::thermal {
 
 struct TransientOptions {
   double dt = 1e-3;  ///< backward-Euler step size [s]
-  /// Optional per-step observer (t, absolute node temperatures).
-  std::function<void(double, const std::vector<double>&)> observer;
 };
 
 struct TransientResult {

@@ -174,6 +174,50 @@ TEST(Floorplan, CacheInvalidatedByAddBlock) {
   EXPECT_TRUE(fp.are_adjacent(0, 1));
 }
 
+// require_valid() remembers a pass, and only a pass: a failure is
+// re-checked (and re-thrown with the same text) on every call, and
+// add_block drops a recorded pass, on the floorplan and on copies.
+std::string validation_error(const Floorplan& fp) {
+  try {
+    fp.require_valid();
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FloorplanValidationMemo, InvalidFloorplanThrowsTheSameMessageEveryTime) {
+  Floorplan fp("bad");
+  fp.add_block({"a", 2e-3, 2e-3, 0.0, 0.0});
+  fp.add_block({"b", 2e-3, 2e-3, 1e-3, 1e-3});
+  const std::string first = validation_error(fp);
+  EXPECT_NE(first.find("'a' and 'b' overlap"), std::string::npos) << first;
+  EXPECT_EQ(validation_error(fp), first);
+  EXPECT_EQ(validation_error(fp), first);
+  const Floorplan copy = fp;
+  EXPECT_EQ(validation_error(copy), first);
+}
+
+TEST(FloorplanValidationMemo, OverlapAddedAfterAPassIsCaught) {
+  Floorplan fp = quad_floorplan();
+  ASSERT_EQ(validation_error(fp), "");
+  Floorplan copy = fp;  // carries the pass
+  EXPECT_EQ(validation_error(copy), "");
+
+  fp.add_block({"e", 1e-3, 1e-3, 0.5e-3, 0.5e-3});  // overlaps a, b, c, d
+  EXPECT_NE(validation_error(fp).find("'a' and 'e' overlap"),
+            std::string::npos);
+  copy.add_block({"e", 1e-3, 1e-3, 1.5e-3, 1.5e-3});  // overlaps d
+  EXPECT_NE(validation_error(copy).find("'d' and 'e' overlap"),
+            std::string::npos);
+
+  // A non-overlapping block after a pass validates afresh and passes.
+  Floorplan grown = quad_floorplan();
+  ASSERT_EQ(validation_error(grown), "");
+  grown.add_block({"e", 1e-3, 1e-3, 2e-3, 0.0});
+  EXPECT_EQ(validation_error(grown), "");
+}
+
 TEST(Floorplan, OutOfRangeIndicesThrow) {
   const Floorplan fp = quad_floorplan();
   EXPECT_THROW(fp.block(4), InvalidArgument);

@@ -18,9 +18,12 @@
 #include "gen/generator.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/serve.hpp"
+#include "test_helpers.hpp"
 
 namespace thermo::scenario {
 namespace {
+
+using thermo::testing::factorizations;
 
 struct Served {
   std::string records;
@@ -79,19 +82,19 @@ TEST(PreparedModels, GenStreamBuildsEachPartOnce) {
     }
   }
 
-  const std::uint64_t factorizations = counter("thermal.solver_cache.misses");
+  const std::uint64_t factored_before = factorizations();
   const Served run = serve(input, 1);
   ASSERT_EQ(run.summary.failed, 0u);
-  EXPECT_EQ(counter("thermal.solver_cache.misses") - factorizations,
-            factor_keys.size());
+  EXPECT_EQ(factorizations() - factored_before, factor_keys.size());
   EXPECT_EQ(run.summary.runner.soc_builds, socs.size());
   EXPECT_EQ(run.summary.runner.model_misses, geometries.size());
   EXPECT_EQ(run.summary.runner.model_hits + run.summary.runner.model_misses,
             run.summary.executed);
 }
 
-// A steady run asks the solver cache for G once, on the entry's first
-// steady request, however many entry and validation solves follow.
+// A steady run never asks the solver cache for anything: the entry's
+// model factors G once, on its first steady request, however many
+// entry and validation solves follow.
 TEST(PreparedModels, SteadySolvesDoNotLookUpTheFactor) {
   std::string input;
   for (const char* scale : {"1", "1.2", "1.4"}) {
@@ -105,14 +108,42 @@ TEST(PreparedModels, SteadySolvesDoNotLookUpTheFactor) {
            counter("thermal.solver_cache.misses");
   };
   const std::uint64_t lookups_before = lookups();
+  const std::uint64_t factored_before = factorizations();
   const std::uint64_t solves_before =
       counter("thermal.entry_solves") + counter("thermal.solves");
   const Served run = serve(input, 4);
   ASSERT_EQ(run.summary.succeeded, 3u);
-  EXPECT_EQ(lookups() - lookups_before, 1u);
+  EXPECT_EQ(lookups() - lookups_before, 0u);
+  EXPECT_EQ(factorizations() - factored_before, 1u);
   EXPECT_GT(counter("thermal.entry_solves") + counter("thermal.solves") -
                 solves_before,
             3u * 64u);
+}
+
+// A grid's factor lives with its grid model, not in the solver cache's
+// LRU: 40 transient requests at distinct steps on another geometry (40
+// stepper keys, more than the cache holds) leave it in place, so the
+// same grid request served again factors nothing.
+TEST(PreparedModels, GridFactorsSurviveStepperChurn) {
+  const std::string grid =
+      R"({"kind":"grid_steady","soc":{"kind":"fig1"},"grid":{"rows":24,"cols":24}})"
+      "\n";
+  std::string churn;
+  for (int i = 1; i <= 40; ++i) {
+    churn += R"({"soc":{"kind":"synthetic","seed":9,"cores":8},"tl":400,)"
+             R"("stcl":90,"solver":{"dt":)" +
+             std::to_string(0.01 + 0.0001 * i) + "}}\n";
+  }
+  ScenarioRunner runner;
+  const Served first = serve(grid, 1, runner);
+  ASSERT_EQ(first.summary.succeeded, 1u);
+  const std::uint64_t stepper_misses = counter("thermal.solver_cache.misses");
+  ASSERT_EQ(serve(churn, 1, runner).summary.succeeded, 40u);
+  ASSERT_GE(counter("thermal.solver_cache.misses") - stepper_misses, 40u);
+  const std::uint64_t factored_before = factorizations();
+  const Served again = serve(grid, 1, runner);
+  EXPECT_EQ(again.records, first.records);
+  EXPECT_EQ(factorizations() - factored_before, 0u);
 }
 
 // The exact ok:false bytes of a fresh build: a power_scale that

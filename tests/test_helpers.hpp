@@ -1,10 +1,12 @@
 // Shared fixtures and builders for the ThermoSched test suite.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/soc_spec.hpp"
 #include "floorplan/floorplan.hpp"
+#include "obs/metrics.hpp"
 #include "thermal/package.hpp"
 
 namespace thermo::testing {
@@ -58,6 +60,15 @@ inline core::SocSpec nine_soc(double power = 6.0, double length = 1.0) {
   soc.package = thermal::PackageParams{};
   soc.tests.assign(soc.flp.size(), core::CoreTest{power, length});
   return soc;
+}
+
+/// Factorizations so far in this process, of either kind (the models'
+/// factors of G and the solver cache's steppers): the count of the
+/// `thermal.factor_ns` histogram.
+inline std::uint64_t factorizations() {
+  return obs::MetricsRegistry::instance()
+      .histogram("thermal.factor_ns")
+      .count();
 }
 
 /// Index lookup that asserts the name exists.

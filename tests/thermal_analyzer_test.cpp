@@ -83,13 +83,8 @@ TEST_F(AnalyzerTest, ValidatesInputs) {
   ThermalAnalyzer::Options bad;
   bad.dt = 0.0;
   EXPECT_THROW(ThermalAnalyzer(fp_, pkg_, bad), InvalidArgument);
-  linalg::SparseMatrix::Builder one(1, 1);
-  one.add(0, 0, 1.0);
-  EXPECT_THROW(
-      ThermalAnalyzer(analyzer_.shared_model(), ThermalAnalyzer::Options{},
-                      std::make_shared<const linalg::SparseCholeskyFactor>(
-                          one.build())),
-      InvalidArgument);
+  EXPECT_THROW(ThermalAnalyzer(std::shared_ptr<const RCModel>{}),
+               InvalidArgument);
 }
 
 // solo_peak is the solo pre-pass's oracle: under either oracle it

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "oracles/sparse_ops.hpp"
 #include "test_helpers.hpp"
@@ -11,6 +16,7 @@
 namespace thermo::thermal {
 namespace {
 
+using thermo::testing::factorizations;
 using thermo::testing::idx;
 using thermo::testing::nine_floorplan;
 using thermo::testing::quad_floorplan;
@@ -142,6 +148,42 @@ TEST(RcModel, RejectsInvalidPackage) {
   PackageParams bad;
   bad.k_tim = 0.0;
   EXPECT_THROW(RCModel(quad_floorplan(), bad), InvalidArgument);
+}
+
+// --- the model's own factor of G ---------------------------------------
+
+TEST(RcModelSteadyFactor, ConcurrentFirstCallsFactorOnce) {
+  const auto model =
+      std::make_shared<const RCModel>(nine_floorplan(), PackageParams{});
+  const std::uint64_t before = factorizations();
+  constexpr std::size_t kThreads = 8;
+  std::vector<const linalg::SparseCholeskyFactor*> seen(kThreads, nullptr);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      seen[t] = &model->steady_factor();
+    });
+  }
+  go.store(true);
+  for (std::thread& thread : threads) thread.join();
+  for (const linalg::SparseCholeskyFactor* factor : seen) {
+    EXPECT_EQ(factor, seen.front());
+  }
+  EXPECT_EQ(factorizations() - before, 1u);
+  EXPECT_EQ(seen.front()->size(), model->node_count());
+}
+
+TEST(RcModelSteadyFactor, CopiesShareTheFactorRebuildsDoNot) {
+  const RCModel model(nine_floorplan(), PackageParams{});
+  const RCModel copy = model;  // NOLINT(performance-unnecessary-copy-initialization)
+  const RCModel rebuilt(nine_floorplan(), PackageParams{});
+  const std::uint64_t before = factorizations();
+  EXPECT_EQ(&copy.steady_factor(), &model.steady_factor());
+  EXPECT_EQ(factorizations() - before, 1u);
+  EXPECT_NE(&rebuilt.steady_factor(), &model.steady_factor());
+  EXPECT_EQ(factorizations() - before, 2u);
 }
 
 }  // namespace

@@ -1,17 +1,20 @@
-// ThermalSolverCache: cached solves must agree with cold solves, cache
+// ThermalSolverCache: cached steppers must agree with cold ones, cache
 // entries must be keyed by model identity (never aliased across
 // different models), the hit/miss accounting must reflect reuse, and
-// LRU eviction must stay correct for both factor kinds (G and the
-// backward-Euler (C/dt + G)).
+// LRU eviction must stay correct. The steady factor of G is not cached
+// here (each model owns it), so a grid model's factor is checked to be
+// built once without a single cache lookup.
 #include "thermal/solver_cache.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "linalg/sparse_cholesky.hpp"
 #include "test_helpers.hpp"
+#include "thermal/grid_model.hpp"
 #include "thermal/steady_state.hpp"
 #include "thermal/transient.hpp"
 #include "util/error.hpp"
@@ -19,6 +22,7 @@
 namespace thermo::thermal {
 namespace {
 
+using thermo::testing::factorizations;
 using thermo::testing::nine_floorplan;
 using thermo::testing::quad_floorplan;
 
@@ -28,16 +32,26 @@ std::vector<double> centre_power(std::size_t blocks, double watts) {
   return power;
 }
 
+// One backward-Euler step from `from` through a freshly factored
+// stepper: what every cached stepper of (model, dt) must reproduce.
+std::vector<double> cold_step(const RCModel& model, double dt,
+                              const std::vector<double>& from,
+                              const std::vector<double>& power) {
+  return linalg::SparseImplicitStepper(model.conductance_sparse(),
+                                       model.capacitance(), dt)
+      .step(from, power);
+}
+
 TEST(ThermalSolverCacheTest, CachedSteadySolveMatchesColdSolve) {
   const RCModel model(nine_floorplan(), PackageParams{});
   const auto block_power = centre_power(9, 10.0);
 
-  // Cold: factor from scratch, outside the cache.
+  // Cold: factor from scratch, outside the model.
   const std::vector<double> expanded = model.expand_power(block_power);
   const linalg::SparseCholeskyFactor cold(model.conductance_sparse());
   const std::vector<double> cold_rise = cold.solve(expanded);
 
-  // First call factors into the cache; second call reuses the factor.
+  // First call factors into the model; second call reuses the factor.
   const SteadyStateResult first = solve_steady_state(model, block_power);
   const SteadyStateResult second = solve_steady_state(model, block_power);
 
@@ -54,12 +68,12 @@ TEST(ThermalSolverCacheTest, RepeatLookupsHitTheCache) {
   const RCModel model(nine_floorplan(), PackageParams{});
 
   const auto before = cache.stats();
-  const auto first = cache.sparse_cholesky(model);
+  const auto first = cache.sparse_stepper(model, 1e-3);
   const auto stats_after_first = cache.stats();
   EXPECT_EQ(stats_after_first.misses - before.misses, 1u);
   EXPECT_EQ(stats_after_first.hits - before.hits, 0u);
 
-  const auto second = cache.sparse_cholesky(model);
+  const auto second = cache.sparse_stepper(model, 1e-3);
   const auto stats_after_second = cache.stats();
   EXPECT_EQ(stats_after_second.misses - before.misses, 1u);
   EXPECT_EQ(stats_after_second.hits - before.hits, 1u);
@@ -71,18 +85,19 @@ TEST(ThermalSolverCacheTest, CopiesShareIdentityAndFactors) {
   const RCModel model(nine_floorplan(), PackageParams{});
   const RCModel copy = model;  // NOLINT(performance-unnecessary-copy-initialization)
   EXPECT_EQ(model.identity(), copy.identity());
-  EXPECT_EQ(cache.sparse_cholesky(model).get(),
-            cache.sparse_cholesky(copy).get());
+  EXPECT_EQ(cache.sparse_stepper(model, 1e-3).get(),
+            cache.sparse_stepper(copy, 1e-3).get());
 }
 
 TEST(ThermalSolverCacheTest, DistinctModelsNeverAliasEntries) {
   ThermalSolverCache& cache = ThermalSolverCache::instance();
   // Identical construction parameters still yield distinct identities —
-  // a rebuilt model can never pick up a stale factor.
+  // a rebuilt model can never pick up a stale stepper.
   const RCModel a(nine_floorplan(), PackageParams{});
   const RCModel b(nine_floorplan(), PackageParams{});
   EXPECT_NE(a.identity(), b.identity());
-  EXPECT_NE(cache.sparse_cholesky(a).get(), cache.sparse_cholesky(b).get());
+  EXPECT_NE(cache.sparse_stepper(a, 1e-3).get(),
+            cache.sparse_stepper(b, 1e-3).get());
 
   // A genuinely different model (hotter package) must produce different
   // temperatures even when solved back-to-back through the cache.
@@ -96,56 +111,22 @@ TEST(ThermalSolverCacheTest, DistinctModelsNeverAliasEntries) {
 }
 
 TEST(ThermalSolverCacheTest, GridModelFactorsHitTheCache) {
-  // GridThermalModel keys live in the same cache as RCModel keys
-  // (shared identity counter): repeat lookups must hit.
+  // A grid model owns its factor: repeat solves reuse the one built on
+  // the first, and none of them looks anything up in the cache.
   ThermalSolverCache& cache = ThermalSolverCache::instance();
   const GridThermalModel grid(quad_floorplan(), PackageParams{},
                               GridOptions{6, 6});
 
   const auto before = cache.stats();
-  const auto first = cache.sparse_cholesky(grid);
-  const auto second = cache.sparse_cholesky(grid);
-  EXPECT_EQ(first.get(), second.get());
+  const std::uint64_t factored_before = factorizations();
+  const linalg::SparseCholeskyFactor& first = grid.steady_factor();
+  const linalg::SparseCholeskyFactor& second = grid.steady_factor();
+  EXPECT_EQ(&first, &second);
   const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits - before.hits, 1u);
-  EXPECT_EQ(stats.misses - before.misses, 1u);
-  EXPECT_EQ(first->size(), grid.node_count());
-}
-
-TEST(ThermalSolverCacheTest, GridAndBlockModelsNeverAlias) {
-  // The shared identity counter guarantees a grid model and a block
-  // model can never collide on a key, whatever their construction
-  // order or node counts.
-  ThermalSolverCache& cache = ThermalSolverCache::instance();
-  const RCModel block(quad_floorplan(), PackageParams{});
-  const GridThermalModel grid(quad_floorplan(), PackageParams{},
-                              GridOptions{6, 6});
-  EXPECT_NE(block.identity(), grid.identity());
-  EXPECT_NE(
-      static_cast<const void*>(cache.sparse_cholesky(block).get()),
-      static_cast<const void*>(cache.sparse_cholesky(grid).get()));
-}
-
-TEST(ThermalSolverCacheTest, GridKeysParticipateInLruEviction) {
-  // A small-capacity cache cycled over many grid models must keep
-  // working (evicted keys simply refactor) — mirrors the RCModel LRU
-  // test for the grid key space.
-  ThermalSolverCache cache(2);
-  std::vector<std::unique_ptr<GridThermalModel>> models;
-  for (int i = 0; i < 4; ++i) {
-    models.push_back(std::make_unique<GridThermalModel>(
-        quad_floorplan(), PackageParams{}, GridOptions{4, 4}));
-    cache.sparse_cholesky(*models.back());
-  }
-  EXPECT_LE(cache.stats().entries, 2u);
-
-  // The oldest model was evicted: looking it up again refactors but
-  // still yields a correct, usable factor.
-  const std::size_t misses_before = cache.stats().misses;
-  const auto refactored = cache.sparse_cholesky(*models.front());
-  EXPECT_EQ(cache.stats().misses - misses_before, 1u);
-  EXPECT_NO_THROW(refactored->solve(
-      std::vector<double>(models.front()->node_count(), 1.0)));
+  EXPECT_EQ(stats.hits - before.hits, 0u);
+  EXPECT_EQ(stats.misses - before.misses, 0u);
+  EXPECT_EQ(factorizations() - factored_before, 1u);
+  EXPECT_EQ(first.size(), grid.node_count());
 }
 
 TEST(ThermalSolverCacheTest, TransientStepperIsCachedPerDt) {
@@ -215,28 +196,28 @@ TEST(ThermalSolverCacheTest, EvictionBeyondCapacityStaysCorrect) {
   const RCModel a(nine_floorplan(), PackageParams{});
   const RCModel b(quad_floorplan(), PackageParams{});
   const RCModel c(nine_floorplan(), PackageParams{});
-  small.sparse_cholesky(a);
-  small.sparse_cholesky(b);
-  small.sparse_cholesky(c);  // evicts the LRU entry (a)
+  small.sparse_stepper(a, 1e-3);
+  small.sparse_stepper(b, 1e-3);
+  small.sparse_stepper(c, 1e-3);  // evicts the LRU entry (a)
   EXPECT_EQ(small.stats().entries, 2u);
 
   const std::size_t misses_before = small.stats().misses;
-  const auto refactored = small.sparse_cholesky(a);
+  const auto refactored = small.sparse_stepper(a, 1e-3);
   EXPECT_EQ(small.stats().misses - misses_before, 1u);
-  // Still solves correctly after the round-trip through eviction.
+  // Still steps correctly after the round-trip through eviction.
   const auto power = a.expand_power(centre_power(9, 10.0));
-  const auto rise = refactored->solve(power);
-  const auto expected =
-      linalg::SparseCholeskyFactor(a.conductance_sparse()).solve(power);
-  for (std::size_t i = 0; i < rise.size(); ++i) {
-    EXPECT_DOUBLE_EQ(rise[i], expected[i]);
+  const std::vector<double> from(a.node_count(), 0.0);
+  const auto next = refactored->step(from, power);
+  const auto expected = cold_step(a, 1e-3, from, power);
+  for (std::size_t i = 0; i < next.size(); ++i) {
+    EXPECT_DOUBLE_EQ(next[i], expected[i]);
   }
 }
 
 TEST(ThermalSolverCacheTest, ClearEmptiesTheCache) {
   ThermalSolverCache cache(8);
   const RCModel model(quad_floorplan(), PackageParams{});
-  cache.sparse_cholesky(model);
+  cache.sparse_stepper(model, 2e-3);
   cache.sparse_stepper(model, 1e-3);
   EXPECT_EQ(cache.stats().entries, 2u);
   cache.clear();
@@ -254,9 +235,11 @@ TEST(SparseSolverCacheTest, RepeatSparseLookupsHitTheCache) {
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(first.get(), second.get());
 
-  // The steady factor of G and the stepper of the same model are
-  // distinct entries.
-  cache.sparse_cholesky(model);
+  // The steady factor of G is the model's, not an entry; a second dt
+  // is a distinct entry.
+  model.steady_factor();
+  EXPECT_EQ(cache.stats().entries, 1u);
+  cache.sparse_stepper(model, 2e-3);
   EXPECT_EQ(cache.stats().entries, 2u);
 }
 
@@ -296,10 +279,7 @@ TEST(SparseSolverCacheTest, LruEvictionBeyondCapacityStaysCorrect) {
   const auto power = a.expand_power(std::vector<double>(9, 10.0));
   const std::vector<double> from(a.node_count(), 0.0);
   const auto next = refactored->step(from, power);
-  const auto expected =
-      linalg::SparseImplicitStepper(a.conductance_sparse(), a.capacitance(),
-                                    1e-3)
-          .step(from, power);
+  const auto expected = cold_step(a, 1e-3, from, power);
   for (std::size_t i = 0; i < next.size(); ++i) {
     EXPECT_DOUBLE_EQ(next[i], expected[i]);
   }

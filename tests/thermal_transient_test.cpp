@@ -43,15 +43,20 @@ TEST_F(TransientTest, ZeroDurationReturnsInitialState) {
 }
 
 TEST_F(TransientTest, TemperaturesRiseMonotonicallyFromAmbient) {
-  std::vector<double> previous_max(model_.node_count(), 0.0);
+  // 50 one-step calls, each starting from the last one's final state,
+  // so every step's temperature is checked.
   TransientOptions options;
   options.dt = 1e-3;
+  std::vector<double> state = ambient_state(model_);
   double last = pkg_.ambient;
-  options.observer = [&](double, const std::vector<double>& temps) {
-    EXPECT_GE(temps[0] + 1e-9, last);
-    last = temps[0];
-  };
-  simulate_transient(model_, power_, 0.05, ambient_state(model_), options);
+  for (int step = 0; step < 50; ++step) {
+    const TransientResult r =
+        simulate_transient(model_, power_, options.dt, state, options);
+    ASSERT_EQ(r.steps, 1u);
+    EXPECT_GE(r.final_temperature[0] + 1e-9, last);
+    last = r.final_temperature[0];
+    state = r.final_temperature;
+  }
   EXPECT_GT(last, pkg_.ambient);
 }
 
