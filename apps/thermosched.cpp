@@ -350,11 +350,11 @@ int cmd_sweep(const CommonArgs& args) {
   const std::vector<double> stcls =
       core::stcl_range(args.stcl_min, args.stcl_max, args.step);
   const core::SocSpec soc = build_soc(args);
-  // One shared model: every per-STCL analyzer keys the same cached
-  // factorizations, so the RC network is factored once for the whole
-  // sweep no matter how many threads run.
-  const auto model =
-      std::make_shared<const thermal::RCModel>(soc.flp, soc.package);
+  // One prepared model: every per-STCL point shares its RC network
+  // (steppers keyed by it in the solver cache, so each is factored once
+  // for the whole sweep no matter how many threads run) and its session
+  // model.
+  const core::PreparedModel model(soc);
 
   core::StclSweepConfig config;
   config.threads = static_cast<std::size_t>(args.threads);
@@ -362,7 +362,7 @@ int cmd_sweep(const CommonArgs& args) {
   config.scheduler.model.stc_scale = stc_scale_for(args);
   config.scheduler.solo_policy = core::SoloViolationPolicy::kRaiseLimit;
   const std::vector<core::StclSweepPoint> points =
-      core::sweep_stcl(soc, model, stcls, config);
+      core::sweep_stcl(core::PreparedSoc{soc, model}, stcls, config);
 
   Table table({"STCL", "length [s]", "effort [s]", "sessions", "max temp [C]",
                "discards"});

@@ -1,11 +1,13 @@
 # Smoke-test wrapper: run a binary and require (a) the expected exit code
 # (SMOKE_EXIT, default 0), (b) non-empty stdout when that code is 0, and
-# (c) when SMOKE_STDERR is set, that text somewhere in stderr.
+# (c) every needle of SMOKE_STDOUT somewhere in stdout and every needle
+# of SMOKE_STDERR somewhere in stderr (each a ;-list, default empty).
 # CTest's PASS_REGULAR_EXPRESSION ignores the exit code, so a plain
 # add_test() cannot express these conditions together — this script can.
 #
 # Usage: cmake -DSMOKE_BIN=<path> [-DSMOKE_ARGS="a;b;c"] [-DSMOKE_EXIT=<code>]
-#              [-DSMOKE_STDERR=<text>] -P RunSmokeTest.cmake
+#              [-DSMOKE_STDOUT=<text;...>] [-DSMOKE_STDERR=<text;...>]
+#              -P RunSmokeTest.cmake
 if(NOT SMOKE_BIN)
   message(FATAL_ERROR "SMOKE_BIN not set")
 endif()
@@ -20,12 +22,15 @@ execute_process(
 if(NOT smoke_rc EQUAL SMOKE_EXIT)
   message(FATAL_ERROR "${SMOKE_BIN} exited with ${smoke_rc}, expected ${SMOKE_EXIT}\nstdout:\n${smoke_out}\nstderr:\n${smoke_err}")
 endif()
-if(DEFINED SMOKE_STDERR)
-  string(FIND "${smoke_err}" "${SMOKE_STDERR}" smoke_pos)
-  if(smoke_pos EQUAL -1)
-    message(FATAL_ERROR "${SMOKE_BIN} stderr lacks '${SMOKE_STDERR}'\nstderr:\n${smoke_err}")
-  endif()
-endif()
+foreach(stream IN ITEMS out err)
+  string(TOUPPER "${stream}" upper)
+  foreach(needle IN LISTS SMOKE_STD${upper})
+    string(FIND "${smoke_${stream}}" "${needle}" smoke_pos)
+    if(smoke_pos EQUAL -1)
+      message(FATAL_ERROR "${SMOKE_BIN} std${stream} lacks '${needle}'\nstd${stream}:\n${smoke_${stream}}")
+    endif()
+  endforeach()
+endforeach()
 if(SMOKE_EXIT EQUAL 0)
   string(STRIP "${smoke_out}" smoke_stripped)
   if(smoke_stripped STREQUAL "")

@@ -8,14 +8,14 @@
 // The STCL values are independent, so core::sweep_stcl fans them across
 // worker threads: every per-STCL scheduler run gets its own
 // ThermalAnalyzer (effort accounting is not thread-safe) but all of
-// them share one RCModel, whose factorizations are computed once
-// through the solver cache and back-substituted by every thread. The
-// `thermosched sweep` subcommand is the CLI twin of this example.
+// them share one core::PreparedModel: its RCModel, whose factorizations
+// are computed once and back-substituted by every thread, and its
+// session model. The `thermosched sweep` subcommand is the CLI twin of
+// this example.
 //
 //   ./explore_stcl [--tl 155] [--stcl-min 20] [--stcl-max 100] [--step 10]
 //                  [--threads 0] [--csv]
 #include <iostream>
-#include <memory>
 
 #include "core/stcl_sweep.hpp"
 #include "soc/alpha.hpp"
@@ -48,8 +48,7 @@ int main(int argc, char** argv) {
   }
 
   const core::SocSpec soc = soc::alpha_soc();
-  const auto model =
-      std::make_shared<const thermal::RCModel>(soc.flp, soc.package);
+  const core::PreparedModel model(soc);
 
   core::StclSweepConfig config;
   config.threads = threads > 0 ? static_cast<std::size_t>(threads) : 0;
@@ -57,7 +56,7 @@ int main(int argc, char** argv) {
   config.scheduler.model.stc_scale = soc::alpha_stc_scale();
   std::vector<core::StclSweepPoint> points;
   try {
-    points = core::sweep_stcl(soc, model, stcls, config);
+    points = core::sweep_stcl(core::PreparedSoc{soc, model}, stcls, config);
   } catch (const Error& e) {
     // E.g. a TL no solo core can meet (solo_policy defaults to kThrow).
     std::cerr << "error: " << e.what() << '\n';

@@ -9,12 +9,15 @@
 //     steady-oracle solve, its factor of G (RCModel::steady_factor), so
 //     a geometry that is only ever stepped never factors it;
 //   * the paper's session model (SessionThermalModel).
-// scenario::ScenarioRunner keeps one per geometry_key(). Requests then
-// pass a PreparedSoc to ThermalAwareScheduler::generate and sweep_stcl,
-// which use the prepared session model instead of rebuilding it. Each
-// is bit-identical to its SocSpec overload: the same checks that can
-// fail run in the same order with the same text, and the arithmetic is
-// the same.
+// scenario::ScenarioRunner keeps one per geometry_key() (with the
+// geometry's SoCs and grid models), and `thermosched sweep` and
+// examples/explore_stcl.cpp build one per run. Callers pass a
+// PreparedSoc to sweep_stcl, the one STCL scan, and to
+// ThermalAwareScheduler::generate with a handed pre-pass; both use the
+// prepared session model instead of rebuilding it. A prepared run is
+// bit-identical to the one-shot generate(soc, analyzer), which builds
+// its own session model: the same checks that can fail run in the same
+// order with the same text, and the arithmetic is the same.
 //
 // Thread safety: every const member is safe to call concurrently. The
 // floorplan's lazily computed geometry and its validation record are

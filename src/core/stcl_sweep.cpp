@@ -6,15 +6,9 @@
 
 namespace thermo::core {
 
-namespace {
-
-/// Both sweep_stcl overloads; `Soc` is a SocSpec or a PreparedSoc on
-/// `spec`.
-template <typename Soc>
-std::vector<StclSweepPoint> run_sweep(
-    const Soc& soc, const SocSpec& spec,
-    const std::shared_ptr<const thermal::RCModel>& model,
-    const std::vector<double>& stcl_values, const StclSweepConfig& config) {
+std::vector<StclSweepPoint> sweep_stcl(const PreparedSoc& soc,
+                                       const std::vector<double>& stcl_values,
+                                       const StclSweepConfig& config) {
   if (stcl_values.empty()) return {};
   const auto options_at = [&](std::size_t i) {
     ThermalSchedulerOptions options = config.scheduler;
@@ -25,9 +19,10 @@ std::vector<StclSweepPoint> run_sweep(
   // The solo pre-pass depends on neither STCL nor TL: run it once, after
   // the checks point 0's own generate() made first, so errors keep their
   // precedence.
+  const std::shared_ptr<const thermal::RCModel>& model = soc.model.rc_model();
   thermal::ThermalAnalyzer prepass_analyzer(model, config.analyzer);
   (void)ThermalAwareScheduler(options_at(0));
-  const SoloPrepass prepass = solo_prepass(spec, prepass_analyzer);
+  const SoloPrepass prepass = solo_prepass(soc.soc, prepass_analyzer);
 
   std::vector<StclSweepPoint> points(stcl_values.size());
   sweep::for_each_index(config.threads, points.size(), [&](std::size_t i) {
@@ -43,21 +38,6 @@ std::vector<StclSweepPoint> run_sweep(
                                scheduler.effective_temperature_limit()};
   });
   return points;
-}
-
-}  // namespace
-
-std::vector<StclSweepPoint> sweep_stcl(
-    const SocSpec& soc, std::shared_ptr<const thermal::RCModel> model,
-    const std::vector<double>& stcl_values, const StclSweepConfig& config) {
-  THERMO_REQUIRE(model != nullptr, "stcl sweep requires a model");
-  return run_sweep(soc, soc, model, stcl_values, config);
-}
-
-std::vector<StclSweepPoint> sweep_stcl(const PreparedSoc& soc,
-                                       const std::vector<double>& stcl_values,
-                                       const StclSweepConfig& config) {
-  return run_sweep(soc, soc.soc, soc.model.rc_model(), stcl_values, config);
 }
 
 std::vector<double> stcl_range(double min, double max, double step) {

@@ -3,24 +3,25 @@
 //
 // The paper exposes STCL as the user knob trading schedule efficiency
 // against simulation effort (Section 5); picking it means scanning a
-// range. Every point in the scan schedules the SAME SoC, so all points
-// share one RCModel — its factorizations are computed once (G's by the
-// model, steppers through the solver cache) and back-substituted by
-// every worker — and one solo
-// pre-pass (core::solo_prepass, paper lines 1-7), run once before the
-// fan-out and handed to every point's generate(). Each point gets a
-// private ThermalAnalyzer (the effort accounting is not thread-safe).
+// range. Every point in the scan schedules the SAME SoC on one
+// core::PreparedModel, so all points share its RCModel — G's factor is
+// computed once by the model and steppers once through the solver
+// cache, then back-substituted by every worker — and its session model,
+// plus one solo pre-pass (core::solo_prepass, paper lines 1-7), run
+// once before the fan-out and handed to every point's generate(). Each
+// point gets a private ThermalAnalyzer (the effort accounting is not
+// thread-safe).
 //
-// Shared by `thermosched sweep` and examples/explore_stcl.cpp; results
-// are index-ordered and identical for any thread count.
+// Shared by `thermosched sweep`, examples/explore_stcl.cpp and the
+// serve runner; results are index-ordered and identical for any thread
+// count.
 #pragma once
 
-#include <memory>
 #include <vector>
 
+#include "core/prepared_model.hpp"
 #include "core/thermal_scheduler.hpp"
 #include "thermal/analyzer.hpp"
-#include "thermal/rc_model.hpp"
 
 namespace thermo::core {
 
@@ -48,18 +49,13 @@ struct StclSweepPoint {
   double effective_temperature_limit = 0.0;
 };
 
-/// Runs Algorithm 1 on `soc` once per value in `stcl_values` (result i
-/// corresponds to stcl_values[i]). `model` must match the SoC's
-/// floorplan; pass one instance so the whole sweep shares its cached
-/// factors. Throws what the scheduler throws (first failure wins, once
-/// every other point has run).
-std::vector<StclSweepPoint> sweep_stcl(
-    const SocSpec& soc, std::shared_ptr<const thermal::RCModel> model,
-    const std::vector<double>& stcl_values, const StclSweepConfig& config);
-
-/// The same sweep on a prepared geometry: its RC model and session
-/// model serve every point. Bit-identical to sweep_stcl(soc.soc,
-/// soc.model.rc_model(), stcl_values, config).
+/// Runs Algorithm 1 on a prepared geometry once per value in
+/// `stcl_values` (result i corresponds to stcl_values[i]): the model's
+/// RC network and session model serve every point, so the whole sweep
+/// shares one set of factors. `config.scheduler.model` may differ from
+/// the prepared session model's options only in stc_scale (see
+/// ThermalAwareScheduler::generate). Throws what the scheduler throws
+/// (first failure wins, once every other point has run).
 std::vector<StclSweepPoint> sweep_stcl(const PreparedSoc& soc,
                                        const std::vector<double>& stcl_values,
                                        const StclSweepConfig& config);

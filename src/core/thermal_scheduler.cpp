@@ -69,16 +69,6 @@ void record_counters(std::size_t stc_evaluations, std::size_t stc_terms,
   dropped.add(discarded);
 }
 
-/// generate()'s checks of its arguments, before the session model.
-void check_run_inputs(const SocSpec& soc,
-                      const thermal::ThermalAnalyzer& analyzer,
-                      const SoloPrepass& prepass) {
-  THERMO_REQUIRE(analyzer.model().block_count() == soc.core_count(),
-                 "analyzer was built for a different floorplan");
-  THERMO_REQUIRE(prepass.bcmt.size() == soc.core_count(),
-                 "pre-pass was run on a different SoC");
-}
-
 }  // namespace
 
 SoloPrepass solo_prepass(const SocSpec& soc,
@@ -101,13 +91,8 @@ SoloPrepass solo_prepass(const SocSpec& soc,
 
 ScheduleResult ThermalAwareScheduler::generate(
     const SocSpec& soc, thermal::ThermalAnalyzer& analyzer) const {
-  return generate(soc, analyzer, solo_prepass(soc, analyzer));
-}
-
-ScheduleResult ThermalAwareScheduler::generate(
-    const SocSpec& soc, thermal::ThermalAnalyzer& analyzer,
-    const SoloPrepass& prepass) const {
-  check_run_inputs(soc, analyzer, prepass);
+  // solo_prepass validated soc and matched it to the analyzer.
+  const SoloPrepass prepass = solo_prepass(soc, analyzer);
   const SessionThermalModel model(soc.flp, soc.package, options_.model);
   return schedule(soc, model, analyzer, prepass);
 }
@@ -115,7 +100,10 @@ ScheduleResult ThermalAwareScheduler::generate(
 ScheduleResult ThermalAwareScheduler::generate(
     const PreparedSoc& soc, thermal::ThermalAnalyzer& analyzer,
     const SoloPrepass& prepass) const {
-  check_run_inputs(soc.soc, analyzer, prepass);
+  THERMO_REQUIRE(analyzer.model().block_count() == soc.soc.core_count(),
+                 "analyzer was built for a different floorplan");
+  THERMO_REQUIRE(prepass.bcmt.size() == soc.soc.core_count(),
+                 "pre-pass was run on a different SoC");
   // The one check of the session model's constructor that the prepared
   // model has not already passed for these options.
   options_.model.validate();

@@ -6,7 +6,8 @@
 //      BCMT(i) (solo_prepass). The steady oracle solves only entry i of
 //      G⁻¹·(pᵢeᵢ), on i's elimination-tree path; the transient oracle
 //      steps the full session. The pre-pass depends on neither TL nor
-//      STCL, so sweep_stcl runs it once and hands it to every point.
+//      STCL, so sweep_stcl runs it once and hands it to every point's
+//      generate(PreparedSoc, analyzer, prepass).
 //      Cores violating TL are handled per SoloViolationPolicy inside
 //      generate() (the paper offers "fix the core's test infrastructure
 //      or raise TL"; we additionally support excluding the core).
@@ -91,26 +92,22 @@ class ThermalAwareScheduler {
 
   const ThermalSchedulerOptions& options() const { return options_; }
 
-  /// Generates a thermal-safe schedule. The analyzer provides the
-  /// session_peaks() oracle; its effort counter is reset at the start
-  /// of the run. Throws InvalidArgument on inconsistent inputs, LogicError when
-  /// the attempt cap is exhausted.
+  /// Generates a thermal-safe schedule: runs the solo pre-pass, builds
+  /// the session model from soc and options().model, then Algorithm 1.
+  /// The analyzer provides the session_peaks() oracle; its effort
+  /// counter is reset at the start of the run. Throws InvalidArgument on
+  /// inconsistent inputs, LogicError when the attempt cap is exhausted.
   ScheduleResult generate(const SocSpec& soc,
                           thermal::ThermalAnalyzer& analyzer) const;
 
-  /// The same run with the pre-pass already done: `prepass` must come
-  /// from solo_prepass(soc, ·) on an analyzer with the same model and
-  /// oracle options (it validated `soc`). The solo-violation policy
-  /// still applies here. Bit-identical to generate(soc, analyzer).
-  ScheduleResult generate(const SocSpec& soc, thermal::ThermalAnalyzer& analyzer,
-                          const SoloPrepass& prepass) const;
-
-  /// The same run on a prepared geometry: `prepass` from
-  /// solo_prepass(soc.soc, ·). Uses the prepared session model instead
-  /// of building one. Bit-identical to generate(soc.soc, analyzer,
-  /// prepass). The prepared model was built
-  /// with SessionModelOptions{}, so options().model may differ from it
-  /// only in stc_scale (InvalidArgument otherwise).
+  /// The same run on a prepared geometry with the pre-pass already
+  /// done: `prepass` must come from solo_prepass(soc.soc, ·) on an
+  /// analyzer with the same model and oracle options (it validated
+  /// `soc.soc`). The solo-violation policy still applies here. Uses the
+  /// prepared session model instead of building one. Bit-identical to
+  /// generate(soc.soc, analyzer). The prepared model was built with
+  /// SessionModelOptions{}, so options().model may differ from it only
+  /// in stc_scale (InvalidArgument otherwise).
   ScheduleResult generate(const PreparedSoc& soc,
                           thermal::ThermalAnalyzer& analyzer,
                           const SoloPrepass& prepass) const;
@@ -120,7 +117,7 @@ class ThermalAwareScheduler {
   double effective_temperature_limit() const { return effective_tl_; }
 
  private:
-  /// Algorithm 1 proper: every generate() overload ends here.
+  /// Algorithm 1 proper: both generate() overloads end here.
   ScheduleResult schedule(const SocSpec& soc, const SessionThermalModel& model,
                           thermal::ThermalAnalyzer& analyzer,
                           const SoloPrepass& prepass) const;

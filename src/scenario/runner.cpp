@@ -1,5 +1,6 @@
 #include "scenario/runner.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -187,17 +188,6 @@ void scale_powers(core::SocSpec& soc, double power_scale) {
   }
 }
 
-/// Drops the least recently used entry of a full cache.
-template <typename Cache>
-void make_room(Cache& cache) {
-  if (cache.size() < ScenarioRunner::kMaxCachedModels) return;
-  auto victim = cache.begin();
-  for (auto cand = cache.begin(); cand != cache.end(); ++cand) {
-    if (cand->second.last_used < victim->second.last_used) victim = cand;
-  }
-  cache.erase(victim);
-}
-
 }  // namespace
 
 core::SocSpec ScenarioRunner::build_soc(const SocSelector& selector) {
@@ -211,14 +201,19 @@ std::shared_ptr<ScenarioRunner::Entry> ScenarioRunner::entry_for(
     const SocSelector& selector) {
   std::string key = selector.geometry_key();
   const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = models_.find(key);
-  if (it == models_.end()) {
-    make_room(models_);
-    it = models_.emplace(std::move(key),
-                         Cached<Entry>{std::make_shared<Entry>()}).first;
+  auto it = entries_.find(key);
+  if (it == entries_.end()) {
+    if (entries_.size() >= kMaxCachedModels) {
+      // A request still holding the evicted entry finishes on it.
+      entries_.erase(std::min_element(
+          entries_.begin(), entries_.end(), [](const auto& a, const auto& b) {
+            return a.second->last_used < b.second->last_used;
+          }));
+    }
+    it = entries_.emplace(std::move(key), std::make_shared<Entry>()).first;
   }
-  it->second.last_used = ++use_counter_;
-  return it->second.value;
+  it->second->last_used = ++use_counter_;
+  return it->second;
 }
 
 core::SocSpec ScenarioRunner::soc_for(Entry& entry,
@@ -242,8 +237,7 @@ core::SocSpec ScenarioRunner::soc_for(Entry& entry,
         entry.socs.erase(entry.socs.begin());
       }
       entry.socs.emplace_back(std::move(unscaled), built);
-      const std::lock_guard<std::mutex> stats_lock(mutex_);
-      ++stats_.soc_builds;
+      soc_builds_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   core::SocSpec soc = *built;
@@ -254,21 +248,15 @@ core::SocSpec ScenarioRunner::soc_for(Entry& entry,
 
 std::shared_ptr<const core::PreparedModel> ScenarioRunner::prepared(
     Entry& entry, const core::SocSpec& soc) {
-  std::shared_ptr<const core::PreparedModel> model;
-  bool built = false;
-  {
-    const std::lock_guard<std::mutex> lock(entry.mutex);
-    if (entry.model == nullptr) {
-      obs::TraceSpan build_span("scenario.model_build");
-      obs::ScopedTimer build_timer(model_build_ns());
-      entry.model = std::make_shared<const core::PreparedModel>(soc);
-      built = true;
-    }
-    model = entry.model;
+  const std::lock_guard<std::mutex> lock(entry.mutex);
+  const bool built = entry.model == nullptr;
+  if (built) {
+    obs::TraceSpan build_span("scenario.model_build");
+    obs::ScopedTimer build_timer(model_build_ns());
+    entry.model = std::make_shared<const core::PreparedModel>(soc);
   }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++(built ? stats_.model_misses : stats_.model_hits);
-  return model;
+  count_model(built);
+  return entry.model;
 }
 
 std::shared_ptr<const thermal::RCModel> ScenarioRunner::model_for(
@@ -276,36 +264,38 @@ std::shared_ptr<const thermal::RCModel> ScenarioRunner::model_for(
   return prepared(*entry_for(selector), soc)->rc_model();
 }
 
-std::shared_ptr<const thermal::GridThermalModel> ScenarioRunner::grid_model_for(
-    const SocSelector& selector, const core::SocSpec& soc,
-    const GridSpec& grid) {
-  const std::string key = selector.geometry_key() + ":grid:" +
-                          std::to_string(grid.rows) + "x" +
-                          std::to_string(grid.cols);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = grids_.find(key);
-  if (it != grids_.end()) {
-    ++stats_.model_hits;
-    it->second.last_used = ++use_counter_;
-    return it->second.value;
+std::shared_ptr<const thermal::GridThermalModel> ScenarioRunner::grid_model(
+    Entry& entry, const core::SocSpec& soc, const GridSpec& grid) {
+  const std::lock_guard<std::mutex> lock(entry.mutex);
+  for (const auto& model : entry.grids) {
+    if (model->rows() == grid.rows && model->cols() == grid.cols) {
+      count_model(false);
+      return model;
+    }
   }
-  make_room(grids_);
-  // Built under the lock: assembly is sparse-first, O(nnz) even for a
-  // 100k-node grid; the expensive fill-ordered factorization happens
-  // later, on the model's first solve, outside this mutex.
+  // Assembly is sparse-first, O(nnz) even for a 100k-node grid; the
+  // fill-ordered factorization happens later, on the model's first
+  // solve, outside this lock.
   obs::TraceSpan build_span("scenario.model_build");
   obs::ScopedTimer build_timer(model_build_ns());
   auto model = std::make_shared<const thermal::GridThermalModel>(
       soc.flp, soc.package, thermal::GridOptions{grid.rows, grid.cols});
-  grids_.emplace(key, Cached<const thermal::GridThermalModel>{
-                          model, ++use_counter_});
-  ++stats_.model_misses;
+  if (entry.grids.size() >= kMaxGridsPerModel) {
+    entry.grids.erase(entry.grids.begin());
+  }
+  entry.grids.push_back(model);
+  count_model(true);
   return model;
 }
 
+void ScenarioRunner::count_model(bool built) {
+  (built ? model_misses_ : model_hits_).fetch_add(1, std::memory_order_relaxed);
+}
+
 ScenarioRunner::Stats ScenarioRunner::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  return Stats{model_hits_.load(std::memory_order_relaxed),
+               model_misses_.load(std::memory_order_relaxed),
+               soc_builds_.load(std::memory_order_relaxed)};
 }
 
 namespace {
@@ -477,8 +467,7 @@ ScenarioResult ScenarioRunner::run(const ScenarioRequest& request) {
     if (request.kind == RequestKind::kGridSteady) {
       // The block-level model is never consulted for a grid solve, so
       // skip preparing it entirely — at 100k nodes the savings matter.
-      run_grid_steady(soc, grid_model_for(request.soc, soc, request.grid),
-                      result);
+      run_grid_steady(soc, grid_model(*entry, soc, request.grid), result);
     } else {
       const auto model = prepared(*entry, soc);
       const core::PreparedSoc prepared_soc{soc, *model};

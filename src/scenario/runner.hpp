@@ -4,30 +4,33 @@
 //
 // Model sharing is the whole point of running scenarios through one
 // runner instead of one process each: every request whose SocSelector
-// has the same geometry_key() shares one cache entry, built once on
-// first use:
+// has the same geometry_key() shares one cache entry, and the entry
+// holds everything built from that geometry, each part on first use:
 //   * per selector without its power_scale, the SoC, built and its
 //     floorplan validated once; a request copies it, scales its test
 //     powers and validates the copy, which costs O(n) because the
 //     floorplan remembers its pass (Floorplan::require_valid);
 //   * one core::PreparedModel: the RCModel, which factors G on the
 //     first steady-oracle request and keeps it (RCModel::steady_factor),
-//     and the paper's session model.
+//     and the paper's session model;
+//   * per grid_steady discretisation (rows, cols), the GridThermalModel,
+//     which likewise factors its conductance matrix once and keeps it.
 // A 100-request Alpha batch builds the Alpha SoC once and factors G
 // once. Transient steppers stay in ThermalSolverCache
-// (thermal/solver_cache.hpp), keyed by (model, dt). A grid model
-// likewise owns its factor, so it lives as long as the grid entry.
+// (thermal/solver_cache.hpp), keyed by (model, dt). Evicting a geometry
+// drops all of its parts together.
 //
 // Thread safety: run() is safe to call concurrently, which is how
 // serve_stream fans requests across threads (dispatch::run_batch). The
 // geometry map is guarded by the runner's mutex; an entry's parts are
-// built under the entry's own mutex, outside the runner's, and are
+// built under the entry's own mutex, never under the runner's, and are
 // read-only once built (the floorplans' lazy geometry and validation
-// record are filled before they are shared). A failed build caches
-// nothing, so every request that hits it gets the same ok:false record.
-// Per-request failures — bad .flp paths, scheduler throws — are captured
-// in the result record (`ok:false` + the error message); run() itself
-// only propagates non-thermo exceptions (e.g. bad_alloc).
+// record are filled before they are shared). The Stats counts are
+// relaxed atomics, so no build takes the runner's mutex. A failed build
+// caches nothing, so every request that hits it gets the same ok:false
+// record. Per-request failures — bad .flp paths, scheduler throws — are
+// captured in the result record (`ok:false` + the error message); run()
+// itself only propagates non-thermo exceptions (e.g. bad_alloc).
 //
 // Determinism: a result record depends only on the request content,
 // never on thread interleaving or cache state, so a batch's output is
@@ -35,6 +38,7 @@
 // tests, cmake/RunServeMatrix.cmake).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -139,16 +143,12 @@ class ScenarioRunner {
   std::shared_ptr<const thermal::RCModel> model_for(
       const SocSelector& selector, const core::SocSpec& soc);
 
-  /// The shared grid model for (geometry, rows×cols), built on first
-  /// use under its own LRU bound, so repeated grid_steady requests on
-  /// one discretisation share the model's one sparse factor.
-  std::shared_ptr<const thermal::GridThermalModel> grid_model_for(
-      const SocSelector& selector, const core::SocSpec& soc,
-      const GridSpec& grid);
-
   struct Stats {
     std::size_t model_hits = 0;    ///< requests that reused a built model
-    std::size_t model_misses = 0;  ///< model builds (distinct geometries + re-builds after eviction)
+    /// Model builds: a PreparedModel per distinct geometry and a grid
+    /// model per distinct (geometry, rows×cols), plus re-builds after
+    /// eviction.
+    std::size_t model_misses = 0;
     /// SoC builds: distinct selectors ignoring power_scale, plus
     /// re-builds after eviction.
     std::size_t soc_builds = 0;
@@ -158,18 +158,24 @@ class ScenarioRunner {
   /// Cached-geometry bound. Like ThermalSolverCache, the cache is capped
   /// so a long-lived runner fed ever-new geometries (synthetic seeds,
   /// .flp paths) cannot grow memory monotonically; the least recently
-  /// used geometry is evicted and simply rebuilt if it returns.
+  /// used geometry is evicted with all its parts and simply rebuilt if
+  /// it returns.
   static constexpr std::size_t kMaxCachedModels = 64;
 
   /// SoCs kept per geometry (selectors differing in power or length
   /// ranges but not in geometry); the oldest is dropped beyond it.
   static constexpr std::size_t kMaxSocsPerModel = 8;
 
+  /// Grid models kept per geometry (distinct rows×cols); the oldest is
+  /// dropped beyond it.
+  static constexpr std::size_t kMaxGridsPerModel = 4;
+
  private:
-  /// One geometry: its built SoCs and its PreparedModel, each built on
-  /// first use under the entry's own mutex, outside the runner's, so a
-  /// build stalls only the requests that need it. A failed build leaves
-  /// nothing behind, so every request that hits it fails the same way.
+  /// One geometry: its built SoCs, its PreparedModel and its grid
+  /// models, each built on first use under the entry's own mutex,
+  /// outside the runner's, so a build stalls only the requests that
+  /// need it. A failed build leaves nothing behind, so every request
+  /// that hits it fails the same way.
   struct Entry {
     std::mutex mutex;
     /// SoCs with a validated floorplan, keyed by their selector with
@@ -178,11 +184,10 @@ class ScenarioRunner {
     std::vector<std::pair<SocSelector, std::shared_ptr<const core::SocSpec>>>
         socs;
     std::shared_ptr<const core::PreparedModel> model;
-  };
-  template <typename Value>
-  struct Cached {
-    std::shared_ptr<Value> value;
-    std::uint64_t last_used = 0;  ///< LRU stamp (monotonic use counter)
+    /// Grid models, keyed by their rows() and cols() (oldest first).
+    std::vector<std::shared_ptr<const thermal::GridThermalModel>> grids;
+    /// LRU stamp, guarded by the runner's mutex, not the entry's.
+    std::uint64_t last_used = 0;
   };
 
   /// The selector's geometry entry, inserted empty on first use.
@@ -193,12 +198,19 @@ class ScenarioRunner {
   /// The entry's PreparedModel, built from `soc` on first use.
   std::shared_ptr<const core::PreparedModel> prepared(Entry& entry,
                                                       const core::SocSpec& soc);
+  /// The entry's grid model at grid.rows × grid.cols, built from `soc`'s
+  /// floorplan and package on first use.
+  std::shared_ptr<const thermal::GridThermalModel> grid_model(
+      Entry& entry, const core::SocSpec& soc, const GridSpec& grid);
+  /// Counts one model lookup: a build (miss) or a reuse (hit).
+  void count_model(bool built);
 
-  mutable std::mutex mutex_;
-  std::map<std::string, Cached<Entry>> models_;
-  std::map<std::string, Cached<const thermal::GridThermalModel>> grids_;
+  std::mutex mutex_;
+  std::map<std::string, std::shared_ptr<Entry>> entries_;
   std::uint64_t use_counter_ = 0;
-  Stats stats_;
+  std::atomic<std::size_t> model_hits_{0};
+  std::atomic<std::size_t> model_misses_{0};
+  std::atomic<std::size_t> soc_builds_{0};
 };
 
 }  // namespace thermo::scenario

@@ -1,5 +1,5 @@
-// core::sweep_stcl: the parallel STCL scan must match per-value direct
-// scheduler runs exactly, for any thread count.
+// core::sweep_stcl: the parallel STCL scan on a prepared geometry must
+// match per-value direct scheduler runs exactly, for any thread count.
 #include "core/stcl_sweep.hpp"
 
 #include <gtest/gtest.h>
@@ -23,17 +23,17 @@ using thermo::testing::nine_soc;
 
 TEST(StclSweepTest, MatchesDirectSchedulerRunsForAnyThreadCount) {
   const SocSpec soc = nine_soc();
-  const auto model =
-      std::make_shared<const thermal::RCModel>(soc.flp, soc.package);
+  const PreparedModel prepared(soc);
+  const auto& model = prepared.rc_model();
   const std::vector<double> stcls{20.0, 40.0, 80.0};
 
   StclSweepConfig config;
   config.scheduler.temperature_limit = 150.0;
 
   config.threads = 1;
-  const auto serial = sweep_stcl(soc, model, stcls, config);
+  const auto serial = sweep_stcl({soc, prepared}, stcls, config);
   config.threads = 3;
-  const auto parallel = sweep_stcl(soc, model, stcls, config);
+  const auto parallel = sweep_stcl({soc, prepared}, stcls, config);
 
   ASSERT_EQ(serial.size(), stcls.size());
   ASSERT_EQ(parallel.size(), stcls.size());
@@ -81,17 +81,10 @@ TEST(StclSweepTest, RangeRejectsAbsurdPointCounts) {
   EXPECT_THROW(stcl_range(0.0, 1e9, 1e-6), InvalidArgument);
 }
 
-TEST(StclSweepTest, NullModelThrows) {
-  const SocSpec soc = nine_soc();
-  EXPECT_THROW(sweep_stcl(soc, nullptr, {50.0}, StclSweepConfig{}),
-               InvalidArgument);
-}
-
 TEST(StclSweepTest, EmptyValueListYieldsEmptyResult) {
   const SocSpec soc = nine_soc();
-  const auto model =
-      std::make_shared<const thermal::RCModel>(soc.flp, soc.package);
-  EXPECT_TRUE(sweep_stcl(soc, model, {}, StclSweepConfig{}).empty());
+  const PreparedModel prepared(soc);
+  EXPECT_TRUE(sweep_stcl({soc, prepared}, {}, StclSweepConfig{}).empty());
 }
 
 // A 300-core synthetic SoC at 3x power under the steady oracle, with TL
@@ -100,19 +93,23 @@ TEST(StclSweepTest, EmptyValueListYieldsEmptyResult) {
 // kRaiseLimit notes fewer, since each raise lifts TL past some of them).
 struct HotSoc {
   SocSpec soc;
-  std::shared_ptr<const thermal::RCModel> model;
+  std::shared_ptr<const PreparedModel> prepared;
+  std::shared_ptr<const thermal::RCModel> model;  ///< prepared's RC model
   thermal::ThermalAnalyzer::Options oracle;
   double tl = 0.0;
+
+  PreparedSoc prepared_soc() const { return {soc, *prepared}; }
 };
 
 HotSoc hot_soc() {
   Rng rng(7);
   soc::SyntheticOptions synthetic;
   synthetic.core_count = 300;
-  HotSoc hot{soc::make_synthetic_soc(rng, synthetic), nullptr, {}, 0.0};
+  HotSoc hot{soc::make_synthetic_soc(rng, synthetic), nullptr, nullptr, {},
+             0.0};
   for (CoreTest& test : hot.soc.tests) test.power *= 3.0;
-  hot.model =
-      std::make_shared<const thermal::RCModel>(hot.soc.flp, hot.soc.package);
+  hot.prepared = std::make_shared<const PreparedModel>(hot.soc);
+  hot.model = hot.prepared->rc_model();
   hot.oracle.transient = false;
   thermal::ThermalAnalyzer analyzer(hot.model, hot.oracle);
   std::vector<double> bcmt = solo_prepass(hot.soc, analyzer).bcmt;
@@ -142,8 +139,9 @@ void expect_same_result(const ScheduleResult& a, const ScheduleResult& b) {
 
 // The sweep runs the solo pre-pass once (n entry solves, not n per
 // point) and hands it to every point; each point still equals its own
-// generate() run, and a handed pre-pass gives generate() bit-identical
-// results, notes included, under every solo policy.
+// generate() run, and a prepared run with a handed pre-pass gives
+// generate() bit-identical results, notes included, under every solo
+// policy.
 TEST(StclSweepTest, SharedPrepassRunsOnceAndMatchesPerPointRuns) {
   const HotSoc hot = hot_soc();
   const std::vector<double> stcls{300.0, 600.0, 1000.0};
@@ -158,7 +156,7 @@ TEST(StclSweepTest, SharedPrepassRunsOnceAndMatchesPerPointRuns) {
     config.analyzer = hot.oracle;
     config.threads = 2;
     const std::uint64_t before = entry_solves.value();
-    const auto points = sweep_stcl(hot.soc, hot.model, stcls, config);
+    const auto points = sweep_stcl(hot.prepared_soc(), stcls, config);
     EXPECT_EQ(entry_solves.value() - before, hot.soc.core_count());
 
     ASSERT_EQ(points.size(), stcls.size());
@@ -179,8 +177,8 @@ TEST(StclSweepTest, SharedPrepassRunsOnceAndMatchesPerPointRuns) {
                 scheduler.effective_temperature_limit());
 
       const SoloPrepass prepass = solo_prepass(hot.soc, analyzer);
-      expect_same_result(scheduler.generate(hot.soc, analyzer, prepass),
-                         direct);
+      expect_same_result(
+          scheduler.generate(hot.prepared_soc(), analyzer, prepass), direct);
     }
   }
 }
@@ -206,7 +204,7 @@ TEST(StclSweepTest, SharedPrepassKeepsTheSoloViolationError) {
       [&] { ThermalAwareScheduler(options).generate(hot.soc, analyzer); });
   EXPECT_NE(direct.find("violates TL alone"), std::string::npos) << direct;
   EXPECT_EQ(error([&] {
-              sweep_stcl(hot.soc, hot.model, {300.0, 600.0}, config);
+              sweep_stcl(hot.prepared_soc(), {300.0, 600.0}, config);
             }),
             direct);
 }
@@ -215,14 +213,14 @@ TEST(StclSweepTest, SharedPrepassKeepsTheSoloViolationError) {
 // entry solves (its points against direct runs: the first test above).
 TEST(StclSweepTest, TransientOracleMakesNoEntrySolves) {
   const SocSpec soc = nine_soc();
-  const auto model =
-      std::make_shared<const thermal::RCModel>(soc.flp, soc.package);
+  const PreparedModel prepared(soc);
   StclSweepConfig config;
   config.scheduler.temperature_limit = 150.0;
   obs::Counter& entry_solves =
       obs::MetricsRegistry::instance().counter("thermal.entry_solves");
   const std::uint64_t before = entry_solves.value();
-  EXPECT_EQ(sweep_stcl(soc, model, {20.0, 40.0, 80.0}, config).size(), 3u);
+  EXPECT_EQ(sweep_stcl({soc, prepared}, {20.0, 40.0, 80.0}, config).size(),
+            3u);
   EXPECT_EQ(entry_solves.value(), before);
 }
 

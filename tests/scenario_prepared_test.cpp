@@ -146,6 +146,43 @@ TEST(PreparedModels, GridFactorsSurviveStepperChurn) {
   EXPECT_EQ(factorizations() - factored_before, 0u);
 }
 
+// A geometry's grid models live in its entry: another power corner on
+// the same discretisation reuses the grid, another discretisation
+// builds its own, and once kMaxCachedModels other geometries have
+// evicted fig1 its grid goes with it, so the first request builds it
+// again and gets the same bytes.
+TEST(PreparedModels, GridModelsLiveAndDieWithTheirGeometry) {
+  const auto grid = [](int side, const char* scale) {
+    return std::string(
+               R"({"kind":"grid_steady","soc":{"kind":"fig1","power_scale":)") +
+           scale + R"(},"grid":{"rows":)" + std::to_string(side) +
+           R"(,"cols":)" + std::to_string(side) + "}}\n";
+  };
+  ScenarioRunner runner;
+  const Served first = serve(grid(24, "1"), 1, runner);
+  ASSERT_EQ(first.summary.succeeded, 1u);
+  EXPECT_EQ(runner.stats().model_misses, 1u);
+  ASSERT_EQ(serve(grid(24, "1.2"), 1, runner).summary.succeeded, 1u);
+  EXPECT_EQ(runner.stats().model_hits, 1u);
+  ASSERT_EQ(serve(grid(32, "1"), 1, runner).summary.succeeded, 1u);
+  EXPECT_EQ(runner.stats().model_misses, 2u);
+
+  std::string sweeps;
+  for (std::size_t seed = 1; seed <= ScenarioRunner::kMaxCachedModels;
+       ++seed) {
+    sweeps += R"({"soc":{"kind":"synthetic","seed":)" + std::to_string(seed) +
+              R"(,"cores":8},"tl":400,"stcl":90})" "\n";
+  }
+  ASSERT_EQ(serve(sweeps, 1, runner).summary.succeeded,
+            ScenarioRunner::kMaxCachedModels);
+  EXPECT_EQ(runner.stats().model_misses, ScenarioRunner::kMaxCachedModels + 2);
+
+  const Served again = serve(grid(24, "1"), 1, runner);
+  EXPECT_EQ(runner.stats().model_misses, ScenarioRunner::kMaxCachedModels + 3);
+  EXPECT_EQ(runner.stats().model_hits, 1u);
+  EXPECT_EQ(again.records, first.records);
+}
+
 // The exact ok:false bytes of a fresh build: a power_scale that
 // overflows a core's power fails on its own line even though its SoC
 // is cached, and a missing .flp fails every time it appears, since a
