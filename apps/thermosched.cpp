@@ -165,21 +165,19 @@ std::string metric_value(const JsonValue& value) {
 }
 
 /// `serve --metrics` / `cache stats`: the registry snapshot as tables.
-/// Counters/gauges get metric|value rows; histograms get one row per
-/// metric with count + latency quantiles. `prefix` filters by metric
-/// name ("" = everything); rows with zero events are skipped so the
-/// table shows what this process actually did.
+/// Counters get metric|value rows; histograms get one row per metric
+/// with count + latency quantiles. `prefix` filters by metric name
+/// ("" = everything); rows with zero events are skipped so the table
+/// shows what this process actually did.
 void print_metrics_tables(std::ostream& out, const std::string& prefix) {
   const JsonValue snapshot = obs::MetricsRegistry::instance().to_json();
   Table scalars({"metric", "value"});
   std::size_t scalar_rows = 0;
-  for (const char* section : {"counters", "gauges"}) {
-    if (const JsonValue* group = snapshot.find(section)) {
-      for (const auto& [name, value] : group->members()) {
-        if (name.rfind(prefix, 0) != 0 || value.as_number() == 0.0) continue;
-        scalars.add_row({name, metric_value(value)});
-        ++scalar_rows;
-      }
+  if (const JsonValue* group = snapshot.find("counters")) {
+    for (const auto& [name, value] : group->members()) {
+      if (name.rfind(prefix, 0) != 0 || value.as_number() == 0.0) continue;
+      scalars.add_row({name, metric_value(value)});
+      ++scalar_rows;
     }
   }
   Table latencies({"metric", "count", "p50 [ns]", "p95 [ns]", "p99 [ns]",

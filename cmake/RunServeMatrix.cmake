@@ -6,11 +6,15 @@
 #   1. Input: `thermosched gen ${GEN_ARGS}` run twice — the two streams
 #      must be byte-identical (gen's determinism contract) — or, without
 #      GEN_ARGS, the literal request lines of BATCH.
-#   2. Serve it once per CONFIGS entry `threads:policy:dedup`. The first
-#      entry is the reference (it also writes --summary-json); every
+#   2. Serve it once per CONFIGS entry `threads:policy:dedup`, each with
+#      its own --summary-json. The first entry is the reference; every
 #      other entry must reproduce its bytes exactly — thread count,
 #      placement and memoization change when work runs, never what is
-#      written.
+#      written. Outside MODE cache, every entry with the reference's
+#      dedup setting must also reproduce the reference summary's
+#      `model_cache`, `memo` and `slo` objects exactly: model sharing,
+#      dedup and the deadline scoreboard do not depend on threads or
+#      placement either.
 #   3. The reference must hold exactly RECORDS records, OKS of them
 #      "ok":true.
 #   4. Needles: REQUEST_NEEDLES in the input, RESULT_NEEDLES in the
@@ -149,10 +153,8 @@ foreach(config IN LISTS CONFIGS)
   set(trace "${WORK_DIR}/trace_${index}.json")
   set(metrics "${WORK_DIR}/metrics_${index}.json")
   set(command "${SCHED_BIN}" serve --in "${requests}" --out "${outfile}"
-      --threads ${threads} --schedule-policy ${policy} --dedup ${dedup})
-  if("${reference}" STREQUAL "" OR MODE STREQUAL "cache")
-    list(APPEND command --summary-json "${summary}")
-  endif()
+      --threads ${threads} --schedule-policy ${policy} --dedup ${dedup}
+      --summary-json "${summary}")
   if(MODE STREQUAL "cache")
     list(APPEND command --cache-dir "${cache_dir}")
     if(index GREATER 1 AND index EQUAL config_count)
@@ -166,6 +168,7 @@ foreach(config IN LISTS CONFIGS)
 
   if("${reference}" STREQUAL "")
     set(reference "${outfile}")
+    set(reference_dedup "${dedup}")
     if(MODE STREQUAL "cache")
       summary_field(enabled "${summary}" disk_cache enabled)
       summary_field(executed "${summary}" memo executed)
@@ -191,6 +194,17 @@ foreach(config IN LISTS CONFIGS)
     message(FATAL_ERROR
       "serve output for ${config} differs from the reference "
       "(${reference} vs ${outfile}) — serve lost determinism")
+  endif()
+  if(NOT MODE STREQUAL "cache" AND dedup STREQUAL reference_dedup)
+    foreach(object model_cache memo slo)
+      summary_field(want "${WORK_DIR}/summary_1.json" ${object})
+      summary_field(got "${summary}" ${object})
+      if(NOT got STREQUAL want)
+        message(FATAL_ERROR
+          "config ${index} (${config}) summary ${object} differs from the "
+          "reference's:\n${got}\nwant:\n${want}")
+      endif()
+    endforeach()
   endif()
   if(MODE STREQUAL "cache")
     summary_field(executed "${summary}" memo executed)

@@ -22,6 +22,9 @@ ThermalAwareScheduler::ThermalAwareScheduler(ThermalSchedulerOptions options)
 
 namespace {
 
+/// kRaiseLimit lifts TL this far above the hottest solo peak [K].
+constexpr double kRaiseLimitMargin = 1.0;
+
 /// Candidate scan order for session construction.
 std::vector<std::size_t> make_order(const SocSpec& soc,
                                     const SessionThermalModel& model,
@@ -140,7 +143,7 @@ ScheduleResult ThermalAwareScheduler::schedule(
             "; fix the core's test infrastructure, raise TL, or use "
             "SoloViolationPolicy::kExclude/kRaiseLimit");
       case SoloViolationPolicy::kRaiseLimit: {
-        effective_tl_ = result.bcmt[i] + options_.raise_limit_margin;
+        effective_tl_ = result.bcmt[i] + kRaiseLimitMargin;
         note << "; raised TL to " << effective_tl_ << " C";
         result.notes.push_back(note.str());
         break;

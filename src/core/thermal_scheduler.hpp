@@ -47,7 +47,7 @@ namespace thermo::core {
 /// What to do with a core whose *solo* test already violates TL.
 enum class SoloViolationPolicy {
   kThrow,       ///< refuse to schedule (default; mirrors "fix the core")
-  kRaiseLimit,  ///< raise TL to the hottest solo temperature + margin
+  kRaiseLimit,  ///< raise TL to the hottest solo temperature + 1 K
   kExclude      ///< drop the core from the schedule and note it
 };
 
@@ -66,7 +66,6 @@ struct ThermalSchedulerOptions {
   double stc_limit = 50.0;           ///< STCL (units of the session model)
   double weight_factor = 1.1;        ///< W multiplier on violation (paper: 1.1)
   SoloViolationPolicy solo_policy = SoloViolationPolicy::kThrow;
-  double raise_limit_margin = 1.0;   ///< [K], for kRaiseLimit
   CoreOrder core_order = CoreOrder::kDescendingSoloTc;
   /// Cap on validation simulations (construction attempts). The n
   /// solo pre-pass simulations are not counted.

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdint>
 #include <ctime>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -74,8 +75,7 @@ EngineStats run_batch(const std::vector<Job>& jobs,
   // starts: which jobs execute, which are answered from the memo, and
   // which duplicate a leader is a pure function of the batch content —
   // never of worker timing — so hit counts are deterministic.
-  ResultMemo local_memo;
-  ResultMemo* memo = options.memo != nullptr ? options.memo : &local_memo;
+  ResultMemo* const memo = options.dedup ? options.memo : nullptr;
   std::vector<std::vector<std::size_t>> duplicates(n);
   std::vector<std::size_t> scheduled;
   scheduled.reserve(n);
@@ -87,7 +87,7 @@ EngineStats run_batch(const std::vector<Job>& jobs,
         scheduled.push_back(i);
         continue;
       }
-      if (auto cached = memo->find(key)) {
+      if (auto cached = memo != nullptr ? memo->find(key) : std::nullopt) {
         // Known from a previous batch: stream it out right away.
         stats.timings[i].memo_hit = true;
         ++stats.memo_hits;
@@ -146,7 +146,7 @@ EngineStats run_batch(const std::vector<Job>& jobs,
     const double done_seconds =
         std::chrono::duration<double>(done - exec_start).count();
     stats.timings[i].done_seconds = done_seconds;
-    if (options.dedup && !jobs[i].memo_key.empty()) {
+    if (memo != nullptr && !jobs[i].memo_key.empty()) {
       memo->insert(jobs[i].memo_key, record);
     }
     for (const std::size_t dup : duplicates[i]) {

@@ -46,8 +46,9 @@ struct Job {
   /// front-ends use that for records that depend on batch position,
   /// e.g. parse failures carrying a line number.
   std::string memo_key;
-  /// Estimated execution cost (CostModel units); only its ordering
-  /// matters, and only under cost-driven policies (ljf/priority/srpt).
+  /// Estimated execution cost in the front-end's relative units (serve:
+  /// scenario::estimate_request_cost); only its ordering matters, and
+  /// only under cost-driven policies (ljf/priority/srpt).
   double cost = 0.0;
   /// SLO deadline in seconds from the start of the execution window;
   /// kNoDeadline when the job has none. Orders execution under edf and
@@ -95,8 +96,8 @@ struct EngineOptions {
   /// bytes must not change, only the work done.
   bool dedup = true;
   /// Memo to consult/populate (borrowed), enabling dedup across
-  /// batches; nullptr uses a throwaway per-call memo (within-batch
-  /// dedup only).
+  /// batches; nullptr = no memo at all: nothing is looked up or stored,
+  /// and within-batch duplicates still ride on their leader.
   ResultMemo* memo = nullptr;
 };
 

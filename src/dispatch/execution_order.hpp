@@ -60,7 +60,7 @@ constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
 /// One schedulable job as a policy comparator sees it.
 struct WorkItem {
   std::size_t index = 0;          ///< input position (result placement key)
-  double cost = 0.0;              ///< CostModel estimate (relative or seconds)
+  double cost = 0.0;              ///< Job::cost: relative units, only its order counts
   double deadline = kNoDeadline;  ///< seconds from batch start; kNoDeadline if unset
   double priority = 1.0;          ///< relative weight, higher = more urgent
 };

@@ -1,6 +1,7 @@
 #include "gen/generator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 #include <numeric>
@@ -34,6 +35,11 @@ std::string serial_id(std::size_t serial) {
   if (digits.size() < 6) digits.insert(0, 6 - digits.size(), '0');
   return "g" + digits;
 }
+
+/// Synthetic sweep sizes: cores + 10 package nodes gives 18..512
+/// thermal nodes.
+constexpr std::array<std::size_t, 7> kCoreLadder = {8,   16,  34, 64,
+                                                    128, 246, 502};
 
 /// Zipf CDF over ladder ranks: P(k) ∝ 1/(k+1)^skew.
 std::vector<double> zipf_cdf(std::size_t n, double skew) {
@@ -298,10 +304,6 @@ void GenConfig::validate() const {
   if (mix.sweep + mix.ptrace + mix.chained + mix.grid <= 0.0) {
     fail("mix", "at least one kind weight must be > 0");
   }
-  if (core_ladder.empty()) fail("core_ladder", "must not be empty");
-  for (const std::size_t cores : core_ladder) {
-    if (cores < 2) fail("core_ladder", "entries must be >= 2");
-  }
 }
 
 GeneratedStream generate_stream(const GenConfig& config) {
@@ -309,7 +311,7 @@ GeneratedStream generate_stream(const GenConfig& config) {
 
   Rng rng(config.seed);
   const std::vector<double> ladder_cdf =
-      zipf_cdf(config.core_ladder.size(), config.zipf_skew);
+      zipf_cdf(kCoreLadder.size(), config.zipf_skew);
   const double mix_total = config.mix.sweep + config.mix.ptrace +
                            config.mix.chained + config.mix.grid;
   const double sweep_cut = config.mix.sweep / mix_total;
@@ -341,7 +343,7 @@ GeneratedStream generate_stream(const GenConfig& config) {
     ScenarioRequest request;
     const double kind_draw = rng.uniform();
     if (kind_draw < sweep_cut) {
-      request = make_sweep(rng, config.core_ladder[sample_cdf(rng, ladder_cdf)]);
+      request = make_sweep(rng, kCoreLadder[sample_cdf(rng, ladder_cdf)]);
     } else if (kind_draw < ptrace_cut) {
       request = make_ptrace(rng, socs);
     } else if (kind_draw < chained_cut || config.mix.grid <= 0.0) {

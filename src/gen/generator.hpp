@@ -74,8 +74,9 @@ struct GenConfig {
   std::uint64_t seed = 1;
   std::size_t count = 1000;  ///< total lines, duplicates included
 
-  /// Size skew: synthetic core counts are drawn from `core_ladder` with
-  /// Zipf probability P(rank k) ∝ 1/(k+1)^zipf_skew — rank 0 (smallest)
+  /// Size skew: synthetic core counts are drawn from a fixed ladder of
+  /// seven sizes (18..512 thermal nodes, smallest first) with Zipf
+  /// probability P(rank k) ∝ 1/(k+1)^zipf_skew — rank 0 (smallest)
   /// dominates, the big whales form the heavy tail.
   /// 0 = uniform over the ladder.
   double zipf_skew = 1.5;
@@ -96,10 +97,6 @@ struct GenConfig {
 
   KindMix mix;
   OrderPattern order = OrderPattern::kShuffled;
-
-  /// Synthetic sweep sizes: cores + 10 package nodes gives 18..512
-  /// thermal nodes.
-  std::vector<std::size_t> core_ladder = {8, 16, 34, 64, 128, 246, 502};
 
   /// Throws InvalidArgument on out-of-range knobs
   /// ("gen config: <field>: <problem>").

@@ -112,8 +112,7 @@ MetricsRegistry& MetricsRegistry::instance() {
 
 Counter& MetricsRegistry::counter(std::string_view name) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  THERMO_REQUIRE(gauges_.find(name) == gauges_.end() &&
-                     histograms_.find(name) == histograms_.end(),
+  THERMO_REQUIRE(histograms_.find(name) == histograms_.end(),
                  "metric name registered with a different kind");
   auto it = counters_.find(name);
   if (it == counters_.end()) {
@@ -123,22 +122,9 @@ Counter& MetricsRegistry::counter(std::string_view name) {
   return *it->second;
 }
 
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  THERMO_REQUIRE(counters_.find(name) == counters_.end() &&
-                     histograms_.find(name) == histograms_.end(),
-                 "metric name registered with a different kind");
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return *it->second;
-}
-
 Histogram& MetricsRegistry::histogram(std::string_view name) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  THERMO_REQUIRE(counters_.find(name) == counters_.end() &&
-                     gauges_.find(name) == gauges_.end(),
+  THERMO_REQUIRE(counters_.find(name) == counters_.end(),
                  "metric name registered with a different kind");
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
@@ -157,11 +143,6 @@ JsonValue MetricsRegistry::to_json() const {
     counters.set(name, exact_number(counter->value()));
   }
   out.set("counters", std::move(counters));
-  JsonValue gauges = JsonValue::object();
-  for (const auto& [name, gauge] : gauges_) {
-    gauges.set(name, JsonValue::number(static_cast<double>(gauge->value())));
-  }
-  out.set("gauges", std::move(gauges));
   JsonValue histograms = JsonValue::object();
   for (const auto& [name, histogram] : histograms_) {
     JsonValue h = JsonValue::object();
@@ -182,7 +163,6 @@ JsonValue MetricsRegistry::to_json() const {
 void MetricsRegistry::reset() {
   const std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [name, counter] : counters_) counter->reset();
-  for (auto& [name, gauge] : gauges_) gauge->reset();
   for (auto& [name, histogram] : histograms_) histogram->reset();
 }
 

@@ -1,5 +1,5 @@
-// Process-wide metrics: name-keyed counters, gauges, and log-bucketed
-// latency histograms (docs/OBSERVABILITY.md).
+// Process-wide metrics: name-keyed counters and log-bucketed latency
+// histograms (docs/OBSERVABILITY.md).
 //
 // The registry answers "where did the p95 go" for the serve pipeline
 // without printf archaeology: every hot layer (dispatch, scenario,
@@ -68,20 +68,6 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-write-wins instantaneous value (queue depths, cache sizes).
-class Gauge {
- public:
-  void set(std::int64_t v) {
-    if (!enabled()) return;
-    value_.store(v, std::memory_order_relaxed);
-  }
-  std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> value_{0};
-};
-
 /// Log-bucketed latency histogram over non-negative integer values
 /// (nanoseconds by convention — metric names end in `_ns`). Lock-free:
 /// record() is two shifts plus relaxed fetch_adds; there is no mutex
@@ -144,7 +130,7 @@ class ScopedTimer {
   std::uint64_t start_ns_ = 0;
 };
 
-/// The process-wide registry. counter()/gauge()/histogram() create on
+/// The process-wide registry. counter()/histogram() create on
 /// first use and always return the same object for a name afterwards
 /// (references stay valid for the process lifetime — sites cache them
 /// in function-local statics). A name identifies exactly one kind;
@@ -155,12 +141,10 @@ class MetricsRegistry {
   static MetricsRegistry& instance();
 
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
   /// Byte-stable snapshot:
   ///   {"counters":{name:value,...},
-  ///    "gauges":{name:value,...},
   ///    "histograms":{name:{"count","sum","min","max",
   ///                        "p50","p90","p95","p99"},...}}
   /// Names iterate in sorted order; all numbers are exact integers.
@@ -175,7 +159,6 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   // std::map: pointer-stable nodes AND sorted iteration for free.
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 

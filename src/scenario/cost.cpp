@@ -1,6 +1,7 @@
 #include "scenario/cost.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -12,6 +13,17 @@
 namespace thermo::scenario {
 
 namespace {
+
+// Relative units, fitted to rank the skewed bench_serve_gates batch
+// against measured per-request wall time.
+/// Oracle validations per scheduled core (committed sessions plus the
+/// discard/re-try churn of Algorithm 1's weighting loop).
+constexpr double kValidationsPerCore = 2.0;
+/// Session-model + bookkeeping cost per oracle call, in node units
+/// (keeps tiny steady requests from rounding to zero).
+constexpr double kPerCallOverhead = 50.0;
+/// Fixed per-request floor (parse, SoC build, serialization).
+constexpr double kPerRequest = 1000.0;
 
 /// Fallback block count when a `.flp` file cannot be read at estimation
 /// time (the run itself will fail loudly later; the estimate just needs
@@ -97,63 +109,55 @@ std::size_t ptrace_step_count(const PtraceSpec& ptrace) {
 
 }  // namespace
 
-dispatch::CostFeatures request_cost_features(const ScenarioRequest& request) {
-  dispatch::CostFeatures features;
-  features.cores = estimated_cores(request.soc);
+double estimate_request_cost(const ScenarioRequest& request) {
+  const std::size_t cores = estimated_cores(request.soc);
   // A grid request's model size is the discretisation, not the core
-  // count: rows·cols cells + the 10 package nodes. That is exactly the
+  // count: rows·cols cells + the package nodes. That is exactly the
   // request shape (no estimate needed) and is what makes a 317×317 grid
   // solve rank as the whale it is.
-  features.nodes = request.kind == RequestKind::kGridSteady
-                       ? request.grid.rows * request.grid.cols
-                       : features.cores;
-  features.nodes += thermal::kPackageNodes;
+  const std::size_t nodes =
+      (request.kind == RequestKind::kGridSteady
+           ? request.grid.rows * request.grid.cols
+           : cores) +
+      thermal::kPackageNodes;
+  double steps = 1.0;  // back-substitutions per oracle call
+  double calls =
+      kValidationsPerCore *
+      static_cast<double>(std::max<std::size_t>(cores, 1));
+  double points = 1.0;
   switch (request.kind) {
     case RequestKind::kStclSweep:
-      features.transient = request.solver.transient;
-      features.steps_per_call =
-          request.solver.transient
-              ? mean_test_length(request.soc) / request.solver.dt
-              : 0.0;
-      features.stcl_points = request.stcl.values().size();
+      if (request.solver.transient) {
+        steps =
+            std::max(1.0, mean_test_length(request.soc) / request.solver.dt);
+      }
+      points = static_cast<double>(
+          std::max<std::size_t>(request.stcl.values().size(), 1));
       break;
     case RequestKind::kPtrace:
       // Replay is exactly one transient call per trace step, each
-      // integrating step_duration seconds — the request shape gives the
-      // oracle-call count up front, no Algorithm 1 estimate needed.
-      features.transient = true;
-      features.steps_per_call =
-          std::max(1.0, request.ptrace.step_duration / request.solver.dt);
-      features.stcl_points = 1;
-      features.oracle_calls =
-          static_cast<double>(ptrace_step_count(request.ptrace));
+      // integrating step_duration seconds: the request shape gives the
+      // call count up front, no Algorithm 1 estimate needed.
+      steps = std::max(1.0, request.ptrace.step_duration / request.solver.dt);
+      calls = static_cast<double>(ptrace_step_count(request.ptrace));
       break;
     case RequestKind::kChained:
       // Schedule generation at one STCL point plus a transient chained
-      // replay of every committed session; the replay dominates, so the
-      // features are those of a transient single-point run even when the
-      // scheduling oracle itself is steady-state.
-      features.transient = true;
-      features.steps_per_call =
-          mean_test_length(request.soc) / request.solver.dt;
-      features.stcl_points = 1;
+      // replay of every committed session; the replay dominates, so this
+      // costs as a transient single-point run even when the scheduling
+      // oracle itself is steady-state.
+      steps = std::max(1.0, mean_test_length(request.soc) / request.solver.dt);
       break;
     case RequestKind::kGridSteady:
-      // One steady-state solve of the rows·cols grid: a single oracle
-      // call, no transient stepping. The cold factorization is folded
-      // into the fixed per-call term.
-      features.transient = false;
-      features.steps_per_call = 0.0;
-      features.stcl_points = 1;
-      features.oracle_calls = 1.0;
+      // One steady-state solve of the rows·cols grid. The cold
+      // factorization is folded into the fixed per-call term.
+      calls = 1.0;
       break;
   }
-  return features;
-}
-
-double estimate_request_cost(const ScenarioRequest& request,
-                             const dispatch::CostModel& model) {
-  return model.estimate(request_cost_features(request));
+  // A back-substitution touches every non-zero of the sparse factor.
+  const double n = static_cast<double>(nodes);
+  const double factor_nnz = n * (4.0 + std::log2(n));
+  return kPerRequest + points * calls * (steps * factor_nnz + kPerCallOverhead);
 }
 
 }  // namespace thermo::scenario

@@ -106,14 +106,12 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
   // id default is already resolved above, so two lines that differ only
   // in it do not alias). Keys are only serialized when the memo will
   // actually read them.
-  const dispatch::CostModel cost_model;
   std::vector<dispatch::Job> jobs(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (lines[i].valid) {
       // A positive but tiny solver.dt overflows the step count, and a
       // non-finite cost would abort the placement of the whole batch.
-      const double cost =
-          cost_model.estimate(request_cost_features(lines[i].request));
+      const double cost = estimate_request_cost(lines[i].request);
       if (!std::isfinite(cost)) {
         lines[i] = failed_line(lines[i].id,
                                "scenario request: estimated cost is not "
@@ -156,10 +154,9 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
   engine_options.threads = options.threads;
   engine_options.policy = options.policy;
   engine_options.dedup = options.dedup;
-  engine_options.memo = options.memo;
+  engine_options.memo = options.disk_memo;
   const std::size_t disk_hits_before =
       options.disk_memo != nullptr ? options.disk_memo->disk_hits() : 0;
-  if (options.disk_memo != nullptr) engine_options.memo = options.disk_memo;
   const dispatch::EngineStats stats = dispatch::run_batch(
       jobs,
       [&](std::size_t i) {
@@ -327,7 +324,7 @@ JsonValue serve_summary_to_json(const ServeSummary& summary) {
   out.set("request_timings", std::move(timings));
 
   // Process-wide metrics snapshot (additive to schema v1): the obs
-  // registry's counters/gauges/histograms at dump time. Counters are
+  // registry's counters/histograms at dump time. Counters are
   // process totals — in a one-shot `thermosched serve` they equal this
   // batch's stats exactly (tests/obs_serve_test.cpp cross-checks that).
   out.set("metrics", obs::MetricsRegistry::instance().to_json());

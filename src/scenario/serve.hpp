@@ -44,16 +44,14 @@ struct ServeOptions {
   /// depend on the choice.
   dispatch::SchedulePolicy policy = dispatch::SchedulePolicy::kFifo;
   /// Memoize result records by canonical request content so duplicate
-  /// requests (within this batch, or across batches via `memo`) execute
-  /// once. Off = every request executes; output bytes are unchanged.
+  /// requests (within this batch, or across batches via `disk_memo`)
+  /// execute once. Off = every request executes; output bytes are
+  /// unchanged.
   bool dedup = true;
-  /// Cross-batch memo (borrowed); nullptr = a throwaway per-call memo,
-  /// i.e. within-batch dedup only.
-  dispatch::ResultMemo* memo = nullptr;
   /// Disk-backed memo (borrowed) — what `thermosched serve --cache-dir`
-  /// wires in. When set it takes precedence over `memo` and results are
-  /// durably cached across *processes*: a cold restart serving the same
-  /// batch answers from disk instead of executing. Output bytes are
+  /// wires in; nullptr = within-batch dedup only. When set, results are
+  /// durably cached across batches and *processes*: a cold restart
+  /// serving the same batch answers from disk instead of executing. Output bytes are
   /// unchanged (the cache changes when work runs, never what is
   /// written). Ignored when dedup is off — without content addressing
   /// there is nothing to key the cache by.
@@ -67,7 +65,7 @@ struct RequestTiming {
   std::string id;             ///< resolved id ("line-<n>" when absent)
   bool ok = false;            ///< the record's ok flag
   bool memo_hit = false;      ///< served from the memo / a duplicate
-  double cost = 0.0;          ///< CostModel estimate (relative units)
+  double cost = 0.0;          ///< estimate_request_cost (relative units)
   double wall_seconds = 0.0;  ///< execution wall time (0 on memo hits)
   double cpu_seconds = 0.0;   ///< executing thread's CPU time
   /// Execution-window start to execution start (same steady clock as
@@ -116,7 +114,8 @@ struct ServeSummary {
 /// Reads every line of `in`, processes the batch, writes the records to
 /// `out` (one line each, input order, streamed as they complete). The
 /// runner is borrowed so callers can serve several batches against one
-/// warm model cache; pass options.memo to also share the result memo.
+/// warm model cache; pass options.disk_memo to also share the result
+/// memo.
 ServeSummary serve_stream(std::istream& in, std::ostream& out,
                           ScenarioRunner& runner,
                           const ServeOptions& options = {});

@@ -1,7 +1,6 @@
-// The dispatch layer in isolation: cost-model ordering, the
-// execution_order policies, the content-addressed result memo (FNV
-// addressing, LRU), the streaming ordered writer, and the engine's hard
-// invariant — output bytes identical across thread counts, policies,
+// The dispatch layer in isolation: the execution_order policies, the
+// content-addressed result memo (FNV addressing, LRU), the streaming
+// ordered writer, and the engine's hard invariant — output bytes identical across thread counts, policies,
 // and dedup settings.
 #include "dispatch/engine.hpp"
 
@@ -16,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "dispatch/cost_model.hpp"
 #include "dispatch/execution_order.hpp"
 #include "dispatch/ordered_writer.hpp"
 #include "dispatch/result_memo.hpp"
@@ -24,71 +22,6 @@
 
 namespace thermo::dispatch {
 namespace {
-
-TEST(CostModel, MonotoneInEveryFeature) {
-  const CostModel model;
-  CostFeatures base;
-  base.nodes = 25;
-  base.cores = 15;
-  base.transient = true;
-  base.steps_per_call = 1000.0;
-  base.stcl_points = 1;
-  const double reference = model.estimate(base);
-  EXPECT_GT(reference, 0.0);
-
-  CostFeatures more = base;
-  more.nodes = 250;
-  EXPECT_GT(model.estimate(more), reference);
-  more = base;
-  more.cores = 150;
-  EXPECT_GT(model.estimate(more), reference);
-  more = base;
-  more.steps_per_call = 10000.0;
-  EXPECT_GT(model.estimate(more), reference);
-  more = base;
-  more.stcl_points = 9;
-  EXPECT_GT(model.estimate(more), reference);
-}
-
-TEST(CostModel, SteadyIsCheaperThanTransientAndSparseScalesLinearly) {
-  const CostModel model;
-  CostFeatures transient;
-  transient.nodes = 1034;
-  transient.cores = 1024;
-  transient.transient = true;
-  transient.steps_per_call = 1000.0;
-  CostFeatures steady = transient;
-  steady.transient = false;
-  EXPECT_LT(model.estimate(steady), model.estimate(transient));
-
-  // Per-solve cost is the factor's nnz ≈ n·(4 + log2 n): doubling the
-  // node count slightly more than doubles the estimate, far from the
-  // 4× a dense n² term would give.
-  CostFeatures doubled = steady;
-  doubled.nodes = 2 * steady.nodes;
-  const double ratio = model.estimate(doubled) / model.estimate(steady);
-  EXPECT_GT(ratio, 2.0);
-  EXPECT_LT(ratio, 2.5);
-}
-
-TEST(CostModel, DefaultFormulaIsPinned) {
-  const CostModel model;
-  CostFeatures f;
-  f.nodes = 16;
-  f.cores = 2;
-  f.transient = false;
-  f.stcl_points = 3;
-  // nnz(L) predicted as 16 * (4 + log2 16) = 128, so 1000 per request
-  //   + 3 points * (2 validations/core * 2 cores)
-  //   * (1 solve * 128 ops + 50 per call) = 3136, exactly.
-  EXPECT_DOUBLE_EQ(model.estimate(f), 3136.0);
-
-  // Transient: 1000 + 1 point * 4 calls * (10 steps * 128 + 50) = 6320.
-  f.transient = true;
-  f.steps_per_call = 10.0;
-  f.stcl_points = 1;
-  EXPECT_DOUBLE_EQ(model.estimate(f), 6320.0);
-}
 
 TEST(SchedulePolicy, NamesRoundTrip) {
   EXPECT_STREQ(schedule_policy_name(SchedulePolicy::kFifo), "fifo");

@@ -298,16 +298,6 @@ TEST(GenValidation, ExactMessages) {
             "gen config: mix: at least one kind weight must be > 0");
 
   config = GenConfig{};
-  config.core_ladder.clear();
-  EXPECT_EQ(validation_error_of(config),
-            "gen config: core_ladder: must not be empty");
-
-  config = GenConfig{};
-  config.core_ladder = {8, 1};
-  EXPECT_EQ(validation_error_of(config),
-            "gen config: core_ladder: entries must be >= 2");
-
-  config = GenConfig{};
   config.deadline_rate = 1.5;
   EXPECT_EQ(validation_error_of(config),
             "gen config: deadline_rate: must be in [0, 1]");

@@ -122,16 +122,13 @@ TEST(Counter, EightThreadHammerIsExact) {
 
 TEST(Metrics, DisabledPathRecordsNothing) {
   Counter c;
-  Gauge g;
   Histogram h;
   set_enabled(false);
   c.add(5);
-  g.set(7);
   h.record(123);
   { ScopedTimer timer(h); }
   set_enabled(true);
   EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0);
   EXPECT_EQ(h.count(), 0u);
   c.add(5);
   EXPECT_EQ(c.value(), 5u);
@@ -143,7 +140,6 @@ TEST(MetricsRegistry, SameNameSameObjectAndKindsAreExclusive) {
   Counter& b = registry.counter("obs_test.reg.counter");
   EXPECT_EQ(&a, &b);
   EXPECT_THROW(registry.histogram("obs_test.reg.counter"), InvalidArgument);
-  EXPECT_THROW(registry.gauge("obs_test.reg.counter"), InvalidArgument);
   Histogram& h = registry.histogram("obs_test.reg.hist");
   EXPECT_EQ(&h, &registry.histogram("obs_test.reg.hist"));
   EXPECT_THROW(registry.counter("obs_test.reg.hist"), InvalidArgument);

@@ -1,19 +1,22 @@
 // The dispatch-backed serve path: the property the whole subsystem
 // hangs on — output bytes identical across {fifo,ljf} × {1,4} threads
 // × dedup {on,off} on a randomized batch with invalid lines in place —
-// plus request cost estimation, per-request timings, duplicate-batch
-// memoization, and the summary JSON payload.
+// plus request cost estimation (the exact formula, its monotonicity and
+// ranking), per-request timings, duplicate-batch memoization through a
+// disk memo, and the summary JSON payload.
 #include "scenario/serve.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "dispatch/result_memo.hpp"
+#include "dispatch/disk_result_memo.hpp"
 #include "scenario/cost.hpp"
 #include "gen_test_util.hpp"
+#include "persist_test_util.hpp"
 
 namespace thermo::scenario {
 namespace {
@@ -206,11 +209,12 @@ TEST(ServeDispatch, DuplicateRequestsHitTheMemoWithinABatch) {
 
 TEST(ServeDispatch, SharedMemoDedupsAcrossBatches) {
   const std::string input = mixed_batch();
-  dispatch::ResultMemo memo;
+  const thermo::testing::ScopedTempDir dir("serve-memo");
+  dispatch::DiskResultMemo memo(dir.path());
   ScenarioRunner runner;
   ServeOptions options;
   options.threads = 2;
-  options.memo = &memo;
+  options.disk_memo = &memo;
 
   const RunOutput first = run_serve(input, options, &runner);
   EXPECT_EQ(first.summary.executed, 50u);  // 46 valid + 4 keyless invalid
@@ -255,6 +259,95 @@ TEST(ServeDispatch, SummaryJsonSchemaAndCounts) {
   EXPECT_FALSE(json.dump().empty());
 }
 
+/// A synthetic sweep request of `cores` cores whose tests all last
+/// `test_length` seconds.
+ScenarioRequest synthetic_request(std::size_t cores, double test_length) {
+  ScenarioRequest r;
+  r.soc.kind = SocKind::kSynthetic;
+  r.soc.synthetic.cores = cores;
+  r.soc.synthetic.test_length_min = test_length;
+  r.soc.synthetic.test_length_max = test_length;
+  return r;
+}
+
+TEST(RequestCost, DefaultFormulaIsPinned) {
+  // Steady, 3 STCL points, 6 cores: 16 nodes, so nnz(L) is predicted as
+  // 16 * (4 + log2 16) = 128, and 1000 per request
+  //   + 3 points * (2 validations/core * 6 cores)
+  //   * (1 solve * 128 ops + 50 per call) = 7408, exactly.
+  ScenarioRequest steady = synthetic_request(6, 1.0);
+  steady.solver.transient = false;
+  steady.stcl.min = 40.0;
+  steady.stcl.max = 60.0;
+  steady.stcl.step = 10.0;
+  ASSERT_EQ(steady.stcl.values().size(), 3u);
+  EXPECT_EQ(estimate_request_cost(steady), 7408.0);
+
+  // Transient, one point, 1.25 s tests at dt 0.125: 10 steps per call,
+  // so 1000 + 1 point * 12 calls * (10 steps * 128 + 50) = 16960.
+  ScenarioRequest transient = synthetic_request(6, 1.25);
+  transient.solver.transient = true;
+  transient.solver.dt = 0.125;
+  EXPECT_EQ(estimate_request_cost(transient), 16960.0);
+}
+
+TEST(RequestCost, MonotoneInEveryFeature) {
+  ScenarioRequest base = synthetic_request(15, 1.0);
+  base.solver.transient = true;
+  base.solver.dt = 1e-3;  // 1000 steps per call
+  const double reference = estimate_request_cost(base);
+  EXPECT_GT(reference, 0.0);
+
+  ScenarioRequest more = base;  // more cores: more nodes and validations
+  more.soc.synthetic.cores = 150;
+  EXPECT_GT(estimate_request_cost(more), reference);
+  more = base;  // longer tests: more steps per call
+  more.soc.synthetic.test_length_max = 19.0;
+  EXPECT_GT(estimate_request_cost(more), reference);
+  more = base;  // a finer step: more steps per call
+  more.solver.dt = 1e-4;
+  EXPECT_GT(estimate_request_cost(more), reference);
+  more = base;  // an STCL span: more Algorithm 1 runs
+  more.stcl.min = 20.0;
+  more.stcl.max = 100.0;
+  more.stcl.step = 10.0;
+  EXPECT_GT(estimate_request_cost(more), reference);
+
+  // A grid request's nodes are its cells: a finer grid costs more.
+  ScenarioRequest grid;
+  grid.kind = RequestKind::kGridSteady;
+  grid.soc.kind = SocKind::kFig1;
+  grid.grid.rows = 16;
+  grid.grid.cols = 16;
+  ScenarioRequest finer = grid;
+  finer.grid.rows = 32;
+  EXPECT_GT(estimate_request_cost(finer), estimate_request_cost(grid));
+}
+
+TEST(RequestCost, SteadyIsCheaperThanTransientAndSparseScalesLinearly) {
+  ScenarioRequest transient = synthetic_request(1024, 1.0);
+  transient.solver.transient = true;
+  ScenarioRequest steady = transient;
+  steady.solver.transient = false;
+  EXPECT_LT(estimate_request_cost(steady), estimate_request_cost(transient));
+
+  // Per-solve cost is the factor's nnz ≈ n·(4 + log2 n): doubling a
+  // grid's node count (one solve, so nodes are the only factor) slightly
+  // more than doubles the estimate, far from the 4× a dense n² term
+  // would give.
+  ScenarioRequest grid;
+  grid.kind = RequestKind::kGridSteady;
+  grid.soc.kind = SocKind::kFig1;
+  grid.grid.rows = 64;
+  grid.grid.cols = 64;
+  ScenarioRequest doubled = grid;
+  doubled.grid.rows = 128;
+  const double ratio =
+      estimate_request_cost(doubled) / estimate_request_cost(grid);
+  EXPECT_GT(ratio, 2.0);
+  EXPECT_LT(ratio, 2.5);
+}
+
 TEST(RequestCost, RanksTheWhaleAboveTheMinnow) {
   ScenarioRequest minnow;  // default: alpha, single STCL, transient
   ScenarioRequest whale;
@@ -265,12 +358,14 @@ TEST(RequestCost, RanksTheWhaleAboveTheMinnow) {
   const double whale_cost = estimate_request_cost(whale);
   EXPECT_GT(whale_cost, minnow_cost);
 
-  const dispatch::CostFeatures features = request_cost_features(whale);
-  EXPECT_EQ(features.nodes, 1034u);
-  EXPECT_FALSE(features.transient);
-  const dispatch::CostFeatures small = request_cost_features(minnow);
-  EXPECT_EQ(small.nodes, 25u);
-  EXPECT_EQ(small.stcl_points, 1u);
+  // The whale: 1024 cores + 10 package nodes = 1034 nodes, steady (one
+  // solve per call), one point, 2048 validations.
+  const double whale_nnz = 1034.0 * (4.0 + std::log2(1034.0));
+  EXPECT_EQ(whale_cost, 1000.0 + 2048.0 * (1.0 * whale_nnz + 50.0));
+  // The minnow: Alpha's 15 cores + 10 = 25 nodes, transient 1 s tests at
+  // the default dt of 1 ms (1000 steps per call), one point, 30 calls.
+  const double minnow_nnz = 25.0 * (4.0 + std::log2(25.0));
+  EXPECT_EQ(minnow_cost, 1000.0 + 30.0 * (1000.0 * minnow_nnz + 50.0));
 
   // An STCL range multiplies the estimate.
   ScenarioRequest span = minnow;

@@ -6,6 +6,7 @@
 // change and must show up in docs/SERVE.md too.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <string>
 
@@ -241,7 +242,7 @@ TEST(KindServe, CoolingGapReducesChainedPeak) {
   EXPECT_GE(chained_max(0.0), chained_max(2.0));
 }
 
-// --- .flp cost features read the real block count --------------------
+// --- .flp costs read the real block count ----------------------------
 
 std::string write_flp(const std::string& name, int blocks) {
   const std::string path = ::testing::TempDir() + "/" + name;
@@ -260,17 +261,27 @@ ScenarioRequest flp_request(const std::string& path) {
   return r;
 }
 
+/// A synthetic request with `cores` cores and the named SoCs' 1 s tests,
+/// so it costs exactly what a `.flp` of that many blocks costs.
+ScenarioRequest synthetic_request(std::size_t cores) {
+  ScenarioRequest r;
+  r.soc.kind = SocKind::kSynthetic;
+  r.soc.synthetic.cores = cores;
+  r.soc.synthetic.test_length_min = 1.0;
+  r.soc.synthetic.test_length_max = 1.0;
+  return r;
+}
+
 TEST(FlpCost, BlockCountIsReadFromTheFile) {
   const std::string path = write_flp("cost3.flp", 3);
-  const dispatch::CostFeatures features =
-      request_cost_features(flp_request(path));
-  EXPECT_EQ(features.cores, 3u);  // comments/blanks don't count
+  // Comments and blank lines don't count: 3 blocks cost as 3 cores.
+  EXPECT_EQ(estimate_request_cost(flp_request(path)),
+            estimate_request_cost(synthetic_request(3)));
 }
 
 TEST(FlpCost, UnreadableFileFallsBackToTheGuess) {
-  const dispatch::CostFeatures features =
-      request_cost_features(flp_request("/nonexistent/chip.flp"));
-  EXPECT_EQ(features.cores, 40u);
+  EXPECT_EQ(estimate_request_cost(flp_request("/nonexistent/chip.flp")),
+            estimate_request_cost(synthetic_request(40)));
 }
 
 TEST(FlpCost, RankingFollowsBlockCount) {
@@ -290,15 +301,15 @@ TEST(FlpCost, RankingFollowsBlockCount) {
             estimate_request_cost(synthetic_mid));
 }
 
-// --- ptrace cost features --------------------------------------------
+// --- ptrace costs ----------------------------------------------------
 
 TEST(PtraceCost, OracleCallsEqualTraceSteps) {
   const ScenarioRequest r = parse_request_line(kPtraceInput);
-  const dispatch::CostFeatures features = request_cost_features(r);
-  EXPECT_DOUBLE_EQ(features.oracle_calls, 2.0);  // 2 trace lines
-  EXPECT_TRUE(features.transient);
-  EXPECT_EQ(features.stcl_points, 1u);
-  EXPECT_DOUBLE_EQ(features.steps_per_call, 5.0);  // 0.05 / 0.01
+  // fig1's 7 cores + 10 package nodes = 17 nodes; one transient call per
+  // trace line (2), each 0.05 / 0.01 = 5 steps, one point:
+  //   1000 + 2 calls * (5 steps * 17·(4 + log2 17) + 50).
+  const double nnz = 17.0 * (4.0 + std::log2(17.0));
+  EXPECT_EQ(estimate_request_cost(r), 1000.0 + 2.0 * (5.0 * nnz + 50.0));
 }
 
 TEST(PtraceCost, LongerTraceCostsMore) {

@@ -23,12 +23,13 @@
 #include <string>
 #include <vector>
 
+#include "dispatch/disk_result_memo.hpp"
 #include "dispatch/execution_order.hpp"
-#include "dispatch/result_memo.hpp"
 #include "gen/generator.hpp"
 #include "scenario/request.hpp"
 #include "scenario/serve.hpp"
 #include "util/json.hpp"
+#include "persist_test_util.hpp"
 
 namespace thermo::scenario {
 namespace {
@@ -110,10 +111,11 @@ TEST(ServeSlo, ColdServeMissesExactlyTheTightDeadlines) {
 TEST(ServeSlo, WarmMemoReServeMeetsEverythingIncludingTightDeadlines) {
   const std::string input = stream_text(deadlined_stream());
   ScenarioRunner runner;
-  dispatch::ResultMemo memo;
+  const thermo::testing::ScopedTempDir dir("slo-memo");
+  dispatch::DiskResultMemo memo(dir.path());
   ServeOptions options;
   options.threads = 2;
-  options.memo = &memo;
+  options.disk_memo = &memo;
   const RunOutput cold = run_serve(input, options, runner);
   ASSERT_GT(cold.summary.deadline_missed, 0u);
   const RunOutput warm = run_serve(input, options, runner);
