@@ -26,7 +26,7 @@ SafetyReport SafetyChecker::check(const SocSpec& soc,
   schedule.require_well_formed(soc);
 
   SafetyReport report;
-  std::vector<double> state = analyzer.ambient_node_state();
+  std::vector<double> state = thermal::ambient_state(analyzer.model());
   for (std::size_t s = 0; s < schedule.sessions.size(); ++s) {
     const TestSession& session = schedule.sessions[s];
     thermal::SessionSimulation sim;

@@ -82,7 +82,6 @@ void Floorplan::compute_cache() const {
   if (cache_valid_) return;
   const std::size_t n = blocks_.size();
   adjacencies_.clear();
-  adj_.assign(n, {});
   boundary_.assign(n, {0.0, 0.0, 0.0, 0.0});
 
   if (n == 0) {
@@ -129,13 +128,9 @@ void Floorplan::compute_cache() const {
       length = interval_overlap(a.bottom(), a.top(), b.bottom(), b.top());
       side = Side::kWest;
     }
-    if (length > kGeomTol) {
-      adjacencies_.push_back(Adjacency{i, j, length, side});
-      // The (i, j) pair order visits each list's entries in strictly
-      // increasing neighbour index, so the lists come out sorted.
-      adj_[i].emplace_back(j, length);
-      adj_[j].emplace_back(i, length);
-    }
+    // The candidates are sorted and distinct, so the list comes out
+    // sorted by (a, b).
+    if (length > kGeomTol) adjacencies_.push_back(Adjacency{i, j, length, side});
   }
 
   // Boundary exposure: portion of each block side lying on the bbox edge.
@@ -180,13 +175,15 @@ double Floorplan::shared_edge(std::size_t i, std::size_t j) const {
   THERMO_REQUIRE(i < blocks_.size() && j < blocks_.size(),
                  "shared_edge: index out of range");
   compute_cache();
-  const auto& edges = adj_[i];
+  const IndexPair key{std::min(i, j), std::max(i, j)};
   const auto it = std::lower_bound(
-      edges.begin(), edges.end(), j,
-      [](const std::pair<std::size_t, double>& e, std::size_t key) {
-        return e.first < key;
+      adjacencies_.begin(), adjacencies_.end(), key,
+      [](const Adjacency& e, const IndexPair& k) {
+        return IndexPair{e.a, e.b} < k;
       });
-  return it != edges.end() && it->first == j ? it->second : 0.0;
+  return it != adjacencies_.end() && it->a == key.first && it->b == key.second
+             ? it->shared_length
+             : 0.0;
 }
 
 bool Floorplan::are_adjacent(std::size_t i, std::size_t j) const {
@@ -196,17 +193,14 @@ bool Floorplan::are_adjacent(std::size_t i, std::size_t j) const {
 std::vector<std::size_t> Floorplan::neighbours(std::size_t i) const {
   THERMO_REQUIRE(i < blocks_.size(), "neighbours: index out of range");
   compute_cache();
+  // Pairs (a, i) with a < i precede every (i, b) in (a, b) order, and
+  // each run is ascending, so the scan yields ascending indices.
   std::vector<std::size_t> out;
-  out.reserve(adj_[i].size());
-  for (const auto& [j, length] : adj_[i]) out.push_back(j);
+  for (const Adjacency& e : adjacencies_) {
+    if (e.b == i) out.push_back(e.a);
+    if (e.a == i) out.push_back(e.b);
+  }
   return out;
-}
-
-const std::vector<std::pair<std::size_t, double>>& Floorplan::neighbour_edges(
-    std::size_t i) const {
-  THERMO_REQUIRE(i < blocks_.size(), "neighbour_edges: index out of range");
-  compute_cache();
-  return adj_[i];
 }
 
 double Floorplan::boundary_exposure(std::size_t i, Side side) const {
@@ -279,8 +273,13 @@ ValidationReport Floorplan::validate() const {
        << "% of the chip bounding box";
     report.warnings.push_back(os.str());
   }
+  std::vector<std::size_t> degree(n, 0);
+  for (const Adjacency& e : adjacencies_) {
+    ++degree[e.a];
+    ++degree[e.b];
+  }
   for (std::size_t i = 0; i < n; ++i) {
-    if (neighbour_edges(i).empty() && boundary_exposure(i) <= kGeomTol) {
+    if (degree[i] == 0 && boundary_exposure(i) <= kGeomTol) {
       report.warnings.push_back("block '" + blocks_[i].name +
                                 "' is thermally detached (no neighbours, no "
                                 "boundary exposure)");

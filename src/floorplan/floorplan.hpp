@@ -75,23 +75,21 @@ class Floorplan {
   double min_y() const;
   double chip_area() const { return chip_width() * chip_height(); }
 
-  /// All lateral adjacencies (each unordered pair listed once, a < b).
+  /// All lateral adjacencies (each unordered pair listed once, a < b),
+  /// sorted by (a, b). The one stored form of the adjacency graph:
+  /// shared_edge, neighbours and validate() read it.
   const std::vector<Adjacency>& adjacencies() const;
 
-  /// Shared edge length between blocks i and j (0 when not adjacent).
+  /// Shared edge length between blocks i and j (0 when not adjacent);
+  /// a binary search of adjacencies() for (min, max).
   double shared_edge(std::size_t i, std::size_t j) const;
 
   /// True when the blocks abut with positive shared edge length.
   bool are_adjacent(std::size_t i, std::size_t j) const;
 
-  /// Indices of blocks adjacent to `i`, in increasing index order.
+  /// Indices of blocks adjacent to `i`, in increasing index order (a
+  /// scan of adjacencies(), O(adjacency count)).
   std::vector<std::size_t> neighbours(std::size_t i) const;
-
-  /// (neighbour index, shared edge length) pairs for block `i`, sorted
-  /// by neighbour index — the O(degree) view model assembly iterates
-  /// instead of scanning a dense row.
-  const std::vector<std::pair<std::size_t, double>>& neighbour_edges(
-      std::size_t i) const;
 
   /// Length of block i's perimeter lying on the chip bounding box,
   /// per side. (A block in the interior returns 0 everywhere.)
@@ -133,11 +131,8 @@ class Floorplan {
   mutable bool cache_valid_ = false;
   /// Set by a passing require_valid(), cleared by invalidate_cache().
   mutable bool validated_ = false;
+  /// Sorted by (a, b): O(edges) storage, one entry per abutting pair.
   mutable std::vector<Adjacency> adjacencies_;
-  /// Per-block (neighbour, shared length) lists, sorted by neighbour.
-  /// O(nnz) storage where the old dense n×n shared-edge matrix was
-  /// O(n²) — the memory wall that capped synthetic floorplan sizes.
-  mutable std::vector<std::vector<std::pair<std::size_t, double>>> adj_;
   mutable double min_x_ = 0.0, min_y_ = 0.0, max_x_ = 0.0, max_y_ = 0.0;
   mutable std::vector<std::array<double, 4>> boundary_;  // N,S,E,W per block
 };

@@ -300,16 +300,24 @@ ScenarioRunner::Stats ScenarioRunner::stats() const {
 
 namespace {
 
+/// The request's Algorithm 1 settings; stc_limit stays at its default
+/// (the sweep sets it per point, the chained run to its one value).
+core::ThermalSchedulerOptions scheduler_options(const ScenarioRequest& request) {
+  core::ThermalSchedulerOptions options;
+  options.temperature_limit = request.tl;
+  options.weight_factor = request.weight_factor;
+  options.solo_policy = request.solo_policy;
+  options.core_order = request.core_order;
+  options.model.stc_scale = request.stc_scale > 0.0
+                                ? request.stc_scale
+                                : auto_stc_scale(request.soc.kind);
+  return options;
+}
+
 void run_stcl_sweep(const ScenarioRequest& request,
                     const core::PreparedSoc& soc, ScenarioResult& result) {
   core::StclSweepConfig config;
-  config.scheduler.temperature_limit = request.tl;
-  config.scheduler.weight_factor = request.weight_factor;
-  config.scheduler.solo_policy = request.solo_policy;
-  config.scheduler.core_order = request.core_order;
-  config.scheduler.model.stc_scale = request.stc_scale > 0.0
-                                         ? request.stc_scale
-                                         : auto_stc_scale(request.soc.kind);
+  config.scheduler = scheduler_options(request);
   config.analyzer.dt = request.solver.dt;
   config.analyzer.transient = request.solver.transient;
   // threads = 1: runs inline on this thread — serve already fans
@@ -338,7 +346,7 @@ void run_ptrace(const ScenarioRequest& request, const core::PreparedSoc& soc,
   options.transient = true;  // enforced at parse: replay carries state
   thermal::ThermalAnalyzer analyzer(soc.model.rc_model(), options);
 
-  std::vector<double> state = analyzer.ambient_node_state();
+  std::vector<double> state = thermal::ambient_state(analyzer.model());
   std::size_t hottest = 0;
   result.ptrace.steps = trace.step_count();
   result.ptrace.duration =
@@ -358,15 +366,8 @@ void run_ptrace(const ScenarioRequest& request, const core::PreparedSoc& soc,
 
 void run_chained(const ScenarioRequest& request, const core::PreparedSoc& soc,
                  ScenarioResult& result) {
-  core::ThermalSchedulerOptions options;
-  options.temperature_limit = request.tl;
+  core::ThermalSchedulerOptions options = scheduler_options(request);
   options.stc_limit = request.stcl.min;  // single value, enforced at parse
-  options.weight_factor = request.weight_factor;
-  options.solo_policy = request.solo_policy;
-  options.core_order = request.core_order;
-  options.model.stc_scale = request.stc_scale > 0.0
-                                ? request.stc_scale
-                                : auto_stc_scale(request.soc.kind);
 
   thermal::ThermalAnalyzer::Options sched_options;
   sched_options.dt = request.solver.dt;

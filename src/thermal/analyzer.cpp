@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -33,30 +34,25 @@ void ThermalAnalyzer::flush_counters() {
 
 SessionSimulation ThermalAnalyzer::simulate_session(
     const std::vector<double>& block_power, double duration) {
-  THERMO_REQUIRE(duration > 0.0, "session duration must be positive");
-
-  SessionSimulation out;
-  out.simulated_time = duration;
-
   if (options_.transient) {
-    TransientOptions topt;
-    topt.dt = options_.dt;
-    const TransientResult result = simulate_transient(
-        *model_, block_power, duration, ambient_state(*model_), topt);
-    out.peak_temperature.assign(
-        result.peak_temperature.begin(),
-        result.peak_temperature.begin() +
-            static_cast<std::ptrdiff_t>(model_->block_count()));
-  } else {
-    out.peak_temperature = steady_block_temperatures(block_power);
+    return simulate_session_from(block_power, duration, ambient_state(*model_))
+        .session;
   }
+  THERMO_REQUIRE(duration > 0.0, "session duration must be positive");
+  return finish_session(solve_steady_state(*model_, block_power).temperature,
+                        duration);
+}
 
+SessionSimulation ThermalAnalyzer::finish_session(
+    std::vector<double> node_peaks, double duration) {
+  node_peaks.resize(model_->block_count());
+  SessionSimulation out;
+  out.peak_temperature = std::move(node_peaks);
   const auto hottest =
       std::max_element(out.peak_temperature.begin(), out.peak_temperature.end());
   out.max_temperature = *hottest;
   out.hottest_block =
       static_cast<std::size_t>(hottest - out.peak_temperature.begin());
-
   simulation_effort_ += duration;
   ++simulation_count_;
   return out;
@@ -156,18 +152,6 @@ void ThermalAnalyzer::fit_scratch() {
   }
 }
 
-std::vector<double> ThermalAnalyzer::steady_block_temperatures(
-    const std::vector<double>& block_power) const {
-  // solve_steady_state's checks and arithmetic.
-  const std::vector<double> power = model_->expand_power(block_power);
-  const std::vector<double> rise = model_->steady_factor().solve(power);
-  ++pending_solves_;
-  const double ambient = model_->package().ambient;
-  std::vector<double> out(model_->block_count());
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = ambient + rise[i];
-  return out;
-}
-
 ThermalAnalyzer::Chained ThermalAnalyzer::simulate_session_from(
     const std::vector<double>& block_power, double duration,
     const std::vector<double>& initial_state) {
@@ -177,29 +161,13 @@ ThermalAnalyzer::Chained ThermalAnalyzer::simulate_session_from(
 
   TransientOptions topt;
   topt.dt = options_.dt;
-  const TransientResult result =
+  TransientResult result =
       simulate_transient(*model_, block_power, duration, initial_state, topt);
 
   Chained out;
-  out.final_state = result.final_temperature;
-  out.session.simulated_time = duration;
-  out.session.peak_temperature.assign(
-      result.peak_temperature.begin(),
-      result.peak_temperature.begin() +
-          static_cast<std::ptrdiff_t>(model_->block_count()));
-  const auto hottest = std::max_element(out.session.peak_temperature.begin(),
-                                        out.session.peak_temperature.end());
-  out.session.max_temperature = *hottest;
-  out.session.hottest_block =
-      static_cast<std::size_t>(hottest - out.session.peak_temperature.begin());
-
-  simulation_effort_ += duration;
-  ++simulation_count_;
+  out.final_state = std::move(result.final_temperature);
+  out.session = finish_session(std::move(result.peak_temperature), duration);
   return out;
-}
-
-std::vector<double> ThermalAnalyzer::ambient_node_state() const {
-  return ambient_state(*model_);
 }
 
 std::vector<double> ThermalAnalyzer::cool_down(
@@ -208,10 +176,10 @@ std::vector<double> ThermalAnalyzer::cool_down(
   if (gap == 0.0) return state;
   TransientOptions topt;
   topt.dt = options_.dt;
-  const TransientResult result = simulate_transient(
-      *model_, std::vector<double>(model_->block_count(), 0.0), gap, state,
-      topt);
-  return result.final_temperature;
+  return simulate_transient(*model_,
+                            std::vector<double>(model_->block_count(), 0.0),
+                            gap, state, topt)
+      .final_temperature;
 }
 
 void ThermalAnalyzer::reset_effort() {

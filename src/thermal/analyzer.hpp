@@ -2,9 +2,12 @@
 // and exposes "simulate this test session, give me per-core maximum
 // temperatures" — the simulate() oracle of Algorithm 1 — together with
 // the cumulative simulated-time accounting the paper calls
-// "simulation effort". Steady solves back-substitute through the
-// model's own factor of G (RCModel::steady_factor), transient sessions
-// through ThermalSolverCache's per-(model, dt) stepper.
+// "simulation effort". Each oracle has one full-session path: a steady
+// session is solve_steady_state (the model's own factor of G,
+// RCModel::steady_factor), a transient one is simulate_session_from
+// at ambient (ThermalSolverCache's per-(model, dt) stepper). solo_peak
+// and session_peaks are the steady oracle's partial solves of the same
+// system.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +35,6 @@ struct SessionSimulation {
   double max_temperature = 0.0;
   /// Index of the hottest block.
   std::size_t hottest_block = 0;
-  /// Duration that was simulated [s].
-  double simulated_time = 0.0;
 };
 
 /// What Algorithm 1's validation reads from one session
@@ -81,12 +82,14 @@ class ThermalAnalyzer {
   ThermalAnalyzer& operator=(const ThermalAnalyzer&) = delete;
 
   const RCModel& model() const { return *model_; }
-  const std::shared_ptr<const RCModel>& shared_model() const { return model_; }
   const Options& options() const { return options_; }
 
   /// Simulates a session: `block_power[i]` watts in every block for
   /// `duration` seconds starting from ambient. Adds `duration` to the
-  /// cumulative simulation effort.
+  /// cumulative simulation effort. The transient oracle is
+  /// simulate_session_from(block_power, duration, ambient_state(model()))
+  /// without the final state; the steady oracle is solve_steady_state's
+  /// block temperatures.
   SessionSimulation simulate_session(const std::vector<double>& block_power,
                                      double duration);
 
@@ -114,15 +117,11 @@ class ThermalAnalyzer {
                              const std::vector<double>& block_power,
                              double duration);
 
-  /// Steady-state block temperatures for a power map (no effort charge;
-  /// used for reporting and the motivational example).
-  std::vector<double> steady_block_temperatures(
-      const std::vector<double>& block_power) const;
-
-  /// A session simulation that starts from an arbitrary node state and
-  /// also returns the final state, enabling *chained* schedules where
-  /// one session's residual heat carries into the next (relaxing the
-  /// paper's independent-session assumption). Charges effort like
+  /// A session simulation that starts from an arbitrary node state
+  /// (ambient_state(model()) starts cold) and also returns the final
+  /// state, enabling *chained* schedules where one session's residual
+  /// heat carries into the next (relaxing the paper's
+  /// independent-session assumption). Charges effort like
   /// simulate_session. Requires transient mode.
   struct Chained {
     SessionSimulation session;
@@ -131,9 +130,6 @@ class ThermalAnalyzer {
   Chained simulate_session_from(const std::vector<double>& block_power,
                                 double duration,
                                 const std::vector<double>& initial_state);
-
-  /// All-nodes-at-ambient initial state (node-sized).
-  std::vector<double> ambient_node_state() const;
 
   /// Zero-power cool-down for `gap` seconds from a given state (no
   /// effort charge - the tester is idle, nothing is being simulated for
@@ -152,15 +148,20 @@ class ThermalAnalyzer {
   /// Resets the effort accounting (a scheduler run starts from zero).
   void reset_effort();
 
-  /// Adds the steady solves made since the last flush to the
-  /// `thermal.entry_solves` and `thermal.solves` counters. The solves
-  /// only count them locally, so the hot path touches no shared
+  /// Adds the solo_peak and session_peaks solves made since the last
+  /// flush to the `thermal.entry_solves` and `thermal.solves` counters.
+  /// Those solves only count locally, so the hot path touches no shared
   /// counter; core::solo_prepass and ThermalAwareScheduler::generate
-  /// flush once per run, and the destructor flushes the rest.
+  /// flush once per run, and the destructor flushes the rest. (A steady
+  /// simulate_session counts at the call, in solve_steady_state.)
   void flush_counters();
 
  private:
   void fit_scratch();  // sizes scratch_ to the model on first use
+  /// The session outcome from per-node peaks: keeps the block entries,
+  /// finds the maximum and hottest block, and charges `duration`.
+  SessionSimulation finish_session(std::vector<double> node_peaks,
+                                   double duration);
 
   std::shared_ptr<const RCModel> model_;
   Options options_;
@@ -168,7 +169,7 @@ class ThermalAnalyzer {
   std::size_t simulation_count_ = 0;
   linalg::PathScratch scratch_;  // solo_peak's and session_peaks' path solves
   std::size_t pending_entry_solves_ = 0;
-  mutable std::size_t pending_solves_ = 0;
+  std::size_t pending_solves_ = 0;
 };
 
 }  // namespace thermo::thermal

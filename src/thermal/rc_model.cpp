@@ -155,17 +155,6 @@ void RCModel::build() {
   linalg::SparseMatrix::Builder builder(total, total);
   builder.reserve(16 * total);
   capacitance_.assign(total, 0.0);
-  node_names_.clear();
-  node_names_.reserve(total);
-  for (std::size_t i = 0; i < n; ++i) {
-    node_names_.push_back("block:" + floorplan_.block(i).name);
-  }
-  for (const char* name : {"spreader_c", "spreader_n", "spreader_s",
-                           "spreader_e", "spreader_w", "sink_c", "sink_n",
-                           "sink_s", "sink_e", "sink_w"}) {
-    node_names_.emplace_back(name);
-  }
-
   for (const fp::Adjacency& adj : floorplan_.adjacencies()) {
     stamp_conductance(builder, adj.a, adj.b,
                       lateral_conductance(floorplan_, adj, package_));
@@ -221,11 +210,6 @@ void RCModel::build() {
   // Symmetry validation runs on the CSR matrix directly (O(nnz·log)).
   THERMO_ENSURE(sparse_.is_symmetric(1e-9),
                 "conductance matrix must be symmetric");
-}
-
-const std::string& RCModel::node_name(std::size_t node) const {
-  THERMO_REQUIRE(node < node_names_.size(), "node index out of range");
-  return node_names_[node];
 }
 
 std::vector<double> RCModel::expand_power(

@@ -9,7 +9,8 @@
 //   n + 6 .. n + 9            sink periphery (N, S, E, W)
 // Ambient is the ground node (not represented explicitly); conductances
 // to ambient appear only on the diagonal of G. Temperatures are solved
-// as rises over ambient.
+// as rises over ambient. Nodes are known by index alone: the model
+// stores no names (a block node's name is its floorplan block's).
 //
 // Conductance stamping:
 //  * die block <-> die block: lateral silicon slab through the shared
@@ -43,7 +44,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "floorplan/floorplan.hpp"
@@ -137,9 +137,6 @@ class RCModel {
   /// Per-node heat capacity [J/K] (all positive).
   const std::vector<double>& capacitance() const { return capacitance_; }
 
-  /// Node name ("block:<name>", "spreader_c", "sink_n", ...).
-  const std::string& node_name(std::size_t node) const;
-
   /// Expands per-block power [W] into a full node power vector (package
   /// nodes dissipate nothing).
   std::vector<double> expand_power(const std::vector<double>& block_power) const;
@@ -164,7 +161,6 @@ class RCModel {
   linalg::SparseMatrix sparse_;
   std::vector<double> capacitance_;
   std::vector<double> ambient_conductance_;
-  std::vector<std::string> node_names_;
   std::shared_ptr<SteadyFactorSlot> steady_ =
       std::make_shared<SteadyFactorSlot>();
 };

@@ -13,17 +13,15 @@ SteadyStateResult solve_steady_state(const RCModel& model,
 
   SteadyStateResult result;
   // G is fixed per model, only the power vector changes across calls:
-  // the model factors G once (RCModel::steady_factor).
-  result.rise = model.steady_factor().solve(power);
+  // the model factors G once (RCModel::steady_factor). The rise becomes
+  // the temperature in place.
+  result.temperature = model.steady_factor().solve(power);
   static obs::Counter& solves =
       obs::MetricsRegistry::instance().counter("thermal.solves");
   solves.add();
 
-  result.temperature.resize(result.rise.size());
   const double ambient = model.package().ambient;
-  for (std::size_t i = 0; i < result.rise.size(); ++i) {
-    result.temperature[i] = ambient + result.rise[i];
-  }
+  for (double& t : result.temperature) t = ambient + t;
   return result;
 }
 

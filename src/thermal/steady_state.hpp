@@ -1,5 +1,5 @@
 // Steady-state thermal analysis: solve G * dT = P for the temperature
-// rise over ambient.
+// rise over ambient, reported as absolute temperatures (ambient + dT).
 //
 // Steady state is the worst case for a test session that runs long
 // enough (temperatures only rise towards it), and it is the regime the
@@ -21,14 +21,15 @@
 namespace thermo::thermal {
 
 struct SteadyStateResult {
-  /// Absolute temperature per node [deg C], ambient included.
+  /// Absolute temperature per node [deg C], ambient included: the rise
+  /// over ambient is temperature[i] - ambient.
   std::vector<double> temperature;
-  /// Temperature rise over ambient per node [K].
-  std::vector<double> rise;
 };
 
 /// Solves the steady state for per-block power [W] (size = block count).
-/// Throws NumericalError when the system cannot be solved.
+/// Counts one `thermal.solves` at the call. ThermalAnalyzer's steady
+/// simulate_session is this solve. Throws NumericalError when the system
+/// cannot be solved.
 SteadyStateResult solve_steady_state(const RCModel& model,
                                      const std::vector<double>& block_power);
 

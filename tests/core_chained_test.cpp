@@ -22,8 +22,8 @@ TEST_F(ChainedTest, SimulateSessionFromCarriesState) {
   const std::vector<double> power{6, 6, 6, 0, 0, 0, 0, 0, 0};
   std::vector<double> p(9, 0.0);
   p[0] = p[1] = p[2] = 6.0;
-  auto first = analyzer_.simulate_session_from(p, 1.0,
-                                               analyzer_.ambient_node_state());
+  auto first = analyzer_.simulate_session_from(
+      p, 1.0, thermal::ambient_state(analyzer_.model()));
   // Running the same session again from the warm state must be hotter.
   auto second = analyzer_.simulate_session_from(p, 1.0, first.final_state);
   EXPECT_GT(second.session.max_temperature, first.session.max_temperature);
@@ -31,8 +31,8 @@ TEST_F(ChainedTest, SimulateSessionFromCarriesState) {
 
 TEST_F(ChainedTest, CoolDownDrainsHeatFromTheDie) {
   std::vector<double> p(9, 6.0);
-  auto warm = analyzer_.simulate_session_from(p, 1.0,
-                                              analyzer_.ambient_node_state());
+  auto warm = analyzer_.simulate_session_from(
+      p, 1.0, thermal::ambient_state(analyzer_.model()));
   const auto cooled = analyzer_.cool_down(warm.final_state, 5.0);
   // Die blocks cool (heat may transiently *warm* the sink nodes as it
   // redistributes outward, so only block nodes are monotone here).
@@ -135,9 +135,10 @@ TEST_F(ChainedTest, ChainedSimulationRequiresTransientOracle) {
   steady.transient = false;
   thermal::ThermalAnalyzer steady_analyzer(soc_.flp, soc_.package, steady);
   std::vector<double> p(9, 1.0);
-  EXPECT_THROW(steady_analyzer.simulate_session_from(
-                   p, 1.0, steady_analyzer.ambient_node_state()),
-               InvalidArgument);
+  EXPECT_THROW(
+      steady_analyzer.simulate_session_from(
+          p, 1.0, thermal::ambient_state(steady_analyzer.model())),
+      InvalidArgument);
 }
 
 }  // namespace

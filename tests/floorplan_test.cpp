@@ -392,7 +392,20 @@ void expect_matches_reference(const Floorplan& fp, const std::string& label) {
     edges[want.b].emplace_back(want.a, want.shared_length);
   }
   for (std::size_t i = 0; i < blocks.size(); ++i) {
-    EXPECT_EQ(fp.neighbour_edges(i), edges[i]) << label << " block " << i;
+    // neighbours(i) lists exactly the reference neighbours, ascending;
+    // shared_edge(i, j) is the reference length for them and 0 for
+    // every other block.
+    std::vector<std::size_t> neighbours;
+    std::vector<double> row(blocks.size(), 0.0);
+    for (const auto& [j, length] : edges[i]) {
+      neighbours.push_back(j);
+      row[j] = length;
+    }
+    EXPECT_EQ(fp.neighbours(i), neighbours) << label << " block " << i;
+    for (std::size_t j = 0; j < blocks.size(); ++j) {
+      EXPECT_EQ(fp.shared_edge(i, j), row[j])
+          << label << " blocks " << i << ", " << j;
+    }
     const std::array<double, 4> exposure = reference_exposure(blocks, i);
     EXPECT_EQ(fp.boundary_exposure(i, Side::kNorth), exposure[0]) << label;
     EXPECT_EQ(fp.boundary_exposure(i, Side::kSouth), exposure[1]) << label;

@@ -99,6 +99,8 @@ void PrintTo(const ThermalCase& c, std::ostream* os) {
   if (c.cores != 10) *os << "_cores" << c.cores;
 }
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 class ThermalInvariants : public ::testing::TestWithParam<ThermalCase> {};
 
 TEST_P(ThermalInvariants, SteadyStateBoundsAndMonotonicity) {
@@ -137,7 +139,79 @@ TEST_P(ThermalInvariants, SteadyStateBoundsAndMonotonicity) {
   more[0] += 5.0;
   const auto hotter = thermal::solve_steady_state(model, more);
   for (std::size_t n = 0; n < model.node_count(); ++n) {
-    EXPECT_GE(hotter.rise[n] + 1e-12, steady.rise[n]);
+    EXPECT_GE(hotter.temperature[n] + 1e-12, steady.temperature[n]);
+  }
+}
+
+// Each oracle has one full-session path (thermal/analyzer.hpp): a
+// transient simulate_session is simulate_session_from at ambient without
+// the final state, and a steady one is solve_steady_state's block
+// temperatures. On random sessions of random SoCs both must match those
+// references bit for bit: peaks, maximum, hottest block, and the effort
+// and count charged.
+TEST_P(ThermalInvariants, SessionPathsMatchTheirReferenceUnderBothOracles) {
+  const std::size_t cores = GetParam().cores;
+  const core::SocSpec soc = random_soc(GetParam().seed + 600, cores);
+  const auto model =
+      std::make_shared<const thermal::RCModel>(soc.flp, soc.package);
+  Rng rng(GetParam().seed);
+  std::vector<std::size_t> order(cores);
+  for (std::size_t i = 0; i < cores; ++i) order[i] = i;
+  constexpr int kTrials = 5;
+  for (const bool transient : {true, false}) {
+    thermal::ThermalAnalyzer::Options options;
+    options.transient = transient;
+    thermal::ThermalAnalyzer analyzer(model, options);
+    thermal::ThermalAnalyzer chained(model, options);
+    double effort = 0.0;
+    for (int trial = 0; trial < kTrials; ++trial) {
+      rng.shuffle(order);
+      core::TestSession session;
+      const auto k = rng.uniform_int(1, std::min<long long>(6, cores));
+      session.cores.assign(order.begin(), order.begin() + k);
+      const std::vector<double> power = session.power_map(soc);
+      // Not a whole number of 1 ms steps, so the remainder step runs.
+      const double duration = session.length(soc) * rng.uniform(0.2, 1.2);
+      effort += duration;
+
+      const thermal::SessionSimulation got =
+          analyzer.simulate_session(power, duration);
+      thermal::SessionSimulation want;
+      if (transient) {
+        want = chained
+                   .simulate_session_from(power, duration,
+                                          thermal::ambient_state(*model))
+                   .session;
+      } else {
+        const std::vector<double> steady =
+            thermal::solve_steady_state(*model, power).temperature;
+        want.peak_temperature.assign(
+            steady.begin(), steady.begin() + static_cast<long>(cores));
+        const auto hottest = std::max_element(want.peak_temperature.begin(),
+                                              want.peak_temperature.end());
+        want.max_temperature = *hottest;
+        want.hottest_block =
+            static_cast<std::size_t>(hottest - want.peak_temperature.begin());
+      }
+      ASSERT_EQ(got.peak_temperature.size(), cores);
+      ASSERT_EQ(want.peak_temperature.size(), cores);
+      for (std::size_t b = 0; b < cores; ++b) {
+        EXPECT_EQ(bits(got.peak_temperature[b]),
+                  bits(want.peak_temperature[b]))
+            << "transient=" << transient << " trial=" << trial
+            << " block=" << b;
+      }
+      EXPECT_EQ(bits(got.max_temperature), bits(want.max_temperature))
+          << "transient=" << transient << " trial=" << trial;
+      EXPECT_EQ(got.hottest_block, want.hottest_block)
+          << "transient=" << transient << " trial=" << trial;
+    }
+    EXPECT_EQ(bits(analyzer.simulation_effort()), bits(effort));
+    EXPECT_EQ(analyzer.simulation_count(), std::size_t{kTrials});
+    if (transient) {
+      EXPECT_EQ(bits(chained.simulation_effort()), bits(effort));
+      EXPECT_EQ(chained.simulation_count(), std::size_t{kTrials});
+    }
   }
 }
 
@@ -178,9 +252,11 @@ TEST(SolverBackendTest, BackendsAgreeOnRandomSyntheticSocs) {
     const std::vector<double> node_power = model.expand_power(power);
 
     const auto steady = thermal::solve_steady_state(model, power);
-    EXPECT_LT(max_rel_diff(steady.rise,
-                           linalg::CholeskyFactor(g).solve(node_power)),
-              kTolerance)
+    std::vector<double> steady_rise = steady.temperature;
+    for (double& t : steady_rise) t -= model.package().ambient;
+    EXPECT_LT(
+        max_rel_diff(steady_rise, linalg::CholeskyFactor(g).solve(node_power)),
+        kTolerance)
         << "seed=" << seed << " cores=" << cores;
 
     thermal::TransientOptions options;
@@ -366,8 +442,6 @@ TEST_P(PathSolveExactness, EntrySolvesAndSoloPeaksMatchTheFullSolve) {
             std::bit_cast<std::uint64_t>(full.simulation_effort()));
   EXPECT_EQ(path.simulation_count(), cores);
 }
-
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 /// session_peaks on `path` against simulate_session on `full` (both
 /// steady analyzers over one model), bit for bit.

@@ -49,7 +49,7 @@ TEST_F(AnalyzerTest, SteadyTemperaturesExceedTransientPeaks) {
   const SessionSimulation transient =
       analyzer_.simulate_session({5.0, 5.0, 0.0, 0.0}, 1.0);
   const std::vector<double> steady =
-      analyzer_.steady_block_temperatures({5.0, 5.0, 0.0, 0.0});
+      solve_steady_state(analyzer_.model(), {5.0, 5.0, 0.0, 0.0}).temperature;
   for (std::size_t b = 0; b < 4; ++b) {
     EXPECT_GE(steady[b] + 1e-9, transient.peak_temperature[b]);
   }

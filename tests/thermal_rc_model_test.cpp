@@ -61,7 +61,7 @@ TEST(RcModel, RowSumsEqualAmbientConductance) {
     double row_sum = 0.0;
     for (std::size_t c = 0; c < model.node_count(); ++c) row_sum += g(r, c);
     EXPECT_NEAR(row_sum, model.conductance_to_ambient(r), 1e-9)
-        << "node " << model.node_name(r);
+        << "node " << r;
   }
 }
 
@@ -108,15 +108,6 @@ TEST(RcModel, CapacitancesArePositiveAndScaleWithArea) {
   const auto& c = model.capacitance();
   for (double v : c) EXPECT_GT(v, 0.0);
   EXPECT_NEAR(c[1] / c[0], 4.0, 1e-9);
-}
-
-TEST(RcModel, NodeNamesAreDescriptive) {
-  const floorplan::Floorplan fp = quad_floorplan();
-  const RCModel model(fp, PackageParams{});
-  EXPECT_EQ(model.node_name(0), "block:a");
-  EXPECT_EQ(model.node_name(model.spreader_center_index()), "spreader_c");
-  EXPECT_EQ(model.node_name(model.sink_center_index()), "sink_c");
-  EXPECT_THROW(model.node_name(model.node_count()), InvalidArgument);
 }
 
 TEST(RcModel, ExpandPowerPlacesBlockPowerOnly) {

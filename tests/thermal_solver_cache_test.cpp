@@ -55,11 +55,13 @@ TEST(ThermalSolverCacheTest, CachedSteadySolveMatchesColdSolve) {
   const SteadyStateResult first = solve_steady_state(model, block_power);
   const SteadyStateResult second = solve_steady_state(model, block_power);
 
-  ASSERT_EQ(first.rise.size(), cold_rise.size());
+  ASSERT_EQ(first.temperature.size(), cold_rise.size());
+  const double ambient = model.package().ambient;
   for (std::size_t i = 0; i < cold_rise.size(); ++i) {
-    // Same factorization algorithm on the same matrix: bitwise equal.
-    EXPECT_DOUBLE_EQ(first.rise[i], cold_rise[i]);
-    EXPECT_DOUBLE_EQ(second.rise[i], cold_rise[i]);
+    // Same factorization algorithm on the same matrix, and the same
+    // ambient addition: bitwise equal.
+    EXPECT_EQ(first.temperature[i], ambient + cold_rise[i]);
+    EXPECT_EQ(second.temperature[i], ambient + cold_rise[i]);
   }
 }
 
@@ -107,7 +109,7 @@ TEST(ThermalSolverCacheTest, DistinctModelsNeverAliasEntries) {
   const auto block_power = centre_power(9, 10.0);
   const SteadyStateResult cool = solve_steady_state(a, block_power);
   const SteadyStateResult warm = solve_steady_state(c, block_power);
-  EXPECT_GT(warm.rise[4], cool.rise[4]);
+  EXPECT_GT(warm.temperature[4], cool.temperature[4]);
 }
 
 TEST(ThermalSolverCacheTest, GridModelFactorsHitTheCache) {

@@ -69,7 +69,7 @@ TEST_F(TransientTest, ConvergesToSteadyState) {
   const SteadyStateResult ss = solve_steady_state(model_, power_);
   for (std::size_t n = 0; n < model_.node_count(); ++n) {
     EXPECT_NEAR(tr.final_temperature[n], ss.temperature[n], 0.05)
-        << model_.node_name(n);
+        << "node " << n;
   }
 }
 

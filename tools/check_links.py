@@ -12,6 +12,11 @@ Validates, in README.md and docs/*.md:
    file's line count. Only spans rooted at a known top-level directory
    are checked, so shell examples like ``build/apps/thermosched`` (build
    outputs) are ignored.
+3. Qualified C++ names in inline code spans, e.g.
+   ``thermal::ThermalAnalyzer::simulate_session`` or
+   ``Floorplan::adjacencies()`` — the last component (without ``()``
+   or ``~``) must occur as a word in some file under src, apps, bench,
+   examples or tests, so a doc that names a deleted symbol fails.
 
 Stdlib only (CI runs it with a bare python3). Exit 0 = clean, 1 = rot.
 """
@@ -28,11 +33,15 @@ REPO = Path(__file__).resolve().parent.parent
 CODE_ROOTS = ("src", "docs", "examples", "tests", "bench", "apps", "cmake",
               "tools")
 
+# Directories whose files a qualified-name span must resolve in.
+SYMBOL_ROOTS = ("src", "apps", "bench", "examples", "tests")
+
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CODE_SPAN = re.compile(r"`([^`\n]+)`")
 CODE_PATH = re.compile(
     r"^(?:" + "|".join(CODE_ROOTS) + r")(?:/[A-Za-z0-9_.-]+)*"
     r"(?::(\d+))?$")
+QUALIFIED_NAME = re.compile(r"^[A-Za-z_]\w*(?:::~?[A-Za-z_]\w*)+(?:\(\))?$")
 
 
 def checked_files() -> list[Path]:
@@ -81,9 +90,33 @@ def check_code_refs(path: Path, text: str, errors: list[str]) -> None:
                               f"({count} lines)")
 
 
+def code_words() -> set[str]:
+    words: set[str] = set()
+    for root in SYMBOL_ROOTS:
+        for source in (REPO / root).rglob("*"):
+            if source.is_file():
+                words.update(re.findall(r"\w+", source.read_text(
+                    encoding="utf-8", errors="replace")))
+    return words
+
+
+def check_qualified_names(path: Path, text: str, words: set[str],
+                          errors: list[str]) -> None:
+    for match in CODE_SPAN.finditer(text):
+        span = match.group(1)
+        if not QUALIFIED_NAME.match(span):
+            continue
+        name = span.removesuffix("()").rsplit("::", 1)[1].lstrip("~")
+        if name not in words:
+            errors.append(f"{path.relative_to(REPO)}: code reference "
+                          f"`{span}` names {name}, which no file under "
+                          f"{', '.join(SYMBOL_ROOTS)} contains")
+
+
 def main() -> int:
     errors: list[str] = []
     files = checked_files()
+    words = code_words()
     for path in files:
         # Fenced code blocks are example input/output, not prose with
         # references — drop them before scanning.
@@ -91,6 +124,7 @@ def main() -> int:
                       flags=re.DOTALL)
         check_md_links(path, text, errors)
         check_code_refs(path, text, errors)
+        check_qualified_names(path, text, words, errors)
     if errors:
         print(f"check_links: {len(errors)} broken reference(s):")
         for error in errors:
