@@ -3,9 +3,10 @@
 //
 // Flow:
 //   1. *Pre-pass* (paper lines 1-7): simulate every core alone, record
-//      BCMT(i) (solo_prepass). The steady oracle solves only entry i of
-//      G⁻¹·(pᵢeᵢ), on i's elimination-tree path; the transient oracle
-//      steps the full session. The pre-pass depends on neither TL nor
+//      BCMT(i) (solo_prepass). The steady oracle solves nothing: BCMT(i)
+//      is ambient + pᵢ·(G⁻¹)ᵢᵢ from the model's self-resistance table;
+//      the transient oracle steps the full session. Either way each core
+//      is charged as one simulation. The pre-pass depends on neither TL nor
 //      STCL, so sweep_stcl runs it once and hands it to every point's
 //      generate(PreparedSoc, analyzer, prepass).
 //      Cores violating TL are handled per SoloViolationPolicy inside
@@ -17,8 +18,10 @@
 //      itself and its active neighbours (O(deg), bit-identical to a
 //      full rescan; SessionThermalModel::characteristic_with).
 //   3. *Validation* (lines 16-23): simulate the session with the full RC
-//      model (ThermalAnalyzer::session_peaks; the steady oracle solves
-//      only the session cores' elimination-tree paths). Every core whose
+//      model (ThermalAnalyzer::session_peaks; the steady oracle reads a
+//      one-core session from the same table, so it repeats BCMT bit for
+//      bit, and solves only the session cores' elimination-tree paths of
+//      a larger one). Every core whose
 //      peak temperature reaches TL gets its weight multiplied by
 //      weight_factor (1.1 in the paper), making it less likely to join a
 //      busy session; the session is discarded and construction restarts.

@@ -36,8 +36,10 @@ namespace thermo::dispatch {
 /// messages lost their source-file prefix. Revision 3: transient
 /// sessions whose length is a whole number of steps within rounding
 /// (2 s at dt = 1 ms) no longer end with a sliver step, which moves the
-/// temperatures of those records.
-inline constexpr std::uint32_t kResultSchemaRevision = 3;
+/// temperatures of those records. Revision 4: steady solo peaks come
+/// from each model's self-resistance table (ambient + pᵢ·(G⁻¹)ᵢᵢ), not a
+/// path solve, which moves the last bits of steady one-core fields.
+inline constexpr std::uint32_t kResultSchemaRevision = 4;
 
 class DiskResultMemo final : public ResultMemo {
  public:

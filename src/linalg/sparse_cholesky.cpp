@@ -10,7 +10,17 @@
 namespace thermo::linalg {
 
 namespace {
+
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
+/// c / dt, entry by entry: the stepper's diagonal stamp and its per-step
+/// right-hand-side factor, computed once.
+Vector divided(const Vector& c, double dt) {
+  Vector out(c.size());
+  for (std::size_t i = 0; i < c.size(); ++i) out[i] = c[i] / dt;
+  return out;
+}
+
 }  // namespace
 
 SparseCholeskyFactor::SparseCholeskyFactor(const SparseMatrix& a,
@@ -212,10 +222,48 @@ void SparseCholeskyFactor::solve_subset(std::span<const std::size_t> s,
   path.clear();
 }
 
-double SparseCholeskyFactor::solve_entry(std::size_t i, double b,
-                                         PathScratch& scratch) const {
-  solve_subset({&i, 1}, {&b, 1}, scratch);
-  return b;
+Vector SparseCholeskyFactor::inverse_diagonal() const {
+  // Z = A⁻¹ on L's pattern, in factor order: z[q] is Z at L's entry q
+  // (row row_indices_[q] of column j), z_diag the diagonal. Column j of
+  // the upper triangle only reads Z on struct(L_j) × struct(L_j), which
+  // later columns already filled: for i < k in struct(L_j), k is in
+  // struct(L_i), so Z_ki sits at an entry of column i.
+  std::vector<double> z(values_.size(), 0.0);
+  Vector z_diag(n_, 0.0);
+  Vector l(n_, 0.0);    // column j of L, scattered
+  Vector acc(n_, 0.0);  // Σ_k L_kj Z_ki over struct(L_j), per i
+  std::vector<std::size_t> mark(n_, kNone);
+  for (std::size_t j = n_; j-- > 0;) {
+    const std::size_t begin = col_offsets_[j];
+    const std::size_t end = col_offsets_[j + 1];
+    for (std::size_t q = begin; q < end; ++q) {
+      const std::size_t i = row_indices_[q];
+      l[i] = values_[q];
+      acc[i] = 0.0;
+      mark[i] = j;
+    }
+    for (std::size_t q = begin; q < end; ++q) {
+      const std::size_t i = row_indices_[q];
+      const double lij = values_[q];
+      acc[i] += lij * z_diag[i];
+      for (std::size_t p = col_offsets_[i]; p < col_offsets_[i + 1]; ++p) {
+        const std::size_t k = row_indices_[p];
+        if (mark[k] != j) continue;
+        acc[i] += l[k] * z[p];  // L_kj Z_ki
+        acc[k] += lij * z[p];   // L_ij Z_ik, by symmetry
+      }
+    }
+    double zjj = 1.0 / diag_[j];
+    for (std::size_t q = begin; q < end; ++q) {
+      z[q] = -acc[row_indices_[q]];
+      zjj -= values_[q] * z[q];
+    }
+    z_diag[j] = zjj;
+  }
+  if (perm_.empty()) return z_diag;
+  Vector out(n_);
+  for (std::size_t k = 0; k < n_; ++k) out[perm_[k]] = z_diag[k];
+  return out;
 }
 
 void SparseCholeskyFactor::substitute(Vector& x) const {
@@ -241,7 +289,7 @@ void SparseCholeskyFactor::substitute(Vector& x) const {
 SparseImplicitStepper::SparseImplicitStepper(const SparseMatrix& g,
                                              const Vector& capacitance,
                                              double dt)
-    : capacitance_(capacitance),
+    : c_over_dt_(divided(capacitance, dt)),
       dt_(dt),
       factor_([&] {
         THERMO_REQUIRE(g.rows() == g.cols(), "stepper: G must be square");
@@ -262,7 +310,7 @@ SparseImplicitStepper::SparseImplicitStepper(const SparseMatrix& g,
         for (std::size_t i = 0; i < capacitance.size(); ++i) {
           THERMO_REQUIRE(capacitance[i] > 0.0,
                          "stepper: capacitances must be positive");
-          builder.add(i, i, capacitance[i] / dt);
+          builder.add(i, i, c_over_dt_[i]);
         }
         return SparseCholeskyFactor(builder.build());
       }()) {}
@@ -280,7 +328,7 @@ void SparseImplicitStepper::step_in_place(Vector& y, const Vector& b,
   THERMO_REQUIRE(b.size() == size(), "stepper: rhs size mismatch");
   // (C/dt + G) y_next = C/dt y + b, the right-hand side built over y.
   for (std::size_t i = 0; i < size(); ++i) {
-    y[i] = capacitance_[i] / dt_ * y[i] + b[i];
+    y[i] = c_over_dt_[i] * y[i] + b[i];
   }
   factor_.solve_in_place(y, work);
 }

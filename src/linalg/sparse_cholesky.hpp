@@ -29,8 +29,10 @@
 //  * solve_subset() returns the entries on a set S of A⁻¹·b, for b
 //    supported on S, by walking only the union of S's elimination-tree
 //    paths: Σ over the union of |col j of L| flops twice, bit-identical
-//    to solve() on S (docs/SOLVERS.md "Path solves"). solve_entry() is
-//    its |S| = 1 case.
+//    to solve() on S (docs/SOLVERS.md "Path solves").
+//  * inverse_diagonal() returns diag(A⁻¹) by selected inversion on L's
+//    own column pattern: O(Σ |col j of L|²), the factorization's order
+//    (docs/SOLVERS.md "Self-resistance table").
 //  * solve() is const, deterministic, and thread-safe — the factor is
 //    shareable across sweep workers (an RCModel owns its factor of G;
 //    thermal::ThermalSolverCache keys the steppers by model identity).
@@ -117,9 +119,13 @@ class SparseCholeskyFactor {
   void solve_subset(std::span<const std::size_t> s, std::span<double> values,
                     PathScratch& scratch) const;
 
-  /// x[i] of A x = b·eᵢ, bit-identical to solve(b·eᵢ)[i]: solve_subset
-  /// with s = {i}.
-  double solve_entry(std::size_t i, double b, PathScratch& scratch) const;
+  /// diag(A⁻¹) in the original index order, by selected inversion
+  /// (Takahashi, Fagan & Chin 1973; Erisman & Tinney 1975): the
+  /// recurrence Z = D⁻¹L⁻¹ + (I − Lᵗ)Z, run backwards over the columns of
+  /// L, computes Z = A⁻¹ on L's pattern (closed under it) and nowhere
+  /// else. Σ |col j of L|² flops, no symbolic pass. Entries agree with
+  /// solve(eᵢ)[i] to rounding, not bit for bit.
+  Vector inverse_diagonal() const;
 
  private:
   void factorize(const SparseMatrix& a);
@@ -154,7 +160,7 @@ class SparseImplicitStepper {
                         double dt);
 
   double dt() const { return dt_; }
-  std::size_t size() const { return capacitance_.size(); }
+  std::size_t size() const { return c_over_dt_.size(); }
   const SparseCholeskyFactor& factor() const { return factor_; }
 
   /// Advances one step: returns y(t + dt) given y(t) and constant rhs b.
@@ -168,7 +174,7 @@ class SparseImplicitStepper {
   void step_in_place(Vector& y, const Vector& b, Vector& work) const;
 
  private:
-  Vector capacitance_;
+  Vector c_over_dt_;  // C/dt: the diagonal stamp, and y's factor per step
   double dt_;
   SparseCholeskyFactor factor_;
 };

@@ -10,9 +10,12 @@
 //     floorplan validated once; a request copies it, scales its test
 //     powers and validates the copy, which costs O(n) because the
 //     floorplan remembers its pass (Floorplan::require_valid);
-//   * one core::PreparedModel: the RCModel, which factors G on the
-//     first steady-oracle request and keeps it (RCModel::steady_factor),
-//     and the paper's session model;
+//   * one core::PreparedModel: the RCModel, which on the first
+//     steady-oracle request factors G and tabulates every block's
+//     self-resistance (G⁻¹)ᵢᵢ, and keeps both (RCModel::steady_factor,
+//     RCModel::self_resistance), so later steady requests on the
+//     geometry run their solo pre-pass in O(n); and the paper's session
+//     model;
 //   * per grid_steady discretisation (rows, cols), the GridThermalModel,
 //     which likewise factors its conductance matrix once and keeps it.
 // A 100-request Alpha batch builds the Alpha SoC once and factors G

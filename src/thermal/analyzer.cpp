@@ -24,11 +24,11 @@ ThermalAnalyzer::~ThermalAnalyzer() { flush_counters(); }
 
 void ThermalAnalyzer::flush_counters() {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
-  static obs::Counter& entry_solves = registry.counter("thermal.entry_solves");
+  static obs::Counter& solo_lookups = registry.counter("thermal.solo_lookups");
   static obs::Counter& solves = registry.counter("thermal.solves");
-  if (pending_entry_solves_ > 0) entry_solves.add(pending_entry_solves_);
+  if (pending_solo_lookups_ > 0) solo_lookups.add(pending_solo_lookups_);
   if (pending_solves_ > 0) solves.add(pending_solves_);
-  pending_entry_solves_ = 0;
+  pending_solo_lookups_ = 0;
   pending_solves_ = 0;
 }
 
@@ -72,10 +72,8 @@ double ThermalAnalyzer::solo_peak(std::size_t block, double power,
   const double p = power;
   THERMO_REQUIRE(std::isfinite(p) && p >= 0.0,
                  "block power must be finite and non-negative");
-  const linalg::SparseCholeskyFactor& factor = model_->steady_factor();
-  fit_scratch();
-  const double rise = factor.solve_entry(block, power, scratch_);
-  ++pending_entry_solves_;
+  const double rise = power * model_->self_resistance()[block];
+  ++pending_solo_lookups_;
   simulation_effort_ += duration;
   ++simulation_count_;
   return model_->package().ambient + rise;
@@ -113,11 +111,18 @@ SessionPeaks ThermalAnalyzer::session_peaks(
     for (std::size_t t = 0; t < cores.size(); ++t) {
       out.core_peak[t] = block_power[cores[t]];
     }
-    // G is an irreducibly diagonally dominant M-matrix, so the block
-    // maximum of a positive rise lies on a powered core; scanning the
-    // cores with ties to the lower index matches max_element's first
-    // maximum over all blocks.
-    model_->steady_factor().solve_subset(cores, out.core_peak, scratch_);
+    // One core is solo_peak's table read, so a one-core validation
+    // repeats its core's pre-pass peak bit for bit; more cores are
+    // path-solved. G is an irreducibly diagonally dominant M-matrix, so
+    // the block maximum of a positive rise lies on a powered core;
+    // scanning the cores with ties to the lower index matches
+    // max_element's first maximum over all blocks.
+    const bool solo = cores.size() == 1;
+    if (solo) {
+      out.core_peak[0] *= model_->self_resistance()[cores[0]];
+    } else {
+      model_->steady_factor().solve_subset(cores, out.core_peak, scratch_);
+    }
     const double ambient = model_->package().ambient;
     double max_rise = 0.0;
     for (std::size_t t = 0; t < cores.size(); ++t) {
@@ -131,7 +136,7 @@ SessionPeaks ThermalAnalyzer::session_peaks(
       }
     }
     if (max_rise > 0.0) {
-      ++pending_solves_;
+      ++(solo ? pending_solo_lookups_ : pending_solves_);
       simulation_effort_ += duration;
       ++simulation_count_;
       return out;

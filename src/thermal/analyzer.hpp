@@ -5,9 +5,10 @@
 // "simulation effort". Each oracle has one full-session path: a steady
 // session is solve_steady_state (the model's own factor of G,
 // RCModel::steady_factor), a transient one is simulate_session_from
-// at ambient (ThermalSolverCache's per-(model, dt) stepper). solo_peak
-// and session_peaks are the steady oracle's partial solves of the same
-// system.
+// at ambient (ThermalSolverCache's per-(model, dt) stepper). Under the
+// steady oracle, solo_peak and a one-core session_peaks read the model's
+// self-resistance table (RCModel::self_resistance), and a larger
+// session_peaks path-solves the session cores.
 #pragma once
 
 #include <cstddef>
@@ -94,12 +95,14 @@ class ThermalAnalyzer {
                                      double duration);
 
   /// Peak temperature of `block` when it alone dissipates `power` for
-  /// `duration` — bit for bit simulate_session(power·e_block,
+  /// `duration`: simulate_session(power·e_block,
   /// duration).peak_temperature[block], with the same checks and the
   /// same effort and count charge. Algorithm 1's solo pre-pass calls it
-  /// once per core. The steady oracle solves only the block's entry
-  /// (SparseCholeskyFactor::solve_entry); the transient oracle steps
-  /// the full session.
+  /// once per core. The transient oracle steps the full session, bit for
+  /// bit. The steady oracle solves nothing: it returns ambient + power·rᵢ
+  /// from RCModel::self_resistance, which agrees with the full solve to
+  /// rounding (within 1e-13 relative on the rise; docs/SOLVERS.md
+  /// "Self-resistance table").
   double solo_peak(std::size_t block, double power, double duration);
 
   /// The session cores' peaks, max_temperature and hottest_block of
@@ -107,12 +110,15 @@ class ThermalAnalyzer {
   /// the same effort and count charge. `cores` must be distinct block
   /// indices covering every block with non-zero power (InvalidArgument
   /// otherwise); Algorithm 1 validates each session through it. The
-  /// steady oracle solves only the union of the cores' elimination-tree
-  /// paths (SparseCholeskyFactor::solve_subset), so the peaks are bit
-  /// for bit those of the full solve, and takes the maximum over the
-  /// cores, which the maximum principle makes the block maximum
-  /// (docs/SOLVERS.md "Path solves"). It falls back to the full solve
-  /// when no core heats up. The transient oracle steps the full session.
+  /// steady oracle answers a one-core session whose rise is positive
+  /// exactly as solo_peak does, from the self-resistance table, with the
+  /// core as the hottest block. Otherwise it solves only the union of the
+  /// cores' elimination-tree paths (SparseCholeskyFactor::solve_subset),
+  /// so the peaks are bit for bit those of the full solve. Either way it
+  /// takes the maximum over the cores, which the maximum principle makes
+  /// the block maximum (docs/SOLVERS.md "Path solves"). It falls back to
+  /// the full solve when no core heats up. The transient oracle steps
+  /// the full session.
   SessionPeaks session_peaks(const std::vector<std::size_t>& cores,
                              const std::vector<double>& block_power,
                              double duration);
@@ -148,11 +154,12 @@ class ThermalAnalyzer {
   /// Resets the effort accounting (a scheduler run starts from zero).
   void reset_effort();
 
-  /// Adds the solo_peak and session_peaks solves made since the last
-  /// flush to the `thermal.entry_solves` and `thermal.solves` counters.
-  /// Those solves only count locally, so the hot path touches no shared
-  /// counter; core::solo_prepass and ThermalAwareScheduler::generate
-  /// flush once per run, and the destructor flushes the rest. (A steady
+  /// Adds the steady table reads (solo_peak, one-core session_peaks) and
+  /// the session_peaks path solves made since the last flush to the
+  /// `thermal.solo_lookups` and `thermal.solves` counters. Both only
+  /// count locally, so the hot path touches no shared counter;
+  /// core::solo_prepass and ThermalAwareScheduler::generate flush once
+  /// per run, and the destructor flushes the rest. (A steady
   /// simulate_session counts at the call, in solve_steady_state.)
   void flush_counters();
 
@@ -167,8 +174,8 @@ class ThermalAnalyzer {
   Options options_;
   double simulation_effort_ = 0.0;
   std::size_t simulation_count_ = 0;
-  linalg::PathScratch scratch_;  // solo_peak's and session_peaks' path solves
-  std::size_t pending_entry_solves_ = 0;
+  linalg::PathScratch scratch_;  // session_peaks' path solves
+  std::size_t pending_solo_lookups_ = 0;
   std::size_t pending_solves_ = 0;
 };
 

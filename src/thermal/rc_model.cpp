@@ -21,16 +21,33 @@ std::uint64_t next_identity() {
 
 }  // namespace
 
-const linalg::SparseCholeskyFactor& SteadyFactorSlot::get(
-    const linalg::SparseMatrix& g) {
-  std::call_once(once_, [&] {
-    static obs::Histogram& factor_ns =
-        obs::MetricsRegistry::instance().histogram("thermal.factor_ns");
+void SteadyFactorSlot::build(const linalg::SparseMatrix& g) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
+  {
+    static obs::Histogram& factor_ns = registry.histogram("thermal.factor_ns");
     obs::TraceSpan factor_span("thermal.factor");
     obs::ScopedTimer factor_timer(factor_ns);
     factor_ = std::make_unique<const linalg::SparseCholeskyFactor>(g);
-  });
+  }
+  if (table_nodes_ == 0) return;
+  static obs::Histogram& table_ns =
+      registry.histogram("thermal.self_resistance_ns");
+  obs::TraceSpan table_span("thermal.self_resistance");
+  obs::ScopedTimer table_timer(table_ns);
+  self_resistance_ = factor_->inverse_diagonal();
+  self_resistance_.resize(table_nodes_);
+}
+
+const linalg::SparseCholeskyFactor& SteadyFactorSlot::get(
+    const linalg::SparseMatrix& g) {
+  std::call_once(once_, [&] { build(g); });
   return *factor_;
+}
+
+const std::vector<double>& SteadyFactorSlot::self_resistance(
+    const linalg::SparseMatrix& g) {
+  std::call_once(once_, [&] { build(g); });
+  return self_resistance_;
 }
 
 double lateral_conductance(const fp::Floorplan& floorplan,
@@ -143,6 +160,7 @@ RCModel::RCModel(const fp::Floorplan& floorplan, const PackageParams& package)
   floorplan_.require_valid();
   block_count_ = floorplan_.size();
   build();
+  steady_ = std::make_shared<SteadyFactorSlot>(block_count_);
 }
 
 void RCModel::build() {

@@ -25,8 +25,9 @@
 //    periphery use the same slab forms; sink -> ambient splits the
 //    total r_convec across the five sink nodes by footprint area.
 //
-// The model owns its derived steady-state factor: the sparse LDLᵗ
-// factor of G is built on the first steady_factor() call and shared by
+// The model owns its derived steady-state state: the sparse LDLᵗ
+// factor of G and each block's self-resistance (G⁻¹)ᵢᵢ, both built on
+// the first steady_factor() or self_resistance() call and shared by
 // every copy of the model (SteadyFactorSlot). Transient steppers, one
 // per (model, dt), stay in ThermalSolverCache (solver_cache.hpp).
 //
@@ -80,20 +81,34 @@ std::array<double, kPackageNodes> stamp_package(
     linalg::SparseMatrix::Builder& builder, std::size_t first,
     const PackageParams& package);
 
-/// The factor of one model's conductance matrix G, built on the first
-/// get() and kept for the model's lifetime. Concurrent first calls
-/// factor once (std::call_once). The factorization records the
+/// The factor of one model's conductance matrix G, and optionally the
+/// self-resistance table diag(G⁻¹) of its leading nodes, built together
+/// on the first call and kept for the model's lifetime. Concurrent first
+/// calls build once (std::call_once). The factorization records the
 /// `thermal.factor` span and one `thermal.factor_ns` sample, as every
-/// factorization does. A model holds its slot through a shared_ptr, so
-/// copies of the model share the factor.
+/// factorization does; the table records `thermal.self_resistance` and
+/// one `thermal.self_resistance_ns` sample. A model holds its slot
+/// through a shared_ptr, so copies of the model share both.
 class SteadyFactorSlot {
  public:
+  /// The slot tabulates nodes [0, table_nodes); 0 builds no table.
+  explicit SteadyFactorSlot(std::size_t table_nodes = 0)
+      : table_nodes_(table_nodes) {}
+
   /// The factor of `g`, which must be the owning model's G on every call.
   const linalg::SparseCholeskyFactor& get(const linalg::SparseMatrix& g);
 
+  /// (G⁻¹)ᵢᵢ for i < table_nodes, by SparseCholeskyFactor::
+  /// inverse_diagonal on get(g)'s factor; `g` as for get().
+  const std::vector<double>& self_resistance(const linalg::SparseMatrix& g);
+
  private:
+  void build(const linalg::SparseMatrix& g);
+
+  std::size_t table_nodes_;
   std::once_flag once_;
   std::unique_ptr<const linalg::SparseCholeskyFactor> factor_;
+  std::vector<double> self_resistance_;
 };
 
 class RCModel {
@@ -134,6 +149,16 @@ class RCModel {
     return steady_->get(sparse_);
   }
 
+  /// Self-resistance per block [K/W]: entry i is (G⁻¹)ᵢᵢ, block i's
+  /// steady rise per watt when it alone dissipates. Built with
+  /// steady_factor() (whichever is called first builds both) and shared
+  /// the same way. A steady solo peak is ambient + pᵢ·rᵢ
+  /// (ThermalAnalyzer::solo_peak; docs/SOLVERS.md "Self-resistance
+  /// table").
+  const std::vector<double>& self_resistance() const {
+    return steady_->self_resistance(sparse_);
+  }
+
   /// Per-node heat capacity [J/K] (all positive).
   const std::vector<double>& capacitance() const { return capacitance_; }
 
@@ -161,8 +186,7 @@ class RCModel {
   linalg::SparseMatrix sparse_;
   std::vector<double> capacitance_;
   std::vector<double> ambient_conductance_;
-  std::shared_ptr<SteadyFactorSlot> steady_ =
-      std::make_shared<SteadyFactorSlot>();
+  std::shared_ptr<SteadyFactorSlot> steady_;  // tabulates the blocks
 };
 
 }  // namespace thermo::thermal

@@ -33,7 +33,6 @@ TransientResult simulate_transient(const RCModel& model,
   for (std::size_t i = 0; i < n; ++i) state[i] = initial[i] - ambient;
 
   TransientResult result;
-  result.final_temperature = initial;
   result.peak_temperature = initial;
 
   auto record = [&](const std::vector<double>& rise) {
@@ -43,7 +42,10 @@ TransientResult simulate_transient(const RCModel& model,
     }
   };
 
-  if (duration == 0.0) return result;
+  if (duration == 0.0) {
+    result.final_temperature = initial;
+    return result;
+  }
 
   // The (C/dt + G) factor is shared through the solver cache: repeated
   // sessions on the same model at the same dt — Algorithm 1 validates
@@ -84,6 +86,7 @@ TransientResult simulate_transient(const RCModel& model,
       obs::MetricsRegistry::instance().counter("thermal.steps");
   steps.add(result.steps);
 
+  result.final_temperature.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     result.final_temperature[i] = ambient + state[i];
   }

@@ -137,7 +137,7 @@ void expect_same_result(const ScheduleResult& a, const ScheduleResult& b) {
   EXPECT_EQ(a.notes, b.notes);
 }
 
-// The sweep runs the solo pre-pass once (n entry solves, not n per
+// The sweep runs the solo pre-pass once (n table reads, not n per
 // point) and hands it to every point; each point still equals its own
 // generate() run, and a prepared run with a handed pre-pass gives
 // generate() bit-identical results, notes included, under every solo
@@ -145,8 +145,8 @@ void expect_same_result(const ScheduleResult& a, const ScheduleResult& b) {
 TEST(StclSweepTest, SharedPrepassRunsOnceAndMatchesPerPointRuns) {
   const HotSoc hot = hot_soc();
   const std::vector<double> stcls{300.0, 600.0, 1000.0};
-  obs::Counter& entry_solves =
-      obs::MetricsRegistry::instance().counter("thermal.entry_solves");
+  obs::Counter& solo_lookups =
+      obs::MetricsRegistry::instance().counter("thermal.solo_lookups");
   for (const SoloViolationPolicy policy :
        {SoloViolationPolicy::kRaiseLimit, SoloViolationPolicy::kExclude}) {
     StclSweepConfig config;
@@ -155,9 +155,12 @@ TEST(StclSweepTest, SharedPrepassRunsOnceAndMatchesPerPointRuns) {
     config.scheduler.model.stc_scale = 10.0;
     config.analyzer = hot.oracle;
     config.threads = 2;
-    const std::uint64_t before = entry_solves.value();
+    const std::uint64_t before = solo_lookups.value();
     const auto points = sweep_stcl(hot.prepared_soc(), stcls, config);
-    EXPECT_EQ(entry_solves.value() - before, hot.soc.core_count());
+    const std::uint64_t sweep_lookups = solo_lookups.value() - before;
+    // The pre-pass's n reads, plus every point's one-core validations,
+    // counted on the direct runs below (a point equals its direct run).
+    std::uint64_t one_core = 0;
 
     ASSERT_EQ(points.size(), stcls.size());
     for (std::size_t i = 0; i < stcls.size(); ++i) {
@@ -166,6 +169,9 @@ TEST(StclSweepTest, SharedPrepassRunsOnceAndMatchesPerPointRuns) {
       options.stc_limit = stcls[i];
       const ThermalAwareScheduler scheduler(options);
       const ScheduleResult direct = scheduler.generate(hot.soc, analyzer);
+      one_core += static_cast<std::uint64_t>(std::count_if(
+          direct.outcomes.begin(), direct.outcomes.end(),
+          [](const SessionOutcome& o) { return o.session.size() == 1; }));
       EXPECT_FALSE(direct.notes.empty());
       EXPECT_EQ(points[i].stcl, stcls[i]);
       EXPECT_EQ(points[i].schedule_length, direct.schedule_length);
@@ -180,6 +186,7 @@ TEST(StclSweepTest, SharedPrepassRunsOnceAndMatchesPerPointRuns) {
       expect_same_result(
           scheduler.generate(hot.prepared_soc(), analyzer, prepass), direct);
     }
+    EXPECT_EQ(sweep_lookups, hot.soc.core_count() + one_core);
   }
 }
 
@@ -210,18 +217,19 @@ TEST(StclSweepTest, SharedPrepassKeepsTheSoloViolationError) {
 }
 
 // The transient oracle's pre-pass steps every solo session in full: no
-// entry solves (its points against direct runs: the first test above).
+// self-resistance table reads (its points against direct runs: the first
+// test above).
 TEST(StclSweepTest, TransientOracleMakesNoEntrySolves) {
   const SocSpec soc = nine_soc();
   const PreparedModel prepared(soc);
   StclSweepConfig config;
   config.scheduler.temperature_limit = 150.0;
-  obs::Counter& entry_solves =
-      obs::MetricsRegistry::instance().counter("thermal.entry_solves");
-  const std::uint64_t before = entry_solves.value();
+  obs::Counter& solo_lookups =
+      obs::MetricsRegistry::instance().counter("thermal.solo_lookups");
+  const std::uint64_t before = solo_lookups.value();
   EXPECT_EQ(sweep_stcl({soc, prepared}, {20.0, 40.0, 80.0}, config).size(),
             3u);
-  EXPECT_EQ(entry_solves.value(), before);
+  EXPECT_EQ(solo_lookups.value(), before);
 }
 
 }  // namespace

@@ -257,7 +257,7 @@ TEST(ThermalSchedulerObs, CountersMatchTheResultAndCostIsPerNeighbour) {
   const std::uint64_t validations_before = value("core.validations");
   const std::uint64_t discarded_before = value("core.discarded_sessions");
   const std::uint64_t solves_before = value("thermal.solves");
-  const std::uint64_t entry_solves_before = value("thermal.entry_solves");
+  const std::uint64_t solo_lookups_before = value("thermal.solo_lookups");
   const std::uint64_t steps_before = value("thermal.steps");
   const ScheduleResult result =
       ThermalAwareScheduler(options).generate(soc, analyzer);
@@ -271,11 +271,18 @@ TEST(ThermalSchedulerObs, CountersMatchTheResultAndCostIsPerNeighbour) {
             result.simulation_count);
   EXPECT_EQ(value("core.discarded_sessions") - discarded_before,
             result.discarded_sessions);
-  // The steady oracle: one entry solve per core in the pre-pass, one
-  // full solve per validation, no steps.
-  EXPECT_EQ(value("thermal.entry_solves") - entry_solves_before,
-            soc.core_count());
-  EXPECT_EQ(value("thermal.solves") - solves_before, result.simulation_count);
+  // The steady oracle: one self-resistance table read per core in the
+  // pre-pass and per one-core validation, one path solve per larger
+  // validation, no steps. A one-core validation that failed would have
+  // thrown, so every one-core validation was committed.
+  const auto one_core = static_cast<std::uint64_t>(std::count_if(
+      result.outcomes.begin(), result.outcomes.end(),
+      [](const SessionOutcome& o) { return o.session.size() == 1; }));
+  EXPECT_GT(one_core, 0u);
+  EXPECT_EQ(value("thermal.solo_lookups") - solo_lookups_before,
+            soc.core_count() + one_core);
+  EXPECT_EQ(value("thermal.solves") - solves_before,
+            result.simulation_count - one_core);
   EXPECT_EQ(value("thermal.steps"), steps_before);
 
   std::vector<std::uint64_t> degree(soc.core_count(), 0);

@@ -11,6 +11,7 @@
 #include <cstdint>
 
 #include "oracles/cholesky.hpp"
+#include "oracles/lu.hpp"
 #include "oracles/ode.hpp"
 #include "oracles/sparse_ops.hpp"
 #include "util/error.hpp"
@@ -146,13 +147,20 @@ void expect_clean(const PathScratch& scratch, std::size_t n) {
   EXPECT_TRUE(scratch.path.empty());
 }
 
-/// solve_entry(i, b) against solve(b·eᵢ)[i], bit for bit, at every node
-/// and for a random b and b = +0, with the scratch checked all zero
-/// after every call. Why the bits agree: with b·eᵢ as right-hand side
-/// every entry off i's elimination-tree path stays +0 in the full
-/// solve, so each update solve_entry skips is x − v·(±0) — an exact
-/// no-op that also leaves a +0 as +0 — and every update it keeps runs
-/// on the same operands in the same order as in solve().
+/// x[i] of A x = b·eᵢ by the path solve on S = {i}.
+double solve_entry(const SparseCholeskyFactor& factor, std::size_t i, double b,
+                   PathScratch& scratch) {
+  factor.solve_subset({&i, 1}, {&b, 1}, scratch);
+  return b;
+}
+
+/// The path solve on S = {i} against solve(b·eᵢ)[i], bit for bit, at
+/// every node and for a random b and b = +0, with the scratch checked
+/// all zero after every call. Why the bits agree: with b·eᵢ as
+/// right-hand side every entry off i's elimination-tree path stays +0 in
+/// the full solve, so each update the path solve skips is x − v·(±0) —
+/// an exact no-op that also leaves a +0 as +0 — and every update it
+/// keeps runs on the same operands in the same order as in solve().
 void expect_entry_solves_match(const SparseCholeskyFactor& factor, Rng& rng) {
   const std::size_t n = factor.size();
   PathScratch scratch(n);
@@ -160,11 +168,11 @@ void expect_entry_solves_match(const SparseCholeskyFactor& factor, Rng& rng) {
     const double b = rng.uniform(-5.0, 5.0);
     Vector rhs(n, 0.0);
     rhs[i] = b;
-    EXPECT_EQ(bits(factor.solve_entry(i, b, scratch)),
+    EXPECT_EQ(bits(solve_entry(factor, i, b, scratch)),
               bits(factor.solve(rhs)[i]))
         << "n=" << n << " i=" << i;
     expect_clean(scratch, n);
-    EXPECT_EQ(bits(factor.solve_entry(i, 0.0, scratch)), bits(0.0))
+    EXPECT_EQ(bits(solve_entry(factor, i, 0.0, scratch)), bits(0.0))
         << "n=" << n << " i=" << i;
     expect_clean(scratch, n);
   }
@@ -238,13 +246,53 @@ TEST(SparseCholeskyTest, SolveEntryRejectsBadArguments) {
   Rng rng(2);
   const SparseCholeskyFactor factor(random_spd(rng, 4, 0));
   PathScratch scratch(4);
-  EXPECT_THROW(factor.solve_entry(4, 1.0, scratch), InvalidArgument);
+  EXPECT_THROW(solve_entry(factor, 4, 1.0, scratch), InvalidArgument);
   PathScratch short_scratch(3);
-  EXPECT_THROW(factor.solve_entry(0, 1.0, short_scratch), InvalidArgument);
+  EXPECT_THROW(solve_entry(factor, 0, 1.0, short_scratch), InvalidArgument);
   const std::vector<std::size_t> s = {0, 1};
   Vector one(1, 1.0);
   EXPECT_THROW(factor.solve_subset(s, one, scratch), InvalidArgument);
   expect_clean(scratch, 4);
+}
+
+/// inverse_diagonal() against the diagonal of the dense LU inverse,
+/// within `rel` of each entry (every entry of an SPD inverse's diagonal
+/// is positive).
+void expect_inverse_diagonal_matches(const SparseMatrix& a,
+                                     const SparseCholeskyFactor& factor,
+                                     double rel) {
+  const DenseMatrix inverse = LuDecomposition(to_dense(a)).inverse();
+  const Vector z = factor.inverse_diagonal();
+  ASSERT_EQ(z.size(), a.rows());
+  for (std::size_t i = 0; i < z.size(); ++i) {
+    EXPECT_NEAR(z[i], inverse(i, i), rel * inverse(i, i))
+        << "n=" << a.rows() << " i=" << i;
+  }
+}
+
+// Selected inversion on random SPD matrices of 1–63 nodes, in natural
+// and minimum-degree order (the permutation is undone on return), and
+// on a diagonal matrix, where it is 1/aᵢᵢ exactly. The couplings are
+// random, so the column patterns of L are far from a thermal model's.
+TEST(SparseCholeskyTest, InverseDiagonalMatchesTheDenseInverse) {
+  Rng rng(29);
+  for (std::size_t n : {1u, 2u, 3u, 5u, 17u, 40u, 63u}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const SparseMatrix a = random_spd(rng, n, 2 * n);
+      for (const Ordering ordering :
+           {Ordering::kNatural, Ordering::kMinDegree}) {
+        expect_inverse_diagonal_matches(a, SparseCholeskyFactor(a, ordering),
+                                        1e-12);
+      }
+    }
+  }
+  SparseMatrix::Builder diagonal(6, 6);
+  for (std::size_t i = 0; i < 6; ++i) diagonal.add(i, i, 1.5 + i);
+  const SparseCholeskyFactor factor(diagonal.build());
+  const Vector z = factor.inverse_diagonal();
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(bits(z[i]), bits(1.0 / (1.5 + i))) << "i=" << i;
+  }
 }
 
 TEST(SparseImplicitStepperTest, TracksDenseStepper) {

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -396,11 +397,30 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1u, 2u, 3u),
                        ::testing::Values(20u, 90u, 400u)));
 
-// The solo pre-pass's path solve on the RC models Algorithm 1 runs on,
-// in the min-degree ordering the solver cache uses: solve_entry at every
-// node, and ThermalAnalyzer::solo_peak at every core, bit for bit
-// against the full solve (the exactness argument is in
-// linalg_sparse_cholesky_test.cpp and docs/SOLVERS.md).
+/// Tolerance of a steady table read (ambient + p·(G⁻¹)ᵢᵢ) against the
+/// solve it replaces, relative to the rise. The largest gap measured on
+/// the alg1-shape SoCs of 1010 to 10,010 nodes is 2.8e-15
+/// (docs/SOLVERS.md "Self-resistance table").
+constexpr double kTableRel = 1e-13;
+
+/// `peak` within kTableRel of `expected` on the rise over `ambient`. Both
+/// temperatures are ambient + rise rounded, which adds up to one ulp of
+/// the temperature to the gap (7.1e-15 at 45 °C, 1e-13 of a 0.07 K rise).
+void expect_rise_near(double peak, double expected, double ambient) {
+  const double ulp =
+      std::nextafter(expected, std::numeric_limits<double>::infinity()) -
+      expected;
+  EXPECT_NEAR(peak - ambient, expected - ambient,
+              kTableRel * (expected - ambient) + ulp);
+}
+
+// The path solve on one node, on the RC models Algorithm 1 runs on, in
+// the min-degree ordering the models use: solve_subset on {i} bit for
+// bit against the full solve at every node (the exactness argument is in
+// linalg_sparse_cholesky_test.cpp and docs/SOLVERS.md), and
+// ThermalAnalyzer::solo_peak, a self-resistance table read, within
+// kTableRel of the full solve's rise at every core, with the same
+// effort and count charge.
 class PathSolveExactness : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(PathSolveExactness, EntrySolvesAndSoloPeaksMatchTheFullSolve) {
@@ -413,10 +433,10 @@ TEST_P(PathSolveExactness, EntrySolvesAndSoloPeaksMatchTheFullSolve) {
   const std::size_t n = model->node_count();
   linalg::PathScratch scratch(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const double b = i < cores ? soc.tests[i].power : 1.0;
+    double entry = i < cores ? soc.tests[i].power : 1.0;
     std::vector<double> rhs(n, 0.0);
-    rhs[i] = b;
-    const double entry = factor.solve_entry(i, b, scratch);
+    rhs[i] = entry;
+    factor.solve_subset({&i, 1}, {&entry, 1}, scratch);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(entry),
               std::bit_cast<std::uint64_t>(factor.solve(rhs)[i]))
         << "cores=" << cores << " node=" << i;
@@ -427,6 +447,7 @@ TEST_P(PathSolveExactness, EntrySolvesAndSoloPeaksMatchTheFullSolve) {
   steady.transient = false;
   thermal::ThermalAnalyzer path(model, steady);
   thermal::ThermalAnalyzer full(model, steady);
+  const double ambient = soc.package.ambient;
   for (std::size_t i = 0; i < cores; ++i) {
     core::TestSession solo;
     solo.cores.push_back(i);
@@ -434,9 +455,9 @@ TEST_P(PathSolveExactness, EntrySolvesAndSoloPeaksMatchTheFullSolve) {
         path.solo_peak(i, soc.tests[i].power, soc.tests[i].length);
     const thermal::SessionSimulation sim =
         full.simulate_session(solo.power_map(soc), solo.length(soc));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(peak),
-              std::bit_cast<std::uint64_t>(sim.peak_temperature[i]))
-        << "cores=" << cores << " core=" << i;
+    SCOPED_TRACE("cores=" + std::to_string(cores) +
+                 " core=" + std::to_string(i));
+    expect_rise_near(peak, sim.peak_temperature[i], ambient);
   }
   EXPECT_EQ(std::bit_cast<std::uint64_t>(path.simulation_effort()),
             std::bit_cast<std::uint64_t>(full.simulation_effort()));
@@ -444,7 +465,9 @@ TEST_P(PathSolveExactness, EntrySolvesAndSoloPeaksMatchTheFullSolve) {
 }
 
 /// session_peaks on `path` against simulate_session on `full` (both
-/// steady analyzers over one model), bit for bit.
+/// steady analyzers over one model): bit for bit, except that a one-core
+/// session with a positive rise is a self-resistance table read, within
+/// kTableRel on the rise. The hottest block is equal either way.
 void expect_session_peaks_match(thermal::ThermalAnalyzer& path,
                                 thermal::ThermalAnalyzer& full,
                                 const std::vector<std::size_t>& cores,
@@ -455,6 +478,15 @@ void expect_session_peaks_match(thermal::ThermalAnalyzer& path,
   const thermal::SessionSimulation sim =
       full.simulate_session(block_power, duration);
   ASSERT_EQ(peaks.core_peak.size(), cores.size());
+  const double ambient = path.model().package().ambient;
+  if (cores.size() == 1 && sim.max_temperature > ambient) {
+    SCOPED_TRACE("core=" + std::to_string(cores[0]));
+    expect_rise_near(peaks.core_peak[0], sim.peak_temperature[cores[0]],
+                     ambient);
+    EXPECT_EQ(bits(peaks.max_temperature), bits(peaks.core_peak[0]));
+    EXPECT_EQ(peaks.hottest_block, sim.hottest_block);
+    return;
+  }
   for (std::size_t t = 0; t < cores.size(); ++t) {
     EXPECT_EQ(bits(peaks.core_peak[t]), bits(sim.peak_temperature[cores[t]]))
         << "core=" << cores[t];
@@ -541,6 +573,61 @@ TEST_P(PathSolveExactness, SubsetSolvesAndSessionPeaksMatchTheFullSolve) {
 
 INSTANTIATE_TEST_SUITE_P(SyntheticSocs, PathSolveExactness,
                          ::testing::Values(8u, 246u, 1000u));
+
+// The self-resistance table on the RC models Algorithm 1 runs on: pᵢ·rᵢ
+// within kTableRel of the path solve on {i} at every core; each steady
+// one-core session_peaks within kTableRel of simulate_session on the
+// rise, naming the same hottest block (the core); and, after
+// solo_prepass, each one-core validation repeating its core's BCMT bit
+// for bit, which Algorithm 1's single-core check relies on.
+class SelfResistanceTable : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SelfResistanceTable, SoloRisesMatchTheSolvesAndValidationsMatchBcmt) {
+  const std::size_t cores = GetParam();
+  const core::SocSpec soc = random_soc(cores + 11, cores);
+  const auto model =
+      std::make_shared<const thermal::RCModel>(soc.flp, soc.package);
+  const std::vector<double>& r = model->self_resistance();
+  ASSERT_EQ(r.size(), cores);
+  const linalg::SparseCholeskyFactor& factor = model->steady_factor();
+  linalg::PathScratch scratch(model->node_count());
+  for (std::size_t i = 0; i < cores; ++i) {
+    const double p = soc.tests[i].power;
+    double rise = p;
+    factor.solve_subset({&i, 1}, {&rise, 1}, scratch);
+    EXPECT_NEAR(p * r[i], rise, kTableRel * rise)
+        << "cores=" << cores << " core=" << i;
+  }
+
+  thermal::ThermalAnalyzer::Options steady;
+  steady.transient = false;
+  thermal::ThermalAnalyzer analyzer(model, steady);
+  thermal::ThermalAnalyzer full(model, steady);
+  const core::SoloPrepass prepass = core::solo_prepass(soc, analyzer);
+  const double ambient = soc.package.ambient;
+  for (std::size_t i = 0; i < cores; ++i) {
+    SCOPED_TRACE("cores=" + std::to_string(cores) +
+                 " core=" + std::to_string(i));
+    core::TestSession solo;
+    solo.cores.push_back(i);
+    const std::vector<double> power = solo.power_map(soc);
+    const thermal::SessionPeaks peaks =
+        analyzer.session_peaks(solo.cores, power, solo.length(soc));
+    EXPECT_EQ(bits(peaks.core_peak[0]), bits(prepass.bcmt[i]));
+    EXPECT_EQ(bits(peaks.max_temperature), bits(prepass.bcmt[i]));
+    EXPECT_EQ(peaks.hottest_block, i);
+    const thermal::SessionSimulation sim =
+        full.simulate_session(power, solo.length(soc));
+    expect_rise_near(peaks.core_peak[0], sim.peak_temperature[i], ambient);
+    EXPECT_EQ(sim.hottest_block, i);
+  }
+  EXPECT_EQ(bits(analyzer.simulation_effort()),
+            bits(full.simulation_effort()));
+  EXPECT_EQ(analyzer.simulation_count(), full.simulation_count());
+}
+
+INSTANTIATE_TEST_SUITE_P(SyntheticSocs, SelfResistanceTable,
+                         ::testing::Values(8u, 246u, 1000u, 4000u));
 
 // Ties: a mirror-symmetric m×m grid of equal blocks, validated with
 // mirror-image cores at equal power, where blocks can reach the same

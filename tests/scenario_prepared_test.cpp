@@ -94,7 +94,7 @@ TEST(PreparedModels, GenStreamBuildsEachPartOnce) {
 
 // A steady run never asks the solver cache for anything: the entry's
 // model factors G once, on its first steady request, however many
-// entry and validation solves follow.
+// table reads and validation solves follow.
 TEST(PreparedModels, SteadySolvesDoNotLookUpTheFactor) {
   std::string input;
   for (const char* scale : {"1", "1.2", "1.4"}) {
@@ -110,12 +110,12 @@ TEST(PreparedModels, SteadySolvesDoNotLookUpTheFactor) {
   const std::uint64_t lookups_before = lookups();
   const std::uint64_t factored_before = factorizations();
   const std::uint64_t solves_before =
-      counter("thermal.entry_solves") + counter("thermal.solves");
+      counter("thermal.solo_lookups") + counter("thermal.solves");
   const Served run = serve(input, 4);
   ASSERT_EQ(run.summary.succeeded, 3u);
   EXPECT_EQ(lookups() - lookups_before, 0u);
   EXPECT_EQ(factorizations() - factored_before, 1u);
-  EXPECT_GT(counter("thermal.entry_solves") + counter("thermal.solves") -
+  EXPECT_GT(counter("thermal.solo_lookups") + counter("thermal.solves") -
                 solves_before,
             3u * 64u);
 }
