@@ -70,7 +70,6 @@
 #include "scenario/runner.hpp"
 #include "scenario/serve.hpp"
 #include "thermal/analyzer.hpp"
-#include "thermal/solver_cache.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -384,12 +383,33 @@ int cmd_sweep(const CommonArgs& args) {
   for (const core::StclSweepPoint& point : points) {
     effective_tl = std::max(effective_tl, point.effective_temperature_limit);
   }
-  const auto stats = thermal::ThermalSolverCache::instance().stats();
+  // Every factorization (G's and the steppers') is one thermal.factor_ns
+  // sample; each transient session looks its stepper up once.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
   std::cout << "TL = " << args.tl << " C (effective "
             << format_double(effective_tl, 2) << " C), " << stcls.size()
-            << " STCL values; solver cache: " << stats.misses
-            << " factorizations, " << stats.hits << " cached solves\n";
+            << " STCL values; "
+            << registry.histogram("thermal.factor_ns").count()
+            << " factorizations, "
+            << registry.counter("thermal.solver_cache.hits").value()
+            << " stepper reuses\n";
   return kExitOk;
+}
+
+/// Writes `text` and a newline to `path`, a serve artifact of the given
+/// kind ("summary", "trace", "metrics"). A file that cannot be opened,
+/// or a full disk, is a runtime error rather than a truncated artifact.
+void write_artifact(const std::string& path, const std::string& kind,
+                    const std::string& text) {
+  std::ofstream file(path);
+  if (!file) {
+    throw Error("cannot open " + kind + " file '" + path + "' for writing");
+  }
+  file << text << '\n';
+  file.flush();
+  if (!file.good()) {
+    throw Error("failed writing " + kind + " to '" + path + "'");
+  }
 }
 
 int cmd_serve(const CommonArgs& args) {
@@ -447,47 +467,18 @@ int cmd_serve(const CommonArgs& args) {
 
   // Per-batch execution stats (makespan, tail latency, memo hit rate,
   // per-request timings) are summary-only — they may never enter the
-  // deterministic results stream, so they get their own file.
+  // deterministic results stream, so they get their own file. So do the
+  // observability artifacts.
   if (!args.summary_json_path.empty()) {
-    std::ofstream summary_file(args.summary_json_path);
-    if (!summary_file) {
-      throw Error("cannot open summary file '" + args.summary_json_path +
-                  "' for writing");
-    }
-    summary_file << scenario::serve_summary_to_json(summary).dump() << '\n';
-    summary_file.flush();
-    if (!summary_file.good()) {
-      throw Error("failed writing summary to '" + args.summary_json_path +
-                  "'");
-    }
+    write_artifact(args.summary_json_path, "summary",
+                   scenario::serve_summary_to_json(summary).dump());
   }
-
-  // Observability artifacts are summary-like: never part of the
-  // deterministic results stream, so each gets its own file.
   if (tracing) {
-    std::ofstream trace_file(args.trace_path);
-    if (!trace_file) {
-      throw Error("cannot open trace file '" + args.trace_path +
-                  "' for writing");
-    }
-    trace_file << trace.snapshot_json().dump() << '\n';
-    trace_file.flush();
-    if (!trace_file.good()) {
-      throw Error("failed writing trace to '" + args.trace_path + "'");
-    }
+    write_artifact(args.trace_path, "trace", trace.snapshot_json().dump());
   }
   if (!args.metrics_json_path.empty()) {
-    std::ofstream metrics_file(args.metrics_json_path);
-    if (!metrics_file) {
-      throw Error("cannot open metrics file '" + args.metrics_json_path +
-                  "' for writing");
-    }
-    metrics_file << obs::MetricsRegistry::instance().to_json().dump() << '\n';
-    metrics_file.flush();
-    if (!metrics_file.good()) {
-      throw Error("failed writing metrics to '" + args.metrics_json_path +
-                  "'");
-    }
+    write_artifact(args.metrics_json_path, "metrics",
+                   obs::MetricsRegistry::instance().to_json().dump());
   }
 
   // Summary goes to stderr: with --out -, stdout is the results stream

@@ -83,8 +83,10 @@ SoloPrepass solo_prepass(const SocSpec& soc,
   prepass.bcmt.resize(soc.core_count());
   analyzer.reset_effort();
   for (std::size_t i = 0; i < soc.core_count(); ++i) {
-    prepass.bcmt[i] =
-        analyzer.solo_peak(i, soc.tests[i].power, soc.tests[i].length);
+    prepass.bcmt[i] = analyzer
+                          .session_peaks({&i, 1}, {&soc.tests[i].power, 1},
+                                         soc.tests[i].length)
+                          .core_peak[0];
   }
   prepass.effort = analyzer.simulation_effort();
   analyzer.reset_effort();
@@ -165,6 +167,7 @@ ScheduleResult ThermalAwareScheduler::schedule(
     return std::count(scheduled.begin(), scheduled.end(), false);
   };
 
+  std::vector<double> session_power;  // power[] on the session cores
   std::size_t attempts = 0;
   std::size_t stc_evaluations = 0;
   std::size_t stc_terms = 0;
@@ -209,8 +212,10 @@ ScheduleResult ThermalAwareScheduler::schedule(
                        std::to_string(options_.max_attempts) + ")");
     }
     const double length = session.length(soc);
+    session_power.clear();
+    for (std::size_t core : session.cores) session_power.push_back(power[core]);
     const thermal::SessionPeaks sim =
-        analyzer.session_peaks(session.cores, session.power_map(soc), length);
+        analyzer.session_peaks(session.cores, session_power, length);
 
     bool valid = true;
     for (std::size_t t = 0; t < session.size(); ++t) {

@@ -3,10 +3,11 @@
 //
 // Flow:
 //   1. *Pre-pass* (paper lines 1-7): simulate every core alone, record
-//      BCMT(i) (solo_prepass). The steady oracle solves nothing: BCMT(i)
-//      is ambient + pᵢ·(G⁻¹)ᵢᵢ from the model's self-resistance table;
-//      the transient oracle steps the full session. Either way each core
-//      is charged as one simulation. The pre-pass depends on neither TL nor
+//      BCMT(i) (solo_prepass: ThermalAnalyzer::session_peaks on {i}). The
+//      steady oracle solves nothing for a powered core: BCMT(i) is
+//      ambient + pᵢ·(G⁻¹)ᵢᵢ from the model's self-resistance table; the
+//      transient oracle steps the full session. Either way each core is
+//      charged as one simulation. The pre-pass depends on neither TL nor
 //      STCL, so sweep_stcl runs it once and hands it to every point's
 //      generate(PreparedSoc, analyzer, prepass).
 //      Cores violating TL are handled per SoloViolationPolicy inside
@@ -18,7 +19,8 @@
 //      itself and its active neighbours (O(deg), bit-identical to a
 //      full rescan; SessionThermalModel::characteristic_with).
 //   3. *Validation* (lines 16-23): simulate the session with the full RC
-//      model (ThermalAnalyzer::session_peaks; the steady oracle reads a
+//      model (ThermalAnalyzer::session_peaks on the session cores and
+//      their powers, the pre-pass's question; the steady oracle reads a
 //      one-core session from the same table, so it repeats BCMT bit for
 //      bit, and solves only the session cores' elimination-tree paths of
 //      a larger one). Every core whose
@@ -83,9 +85,9 @@ struct SoloPrepass {
 };
 
 /// Validates `soc` against the analyzer, then simulates every core alone
-/// (ThermalAnalyzer::solo_peak). The analyzer's effort is reset before
-/// and after, and its solve counters are flushed. Throws what
-/// SocSpec::validate throws.
+/// (ThermalAnalyzer::session_peaks on the one core). The analyzer's
+/// effort is reset before and after, and its solve counters are flushed.
+/// Throws what SocSpec::validate throws.
 SoloPrepass solo_prepass(const SocSpec& soc, thermal::ThermalAnalyzer& analyzer);
 
 class ThermalAwareScheduler {

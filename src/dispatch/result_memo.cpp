@@ -3,13 +3,8 @@
 #include <utility>
 
 #include "util/error.hpp"
-#include "util/hash.hpp"
 
 namespace thermo::dispatch {
-
-std::uint64_t fnv1a64(std::string_view bytes) {
-  return ::thermo::fnv1a64(bytes);
-}
 
 ResultMemo::ResultMemo(std::size_t capacity) : capacity_(capacity) {
   THERMO_REQUIRE(capacity >= 1, "ResultMemo capacity must be >= 1");

@@ -37,7 +37,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <list>
 #include <mutex>
 #include <optional>
@@ -45,14 +44,9 @@
 #include <string_view>
 #include <unordered_map>
 
-namespace thermo::dispatch {
+#include "util/hash.hpp"
 
-/// FNV-1a 64-bit over arbitrary bytes — the memo's content address,
-/// exposed for tests and for callers that want to log compact request
-/// digests. Delegates to thermo::fnv1a64 (util/hash.hpp): the disk
-/// store addresses records with the SAME function, so memory and disk
-/// tiers agree on every key.
-std::uint64_t fnv1a64(std::string_view bytes);
+namespace thermo::dispatch {
 
 class ResultMemo {
  public:
@@ -88,13 +82,15 @@ class ResultMemo {
     std::list<std::string>::iterator recency;
   };
 
-  /// The FNV address IS the bucket hash. The map keys are string_views
+  /// The FNV address IS the bucket hash: thermo::fnv1a64 (util/hash.hpp),
+  /// the function the disk store addresses records with, so memory and
+  /// disk tiers agree on every key. The map keys are string_views
   /// into lru_'s nodes (the one owned copy of each key — list nodes
   /// never move), which also gives allocation-free find().
   struct FnvHash {
     using is_transparent = void;
     std::size_t operator()(std::string_view key) const {
-      return static_cast<std::size_t>(fnv1a64(key));
+      return static_cast<std::size_t>(::thermo::fnv1a64(key));
     }
   };
 

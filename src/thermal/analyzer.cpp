@@ -58,39 +58,21 @@ SessionSimulation ThermalAnalyzer::finish_session(
   return out;
 }
 
-double ThermalAnalyzer::solo_peak(std::size_t block, double power,
-                                  double duration) {
-  THERMO_REQUIRE(block < model_->block_count(), "block index out of range");
-  if (options_.transient) {
-    std::vector<double> block_power(model_->block_count(), 0.0);
-    block_power[block] = power;
-    return simulate_session(block_power, duration).peak_temperature[block];
-  }
-  // simulate_session's and expand_power's checks, in their order and
-  // with their text (the checked expression is part of the error bytes).
-  THERMO_REQUIRE(duration > 0.0, "session duration must be positive");
-  const double p = power;
-  THERMO_REQUIRE(std::isfinite(p) && p >= 0.0,
-                 "block power must be finite and non-negative");
-  const double rise = power * model_->self_resistance()[block];
-  ++pending_solo_lookups_;
-  simulation_effort_ += duration;
-  ++simulation_count_;
-  return model_->package().ambient + rise;
-}
-
 SessionPeaks ThermalAnalyzer::session_peaks(
-    const std::vector<std::size_t>& cores,
-    const std::vector<double>& block_power, double duration) {
+    std::span<const std::size_t> cores, std::span<const double> core_power,
+    double duration) {
   for (const std::size_t core : cores) {
     THERMO_REQUIRE(core < model_->block_count(), "block index out of range");
   }
   // simulate_session's and expand_power's checks, in their order and
-  // with their text, then that the cores are distinct and cover every
-  // powered block (on_path is free here and is zeroed again before
-  // the solve).
+  // with their text (the checked expression is part of the error bytes),
+  // then that the cores are distinct (on_path is free here and is zeroed
+  // again before the solve) and that each has a power.
   THERMO_REQUIRE(duration > 0.0, "session duration must be positive");
-  model_->check_block_power(block_power);
+  for (const double p : core_power) {
+    THERMO_REQUIRE(std::isfinite(p) && p >= 0.0,
+                   "block power must be finite and non-negative");
+  }
   fit_scratch();
   std::vector<unsigned char>& in_session = scratch_.on_path;
   bool distinct = true;
@@ -98,20 +80,14 @@ SessionPeaks ThermalAnalyzer::session_peaks(
     distinct = distinct && in_session[core] == 0;
     in_session[core] = 1;
   }
-  bool covered = true;
-  for (std::size_t b = 0; b < block_power.size(); ++b) {
-    covered = covered && (block_power[b] == 0.0 || in_session[b] != 0);
-  }
   for (const std::size_t core : cores) in_session[core] = 0;
   THERMO_REQUIRE(distinct, "session cores must be distinct");
-  THERMO_REQUIRE(covered, "session cores must cover every powered block");
+  THERMO_REQUIRE(core_power.size() == cores.size(),
+                 "session needs one power per core");
   SessionPeaks out;
-  out.core_peak.resize(cores.size());
+  out.core_peak.assign(core_power.begin(), core_power.end());
   if (!options_.transient) {
-    for (std::size_t t = 0; t < cores.size(); ++t) {
-      out.core_peak[t] = block_power[cores[t]];
-    }
-    // One core is solo_peak's table read, so a one-core validation
+    // One core is a self-resistance table read, so a one-core validation
     // repeats its core's pre-pass peak bit for bit; more cores are
     // path-solved. G is an irreducibly diagonally dominant M-matrix, so
     // the block maximum of a positive rise lies on a powered core;
@@ -141,6 +117,10 @@ SessionPeaks ThermalAnalyzer::session_peaks(
       ++simulation_count_;
       return out;
     }
+  }
+  std::vector<double> block_power(model_->block_count(), 0.0);
+  for (std::size_t t = 0; t < cores.size(); ++t) {
+    block_power[cores[t]] = core_power[t];
   }
   const SessionSimulation sim = simulate_session(block_power, duration);
   for (std::size_t t = 0; t < cores.size(); ++t) {

@@ -5,14 +5,17 @@
 // "simulation effort". Each oracle has one full-session path: a steady
 // session is solve_steady_state (the model's own factor of G,
 // RCModel::steady_factor), a transient one is simulate_session_from
-// at ambient (ThermalSolverCache's per-(model, dt) stepper). Under the
-// steady oracle, solo_peak and a one-core session_peaks read the model's
-// self-resistance table (RCModel::self_resistance), and a larger
-// session_peaks path-solves the session cores.
+// at ambient (ThermalSolverCache's per-(model, dt) stepper). Algorithm 1
+// asks its one question in session form, session_peaks(cores,
+// core_power, duration), for the solo pre-pass (one core) and every
+// validation. Under the steady oracle a one-core session reads the
+// model's self-resistance table (RCModel::self_resistance), and a larger
+// one path-solves the session cores.
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "linalg/sparse_cholesky.hpp"
@@ -38,7 +41,7 @@ struct SessionSimulation {
   std::size_t hottest_block = 0;
 };
 
-/// What Algorithm 1's validation reads from one session
+/// What Algorithm 1's pre-pass and validation read from one session
 /// (ThermalAnalyzer::session_peaks).
 struct SessionPeaks {
   /// core_peak[t]: peak temperature of the t-th session core [deg C].
@@ -94,33 +97,26 @@ class ThermalAnalyzer {
   SessionSimulation simulate_session(const std::vector<double>& block_power,
                                      double duration);
 
-  /// Peak temperature of `block` when it alone dissipates `power` for
-  /// `duration`: simulate_session(power·e_block,
-  /// duration).peak_temperature[block], with the same checks and the
-  /// same effort and count charge. Algorithm 1's solo pre-pass calls it
-  /// once per core. The transient oracle steps the full session, bit for
-  /// bit. The steady oracle solves nothing: it returns ambient + power·rᵢ
-  /// from RCModel::self_resistance, which agrees with the full solve to
-  /// rounding (within 1e-13 relative on the rise; docs/SOLVERS.md
-  /// "Self-resistance table").
-  double solo_peak(std::size_t block, double power, double duration);
-
-  /// The session cores' peaks, max_temperature and hottest_block of
-  /// simulate_session(block_power, duration), with the same checks and
-  /// the same effort and count charge. `cores` must be distinct block
-  /// indices covering every block with non-zero power (InvalidArgument
-  /// otherwise); Algorithm 1 validates each session through it. The
-  /// steady oracle answers a one-core session whose rise is positive
-  /// exactly as solo_peak does, from the self-resistance table, with the
-  /// core as the hottest block. Otherwise it solves only the union of the
-  /// cores' elimination-tree paths (SparseCholeskyFactor::solve_subset),
-  /// so the peaks are bit for bit those of the full solve. Either way it
-  /// takes the maximum over the cores, which the maximum principle makes
-  /// the block maximum (docs/SOLVERS.md "Path solves"). It falls back to
-  /// the full solve when no core heats up. The transient oracle steps
-  /// the full session.
-  SessionPeaks session_peaks(const std::vector<std::size_t>& cores,
-                             const std::vector<double>& block_power,
+  /// The cores' peaks, max_temperature and hottest_block of the session
+  /// in which core cores[t] dissipates core_power[t] watts for `duration`
+  /// seconds and every other block nothing: simulate_session on that
+  /// power map, with the same checks and the same effort and count
+  /// charge. `cores` must be distinct block indices and `core_power` must
+  /// hold one power per core (InvalidArgument otherwise). Algorithm 1
+  /// asks it about each core alone in the solo pre-pass and about each
+  /// candidate session in validation. The steady oracle answers a
+  /// one-core session whose rise is positive from RCModel::self_resistance
+  /// (ambient + p·rᵢ, within 1e-13 relative of the full solve on the
+  /// rise; docs/SOLVERS.md "Self-resistance table"), with the core as the
+  /// hottest block. Otherwise it solves only the union of the cores'
+  /// elimination-tree paths (SparseCholeskyFactor::solve_subset), so the
+  /// peaks are bit for bit those of the full solve. Either way it takes
+  /// the maximum over the cores, which the maximum principle makes the
+  /// block maximum (docs/SOLVERS.md "Path solves"). It falls back to the
+  /// full solve when no core heats up. The transient oracle steps the
+  /// full session.
+  SessionPeaks session_peaks(std::span<const std::size_t> cores,
+                             std::span<const double> core_power,
                              double duration);
 
   /// A session simulation that starts from an arbitrary node state
@@ -148,19 +144,19 @@ class ThermalAnalyzer {
   double simulation_effort() const { return simulation_effort_; }
 
   /// Number of effort-charging calls so far: simulate_session,
-  /// simulate_session_from, solo_peak and session_peaks.
+  /// simulate_session_from and session_peaks.
   std::size_t simulation_count() const { return simulation_count_; }
 
   /// Resets the effort accounting (a scheduler run starts from zero).
   void reset_effort();
 
-  /// Adds the steady table reads (solo_peak, one-core session_peaks) and
-  /// the session_peaks path solves made since the last flush to the
-  /// `thermal.solo_lookups` and `thermal.solves` counters. Both only
-  /// count locally, so the hot path touches no shared counter;
-  /// core::solo_prepass and ThermalAwareScheduler::generate flush once
-  /// per run, and the destructor flushes the rest. (A steady
-  /// simulate_session counts at the call, in solve_steady_state.)
+  /// Adds session_peaks' steady table reads (one core) and path solves
+  /// made since the last flush to the `thermal.solo_lookups` and
+  /// `thermal.solves` counters. Both only count locally, so the hot path
+  /// touches no shared counter; core::solo_prepass and
+  /// ThermalAwareScheduler::generate flush once per run, and the
+  /// destructor flushes the rest. (A steady simulate_session counts at
+  /// the call, in solve_steady_state.)
   void flush_counters();
 
  private:

@@ -232,19 +232,15 @@ void RCModel::build() {
 
 std::vector<double> RCModel::expand_power(
     const std::vector<double>& block_power) const {
-  check_block_power(block_power);
-  std::vector<double> power(node_count(), 0.0);
-  for (std::size_t i = 0; i < block_count_; ++i) power[i] = block_power[i];
-  return power;
-}
-
-void RCModel::check_block_power(const std::vector<double>& block_power) const {
   THERMO_REQUIRE(block_power.size() == block_count_,
                  "power vector size must equal the block count");
   for (double p : block_power) {
     THERMO_REQUIRE(std::isfinite(p) && p >= 0.0,
                    "block power must be finite and non-negative");
   }
+  std::vector<double> power(node_count(), 0.0);
+  for (std::size_t i = 0; i < block_count_; ++i) power[i] = block_power[i];
+  return power;
 }
 
 double RCModel::conductance_between(std::size_t a, std::size_t b) const {

@@ -152,8 +152,8 @@ class RCModel {
   /// Self-resistance per block [K/W]: entry i is (G⁻¹)ᵢᵢ, block i's
   /// steady rise per watt when it alone dissipates. Built with
   /// steady_factor() (whichever is called first builds both) and shared
-  /// the same way. A steady solo peak is ambient + pᵢ·rᵢ
-  /// (ThermalAnalyzer::solo_peak; docs/SOLVERS.md "Self-resistance
+  /// the same way. A steady one-core session peaks at ambient + pᵢ·rᵢ
+  /// (ThermalAnalyzer::session_peaks; docs/SOLVERS.md "Self-resistance
   /// table").
   const std::vector<double>& self_resistance() const {
     return steady_->self_resistance(sparse_);
@@ -163,12 +163,9 @@ class RCModel {
   const std::vector<double>& capacitance() const { return capacitance_; }
 
   /// Expands per-block power [W] into a full node power vector (package
-  /// nodes dissipate nothing).
+  /// nodes dissipate nothing). Requires one power per block, each finite
+  /// and non-negative (InvalidArgument otherwise).
   std::vector<double> expand_power(const std::vector<double>& block_power) const;
-
-  /// expand_power's checks alone: one power per block, each finite and
-  /// non-negative. Throws InvalidArgument otherwise.
-  void check_block_power(const std::vector<double>& block_power) const;
 
   /// Direct conductance between two nodes [W/K] (0 when not connected).
   double conductance_between(std::size_t a, std::size_t b) const;

@@ -63,12 +63,10 @@ ThermalSolverCache::sparse_stepper(const RCModel& model, double dt) {
     std::scoped_lock lock(mutex_);
     ++tick_;
     if (auto it = entries_.find(key); it != entries_.end()) {
-      ++hits_;
       metrics.hits.add();
       it->second.last_used = tick_;
       return it->second.value;
     }
-    ++misses_;
     metrics.misses.add();
   }
   // Factor OUTSIDE the lock: a factorization must not stall every other
@@ -109,7 +107,7 @@ void ThermalSolverCache::clear() {
 
 ThermalSolverCache::Stats ThermalSolverCache::stats() const {
   std::scoped_lock lock(mutex_);
-  return Stats{hits_, misses_, entries_.size()};
+  return Stats{entries_.size()};
 }
 
 }  // namespace thermo::thermal

@@ -59,10 +59,10 @@ class ThermalSolverCache {
   /// Maximum number of cached steppers before LRU eviction.
   std::size_t capacity() const { return capacity_; }
 
+  /// Lookups count in the process-wide `thermal.solver_cache.hits` and
+  /// `.misses` counters (docs/OBSERVABILITY.md), not here.
   struct Stats {
-    std::size_t hits = 0;    ///< lookups served from the cache
-    std::size_t misses = 0;  ///< lookups that had to factor
-    std::size_t entries = 0; ///< currently cached steppers
+    std::size_t entries = 0;  ///< currently cached steppers
   };
   Stats stats() const;
 
@@ -80,8 +80,6 @@ class ThermalSolverCache {
   mutable std::mutex mutex_;
   std::size_t capacity_;
   std::uint64_t tick_ = 0;
-  std::size_t hits_ = 0;
-  std::size_t misses_ = 0;
   std::map<Key, Entry> entries_;
 };
 

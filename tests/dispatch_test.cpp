@@ -19,6 +19,7 @@
 #include "dispatch/ordered_writer.hpp"
 #include "dispatch/result_memo.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace thermo::dispatch {
 namespace {
@@ -120,9 +121,9 @@ TEST(WorkQueue, PushRejectsUnusableItems) {
 
 TEST(ResultMemo, Fnv1a64ReferenceVectors) {
   // Published FNV-1a 64 test vectors.
-  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ULL);
-  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
-  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ULL);
+  EXPECT_EQ(thermo::fnv1a64(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(thermo::fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(thermo::fnv1a64("foobar"), 0x85944171f73967e8ULL);
 }
 
 TEST(ResultMemo, FindInsertAndStats) {

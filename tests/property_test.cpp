@@ -417,8 +417,8 @@ void expect_rise_near(double peak, double expected, double ambient) {
 // The path solve on one node, on the RC models Algorithm 1 runs on, in
 // the min-degree ordering the models use: solve_subset on {i} bit for
 // bit against the full solve at every node (the exactness argument is in
-// linalg_sparse_cholesky_test.cpp and docs/SOLVERS.md), and
-// ThermalAnalyzer::solo_peak, a self-resistance table read, within
+// linalg_sparse_cholesky_test.cpp and docs/SOLVERS.md), and a one-core
+// ThermalAnalyzer::session_peaks, a self-resistance table read, within
 // kTableRel of the full solve's rise at every core, with the same
 // effort and count charge.
 class PathSolveExactness : public ::testing::TestWithParam<std::size_t> {};
@@ -451,8 +451,10 @@ TEST_P(PathSolveExactness, EntrySolvesAndSoloPeaksMatchTheFullSolve) {
   for (std::size_t i = 0; i < cores; ++i) {
     core::TestSession solo;
     solo.cores.push_back(i);
-    const double peak =
-        path.solo_peak(i, soc.tests[i].power, soc.tests[i].length);
+    const double peak = path
+                            .session_peaks({&i, 1}, {&soc.tests[i].power, 1},
+                                           soc.tests[i].length)
+                            .core_peak[0];
     const thermal::SessionSimulation sim =
         full.simulate_session(solo.power_map(soc), solo.length(soc));
     SCOPED_TRACE("cores=" + std::to_string(cores) +
@@ -464,7 +466,8 @@ TEST_P(PathSolveExactness, EntrySolvesAndSoloPeaksMatchTheFullSolve) {
   EXPECT_EQ(path.simulation_count(), cores);
 }
 
-/// session_peaks on `path` against simulate_session on `full` (both
+/// session_peaks on `cores` at their entries of `block_power` (zero
+/// elsewhere) on `path` against simulate_session on `full` (both
 /// steady analyzers over one model): bit for bit, except that a one-core
 /// session with a positive rise is a self-resistance table read, within
 /// kTableRel on the rise. The hottest block is equal either way.
@@ -473,8 +476,10 @@ void expect_session_peaks_match(thermal::ThermalAnalyzer& path,
                                 const std::vector<std::size_t>& cores,
                                 const std::vector<double>& block_power,
                                 double duration) {
+  std::vector<double> core_power;
+  for (const std::size_t core : cores) core_power.push_back(block_power[core]);
   const thermal::SessionPeaks peaks =
-      path.session_peaks(cores, block_power, duration);
+      path.session_peaks(cores, core_power, duration);
   const thermal::SessionSimulation sim =
       full.simulate_session(block_power, duration);
   ASSERT_EQ(peaks.core_peak.size(), cores.size());
@@ -611,8 +616,8 @@ TEST_P(SelfResistanceTable, SoloRisesMatchTheSolvesAndValidationsMatchBcmt) {
     core::TestSession solo;
     solo.cores.push_back(i);
     const std::vector<double> power = solo.power_map(soc);
-    const thermal::SessionPeaks peaks =
-        analyzer.session_peaks(solo.cores, power, solo.length(soc));
+    const thermal::SessionPeaks peaks = analyzer.session_peaks(
+        solo.cores, {&soc.tests[i].power, 1}, solo.length(soc));
     EXPECT_EQ(bits(peaks.core_peak[0]), bits(prepass.bcmt[i]));
     EXPECT_EQ(bits(peaks.max_temperature), bits(prepass.bcmt[i]));
     EXPECT_EQ(peaks.hottest_block, i);

@@ -14,6 +14,19 @@ namespace thermo::thermal {
 namespace {
 
 using thermo::testing::quad_floorplan;
+using Cores = std::vector<std::size_t>;
+using Powers = std::vector<double>;
+
+/// What `run` throws as InvalidArgument, or "no error".
+template <class Run>
+std::string error(Run&& run) {
+  try {
+    run();
+  } catch (const InvalidArgument& e) {
+    return std::string(e.what());
+  }
+  return std::string("no error");
+}
 
 class AnalyzerTest : public ::testing::Test {
  protected:
@@ -87,9 +100,10 @@ TEST_F(AnalyzerTest, ValidatesInputs) {
                InvalidArgument);
 }
 
-// solo_peak is the solo pre-pass's oracle: under either oracle it
-// returns simulate_session's peak at the block and charges the same
-// effort and count. (Bit-equality at scale: property_test.cpp.)
+// A one-core session_peaks is the solo pre-pass's oracle: under either
+// oracle it returns simulate_session's peak at the block and charges the
+// same effort and count. A core with no power reads exactly ambient.
+// (Bit-equality at scale: property_test.cpp.)
 TEST_F(AnalyzerTest, SoloPeakMatchesASoloSessionUnderBothOracles) {
   for (const bool transient : {true, false}) {
     ThermalAnalyzer::Options options;
@@ -99,14 +113,17 @@ TEST_F(AnalyzerTest, SoloPeakMatchesASoloSessionUnderBothOracles) {
     for (std::size_t b = 0; b < 4; ++b) {
       std::vector<double> power(4, 0.0);
       power[b] = 3.0 + static_cast<double>(b);
-      EXPECT_EQ(path.solo_peak(b, power[b], 0.5 + static_cast<double>(b)),
+      EXPECT_EQ(path.session_peaks({&b, 1}, {&power[b], 1},
+                                   0.5 + static_cast<double>(b))
+                    .core_peak[0],
                 full.simulate_session(power, 0.5 + static_cast<double>(b))
                     .peak_temperature[b])
           << "transient=" << transient << " block=" << b;
     }
     EXPECT_EQ(path.simulation_effort(), full.simulation_effort());
     EXPECT_EQ(path.simulation_count(), 4u);
-    EXPECT_EQ(path.solo_peak(2, 0.0, 1.0), pkg_.ambient);
+    EXPECT_EQ(path.session_peaks(Cores{2}, Powers{0.0}, 1.0).core_peak[0],
+              pkg_.ambient);
   }
 }
 
@@ -114,24 +131,18 @@ TEST_F(AnalyzerTest, SoloPeakChecksInputsLikeASession) {
   ThermalAnalyzer::Options options;
   options.transient = false;
   ThermalAnalyzer steady(fp_, pkg_, options);
-  const auto error = [](auto&& run) {
-    try {
-      run();
-    } catch (const InvalidArgument& e) {
-      return std::string(e.what());
-    }
-    return std::string("no error");
-  };
   for (const auto& [power, duration] :
        {std::pair{1.0, 0.0}, std::pair{-1.0, 1.0},
         std::pair{std::nan(""), 1.0}, std::pair{-1.0, -1.0}}) {
-    const std::string solo = error([&] { steady.solo_peak(0, power, duration); });
+    const std::string solo =
+        error([&] { steady.session_peaks(Cores{0}, Powers{power}, duration); });
     EXPECT_NE(solo, "no error");
     EXPECT_EQ(solo, error([&] {
                 steady.simulate_session({power, 0.0, 0.0, 0.0}, duration);
               }));
   }
-  EXPECT_THROW(steady.solo_peak(4, 1.0, 1.0), InvalidArgument);
+  EXPECT_THROW(steady.session_peaks(Cores{4}, Powers{1.0}, 1.0),
+               InvalidArgument);
   EXPECT_EQ(steady.simulation_count(), 0u);
 }
 
@@ -141,19 +152,21 @@ TEST_F(AnalyzerTest, SoloPeakChecksInputsLikeASession) {
 // all-zero session takes the steady oracle's no-rise fallback.
 // (Bit-equality at scale and under ties: property_test.cpp.)
 TEST_F(AnalyzerTest, SessionPeaksMatchASessionUnderBothOracles) {
-  const std::vector<std::pair<std::vector<std::size_t>, std::vector<double>>>
-      sessions = {{{1, 0}, {3.0, 4.0, 0.0, 0.0}},
-                  {{3}, {0.0, 0.0, 0.0, 5.0}},
-                  {{2, 0}, {0.0, 0.0, 2.0, 0.0}},
-                  {{2, 1}, {0.0, 0.0, 0.0, 0.0}},
-                  {{3, 2, 1, 0}, {1.0, 2.0, 3.0, 4.0}}};
+  const std::vector<std::pair<Cores, Powers>> sessions = {
+      {{1, 0}, {3.0, 4.0, 0.0, 0.0}},
+      {{3}, {0.0, 0.0, 0.0, 5.0}},
+      {{2, 0}, {0.0, 0.0, 2.0, 0.0}},
+      {{2, 1}, {0.0, 0.0, 0.0, 0.0}},
+      {{3, 2, 1, 0}, {1.0, 2.0, 3.0, 4.0}}};
   for (const bool transient : {true, false}) {
     ThermalAnalyzer::Options options;
     options.transient = transient;
     ThermalAnalyzer path(fp_, pkg_, options);
     ThermalAnalyzer full(fp_, pkg_, options);
     for (const auto& [cores, power] : sessions) {
-      const SessionPeaks peaks = path.session_peaks(cores, power, 1.5);
+      Powers core_power;
+      for (const std::size_t core : cores) core_power.push_back(power[core]);
+      const SessionPeaks peaks = path.session_peaks(cores, core_power, 1.5);
       const SessionSimulation sim = full.simulate_session(power, 1.5);
       ASSERT_EQ(peaks.core_peak.size(), cores.size());
       for (std::size_t t = 0; t < cores.size(); ++t) {
@@ -173,51 +186,47 @@ TEST_F(AnalyzerTest, SessionPeaksChecksInputsLikeASession) {
   options.transient = false;
   ThermalAnalyzer steady(fp_, pkg_, options);
   ThermalAnalyzer transient(fp_, pkg_);
-  const auto error = [](auto&& run) {
-    try {
-      run();
-    } catch (const InvalidArgument& e) {
-      return std::string(e.what());
-    }
-    return std::string("no error");
-  };
   for (ThermalAnalyzer* oracle : {&steady, &transient}) {
     SCOPED_TRACE(oracle == &steady ? "steady" : "transient");
     for (const auto& [power, duration] :
-         {std::pair{std::vector<double>{1.0, 0.0, 0.0, 0.0}, 0.0},
-          std::pair{std::vector<double>{-1.0, 0.0, 0.0, 0.0}, 1.0},
-          std::pair{std::vector<double>{std::nan(""), 0.0, 0.0, 0.0}, 1.0},
-          std::pair{std::vector<double>{1.0, 0.0}, 1.0},
-          std::pair{std::vector<double>{-1.0}, -1.0}}) {
-      const std::string peaks =
-          error([&] { oracle->session_peaks({0}, power, duration); });
+         {std::pair{1.0, 0.0}, std::pair{-1.0, 1.0},
+          std::pair{std::nan(""), 1.0}, std::pair{-1.0, -1.0}}) {
+      const std::string peaks = error(
+          [&] { oracle->session_peaks(Cores{0}, Powers{power}, duration); });
       EXPECT_NE(peaks, "no error");
-      EXPECT_EQ(peaks,
-                error([&] { oracle->simulate_session(power, duration); }));
+      EXPECT_EQ(peaks, error([&] {
+                  oracle->simulate_session({power, 0.0, 0.0, 0.0}, duration);
+                }));
     }
-    EXPECT_THROW(oracle->session_peaks({4}, {1.0, 0.0, 0.0, 0.0}, 1.0),
-                 InvalidArgument);
-    // Block 1 is powered but not a session core.
-    const std::vector<double> two_hot = {1.0, 1.0, 0.0, 0.0};
-    const auto names = [](const std::string& what, const std::string& text) {
-      return what.find(text) != std::string::npos;
-    };
-    EXPECT_TRUE(names(error([&] { oracle->session_peaks({0}, two_hot, 1.0); }),
-                      "session cores must cover every powered block"));
-    // A repeated core: as many cores as powered blocks, yet block 1 is
-    // not among them.
-    EXPECT_TRUE(
-        names(error([&] { oracle->session_peaks({0, 0}, two_hot, 1.0); }),
-              "session cores must be distinct"));
-    EXPECT_TRUE(names(error([&] {
-                        oracle->session_peaks({0, 0}, {1.0, 0.0, 0.0, 0.0}, 1.0);
-                      }),
-                      "session cores must be distinct"));
+    EXPECT_EQ(error([&] { oracle->session_peaks(Cores{4}, Powers{1.0}, 1.0); }),
+              "precondition failed [core < model_->block_count()]: "
+              "block index out of range");
+    const std::string repeated =
+        "precondition failed [distinct]: session cores must be distinct";
+    EXPECT_EQ(error([&] {
+                oracle->session_peaks(Cores{0, 0}, Powers{1.0, 1.0}, 1.0);
+              }),
+              repeated);
+    EXPECT_EQ(error([&] {
+                oracle->session_peaks(Cores{1, 2, 1}, Powers{1.0, 0.0, 2.0},
+                                      1.0);
+              }),
+              repeated);
+    const std::string mismatched =
+        "precondition failed [core_power.size() == cores.size()]: "
+        "session needs one power per core";
+    EXPECT_EQ(
+        error([&] { oracle->session_peaks(Cores{0, 1}, Powers{1.0}, 1.0); }),
+        mismatched);
+    EXPECT_EQ(
+        error([&] { oracle->session_peaks(Cores{0}, Powers{1.0, 1.0}, 1.0); }),
+        mismatched);
     EXPECT_EQ(oracle->simulation_count(), 0u);
     // The failed checks leave the workspace clean: a valid session after
     // them still matches the full solve.
     const std::vector<double> power = {1.0, 2.0, 0.0, 0.0};
-    const SessionPeaks peaks = oracle->session_peaks({1, 0}, power, 1.0);
+    const SessionPeaks peaks =
+        oracle->session_peaks(Cores{1, 0}, Powers{2.0, 1.0}, 1.0);
     const SessionSimulation sim = oracle->simulate_session(power, 1.0);
     EXPECT_EQ(peaks.core_peak,
               (std::vector<double>{sim.peak_temperature[1],

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "linalg/sparse_cholesky.hpp"
+#include "obs/metrics.hpp"
 #include "test_helpers.hpp"
 #include "thermal/grid_model.hpp"
 #include "thermal/steady_state.hpp"
@@ -25,6 +26,19 @@ namespace {
 using thermo::testing::factorizations;
 using thermo::testing::nine_floorplan;
 using thermo::testing::quad_floorplan;
+
+/// Stepper lookups so far in this process, over every cache instance:
+/// the `thermal.solver_cache.hits` and `.misses` counters.
+std::uint64_t cache_hits() {
+  return obs::MetricsRegistry::instance()
+      .counter("thermal.solver_cache.hits")
+      .value();
+}
+std::uint64_t cache_misses() {
+  return obs::MetricsRegistry::instance()
+      .counter("thermal.solver_cache.misses")
+      .value();
+}
 
 std::vector<double> centre_power(std::size_t blocks, double watts) {
   std::vector<double> power(blocks, 0.0);
@@ -69,16 +83,15 @@ TEST(ThermalSolverCacheTest, RepeatLookupsHitTheCache) {
   ThermalSolverCache& cache = ThermalSolverCache::instance();
   const RCModel model(nine_floorplan(), PackageParams{});
 
-  const auto before = cache.stats();
+  const std::uint64_t hits_before = cache_hits();
+  const std::uint64_t misses_before = cache_misses();
   const auto first = cache.sparse_stepper(model, 1e-3);
-  const auto stats_after_first = cache.stats();
-  EXPECT_EQ(stats_after_first.misses - before.misses, 1u);
-  EXPECT_EQ(stats_after_first.hits - before.hits, 0u);
+  EXPECT_EQ(cache_misses() - misses_before, 1u);
+  EXPECT_EQ(cache_hits() - hits_before, 0u);
 
   const auto second = cache.sparse_stepper(model, 1e-3);
-  const auto stats_after_second = cache.stats();
-  EXPECT_EQ(stats_after_second.misses - before.misses, 1u);
-  EXPECT_EQ(stats_after_second.hits - before.hits, 1u);
+  EXPECT_EQ(cache_misses() - misses_before, 1u);
+  EXPECT_EQ(cache_hits() - hits_before, 1u);
   EXPECT_EQ(first.get(), second.get());  // literally the same factor
 }
 
@@ -115,18 +128,17 @@ TEST(ThermalSolverCacheTest, DistinctModelsNeverAliasEntries) {
 TEST(ThermalSolverCacheTest, GridModelFactorsHitTheCache) {
   // A grid model owns its factor: repeat solves reuse the one built on
   // the first, and none of them looks anything up in the cache.
-  ThermalSolverCache& cache = ThermalSolverCache::instance();
   const GridThermalModel grid(quad_floorplan(), PackageParams{},
                               GridOptions{6, 6});
 
-  const auto before = cache.stats();
+  const std::uint64_t hits_before = cache_hits();
+  const std::uint64_t misses_before = cache_misses();
   const std::uint64_t factored_before = factorizations();
   const linalg::SparseCholeskyFactor& first = grid.steady_factor();
   const linalg::SparseCholeskyFactor& second = grid.steady_factor();
   EXPECT_EQ(&first, &second);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits - before.hits, 0u);
-  EXPECT_EQ(stats.misses - before.misses, 0u);
+  EXPECT_EQ(cache_hits() - hits_before, 0u);
+  EXPECT_EQ(cache_misses() - misses_before, 0u);
   EXPECT_EQ(factorizations() - factored_before, 1u);
   EXPECT_EQ(first.size(), grid.node_count());
 }
@@ -134,43 +146,41 @@ TEST(ThermalSolverCacheTest, GridModelFactorsHitTheCache) {
 TEST(ThermalSolverCacheTest, TransientStepperIsCachedPerDt) {
   // Through simulate_transient: repeat sessions at one dt reuse one
   // stepper; a new dt, or a fractional final step, is its own key.
-  ThermalSolverCache& cache = ThermalSolverCache::instance();
   const RCModel model(nine_floorplan(), PackageParams{});
   const auto block_power = centre_power(9, 10.0);
   const auto initial = ambient_state(model);
   TransientOptions options;
   options.dt = 1e-3;
 
-  const std::size_t misses_before = cache.stats().misses;
+  const std::uint64_t misses_before = cache_misses();
   simulate_transient(model, block_power, 0.01, initial, options);
   simulate_transient(model, block_power, 0.02, initial, options);
-  EXPECT_EQ(cache.stats().misses - misses_before, 1u);
+  EXPECT_EQ(cache_misses() - misses_before, 1u);
 
   options.dt = 2e-3;
   simulate_transient(model, block_power, 0.01, initial, options);
-  EXPECT_EQ(cache.stats().misses - misses_before, 2u);
+  EXPECT_EQ(cache_misses() - misses_before, 2u);
 
   // 0.0105 s at dt = 2e-3: five full steps plus a 0.5 ms remainder.
   simulate_transient(model, block_power, 0.0105, initial, options);
-  EXPECT_EQ(cache.stats().misses - misses_before, 3u);
+  EXPECT_EQ(cache_misses() - misses_before, 3u);
 }
 
 TEST(ThermalSolverCacheTest, TransientStepsAreCountedByIndex) {
   // Summing t += dt leaves 2.0 s at 1 ms 1.1e-13 s short, and 1.3 s
   // short too: whole steps are counted by index instead, with no sliver
   // step and no stepper besides dt's.
-  ThermalSolverCache& cache = ThermalSolverCache::instance();
   const RCModel model(nine_floorplan(), PackageParams{});
   const auto block_power = centre_power(9, 10.0);
   const auto initial = ambient_state(model);
   TransientOptions options;
   options.dt = 1e-3;
-  const std::size_t misses_before = cache.stats().misses;
+  const std::uint64_t misses_before = cache_misses();
   EXPECT_EQ(simulate_transient(model, block_power, 2.0, initial, options).steps,
             2000u);
   EXPECT_EQ(simulate_transient(model, block_power, 1.3, initial, options).steps,
             1300u);
-  EXPECT_EQ(cache.stats().misses - misses_before, 1u);
+  EXPECT_EQ(cache_misses() - misses_before, 1u);
 }
 
 TEST(ThermalSolverCacheTest, RepeatedTransientSimulationsAgreeExactly) {
@@ -203,9 +213,9 @@ TEST(ThermalSolverCacheTest, EvictionBeyondCapacityStaysCorrect) {
   small.sparse_stepper(c, 1e-3);  // evicts the LRU entry (a)
   EXPECT_EQ(small.stats().entries, 2u);
 
-  const std::size_t misses_before = small.stats().misses;
+  const std::uint64_t misses_before = cache_misses();
   const auto refactored = small.sparse_stepper(a, 1e-3);
-  EXPECT_EQ(small.stats().misses - misses_before, 1u);
+  EXPECT_EQ(cache_misses() - misses_before, 1u);
   // Still steps correctly after the round-trip through eviction.
   const auto power = a.expand_power(centre_power(9, 10.0));
   const std::vector<double> from(a.node_count(), 0.0);
@@ -231,10 +241,12 @@ TEST(ThermalSolverCacheTest, ClearEmptiesTheCache) {
 TEST(SparseSolverCacheTest, RepeatSparseLookupsHitTheCache) {
   ThermalSolverCache cache(8);
   const RCModel model(nine_floorplan(), PackageParams{});
+  const std::uint64_t hits_before = cache_hits();
+  const std::uint64_t misses_before = cache_misses();
   const auto first = cache.sparse_stepper(model, 1e-3);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache_misses() - misses_before, 1u);
   const auto second = cache.sparse_stepper(model, 1e-3);
-  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache_hits() - hits_before, 1u);
   EXPECT_EQ(first.get(), second.get());
 
   // The steady factor of G is the model's, not an entry; a second dt
@@ -275,9 +287,9 @@ TEST(SparseSolverCacheTest, LruEvictionBeyondCapacityStaysCorrect) {
   small.sparse_stepper(a, 4e-3);  // evicts the LRU entry (dt = 1e-3)
   EXPECT_EQ(small.stats().entries, 2u);
 
-  const std::size_t misses_before = small.stats().misses;
+  const std::uint64_t misses_before = cache_misses();
   const auto refactored = small.sparse_stepper(a, 1e-3);
-  EXPECT_EQ(small.stats().misses - misses_before, 1u);
+  EXPECT_EQ(cache_misses() - misses_before, 1u);
   const auto power = a.expand_power(std::vector<double>(9, 10.0));
   const std::vector<double> from(a.node_count(), 0.0);
   const auto next = refactored->step(from, power);
