@@ -384,7 +384,8 @@ int cmd_sweep(const CommonArgs& args) {
     effective_tl = std::max(effective_tl, point.effective_temperature_limit);
   }
   // Every factorization (G's and the steppers') is one thermal.factor_ns
-  // sample; each transient session looks its stepper up once.
+  // sample; each stepped session and each unit-step response fill looks
+  // its stepper up once (docs/SOLVERS.md "Transient response table").
   obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
   std::cout << "TL = " << args.tl << " C (effective "
             << format_double(effective_tl, 2) << " C), " << stcls.size()

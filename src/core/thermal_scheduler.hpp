@@ -6,7 +6,9 @@
 //      BCMT(i) (solo_prepass: ThermalAnalyzer::session_peaks on {i}). The
 //      steady oracle solves nothing for a powered core: BCMT(i) is
 //      ambient + pᵢ·(G⁻¹)ᵢᵢ from the model's self-resistance table; the
-//      transient oracle steps the full session. Either way each core is
+//      transient oracle reads ambient + pᵢ·uᵢ(Tᵢ)[i] from the model's
+//      unit-step responses (RCModel::step_responses), filling the row by
+//      one unit simulation on first use. Either way each core is
 //      charged as one simulation. The pre-pass depends on neither TL nor
 //      STCL, so sweep_stcl runs it once and hands it to every point's
 //      generate(PreparedSoc, analyzer, prepass).
@@ -23,7 +25,8 @@
 //      their powers, the pre-pass's question; the steady oracle reads a
 //      one-core session from the same table, so it repeats BCMT bit for
 //      bit, and solves only the session cores' elimination-tree paths of
-//      a larger one). Every core whose
+//      a larger one; the transient oracle sums the cores' unit-step
+//      responses, which repeats BCMT for one core too). Every core whose
 //      peak temperature reaches TL gets its weight multiplied by
 //      weight_factor (1.1 in the paper), making it less likely to join a
 //      busy session; the session is discarded and construction restarts.

@@ -39,7 +39,10 @@ namespace thermo::dispatch {
 /// temperatures of those records. Revision 4: steady solo peaks come
 /// from each model's self-resistance table (ambient + pᵢ·(G⁻¹)ᵢᵢ), not a
 /// path solve, which moves the last bits of steady one-core fields.
-inline constexpr std::uint32_t kResultSchemaRevision = 4;
+/// Revision 5: transient session peaks are sums of each model's unit-step
+/// responses (superposition), not a stepped session, which moves the last
+/// bits of transient Algorithm 1 temperatures.
+inline constexpr std::uint32_t kResultSchemaRevision = 5;
 
 class DiskResultMemo final : public ResultMemo {
  public:

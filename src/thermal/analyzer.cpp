@@ -1,7 +1,9 @@
 #include "thermal/analyzer.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -26,10 +28,16 @@ void ThermalAnalyzer::flush_counters() {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
   static obs::Counter& solo_lookups = registry.counter("thermal.solo_lookups");
   static obs::Counter& solves = registry.counter("thermal.solves");
+  static obs::Counter& response_lookups =
+      registry.counter("thermal.response_lookups");
   if (pending_solo_lookups_ > 0) solo_lookups.add(pending_solo_lookups_);
   if (pending_solves_ > 0) solves.add(pending_solves_);
+  if (pending_response_lookups_ > 0) {
+    response_lookups.add(pending_response_lookups_);
+  }
   pending_solo_lookups_ = 0;
   pending_solves_ = 0;
+  pending_response_lookups_ = 0;
 }
 
 SessionSimulation ThermalAnalyzer::simulate_session(
@@ -86,37 +94,54 @@ SessionPeaks ThermalAnalyzer::session_peaks(
                  "session needs one power per core");
   SessionPeaks out;
   out.core_peak.assign(core_power.begin(), core_power.end());
+  // Steady: one core is a self-resistance table read, so a one-core
+  // validation repeats its core's pre-pass peak bit for bit; more cores
+  // are path-solved; ambient is added to the rises. Transient: ambient
+  // plus pⱼ·uⱼ(d) for each powered core j in session order (a zero-power
+  // core would add +0, so it is skipped), so one core reads
+  // ambient + p·uᵢ(d)[i] as its pre-pass did.
+  const double ambient = model_->package().ambient;
+  const bool solo = cores.size() == 1;
+  bool heats = false;
   if (!options_.transient) {
-    // One core is a self-resistance table read, so a one-core validation
-    // repeats its core's pre-pass peak bit for bit; more cores are
-    // path-solved. G is an irreducibly diagonally dominant M-matrix, so
-    // the block maximum of a positive rise lies on a powered core;
-    // scanning the cores with ties to the lower index matches
-    // max_element's first maximum over all blocks.
-    const bool solo = cores.size() == 1;
     if (solo) {
       out.core_peak[0] *= model_->self_resistance()[cores[0]];
     } else {
       model_->steady_factor().solve_subset(cores, out.core_peak, scratch_);
     }
-    const double ambient = model_->package().ambient;
-    double max_rise = 0.0;
-    for (std::size_t t = 0; t < cores.size(); ++t) {
-      max_rise = std::max(max_rise, out.core_peak[t]);
-      out.core_peak[t] += ambient;
-      if (t == 0 || out.core_peak[t] > out.max_temperature ||
-          (out.core_peak[t] == out.max_temperature &&
-           cores[t] < out.hottest_block)) {
-        out.max_temperature = out.core_peak[t];
-        out.hottest_block = cores[t];
+    for (double& peak : out.core_peak) {
+      heats = heats || peak > 0.0;
+      peak += ambient;
+    }
+  } else {
+    std::fill(out.core_peak.begin(), out.core_peak.end(), ambient);
+    for (std::size_t j = 0; j < cores.size(); ++j) {
+      if (core_power[j] == 0.0) continue;
+      const double* response = step_response(cores[j], duration);
+      for (std::size_t t = 0; t < cores.size(); ++t) {
+        out.core_peak[t] += core_power[j] * response[cores[t]];
       }
     }
-    if (max_rise > 0.0) {
-      ++(solo ? pending_solo_lookups_ : pending_solves_);
-      simulation_effort_ += duration;
-      ++simulation_count_;
-      return out;
+    for (const double peak : out.core_peak) heats = heats || peak > ambient;
+  }
+  // G is an irreducibly diagonally dominant M-matrix, and a backward-Euler
+  // rise from ambient never falls, so under either oracle the block
+  // maximum of a positive rise lies on a powered core; scanning the cores
+  // with ties to the lower index matches max_element's first maximum over
+  // all blocks.
+  for (std::size_t t = 0; t < cores.size(); ++t) {
+    if (t == 0 || out.core_peak[t] > out.max_temperature ||
+        (out.core_peak[t] == out.max_temperature &&
+         cores[t] < out.hottest_block)) {
+      out.max_temperature = out.core_peak[t];
+      out.hottest_block = cores[t];
     }
+  }
+  if (heats) {
+    if (!options_.transient) ++(solo ? pending_solo_lookups_ : pending_solves_);
+    simulation_effort_ += duration;
+    ++simulation_count_;
+    return out;
   }
   std::vector<double> block_power(model_->block_count(), 0.0);
   for (std::size_t t = 0; t < cores.size(); ++t) {
@@ -129,6 +154,25 @@ SessionPeaks ThermalAnalyzer::session_peaks(
   out.max_temperature = sim.max_temperature;
   out.hottest_block = sim.hottest_block;
   return out;
+}
+
+const double* ThermalAnalyzer::step_response(std::size_t core,
+                                             double duration) {
+  ++pending_response_lookups_;
+  TransientOptions topt;
+  topt.dt = options_.dt;
+  const auto fill = [&] {
+    return unit_step_response(*model_, core, duration, topt);
+  };
+  const StepResponseTable::Key key{std::bit_cast<std::uint64_t>(options_.dt),
+                                   core,
+                                   std::bit_cast<std::uint64_t>(duration)};
+  if (const double* stored =
+          model_->step_responses().row(key, model_->block_count(), fill)) {
+    return stored;
+  }
+  unstored_response_ = fill();
+  return unstored_response_.data();
 }
 
 void ThermalAnalyzer::fit_scratch() {

@@ -10,7 +10,14 @@
 // core_power, duration), for the solo pre-pass (one core) and every
 // validation. Under the steady oracle a one-core session reads the
 // model's self-resistance table (RCModel::self_resistance), and a larger
-// one path-solves the session cores.
+// one path-solves the session cores. Under the transient oracle a
+// session's rises are the power-weighted sum of its cores' unit-step
+// responses, read from the model's StepResponseTable
+// (RCModel::step_responses) and filled on first use; that is linear
+// algebra on backward Euler from ambient, within 1e-12 relative of the
+// stepped session on the rise (docs/SOLVERS.md "Transient response
+// table"). Every other transient path (simulate_session, chained,
+// cool_down) steps the session itself.
 #pragma once
 
 #include <cstddef>
@@ -110,11 +117,20 @@ class ThermalAnalyzer {
   /// rise; docs/SOLVERS.md "Self-resistance table"), with the core as the
   /// hottest block. Otherwise it solves only the union of the cores'
   /// elimination-tree paths (SparseCholeskyFactor::solve_subset), so the
-  /// peaks are bit for bit those of the full solve. Either way it takes
-  /// the maximum over the cores, which the maximum principle makes the
-  /// block maximum (docs/SOLVERS.md "Path solves"). It falls back to the
-  /// full solve when no core heats up. The transient oracle steps the
-  /// full session.
+  /// peaks are bit for bit those of the full solve. The transient oracle
+  /// answers by superposition: core i's rise is Σⱼ pⱼ·uⱼ(d)[i], summed
+  /// over the powered cores j in session order, with uⱼ(d) the model's
+  /// unit-step response (RCModel::step_responses, unit_step_response),
+  /// so a one-core session reads ambient + p·uᵢ(d)[i] and repeats its
+  /// pre-pass peak bit for bit. It is within 1e-12 relative of the
+  /// stepped session on the rise (docs/SOLVERS.md "Transient response
+  /// table"). An uncached response costs one unit simulation, so a
+  /// session none of whose responses are stored costs |S| of them; past
+  /// the table's byte cap a response is computed without being stored,
+  /// with the same bits. Either oracle takes the maximum over the cores,
+  /// which the maximum principle makes the block maximum (docs/SOLVERS.md
+  /// "Path solves"), and falls back to the full session when no core
+  /// heats up.
   SessionPeaks session_peaks(std::span<const std::size_t> cores,
                              std::span<const double> core_power,
                              double duration);
@@ -150,9 +166,10 @@ class ThermalAnalyzer {
   /// Resets the effort accounting (a scheduler run starts from zero).
   void reset_effort();
 
-  /// Adds session_peaks' steady table reads (one core) and path solves
-  /// made since the last flush to the `thermal.solo_lookups` and
-  /// `thermal.solves` counters. Both only count locally, so the hot path
+  /// Adds session_peaks' steady table reads (one core), path solves and
+  /// transient unit-step response reads made since the last flush to the
+  /// `thermal.solo_lookups`, `thermal.solves` and
+  /// `thermal.response_lookups` counters. All count locally, so the hot path
   /// touches no shared counter; core::solo_prepass and
   /// ThermalAwareScheduler::generate flush once per run, and the
   /// destructor flushes the rest. (A steady simulate_session counts at
@@ -161,6 +178,10 @@ class ThermalAnalyzer {
 
  private:
   void fit_scratch();  // sizes scratch_ to the model on first use
+  /// uⱼ(d) for j = `core` and d = `duration` at options_.dt, one value
+  /// per block: the model's stored row, or a fill (stored when the table
+  /// has room, else kept in unstored_response_ until the next call).
+  const double* step_response(std::size_t core, double duration);
   /// The session outcome from per-node peaks: keeps the block entries,
   /// finds the maximum and hottest block, and charges `duration`.
   SessionSimulation finish_session(std::vector<double> node_peaks,
@@ -173,6 +194,8 @@ class ThermalAnalyzer {
   linalg::PathScratch scratch_;  // session_peaks' path solves
   std::size_t pending_solo_lookups_ = 0;
   std::size_t pending_solves_ = 0;
+  std::size_t pending_response_lookups_ = 0;
+  std::vector<double> unstored_response_;  // a response past the cap
 };
 
 }  // namespace thermo::thermal

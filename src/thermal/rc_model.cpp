@@ -50,6 +50,25 @@ const std::vector<double>& SteadyFactorSlot::self_resistance(
   return self_resistance_;
 }
 
+StepResponseTable::Row* StepResponseTable::entry(const Key& key,
+                                                 std::size_t size) {
+  {
+    std::shared_lock lock(mutex_);
+    if (const auto it = rows_.find(key); it != rows_.end()) return &it->second;
+  }
+  const std::size_t row_bytes = size * sizeof(double);
+  std::unique_lock lock(mutex_);
+  if (const auto it = rows_.find(key); it != rows_.end()) return &it->second;
+  if (row_bytes > kMaxBytes - bytes_) return nullptr;
+  bytes_ += row_bytes;
+  return &rows_.try_emplace(key).first->second;
+}
+
+std::size_t StepResponseTable::bytes() const {
+  std::shared_lock lock(mutex_);
+  return bytes_;
+}
+
 double lateral_conductance(const fp::Floorplan& floorplan,
                            const fp::Adjacency& adj,
                            const PackageParams& package) {

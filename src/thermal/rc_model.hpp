@@ -28,8 +28,11 @@
 // The model owns its derived steady-state state: the sparse LDLᵗ
 // factor of G and each block's self-resistance (G⁻¹)ᵢᵢ, both built on
 // the first steady_factor() or self_resistance() call and shared by
-// every copy of the model (SteadyFactorSlot). Transient steppers, one
-// per (model, dt), stay in ThermalSolverCache (solver_cache.hpp).
+// every copy of the model (SteadyFactorSlot). It also owns the
+// transient oracle's unit-step responses, filled as they are first
+// asked for and shared the same way (StepResponseTable). Transient
+// steppers, one per (model, dt), stay in ThermalSolverCache
+// (solver_cache.hpp).
 //
 // The free functions below are the one copy of these formulas:
 // GridThermalModel stamps the same package after its die cells, and
@@ -43,8 +46,10 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <vector>
 
 #include "floorplan/floorplan.hpp"
@@ -111,6 +116,65 @@ class SteadyFactorSlot {
   std::vector<double> self_resistance_;
 };
 
+/// One model's unit-step responses under the transient oracle: for a
+/// key (dt, block j, duration d), uⱼ(d), the rise of every block after d
+/// seconds with 1 W in block j from ambient (unit_step_response,
+/// transient.hpp). ThermalAnalyzer::session_peaks reads a session's
+/// rises from them by superposition. Each key is filled once, by the
+/// first caller, outside the table's lock: a caller asking for a key
+/// being filled waits for that fill (it would compute the same bits),
+/// and every other key stays readable. Rows are never changed or erased,
+/// so a returned row stays valid for the table's lifetime. The rows hold
+/// at most kMaxBytes; past that a caller computes a response without
+/// storing it, which gives the same bits. A model holds its table
+/// through a shared_ptr, so copies of the model share it and it dies
+/// with the last of them.
+class StepResponseTable {
+ public:
+  /// Cap on the rows' payload per model: 512 rows of a 1024-block
+  /// model, 65,536 of an 8-block one.
+  static constexpr std::size_t kMaxBytes = std::size_t{4} << 20;
+
+  struct Key {
+    std::uint64_t dt_bits = 0;        ///< the step, bit for bit
+    std::size_t block = 0;            ///< the powered block j
+    std::uint64_t duration_bits = 0;  ///< the duration, bit for bit
+    auto operator<=>(const Key&) const = default;
+  };
+
+  /// The row of `key`, `size` values that `fill()` returns, filled on
+  /// the key's first call; null, calling nothing, when a new row would
+  /// take the table past kMaxBytes. A fill that throws leaves the row
+  /// empty (its bytes still counted) and the next call of the key fills
+  /// again.
+  template <class Fill>
+  const double* row(const Key& key, std::size_t size, const Fill& fill);
+
+  /// Payload bytes of the rows stored or being filled.
+  std::size_t bytes() const;
+
+ private:
+  struct Row {
+    std::once_flag filled;
+    std::vector<double> values;
+  };
+  /// The entry of `key`, made if the table has room (else null).
+  Row* entry(const Key& key, std::size_t size);
+
+  mutable std::shared_mutex mutex_;
+  std::map<Key, Row> rows_;
+  std::size_t bytes_ = 0;
+};
+
+template <class Fill>
+const double* StepResponseTable::row(const Key& key, std::size_t size,
+                                     const Fill& fill) {
+  Row* const found = entry(key, size);
+  if (found == nullptr) return nullptr;
+  std::call_once(found->filled, [&] { found->values = fill(); });
+  return found->values.data();
+}
+
 class RCModel {
  public:
   /// Builds the network. The floorplan must be valid (no overlaps) and is
@@ -159,6 +223,10 @@ class RCModel {
     return steady_->self_resistance(sparse_);
   }
 
+  /// The transient oracle's unit-step responses of this model, filled
+  /// by ThermalAnalyzer::session_peaks and shared with every copy.
+  StepResponseTable& step_responses() const { return *step_responses_; }
+
   /// Per-node heat capacity [J/K] (all positive).
   const std::vector<double>& capacitance() const { return capacitance_; }
 
@@ -184,6 +252,8 @@ class RCModel {
   std::vector<double> capacitance_;
   std::vector<double> ambient_conductance_;
   std::shared_ptr<SteadyFactorSlot> steady_;  // tabulates the blocks
+  std::shared_ptr<StepResponseTable> step_responses_ =
+      std::make_shared<StepResponseTable>();
 };
 
 }  // namespace thermo::thermal

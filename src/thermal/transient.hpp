@@ -18,8 +18,16 @@
 // watch every step, chain one-step calls, each final state feeding the
 // next initial one). docs/SOLVERS.md covers the cost model ("The factor
 // cache").
+//
+// From ambient at constant power the step is linear in the power, so a
+// session's rise is the power-weighted sum of its cores' unit-step
+// responses (unit_step_response, the same step schedule with 1 W on one
+// block). ThermalAnalyzer::session_peaks answers the transient oracle
+// that way from each model's StepResponseTable (rc_model.hpp;
+// docs/SOLVERS.md "Transient response table").
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "thermal/rc_model.hpp"
@@ -47,6 +55,16 @@ TransientResult simulate_transient(const RCModel& model,
                                    double duration,
                                    const std::vector<double>& initial,
                                    const TransientOptions& options = {});
+
+/// The rise over ambient [K] of every block after `duration` seconds
+/// with 1 W in block `block` and nothing elsewhere, starting at ambient:
+/// simulate_transient's step schedule (the same whole steps and
+/// remainder step, the same steppers, counted in `thermal.steps`) run on
+/// the rise vector itself. Requires block < block_count(), a positive
+/// finite duration and dt > 0 (InvalidArgument otherwise).
+std::vector<double> unit_step_response(const RCModel& model,
+                                       std::size_t block, double duration,
+                                       const TransientOptions& options = {});
 
 /// All-nodes-at-ambient initial state for a model.
 std::vector<double> ambient_state(const RCModel& model);

@@ -403,15 +403,16 @@ INSTANTIATE_TEST_SUITE_P(
 /// (docs/SOLVERS.md "Self-resistance table").
 constexpr double kTableRel = 1e-13;
 
-/// `peak` within kTableRel of `expected` on the rise over `ambient`. Both
+/// `peak` within `rel` of `expected` on the rise over `ambient`. Both
 /// temperatures are ambient + rise rounded, which adds up to one ulp of
 /// the temperature to the gap (7.1e-15 at 45 °C, 1e-13 of a 0.07 K rise).
-void expect_rise_near(double peak, double expected, double ambient) {
+void expect_rise_near(double peak, double expected, double ambient,
+                      double rel = kTableRel) {
   const double ulp =
       std::nextafter(expected, std::numeric_limits<double>::infinity()) -
       expected;
   EXPECT_NEAR(peak - ambient, expected - ambient,
-              kTableRel * (expected - ambient) + ulp);
+              rel * (expected - ambient) + ulp);
 }
 
 // The path solve on one node, on the RC models Algorithm 1 runs on, in
@@ -633,6 +634,251 @@ TEST_P(SelfResistanceTable, SoloRisesMatchTheSolvesAndValidationsMatchBcmt) {
 
 INSTANTIATE_TEST_SUITE_P(SyntheticSocs, SelfResistanceTable,
                          ::testing::Values(8u, 246u, 1000u, 4000u));
+
+/// Tolerance of a transient session_peaks, a sum of unit-step responses
+/// (docs/SOLVERS.md "Transient response table"), against the stepped
+/// session, relative to the rise.
+constexpr double kSuperpositionRel = 1e-12;
+
+/// A transient-table case: a random synthetic SoC of `cores` cores
+/// stepped at `dt`.
+struct ResponseCase {
+  std::size_t cores;
+  double dt;
+};
+
+void PrintTo(const ResponseCase& c, std::ostream* os) {
+  *os << c.cores << "cores_dt" << c.dt;
+}
+
+/// A random SoC whose test lengths, 5 to 60 ms, are almost never a whole
+/// number of steps at dt 0.01 or 1e-3 (those under 10 ms are a lone
+/// remainder step at dt 0.01), with ambient `ambient`.
+core::SocSpec ragged_soc(std::uint64_t seed, std::size_t cores,
+                         double ambient) {
+  Rng rng(seed);
+  soc::SyntheticOptions options;
+  options.core_count = cores;
+  options.power_density_min = 1e5;
+  options.power_density_max = 8e5;
+  options.test_length_min = 0.005;
+  options.test_length_max = 0.06;
+  core::SocSpec soc = soc::make_synthetic_soc(rng, options);
+  soc.package.ambient = ambient;
+  return soc;
+}
+
+class TransientResponseTable : public ::testing::TestWithParam<ResponseCase> {
+ protected:
+  thermal::ThermalAnalyzer::Options options() const {
+    thermal::ThermalAnalyzer::Options transient;
+    transient.dt = GetParam().dt;
+    return transient;
+  }
+};
+
+// The transient oracle answers session_peaks by superposition from the
+// model's unit-step responses. On random sessions (one core or several,
+// some cores at zero power) at lengths off the step grid and on it, its
+// peaks and maximum are within kSuperpositionRel of simulate_session on
+// the rise, naming the same hottest block at the same effort and count;
+// an all-zero session takes the full simulation bit for bit. After
+// solo_prepass, each one-core validation repeats its core's BCMT bit
+// for bit, which Algorithm 1's single-core check relies on.
+TEST_P(TransientResponseTable, SessionPeaksMatchTheSteppedSessions) {
+  const std::size_t cores = GetParam().cores;
+  const core::SocSpec soc = ragged_soc(cores + 17, cores, 45.0);
+  const auto model =
+      std::make_shared<const thermal::RCModel>(soc.flp, soc.package);
+  thermal::ThermalAnalyzer table(model, options());
+  thermal::ThermalAnalyzer full(model, options());
+  const double ambient = soc.package.ambient;
+  const double dt = GetParam().dt;
+  Rng rng(cores);
+  std::vector<std::size_t> all(cores);
+  for (std::size_t i = 0; i < cores; ++i) all[i] = i;
+  for (int trial = 0; trial < 24; ++trial) {
+    rng.shuffle(all);
+    const auto k = static_cast<std::size_t>(
+        trial % 3 == 0 ? 1 : rng.uniform_int(2, std::min<long long>(8, cores)));
+    const std::vector<std::size_t> session(all.begin(),
+                                           all.begin() + static_cast<long>(k));
+    std::vector<double> power(cores, 0.0);
+    std::vector<double> core_power;
+    for (const std::size_t core : session) {
+      power[core] = k > 1 && rng.chance(0.25) ? 0.0 : soc.tests[core].power;
+      core_power.push_back(power[core]);
+    }
+    // Off the step grid, then a whole number of steps.
+    const double duration = trial % 2 ? rng.uniform(0.3, 6.3) * dt
+                                      : static_cast<double>(trial + 1) * dt;
+    SCOPED_TRACE("trial=" + std::to_string(trial));
+    const thermal::SessionPeaks peaks =
+        table.session_peaks(session, core_power, duration);
+    const thermal::SessionSimulation sim =
+        full.simulate_session(power, duration);
+    for (std::size_t t = 0; t < k; ++t) {
+      expect_rise_near(peaks.core_peak[t], sim.peak_temperature[session[t]],
+                       ambient, kSuperpositionRel);
+    }
+    expect_rise_near(peaks.max_temperature, sim.max_temperature, ambient,
+                     kSuperpositionRel);
+    EXPECT_EQ(peaks.hottest_block, sim.hottest_block);
+  }
+  // No power at all: the full simulation, whose argmax is block 0.
+  const std::vector<std::size_t> cold = {cores - 1, cores / 2};
+  const thermal::SessionPeaks none =
+      table.session_peaks(cold, std::vector<double>{0.0, 0.0}, 1.5 * dt);
+  const thermal::SessionSimulation none_sim =
+      full.simulate_session(std::vector<double>(cores, 0.0), 1.5 * dt);
+  EXPECT_EQ(bits(none.max_temperature), bits(none_sim.max_temperature));
+  EXPECT_EQ(none.hottest_block, none_sim.hottest_block);
+  EXPECT_EQ(bits(table.simulation_effort()), bits(full.simulation_effort()));
+  EXPECT_EQ(table.simulation_count(), full.simulation_count());
+
+  thermal::ThermalAnalyzer validator(model, options());
+  const core::SoloPrepass prepass = core::solo_prepass(soc, validator);
+  for (std::size_t i = 0; i < cores; ++i) {
+    const thermal::SessionPeaks solo = validator.session_peaks(
+        {&i, 1}, {&soc.tests[i].power, 1}, soc.tests[i].length);
+    EXPECT_EQ(bits(solo.core_peak[0]), bits(prepass.bcmt[i])) << "core=" << i;
+    EXPECT_EQ(solo.hottest_block, i);
+  }
+}
+
+// The physics the superposition read rests on. (C/dt + G) is a
+// non-singular M-matrix, so (C/dt + G)⁻¹ ≥ 0 and a unit step from
+// ambient never cools a node: chaining one-step simulate_transient calls
+// (whole steps, then the remainder step) at ambient 0, every node is
+// non-decreasing at every step, bit for bit, and the chain ends on
+// unit_step_response's bits, which the table stores.
+TEST_P(TransientResponseTable, UnitStepsHeatMonotonically) {
+  const std::size_t cores = GetParam().cores;
+  const core::SocSpec soc = ragged_soc(cores + 29, cores, 0.0);
+  const thermal::RCModel model(soc.flp, soc.package);
+  thermal::TransientOptions step;
+  step.dt = GetParam().dt;
+  const std::size_t block = cores / 3;
+  const double duration = 7.4 * step.dt;  // 7 whole steps and a remainder
+  std::vector<double> unit(cores, 0.0);
+  unit[block] = 1.0;
+  std::vector<double> state = thermal::ambient_state(model);
+  std::size_t decreases = 0;
+  double t = 0.0;
+  const auto advance = [&](double by) {
+    const std::vector<double> next =
+        thermal::simulate_transient(model, unit, by, state, step)
+            .final_temperature;
+    for (std::size_t n = 0; n < next.size(); ++n) {
+      if (next[n] < state[n]) ++decreases;
+    }
+    state = next;
+  };
+  for (int k = 0; k < 7; ++k) {
+    advance(step.dt);
+    t += step.dt;
+  }
+  advance(duration - t);
+  EXPECT_EQ(decreases, 0u);
+  const std::vector<double> response =
+      thermal::unit_step_response(model, block, duration, step);
+  ASSERT_EQ(response.size(), cores);
+  for (std::size_t b = 0; b < cores; ++b) {
+    EXPECT_EQ(bits(response[b]), bits(state[b])) << "block=" << b;
+    EXPECT_GT(response[b], 0.0) << "block=" << b;
+  }
+}
+
+// Homogeneity: at ambient 0 every step of the transient oracle is
+// linear in the powers and STC is quadratic, so on one shared model,
+// doubling every power doubles every session_peaks rise exactly, and
+// generate() with 2p, 2·TL and 4·STCL makes the same sessions, discards
+// and exclusions (kExclude: kRaiseLimit's 1 K margin is not
+// homogeneous) with exactly doubled temperatures, on a TL/STCL grid
+// where TL binds. The second run reads the
+// responses the first one stored, so a table that stored p·uⱼ instead
+// of uⱼ fails here.
+TEST_P(TransientResponseTable, DoublingThePowersDoublesEveryRise) {
+  const std::size_t cores = GetParam().cores;
+  const core::SocSpec soc = ragged_soc(cores + 41, cores, 0.0);
+  core::SocSpec doubled = soc;
+  for (core::CoreTest& test : doubled.tests) test.power *= 2.0;
+  const auto model =
+      std::make_shared<const thermal::RCModel>(soc.flp, soc.package);
+  thermal::ThermalAnalyzer analyzer(model, options());
+  Rng rng(cores + 3);
+  std::vector<std::size_t> all(cores);
+  for (std::size_t i = 0; i < cores; ++i) all[i] = i;
+  for (int trial = 0; trial < 12; ++trial) {
+    rng.shuffle(all);
+    const auto k = static_cast<std::size_t>(
+        rng.uniform_int(1, std::min<long long>(6, cores)));
+    const std::vector<std::size_t> session(all.begin(),
+                                           all.begin() + static_cast<long>(k));
+    std::vector<double> power;
+    std::vector<double> twice;
+    for (const std::size_t core : session) {
+      power.push_back(soc.tests[core].power);
+      twice.push_back(doubled.tests[core].power);
+    }
+    const double duration = rng.uniform(0.5, 5.5) * GetParam().dt;
+    const thermal::SessionPeaks once =
+        analyzer.session_peaks(session, power, duration);
+    const thermal::SessionPeaks again =
+        analyzer.session_peaks(session, twice, duration);
+    for (std::size_t t = 0; t < k; ++t) {
+      EXPECT_EQ(bits(again.core_peak[t]), bits(2.0 * once.core_peak[t]))
+          << "trial=" << trial << " core=" << session[t];
+    }
+    EXPECT_EQ(again.hottest_block, once.hottest_block);
+  }
+
+  double hottest = 0.0;
+  for (const double bcmt : core::solo_prepass(soc, analyzer).bcmt) {
+    hottest = std::max(hottest, bcmt);
+  }
+  std::size_t discards = 0;
+  for (const auto& [tl, stcl] :
+       {std::pair{0.9, 50.0}, std::pair{0.9, 1e5}, std::pair{1.1, 1e3},
+        std::pair{1.1, 1e5}, std::pair{1.3, 50.0}, std::pair{1.3, 1e5}}) {
+    core::ThermalSchedulerOptions base;
+    base.temperature_limit = tl * hottest;
+    base.stc_limit = stcl;
+    base.model.stc_scale = 10.0;
+    base.solo_policy = core::SoloViolationPolicy::kExclude;
+    core::ThermalSchedulerOptions scaled = base;
+    scaled.temperature_limit = 2.0 * base.temperature_limit;
+    scaled.stc_limit = 4.0 * base.stc_limit;
+    const core::ScheduleResult a =
+        core::ThermalAwareScheduler(base).generate(soc, analyzer);
+    const core::ScheduleResult b =
+        core::ThermalAwareScheduler(scaled).generate(doubled, analyzer);
+    SCOPED_TRACE("tl=" + std::to_string(tl) + "·hottest, stcl=" +
+                 std::to_string(stcl));
+    discards += a.discarded_sessions;
+    ASSERT_EQ(b.schedule.session_count(), a.schedule.session_count());
+    for (std::size_t s = 0; s < a.outcomes.size(); ++s) {
+      EXPECT_EQ(b.schedule.sessions[s].cores, a.schedule.sessions[s].cores);
+      EXPECT_EQ(bits(b.outcomes[s].max_temperature),
+                bits(2.0 * a.outcomes[s].max_temperature));
+      EXPECT_EQ(b.outcomes[s].hottest_core, a.outcomes[s].hottest_core);
+    }
+    EXPECT_EQ(b.discarded_sessions, a.discarded_sessions);
+    for (std::size_t i = 0; i < cores; ++i) {
+      EXPECT_EQ(bits(b.bcmt[i]), bits(2.0 * a.bcmt[i])) << "core=" << i;
+    }
+    EXPECT_EQ(bits(b.max_temperature), bits(2.0 * a.max_temperature));
+    EXPECT_EQ(bits(b.simulation_effort), bits(a.simulation_effort));
+    EXPECT_EQ(b.simulation_count, a.simulation_count);
+  }
+  EXPECT_GT(discards, 0u) << "TL never bound";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SyntheticSocs, TransientResponseTable,
+    ::testing::Values(ResponseCase{8, 0.01}, ResponseCase{8, 1e-3},
+                      ResponseCase{27, 0.01}, ResponseCase{27, 1e-3},
+                      ResponseCase{64, 0.01}, ResponseCase{64, 1e-3}));
 
 // Ties: a mirror-symmetric m×m grid of equal blocks, validated with
 // mirror-image cores at equal power, where blocks can reach the same

@@ -177,57 +177,61 @@ TEST(ScenarioPersist, OldCacheDirWithCalibrationBlobStillWorks) {
     keys.push_back(to_json_line(parse_request_line(line)));
   }
 
-  // A directory left by a revision-1 build: stale records stored under
-  // the current keys, so only the revision wipe keeps them from being
-  // served, plus the calibration blob those builds wrote.
-  const ScopedTempDir dir("serve-cache");
-  {
-    persist::StoreOptions old;
-    old.schema_revision = 1;
-    persist::SegmentStore store(dir.path(), old);
-    for (const std::string& key : keys) {
-      ASSERT_TRUE(store.put(key, R"({"id":"stale","ok":true})"));
+  for (const std::uint32_t revision : {1u, 4u}) {
+    SCOPED_TRACE("revision " + std::to_string(revision));
+    // A directory left by an older build: stale records stored under the
+    // current keys, so only the revision wipe keeps them from being served,
+    // plus the calibration blob revision-1 builds wrote. Revision 4 is the
+    // last before transient peaks came from unit-step responses.
+    const ScopedTempDir dir("serve-cache");
+    {
+      persist::StoreOptions old;
+      old.schema_revision = revision;
+      persist::SegmentStore store(dir.path(), old);
+      for (const std::string& key : keys) {
+        ASSERT_TRUE(store.put(key, R"({"id":"stale","ok":true})"));
+      }
     }
+    const std::string blob_path = dir.path() + "/calibration.v1";
+    {
+      std::ofstream blob(blob_path, std::ios::binary);
+      blob << kOldCalibrationBlob;
+    }
+
+    // Opening it wipes the old revision: everything executes, and the
+    // bytes equal a serve over an empty directory.
+    const ScopedTempDir empty("serve-cache-empty");
+    const RunOutput cold = serve_once(input, empty.path(), {});
+    ASSERT_EQ(cold.summary.failed, 0u);
+    const RunOutput first = serve_once(input, dir.path(), {});
+    EXPECT_EQ(first.records, cold.records);
+    EXPECT_EQ(first.summary.executed, 8u);
+    EXPECT_EQ(first.summary.disk_hits, 0u);
+
+    // What `thermosched cache verify|compact` open: the existing store,
+    // schema-checked, never created.
+    {
+      persist::StoreOptions options;
+      options.schema_revision = dispatch::kResultSchemaRevision;
+      options.schema_policy = persist::SchemaPolicy::kFailOnMismatch;
+      options.create_if_missing = false;
+      persist::SegmentStore store(dir.path(), options);
+      const persist::SegmentStore::VerifyReport report = store.verify();
+      EXPECT_TRUE(report.clean());
+      EXPECT_EQ(report.valid_records, 8u);
+      EXPECT_EQ(store.compact(), 8u);
+      EXPECT_TRUE(store.verify().clean());
+    }
+
+    // A later `serve --cache-dir` replays every record from disk.
+    const RunOutput replay = serve_once(input, dir.path(), {});
+    EXPECT_EQ(replay.records, first.records);
+    EXPECT_EQ(replay.summary.executed, 0u);
+    EXPECT_EQ(replay.summary.disk_hits, 8u);
+
+    ASSERT_TRUE(std::filesystem::exists(blob_path));
+    EXPECT_EQ(read_file(blob_path), kOldCalibrationBlob);
   }
-  const std::string blob_path = dir.path() + "/calibration.v1";
-  {
-    std::ofstream blob(blob_path, std::ios::binary);
-    blob << kOldCalibrationBlob;
-  }
-
-  // Opening it wipes the old revision: everything executes, and the
-  // bytes equal a serve over an empty directory.
-  const ScopedTempDir empty("serve-cache-empty");
-  const RunOutput cold = serve_once(input, empty.path(), {});
-  ASSERT_EQ(cold.summary.failed, 0u);
-  const RunOutput first = serve_once(input, dir.path(), {});
-  EXPECT_EQ(first.records, cold.records);
-  EXPECT_EQ(first.summary.executed, 8u);
-  EXPECT_EQ(first.summary.disk_hits, 0u);
-
-  // What `thermosched cache verify|compact` open: the existing store,
-  // schema-checked, never created.
-  {
-    persist::StoreOptions options;
-    options.schema_revision = dispatch::kResultSchemaRevision;
-    options.schema_policy = persist::SchemaPolicy::kFailOnMismatch;
-    options.create_if_missing = false;
-    persist::SegmentStore store(dir.path(), options);
-    const persist::SegmentStore::VerifyReport report = store.verify();
-    EXPECT_TRUE(report.clean());
-    EXPECT_EQ(report.valid_records, 8u);
-    EXPECT_EQ(store.compact(), 8u);
-    EXPECT_TRUE(store.verify().clean());
-  }
-
-  // A later `serve --cache-dir` replays every record from disk.
-  const RunOutput replay = serve_once(input, dir.path(), {});
-  EXPECT_EQ(replay.records, first.records);
-  EXPECT_EQ(replay.summary.executed, 0u);
-  EXPECT_EQ(replay.summary.disk_hits, 8u);
-
-  ASSERT_TRUE(std::filesystem::exists(blob_path));
-  EXPECT_EQ(read_file(blob_path), kOldCalibrationBlob);
 }
 
 }  // namespace

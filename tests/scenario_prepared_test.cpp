@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <set>
 #include <sstream>
@@ -249,6 +250,58 @@ TEST(PreparedModels, PowerCornersServeLikeLinesAlone) {
   EXPECT_EQ(together.summary.succeeded, lines.size());
   EXPECT_EQ(runner.stats().model_misses, 1u);
   EXPECT_EQ(runner.stats().soc_builds, 1u);
+}
+
+// The transient oracle's unit-step responses are stored per model up to
+// thermal::StepResponseTable::kMaxBytes; past that a response is
+// computed without being stored, with the same bits. So a runner whose
+// models' tables are already full serves a transient stream with the
+// bytes of a fresh runner, and its tables do not grow.
+TEST(PreparedModels, RecordsPastTheResponseCapEqualRecordsUnderIt) {
+  const std::string synthetic =
+      R"("soc":{"kind":"synthetic","seed":5,"cores":34,"test_length_min":0.0137,"test_length_max":0.0561,"power_scale":)";
+  std::string input;
+  for (const char* scale : {"1", "1.3"}) {
+    input += std::string(R"({"id":"syn-)") + scale + "\"," + synthetic +
+             scale + R"(},"tl":150,"stcl":{"min":40,"max":120,"step":40},)" +
+             R"("solver":{"dt":0.001,"transient":true}})" + "\n";
+  }
+  input +=
+      R"({"id":"alpha","soc":{"kind":"alpha"},"tl":150,"stcl":{"min":30,"max":50,"step":20},"solver":{"dt":0.01,"transient":true}})"
+      "\n";
+  using thermal::StepResponseTable;
+  ScenarioRunner full;
+  std::vector<std::shared_ptr<const thermal::RCModel>> models;
+  std::istringstream lines(input);
+  for (std::string line; std::getline(lines, line);) {
+    const ScenarioRequest request = parse_request_line(line);
+    models.push_back(
+        full.model_for(request.soc, ScenarioRunner::build_soc(request.soc)));
+    StepResponseTable& table = models.back()->step_responses();
+    // A row under a step no request uses fills the table to its cap.
+    constexpr std::size_t kValues = StepResponseTable::kMaxBytes / 8;
+    const StepResponseTable::Key key{std::bit_cast<std::uint64_t>(-1.0), 0,
+                                     0};
+    ASSERT_NE(table.row(key, kValues,
+                        [] { return std::vector<double>(kValues, 0.0); }),
+              nullptr);
+    ASSERT_EQ(table.bytes(), StepResponseTable::kMaxBytes);
+  }
+  ScenarioRunner fresh;
+  const Served under = serve(input, 1, fresh);
+  const Served past = serve(input, 1, full);
+  EXPECT_EQ(past.records, under.records);
+  EXPECT_EQ(past.summary.succeeded, 3u);
+  for (const auto& model : models) {
+    EXPECT_EQ(model->step_responses().bytes(), StepResponseTable::kMaxBytes);
+  }
+  std::istringstream again(input);
+  for (std::string line; std::getline(again, line);) {
+    const ScenarioRequest request = parse_request_line(line);
+    const auto model =
+        fresh.model_for(request.soc, ScenarioRunner::build_soc(request.soc));
+    EXPECT_GT(model->step_responses().bytes(), 0u);
+  }
 }
 
 }  // namespace
