@@ -25,30 +25,20 @@ namespace {
 /// kRaiseLimit lifts TL this far above the hottest solo peak [K].
 constexpr double kRaiseLimitMargin = 1.0;
 
-/// Candidate scan order for session construction.
+/// Candidate scan order for session construction; `solo_tc` is each
+/// core's thermal characteristic with an otherwise-empty session.
 std::vector<std::size_t> make_order(const SocSpec& soc,
-                                    const SessionThermalModel& model,
+                                    const std::vector<double>& solo_tc,
                                     CoreOrder order) {
   const std::size_t n = soc.core_count();
   std::vector<std::size_t> indices(n);
   std::iota(indices.begin(), indices.end(), 0);
   if (order == CoreOrder::kInputOrder) return indices;
 
-  // Solo TC: thermal characteristic with an otherwise-empty session.
   std::vector<double> key(n, 0.0);
-  const std::vector<bool> none(n, false);
   for (std::size_t i = 0; i < n; ++i) {
-    switch (order) {
-      case CoreOrder::kDescendingPower:
-        key[i] = soc.tests[i].power;
-        break;
-      case CoreOrder::kDescendingSoloTc:
-      case CoreOrder::kAscendingSoloTc:
-        key[i] = model.thermal_characteristic(none, i, soc.tests[i].power);
-        break;
-      case CoreOrder::kInputOrder:
-        break;
-    }
+    key[i] = order == CoreOrder::kDescendingPower ? soc.tests[i].power
+                                                  : solo_tc[i];
   }
   const bool ascending = order == CoreOrder::kAscendingSoloTc;
   std::stable_sort(indices.begin(), indices.end(),
@@ -161,25 +151,62 @@ ScheduleResult ThermalAwareScheduler::schedule(
   // ---- Main loop (paper lines 8-28) ----
   std::vector<double> weight(n, 1.0);
   std::vector<bool> scheduled = excluded;  // excluded cores are never visited
+  std::size_t remaining = static_cast<std::size_t>(
+      std::count(scheduled.begin(), scheduled.end(), false));
+  std::vector<double> solo_tc(n, 0.0);
+  {
+    const std::vector<bool> none(n, false);
+    for (std::size_t i = 0; i < n; ++i) {
+      solo_tc[i] = model.thermal_characteristic(none, i, power[i]);
+    }
+  }
   const std::vector<std::size_t> order =
-      make_order(soc, model, options_.core_order);
-  auto remaining = [&] {
-    return std::count(scheduled.begin(), scheduled.end(), false);
-  };
+      make_order(soc, solo_tc, options_.core_order);
 
-  std::vector<double> session_power;  // power[] on the session cores
+  // Live candidates (docs/SCHEDULING.md "Live candidates"): `order`'s
+  // unscheduled cores that can still join a session. A core is hopeless
+  // once its solo term, fl(fl(fl(TC·P)·W)·stc_scale) exactly as
+  // characteristic_with and the accept test compute it, exceeds STCL: its
+  // term in any session is at least its solo term (a subset of the same
+  // fixed-order positive conductance sum never rounds higher) and W only
+  // grows, so every scan would reject it. Scans skip hopeless and
+  // scheduled cores and compact them out of `live` as they go.
+  const auto hopeless = [&](std::size_t core) {
+    return solo_tc[core] * power[core] * weight[core] *
+               options_.model.stc_scale >
+           options_.stc_limit;
+  };
+  std::vector<char> dropped(n, 0);
+  std::vector<std::size_t> live;
+  live.reserve(remaining);
+  for (std::size_t core : order) {
+    if (scheduled[core]) continue;
+    if (hopeless(core)) {
+      dropped[core] = 1;
+    } else {
+      live.push_back(core);
+    }
+  }
+  // No core before order[first_unscheduled] is unscheduled: the forced
+  // session's cursor, monotone because cores are never unscheduled.
+  std::size_t first_unscheduled = 0;
+
+  std::vector<bool> active(n, false);  // the session's cores, reset per run
+  std::vector<double> session_power;   // power[] on the session cores
   std::size_t attempts = 0;
   std::size_t stc_evaluations = 0;
   std::size_t stc_terms = 0;
-  while (remaining() > 0) {
+  while (remaining > 0) {
     // Session construction (lines 9-15). `session_stc` is the unscaled STC
     // of the cores accepted so far; a candidate re-evaluates only itself
     // and its active neighbours, bit-identically to a full rescan.
     TestSession session;
-    std::vector<bool> active(n, false);
     double session_stc = 0.0;
-    for (std::size_t candidate : order) {
-      if (scheduled[candidate]) continue;
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < live.size(); ++k) {
+      const std::size_t candidate = live[k];
+      if (scheduled[candidate] || dropped[candidate]) continue;
+      live[kept++] = candidate;
       active[candidate] = true;
       const SessionThermalModel::IncrementalStc stc =
           model.characteristic_with(active, candidate, session_stc, power,
@@ -193,16 +220,14 @@ ScheduleResult ThermalAwareScheduler::schedule(
         active[candidate] = false;
       }
     }
+    live.resize(kept);
     if (session.empty()) {
-      // No core fits under STCL even alone (weights may have grown, or
-      // STCL is tighter than any single core). Degrade gracefully to a
-      // sequential session: it passed the pre-pass, so it is safe.
-      for (std::size_t candidate : order) {
-        if (scheduled[candidate]) continue;
-        session.cores.push_back(candidate);
-        active[candidate] = true;
-        break;
-      }
+      // No core fits under STCL even alone: `live` is empty, since a live
+      // candidate alone in a session is its solo term and fits. Degrade
+      // gracefully to a sequential session with the first unscheduled
+      // core of `order`: it passed the pre-pass, so it is safe.
+      while (scheduled[order[first_unscheduled]]) ++first_unscheduled;
+      session.cores.push_back(order[first_unscheduled]);
     }
     THERMO_ENSURE(!session.empty(), "session construction made no progress");
 
@@ -213,7 +238,10 @@ ScheduleResult ThermalAwareScheduler::schedule(
     }
     const double length = session.length(soc);
     session_power.clear();
-    for (std::size_t core : session.cores) session_power.push_back(power[core]);
+    for (std::size_t core : session.cores) {
+      session_power.push_back(power[core]);
+      active[core] = false;
+    }
     const thermal::SessionPeaks sim =
         analyzer.session_peaks(session.cores, session_power, length);
 
@@ -234,6 +262,11 @@ ScheduleResult ThermalAwareScheduler::schedule(
         throw LogicError("single-core session violates TL after pre-pass: '" +
                          soc.flp.block(session.cores[0]).name + "'");
       }
+      // Only this session's weights grew, so only its cores can have
+      // become hopeless.
+      for (std::size_t core : session.cores) {
+        if (hopeless(core)) dropped[core] = 1;
+      }
       continue;  // regenerate with the increased weights (line 9)
     }
 
@@ -247,6 +280,7 @@ ScheduleResult ThermalAwareScheduler::schedule(
     result.schedule.sessions.push_back(std::move(session));
     for (std::size_t core : result.schedule.sessions.back().cores) {
       scheduled[core] = true;
+      --remaining;
     }
   }
 

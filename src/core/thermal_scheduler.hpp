@@ -19,7 +19,10 @@
 //      in a deterministic order and greedily add each core whose
 //      addition keeps STC(TS) <= STCL. Each candidate re-evaluates only
 //      itself and its active neighbours (O(deg), bit-identical to a
-//      full rescan; SessionThermalModel::characteristic_with).
+//      full rescan; SessionThermalModel::characteristic_with). The scan
+//      walks a compacted list of live candidates: a core whose solo STC
+//      term already exceeds STCL can never be accepted, so it is skipped
+//      with the same result (docs/SCHEDULING.md "Live candidates").
 //   3. *Validation* (lines 16-23): simulate the session with the full RC
 //      model (ThermalAnalyzer::session_peaks on the session cores and
 //      their powers, the pre-pass's question; the steady oracle reads a
@@ -34,10 +37,10 @@
 //   4. Repeat until every core is scheduled (lines 24-28).
 //
 // Robustness beyond the pseudocode:
-//   * if no core fits an empty session under STCL, the first candidate
-//     is force-added alone (a single-core session passed the pre-pass,
-//     so it must be thermally safe) — otherwise tight STCL values would
-//     loop forever;
+//   * if no core fits an empty session under STCL, the first
+//     unscheduled core of the order is force-added alone (a single-core
+//     session passed the pre-pass, so it must be thermally safe) —
+//     otherwise tight STCL values would loop forever;
 //   * an attempt cap turns pathological non-termination into an error.
 //
 // docs/SCHEDULING.md walks through the whole algorithm class by class

@@ -19,13 +19,17 @@
 //  * Plain minimum degree, no approximate-degree / supernode
 //    amalgamation. The next node depends only on current degrees and
 //    the index tie-break, and a degree is the size of a neighbour set,
-//    so adjacency sets are unordered lists (one stamp-array pass per
-//    clique member drops the eliminated node and appends the missing
-//    clique nodes) and the pending queue is a lazy binary min-heap on
-//    (degree, node) that skips entries gone stale. The permutation is
-//    the one a std::set<(degree, node)> queue with sorted merges gives,
-//    a pure function of the sparsity pattern — identical on every
-//    platform and run (the determinism contract in docs/SOLVERS.md).
+//    so adjacency sets are unordered lists of 32-bit ids. Eliminating
+//    v stamps its clique once; each clique member drops v and counts
+//    the members it already holds, and only one that lacks some stamps
+//    its own list to append them. The pending queue is an indexed
+//    binary min-heap with exactly one entry per pending node, keyed by
+//    (degree << 32) | node, whose entry moves up or down in place when
+//    the degree changes. The permutation is the one a
+//    std::set<(degree, node)> queue with sorted merges gives (and the
+//    lazy heap this pass replaced gave), a pure function of the
+//    sparsity pattern — identical on every platform and run (the
+//    determinism contract in docs/SOLVERS.md). Requires n < 2³².
 #pragma once
 
 #include <cstddef>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "linalg/ordering.hpp"
 #include "util/error.hpp"
@@ -34,24 +35,46 @@ SparseCholeskyFactor::SparseCholeskyFactor(const SparseMatrix& a,
   }
   if (ordering_ == Ordering::kMinDegree && n_ > 1) {
     perm_ = min_degree_ordering(a);
-    inv_perm_.assign(n_, 0);
-    for (std::size_t k = 0; k < n_; ++k) inv_perm_[perm_[k]] = k;
-    // Assemble P·A·Pᵗ through the builder (A carries both triangles,
-    // so the permuted matrix does too; no duplicates arise).
-    SparseMatrix::Builder builder(n_, n_);
-    builder.reserve(a.nonzeros());
-    const std::vector<std::size_t>& ap = a.row_offsets();
-    const std::vector<std::size_t>& ai = a.col_indices();
-    const std::vector<double>& ax = a.values();
-    for (std::size_t r = 0; r < n_; ++r) {
-      for (std::size_t q = ap[r]; q < ap[r + 1]; ++q) {
-        builder.add(inv_perm_[r], inv_perm_[ai[q]], ax[q]);
-      }
-    }
-    factorize(builder.build());
-  } else {
-    factorize(a);
   }
+  factor_ordered(a);
+}
+
+SparseCholeskyFactor::SparseCholeskyFactor(const SparseMatrix& a,
+                                           std::vector<std::size_t> permutation)
+    : ordering_(permutation.empty() ? Ordering::kNatural
+                                    : Ordering::kMinDegree),
+      perm_(std::move(permutation)) {
+  THERMO_REQUIRE(a.rows() == a.cols(), "sparse cholesky: matrix must be square");
+  n_ = a.rows();
+  THERMO_REQUIRE(perm_.empty() || perm_.size() == n_,
+                 "sparse cholesky: permutation size must match the matrix");
+  factor_ordered(a);
+}
+
+void SparseCholeskyFactor::factor_ordered(const SparseMatrix& a) {
+  if (perm_.empty()) {
+    factorize(a);
+    return;
+  }
+  inv_perm_.assign(n_, kNone);
+  for (std::size_t k = 0; k < n_; ++k) {
+    THERMO_REQUIRE(perm_[k] < n_ && inv_perm_[perm_[k]] == kNone,
+                   "sparse cholesky: ordering is not a permutation");
+    inv_perm_[perm_[k]] = k;
+  }
+  // Assemble P·A·Pᵗ through the builder (A carries both triangles,
+  // so the permuted matrix does too; no duplicates arise).
+  SparseMatrix::Builder builder(n_, n_);
+  builder.reserve(a.nonzeros());
+  const std::vector<std::size_t>& ap = a.row_offsets();
+  const std::vector<std::size_t>& ai = a.col_indices();
+  const std::vector<double>& ax = a.values();
+  for (std::size_t r = 0; r < n_; ++r) {
+    for (std::size_t q = ap[r]; q < ap[r + 1]; ++q) {
+      builder.add(inv_perm_[r], inv_perm_[ai[q]], ax[q]);
+    }
+  }
+  factorize(builder.build());
 }
 
 void SparseCholeskyFactor::factorize(const SparseMatrix& a) {
@@ -286,9 +309,9 @@ void SparseCholeskyFactor::substitute(Vector& x) const {
   }
 }
 
-SparseImplicitStepper::SparseImplicitStepper(const SparseMatrix& g,
-                                             const Vector& capacitance,
-                                             double dt)
+SparseImplicitStepper::SparseImplicitStepper(
+    const SparseMatrix& g, const Vector& capacitance, double dt,
+    std::optional<std::vector<std::size_t>> permutation)
     : c_over_dt_(divided(capacitance, dt)),
       dt_(dt),
       factor_([&] {
@@ -311,6 +334,9 @@ SparseImplicitStepper::SparseImplicitStepper(const SparseMatrix& g,
           THERMO_REQUIRE(capacitance[i] > 0.0,
                          "stepper: capacitances must be positive");
           builder.add(i, i, c_over_dt_[i]);
+        }
+        if (permutation) {
+          return SparseCholeskyFactor(builder.build(), std::move(*permutation));
         }
         return SparseCholeskyFactor(builder.build());
       }()) {}

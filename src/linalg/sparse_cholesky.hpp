@@ -39,6 +39,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -81,6 +82,17 @@ class SparseCholeskyFactor {
   /// conductance matrices.
   explicit SparseCholeskyFactor(const SparseMatrix& a,
                                 Ordering ordering = Ordering::kAuto);
+
+  /// Factors A = L D Lᵗ after a permutation computed elsewhere
+  /// (perm[k] = the original index eliminated k-th): the
+  /// min_degree_ordering of a matrix with A's pattern, shared by every
+  /// matrix of that pattern, or empty for natural order. Bit-identical
+  /// to the Ordering constructor that computes the same permutation;
+  /// ordering() reports kMinDegree for a non-empty one. Throws
+  /// InvalidArgument unless `permutation` is empty or a permutation of
+  /// [0, n), and as the Ordering constructor does.
+  SparseCholeskyFactor(const SparseMatrix& a,
+                       std::vector<std::size_t> permutation);
 
   std::size_t size() const { return n_; }
 
@@ -128,6 +140,7 @@ class SparseCholeskyFactor {
   Vector inverse_diagonal() const;
 
  private:
+  void factor_ordered(const SparseMatrix& a);  // P·A·Pᵗ after perm_
   void factorize(const SparseMatrix& a);
   void substitute(Vector& x) const;  // L, D, Lᵗ in factor order
 
@@ -155,9 +168,15 @@ class SparseCholeskyFactor {
 class SparseImplicitStepper {
  public:
   /// Factors (C/dt + G); dt must be > 0, capacitance entries > 0, and
-  /// G square, SPD, with capacitance.size() == G rows.
-  SparseImplicitStepper(const SparseMatrix& g, const Vector& capacitance,
-                        double dt);
+  /// G square, SPD, with capacitance.size() == G rows. Without a
+  /// `permutation` the factor resolves Ordering::kAuto itself; with one
+  /// it factors with that permutation (SparseCholeskyFactor's
+  /// permutation constructor). Since C is diagonal and G's diagonal is
+  /// structurally full, (C/dt + G) has G's pattern, so G's ordering
+  /// (thermal::RCModel::ordering) serves every dt.
+  SparseImplicitStepper(
+      const SparseMatrix& g, const Vector& capacitance, double dt,
+      std::optional<std::vector<std::size_t>> permutation = std::nullopt);
 
   double dt() const { return dt_; }
   std::size_t size() const { return c_over_dt_.size(); }

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 
+#include "linalg/ordering.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -21,13 +22,27 @@ std::uint64_t next_identity() {
 
 }  // namespace
 
+const std::vector<std::size_t>& SteadyFactorSlot::ordering(
+    const linalg::SparseMatrix& g) {
+  std::call_once(ordered_, [&] {
+    if (g.rows() < linalg::kOrderingAutoMinNodes) return;
+    static obs::Histogram& ordering_ns =
+        obs::MetricsRegistry::instance().histogram("thermal.ordering_ns");
+    obs::TraceSpan span("thermal.ordering");
+    obs::ScopedTimer timer(ordering_ns);
+    ordering_ = linalg::min_degree_ordering(g);
+  });
+  return ordering_;
+}
+
 void SteadyFactorSlot::build(const linalg::SparseMatrix& g) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
   {
     static obs::Histogram& factor_ns = registry.histogram("thermal.factor_ns");
     obs::TraceSpan factor_span("thermal.factor");
     obs::ScopedTimer factor_timer(factor_ns);
-    factor_ = std::make_unique<const linalg::SparseCholeskyFactor>(g);
+    factor_ =
+        std::make_unique<const linalg::SparseCholeskyFactor>(g, ordering(g));
   }
   if (table_nodes_ == 0) return;
   static obs::Histogram& table_ns =

@@ -6,7 +6,9 @@
 // against ONE fixed RC network; only the power vector changes per
 // candidate. A transient session at step dt steps through (C/dt + G), so
 // factoring it once per (model, dt) and back-substituting per step
-// (2·nnz(L)) keeps stepping near-linear in the node count.
+// (2·nnz(L)) keeps stepping near-linear in the node count. (C/dt + G)
+// has G's pattern for every dt, so each stepper factors with the model's
+// one fill-reducing ordering (RCModel::ordering) instead of its own.
 // docs/SOLVERS.md has the full cost model. The steady-state factor of G
 // is not cached here: each model owns it (RCModel::steady_factor,
 // GridThermalModel::steady_factor).

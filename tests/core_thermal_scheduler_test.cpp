@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "core/safety_checker.hpp"
+#include "core/session_model.hpp"
 #include "obs/metrics.hpp"
 #include "soc/alpha.hpp"
 #include "soc/synthetic.hpp"
@@ -295,6 +298,62 @@ TEST(ThermalSchedulerObs, CountersMatchTheResultAndCostIsPerNeighbour) {
   EXPECT_GE(evaluations, soc.core_count());
   EXPECT_GE(terms, evaluations);
   EXPECT_LE(terms, (1 + max_degree) * evaluations);
+}
+
+// Session construction evaluates only live candidates (docs/SCHEDULING.md
+// "Live candidates"). A 300-core SoC at 3x power under a tight STCL, a
+// quarter of its solo STC terms, and a TL no session reaches: no session
+// is discarded, so every weight stays 1 and a core is live in a round iff
+// it is unscheduled and its solo term is within STCL. The
+// `core.stc_evaluations` count is at most the sum of the live candidates
+// at each session's start, and strictly below the full scans' count, the
+// unscheduled cores at each session's start.
+TEST(ThermalSchedulerObs, ConstructionEvaluatesOnlyLiveCandidates) {
+  Rng rng(7);
+  soc::SyntheticOptions synthetic;
+  synthetic.core_count = 300;
+  SocSpec soc = soc::make_synthetic_soc(rng, synthetic);
+  for (CoreTest& test : soc.tests) test.power *= 3.0;
+  thermal::ThermalAnalyzer::Options oracle;
+  oracle.transient = false;
+  thermal::ThermalAnalyzer analyzer(soc.flp, soc.package, oracle);
+
+  const std::size_t n = soc.core_count();
+  const SessionThermalModel model(soc.flp, soc.package, {});
+  const std::vector<bool> none(n, false);
+  constexpr double kStcScale = 10.0;
+  std::vector<double> solo_term(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double p = soc.tests[i].power;
+    solo_term[i] = model.thermal_characteristic(none, i, p) * p * 1.0 * kStcScale;
+  }
+  std::vector<double> sorted = solo_term;
+  std::sort(sorted.begin(), sorted.end());
+  ThermalSchedulerOptions options = basic_options(1000.0, sorted[n / 4]);
+  options.model.stc_scale = kStcScale;
+
+  obs::Counter& counter =
+      obs::MetricsRegistry::instance().counter("core.stc_evaluations");
+  const std::uint64_t before = counter.value();
+  const ScheduleResult result =
+      ThermalAwareScheduler(options).generate(soc, analyzer);
+  const std::uint64_t evaluations = counter.value() - before;
+  ASSERT_EQ(result.discarded_sessions, 0u);
+
+  std::vector<bool> scheduled(n, false);
+  std::uint64_t live = 0;
+  std::uint64_t full_scan = 0;
+  for (const TestSession& session : result.schedule.sessions) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (scheduled[i]) continue;
+      ++full_scan;
+      live += solo_term[i] <= options.stc_limit;
+    }
+    for (std::size_t core : session.cores) scheduled[core] = true;
+  }
+  EXPECT_LE(evaluations, live);
+  EXPECT_LT(evaluations, full_scan);
+  EXPECT_LT(4 * evaluations, full_scan);  // most cores are hopeless
 }
 
 }  // namespace

@@ -10,12 +10,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "linalg/sparse_cholesky.hpp"
 #include "oracles/cholesky.hpp"
 #include "oracles/min_degree_reference.hpp"
 #include "oracles/sparse_ops.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace thermo::linalg {
@@ -198,6 +202,33 @@ TEST(OrderedFactorTest, AutoResolvesByNodeCount) {
   EXPECT_EQ(large_factor.permutation().size(), kOrderingAutoMinNodes);
 }
 
+TEST(OrderedFactorTest, GivenPermutationFactorsLikeTheOrderingItCame) {
+  Rng rng(37);
+  const SparseMatrix a = random_spd(rng, 120, 240);
+  const SparseCholeskyFactor ordered(a, Ordering::kMinDegree);
+  const SparseCholeskyFactor given(a, min_degree_ordering(a));
+  EXPECT_EQ(given.ordering(), Ordering::kMinDegree);
+  EXPECT_EQ(given.permutation(), ordered.permutation());
+  EXPECT_EQ(given.factor_nonzeros(), ordered.factor_nonzeros());
+  Vector b(a.rows());
+  for (double& v : b) v = rng.uniform(-5.0, 5.0);
+  EXPECT_EQ(given.solve(b), ordered.solve(b));  // same bits
+
+  const SparseCholeskyFactor natural(a, std::vector<std::size_t>{});
+  EXPECT_EQ(natural.ordering(), Ordering::kNatural);
+  EXPECT_EQ(natural.solve(b), SparseCholeskyFactor(a, Ordering::kNatural).solve(b));
+
+  std::vector<std::size_t> short_perm = ordered.permutation();
+  short_perm.pop_back();
+  EXPECT_THROW(SparseCholeskyFactor(a, short_perm), InvalidArgument);
+  std::vector<std::size_t> repeated = ordered.permutation();
+  repeated[1] = repeated[0];
+  EXPECT_THROW(SparseCholeskyFactor(a, repeated), InvalidArgument);
+  std::vector<std::size_t> out_of_range = ordered.permutation();
+  out_of_range[0] = a.rows();
+  EXPECT_THROW(SparseCholeskyFactor(a, out_of_range), InvalidArgument);
+}
+
 TEST(OrderedFactorTest, OrderedNaturalAndDenseSolvesAgree) {
   // Property test: on random SPD systems the ordered factor, the
   // natural-order factor, and the dense Cholesky must agree to the
@@ -277,9 +308,119 @@ TEST(MinDegreeOracle, MatchesSetReferenceOnRandomGraphsWithDenseRows) {
 }
 
 TEST(MinDegreeOracle, MatchesSetReferenceOnGridLaplacian) {
-  const SparseMatrix a = grid_laplacian(64);
+  for (const std::size_t side : {64u, 150u}) {
+    const SparseMatrix a = grid_laplacian(side);
+    EXPECT_EQ(min_degree_ordering(a),
+              thermo::testing::reference_min_degree_ordering(a))
+        << side << "x" << side;
+  }
+}
+
+/// Symmetric pattern on n nodes from an edge list, every diagonal set.
+SparseMatrix pattern_of(std::size_t n,
+                        const std::vector<std::pair<std::size_t, std::size_t>>&
+                            edges) {
+  SparseMatrix::Builder builder(n, n);
+  for (std::size_t i = 0; i < n; ++i) builder.add(i, i, 1.0);
+  for (const auto& [i, j] : edges) {
+    builder.add(i, j, -1.0);
+    builder.add(j, i, -1.0);
+  }
+  return builder.build();
+}
+
+void expect_matches_reference(const SparseMatrix& a, const char* what) {
   EXPECT_EQ(min_degree_ordering(a),
-            thermo::testing::reference_min_degree_ordering(a));
+            thermo::testing::reference_min_degree_ordering(a))
+      << what;
+}
+
+TEST(MinDegreeOracle, MatchesSetReferenceOnEmptyAndSingleNode) {
+  expect_matches_reference(pattern_of(0, {}), "n = 0");
+  expect_matches_reference(pattern_of(1, {}), "n = 1");
+  EXPECT_TRUE(min_degree_ordering(pattern_of(0, {})).empty());
+  EXPECT_EQ(min_degree_ordering(pattern_of(1, {})),
+            std::vector<std::size_t>{0});
+}
+
+TEST(MinDegreeOracle, MatchesSetReferenceOnDisjointCliques) {
+  // Two cliques of each size 1..24 on shuffled ids: every member of a
+  // clique ties on degree, so the index tie-break decides within a clique
+  // and between cliques of equal size, and each elimination lowers its
+  // clique's degrees.
+  std::vector<std::size_t> ids(2 * 24 * 25 / 2);
+  std::iota(ids.begin(), ids.end(), 0);
+  Rng rng(41);
+  rng.shuffle(ids);
+  const std::size_t n = ids.size();
+  std::vector<std::pair<std::size_t, std::size_t>> edges;
+  std::size_t next = 0;
+  for (std::size_t clique = 0; clique < 48; ++clique) {
+    const std::size_t first = next;
+    next += clique / 2 + 1;
+    for (std::size_t x = first; x < next; ++x) {
+      for (std::size_t y = x + 1; y < next; ++y) edges.emplace_back(ids[x], ids[y]);
+    }
+  }
+  expect_matches_reference(pattern_of(n, edges), "disjoint cliques");
+}
+
+TEST(MinDegreeOracle, MatchesSetReferenceOnStarsJustUnderTheDenseRowThreshold) {
+  // Hubs of degree max(16, 4·sqrt(n)) stay in the active graph. Leaves
+  // go first and lower their hub's degree; once a hub goes, its leaves
+  // become a clique and their degrees jump. Chains between leaves keep
+  // the degrees mixed, and one hub past the threshold is withheld.
+  const std::size_t n = 900;
+  const std::size_t threshold = 4 * 30;
+  std::vector<std::pair<std::size_t, std::size_t>> edges;
+  std::size_t next = 0;
+  for (std::size_t hub = 0; hub < 6; ++hub) {
+    const std::size_t centre = next++;
+    const std::size_t leaves = threshold - (hub % 3);
+    for (std::size_t k = 0; k < leaves && next < n - 1; ++k) {
+      edges.emplace_back(centre, next);
+      if (k % 5 != 0) edges.emplace_back(next - 1, next);
+      ++next;
+    }
+  }
+  for (std::size_t i = 0; i < threshold + 1; ++i) {
+    edges.emplace_back(n - 1, (7 * i) % (n - 1));
+  }
+  expect_matches_reference(pattern_of(n, edges), "stars");
+}
+
+TEST(MinDegreeOracle, MatchesSetReferenceOnCompleteBipartiteBlocks) {
+  // K(a, b) blocks: eliminating a node of one side makes the other side
+  // a clique, so degrees rise there while they fall on its own side.
+  std::vector<std::pair<std::size_t, std::size_t>> edges;
+  std::size_t n = 0;
+  for (const auto& [a, b] : {std::pair<std::size_t, std::size_t>{2, 9},
+                            {5, 5},
+                            {3, 12},
+                            {7, 8},
+                            {1, 15}}) {
+    for (std::size_t x = 0; x < a; ++x) {
+      for (std::size_t y = 0; y < b; ++y) edges.emplace_back(n + x, n + a + y);
+    }
+    n += a + b;
+  }
+  expect_matches_reference(pattern_of(n, edges), "complete bipartite blocks");
+}
+
+TEST(MinDegreeOracle, MatchesSetReferenceWithIsolatedDiagonalOnlyNodes) {
+  // Every third node has only its diagonal (degree 0, eliminated first
+  // in index order); the rest form a ring with chords.
+  const std::size_t n = 300;
+  std::vector<std::size_t> ring;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 3 != 0) ring.push_back(i);
+  }
+  std::vector<std::pair<std::size_t, std::size_t>> edges;
+  for (std::size_t k = 0; k < ring.size(); ++k) {
+    edges.emplace_back(ring[k], ring[(k + 1) % ring.size()]);
+    if (k % 7 == 0) edges.emplace_back(ring[k], ring[(k + 13) % ring.size()]);
+  }
+  expect_matches_reference(pattern_of(n, edges), "isolated nodes");
 }
 
 }  // namespace

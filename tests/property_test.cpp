@@ -12,19 +12,23 @@
 #include <ostream>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/safety_checker.hpp"
 #include "core/schedule.hpp"
 #include "core/session_model.hpp"
 #include "core/thermal_scheduler.hpp"
 #include "linalg/sparse_cholesky.hpp"
+#include "obs/metrics.hpp"
 #include "oracles/cholesky.hpp"
 #include "oracles/ode.hpp"
+#include "oracles/reference_thermal_scheduler.hpp"
 #include "oracles/sparse_ops.hpp"
 #include "soc/synthetic.hpp"
 #include "thermal/analyzer.hpp"
 #include "thermal/steady_state.hpp"
 #include "thermal/transient.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace thermo {
@@ -929,6 +933,196 @@ TEST(SessionPeaksTies, MirrorSymmetricSessionsNameTheSameHottestBlock) {
   }
   EXPECT_GT(ties, 0u) << "no session produced a tie";
 }
+
+// ---------------------------------------------------------------------------
+// Live candidates: generate() keeps a compacted list of the candidates
+// that can still join a session, and must give the full-scan reference
+// loop's ScheduleResult bit for bit, while evaluating exactly the live
+// candidates of each construction round.
+
+/// A scheduler configuration, with TL and STCL picked per SoC from its
+/// solo peaks and solo STC terms.
+struct LiveConfig {
+  core::SoloViolationPolicy policy;
+  core::CoreOrder order;
+  int tl;    ///< 0: loose (never binds), 1: binding, 2: below the hottest BCMT
+  int stcl;  ///< 0: loose, 1: tight (most cores hopeless), 2: one solo term exactly
+  double weight_factor;
+};
+
+std::string describe(const LiveConfig& c) {
+  return "policy " + std::to_string(static_cast<int>(c.policy)) + ", order " +
+         std::to_string(static_cast<int>(c.order)) + ", tl " +
+         std::to_string(c.tl) + ", stcl " + std::to_string(c.stcl) +
+         ", weight factor " + std::to_string(c.weight_factor);
+}
+
+/// The first difference between two results, or "" when they are equal
+/// bit for bit.
+std::string first_difference(const core::ScheduleResult& a,
+                             const core::ScheduleResult& b) {
+  if (a.schedule.sessions.size() != b.schedule.sessions.size()) {
+    return "session count " + std::to_string(a.schedule.sessions.size()) +
+           " vs " + std::to_string(b.schedule.sessions.size());
+  }
+  for (std::size_t s = 0; s < a.schedule.sessions.size(); ++s) {
+    if (a.schedule.sessions[s].cores != b.schedule.sessions[s].cores) {
+      return "session " + std::to_string(s);
+    }
+  }
+  if (a.outcomes.size() != b.outcomes.size()) return "outcome count";
+  for (std::size_t s = 0; s < a.outcomes.size(); ++s) {
+    const core::SessionOutcome& x = a.outcomes[s];
+    const core::SessionOutcome& y = b.outcomes[s];
+    if (x.session.cores != y.session.cores || x.length != y.length ||
+        x.max_temperature != y.max_temperature ||
+        x.hottest_core != y.hottest_core) {
+      return "outcome " + std::to_string(s);
+    }
+  }
+  if (a.discarded_sessions != b.discarded_sessions) return "discards";
+  if (a.bcmt != b.bcmt) return "bcmt";
+  if (a.simulation_effort != b.simulation_effort) return "effort";
+  if (a.simulation_count != b.simulation_count) return "count";
+  if (a.precheck_effort != b.precheck_effort) return "precheck effort";
+  if (a.schedule_length != b.schedule_length) return "schedule length";
+  if (a.max_temperature != b.max_temperature) return "max temperature";
+  if (a.notes != b.notes) return "notes";
+  return "";
+}
+
+class LiveCandidateList
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::size_t>> {
+};
+
+TEST_P(LiveCandidateList, GenerateMatchesTheFullScanReference) {
+  const auto [seed, cores] = GetParam();
+  Rng rng(seed);
+  soc::SyntheticOptions synthetic;
+  synthetic.core_count = cores;
+  core::SocSpec soc = soc::make_synthetic_soc(rng, synthetic);
+  for (core::CoreTest& test : soc.tests) test.power *= 3.0;
+  thermal::ThermalAnalyzer::Options steady;
+  steady.transient = false;
+  thermal::ThermalAnalyzer analyzer(soc.flp, soc.package, steady);
+
+  // TL and STCL grids from the SoC's solo peaks and solo STC terms.
+  constexpr double kStcScale = 10.0;
+  const std::vector<double> bcmt = core::solo_prepass(soc, analyzer).bcmt;
+  std::vector<double> sorted_bcmt = bcmt;
+  std::sort(sorted_bcmt.begin(), sorted_bcmt.end());
+  const double tls[] = {sorted_bcmt.back() + 100.0, sorted_bcmt.back() + 1.0,
+                        sorted_bcmt[cores / 2]};
+  const core::SessionThermalModel session_model(soc.flp, soc.package, {});
+  const std::vector<bool> none(cores, false);
+  std::vector<double> solo_terms;
+  for (std::size_t i = 0; i < cores; ++i) {
+    const double p = soc.tests[i].power;
+    solo_terms.push_back(session_model.thermal_characteristic(none, i, p) * p *
+                         1.0 * kStcScale);
+  }
+  std::sort(solo_terms.begin(), solo_terms.end());
+  const double stcls[] = {10.0 * solo_terms.back(), solo_terms[cores / 4],
+                          solo_terms[cores / 2]};
+
+  // Small SoCs run the whole grid; larger ones twelve configurations
+  // that still pair every policy with every order.
+  using Policy = core::SoloViolationPolicy;
+  using Order = core::CoreOrder;
+  std::vector<LiveConfig> configs;
+  if (cores <= 30) {
+    for (const Policy policy :
+         {Policy::kThrow, Policy::kRaiseLimit, Policy::kExclude}) {
+      for (const Order order :
+           {Order::kInputOrder, Order::kDescendingPower,
+            Order::kDescendingSoloTc, Order::kAscendingSoloTc}) {
+        for (int tl = 0; tl < 3; ++tl) {
+          for (int stcl = 0; stcl < 3; ++stcl) {
+            for (const double w : {1.0, 1.1, 2.0}) {
+              configs.push_back({policy, order, tl, stcl, w});
+            }
+          }
+        }
+      }
+    }
+  } else {
+    configs = {
+        {Policy::kRaiseLimit, Order::kDescendingSoloTc, 2, 0, 1.1},
+        {Policy::kRaiseLimit, Order::kAscendingSoloTc, 1, 1, 2.0},
+        {Policy::kExclude, Order::kInputOrder, 2, 2, 1.1},
+        {Policy::kExclude, Order::kDescendingPower, 2, 0, 2.0},
+        {Policy::kThrow, Order::kDescendingSoloTc, 1, 2, 2.0},
+        {Policy::kThrow, Order::kInputOrder, 0, 1, 1.0},
+        {Policy::kThrow, Order::kAscendingSoloTc, 2, 0, 1.1},
+        {Policy::kRaiseLimit, Order::kDescendingPower, 1, 2, 1.1},
+        {Policy::kExclude, Order::kAscendingSoloTc, 0, 0, 1.0},
+        {Policy::kThrow, Order::kDescendingPower, 0, 2, 1.0},
+        {Policy::kRaiseLimit, Order::kInputOrder, 1, 0, 2.0},
+        {Policy::kExclude, Order::kDescendingSoloTc, 1, 1, 1.1},
+    };
+  }
+
+  obs::Counter& evaluations =
+      obs::MetricsRegistry::instance().counter("core.stc_evaluations");
+  std::size_t with_discards = 0;
+  std::size_t with_hopeless = 0;
+  for (const LiveConfig& config : configs) {
+    core::ThermalSchedulerOptions options;
+    options.temperature_limit = tls[config.tl];
+    options.stc_limit = stcls[config.stcl];
+    options.weight_factor = config.weight_factor;
+    options.solo_policy = config.policy;
+    options.core_order = config.order;
+    options.model.stc_scale = kStcScale;
+    // A weight factor of 1 under a binding TL repeats a discarded session
+    // until the cap: both loops must then throw alike.
+    options.max_attempts = 4 * cores + 100;
+    const std::string what =
+        std::to_string(cores) + " cores, " + describe(config);
+
+    std::string reference_error;
+    core::ReferenceSchedule reference;
+    try {
+      reference = core::reference_thermal_schedule(soc, analyzer, options);
+    } catch (const InvalidArgument&) {
+      reference_error = "InvalidArgument";
+    } catch (const LogicError&) {
+      reference_error = "LogicError";
+    }
+    const core::ThermalAwareScheduler scheduler(options);
+    const std::uint64_t before = evaluations.value();
+    std::string error;
+    core::ScheduleResult result;
+    try {
+      result = scheduler.generate(soc, analyzer);
+    } catch (const InvalidArgument&) {
+      error = "InvalidArgument";
+    } catch (const LogicError&) {
+      error = "LogicError";
+    }
+    ASSERT_EQ(error, reference_error) << what;
+    if (!error.empty()) continue;
+    EXPECT_EQ(first_difference(result, reference.result), "") << what;
+    EXPECT_EQ(scheduler.effective_temperature_limit(),
+              reference.effective_temperature_limit)
+        << what;
+    EXPECT_EQ(evaluations.value() - before, reference.live_evaluations)
+        << what;
+    with_discards += result.discarded_sessions > 0;
+    with_hopeless +=
+        reference.live_evaluations < reference.full_scan_evaluations;
+  }
+  EXPECT_GT(with_discards, 0u) << "no configuration discarded a session";
+  EXPECT_GT(with_hopeless, 0u) << "no configuration had a hopeless core";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomSocs, LiveCandidateList,
+    ::testing::Values(std::make_tuple(std::uint64_t{1}, std::size_t{8}),
+                      std::make_tuple(std::uint64_t{2}, std::size_t{24}),
+                      std::make_tuple(std::uint64_t{3}, std::size_t{120}),
+                      std::make_tuple(std::uint64_t{4}, std::size_t{400}),
+                      std::make_tuple(std::uint64_t{5}, std::size_t{1000})));
 
 }  // namespace
 }  // namespace thermo
