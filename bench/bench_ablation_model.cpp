@@ -11,7 +11,7 @@
 //     it help or hurt schedule generation?
 //  3. *Speed*: the entire point of the model is avoiding simulations.
 //     Compare the cost of one STC evaluation against one 1 s transient
-//     session simulation.
+//     session simulation (on stderr: wall times are not reproducible).
 #include <algorithm>
 #include <chrono>
 #include <iostream>
@@ -126,7 +126,9 @@ int main() {
       std::chrono::duration<double, std::micro>(t1 - t0).count() / kStcReps;
   const double sim_us =
       std::chrono::duration<double, std::micro>(t2 - t1).count() / kSimReps;
-  std::cout << "\nSTC evaluation: " << format_double(stc_us, 2)
+  // Wall times vary run to run, so they go to stderr: stdout stays a
+  // pure function of the code.
+  std::cerr << "STC evaluation: " << format_double(stc_us, 2)
             << " us;  1 s transient session simulation: "
             << format_double(sim_us, 1) << " us;  ratio "
             << format_double(sim_us / stc_us, 0) << "x (checksum "

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <utility>
 
-#include "linalg/ordering.hpp"
 #include "util/error.hpp"
 
 namespace thermo::linalg {
@@ -14,142 +14,119 @@ namespace {
 
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 
-/// c / dt, entry by entry: the stepper's diagonal stamp and its per-step
-/// right-hand-side factor, computed once.
-Vector divided(const Vector& c, double dt) {
-  Vector out(c.size());
-  for (std::size_t i = 0; i < c.size(); ++i) out[i] = c[i] / dt;
-  return out;
-}
-
 }  // namespace
 
-SparseCholeskyFactor::SparseCholeskyFactor(const SparseMatrix& a,
-                                           Ordering ordering)
-    : ordering_(ordering) {
+SymbolicCholesky::SymbolicCholesky(const SparseMatrix& a,
+                                   std::vector<std::size_t> permutation)
+    : n_(a.rows()),
+      perm_(std::move(permutation)),
+      row_offsets_(a.row_offsets()),
+      col_indices_(a.col_indices()) {
   THERMO_REQUIRE(a.rows() == a.cols(), "sparse cholesky: matrix must be square");
-  n_ = a.rows();
-  if (ordering_ == Ordering::kAuto) {
-    ordering_ = n_ >= kOrderingAutoMinNodes ? Ordering::kMinDegree
-                                            : Ordering::kNatural;
-  }
-  if (ordering_ == Ordering::kMinDegree && n_ > 1) {
-    perm_ = min_degree_ordering(a);
-  }
-  factor_ordered(a);
-}
-
-SparseCholeskyFactor::SparseCholeskyFactor(const SparseMatrix& a,
-                                           std::vector<std::size_t> permutation)
-    : ordering_(permutation.empty() ? Ordering::kNatural
-                                    : Ordering::kMinDegree),
-      perm_(std::move(permutation)) {
-  THERMO_REQUIRE(a.rows() == a.cols(), "sparse cholesky: matrix must be square");
-  n_ = a.rows();
   THERMO_REQUIRE(perm_.empty() || perm_.size() == n_,
                  "sparse cholesky: permutation size must match the matrix");
-  factor_ordered(a);
-}
-
-void SparseCholeskyFactor::factor_ordered(const SparseMatrix& a) {
-  if (perm_.empty()) {
-    factorize(a);
-    return;
-  }
   inv_perm_.assign(n_, kNone);
   for (std::size_t k = 0; k < n_; ++k) {
-    THERMO_REQUIRE(perm_[k] < n_ && inv_perm_[perm_[k]] == kNone,
+    const std::size_t i = perm_.empty() ? k : perm_[k];
+    THERMO_REQUIRE(i < n_ && inv_perm_[i] == kNone,
                    "sparse cholesky: ordering is not a permutation");
-    inv_perm_[perm_[k]] = k;
+    inv_perm_[i] = k;
   }
-  // Assemble P·A·Pᵗ through the builder (A carries both triangles,
-  // so the permuted matrix does too; no duplicates arise).
-  SparseMatrix::Builder builder(n_, n_);
-  builder.reserve(a.nonzeros());
-  const std::vector<std::size_t>& ap = a.row_offsets();
-  const std::vector<std::size_t>& ai = a.col_indices();
-  const std::vector<double>& ax = a.values();
+  // P·A·Pᵗ's lower triangle sorted by (row, col): the order of a CSR
+  // matrix assembled from it, which fixes the order of the numeric
+  // pass's updates and so its bits.
+  gather_.reserve((a.nonzeros() + n_) / 2);
   for (std::size_t r = 0; r < n_; ++r) {
-    for (std::size_t q = ap[r]; q < ap[r + 1]; ++q) {
-      builder.add(inv_perm_[r], inv_perm_[ai[q]], ax[q]);
+    for (std::size_t q = row_offsets_[r]; q < row_offsets_[r + 1]; ++q) {
+      const std::size_t col = inv_perm_[col_indices_[q]];
+      if (col <= inv_perm_[r]) gather_.push_back({inv_perm_[r], col, q});
     }
   }
-  factorize(builder.build());
-}
+  std::sort(gather_.begin(), gather_.end(), [](const Entry& x, const Entry& y) {
+    return x.row != y.row ? x.row < y.row : x.col < y.col;
+  });
 
-void SparseCholeskyFactor::factorize(const SparseMatrix& a) {
-  const std::vector<std::size_t>& ap = a.row_offsets();
-  const std::vector<std::size_t>& ai = a.col_indices();
-  const std::vector<double>& ax = a.values();
-
-  // Symbolic pass: elimination tree (kept for the path solves) and
-  // per-column non-zero counts of L.
-  // Row k of A's strictly-lower triangle reaches column k of L through
-  // tree paths; walking each entry's column up to the root marked with
-  // `flag == k` visits every L column that gains an entry in row k.
+  // Elimination tree (kept for the path solves) and per-column non-zero
+  // counts of L. Row k of the strictly-lower triangle reaches column k
+  // of L through tree paths; walking each entry's column up to the root
+  // marked with `flag == k` visits every L column that gains an entry in
+  // row k.
   parent_.assign(n_, kNone);
   std::vector<std::size_t> flag(n_, kNone);
-  std::vector<std::size_t> count(n_, 0);
-  for (std::size_t k = 0; k < n_; ++k) {
+  col_offsets_.assign(n_ + 1, 0);  // column j's count in [j + 1] first
+  for (const auto& [k, col, source] : gather_) {
     flag[k] = k;
-    for (std::size_t p = ap[k]; p < ap[k + 1]; ++p) {
-      std::size_t i = ai[p];
-      if (i >= k) continue;
-      for (; flag[i] != k; i = parent_[i]) {
-        if (parent_[i] == kNone) parent_[i] = k;
-        ++count[i];
-        flag[i] = k;
-      }
+    for (std::size_t i = col; flag[i] != k; i = parent_[i]) {
+      if (parent_[i] == kNone) parent_[i] = k;
+      ++col_offsets_[i + 1];
+      flag[i] = k;
     }
   }
+  for (std::size_t j = 0; j < n_; ++j) col_offsets_[j + 1] += col_offsets_[j];
+}
 
-  col_offsets_.assign(n_ + 1, 0);
-  for (std::size_t j = 0; j < n_; ++j) {
-    col_offsets_[j + 1] = col_offsets_[j] + count[j];
-  }
-  row_indices_.assign(col_offsets_[n_], 0);
-  values_.assign(col_offsets_[n_], 0.0);
-  diag_.assign(n_, 0.0);
+SparseCholeskyFactor::SparseCholeskyFactor(
+    std::shared_ptr<const SymbolicCholesky> symbolic, const SparseMatrix& a)
+    : SparseCholeskyFactor(std::move(symbolic), a, {}) {}
+
+SparseCholeskyFactor::SparseCholeskyFactor(
+    std::shared_ptr<const SymbolicCholesky> symbolic, const SparseMatrix& a,
+    std::span<const double> shift)
+    : symbolic_(std::move(symbolic)) {
+  THERMO_REQUIRE(symbolic_ != nullptr, "sparse cholesky: no symbolic analysis");
+  const SymbolicCholesky& sym = *symbolic_;
+  THERMO_REQUIRE(a.rows() == sym.n_ && a.cols() == sym.n_ &&
+                     a.row_offsets() == sym.row_offsets_ &&
+                     a.col_indices() == sym.col_indices_,
+                 "sparse cholesky: matrix pattern differs from its analysis");
+  const std::size_t n = sym.n_;
+  const std::vector<std::size_t>& parent = sym.parent_;
+  const std::vector<std::size_t>& col_offsets = sym.col_offsets_;
+  const std::vector<double>& ax = a.values();
+  row_indices_.assign(col_offsets[n], 0);
+  values_.assign(col_offsets[n], 0.0);
+  diag_.assign(n, 0.0);
 
   // Numeric pass (up-looking): for each row k, scatter the strictly-
-  // lower entries of A's row k into the dense work vector y, recover
-  // the non-zero pattern of L's row k in topological order via the
+  // lower entries of row k into the dense work vector y, recover the
+  // non-zero pattern of L's row k in topological order via the
   // elimination tree, then eliminate column by column.
-  std::vector<double> y(n_, 0.0);
-  std::vector<std::size_t> pattern(n_, 0);
-  std::vector<std::size_t> filled(n_, 0);  // entries of column j emitted so far
-  std::fill(flag.begin(), flag.end(), kNone);
-  for (std::size_t k = 0; k < n_; ++k) {
-    std::size_t top = n_;
+  std::vector<double> y(n, 0.0);
+  std::vector<std::size_t> pattern(n, 0);
+  std::vector<std::size_t> filled(n, 0);  // entries of column j emitted so far
+  std::vector<std::size_t> flag(n, kNone);
+  auto entry = sym.gather_.begin();
+  for (std::size_t k = 0; k < n; ++k) {
+    std::size_t top = n;
     double dk = 0.0;
     flag[k] = k;
-    for (std::size_t p = ap[k]; p < ap[k + 1]; ++p) {
-      const std::size_t col = ai[p];
-      if (col > k) continue;  // only the lower triangle is read
+    for (; entry != sym.gather_.end() && entry->row == k; ++entry) {
+      const std::size_t col = entry->col;
       if (col == k) {
-        dk += ax[p];
+        dk += ax[entry->source];
         continue;
       }
-      y[col] += ax[p];
+      y[col] += ax[entry->source];
       std::size_t len = 0;
-      for (std::size_t i = col; flag[i] != k; i = parent_[i]) {
+      for (std::size_t i = col; flag[i] != k; i = parent[i]) {
         pattern[len++] = i;
         flag[i] = k;
       }
       while (len > 0) pattern[--top] = pattern[--len];
     }
-    for (std::size_t p = top; p < n_; ++p) {
+    if (!shift.empty()) dk += shift[sym.perm_.empty() ? k : sym.perm_[k]];
+    for (std::size_t p = top; p < n; ++p) {
       const std::size_t i = pattern[p];
       const double yi = y[i];
       y[i] = 0.0;
       const double lki = yi / diag_[i];
-      for (std::size_t q = col_offsets_[i]; q < col_offsets_[i] + filled[i];
+      for (std::size_t q = col_offsets[i]; q < col_offsets[i] + filled[i];
            ++q) {
         y[row_indices_[q]] -= values_[q] * yi;
       }
       dk -= lki * yi;
-      row_indices_[col_offsets_[i] + filled[i]] = k;
-      values_[col_offsets_[i] + filled[i]] = lki;
+      row_indices_[col_offsets[i] + filled[i]] = k;
+      values_[col_offsets[i] + filled[i]] = lki;
       ++filled[i];
     }
     if (!(dk > 0.0) || !std::isfinite(dk)) {
@@ -169,37 +146,42 @@ Vector SparseCholeskyFactor::solve(const Vector& b) const {
 }
 
 void SparseCholeskyFactor::solve_in_place(Vector& x, Vector& work) const {
-  THERMO_REQUIRE(x.size() == n_, "sparse cholesky solve: size mismatch");
-  if (perm_.empty()) {
-    substitute(x);
+  const std::size_t n = size();
+  THERMO_REQUIRE(x.size() == n, "sparse cholesky solve: size mismatch");
+  const std::vector<std::size_t>& perm = symbolic_->perm_;
+  if (perm.empty()) {
+    substitute(x.data());
     return;
   }
   // Permute into factor order, substitute, permute back.
-  work.resize(n_);
-  for (std::size_t k = 0; k < n_; ++k) work[k] = x[perm_[k]];
-  substitute(work);
-  for (std::size_t k = 0; k < n_; ++k) x[perm_[k]] = work[k];
+  work.resize(n);
+  for (std::size_t k = 0; k < n; ++k) work[k] = x[perm[k]];
+  substitute(work.data());
+  for (std::size_t k = 0; k < n; ++k) x[perm[k]] = work[k];
 }
 
 void SparseCholeskyFactor::solve_subset(std::span<const std::size_t> s,
                                         std::span<double> values,
                                         PathScratch& scratch) const {
+  const std::size_t n = size();
   THERMO_REQUIRE(s.size() == values.size(),
                  "sparse cholesky path solve: size mismatch");
-  THERMO_REQUIRE(scratch.x.size() == n_ && scratch.on_path.size() == n_,
+  THERMO_REQUIRE(scratch.x.size() == n && scratch.on_path.size() == n,
                  "sparse cholesky path solve: scratch size mismatch");
   for (const std::size_t i : s) {
-    THERMO_REQUIRE(i < n_, "sparse cholesky path solve: index out of range");
+    THERMO_REQUIRE(i < n, "sparse cholesky path solve: index out of range");
   }
-  const auto position = [&](std::size_t i) {  // index in factor order
-    return perm_.empty() ? i : inv_perm_[i];
-  };
+  const std::size_t* const position = symbolic_->inv_perm_.data();
+  const std::size_t* const parent = symbolic_->parent_.data();
+  const std::size_t* const cp = symbolic_->col_offsets_.data();
+  const std::size_t* const ri = row_indices_.data();
+  const double* const lx = values_.data();
   // Mark the union of the paths; each walk stops at the first node an
   // earlier walk already marked, since the rest of its path is marked too.
   std::vector<std::size_t>& path = scratch.path;
   for (const std::size_t i : s) {
-    for (std::size_t j = position(i);
-         j != kNone && scratch.on_path[j] == 0; j = parent_[j]) {
+    for (std::size_t j = position[i];
+         j != kNone && scratch.on_path[j] == 0; j = parent[j]) {
       scratch.on_path[j] = 1;
       path.push_back(j);
     }
@@ -210,33 +192,33 @@ void SparseCholeskyFactor::solve_subset(std::span<const std::size_t> s,
   // union is listed in order by scanning the marks from its lowest node,
   // which beats sorting it on validation unions (most of the tree).
   if (s.size() > 1) {
-    std::size_t lo = n_;
-    for (const std::size_t i : s) lo = std::min(lo, position(i));
+    std::size_t lo = n;
+    for (const std::size_t i : s) lo = std::min(lo, position[i]);
     path.clear();
-    for (std::size_t j = lo; j < n_; ++j) {
+    for (std::size_t j = lo; j < n; ++j) {
       if (scratch.on_path[j] != 0) path.push_back(j);
     }
   }
-  Vector& x = scratch.x;
+  double* const x = scratch.x.data();
   for (std::size_t t = 0; t < s.size(); ++t) {
-    x[position(s[t])] = values[t];
+    x[position[s[t]]] = values[t];
   }
   for (const std::size_t j : path) {
     const double xj = x[j];
-    for (std::size_t q = col_offsets_[j]; q < col_offsets_[j + 1]; ++q) {
-      x[row_indices_[q]] -= values_[q] * xj;
+    for (std::size_t q = cp[j]; q < cp[j + 1]; ++q) {
+      x[ri[q]] -= lx[q] * xj;
     }
   }
   for (auto it = path.rbegin(); it != path.rend(); ++it) {
     const std::size_t j = *it;
     double sum = x[j] / diag_[j];  // D, then Lᵗ: ancestors are final
-    for (std::size_t q = col_offsets_[j]; q < col_offsets_[j + 1]; ++q) {
-      sum -= values_[q] * x[row_indices_[q]];
+    for (std::size_t q = cp[j]; q < cp[j + 1]; ++q) {
+      sum -= lx[q] * x[ri[q]];
     }
     x[j] = sum;
   }
   for (std::size_t t = 0; t < s.size(); ++t) {
-    values[t] = x[position(s[t])];
+    values[t] = x[position[s[t]]];
   }
   for (const std::size_t j : path) {
     x[j] = 0.0;
@@ -247,30 +229,34 @@ void SparseCholeskyFactor::solve_subset(std::span<const std::size_t> s,
 
 Vector SparseCholeskyFactor::inverse_diagonal() const {
   // Z = A⁻¹ on L's pattern, in factor order: z[q] is Z at L's entry q
-  // (row row_indices_[q] of column j), z_diag the diagonal. Column j of
-  // the upper triangle only reads Z on struct(L_j) × struct(L_j), which
-  // later columns already filled: for i < k in struct(L_j), k is in
+  // (row ri[q] of column j), z_diag the diagonal. Column j of the upper
+  // triangle only reads Z on struct(L_j) × struct(L_j), which later
+  // columns already filled: for i < k in struct(L_j), k is in
   // struct(L_i), so Z_ki sits at an entry of column i.
+  const std::size_t n = size();
+  const std::size_t* const cp = symbolic_->col_offsets_.data();
+  const std::size_t* const ri = row_indices_.data();
+  const double* const lx = values_.data();
   std::vector<double> z(values_.size(), 0.0);
-  Vector z_diag(n_, 0.0);
-  Vector l(n_, 0.0);    // column j of L, scattered
-  Vector acc(n_, 0.0);  // Σ_k L_kj Z_ki over struct(L_j), per i
-  std::vector<std::size_t> mark(n_, kNone);
-  for (std::size_t j = n_; j-- > 0;) {
-    const std::size_t begin = col_offsets_[j];
-    const std::size_t end = col_offsets_[j + 1];
+  Vector z_diag(n, 0.0);
+  Vector l(n, 0.0);    // column j of L, scattered
+  Vector acc(n, 0.0);  // Σ_k L_kj Z_ki over struct(L_j), per i
+  std::vector<std::size_t> mark(n, kNone);
+  for (std::size_t j = n; j-- > 0;) {
+    const std::size_t begin = cp[j];
+    const std::size_t end = cp[j + 1];
     for (std::size_t q = begin; q < end; ++q) {
-      const std::size_t i = row_indices_[q];
-      l[i] = values_[q];
+      const std::size_t i = ri[q];
+      l[i] = lx[q];
       acc[i] = 0.0;
       mark[i] = j;
     }
     for (std::size_t q = begin; q < end; ++q) {
-      const std::size_t i = row_indices_[q];
-      const double lij = values_[q];
+      const std::size_t i = ri[q];
+      const double lij = lx[q];
       acc[i] += lij * z_diag[i];
-      for (std::size_t p = col_offsets_[i]; p < col_offsets_[i + 1]; ++p) {
-        const std::size_t k = row_indices_[p];
+      for (std::size_t p = cp[i]; p < cp[i + 1]; ++p) {
+        const std::size_t k = ri[p];
         if (mark[k] != j) continue;
         acc[i] += l[k] * z[p];  // L_kj Z_ki
         acc[k] += lij * z[p];   // L_ij Z_ik, by symmetry
@@ -278,67 +264,61 @@ Vector SparseCholeskyFactor::inverse_diagonal() const {
     }
     double zjj = 1.0 / diag_[j];
     for (std::size_t q = begin; q < end; ++q) {
-      z[q] = -acc[row_indices_[q]];
-      zjj -= values_[q] * z[q];
+      z[q] = -acc[ri[q]];
+      zjj -= lx[q] * z[q];
     }
     z_diag[j] = zjj;
   }
-  if (perm_.empty()) return z_diag;
-  Vector out(n_);
-  for (std::size_t k = 0; k < n_; ++k) out[perm_[k]] = z_diag[k];
+  const std::vector<std::size_t>& perm = symbolic_->perm_;
+  if (perm.empty()) return z_diag;
+  Vector out(n);
+  for (std::size_t k = 0; k < n; ++k) out[perm[k]] = z_diag[k];
   return out;
 }
 
-void SparseCholeskyFactor::substitute(Vector& x) const {
+void SparseCholeskyFactor::substitute(double* x) const {
+  const std::size_t n = size();
+  const std::size_t* const cp = symbolic_->col_offsets_.data();
+  const std::size_t* const ri = row_indices_.data();
+  const double* const lx = values_.data();
+  const double* const d = diag_.data();
   // L z = b (unit diagonal implicit).
-  for (std::size_t j = 0; j < n_; ++j) {
+  for (std::size_t j = 0; j < n; ++j) {
     const double xj = x[j];
-    for (std::size_t q = col_offsets_[j]; q < col_offsets_[j + 1]; ++q) {
-      x[row_indices_[q]] -= values_[q] * xj;
+    for (std::size_t q = cp[j]; q < cp[j + 1]; ++q) {
+      x[ri[q]] -= lx[q] * xj;
     }
   }
   // D w = z.
-  for (std::size_t j = 0; j < n_; ++j) x[j] /= diag_[j];
+  for (std::size_t j = 0; j < n; ++j) x[j] /= d[j];
   // Lᵗ x = w.
-  for (std::size_t j = n_; j-- > 0;) {
+  for (std::size_t j = n; j-- > 0;) {
     double sum = x[j];
-    for (std::size_t q = col_offsets_[j]; q < col_offsets_[j + 1]; ++q) {
-      sum -= values_[q] * x[row_indices_[q]];
+    for (std::size_t q = cp[j]; q < cp[j + 1]; ++q) {
+      sum -= lx[q] * x[ri[q]];
     }
     x[j] = sum;
   }
 }
 
 SparseImplicitStepper::SparseImplicitStepper(
-    const SparseMatrix& g, const Vector& capacitance, double dt,
-    std::optional<std::vector<std::size_t>> permutation)
-    : c_over_dt_(divided(capacitance, dt)),
+    std::shared_ptr<const SymbolicCholesky> symbolic, const SparseMatrix& g,
+    const Vector& capacitance, double dt)
+    : c_over_dt_(capacitance),
       dt_(dt),
       factor_([&] {
         THERMO_REQUIRE(g.rows() == g.cols(), "stepper: G must be square");
         THERMO_REQUIRE(capacitance.size() == g.rows(),
                        "stepper: capacitance size mismatch");
         THERMO_REQUIRE(dt > 0.0, "stepper: dt must be positive");
-        // (C/dt + G) stays sparse: copy G's triplets and stamp C/dt on
-        // the diagonal (the builder sums duplicates).
-        SparseMatrix::Builder builder(g.rows(), g.cols());
-        const std::vector<std::size_t>& offsets = g.row_offsets();
-        const std::vector<std::size_t>& cols = g.col_indices();
-        const std::vector<double>& values = g.values();
-        for (std::size_t r = 0; r < g.rows(); ++r) {
-          for (std::size_t q = offsets[r]; q < offsets[r + 1]; ++q) {
-            builder.add(r, cols[q], values[q]);
-          }
+        for (double& c : c_over_dt_) {
+          THERMO_REQUIRE(c > 0.0, "stepper: capacitances must be positive");
+          c /= dt;
         }
-        for (std::size_t i = 0; i < capacitance.size(); ++i) {
-          THERMO_REQUIRE(capacitance[i] > 0.0,
-                         "stepper: capacitances must be positive");
-          builder.add(i, i, c_over_dt_[i]);
-        }
-        if (permutation) {
-          return SparseCholeskyFactor(builder.build(), std::move(*permutation));
-        }
-        return SparseCholeskyFactor(builder.build());
+        // (C/dt + G) has G's pattern (C is diagonal): the factor reads
+        // G's values through the shared analysis and adds C/dt to each
+        // pivot.
+        return SparseCholeskyFactor(std::move(symbolic), g, c_over_dt_);
       }()) {}
 
 Vector SparseImplicitStepper::step(const Vector& y, const Vector& b) const {

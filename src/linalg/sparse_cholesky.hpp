@@ -2,27 +2,26 @@
 // definite systems in CSR form — the factorization every thermal solve
 // uses; the dense Cholesky in tests/oracles/ is its test oracle.
 //
-// Thermal conductance matrices have ~5 off-diagonals per die row plus a
-// handful of package rows that touch every die block. By default the
-// factor applies a fill-reducing minimum-degree permutation
-// (linalg/ordering.hpp) before the symbolic pass: the factorization
-// runs on P·A·Pᵗ internally while solve() accepts and returns vectors
-// in the ORIGINAL node order, so callers never see the permutation.
-// factor_nonzeros() reports post-ordering fill. On a 64×64 grid model
-// the ordering cuts nnz(L) from ~260k (natural, bandwidth-bound) to
-// ~80k; on banded thermal numberings it never loses by much, and
-// Ordering::kNatural remains available for baselines and tests.
+// Symbolic and numeric work are split (George & Liu 1981; Davis 2006).
+// SymbolicCholesky analyzes a pattern under an elimination order and
+// reads no values, so every matrix of the pattern shares one: a thermal
+// model's G and each backward-Euler (C/dt + G), as C is diagonal
+// (thermal::SteadyFactorSlot builds it and picks the order).
+// SparseCholeskyFactor is the numeric factor of one such matrix; it runs
+// on P·A·Pᵗ internally while solve() works in the ORIGINAL node order.
+// On a 64×64 grid model minimum-degree order cuts nnz(L) from ~260k
+// (natural, bandwidth-bound) to ~80k.
 //
 // Preconditions and cost (docs/SOLVERS.md):
 //  * the input must be symmetric positive definite. Symmetry is NOT
-//    verified (only the lower triangle, col <= row, is read); a
+//    verified (only the lower triangle of P·A·Pᵗ is read); a
 //    non-positive pivot is detected during factorization and reported
 //    as NumericalError.
 //  * factorization is O(Σ |col j of L|²) flops — for thermal networks
 //    effectively linear in n — versus n³/3 dense; each solve() is
 //    2·nnz(L) flops versus 2 n² dense.
 //  * the algorithm is the classic up-looking LDLᵗ over the elimination
-//    tree (symbolic pass computes the tree + column counts, numeric
+//    tree (the analysis holds the tree and column counts, the numeric
 //    pass fills L column by column). A = L·D·Lᵗ with unit-lower L and
 //    diagonal D, so no square roots are taken; solve() is forward
 //    substitution, a diagonal scale, and back substitution.
@@ -39,7 +38,7 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -47,16 +46,10 @@
 
 namespace thermo::linalg {
 
-/// Fill-reducing ordering applied before the symbolic pass.
-enum class Ordering {
-  kNatural,    // factor A as given (baseline / debugging)
-  kMinDegree,  // deterministic minimum-degree (linalg/ordering.hpp)
-  kAuto,       // kMinDegree at/above kOrderingAutoMinNodes, else natural
-};
-
-/// Matrix size at and above which Ordering::kAuto applies min-degree.
-/// Below it the fill win is negligible and natural order keeps small
-/// models' historical bit-exact results (argmax tie-breaks included).
+/// Matrix size at and above which a thermal model factors in
+/// minimum-degree order (thermal::SteadyFactorSlot). Below it the fill
+/// win is negligible and natural order keeps small models' historical
+/// bit-exact results (argmax tie-breaks included).
 inline constexpr std::size_t kOrderingAutoMinNodes = 64;
 
 /// Caller-owned workspace of SparseCholeskyFactor's path solves: sized
@@ -70,45 +63,62 @@ struct PathScratch {
   std::vector<std::size_t> path;
 };
 
-class SparseCholeskyFactor {
+/// The symbolic analysis of one square pattern under one elimination
+/// order, shared by every factor of a matrix with that pattern.
+class SymbolicCholesky {
  public:
-  /// Factors A = L D Lᵗ, by default after a fill-reducing
-  /// minimum-degree permutation (applied internally; solve() works in
-  /// the original index order). Throws InvalidArgument when A is not
-  /// square, NumericalError when A is not (numerically) positive
-  /// definite. Only the lower triangle of the (permuted) matrix is
-  /// read numerically, but with kMinDegree the PATTERN of both
-  /// triangles must be symmetric — true by construction for stamped
-  /// conductance matrices.
-  explicit SparseCholeskyFactor(const SparseMatrix& a,
-                                Ordering ordering = Ordering::kAuto);
-
-  /// Factors A = L D Lᵗ after a permutation computed elsewhere
-  /// (perm[k] = the original index eliminated k-th): the
-  /// min_degree_ordering of a matrix with A's pattern, shared by every
-  /// matrix of that pattern, or empty for natural order. Bit-identical
-  /// to the Ordering constructor that computes the same permutation;
-  /// ordering() reports kMinDegree for a non-empty one. Throws
-  /// InvalidArgument unless `permutation` is empty or a permutation of
-  /// [0, n), and as the Ordering constructor does.
-  SparseCholeskyFactor(const SparseMatrix& a,
-                       std::vector<std::size_t> permutation);
+  /// Analyzes `a`'s pattern for the order `permutation` (perm[k] = the
+  /// original index eliminated k-th, e.g. min_degree_ordering(a); empty
+  /// for natural order). Throws InvalidArgument unless `a` is square and
+  /// `permutation` is empty or a permutation of [0, n). The pattern must
+  /// be symmetric, as stamped conductance matrices are.
+  SymbolicCholesky(const SparseMatrix& a, std::vector<std::size_t> permutation);
 
   std::size_t size() const { return n_; }
+
+  /// The elimination order: permutation()[k] is the original index
+  /// eliminated k-th. Empty in natural order.
+  const std::vector<std::size_t>& permutation() const { return perm_; }
+
+ private:
+  friend class SparseCholeskyFactor;
+
+  /// Entry (row, col), col <= row, of P·A·Pᵗ: A's values[source].
+  struct Entry {
+    std::size_t row;
+    std::size_t col;
+    std::size_t source;
+  };
+
+  std::size_t n_ = 0;
+  std::vector<std::size_t> perm_;      // position -> original index
+  std::vector<std::size_t> inv_perm_;  // original index -> position
+  std::vector<std::size_t> parent_;    // elimination tree, factor order
+  std::vector<std::size_t> col_offsets_;  // L's columns, size n_ + 1
+  std::vector<Entry> gather_;  // P·A·Pᵗ's lower triangle by (row, col)
+  // The analysed pattern, which every factored matrix must have.
+  std::vector<std::size_t> row_offsets_;
+  std::vector<std::size_t> col_indices_;
+};
+
+class SparseCholeskyFactor {
+ public:
+  /// Factors A = L D Lᵗ through `symbolic`, an analysis of A's pattern,
+  /// which the factor shares. Throws InvalidArgument when `symbolic` is
+  /// null or of another pattern, NumericalError when A is not
+  /// (numerically) positive definite.
+  SparseCholeskyFactor(std::shared_ptr<const SymbolicCholesky> symbolic,
+                       const SparseMatrix& a);
+
+  std::size_t size() const { return symbolic_->size(); }
+
+  /// The analysis the factor was built on (its order and tree).
+  const SymbolicCholesky& symbolic() const { return *symbolic_; }
 
   /// Strictly-lower-triangular non-zeros of L (the unit diagonal is
   /// implicit) — POST-ordering fill. Exposed so benches/tests can
   /// report fill.
   std::size_t factor_nonzeros() const { return values_.size(); }
-
-  /// The ordering actually applied — kAuto is resolved at construction
-  /// and never stored.
-  Ordering ordering() const { return ordering_; }
-
-  /// The fill-reducing permutation actually applied: perm()[k] is the
-  /// original index eliminated k-th. Empty when factoring in natural
-  /// order.
-  const std::vector<std::size_t>& permutation() const { return perm_; }
 
   /// Solves A x = b (forward + diagonal + backward substitution;
   /// reusable, thread-safe). b and x are in the original index order.
@@ -140,22 +150,21 @@ class SparseCholeskyFactor {
   Vector inverse_diagonal() const;
 
  private:
-  void factor_ordered(const SparseMatrix& a);  // P·A·Pᵗ after perm_
-  void factorize(const SparseMatrix& a);
-  void substitute(Vector& x) const;  // L, D, Lᵗ in factor order
+  friend class SparseImplicitStepper;
 
-  std::size_t n_ = 0;
-  Ordering ordering_ = Ordering::kNatural;
-  std::vector<std::size_t> perm_;      // position -> original index
-  std::vector<std::size_t> inv_perm_;  // original index -> position
-  std::vector<std::size_t> parent_;    // elimination tree, factor order
-  // L in compressed-sparse-column form, strictly lower triangle, row
-  // indices increasing within each column (the natural order in which
-  // the up-looking algorithm emits them).
-  std::vector<std::size_t> col_offsets_;  // size n_ + 1
+  /// Factors A + diag(shift) (the stepper's C/dt + G; shift empty for
+  /// A itself): row k's pivot starts from fl(a_kk + shift_k).
+  SparseCholeskyFactor(std::shared_ptr<const SymbolicCholesky> symbolic,
+                       const SparseMatrix& a, std::span<const double> shift);
+
+  void substitute(double* x) const;  // L, D, Lᵗ in factor order
+
+  std::shared_ptr<const SymbolicCholesky> symbolic_;
+  // L's row indices, increasing within each column (the order in which
+  // the up-looking algorithm emits them), and values; D.
   std::vector<std::size_t> row_indices_;
   std::vector<double> values_;
-  std::vector<double> diag_;  // D
+  std::vector<double> diag_;
 };
 
 /// Backward-Euler stepper for the linear constant-coefficient system
@@ -167,16 +176,13 @@ class SparseCholeskyFactor {
 /// thread-safe.
 class SparseImplicitStepper {
  public:
-  /// Factors (C/dt + G); dt must be > 0, capacitance entries > 0, and
-  /// G square, SPD, with capacitance.size() == G rows. Without a
-  /// `permutation` the factor resolves Ordering::kAuto itself; with one
-  /// it factors with that permutation (SparseCholeskyFactor's
-  /// permutation constructor). Since C is diagonal and G's diagonal is
-  /// structurally full, (C/dt + G) has G's pattern, so G's ordering
-  /// (thermal::RCModel::ordering) serves every dt.
-  SparseImplicitStepper(
-      const SparseMatrix& g, const Vector& capacitance, double dt,
-      std::optional<std::vector<std::size_t>> permutation = std::nullopt);
+  /// Factors (C/dt + G) through `symbolic`, the analysis of G's
+  /// pattern, which (C/dt + G) shares as C is diagonal: each pivot starts
+  /// from fl(gᵢᵢ + cᵢ/dt). dt must be > 0, capacitance entries > 0, and
+  /// G square, SPD, with capacitance.size() == G rows.
+  SparseImplicitStepper(std::shared_ptr<const SymbolicCholesky> symbolic,
+                        const SparseMatrix& g, const Vector& capacitance,
+                        double dt);
 
   double dt() const { return dt_; }
   std::size_t size() const { return c_over_dt_.size(); }
@@ -193,7 +199,7 @@ class SparseImplicitStepper {
   void step_in_place(Vector& y, const Vector& b, Vector& work) const;
 
  private:
-  Vector c_over_dt_;  // C/dt: the diagonal stamp, and y's factor per step
+  Vector c_over_dt_;  // C/dt: the diagonal shift, and y's factor per step
   double dt_;
   SparseCholeskyFactor factor_;
 };

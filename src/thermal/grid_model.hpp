@@ -11,11 +11,11 @@
 // Purpose: a higher-fidelity steady-state oracle to quantify the
 // discretisation error of the block model (bench_ablation_grid) and to
 // expose intra-block temperature gradients that block granularity hides.
-// Steady state only. Like RCModel, the model owns its fill-ordered
-// sparse LDLᵗ factor of G (SteadyFactorSlot), built on the first solve
-// and shared by copies, so repeated solves on one grid pay a single
-// factorization — 100k-node grids (317×317+) factor once and
-// back-substitute per power map.
+// Steady state only. Like RCModel, the model owns the symbolic analysis
+// of G's pattern (in minimum-degree order) and its sparse LDLᵗ factor of
+// G (SteadyFactorSlot), built on the first solve and shared by copies,
+// so repeated solves on one grid pay a single factorization — 100k-node
+// grids (317×317+) factor once and back-substitute per power map.
 #pragma once
 
 #include <cstddef>

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <utility>
 
 #include "linalg/ordering.hpp"
 #include "obs/metrics.hpp"
@@ -22,17 +23,26 @@ std::uint64_t next_identity() {
 
 }  // namespace
 
-const std::vector<std::size_t>& SteadyFactorSlot::ordering(
-    const linalg::SparseMatrix& g) {
-  std::call_once(ordered_, [&] {
-    if (g.rows() < linalg::kOrderingAutoMinNodes) return;
-    static obs::Histogram& ordering_ns =
-        obs::MetricsRegistry::instance().histogram("thermal.ordering_ns");
-    obs::TraceSpan span("thermal.ordering");
-    obs::ScopedTimer timer(ordering_ns);
-    ordering_ = linalg::min_degree_ordering(g);
+const std::shared_ptr<const linalg::SymbolicCholesky>&
+SteadyFactorSlot::symbolic(const linalg::SparseMatrix& g) {
+  std::call_once(analyzed_, [&] {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
+    static obs::Histogram& symbolic_ns =
+        registry.histogram("thermal.symbolic_ns");
+    obs::TraceSpan span("thermal.symbolic");
+    obs::ScopedTimer timer(symbolic_ns);
+    std::vector<std::size_t> order;
+    if (g.rows() >= linalg::kOrderingAutoMinNodes) {
+      static obs::Histogram& ordering_ns =
+          registry.histogram("thermal.ordering_ns");
+      obs::TraceSpan ordering_span("thermal.ordering");
+      obs::ScopedTimer ordering_timer(ordering_ns);
+      order = linalg::min_degree_ordering(g);
+    }
+    symbolic_ =
+        std::make_shared<const linalg::SymbolicCholesky>(g, std::move(order));
   });
-  return ordering_;
+  return symbolic_;
 }
 
 void SteadyFactorSlot::build(const linalg::SparseMatrix& g) {
@@ -42,7 +52,7 @@ void SteadyFactorSlot::build(const linalg::SparseMatrix& g) {
     obs::TraceSpan factor_span("thermal.factor");
     obs::ScopedTimer factor_timer(factor_ns);
     factor_ =
-        std::make_unique<const linalg::SparseCholeskyFactor>(g, ordering(g));
+        std::make_unique<const linalg::SparseCholeskyFactor>(symbolic(g), g);
   }
   if (table_nodes_ == 0) return;
   static obs::Histogram& table_ns =

@@ -25,14 +25,14 @@
 //    periphery use the same slab forms; sink -> ambient splits the
 //    total r_convec across the five sink nodes by footprint area.
 //
-// The model owns its derived steady-state state: the fill-reducing
-// ordering of G's pattern, the sparse LDLᵗ factor of G and each block's
-// self-resistance (G⁻¹)ᵢᵢ, each built on first use and shared by every
-// copy of the model (SteadyFactorSlot); the ordering also serves the
-// model's transient steppers. It also owns the transient oracle's
-// unit-step responses, filled as they are first asked for and shared
-// the same way (StepResponseTable). Transient steppers, one per
-// (model, dt), stay in ThermalSolverCache
+// The model owns its derived steady-state state: the symbolic analysis
+// of G's pattern (its fill-reducing order included), the sparse LDLᵗ
+// factor of G and each block's self-resistance (G⁻¹)ᵢᵢ, each built on
+// first use and shared by every copy of the model (SteadyFactorSlot);
+// the analysis also serves the model's transient steppers. It also owns
+// the transient oracle's unit-step responses, filled as they are first
+// asked for and shared the same way (StepResponseTable). Transient
+// steppers, one per (model, dt), stay in ThermalSolverCache
 // (solver_cache.hpp).
 //
 // The free functions below are the one copy of these formulas:
@@ -87,30 +87,29 @@ std::array<double, kPackageNodes> stamp_package(
     linalg::SparseMatrix::Builder& builder, std::size_t first,
     const PackageParams& package);
 
-/// The fill-reducing ordering of one model's conductance matrix G, the
+/// The symbolic analysis of one model's conductance matrix G, the
 /// factor of G, and optionally the self-resistance table diag(G⁻¹) of
-/// its leading nodes, each built on first use and kept for the model's
-/// lifetime. Concurrent first calls build once (std::call_once). The
-/// ordering is computed once per model, by the first factorization that
-/// needs it: G's factor uses it, and so does every transient stepper's
-/// (C/dt + G), which has G's pattern (ThermalSolverCache). It records
-/// the `thermal.ordering` span and one `thermal.ordering_ns` sample,
-/// nested in that factorization's. The factorization records the
-/// `thermal.factor` span and one `thermal.factor_ns` sample, as every
-/// factorization does; the table records `thermal.self_resistance` and
-/// one `thermal.self_resistance_ns` sample. A model holds its slot
-/// through a shared_ptr, so copies of the model share all three.
+/// its leading nodes, each built on first use (std::call_once) and kept
+/// for the model's lifetime. The analysis is the one place that picks
+/// the elimination order (min_degree_ordering at and above
+/// linalg::kOrderingAutoMinNodes nodes, natural below); G's factor and
+/// every transient stepper's (C/dt + G), which has G's pattern, share it
+/// (ThermalSolverCache). It records a `thermal.symbolic` span and
+/// `thermal.symbolic_ns` sample, the ordering's `thermal.ordering` and
+/// `thermal.ordering_ns` nested inside; G's factorization records
+/// `thermal.factor` and `thermal.factor_ns`, as every factorization
+/// does, and the table `thermal.self_resistance` and
+/// `thermal.self_resistance_ns`. A model holds its slot through a
+/// shared_ptr, so copies of the model share all three.
 class SteadyFactorSlot {
  public:
   /// The slot tabulates nodes [0, table_nodes); 0 builds no table.
   explicit SteadyFactorSlot(std::size_t table_nodes = 0)
       : table_nodes_(table_nodes) {}
 
-  /// The permutation every factor of `g`'s pattern uses:
-  /// linalg::min_degree_ordering(g) at and above
-  /// linalg::kOrderingAutoMinNodes nodes, empty (natural order) below,
-  /// as Ordering::kAuto resolves. `g` as for get().
-  const std::vector<std::size_t>& ordering(const linalg::SparseMatrix& g);
+  /// The analysis every factor of `g`'s pattern shares. `g` as for get().
+  const std::shared_ptr<const linalg::SymbolicCholesky>& symbolic(
+      const linalg::SparseMatrix& g);
 
   /// The factor of `g`, which must be the owning model's G on every call.
   const linalg::SparseCholeskyFactor& get(const linalg::SparseMatrix& g);
@@ -123,8 +122,8 @@ class SteadyFactorSlot {
   void build(const linalg::SparseMatrix& g);
 
   std::size_t table_nodes_;
-  std::once_flag ordered_;
-  std::vector<std::size_t> ordering_;
+  std::once_flag analyzed_;
+  std::shared_ptr<const linalg::SymbolicCholesky> symbolic_;
   std::once_flag once_;
   std::unique_ptr<const linalg::SparseCholeskyFactor> factor_;
   std::vector<double> self_resistance_;
@@ -227,12 +226,12 @@ class RCModel {
     return steady_->get(sparse_);
   }
 
-  /// The fill-reducing permutation of G's pattern (SteadyFactorSlot::
-  /// ordering), computed on the first call (thread-safe) and shared with
-  /// every copy of this model. steady_factor() and every transient
-  /// stepper of the model factor with it.
-  const std::vector<std::size_t>& ordering() const {
-    return steady_->ordering(sparse_);
+  /// The symbolic analysis of G's pattern (SteadyFactorSlot::symbolic),
+  /// built on the first call (thread-safe) and shared with every copy of
+  /// this model. steady_factor() and every transient stepper of the
+  /// model factor with it.
+  const std::shared_ptr<const linalg::SymbolicCholesky>& symbolic() const {
+    return steady_->symbolic(sparse_);
   }
 
   /// Self-resistance per block [K/W]: entry i is (G⁻¹)ᵢᵢ, block i's

@@ -78,8 +78,8 @@ ThermalSolverCache::sparse_stepper(const RCModel& model, double dt) {
     obs::TraceSpan factor_span("thermal.factor");
     obs::ScopedTimer factor_timer(metrics.factor_ns);
     value = std::make_shared<const linalg::SparseImplicitStepper>(
-        model.conductance_sparse(), model.capacitance(), dt,
-        model.ordering());
+        model.symbolic(), model.conductance_sparse(), model.capacitance(),
+        dt);
   }
   std::scoped_lock lock(mutex_);
   const auto [it, inserted] = entries_.try_emplace(key, Entry{value, tick_});

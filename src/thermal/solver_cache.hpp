@@ -7,8 +7,9 @@
 // candidate. A transient session at step dt steps through (C/dt + G), so
 // factoring it once per (model, dt) and back-substituting per step
 // (2·nnz(L)) keeps stepping near-linear in the node count. (C/dt + G)
-// has G's pattern for every dt, so each stepper factors with the model's
-// one fill-reducing ordering (RCModel::ordering) instead of its own.
+// has G's pattern for every dt, so each stepper factors through the
+// model's one symbolic analysis (RCModel::symbolic), its order and
+// elimination tree included, and does only the numeric pass.
 // docs/SOLVERS.md has the full cost model. The steady-state factor of G
 // is not cached here: each model owns it (RCModel::steady_factor,
 // GridThermalModel::steady_factor).

@@ -3,7 +3,8 @@
 // patterns, symbolic_factor_nonzeros must agree with the numeric
 // factor's fill, dense rows must be withheld to the end, and the
 // ordered factor's solutions must match natural-order and dense
-// factorizations to the documented 1e-9 cross-backend tolerance.
+// factorizations to the documented 1e-9 cross-backend tolerance. An
+// analysis refuses a bad permutation with the message that names it.
 #include "linalg/ordering.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <cmath>
 #include <cstddef>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -144,12 +146,13 @@ TEST(SymbolicFactorTest, CountMatchesNumericFactorFill) {
   for (std::size_t n : {5u, 40u, 90u}) {
     const SparseMatrix a = random_spd(rng, n, 2 * n);
 
-    const SparseCholeskyFactor natural(a, Ordering::kNatural);
+    const SparseCholeskyFactor natural = factor_in_order(a, {});
     EXPECT_EQ(symbolic_factor_nonzeros(a), natural.factor_nonzeros())
         << "n=" << n;
 
-    const SparseCholeskyFactor ordered(a, Ordering::kMinDegree);
-    EXPECT_EQ(symbolic_factor_nonzeros(a, ordered.permutation()),
+    const SparseCholeskyFactor ordered =
+        factor_in_order(a, min_degree_ordering(a));
+    EXPECT_EQ(symbolic_factor_nonzeros(a, ordered.symbolic().permutation()),
               ordered.factor_nonzeros())
         << "n=" << n;
   }
@@ -177,56 +180,57 @@ TEST(MinDegreeOrderingTest, StrictlyCutsGridFill) {
   // (banded) fill is ~side^3 = 260k here; min-degree lands ~60-80k.
   const SparseMatrix a = grid_laplacian(64);
 
-  const SparseCholeskyFactor natural(a, Ordering::kNatural);
-  const SparseCholeskyFactor ordered(a, Ordering::kMinDegree);
+  const SparseCholeskyFactor natural = factor_in_order(a, {});
+  const SparseCholeskyFactor ordered =
+      factor_in_order(a, min_degree_ordering(a));
   EXPECT_LT(ordered.factor_nonzeros(), natural.factor_nonzeros());
   // Not just barely: the ordering should cut grid fill by >= 2x.
   EXPECT_LT(2 * ordered.factor_nonzeros(), natural.factor_nonzeros());
 
   // The symbolic counter sees the same two numbers without factoring.
   EXPECT_EQ(symbolic_factor_nonzeros(a), natural.factor_nonzeros());
-  EXPECT_EQ(symbolic_factor_nonzeros(a, ordered.permutation()),
+  EXPECT_EQ(symbolic_factor_nonzeros(a, ordered.symbolic().permutation()),
             ordered.factor_nonzeros());
-}
-
-TEST(OrderedFactorTest, AutoResolvesByNodeCount) {
-  Rng rng(31);
-  const SparseMatrix small = random_spd(rng, kOrderingAutoMinNodes - 1, 20);
-  const SparseCholeskyFactor small_factor(small);  // kAuto default
-  EXPECT_EQ(small_factor.ordering(), Ordering::kNatural);
-  EXPECT_TRUE(small_factor.permutation().empty());
-
-  const SparseMatrix large = random_spd(rng, kOrderingAutoMinNodes, 20);
-  const SparseCholeskyFactor large_factor(large);
-  EXPECT_EQ(large_factor.ordering(), Ordering::kMinDegree);
-  EXPECT_EQ(large_factor.permutation().size(), kOrderingAutoMinNodes);
 }
 
 TEST(OrderedFactorTest, GivenPermutationFactorsLikeTheOrderingItCame) {
   Rng rng(37);
   const SparseMatrix a = random_spd(rng, 120, 240);
-  const SparseCholeskyFactor ordered(a, Ordering::kMinDegree);
-  const SparseCholeskyFactor given(a, min_degree_ordering(a));
-  EXPECT_EQ(given.ordering(), Ordering::kMinDegree);
-  EXPECT_EQ(given.permutation(), ordered.permutation());
-  EXPECT_EQ(given.factor_nonzeros(), ordered.factor_nonzeros());
+  const std::vector<std::size_t> order = min_degree_ordering(a);
+  const SparseCholeskyFactor ordered = factor_in_order(a, order);
+  const SparseCholeskyFactor again = factor_in_order(a, min_degree_ordering(a));
+  EXPECT_EQ(again.symbolic().permutation(), order);
+  EXPECT_EQ(again.factor_nonzeros(), ordered.factor_nonzeros());
   Vector b(a.rows());
   for (double& v : b) v = rng.uniform(-5.0, 5.0);
-  EXPECT_EQ(given.solve(b), ordered.solve(b));  // same bits
+  EXPECT_EQ(again.solve(b), ordered.solve(b));  // same bits
 
-  const SparseCholeskyFactor natural(a, std::vector<std::size_t>{});
-  EXPECT_EQ(natural.ordering(), Ordering::kNatural);
-  EXPECT_EQ(natural.solve(b), SparseCholeskyFactor(a, Ordering::kNatural).solve(b));
+  const SparseCholeskyFactor natural = factor_in_order(a, {});
+  EXPECT_TRUE(natural.symbolic().permutation().empty());
+  EXPECT_EQ(natural.solve(b), factor_in_order(a, {}).solve(b));
 
-  std::vector<std::size_t> short_perm = ordered.permutation();
+  // A bad permutation is refused with the message that names it.
+  const auto expect_refused = [&](std::vector<std::size_t> perm,
+                                  const std::string& message) {
+    try {
+      const SymbolicCholesky refused(a, std::move(perm));
+      ADD_FAILURE() << "accepted: " << message;
+    } catch (const InvalidArgument& error) {
+      EXPECT_NE(std::string(error.what()).find(message), std::string::npos)
+          << error.what();
+    }
+  };
+  std::vector<std::size_t> short_perm = order;
   short_perm.pop_back();
-  EXPECT_THROW(SparseCholeskyFactor(a, short_perm), InvalidArgument);
-  std::vector<std::size_t> repeated = ordered.permutation();
+  expect_refused(short_perm,
+                 "sparse cholesky: permutation size must match the matrix");
+  std::vector<std::size_t> repeated = order;
   repeated[1] = repeated[0];
-  EXPECT_THROW(SparseCholeskyFactor(a, repeated), InvalidArgument);
-  std::vector<std::size_t> out_of_range = ordered.permutation();
+  expect_refused(repeated, "sparse cholesky: ordering is not a permutation");
+  std::vector<std::size_t> out_of_range = order;
   out_of_range[0] = a.rows();
-  EXPECT_THROW(SparseCholeskyFactor(a, out_of_range), InvalidArgument);
+  expect_refused(out_of_range,
+                 "sparse cholesky: ordering is not a permutation");
 }
 
 TEST(OrderedFactorTest, OrderedNaturalAndDenseSolvesAgree) {
@@ -238,8 +242,9 @@ TEST(OrderedFactorTest, OrderedNaturalAndDenseSolvesAgree) {
     Rng rng(seed);
     for (std::size_t n : {30u, 80u, 150u}) {
       const SparseMatrix a = random_spd(rng, n, 3 * n);
-      const SparseCholeskyFactor ordered(a, Ordering::kMinDegree);
-      const SparseCholeskyFactor natural(a, Ordering::kNatural);
+      const SparseCholeskyFactor ordered =
+          factor_in_order(a, min_degree_ordering(a));
+      const SparseCholeskyFactor natural = factor_in_order(a, {});
       const CholeskyFactor dense(to_dense(a));
 
       Vector b(n);
@@ -250,7 +255,8 @@ TEST(OrderedFactorTest, OrderedNaturalAndDenseSolvesAgree) {
       EXPECT_LT(max_rel_diff(x_ordered, dense.solve(b)), 1e-9)
           << "seed=" << seed << " n=" << n;
 
-      const SparseCholeskyFactor again(a, Ordering::kMinDegree);
+      const SparseCholeskyFactor again =
+          factor_in_order(a, min_degree_ordering(a));
       const Vector x_again = again.solve(b);
       for (std::size_t i = 0; i < n; ++i) {
         EXPECT_DOUBLE_EQ(x_ordered[i], x_again[i]);  // same perm, same bits

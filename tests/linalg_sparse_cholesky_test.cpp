@@ -1,6 +1,8 @@
 // SparseCholeskyFactor: the sparse LDLᵗ must agree with the dense
-// factorizations on the same matrix, reject non-SPD input, produce the
-// expected fill for structures we can reason about, and its backward-
+// factorizations on the same matrix, reject non-SPD input and a matrix
+// whose pattern is not its analysis's, produce the expected fill for
+// structures we can reason about, give the bits of the pre-split
+// reference (tests/oracles/reference_cholesky.hpp), and its backward-
 // Euler stepper must track the dense LinearImplicitStepper.
 #include "linalg/sparse_cholesky.hpp"
 
@@ -9,10 +11,15 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "linalg/ordering.hpp"
 #include "oracles/cholesky.hpp"
 #include "oracles/lu.hpp"
 #include "oracles/ode.hpp"
+#include "oracles/reference_cholesky.hpp"
 #include "oracles/sparse_ops.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -74,7 +81,8 @@ TEST(SparseCholeskyTest, MatchesDenseCholeskyOnRandomSpdSystems) {
   Rng rng(42);
   for (std::size_t n : {3u, 10u, 40u, 97u}) {
     const SparseMatrix a = random_spd(rng, n, 2 * n);
-    const SparseCholeskyFactor sparse(a);
+    const SparseCholeskyFactor sparse =
+        factor_in_order(a, min_degree_ordering(a));
     const CholeskyFactor dense(to_dense(a));
     for (int trial = 0; trial < 3; ++trial) {
       const Vector b = random_rhs(rng, n);
@@ -91,8 +99,8 @@ TEST(SparseCholeskyTest, SolveIsDeterministicAcrossCalls) {
   Rng rng(7);
   const SparseMatrix a = random_spd(rng, 50, 100);
   const Vector b = random_rhs(rng, 50);
-  const SparseCholeskyFactor f1(a);
-  const SparseCholeskyFactor f2(a);
+  const SparseCholeskyFactor f1 = factor_in_order(a, min_degree_ordering(a));
+  const SparseCholeskyFactor f2 = factor_in_order(a, min_degree_ordering(a));
   const Vector x1 = f1.solve(b);
   const Vector x2 = f2.solve(b);
   for (std::size_t i = 0; i < x1.size(); ++i) {
@@ -113,7 +121,7 @@ TEST(SparseCholeskyTest, TridiagonalHasNoFill) {
       builder.add(i + 1, i, -1.0);
     }
   }
-  const SparseCholeskyFactor factor(builder.build());
+  const SparseCholeskyFactor factor = factor_in_order(builder.build(), {});
   EXPECT_EQ(factor.factor_nonzeros(), n - 1);
 }
 
@@ -123,19 +131,61 @@ TEST(SparseCholeskyTest, RejectsNonSpdAndBadShapes) {
   indefinite.add(0, 1, 3.0);
   indefinite.add(1, 0, 3.0);
   indefinite.add(1, 1, 1.0);  // eigenvalues 4 and -2
-  EXPECT_THROW(SparseCholeskyFactor{indefinite.build()}, NumericalError);
+  EXPECT_THROW(factor_in_order(indefinite.build(), {}), NumericalError);
 
   SparseMatrix::Builder negative(1, 1);
   negative.add(0, 0, -1.0);
-  EXPECT_THROW(SparseCholeskyFactor{negative.build()}, NumericalError);
+  EXPECT_THROW(factor_in_order(negative.build(), {}), NumericalError);
 
   SparseMatrix::Builder rect(2, 3);
   rect.add(0, 0, 1.0);
-  EXPECT_THROW(SparseCholeskyFactor{rect.build()}, InvalidArgument);
+  EXPECT_THROW(factor_in_order(rect.build(), {}), InvalidArgument);
 
   Rng rng(1);
-  const SparseCholeskyFactor factor(random_spd(rng, 4, 0));
+  const SparseCholeskyFactor factor =
+      factor_in_order(random_spd(rng, 4, 0), {});
   EXPECT_THROW(factor.solve(Vector(5, 0.0)), InvalidArgument);
+  EXPECT_THROW(SparseCholeskyFactor(nullptr, random_spd(rng, 4, 0)),
+               InvalidArgument);
+}
+
+// A factor reads its matrix's values through the analysis's gather, so
+// a matrix of any other pattern (an extra coupling, a missing one, a
+// different size) is refused rather than misread; the same pattern with
+// other values factors.
+TEST(SparseCholeskyTest, RejectsAMatrixOfAnotherPattern) {
+  Rng rng(4);
+  const SparseMatrix a = random_spd(rng, 12, 6);
+  for (const std::vector<std::size_t>& perm :
+       {std::vector<std::size_t>{}, min_degree_ordering(a)}) {
+    const auto symbolic = std::make_shared<const SymbolicCholesky>(a, perm);
+    EXPECT_THROW(SparseCholeskyFactor(symbolic, random_spd(rng, 12, 6)),
+                 InvalidArgument);
+    EXPECT_THROW(SparseCholeskyFactor(symbolic, random_spd(rng, 13, 6)),
+                 InvalidArgument);
+    SparseMatrix::Builder fewer(12, 12);
+    for (std::size_t i = 0; i < 12; ++i) fewer.add(i, i, 1.0);
+    EXPECT_THROW(SparseCholeskyFactor(symbolic, fewer.build()),
+                 InvalidArgument);
+    SparseMatrix::Builder scaled(12, 12);
+    for (std::size_t r = 0; r < 12; ++r) {
+      for (std::size_t q = a.row_offsets()[r]; q < a.row_offsets()[r + 1];
+           ++q) {
+        scaled.add(r, a.col_indices()[q], 2.0 * a.values()[q]);
+      }
+    }
+    const SparseCholeskyFactor twice(symbolic, scaled.build());
+    EXPECT_EQ(&twice.symbolic(), symbolic.get());
+    // 2A factors to the same L and 2D exactly, so it solves to half.
+    const Vector b = random_rhs(rng, 12);
+    const Vector x = SparseCholeskyFactor(symbolic, a).solve(b);
+    const Vector half = twice.solve(b);
+    for (std::size_t i = 0; i < 12; ++i) EXPECT_EQ(x[i], 2.0 * half[i]);
+    EXPECT_THROW(
+        SparseImplicitStepper(symbolic, random_spd(rng, 12, 6), Vector(12, 1.0),
+                              1e-3),
+        InvalidArgument);
+  }
 }
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
@@ -214,16 +264,15 @@ TEST(SparseCholeskyTest, SolveEntryIsBitIdenticalToFullSolve) {
   for (std::size_t n : {1u, 2u, 5u, 17u, 40u, 63u}) {
     for (int trial = 0; trial < 3; ++trial) {
       const SparseMatrix a = random_spd(rng, n, 2 * n);
-      expect_entry_solves_match(SparseCholeskyFactor(a, Ordering::kNatural),
-                                rng);
-      expect_entry_solves_match(SparseCholeskyFactor(a, Ordering::kMinDegree),
+      expect_entry_solves_match(factor_in_order(a, {}), rng);
+      expect_entry_solves_match(factor_in_order(a, min_degree_ordering(a)),
                                 rng);
     }
   }
   // A diagonal matrix: every node is a root of the elimination forest.
   SparseMatrix::Builder diagonal(6, 6);
   for (std::size_t i = 0; i < 6; ++i) diagonal.add(i, i, 1.5 + i);
-  expect_entry_solves_match(SparseCholeskyFactor(diagonal.build()), rng);
+  expect_entry_solves_match(factor_in_order(diagonal.build(), {}), rng);
 }
 
 TEST(SparseCholeskyTest, SolveSubsetIsBitIdenticalToFullSolve) {
@@ -231,20 +280,20 @@ TEST(SparseCholeskyTest, SolveSubsetIsBitIdenticalToFullSolve) {
   for (std::size_t n : {1u, 2u, 5u, 17u, 40u, 63u, 150u}) {
     for (int trial = 0; trial < 3; ++trial) {
       const SparseMatrix a = random_spd(rng, n, 2 * n);
-      expect_subset_solves_match(SparseCholeskyFactor(a, Ordering::kNatural),
-                                 rng);
-      expect_subset_solves_match(SparseCholeskyFactor(a, Ordering::kMinDegree),
+      expect_subset_solves_match(factor_in_order(a, {}), rng);
+      expect_subset_solves_match(factor_in_order(a, min_degree_ordering(a)),
                                  rng);
     }
   }
   SparseMatrix::Builder diagonal(6, 6);
   for (std::size_t i = 0; i < 6; ++i) diagonal.add(i, i, 1.5 + i);
-  expect_subset_solves_match(SparseCholeskyFactor(diagonal.build()), rng);
+  expect_subset_solves_match(factor_in_order(diagonal.build(), {}), rng);
 }
 
 TEST(SparseCholeskyTest, SolveEntryRejectsBadArguments) {
   Rng rng(2);
-  const SparseCholeskyFactor factor(random_spd(rng, 4, 0));
+  const SparseCholeskyFactor factor =
+      factor_in_order(random_spd(rng, 4, 0), {});
   PathScratch scratch(4);
   EXPECT_THROW(solve_entry(factor, 4, 1.0, scratch), InvalidArgument);
   PathScratch short_scratch(3);
@@ -279,19 +328,47 @@ TEST(SparseCholeskyTest, InverseDiagonalMatchesTheDenseInverse) {
   for (std::size_t n : {1u, 2u, 3u, 5u, 17u, 40u, 63u}) {
     for (int trial = 0; trial < 3; ++trial) {
       const SparseMatrix a = random_spd(rng, n, 2 * n);
-      for (const Ordering ordering :
-           {Ordering::kNatural, Ordering::kMinDegree}) {
-        expect_inverse_diagonal_matches(a, SparseCholeskyFactor(a, ordering),
-                                        1e-12);
-      }
+      expect_inverse_diagonal_matches(a, factor_in_order(a, {}), 1e-12);
+      expect_inverse_diagonal_matches(
+          a, factor_in_order(a, min_degree_ordering(a)), 1e-12);
     }
   }
   SparseMatrix::Builder diagonal(6, 6);
   for (std::size_t i = 0; i < 6; ++i) diagonal.add(i, i, 1.5 + i);
-  const SparseCholeskyFactor factor(diagonal.build());
+  const SparseCholeskyFactor factor = factor_in_order(diagonal.build(), {});
   const Vector z = factor.inverse_diagonal();
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(bits(z[i]), bits(1.0 / (1.5 + i))) << "i=" << i;
+  }
+}
+
+// The split factor against the pre-split reference on random SPD
+// matrices, whose rows couple far more nodes than a thermal model's, in
+// natural and minimum-degree order: every answer bit for bit, for A and
+// for a stepper's (C/dt + G). tests/property_test.cpp runs the same
+// check on the thermal models.
+TEST(SparseCholeskyTest, MatchesThePreSplitReferenceBitForBit) {
+  Rng rng(31);
+  for (std::size_t n : {1u, 2u, 9u, 40u, 150u}) {
+    const SparseMatrix a = random_spd(rng, n, 3 * n);
+    Vector capacitance(n);
+    for (double& c : capacitance) c = rng.uniform(0.5, 3.0);
+    const Vector b = random_rhs(rng, n);
+    const Vector y = random_rhs(rng, n);
+    for (const std::vector<std::size_t>& perm :
+         {std::vector<std::size_t>{}, min_degree_ordering(a)}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   (perm.empty() ? " natural" : " min-degree"));
+      const auto symbolic = std::make_shared<const SymbolicCholesky>(a, perm);
+      EXPECT_EQ(first_difference(SparseCholeskyFactor(symbolic, a),
+                                 ReferenceCholeskyFactor(a, perm), b),
+                "");
+      EXPECT_EQ(first_difference(
+                    SparseImplicitStepper(symbolic, a, capacitance, 1e-2),
+                    ReferenceImplicitStepper(a, capacitance, 1e-2, perm), y, b,
+                    3),
+                "");
+    }
   }
 }
 
@@ -302,7 +379,9 @@ TEST(SparseImplicitStepperTest, TracksDenseStepper) {
   for (double& c : capacitance) c = rng.uniform(0.5, 3.0);
   const double dt = 1e-2;
 
-  const SparseImplicitStepper sparse(g, capacitance, dt);
+  const SparseImplicitStepper sparse(
+      std::make_shared<const SymbolicCholesky>(g, min_degree_ordering(g)), g,
+      capacitance, dt);
   const LinearImplicitStepper dense(to_dense(g), capacitance, dt);
   EXPECT_DOUBLE_EQ(sparse.dt(), dt);
   EXPECT_EQ(sparse.size(), 30u);
@@ -321,10 +400,14 @@ TEST(SparseImplicitStepperTest, RejectsBadInputs) {
   Rng rng(3);
   const SparseMatrix g = random_spd(rng, 5, 0);
   const Vector c(5, 1.0);
-  EXPECT_THROW(SparseImplicitStepper(g, c, 0.0), InvalidArgument);
-  EXPECT_THROW(SparseImplicitStepper(g, Vector(4, 1.0), 1e-3), InvalidArgument);
-  EXPECT_THROW(SparseImplicitStepper(g, Vector(5, -1.0), 1e-3), InvalidArgument);
-  const SparseImplicitStepper stepper(g, c, 1e-3);
+  const auto symbolic =
+      std::make_shared<const SymbolicCholesky>(g, std::vector<std::size_t>{});
+  EXPECT_THROW(SparseImplicitStepper(symbolic, g, c, 0.0), InvalidArgument);
+  EXPECT_THROW(SparseImplicitStepper(symbolic, g, Vector(4, 1.0), 1e-3),
+               InvalidArgument);
+  EXPECT_THROW(SparseImplicitStepper(symbolic, g, Vector(5, -1.0), 1e-3),
+               InvalidArgument);
+  const SparseImplicitStepper stepper(symbolic, g, c, 1e-3);
   EXPECT_THROW(stepper.step(Vector(4, 0.0), Vector(5, 0.0)), InvalidArgument);
 }
 

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -110,6 +112,12 @@ std::size_t symbolic_factor_nonzeros(const SparseMatrix& a,
     }
   }
   return nnz;
+}
+
+SparseCholeskyFactor factor_in_order(const SparseMatrix& a,
+                                     std::vector<std::size_t> perm) {
+  return SparseCholeskyFactor(
+      std::make_shared<const SymbolicCholesky>(a, std::move(perm)), a);
 }
 
 }  // namespace thermo::linalg

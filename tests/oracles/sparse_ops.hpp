@@ -1,12 +1,14 @@
 // Test-side operations on linalg::SparseMatrix: conversion to and from
 // DenseMatrix, SpMV and the diagonal (the dense and CG oracles need
-// them; no production solve does), and a symbolic fill count.
+// them; no production solve does), a symbolic fill count, and a factor
+// through an analysis of its own.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "linalg/sparse.hpp"
+#include "linalg/sparse_cholesky.hpp"
 #include "oracles/dense_matrix.hpp"
 
 namespace thermo::linalg {
@@ -35,5 +37,10 @@ Vector diagonal(const SparseMatrix& a);
 /// Requires a square, structurally symmetric matrix.
 std::size_t symbolic_factor_nonzeros(const SparseMatrix& a,
                                      const std::vector<std::size_t>& perm = {});
+
+/// A's factor in the order `perm` (empty = natural order) through a
+/// SymbolicCholesky of its own, for a test that factors one matrix.
+SparseCholeskyFactor factor_in_order(const SparseMatrix& a,
+                                     std::vector<std::size_t> perm);
 
 }  // namespace thermo::linalg

@@ -18,14 +18,18 @@
 #include "core/schedule.hpp"
 #include "core/session_model.hpp"
 #include "core/thermal_scheduler.hpp"
+#include "linalg/ordering.hpp"
 #include "linalg/sparse_cholesky.hpp"
 #include "obs/metrics.hpp"
 #include "oracles/cholesky.hpp"
 #include "oracles/ode.hpp"
+#include "oracles/reference_cholesky.hpp"
 #include "oracles/reference_thermal_scheduler.hpp"
 #include "oracles/sparse_ops.hpp"
+#include "soc/fig1.hpp"
 #include "soc/synthetic.hpp"
 #include "thermal/analyzer.hpp"
+#include "thermal/grid_model.hpp"
 #include "thermal/steady_state.hpp"
 #include "thermal/transient.hpp"
 #include "util/error.hpp"
@@ -433,8 +437,9 @@ TEST_P(PathSolveExactness, EntrySolvesAndSoloPeaksMatchTheFullSolve) {
   const core::SocSpec soc = random_soc(cores, cores);
   const auto model =
       std::make_shared<const thermal::RCModel>(soc.flp, soc.package);
-  const linalg::SparseCholeskyFactor factor(model->conductance_sparse(),
-                                            linalg::Ordering::kMinDegree);
+  const linalg::SparseCholeskyFactor factor = linalg::factor_in_order(
+      model->conductance_sparse(),
+      linalg::min_degree_ordering(model->conductance_sparse()));
   const std::size_t n = model->node_count();
   linalg::PathScratch scratch(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -521,10 +526,11 @@ TEST_P(PathSolveExactness, SubsetSolvesAndSessionPeaksMatchTheFullSolve) {
   linalg::PathScratch scratch(n);
   std::vector<std::size_t> nodes(n);
   for (std::size_t i = 0; i < n; ++i) nodes[i] = i;
-  for (const linalg::Ordering ordering :
-       {linalg::Ordering::kNatural, linalg::Ordering::kMinDegree}) {
-    const linalg::SparseCholeskyFactor factor(model->conductance_sparse(),
-                                              ordering);
+  const linalg::SparseMatrix& g = model->conductance_sparse();
+  for (const std::vector<std::size_t>& perm :
+       {std::vector<std::size_t>{}, linalg::min_degree_ordering(g)}) {
+    const linalg::SparseCholeskyFactor factor =
+        linalg::factor_in_order(g, perm);
     for (int trial = 0; trial < 40; ++trial) {
       // Mostly session-sized sets, some up to every node.
       const auto k = static_cast<std::size_t>(
@@ -638,6 +644,172 @@ TEST_P(SelfResistanceTable, SoloRisesMatchTheSolvesAndValidationsMatchBcmt) {
 
 INSTANTIATE_TEST_SUITE_P(SyntheticSocs, SelfResistanceTable,
                          ::testing::Values(8u, 246u, 1000u, 4000u));
+
+// The symbolic/numeric split against the pre-split reference
+// (tests/oracles/reference_cholesky.hpp), which permutes A through a
+// builder and re-derives the pattern per factor, and assembles the
+// stepper's (C/dt + G) through a builder. On the RC models Algorithm 1
+// runs on and on a fine grid, in natural and minimum-degree order, the
+// factor of G and the stepper at dt 0.01, at dt 1e-3 and at a remainder
+// step all share one analysis and give the reference's bits: the fill,
+// solve, solve_subset, inverse_diagonal and step.
+class SymbolicSplit
+    : public ::testing::TestWithParam<std::tuple<std::size_t, bool>> {};
+
+TEST_P(SymbolicSplit, EveryFactorGivesTheReferenceBits) {
+  const auto [cores, min_degree] = GetParam();
+  // cores == 0 stands for a 64×64 grid model of the fig1 floorplan. It
+  // has no capacitances, so its steppers take made-up positive ones.
+  linalg::SparseMatrix g;
+  std::vector<double> capacitance;
+  if (cores == 0) {
+    const core::SocSpec soc = soc::fig1_soc();
+    const thermal::GridThermalModel grid(soc.flp, soc.package, {64, 64});
+    g = grid.conductance();
+    for (std::size_t i = 0; i < grid.node_count(); ++i) {
+      capacitance.push_back(1e-4 * (1.0 + static_cast<double>(i % 13)));
+    }
+  } else {
+    const core::SocSpec soc = random_soc(cores + 5, cores);
+    const thermal::RCModel model(soc.flp, soc.package);
+    g = model.conductance_sparse();
+    capacitance = model.capacitance();
+  }
+  const std::size_t n = g.rows();
+  const std::vector<std::size_t> perm =
+      min_degree ? linalg::min_degree_ordering(g) : std::vector<std::size_t>{};
+  const auto symbolic =
+      std::make_shared<const linalg::SymbolicCholesky>(g, perm);
+  Rng rng(n);
+  std::vector<double> b(n);
+  std::vector<double> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] = rng.chance(0.3) ? 0.0 : rng.uniform(0.0, 5.0);
+    y[i] = rng.uniform(0.0, 2.0);
+  }
+  const linalg::SparseCholeskyFactor factor(symbolic, g);
+  EXPECT_EQ(factor.factor_nonzeros(),
+            linalg::symbolic_factor_nonzeros(g, perm));
+  EXPECT_EQ(linalg::first_difference(
+                factor, linalg::ReferenceCholeskyFactor(g, perm), b),
+            "");
+  // A 53.7 ms session at dt 0.01 ends on a remainder step of the summed
+  // time's leftover, as thermal::simulate_transient takes it.
+  const double remainder = 0.0537 - (0.01 + 0.01 + 0.01 + 0.01 + 0.01);
+  for (const double dt : {0.01, 1e-3, remainder}) {
+    SCOPED_TRACE("dt=" + std::to_string(dt));
+    const linalg::SparseImplicitStepper stepper(symbolic, g, capacitance, dt);
+    EXPECT_EQ(&stepper.factor().symbolic(), symbolic.get());
+    EXPECT_EQ(stepper.factor().factor_nonzeros(), factor.factor_nonzeros());
+    EXPECT_EQ(linalg::first_difference(
+                  stepper,
+                  linalg::ReferenceImplicitStepper(g, capacitance, dt, perm), y,
+                  b, 3),
+              "");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThermalModels, SymbolicSplit,
+    ::testing::Combine(::testing::Values(8u, 246u, 1000u, 0u),
+                       ::testing::Bool()));
+
+/// A random SoC at ambient 0, for the homogeneity checks.
+core::SocSpec cold_soc(std::uint64_t seed, std::size_t cores) {
+  core::SocSpec soc = random_soc(seed, cores);
+  soc.package.ambient = 0.0;
+  return soc;
+}
+
+// Homogeneity of the steady oracle: at ambient 0 a steady rise is linear
+// in the powers (G⁻¹p, and p·(G⁻¹)ᵢᵢ for one core) and STC is
+// quadratic, so on one shared model generate() with 2p, 2·TL and 4·STCL
+// makes the same sessions, discards and exclusions at the same effort
+// and count, with exactly doubled BCMTs, session maxima and schedule
+// maximum naming the same hottest cores, on a TL/STCL grid where TL
+// binds. Both policies that keep TL as given are covered (kRaiseLimit's
+// 1 K margin is not homogeneous). The second run reads the
+// self-resistance table and the factor the first one built, so a table
+// that held p·rᵢ instead of rᵢ, or a rise off by a constant, fails here.
+class Homogeneity : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(Homogeneity, SteadyDoublingThePowersDoublesEveryPeak) {
+  const std::size_t cores = GetParam();
+  const core::SocSpec soc = cold_soc(cores + 43, cores);
+  core::SocSpec doubled = soc;
+  for (core::CoreTest& test : doubled.tests) test.power *= 2.0;
+  const auto model =
+      std::make_shared<const thermal::RCModel>(soc.flp, soc.package);
+  thermal::ThermalAnalyzer::Options steady;
+  steady.transient = false;
+  thermal::ThermalAnalyzer analyzer(model, steady);
+
+  double hottest = 0.0;
+  for (const double bcmt : core::solo_prepass(soc, analyzer).bcmt) {
+    hottest = std::max(hottest, bcmt);
+  }
+  std::size_t discards = 0;
+  std::size_t runs = 0;
+  for (const core::SoloViolationPolicy policy :
+       {core::SoloViolationPolicy::kThrow,
+        core::SoloViolationPolicy::kExclude}) {
+    for (const auto& [tl, stcl] :
+         {std::pair{0.9, 50.0}, std::pair{0.9, 1e5}, std::pair{1.1, 1e3},
+          std::pair{1.1, 1e5}, std::pair{1.6, 50.0}, std::pair{1.6, 1e5}}) {
+      core::ThermalSchedulerOptions base;
+      base.temperature_limit = tl * hottest;
+      base.stc_limit = stcl;
+      base.model.stc_scale = 10.0;
+      base.solo_policy = policy;
+      core::ThermalSchedulerOptions scaled = base;
+      scaled.temperature_limit = 2.0 * base.temperature_limit;
+      scaled.stc_limit = 4.0 * base.stc_limit;
+      SCOPED_TRACE("policy=" + std::to_string(static_cast<int>(policy)) +
+                   " tl=" + std::to_string(tl) +
+                   "·hottest, stcl=" + std::to_string(stcl));
+      if (policy == core::SoloViolationPolicy::kThrow && tl < 1.0) {
+        // A core that cannot run alone under TL: both runs refuse.
+        EXPECT_THROW(core::ThermalAwareScheduler(base).generate(soc, analyzer),
+                     InvalidArgument);
+        EXPECT_THROW(
+            core::ThermalAwareScheduler(scaled).generate(doubled, analyzer),
+            InvalidArgument);
+        continue;
+      }
+      const core::ScheduleResult a =
+          core::ThermalAwareScheduler(base).generate(soc, analyzer);
+      const core::ScheduleResult b =
+          core::ThermalAwareScheduler(scaled).generate(doubled, analyzer);
+      ++runs;
+      discards += a.discarded_sessions;
+      ASSERT_EQ(b.schedule.session_count(), a.schedule.session_count());
+      for (std::size_t s = 0; s < a.schedule.sessions.size(); ++s) {
+        EXPECT_EQ(b.schedule.sessions[s].cores, a.schedule.sessions[s].cores);
+      }
+      ASSERT_EQ(b.outcomes.size(), a.outcomes.size());
+      for (std::size_t s = 0; s < a.outcomes.size(); ++s) {
+        EXPECT_EQ(bits(b.outcomes[s].max_temperature),
+                  bits(2.0 * a.outcomes[s].max_temperature))
+            << "session " << s;
+        EXPECT_EQ(b.outcomes[s].hottest_core, a.outcomes[s].hottest_core);
+      }
+      EXPECT_EQ(b.discarded_sessions, a.discarded_sessions);
+      ASSERT_EQ(b.bcmt.size(), a.bcmt.size());
+      for (std::size_t i = 0; i < cores; ++i) {
+        EXPECT_EQ(bits(b.bcmt[i]), bits(2.0 * a.bcmt[i])) << "core=" << i;
+      }
+      EXPECT_EQ(bits(b.max_temperature), bits(2.0 * a.max_temperature));
+      EXPECT_EQ(bits(b.simulation_effort), bits(a.simulation_effort));
+      EXPECT_EQ(b.simulation_count, a.simulation_count);
+      EXPECT_EQ(b.notes.size(), a.notes.size());  // the same exclusions
+    }
+  }
+  EXPECT_EQ(runs, 10u);
+  EXPECT_GT(discards, 0u) << "TL never bound";
+}
+
+INSTANTIATE_TEST_SUITE_P(SyntheticSocs, Homogeneity,
+                         ::testing::Values(8u, 40u, 246u));
 
 /// Tolerance of a transient session_peaks, a sum of unit-step responses
 /// (docs/SOLVERS.md "Transient response table"), against the stepped

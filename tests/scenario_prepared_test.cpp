@@ -1,8 +1,8 @@
 // The runner's prepared entries: each geometry's SoC, RC network,
-// session model and G factor are built once per batch, whatever the
-// power corners, oracles and threads asking for them, while a request
-// whose SoC cannot be built still fails on its own line with the exact
-// bytes of a fresh build.
+// session model, symbolic analysis and G factor are built once per
+// batch, whatever the power corners, oracles and threads asking for
+// them, while a request whose SoC cannot be built still fails on its own
+// line with the exact bytes of a fresh build.
 #include "scenario/runner.hpp"
 
 #include <gtest/gtest.h>
@@ -91,6 +91,36 @@ TEST(PreparedModels, GenStreamBuildsEachPartOnce) {
   EXPECT_EQ(run.summary.runner.model_misses, geometries.size());
   EXPECT_EQ(run.summary.runner.model_hits + run.summary.runner.model_misses,
             run.summary.executed);
+}
+
+std::uint64_t samples(const char* histogram) {
+  return obs::MetricsRegistry::instance().histogram(histogram).count();
+}
+
+// Every model the runner builds, block or grid, is analyzed once, by its
+// first factorization, and each model the stream builds is factored:
+// one `thermal.symbolic_ns` sample per `scenario.model_build_ns` sample,
+// at 4 threads racing for the same models.
+TEST(PreparedModels, OneSymbolicAnalysisPerModelBuilt) {
+  gen::GenConfig config;
+  config.seed = 11;
+  config.count = 300;
+  config.dup_rate = 0.3;
+  config.mix.grid = 0.02;
+  std::string input;
+  std::size_t grids = 0;
+  for (const std::string& line : gen::generate_stream(config).lines) {
+    input += line + "\n";
+    grids += parse_request_line(line).kind == RequestKind::kGridSteady;
+  }
+  ASSERT_GT(grids, 0u);
+  const std::uint64_t analyses = samples("thermal.symbolic_ns");
+  const std::uint64_t builds = samples("scenario.model_build_ns");
+  const Served run = serve(input, 4);
+  ASSERT_EQ(run.summary.failed, 0u);
+  EXPECT_GT(samples("scenario.model_build_ns"), builds + 1);
+  EXPECT_EQ(samples("thermal.symbolic_ns") - analyses,
+            samples("scenario.model_build_ns") - builds);
 }
 
 // A steady run never asks the solver cache for anything: the entry's

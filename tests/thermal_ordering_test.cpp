@@ -3,12 +3,13 @@
 // nodes coupled to every block, which the ordering withholds as dense
 // rows) and a fine-grid model. The production ordering must equal the
 // std::set reference permutation on each, since the permutation fixes
-// the factor's bits and so every record built on it. A model computes
-// its ordering once and every factor of its pattern, G's and each
-// stepper's (C/dt + G), uses it.
+// the factor's bits and so every record built on it. A model analyzes
+// its pattern once, ordering included, and every factor of its pattern,
+// G's and each stepper's (C/dt + G), shares that analysis.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "linalg/ordering.hpp"
@@ -54,8 +55,8 @@ core::SocSpec synthetic_soc(std::size_t cores) {
   return soc::make_synthetic_soc(rng, options);
 }
 
-/// (C/dt + G) as SparseImplicitStepper assembles it: G's entries, then
-/// C/dt stamped on the diagonal.
+/// (C/dt + G) assembled through a builder: G's entries, then C/dt
+/// stamped on the diagonal.
 linalg::SparseMatrix stepper_matrix(const thermal::RCModel& model, double dt) {
   const linalg::SparseMatrix& g = model.conductance_sparse();
   linalg::SparseMatrix::Builder builder(g.rows(), g.cols());
@@ -71,7 +72,7 @@ linalg::SparseMatrix stepper_matrix(const thermal::RCModel& model, double dt) {
 }
 
 // C is diagonal and G's diagonal is structurally full, so (C/dt + G) has
-// G's pattern and its ordering is G's: one ordering per model serves G's
+// G's pattern and its ordering is G's: one analysis per model serves G's
 // factor and every stepper's.
 TEST(ThermalOrdering, StepperMatrixOrdersLikeG) {
   for (const std::size_t cores : {8u, 246u, 1000u}) {
@@ -80,66 +81,102 @@ TEST(ThermalOrdering, StepperMatrixOrdersLikeG) {
     const std::vector<std::size_t> g_order =
         linalg::min_degree_ordering(model.conductance_sparse());
     for (const double dt : {0.01, 1e-3}) {
-      EXPECT_EQ(linalg::min_degree_ordering(stepper_matrix(model, dt)),
-                g_order)
+      const linalg::SparseMatrix a = stepper_matrix(model, dt);
+      EXPECT_EQ(linalg::min_degree_ordering(a), g_order)
           << cores << " cores, dt " << dt;
+      EXPECT_EQ(a.row_offsets(), model.conductance_sparse().row_offsets());
+      EXPECT_EQ(a.col_indices(), model.conductance_sparse().col_indices());
     }
   }
 }
 
-std::uint64_t orderings_recorded() {
-  return obs::MetricsRegistry::instance()
-      .histogram("thermal.ordering_ns")
-      .count();
+std::uint64_t samples(const char* histogram) {
+  return obs::MetricsRegistry::instance().histogram(histogram).count();
 }
 
-// A model computes its ordering once, on first use, whichever factor
-// asks first; its copies, G's factor and the steppers of every dt share
-// it, and each of those factors gives the bits of one that orders
-// itself.
+// A model analyzes its pattern once, on first use, whichever factor asks
+// first; its copies, G's factor and the steppers of every dt share that
+// one analysis (the same object), and each of those factors gives the
+// bits of one built on an analysis of its own.
 TEST(ThermalOrdering, OneOrderingPerModelServesEveryFactor) {
   const core::SocSpec soc = synthetic_soc(246);
   const thermal::RCModel model(soc.flp, soc.package);
-  const std::uint64_t before = orderings_recorded();
+  const std::uint64_t orderings = samples("thermal.ordering_ns");
+  const std::uint64_t analyses = samples("thermal.symbolic_ns");
   thermal::ThermalSolverCache cache;
   const auto stepper = cache.sparse_stepper(model, 0.01);
-  EXPECT_EQ(orderings_recorded(), before + 1);
+  EXPECT_EQ(samples("thermal.ordering_ns"), orderings + 1);
+  EXPECT_EQ(samples("thermal.symbolic_ns"), analyses + 1);
   const thermal::RCModel copy = model;
   const auto other = cache.sparse_stepper(copy, 1e-3);
   const linalg::SparseCholeskyFactor& steady = copy.steady_factor();
-  EXPECT_EQ(orderings_recorded(), before + 1);
+  EXPECT_EQ(samples("thermal.ordering_ns"), orderings + 1);
+  EXPECT_EQ(samples("thermal.symbolic_ns"), analyses + 1);
 
-  const std::vector<std::size_t>& order = model.ordering();
-  EXPECT_EQ(&order, &copy.ordering());
-  EXPECT_EQ(order, linalg::min_degree_ordering(model.conductance_sparse()));
-  EXPECT_EQ(stepper->factor().permutation(), order);
-  EXPECT_EQ(other->factor().permutation(), order);
-  EXPECT_EQ(steady.permutation(), order);
+  const linalg::SymbolicCholesky* const symbolic = model.symbolic().get();
+  EXPECT_EQ(copy.symbolic().get(), symbolic);
+  EXPECT_EQ(&stepper->factor().symbolic(), symbolic);
+  EXPECT_EQ(&other->factor().symbolic(), symbolic);
+  EXPECT_EQ(&steady.symbolic(), symbolic);
+  EXPECT_EQ(symbolic->permutation(),
+            linalg::min_degree_ordering(model.conductance_sparse()));
 
   std::vector<double> rhs(model.node_count(), 0.0);
   for (std::size_t i = 0; i < model.block_count(); ++i) {
     rhs[i] = 1.0 + static_cast<double>(i % 7);
   }
-  const linalg::SparseCholeskyFactor self_ordered(model.conductance_sparse());
-  EXPECT_EQ(steady.solve(rhs), self_ordered.solve(rhs));
-  const linalg::SparseImplicitStepper self_stepper(model.conductance_sparse(),
-                                                   model.capacitance(), 0.01);
+  const auto own = std::make_shared<const linalg::SymbolicCholesky>(
+      model.conductance_sparse(),
+      linalg::min_degree_ordering(model.conductance_sparse()));
+  const linalg::SparseCholeskyFactor self_analyzed(own,
+                                                   model.conductance_sparse());
+  EXPECT_EQ(steady.solve(rhs), self_analyzed.solve(rhs));
+  const linalg::SparseImplicitStepper self_stepper(
+      own, model.conductance_sparse(), model.capacitance(), 0.01);
   const std::vector<double> from(model.node_count(), 0.5);
   EXPECT_EQ(stepper->step(from, rhs), self_stepper.step(from, rhs));
 }
 
-// Below kOrderingAutoMinNodes a model orders nothing: its factors run in
-// natural order, as Ordering::kAuto resolves.
+// Below kOrderingAutoMinNodes a model orders nothing: its analysis, and
+// so every factor, runs in natural order.
 TEST(ThermalOrdering, SmallModelsFactorInNaturalOrder) {
   const core::SocSpec soc = synthetic_soc(8);
   const thermal::RCModel model(soc.flp, soc.package);
   ASSERT_LT(model.node_count(), linalg::kOrderingAutoMinNodes);
-  const std::uint64_t before = orderings_recorded();
-  EXPECT_TRUE(model.ordering().empty());
-  EXPECT_EQ(model.steady_factor().ordering(), linalg::Ordering::kNatural);
+  const std::uint64_t orderings = samples("thermal.ordering_ns");
+  const std::uint64_t analyses = samples("thermal.symbolic_ns");
+  EXPECT_TRUE(model.symbolic()->permutation().empty());
+  EXPECT_EQ(&model.steady_factor().symbolic(), model.symbolic().get());
   thermal::ThermalSolverCache cache;
-  EXPECT_TRUE(cache.sparse_stepper(model, 0.01)->factor().permutation().empty());
-  EXPECT_EQ(orderings_recorded(), before);
+  EXPECT_EQ(&cache.sparse_stepper(model, 0.01)->factor().symbolic(),
+            model.symbolic().get());
+  EXPECT_EQ(samples("thermal.ordering_ns"), orderings);
+  EXPECT_EQ(samples("thermal.symbolic_ns"), analyses + 1);
+}
+
+// SteadyFactorSlot is the one place that picks the order: natural below
+// kOrderingAutoMinNodes nodes, min_degree_ordering at and above, for
+// block and grid models alike.
+TEST(ThermalOrdering, SlotResolvesTheOrderByNodeCount) {
+  const std::size_t edge =
+      linalg::kOrderingAutoMinNodes - thermal::kPackageNodes;
+  const core::SocSpec below_soc = synthetic_soc(edge - 1);
+  const thermal::RCModel below(below_soc.flp, below_soc.package);
+  ASSERT_EQ(below.node_count(), linalg::kOrderingAutoMinNodes - 1);
+  EXPECT_TRUE(below.symbolic()->permutation().empty());
+  const core::SocSpec at_soc = synthetic_soc(edge);
+  const thermal::RCModel at(at_soc.flp, at_soc.package);
+  ASSERT_EQ(at.node_count(), linalg::kOrderingAutoMinNodes);
+  EXPECT_EQ(at.symbolic()->permutation(),
+            linalg::min_degree_ordering(at.conductance_sparse()));
+
+  const core::SocSpec fig1 = soc::fig1_soc();
+  const thermal::GridThermalModel grid(fig1.flp, fig1.package, {8, 8});
+  thermal::SteadyFactorSlot slot;
+  EXPECT_EQ(slot.symbolic(grid.conductance())->permutation(),
+            linalg::min_degree_ordering(grid.conductance()));
+  EXPECT_EQ(&slot.get(grid.conductance()).symbolic(),
+            slot.symbolic(grid.conductance()).get());
 }
 
 }  // namespace

@@ -46,12 +46,22 @@ std::vector<double> centre_power(std::size_t blocks, double watts) {
   return power;
 }
 
+/// A fresh analysis of the model's G in natural order: these models are
+/// below kOrderingAutoMinNodes, so the model's own analysis is natural too.
+std::shared_ptr<const linalg::SymbolicCholesky> cold_symbolic(
+    const RCModel& model) {
+  EXPECT_LT(model.node_count(), linalg::kOrderingAutoMinNodes);
+  return std::make_shared<const linalg::SymbolicCholesky>(
+      model.conductance_sparse(), std::vector<std::size_t>{});
+}
+
 // One backward-Euler step from `from` through a freshly factored
 // stepper: what every cached stepper of (model, dt) must reproduce.
 std::vector<double> cold_step(const RCModel& model, double dt,
                               const std::vector<double>& from,
                               const std::vector<double>& power) {
-  return linalg::SparseImplicitStepper(model.conductance_sparse(),
+  return linalg::SparseImplicitStepper(cold_symbolic(model),
+                                       model.conductance_sparse(),
                                        model.capacitance(), dt)
       .step(from, power);
 }
@@ -62,7 +72,8 @@ TEST(ThermalSolverCacheTest, CachedSteadySolveMatchesColdSolve) {
 
   // Cold: factor from scratch, outside the model.
   const std::vector<double> expanded = model.expand_power(block_power);
-  const linalg::SparseCholeskyFactor cold(model.conductance_sparse());
+  const linalg::SparseCholeskyFactor cold(cold_symbolic(model),
+                                         model.conductance_sparse());
   const std::vector<double> cold_rise = cold.solve(expanded);
 
   // First call factors into the model; second call reuses the factor.
