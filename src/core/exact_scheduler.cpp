@@ -119,10 +119,7 @@ ScheduleResult ExactScheduler::generate(
   result.schedule_length = result.schedule.total_length(soc);
   result.simulation_effort = analyzer.simulation_effort();
   result.simulation_count = analyzer.simulation_count();
-  for (const SessionOutcome& outcome : result.outcomes) {
-    result.max_temperature =
-        std::max(result.max_temperature, outcome.max_temperature);
-  }
+  result.max_temperature = max_outcome_temperature(result.outcomes);
   return result;
 }
 

@@ -78,10 +78,7 @@ ScheduleResult PowerConstrainedScheduler::generate(
   if (analyzer != nullptr) {
     result.simulation_effort = analyzer->simulation_effort();
     result.simulation_count = analyzer->simulation_count();
-    for (const SessionOutcome& outcome : result.outcomes) {
-      result.max_temperature =
-          std::max(result.max_temperature, outcome.max_temperature);
-    }
+    result.max_temperature = max_outcome_temperature(result.outcomes);
   }
   return result;
 }

@@ -10,11 +10,10 @@
 //     a geometry that is only ever stepped never factors it;
 //   * the paper's session model (SessionThermalModel).
 // scenario::ScenarioRunner keeps one per geometry_key() (with the
-// geometry's SoCs and grid models), and `thermosched sweep` and
-// examples/explore_stcl.cpp build one per run. Callers pass a
-// PreparedSoc to sweep_stcl, the one STCL scan, and to
-// ThermalAwareScheduler::generate with a handed pre-pass; both use the
-// prepared session model instead of rebuilding it. A prepared run is
+// geometry's SoCs and grid models), and `thermosched sweep` builds one
+// per run. Callers pass a PreparedSoc to sweep_stcl, the one STCL scan,
+// and to ThermalAwareScheduler::generate with a handed pre-pass; both
+// use the prepared session model instead of rebuilding it. A prepared run is
 // bit-identical to the one-shot generate(soc, analyzer), which builds
 // its own session model: the same checks that can fail run in the same
 // order with the same text, and the arithmetic is the same.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -40,7 +41,9 @@ SafetyReport SafetyChecker::check(const SocSpec& soc,
                                       session.length(soc));
     }
 
-    double session_max = 0.0;
+    // A session has at least one core (require_well_formed), so its
+    // maximum and the schedule's are taken over the peaks alone.
+    double session_max = -std::numeric_limits<double>::infinity();
     for (std::size_t core : session.cores) {
       session_max = std::max(session_max, sim.peak_temperature[core]);
       if (sim.peak_temperature[core] >= temperature_limit_) {
@@ -49,7 +52,8 @@ SafetyReport SafetyChecker::check(const SocSpec& soc,
       }
     }
     report.session_max_temperature.push_back(session_max);
-    report.max_temperature = std::max(report.max_temperature, session_max);
+    report.max_temperature =
+        s == 0 ? session_max : std::max(report.max_temperature, session_max);
   }
   report.safe = report.violations.empty();
   return report;

@@ -23,7 +23,8 @@ struct SafetyViolation {
 
 struct SafetyReport {
   bool safe = true;
-  double max_temperature = 0.0;  ///< hottest core across all sessions [deg C]
+  /// Hottest core across all sessions, 0 for no sessions [deg C].
+  double max_temperature = 0.0;
   /// Per-session hottest-core temperature [deg C].
   std::vector<double> session_max_temperature;
   std::vector<SafetyViolation> violations;

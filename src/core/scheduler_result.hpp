@@ -6,6 +6,7 @@
 // docs/SCHEDULING.md ("Reading the result") interprets every field.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -40,7 +41,8 @@ struct ScheduleResult {
   /// Simulated time spent in the per-core pre-pass [s].
   double precheck_effort = 0.0;
 
-  /// Hottest core temperature across all committed sessions [deg C].
+  /// Hottest core temperature across all committed sessions, 0 when
+  /// there are none [deg C] (max_outcome_temperature).
   double max_temperature = 0.0;
 
   /// Number of sessions that were simulated and discarded for violating
@@ -58,5 +60,19 @@ struct ScheduleResult {
   /// handled).
   std::vector<std::string> notes;
 };
+
+/// The largest max_temperature of `outcomes`, or 0 when there are none
+/// [deg C]. The maximum is taken over the outcomes alone, not from 0, so
+/// a schedule that stays below 0 deg C (a sub-zero ambient) reports its
+/// hottest session.
+inline double max_outcome_temperature(
+    const std::vector<SessionOutcome>& outcomes) {
+  if (outcomes.empty()) return 0.0;
+  return std::max_element(outcomes.begin(), outcomes.end(),
+                          [](const SessionOutcome& a, const SessionOutcome& b) {
+                            return a.max_temperature < b.max_temperature;
+                          })
+      ->max_temperature;
+}
 
 }  // namespace thermo::core

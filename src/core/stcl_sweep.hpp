@@ -12,9 +12,8 @@
 // point gets a private ThermalAnalyzer (the effort accounting is not
 // thread-safe).
 //
-// Shared by `thermosched sweep`, examples/explore_stcl.cpp and the
-// serve runner; results are index-ordered and identical for any thread
-// count.
+// Shared by `thermosched sweep` and the serve runner; results are
+// index-ordered and identical for any thread count.
 #pragma once
 
 #include <vector>

@@ -288,11 +288,7 @@ ScheduleResult ThermalAwareScheduler::schedule(
   result.schedule_length = result.schedule.total_length(soc);
   result.simulation_effort = analyzer.simulation_effort();
   result.simulation_count = analyzer.simulation_count();
-  result.max_temperature = 0.0;
-  for (const SessionOutcome& outcome : result.outcomes) {
-    result.max_temperature =
-        std::max(result.max_temperature, outcome.max_temperature);
-  }
+  result.max_temperature = max_outcome_temperature(result.outcomes);
   record_counters(stc_evaluations, stc_terms, result.simulation_count,
                   result.discarded_sessions);
   analyzer.flush_counters();

@@ -78,7 +78,7 @@ double alpha_stc_scale() {
   // Calibrated so the paper's STCL axis (20..100) spans "hot cores must
   // run alone" (solo STCs range 3.6 .. 23.8) to "most cores in one
   // session" (the 7-unit CPU cluster scores ~82) for alpha_soc(). See
-  // bench/bench_table1 and EXPERIMENTS.md.
+  // Table 1 in bench/golden/sweep_alpha_tl<T>.txt.
   return 2.8e-3;
 }
 

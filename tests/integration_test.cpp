@@ -1,6 +1,12 @@
 // End-to-end integration tests: the paper's experiments in miniature.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <limits>
+#include <string>
+
+#include "core/exact_scheduler.hpp"
 #include "core/power_scheduler.hpp"
 #include "core/safety_checker.hpp"
 #include "core/thermal_scheduler.hpp"
@@ -100,13 +106,31 @@ class Table1Mini : public ::testing::Test {
   }
 };
 
+// Table 1's shape over its whole grid, the cells that
+// bench/golden/sweep_alpha_tl<T>.txt pins: at every STCL the length is
+// non-increasing in TL, every cell stays below its TL, and in the tight
+// corner (STCL <= 30, TL >= 160) the effort equals the length with no
+// discards, the paper's "for very tight constraints (STCL <= 30) the
+// simulation effort equals the length of the generated test schedule".
 TEST_F(Table1Mini, LengthNonIncreasingInTemperatureLimit) {
-  const double stcl = 50.0;
-  const double l145 = run(145.0, stcl).schedule_length;
-  const double l165 = run(165.0, stcl).schedule_length;
-  const double l185 = run(185.0, stcl).schedule_length;
-  EXPECT_GE(l145, l165);
-  EXPECT_GE(l165, l185);
+  std::size_t tight_cells = 0;
+  for (int stcl = 20; stcl <= 100; stcl += 10) {
+    double previous = std::numeric_limits<double>::infinity();
+    for (int tl = 145; tl <= 185; tl += 5) {
+      SCOPED_TRACE("TL=" + std::to_string(tl) +
+                   " STCL=" + std::to_string(stcl));
+      const core::ScheduleResult r = run(tl, stcl);
+      EXPECT_LE(r.schedule_length, previous);
+      previous = r.schedule_length;
+      EXPECT_LT(r.max_temperature, tl);
+      if (stcl <= 30 && tl >= 160) {
+        ++tight_cells;
+        EXPECT_EQ(r.discarded_sessions, 0u);
+        EXPECT_EQ(r.simulation_effort, r.schedule_length);
+      }
+    }
+  }
+  EXPECT_EQ(tight_cells, 12u);
 }
 
 TEST_F(Table1Mini, RelaxedStclShortensScheduleAtHighTl) {
@@ -154,6 +178,98 @@ TEST_F(Table1Mini, EverySweepPointIsSafeAndComplete) {
       EXPECT_LT(r.max_temperature, tl);
     }
   }
+}
+
+// ---- Sub-zero ambient: maxima over the sessions, not from 0 C ----
+
+// PackageParams accepts any finite ambient. At -40 C Figure 1's sparse
+// session TS2 peaks below 0 C, so a maximum seeded at 0 C would report
+// 0 for the session and the schedule.
+TEST(SubZeroAmbient, SafetyReportGivesTheSparseSessionItsPeak) {
+  core::SocSpec soc = soc::fig1_soc();
+  soc.package.ambient = -40.0;
+  thermal::ThermalAnalyzer analyzer(soc.flp, soc.package);
+  core::TestSchedule schedule;
+  schedule.sessions.push_back(soc::fig1_session_ts2(soc));
+  const core::TestSession& ts2 = schedule.sessions[0];
+  const thermal::SessionSimulation sim =
+      analyzer.simulate_session(ts2.power_map(soc), ts2.length(soc));
+  double peak = -std::numeric_limits<double>::infinity();
+  for (std::size_t core : ts2.cores) {
+    peak = std::max(peak, sim.peak_temperature[core]);
+  }
+  ASSERT_LT(peak, 0.0);
+  ASSERT_GT(peak, soc.package.ambient);
+  for (const bool chained : {false, true}) {
+    SCOPED_TRACE(chained ? "chained" : "independent");
+    const core::SafetyReport report =
+        core::SafetyChecker(0.0, {.chained = chained, .cooling_gap = 0.0})
+            .check(soc, schedule, analyzer);
+    ASSERT_EQ(report.session_max_temperature.size(), 1u);
+    EXPECT_EQ(report.session_max_temperature[0], peak);
+    EXPECT_EQ(report.max_temperature, peak);
+    EXPECT_TRUE(report.safe);
+  }
+  EXPECT_EQ(core::SafetyChecker(0.0)
+                .check(soc, core::TestSchedule{}, analyzer)
+                .max_temperature,
+            0.0);
+}
+
+// At -200 C every session of the Alpha SoC, and of Figure 1's SoC,
+// stays below 0 C: each scheduler's max_temperature is its hottest
+// outcome, and the safety check's is its hottest session.
+TEST(SubZeroAmbient, SchedulersReportTheirHottestSession) {
+  const auto hottest = [](const core::ScheduleResult& result) {
+    double peak = -std::numeric_limits<double>::infinity();
+    for (const core::SessionOutcome& outcome : result.outcomes) {
+      peak = std::max(peak, outcome.max_temperature);
+    }
+    return peak;
+  };
+  core::SocSpec alpha = soc::alpha_soc();
+  alpha.package.ambient = -200.0;
+  thermal::ThermalAnalyzer analyzer(alpha.flp, alpha.package);
+
+  core::ThermalSchedulerOptions options;
+  options.temperature_limit = -50.0;
+  options.stc_limit = 50.0;
+  options.model.stc_scale = soc::alpha_stc_scale();
+  const core::ScheduleResult thermal_aware =
+      core::ThermalAwareScheduler(options).generate(alpha, analyzer);
+  ASSERT_GT(thermal_aware.outcomes.size(), 1u);
+  EXPECT_LT(thermal_aware.max_temperature, 0.0);
+  EXPECT_EQ(thermal_aware.max_temperature, hottest(thermal_aware));
+
+  const core::SafetyReport report =
+      core::SafetyChecker(-50.0).check(alpha, thermal_aware.schedule, analyzer);
+  ASSERT_EQ(report.session_max_temperature.size(),
+            thermal_aware.outcomes.size());
+  for (const double session_max : report.session_max_temperature) {
+    EXPECT_LT(session_max, 0.0);
+  }
+  EXPECT_EQ(report.max_temperature,
+            *std::max_element(report.session_max_temperature.begin(),
+                              report.session_max_temperature.end()));
+
+  const core::ScheduleResult power =
+      core::PowerConstrainedScheduler(
+          core::PowerSchedulerOptions{.power_limit = 60.0})
+          .generate(alpha, &analyzer);
+  ASSERT_GT(power.outcomes.size(), 1u);
+  EXPECT_LT(power.max_temperature, 0.0);
+  EXPECT_EQ(power.max_temperature, hottest(power));
+
+  core::SocSpec fig1 = soc::fig1_soc();
+  fig1.package.ambient = -200.0;
+  thermal::ThermalAnalyzer fig1_analyzer(fig1.flp, fig1.package);
+  const core::ScheduleResult exact =
+      core::ExactScheduler(core::ExactSchedulerOptions{
+                               .temperature_limit = -150.0})
+          .generate(fig1, fig1_analyzer);
+  ASSERT_GT(exact.outcomes.size(), 1u);
+  EXPECT_LT(exact.max_temperature, 0.0);
+  EXPECT_EQ(exact.max_temperature, hottest(exact));
 }
 
 }  // namespace

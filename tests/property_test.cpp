@@ -14,6 +14,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/prepared_model.hpp"
 #include "core/safety_checker.hpp"
 #include "core/schedule.hpp"
 #include "core/session_model.hpp"
@@ -26,6 +27,7 @@
 #include "oracles/reference_cholesky.hpp"
 #include "oracles/reference_thermal_scheduler.hpp"
 #include "oracles/sparse_ops.hpp"
+#include "soc/alpha.hpp"
 #include "soc/fig1.hpp"
 #include "soc/synthetic.hpp"
 #include "thermal/analyzer.hpp"
@@ -810,6 +812,106 @@ TEST_P(Homogeneity, SteadyDoublingThePowersDoublesEveryPeak) {
 
 INSTANTIATE_TEST_SUITE_P(SyntheticSocs, Homogeneity,
                          ::testing::Values(8u, 40u, 246u));
+
+// Homogeneity of the chained path: at ambient 0 a backward-Euler step,
+// a cool-down and simulate_session_from from a carried state are linear
+// in the powers and the state, so the chained safety check of a schedule
+// with 2p against 2·TL flags the same cores with exactly doubled session
+// maxima and violation peaks, at every cooling gap, and a power-trace
+// style chain of simulate_session_from calls (each step starting where
+// the last ended, as ptrace replay does) doubles every peak and the
+// final state. Both schedules come from generate(PreparedSoc, ...) on
+// one PreparedModel, with 2p, 2·TL and 4·STCL for the second, and are
+// the same sessions. TL sits just above the hottest solo peak (Dcache,
+// 91.07 K over ambient), so each chained check finds the carried heat
+// over TL; a transient start even 1e-9 K above ambient fails here.
+class ChainedHomogeneity : public ::testing::TestWithParam<double> {};
+
+TEST_P(ChainedHomogeneity, DoublingThePowersDoublesEveryChainedPeak) {
+  core::SocSpec soc = soc::alpha_soc();
+  soc.package.ambient = 0.0;
+  core::SocSpec doubled = soc;
+  for (core::CoreTest& test : doubled.tests) test.power *= 2.0;
+  const core::PreparedModel prepared(soc);
+  thermal::ThermalAnalyzer::Options transient;
+  transient.dt = GetParam();
+  thermal::ThermalAnalyzer analyzer(prepared.rc_model(), transient);
+  const core::SoloPrepass once_prepass = core::solo_prepass(soc, analyzer);
+  const core::SoloPrepass twice_prepass = core::solo_prepass(doubled, analyzer);
+  const double tl = 91.2;
+  for (const double stcl : {30.0, 70.0}) {
+    core::ThermalSchedulerOptions base;
+    base.temperature_limit = tl;
+    base.stc_limit = stcl;
+    base.model.stc_scale = soc::alpha_stc_scale();
+    core::ThermalSchedulerOptions scaled = base;
+    scaled.temperature_limit = 2.0 * tl;
+    scaled.stc_limit = 4.0 * stcl;
+    const core::TestSchedule once =
+        core::ThermalAwareScheduler(base)
+            .generate(core::PreparedSoc{soc, prepared}, analyzer, once_prepass)
+            .schedule;
+    const core::TestSchedule twice =
+        core::ThermalAwareScheduler(scaled)
+            .generate(core::PreparedSoc{doubled, prepared}, analyzer,
+                      twice_prepass)
+            .schedule;
+    ASSERT_EQ(twice.session_count(), once.session_count());
+    for (std::size_t s = 0; s < once.sessions.size(); ++s) {
+      ASSERT_EQ(twice.sessions[s].cores, once.sessions[s].cores);
+    }
+
+    for (const double gap : {0.0, 0.5, 2.0}) {
+      SCOPED_TRACE("stcl=" + std::to_string(stcl) +
+                   " gap=" + std::to_string(gap));
+      const core::SafetyChecker::Options chain{.chained = true,
+                                               .cooling_gap = gap};
+      const core::SafetyReport a =
+          core::SafetyChecker(tl, chain).check(soc, once, analyzer);
+      const core::SafetyReport b =
+          core::SafetyChecker(2.0 * tl, chain).check(doubled, twice, analyzer);
+      EXPECT_FALSE(a.violations.empty()) << "the chained check found no heat";
+      ASSERT_EQ(b.violations.size(), a.violations.size());
+      for (std::size_t v = 0; v < a.violations.size(); ++v) {
+        EXPECT_EQ(b.violations[v].session_index, a.violations[v].session_index);
+        EXPECT_EQ(b.violations[v].core, a.violations[v].core);
+        EXPECT_EQ(bits(b.violations[v].peak_temperature),
+                  bits(2.0 * a.violations[v].peak_temperature));
+      }
+      ASSERT_EQ(b.session_max_temperature.size(),
+                a.session_max_temperature.size());
+      for (std::size_t s = 0; s < a.session_max_temperature.size(); ++s) {
+        EXPECT_EQ(bits(b.session_max_temperature[s]),
+                  bits(2.0 * a.session_max_temperature[s]))
+            << "session " << s;
+      }
+      EXPECT_EQ(bits(b.max_temperature), bits(2.0 * a.max_temperature));
+    }
+
+    std::vector<double> state_a = thermal::ambient_state(analyzer.model());
+    std::vector<double> state_b = state_a;
+    for (const core::TestSession& session : once.sessions) {
+      thermal::ThermalAnalyzer::Chained a = analyzer.simulate_session_from(
+          session.power_map(soc), 0.25, state_a);
+      thermal::ThermalAnalyzer::Chained b = analyzer.simulate_session_from(
+          session.power_map(doubled), 0.25, state_b);
+      for (std::size_t i = 0; i < a.session.peak_temperature.size(); ++i) {
+        EXPECT_EQ(bits(b.session.peak_temperature[i]),
+                  bits(2.0 * a.session.peak_temperature[i]))
+            << "block " << i;
+      }
+      EXPECT_EQ(b.session.hottest_block, a.session.hottest_block);
+      state_a = std::move(a.final_state);
+      state_b = std::move(b.final_state);
+    }
+    for (std::size_t n = 0; n < state_a.size(); ++n) {
+      EXPECT_EQ(bits(state_b[n]), bits(2.0 * state_a[n])) << "node " << n;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AlphaSoc, ChainedHomogeneity,
+                         ::testing::Values(0.01, 1e-3));
 
 /// Tolerance of a transient session_peaks, a sum of unit-step responses
 /// (docs/SOLVERS.md "Transient response table"), against the stepped
