@@ -23,7 +23,7 @@
 //             thread count, schedule policy, and dedup setting.
 //             Schema: docs/SERVE.md.
 //             Options: --in PATH|-, --out PATH|-, --threads,
-//             --schedule-policy fifo|ljf|edf|priority|srpt,
+//             --schedule-policy fifo|ljf|edf,
 //             --dedup on|off, --summary-json PATH,
 //             --cache-dir PATH (persistent
 //             disk-backed result cache — docs/PERSIST.md),
@@ -130,7 +130,7 @@ dispatch::SchedulePolicy parse_schedule_policy(const std::string& name) {
   if (!policy) {
     throw InvalidArgument(
         "unknown schedule policy '" + name +
-        "' (expected 'fifo', 'ljf', 'edf', 'priority', or 'srpt')");
+        "' (expected 'fifo', 'ljf', or 'edf')");
   }
   return *policy;
 }
@@ -142,8 +142,7 @@ gen::OrderPattern parse_order_pattern(const std::string& name) {
   if (!order) {
     throw InvalidArgument(
         "unknown order pattern '" + name +
-        "' (expected 'as-generated', 'shuffled', 'sorted', 'sorted-desc', "
-        "or 'whale-last')");
+        "' (expected 'shuffled' or 'whale-last')");
   }
   return *order;
 }
@@ -219,7 +218,7 @@ void print_global_usage(std::ostream& out) {
          "            (schema: docs/SERVE.md; byte-deterministic for any\n"
          "            thread count, policy, and dedup setting)\n"
          "            [--in PATH|-] [--out PATH|-] [--threads N]\n"
-         "            [--schedule-policy fifo|ljf|edf|priority|srpt]\n"
+         "            [--schedule-policy fifo|ljf|edf]\n"
          "            [--dedup on|off] [--summary-json PATH]\n"
          "            [--cache-dir PATH] [--trace PATH]\n"
          "            [--metrics-json PATH] [--metrics]\n"
@@ -229,10 +228,9 @@ void print_global_usage(std::ostream& out) {
          "  gen       Emit a deterministic JSONL request stream for serve\n"
          "            (byte-identical for identical flags; docs/GEN.md)\n"
          "            [--count N] [--seed S] [--zipf Z] [--dup R]\n"
-         "            [--order as-generated|shuffled|sorted|sorted-desc|\n"
-         "            whale-last] [--mix-sweep W] [--mix-ptrace W]\n"
-         "            [--mix-chained W] [--mix-grid W] [--deadline-rate R]\n"
-         "            [--out PATH|-]\n"
+         "            [--order shuffled|whale-last] [--mix-sweep W]\n"
+         "            [--mix-ptrace W] [--mix-chained W] [--mix-grid W]\n"
+         "            [--deadline-rate R] [--out PATH|-]\n"
          "  info      Floorplan statistics\n"
          "            [--flp PATH --density D | --alpha] [--csv]\n"
          "\n"
@@ -241,11 +239,10 @@ void print_global_usage(std::ostream& out) {
          "serve scheduling (docs/SERVE.md \"Scheduling policy\"):\n"
          "--schedule-policy orders execution starts — 'fifo' (default,\n"
          "input order), 'ljf' (longest-job-first; cuts makespan on\n"
-         "skewed batches), 'edf' (earliest deadline_s first), 'priority'\n"
-         "(smallest cost/priority ratio first), or 'srpt' (cheapest\n"
-         "first). --dedup ('on' default) memoizes result records by\n"
-         "request content so duplicate requests execute once. Neither\n"
-         "changes the output bytes.\n"
+         "skewed batches), or 'edf' (earliest deadline_s first).\n"
+         "--dedup ('on' default) memoizes result records by request\n"
+         "content so duplicate requests execute once. Neither changes\n"
+         "the output bytes.\n"
          "--summary-json writes per-batch execution stats (makespan,\n"
          "tail latency, memo hit rate, per-request timings) to PATH.\n"
          "--trace records per-thread spans for the batch and writes\n"
@@ -723,9 +720,8 @@ int main(int argc, char** argv) {
     cli.add_string("out", "JSONL results file, - = stdout", &args.out_path);
     cli.add_string("schedule-policy",
                    "Execution-start order: fifo (input order), ljf "
-                   "(longest-job-first), edf (earliest-deadline-first), "
-                   "priority (cost/priority ratio), or srpt (shortest "
-                   "first); output bytes are identical either way",
+                   "(longest-job-first), or edf (earliest-deadline-first); "
+                   "output bytes are identical either way",
                    &args.schedule_policy);
     cli.add_string("dedup",
                    "Memoize results by request content, on or off "
@@ -775,8 +771,7 @@ int main(int argc, char** argv) {
                    "copies, what serve's --dedup memoizes)",
                    &args.gen_dup);
     cli.add_string("order",
-                   "Arrival order: as-generated, shuffled, sorted, "
-                   "sorted-desc, or whale-last",
+                   "Arrival order: shuffled or whale-last",
                    &args.gen_order);
     cli.add_double("mix-sweep", "Relative weight of kind stcl_sweep",
                    &args.gen_mix_sweep);

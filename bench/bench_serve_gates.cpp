@@ -8,11 +8,11 @@
 // Schema "thermo.bench_serve_gates.v1": "stream" (lines, duplicates and
 // memo_hits of the shared gen stream), then one object per gate under
 // "gates", each holding its measured numbers and `ok`:
-//   ljf        60 small Alpha requests, the 1536-core whale LAST: fifo
+//   ljf        60 small requests, the 1536-core whale LAST: fifo
 //              makespan >= 1.3 x ljf's (identical orders differ only by
 //              noise), and the whale's serial wall tops every small's;
-//   edf        one deadline-free whale per worker FIRST, then 12 Alpha
-//              requests due at 100 ms: fifo misses some, edf fewer;
+//   edf        one deadline-free whale per worker FIRST, then 12 small
+//              requests due at 30 ms: fifo misses some, edf fewer;
 //   overhead   the gen stream, observability off vs on (metrics + trace):
 //              min wall on <= 1.05 x off + 0.05 s, same bytes;
 //   warm_cache the stream cold, then warm, each through a fresh
@@ -69,12 +69,17 @@ std::string heavy_line(const std::string& id, double power_scale) {
   return scenario::to_json_line(heavy) + "\n";
 }
 
-/// A default (Alpha, transient) request at the i-th power corner.
+/// A transient request on the i-th 16-core synthetic SoC, ≈3 ms
+/// serial. Each small builds its own model and unit-step responses: 60
+/// requests on one geometry would share them and cost ≈12 us each after
+/// the first, too little for any placement to matter.
 std::string small_line(const std::string& id, std::size_t i,
                        double deadline_s) {
   scenario::ScenarioRequest small;
   small.id = id;
-  small.soc.power_scale = 1.0 + 0.001 * static_cast<double>(i);
+  small.soc.kind = scenario::SocKind::kSynthetic;
+  small.soc.synthetic.seed = 1000 + i;
+  small.soc.synthetic.cores = 16;
   small.stcl.min = small.stcl.max = 50.0;
   small.deadline_s = deadline_s;
   return scenario::to_json_line(small) + "\n";
@@ -181,14 +186,14 @@ int main(int argc, char** argv) {
     const bool ljf_ok = ljf_speedup >= 1.3 && cost_rank_ok;
 
     // edf: under fifo every worker grabs a whale before any deadlined
-    // request starts; edf starts the deadlined ones (0.1 < +inf) first.
+    // request starts; edf starts the deadlined ones (0.03 < +inf) first.
     std::string slo;
     for (std::size_t i = 0; i < workers; ++i) {
       slo += heavy_line("heavy-" + std::to_string(i),
                         1.0 + 0.001 * static_cast<double>(i));
     }
     for (std::size_t i = 0; i < 12; ++i) {
-      slo += small_line("light-" + std::to_string(i), i, 0.1);
+      slo += small_line("light-" + std::to_string(i), i, 0.03);
     }
     std::size_t fifo_missed = 0;
     std::size_t edf_missed = 0;

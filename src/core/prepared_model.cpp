@@ -4,6 +4,6 @@ namespace thermo::core {
 
 PreparedModel::PreparedModel(const SocSpec& soc)
     : rc_(std::make_shared<const thermal::RCModel>(soc.flp, soc.package)),
-      session_(rc_->floorplan(), rc_->package()) {}
+      session_(soc.flp, soc.package) {}
 
 }  // namespace thermo::core

@@ -4,8 +4,8 @@
 // A served batch schedules the same few geometries thousands of times,
 // at different power corners and STCL values. Everything that depends
 // on the geometry alone is built here once:
-//   * the RC network (thermal::RCModel), which keeps its own validated
-//     copy of the floorplan and package and, after the first
+//   * the RC network (thermal::RCModel), which keeps its own copy of
+//     the package (not of the floorplan) and, after the first
 //     steady-oracle solve, its factor of G (RCModel::steady_factor), so
 //     a geometry that is only ever stepped never factors it;
 //   * the paper's session model (SessionThermalModel).
@@ -18,10 +18,10 @@
 // its own session model: the same checks that can fail run in the same
 // order with the same text, and the arithmetic is the same.
 //
-// Thread safety: every const member is safe to call concurrently. The
-// floorplan's lazily computed geometry and its validation record are
-// filled during construction, so readers on several workers never
-// write.
+// Thread safety: every const member is safe to call concurrently.
+// Neither model keeps the floorplan: both read soc.flp during
+// construction only (validating it first), so readers on several
+// workers never touch it.
 #pragma once
 
 #include <memory>
@@ -35,8 +35,8 @@ namespace thermo::core {
 class PreparedModel {
  public:
   /// Builds the RC network and the session model (SessionModelOptions{})
-  /// of soc's floorplan and package, which the RCModel validates. Does
-  /// not read soc.tests or soc.name.
+  /// of soc's floorplan and package, which the RCModel validates. Keeps
+  /// no reference to soc; does not read soc.tests or soc.name.
   explicit PreparedModel(const SocSpec& soc);
 
   const std::shared_ptr<const thermal::RCModel>& rc_model() const {

@@ -112,12 +112,7 @@ EngineStats run_batch(const std::vector<Job>& jobs,
   {
     obs::TraceSpan sort_span("dispatch.policy_sort");
     obs::ScopedTimer sort_timer(metrics.policy_sort_ns);
-    std::vector<WorkItem> items;
-    items.reserve(scheduled.size());
-    for (const std::size_t i : scheduled) {
-      items.push_back({i, jobs[i].cost, jobs[i].deadline, jobs[i].priority});
-    }
-    order = execution_order(std::move(items), options.policy);
+    order = execution_order(jobs, std::move(scheduled), options.policy);
   }
 
   // Execution-window origin: done_seconds and the makespan share this
@@ -166,7 +161,7 @@ EngineStats run_batch(const std::vector<Job>& jobs,
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     exec_start)
           .count();
-  stats.executed = scheduled.size();
+  stats.executed = order.size();
   stats.max_buffered = writer.max_buffered();
   writer.finish();
   metrics.batches.add();

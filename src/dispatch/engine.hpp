@@ -3,11 +3,12 @@
 //
 // This is the layer between a batch front-end (scenario::serve_stream)
 // and the fan-out (sweep::for_each_index): the front-end describes
-// each job as {content address, estimated cost} plus a pure execute
-// function, and the engine owns *how* the batch runs —
+// each job as a Job {content address, estimated cost, deadline}
+// (execution_order.hpp) plus a pure execute function, and the engine
+// owns *how* the batch runs —
 //
 //   placement   execution_order orders execution starts (fifo / ljf /
-//               edf / priority / srpt);
+//               edf);
 //   dedup       jobs sharing a content address execute once: a prior
 //               batch's record is served from the ResultMemo, and
 //               within-batch duplicates are grouped behind one leader
@@ -36,28 +37,6 @@
 #include "dispatch/result_memo.hpp"
 
 namespace thermo::dispatch {
-
-/// One unit of batch work, as the front-end describes it. The engine
-/// never inspects record contents; everything it needs is here.
-struct Job {
-  /// Content address: the canonical serialization of whatever the job
-  /// computes from — identical bytes MUST imply an identical record.
-  /// Empty = not memoizable (always executes, never enters the memo);
-  /// front-ends use that for records that depend on batch position,
-  /// e.g. parse failures carrying a line number.
-  std::string memo_key;
-  /// Estimated execution cost in the front-end's relative units (serve:
-  /// scenario::estimate_request_cost); only its ordering matters, and
-  /// only under cost-driven policies (ljf/priority/srpt).
-  double cost = 0.0;
-  /// SLO deadline in seconds from the start of the execution window;
-  /// kNoDeadline when the job has none. Orders execution under edf and
-  /// is scored against JobTiming::done_seconds — never changes output.
-  double deadline = kNoDeadline;
-  /// Relative weight (finite, > 0); orders execution under the
-  /// 'priority' (WSPT) policy.
-  double priority = 1.0;
-};
 
 struct JobTiming {
   double wall_seconds = 0.0;  ///< 0 for memoized jobs

@@ -12,8 +12,6 @@ const char* schedule_policy_name(SchedulePolicy policy) {
     case SchedulePolicy::kFifo: return "fifo";
     case SchedulePolicy::kLjf: return "ljf";
     case SchedulePolicy::kEdf: return "edf";
-    case SchedulePolicy::kPriority: return "priority";
-    case SchedulePolicy::kSrpt: return "srpt";
   }
   return "?";
 }
@@ -22,51 +20,36 @@ std::optional<SchedulePolicy> schedule_policy_from_name(std::string_view name) {
   if (name == "fifo") return SchedulePolicy::kFifo;
   if (name == "ljf") return SchedulePolicy::kLjf;
   if (name == "edf") return SchedulePolicy::kEdf;
-  if (name == "priority") return SchedulePolicy::kPriority;
-  if (name == "srpt") return SchedulePolicy::kSrpt;
   return std::nullopt;
 }
 
-std::vector<std::size_t> execution_order(std::vector<WorkItem> items,
+std::vector<std::size_t> execution_order(const std::vector<Job>& jobs,
+                                         std::vector<std::size_t> scheduled,
                                          SchedulePolicy policy) {
-  for (const WorkItem& item : items) {
-    THERMO_REQUIRE(std::isfinite(item.cost) && item.cost >= 0.0,
+  for (const std::size_t i : scheduled) {
+    THERMO_REQUIRE(std::isfinite(jobs[i].cost) && jobs[i].cost >= 0.0,
                    "execution_order: cost must be finite and >= 0");
     THERMO_REQUIRE(
-        !std::isnan(item.deadline) && item.deadline > 0.0,
+        !std::isnan(jobs[i].deadline) && jobs[i].deadline > 0.0,
         "execution_order: deadline must be > 0 (kNoDeadline if unset)");
-    THERMO_REQUIRE(std::isfinite(item.priority) && item.priority > 0.0,
-                   "execution_order: priority must be finite and > 0");
   }
-  const auto sort_by = [&items](auto before) {
-    std::stable_sort(items.begin(), items.end(), before);
-  };
   switch (policy) {
     case SchedulePolicy::kFifo:
       break;
     case SchedulePolicy::kLjf:
-      sort_by([](const WorkItem& a, const WorkItem& b) { return a.cost > b.cost; });
+      std::stable_sort(scheduled.begin(), scheduled.end(),
+                       [&jobs](std::size_t a, std::size_t b) {
+                         return jobs[a].cost > jobs[b].cost;
+                       });
       break;
     case SchedulePolicy::kEdf:
-      sort_by([](const WorkItem& a, const WorkItem& b) {
-        return a.deadline < b.deadline;
-      });
-      break;
-    case SchedulePolicy::kPriority:
-      // WSPT: a.cost/a.priority < b.cost/b.priority, cross-multiplied so
-      // the comparison is exact (priorities are guarded finite positive).
-      sort_by([](const WorkItem& a, const WorkItem& b) {
-        return a.cost * b.priority < b.cost * a.priority;
-      });
-      break;
-    case SchedulePolicy::kSrpt:
-      sort_by([](const WorkItem& a, const WorkItem& b) { return a.cost < b.cost; });
+      std::stable_sort(scheduled.begin(), scheduled.end(),
+                       [&jobs](std::size_t a, std::size_t b) {
+                         return jobs[a].deadline < jobs[b].deadline;
+                       });
       break;
   }
-  std::vector<std::size_t> order;
-  order.reserve(items.size());
-  for (const WorkItem& item : items) order.push_back(item.index);
-  return order;
+  return scheduled;
 }
 
 }  // namespace thermo::dispatch

@@ -4,32 +4,23 @@
 // 1034-node sparse request at ~100× an Alpha request — so *which job a
 // freed worker picks next* decides the batch makespan and who meets
 // their deadline. execution_order owns exactly that decision, as a pure
-// function of (items, policy). The policies:
+// function of (jobs, scheduled indices, policy). The policies:
 //
-//  * fifo     — input order, the historical serve behaviour:
-//               predictable, but a whale request near the end of the
-//               batch starts after all the small fry and sets the
-//               makespan almost by accident.
-//  * ljf      — longest-job-first by estimated cost: the classic LPT
-//               heuristic for makespan on identical machines. Whales
-//               start first, small jobs backfill the other workers.
-//  * edf      — earliest-deadline-first: jobs with the nearest
-//               deadline_s start first; deadline-free jobs (kNoDeadline
-//               = +inf) sort after every deadlined one. The classic
-//               miss-count heuristic when a batch carries SLOs.
-//  * priority — weighted-shortest-processing-time by cost/priority
-//               ratio (a.cost/a.priority ascending): high-priority
-//               cheap jobs first, which minimises priority-weighted
-//               total completion time.
-//  * srpt     — shortest-job-first by estimated cost (the remaining
-//               time of a never-preempted job is its full cost):
-//               minimises mean completion time, the latency-friendly
-//               counterpoint to ljf's makespan focus.
+//  * fifo — input order, the historical serve behaviour: predictable,
+//           but a whale request near the end of the batch starts after
+//           all the small fry and sets the makespan almost by accident.
+//  * ljf  — longest-job-first by estimated cost: the classic LPT
+//           heuristic for makespan on identical machines. Whales start
+//           first, small jobs backfill the other workers.
+//  * edf  — earliest-deadline-first: jobs with the nearest deadline
+//           start first; deadline-free jobs (kNoDeadline = +inf) sort
+//           after every deadlined one. The classic miss-count heuristic
+//           when a batch carries SLOs.
 //
 // A policy's comparator orders by its *primary key only* — no index
 // tiebreak inside the comparator. execution_order applies it with
-// stable_sort over the input order, so equal keys keep their input
-// order and the result never depends on timing.
+// stable_sort over the scheduled order, so equal keys keep that order
+// and the result never depends on timing.
 //
 // The policy reorders *execution start* only. Result placement is by
 // input index (dispatch::OrderedWriter), so output bytes are identical
@@ -40,45 +31,55 @@
 #include <cstddef>
 #include <limits>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
 namespace thermo::dispatch {
 
 enum class SchedulePolicy {
-  kFifo,      ///< input order (historical serve behaviour)
-  kLjf,       ///< longest-job-first by estimated cost
-  kEdf,       ///< earliest-deadline-first (deadline-free jobs last)
-  kPriority,  ///< smallest cost/priority ratio first (WSPT)
-  kSrpt       ///< shortest-job-first by estimated cost
+  kFifo,  ///< input order (historical serve behaviour)
+  kLjf,   ///< longest-job-first by estimated cost
+  kEdf    ///< earliest-deadline-first (deadline-free jobs last)
 };
 
 /// Deadline value of a job without one: +inf, so edf's ascending sort
 /// naturally places deadline-free work after every deadlined job.
 constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
 
-/// One schedulable job as a policy comparator sees it.
-struct WorkItem {
-  std::size_t index = 0;          ///< input position (result placement key)
-  double cost = 0.0;              ///< Job::cost: relative units, only its order counts
-  double deadline = kNoDeadline;  ///< seconds from batch start; kNoDeadline if unset
-  double priority = 1.0;          ///< relative weight, higher = more urgent
+/// One unit of batch work, as the front-end describes it. The engine
+/// never inspects record contents; everything it needs is here.
+struct Job {
+  /// Content address: the canonical serialization of whatever the job
+  /// computes from — identical bytes MUST imply an identical record.
+  /// Empty = not memoizable (always executes, never enters the memo);
+  /// front-ends use that for records that depend on batch position,
+  /// e.g. parse failures carrying a line number.
+  std::string memo_key;
+  /// Estimated execution cost in the front-end's relative units (serve:
+  /// scenario::estimate_request_cost); only its ordering matters, and
+  /// only under ljf.
+  double cost = 0.0;
+  /// SLO deadline in seconds from the start of the execution window;
+  /// kNoDeadline when the job has none. Orders execution under edf and
+  /// is scored against JobTiming::done_seconds — never changes output.
+  double deadline = kNoDeadline;
 };
 
-/// Canonical spelling used in CLI/JSON ("fifo", "ljf", "edf",
-/// "priority", "srpt").
+/// Canonical spelling used in CLI/JSON ("fifo", "ljf", "edf").
 const char* schedule_policy_name(SchedulePolicy policy);
 
 /// Inverse of schedule_policy_name; nullopt for anything else. Callers
 /// (the serve flag, bench) own their error reporting.
 std::optional<SchedulePolicy> schedule_policy_from_name(std::string_view name);
 
-/// The items' `index` fields in the order their jobs should start under
-/// `policy`: stable-sorted by the policy's key, so ties keep their
-/// order in `items`. Throws InvalidArgument unless every item's cost is
-/// finite and >= 0, its deadline > 0 (kNoDeadline allowed, NaN not) and
-/// its priority finite and > 0.
-std::vector<std::size_t> execution_order(std::vector<WorkItem> items,
+/// `scheduled` (indices into `jobs`) in the order their jobs should
+/// start under `policy`: stable-sorted by the policy's key, so ties keep
+/// their order in `scheduled`. Throws InvalidArgument unless every
+/// scheduled job's cost is finite and >= 0 and its deadline > 0
+/// (kNoDeadline allowed, NaN not).
+std::vector<std::size_t> execution_order(const std::vector<Job>& jobs,
+                                         std::vector<std::size_t> scheduled,
                                          SchedulePolicy policy);
 
 }  // namespace thermo::dispatch

@@ -208,46 +208,25 @@ ScenarioRequest make_grid(Rng& rng) {
 }
 
 /// Applies the arrival-order pattern in place (lines/costs permuted
-/// together). Sorts are stable on the pre-permutation index, so order is
-/// a pure function of the generated costs.
+/// together): a shuffle, then for whale-last the costliest request
+/// (the first of equals) moved to the end.
 void apply_order(OrderPattern order, Rng& rng, std::vector<std::string>& lines,
                  std::vector<double>& costs) {
   const std::size_t n = lines.size();
-  if (n < 2 || order == OrderPattern::kAsGenerated) return;
+  if (n < 2) return;
 
   std::vector<std::size_t> perm(n);
   std::iota(perm.begin(), perm.end(), 0);
-  switch (order) {
-    case OrderPattern::kAsGenerated:
-      break;
-    case OrderPattern::kShuffled:
-      rng.shuffle(perm);
-      break;
-    case OrderPattern::kSortedAsc:
-      std::stable_sort(perm.begin(), perm.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return costs[a] < costs[b];
-                       });
-      break;
-    case OrderPattern::kSortedDesc:
-      std::stable_sort(perm.begin(), perm.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return costs[a] > costs[b];
-                       });
-      break;
-    case OrderPattern::kWhaleLast: {
-      // Shuffle, then move the costliest request to the very end — the
-      // arrival order a cost-aware placer can do least about.
-      rng.shuffle(perm);
-      std::size_t whale_pos = 0;
-      for (std::size_t i = 1; i < n; ++i) {
-        if (costs[perm[i]] > costs[perm[whale_pos]]) whale_pos = i;
-      }
-      std::rotate(perm.begin() + static_cast<std::ptrdiff_t>(whale_pos),
-                  perm.begin() + static_cast<std::ptrdiff_t>(whale_pos) + 1,
-                  perm.end());
-      break;
+  rng.shuffle(perm);
+  if (order == OrderPattern::kWhaleLast) {
+    // The arrival order a cost-aware placer can do least about.
+    std::size_t whale_pos = 0;
+    for (std::size_t i = 1; i < n; ++i) {
+      if (costs[perm[i]] > costs[perm[whale_pos]]) whale_pos = i;
     }
+    std::rotate(perm.begin() + static_cast<std::ptrdiff_t>(whale_pos),
+                perm.begin() + static_cast<std::ptrdiff_t>(whale_pos) + 1,
+                perm.end());
   }
 
   std::vector<std::string> new_lines(n);
@@ -264,20 +243,14 @@ void apply_order(OrderPattern order, Rng& rng, std::vector<std::string>& lines,
 
 const char* order_pattern_name(OrderPattern order) {
   switch (order) {
-    case OrderPattern::kAsGenerated: return "as-generated";
     case OrderPattern::kShuffled: return "shuffled";
-    case OrderPattern::kSortedAsc: return "sorted";
-    case OrderPattern::kSortedDesc: return "sorted-desc";
     case OrderPattern::kWhaleLast: return "whale-last";
   }
   return "?";
 }
 
 std::optional<OrderPattern> order_pattern_from_name(std::string_view name) {
-  if (name == "as-generated") return OrderPattern::kAsGenerated;
   if (name == "shuffled") return OrderPattern::kShuffled;
-  if (name == "sorted") return OrderPattern::kSortedAsc;
-  if (name == "sorted-desc") return OrderPattern::kSortedDesc;
   if (name == "whale-last") return OrderPattern::kWhaleLast;
   return std::nullopt;
 }

@@ -33,16 +33,12 @@ namespace thermo::gen {
 
 /// Arrival order of the finished stream.
 enum class OrderPattern {
-  kAsGenerated,  ///< emission order (random sizes, no rearrangement)
-  kShuffled,     ///< uniform random permutation (the default)
-  kSortedAsc,    ///< cheapest first — pessimal for ljf placement
-  kSortedDesc,   ///< costliest first — what ljf would choose anyway
-  kWhaleLast     ///< adversarial: the single costliest request arrives
-                 ///< last, maximizing the tail a placer cannot fix
+  kShuffled,   ///< uniform random permutation (the default)
+  kWhaleLast   ///< adversarial: the single costliest request arrives
+               ///< last, maximizing the tail a placer cannot fix
 };
 
-/// Canonical spelling ("as-generated", "shuffled", "sorted",
-/// "sorted-desc", "whale-last").
+/// Canonical spelling ("shuffled", "whale-last").
 const char* order_pattern_name(OrderPattern order);
 
 /// Inverse of order_pattern_name; nullopt for unknown names.
@@ -119,8 +115,8 @@ struct GenStats {
 struct GeneratedStream {
   /// Canonical request lines (no trailing newline), in arrival order.
   std::vector<std::string> lines;
-  /// scenario::estimate_request_cost per line — what the order patterns
-  /// sort by, exposed so callers can reason about the skew they got.
+  /// scenario::estimate_request_cost per line — what whale-last picks
+  /// its whale by, exposed so callers can reason about the skew they got.
   std::vector<double> costs;
   GenStats stats;
 };

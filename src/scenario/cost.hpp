@@ -1,6 +1,6 @@
-// The cost of a request, estimated *before* it runs: the score the ljf /
-// priority / srpt placements order by, and the key gen's order patterns
-// sort on. It reads request fields only and never builds the SoC:
+// The cost of a request, estimated *before* it runs: the score the ljf
+// placement orders by, and the key gen's whale-last order picks its
+// whale with. It reads request fields only and never builds the SoC:
 // estimation must cost microseconds, it runs once per request line
 // before any scheduling starts.
 //

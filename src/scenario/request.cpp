@@ -414,8 +414,6 @@ ScenarioRequest parse_request(const JsonValue& json) {
       // Serving-contract knob, valid for every kind (unlike the
       // Algorithm 1 fields): a replay request can carry an SLO too.
       request.deadline_s = positive_number(value, "deadline_s");
-    } else if (key == "priority") {
-      request.priority = positive_number(value, "priority");
     } else if (key == "soc") {
       request.soc = parse_soc(value);
     } else if (key == "ptrace") {
@@ -488,14 +486,11 @@ JsonValue to_json(const ScenarioRequest& request) {
   JsonValue out = JsonValue::object();
   out.set("id", JsonValue::string(request.id));
   out.set("kind", JsonValue::string(request_kind_name(request.kind)));
-  // SLO fields are emitted only when set: requests without them keep
-  // byte-identical canonical form across schema versions (the golden
-  // round-trip files and gen streams predate these fields).
+  // The SLO deadline is emitted only when set: requests without one
+  // keep byte-identical canonical form across schema versions (the
+  // golden round-trip files and gen streams predate the field).
   if (request.deadline_s != 0.0) {
     out.set("deadline_s", JsonValue::number(request.deadline_s));
-  }
-  if (request.priority != 1.0) {
-    out.set("priority", JsonValue::number(request.priority));
   }
 
   JsonValue soc = JsonValue::object();

@@ -175,9 +175,11 @@ struct ScenarioRequest {
   /// changes the result record.
   double deadline_s = 0.0;
 
-  /// Relative scheduling weight (finite, > 0; default 1): higher values
-  /// start earlier under the 'priority' policy. Like deadline_s, a
-  /// serving knob only — never part of the result record.
+  /// Not a request field: the parser rejects "priority" as an unknown
+  /// field and the canonical form never carries it, so nothing in the
+  /// library reads this member. perfbench's replay, which restates
+  /// serve's memo key in its own source, still assigns it; the member
+  /// goes with that assignment.
   double priority = 1.0;
 
   SocSelector soc;

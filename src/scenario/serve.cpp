@@ -121,18 +121,16 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
       }
       jobs[i].cost = cost;
       if (options.dedup) {
-        // The memo key strips the SLO envelope: deadline/priority only
-        // say how urgently to serve, the record is identical — two
-        // requests differing only there must share one cache entry.
+        // The memo key strips the SLO envelope: the deadline only says
+        // how urgently to serve, the record is identical — two requests
+        // differing only there must share one cache entry.
         ScenarioRequest keyed = lines[i].request;
         keyed.deadline_s = 0.0;
-        keyed.priority = 1.0;
         jobs[i].memo_key = to_json_line(keyed);
       }
       jobs[i].deadline = lines[i].request.deadline_s > 0.0
                              ? lines[i].request.deadline_s
                              : dispatch::kNoDeadline;
-      jobs[i].priority = lines[i].request.priority;
     }
   }
 

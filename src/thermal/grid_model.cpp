@@ -17,20 +17,18 @@ double overlap_1d(double a0, double a1, double b0, double b1) {
 GridThermalModel::GridThermalModel(const floorplan::Floorplan& fp,
                                    const PackageParams& package,
                                    GridOptions options)
-    : floorplan_(fp),
-      package_(package),
-      options_(options) {
+    : package_(package), options_(options) {
   package_.validate();
-  floorplan_.require_valid();
+  fp.require_valid();
   THERMO_REQUIRE(options_.rows >= 2 && options_.cols >= 2,
                  "grid needs at least 2x2 cells");
 
-  const double chip_w = floorplan_.chip_width();
-  const double chip_h = floorplan_.chip_height();
+  const double chip_w = fp.chip_width();
+  const double chip_h = fp.chip_height();
   cell_w_ = chip_w / static_cast<double>(options_.cols);
   cell_h_ = chip_h / static_cast<double>(options_.rows);
-  const double x0 = floorplan_.min_x();
-  const double y0 = floorplan_.min_y();
+  const double x0 = fp.min_x();
+  const double y0 = fp.min_y();
 
   const std::size_t cells = cell_count();
   const std::size_t sp_c = cells;
@@ -74,9 +72,11 @@ GridThermalModel::GridThermalModel(const floorplan::Floorplan& fp,
                 "grid conductance matrix must be symmetric");
 
   // Block -> cell coverage by rectangle overlap.
-  coverage_.assign(floorplan_.size(), {});
-  for (std::size_t b = 0; b < floorplan_.size(); ++b) {
-    const floorplan::Block& block = floorplan_.block(b);
+  block_area_.resize(fp.size());
+  coverage_.assign(fp.size(), {});
+  for (std::size_t b = 0; b < fp.size(); ++b) {
+    const floorplan::Block& block = fp.block(b);
+    block_area_[b] = block.area();
     const auto row_lo = static_cast<std::size_t>(std::max(
         0.0, std::floor((block.bottom() - y0) / cell_h_)));
     const auto row_hi = std::min(
@@ -106,7 +106,7 @@ GridThermalModel::GridThermalModel(const floorplan::Floorplan& fp,
 
 double GridThermalModel::coverage(std::size_t block, std::size_t row,
                                   std::size_t col) const {
-  THERMO_REQUIRE(block < floorplan_.size(), "block index out of range");
+  THERMO_REQUIRE(block < coverage_.size(), "block index out of range");
   THERMO_REQUIRE(row < options_.rows && col < options_.cols,
                  "cell index out of range");
   const std::size_t cell = cell_index(row, col);
@@ -118,15 +118,15 @@ double GridThermalModel::coverage(std::size_t block, std::size_t row,
 
 GridSteadyResult GridThermalModel::solve(
     const std::vector<double>& block_power) const {
-  THERMO_REQUIRE(block_power.size() == floorplan_.size(),
+  THERMO_REQUIRE(block_power.size() == coverage_.size(),
                  "power vector size must equal the block count");
   const double a_cell = cell_w_ * cell_h_;
 
   std::vector<double> power(node_count(), 0.0);
-  for (std::size_t b = 0; b < floorplan_.size(); ++b) {
+  for (std::size_t b = 0; b < coverage_.size(); ++b) {
     THERMO_REQUIRE(std::isfinite(block_power[b]) && block_power[b] >= 0.0,
                    "block power must be finite and non-negative");
-    const double density = block_power[b] / floorplan_.block(b).area();
+    const double density = block_power[b] / block_area_[b];
     for (const auto& [cell, fraction] : coverage_[b]) {
       power[cell] += density * fraction * a_cell;
     }
@@ -144,9 +144,9 @@ GridSteadyResult GridThermalModel::solve(
   for (std::size_t cell = 0; cell < cell_count(); ++cell) {
     result.cell_temperature[cell] = package_.ambient + rise[cell];
   }
-  result.block_max_temperature.assign(floorplan_.size(), package_.ambient);
-  result.block_mean_temperature.assign(floorplan_.size(), 0.0);
-  for (std::size_t b = 0; b < floorplan_.size(); ++b) {
+  result.block_max_temperature.assign(coverage_.size(), package_.ambient);
+  result.block_mean_temperature.assign(coverage_.size(), 0.0);
+  for (std::size_t b = 0; b < coverage_.size(); ++b) {
     double weighted = 0.0;
     double total_fraction = 0.0;
     for (const auto& [cell, fraction] : coverage_[b]) {

@@ -45,6 +45,9 @@ struct GridSteadyResult {
 
 class GridThermalModel {
  public:
+  /// Builds the grid over `fp`, which must be valid (validating it
+  /// records the pass on the caller's floorplan); the model keeps only
+  /// each block's area and cell coverage, not the floorplan.
   GridThermalModel(const floorplan::Floorplan& fp,
                    const PackageParams& package, GridOptions options = {});
 
@@ -54,7 +57,6 @@ class GridThermalModel {
   /// Total node count: cells + the package nodes.
   std::size_t node_count() const { return cell_count() + kPackageNodes; }
 
-  const floorplan::Floorplan& floorplan() const { return floorplan_; }
   const PackageParams& package() const { return package_; }
 
   /// Fraction of cell (r, c) covered by block b (0..1).
@@ -77,12 +79,13 @@ class GridThermalModel {
     return row * options_.cols + col;
   }
 
-  floorplan::Floorplan floorplan_;
   PackageParams package_;
   GridOptions options_;
   double cell_w_ = 0.0;
   double cell_h_ = 0.0;
   linalg::SparseMatrix conductance_;
+  /// Per-block area [m²], what solve() divides a block's power by.
+  std::vector<double> block_area_;
   /// coverage_[b] lists (cell, fraction-of-cell-area) pairs.
   std::vector<std::vector<std::pair<std::size_t, double>>> coverage_;
   std::shared_ptr<SteadyFactorSlot> steady_ =

@@ -197,17 +197,15 @@ std::array<double, kPackageNodes> stamp_package(
 }
 
 RCModel::RCModel(const fp::Floorplan& floorplan, const PackageParams& package)
-    : floorplan_(floorplan),
-      package_(package),
-      identity_(next_identity()) {
+    : package_(package), identity_(next_identity()) {
   package_.validate();
-  floorplan_.require_valid();
-  block_count_ = floorplan_.size();
-  build();
+  floorplan.require_valid();
+  block_count_ = floorplan.size();
+  build(floorplan);
   steady_ = std::make_shared<SteadyFactorSlot>(block_count_);
 }
 
-void RCModel::build() {
+void RCModel::build(const fp::Floorplan& floorplan) {
   const std::size_t n = block_count_;
   const std::size_t total = node_count();
   // Sparse-first assembly: every stamp goes straight into the COO
@@ -217,14 +215,14 @@ void RCModel::build() {
   linalg::SparseMatrix::Builder builder(total, total);
   builder.reserve(16 * total);
   capacitance_.assign(total, 0.0);
-  for (const fp::Adjacency& adj : floorplan_.adjacencies()) {
+  for (const fp::Adjacency& adj : floorplan.adjacencies()) {
     stamp_conductance(builder, adj.a, adj.b,
-                      lateral_conductance(floorplan_, adj, package_));
+                      lateral_conductance(floorplan, adj, package_));
   }
   const std::size_t sp_c = spreader_center_index();
   for (std::size_t i = 0; i < n; ++i) {
     stamp_conductance(builder, i, sp_c,
-                      vertical_conductance(floorplan_.block(i).area(), package_));
+                      vertical_conductance(floorplan.block(i).area(), package_));
   }
   ambient_conductance_.assign(n, 0.0);
   const auto package_ambient = stamp_package(builder, sp_c, package_);
@@ -239,7 +237,7 @@ void RCModel::build() {
 
   // --- capacitances ---
   for (std::size_t i = 0; i < n; ++i) {
-    const double volume = floorplan_.block(i).area() * package_.t_die;
+    const double volume = floorplan.block(i).area() * package_.t_die;
     capacitance_[i] = package_.capacity_factor * package_.c_die * volume;
   }
   {

@@ -190,8 +190,10 @@ const double* StepResponseTable::row(const Key& key, std::size_t size,
 
 class RCModel {
  public:
-  /// Builds the network. The floorplan must be valid (no overlaps) and is
-  /// copied into the model. Throws InvalidArgument otherwise.
+  /// Builds the network. The floorplan must be valid (no overlaps);
+  /// validating it fills its lazy geometry and records the pass on the
+  /// caller's floorplan, and the model keeps no copy of it. Throws
+  /// InvalidArgument otherwise.
   /// Assembly is sparse-first: conductances stamp straight into a CSR
   /// builder, so construction is O(nnz) time and memory.
   RCModel(const floorplan::Floorplan& fp, const PackageParams& package);
@@ -202,7 +204,6 @@ class RCModel {
   std::size_t spreader_center_index() const { return block_count_; }
   std::size_t sink_center_index() const { return block_count_ + 5; }
 
-  const floorplan::Floorplan& floorplan() const { return floorplan_; }
   const PackageParams& package() const { return package_; }
 
   /// Process-unique identity of the network, assigned at construction.
@@ -263,9 +264,8 @@ class RCModel {
   double conductance_to_ambient(std::size_t node) const;
 
  private:
-  void build();
+  void build(const floorplan::Floorplan& floorplan);
 
-  floorplan::Floorplan floorplan_;
   PackageParams package_;
   std::uint64_t identity_ = 0;
   std::size_t block_count_ = 0;

@@ -28,94 +28,90 @@ TEST(SchedulePolicy, NamesRoundTrip) {
   EXPECT_STREQ(schedule_policy_name(SchedulePolicy::kFifo), "fifo");
   EXPECT_STREQ(schedule_policy_name(SchedulePolicy::kLjf), "ljf");
   EXPECT_STREQ(schedule_policy_name(SchedulePolicy::kEdf), "edf");
-  EXPECT_STREQ(schedule_policy_name(SchedulePolicy::kPriority), "priority");
-  EXPECT_STREQ(schedule_policy_name(SchedulePolicy::kSrpt), "srpt");
   for (SchedulePolicy policy :
-       {SchedulePolicy::kFifo, SchedulePolicy::kLjf, SchedulePolicy::kEdf,
-        SchedulePolicy::kPriority, SchedulePolicy::kSrpt}) {
+       {SchedulePolicy::kFifo, SchedulePolicy::kLjf, SchedulePolicy::kEdf}) {
     EXPECT_EQ(schedule_policy_from_name(schedule_policy_name(policy)), policy);
   }
   EXPECT_EQ(schedule_policy_from_name("sjf"), std::nullopt);
+  EXPECT_EQ(schedule_policy_from_name("priority"), std::nullopt);
+  EXPECT_EQ(schedule_policy_from_name("srpt"), std::nullopt);
   EXPECT_EQ(schedule_policy_from_name(""), std::nullopt);
 }
 
-/// Builds a WorkItem inline; kNoDeadline / priority 1 defaults apply.
-WorkItem item(std::size_t index, double cost, double deadline = kNoDeadline,
-              double priority = 1.0) {
-  return {index, cost, deadline, priority};
+/// Builds a Job inline; kNoDeadline applies by default.
+Job job(double cost, double deadline = kNoDeadline) {
+  Job out;
+  out.cost = cost;
+  out.deadline = deadline;
+  return out;
 }
 
 using Order = std::vector<std::size_t>;
 
+/// execution_order with every job scheduled, in input order.
+Order order_all(const std::vector<Job>& jobs, SchedulePolicy policy) {
+  Order all(jobs.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return execution_order(jobs, all, policy);
+}
+
 TEST(WorkQueue, FifoPopsInInsertionOrder) {
-  EXPECT_EQ(execution_order({item(0, 5.0), item(1, 50.0), item(2, 0.5)},
-                            SchedulePolicy::kFifo),
+  EXPECT_EQ(order_all({job(5.0), job(50.0), job(0.5)}, SchedulePolicy::kFifo),
             (Order{0, 1, 2}));
 }
 
 TEST(WorkQueue, LjfPopsByDescendingCostWithIndexTiebreak) {
-  EXPECT_EQ(execution_order({item(0, 1.0), item(1, 9.0), item(2, 1.0),
-                             item(3, 100.0), item(4, 9.0)},
-                            SchedulePolicy::kLjf),
+  EXPECT_EQ(order_all({job(1.0), job(9.0), job(1.0), job(100.0), job(9.0)},
+                      SchedulePolicy::kLjf),
             (Order{3, 1, 4, 0, 2}));
 }
 
 TEST(WorkQueue, EdfPopsByAscendingDeadlineWithDeadlineFreeLast) {
-  EXPECT_EQ(execution_order(
+  EXPECT_EQ(order_all(
                 {
-                    item(0, 9.0),          // no deadline: after every deadlined job
-                    item(1, 1.0, 5.0),
-                    item(2, 1.0, 0.5),
-                    item(3, 1.0, 5.0),     // ties 1 on deadline: index breaks it
-                    item(4, 50.0, 2.0),
-                    item(5, 1.0),          // ties 0 at kNoDeadline: index again
+                    job(9.0),          // no deadline: after every deadlined job
+                    job(1.0, 5.0),
+                    job(1.0, 0.5),
+                    job(1.0, 5.0),     // ties 1 on deadline: index breaks it
+                    job(50.0, 2.0),
+                    job(1.0),          // ties 0 at kNoDeadline: index again
                 },
                 SchedulePolicy::kEdf),
             (Order{2, 4, 1, 3, 0, 5}));
 }
 
-TEST(WorkQueue, PriorityPopsByAscendingCostOverPriorityRatio) {
-  EXPECT_EQ(execution_order(
-                {
-                    item(0, 8.0, kNoDeadline, 1.0),   // ratio 8
-                    item(1, 8.0, kNoDeadline, 4.0),   // ratio 2
-                    item(2, 1.0, kNoDeadline, 1.0),   // ratio 1
-                    item(3, 4.0, kNoDeadline, 2.0),   // ratio 2: ties 1, index breaks
-                    item(4, 2.0, kNoDeadline, 0.25),  // ratio 8: ties 0, index breaks
-                },
-                SchedulePolicy::kPriority),
-            (Order{2, 1, 3, 0, 4}));
-}
-
-TEST(WorkQueue, SrptPopsByAscendingCostWithIndexTiebreak) {
-  EXPECT_EQ(execution_order({item(0, 9.0), item(1, 1.0), item(2, 100.0),
-                             item(3, 1.0),  // ties 1: index breaks it
-                             item(4, 0.5)},
-                            SchedulePolicy::kSrpt),
-            (Order{4, 1, 3, 0, 2}));
+TEST(WorkQueue, OrdersOnlyTheScheduledJobsAndKeepsTheirOrderOnTies) {
+  // Jobs 1 and 3 are not scheduled (memo hits): their keys are never
+  // read, not even checked. Ties keep the order of `scheduled`.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Job> jobs = {job(2.0, 4.0), job(-1.0), job(2.0, 4.0),
+                                 job(1.0, nan), job(7.0, 1.0)};
+  EXPECT_EQ(execution_order(jobs, {2, 0, 4}, SchedulePolicy::kFifo),
+            (Order{2, 0, 4}));
+  EXPECT_EQ(execution_order(jobs, {2, 0, 4}, SchedulePolicy::kLjf),
+            (Order{4, 2, 0}));
+  EXPECT_EQ(execution_order(jobs, {2, 0, 4}, SchedulePolicy::kEdf),
+            (Order{4, 2, 0}));
+  EXPECT_EQ(execution_order(jobs, {}, SchedulePolicy::kLjf), Order{});
 }
 
 TEST(WorkQueue, PushRejectsUnusableItems) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  for (const WorkItem& bad : {
-           item(1, -1.0),                 // cost < 0
-           item(1, inf),                  // cost inf
-           item(1, nan),                  // cost NaN
-           item(1, 1.0, nan),             // deadline NaN
-           item(1, 1.0, 0.0),             // deadline 0
-           item(1, 1.0, -2.0),            // deadline < 0
-           item(1, 1.0, 1.0, 0.0),        // prio 0
-           item(1, 1.0, 1.0, -1.0),       // prio < 0
-           item(1, 1.0, 1.0, inf),        // prio inf
-           item(1, 1.0, 1.0, nan),        // prio NaN
+  for (const Job& bad : {
+           job(-1.0),        // cost < 0
+           job(inf),         // cost inf
+           job(nan),         // cost NaN
+           job(1.0, nan),    // deadline NaN
+           job(1.0, 0.0),    // deadline 0
+           job(1.0, -2.0),   // deadline < 0
        }) {
-    // One bad item rejects the whole batch.
-    EXPECT_THROW(execution_order({item(0, 1.0), bad}, SchedulePolicy::kEdf),
+    // One bad job rejects the whole batch.
+    EXPECT_THROW(order_all({job(1.0), bad}, SchedulePolicy::kEdf),
                  InvalidArgument);
   }
   // kNoDeadline (+inf) is the explicit "no deadline" value, not misuse.
-  EXPECT_EQ(execution_order({item(0, 1.0, kNoDeadline)}, SchedulePolicy::kEdf),
+  EXPECT_EQ(order_all({job(1.0, kNoDeadline)}, SchedulePolicy::kEdf),
             (Order{0}));
 }
 
@@ -257,10 +253,9 @@ struct FakeBatch {
     for (std::size_t i = 0; i < payloads.size(); ++i) {
       if (keyed) out[i].memo_key = payloads[i];
       out[i].cost = static_cast<double>(payloads[i].size());
-      // Deterministic SLO spread so edf/priority actually reorder:
-      // every third job carries a deadline, priorities cycle 1..4.
+      // Deterministic SLO spread so edf actually reorders: every third
+      // job carries a deadline.
       if (i % 3 == 0) out[i].deadline = 1.0 + static_cast<double>(i % 5);
-      out[i].priority = 1.0 + static_cast<double>(i % 4);
     }
     return out;
   }
@@ -298,8 +293,7 @@ TEST(Engine, OutputBytesInvariantAcrossThreadsPolicyAndDedup) {
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     for (const SchedulePolicy policy :
-         {SchedulePolicy::kFifo, SchedulePolicy::kLjf, SchedulePolicy::kEdf,
-          SchedulePolicy::kPriority, SchedulePolicy::kSrpt}) {
+         {SchedulePolicy::kFifo, SchedulePolicy::kLjf, SchedulePolicy::kEdf}) {
       for (const bool dedup : {true, false}) {
         EngineOptions options;
         options.threads = threads;

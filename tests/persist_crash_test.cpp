@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,18 @@
 #include "util/error.hpp"
 
 namespace thermo::persist {
+
+/// Names a sweep's fault kind in its test name (".../CrashBefore").
+void PrintTo(FaultKind kind, std::ostream* out) {
+  switch (kind) {
+    case FaultKind::kCrashBefore: *out << "CrashBefore"; return;
+    case FaultKind::kCrashAfter: *out << "CrashAfter"; return;
+    case FaultKind::kShortWrite: *out << "ShortWrite"; return;
+    case FaultKind::kTornWrite: *out << "TornWrite"; return;
+    case FaultKind::kFailOp: *out << "FailOp"; return;
+  }
+}
+
 namespace {
 
 using testing::record_key;
@@ -84,7 +97,12 @@ void check_recovery(const std::string& dir,
       << "more than the in-flight record appeared without acknowledgement";
 }
 
-TEST(PersistCrash, EveryCrashPointRecoversWithAtMostTheTailLost) {
+/// One sweep per crash fault kind, so the four run as separate tests
+/// (and in parallel under `ctest -j`).
+class PersistCrashSweep : public ::testing::TestWithParam<FaultKind> {};
+
+TEST_P(PersistCrashSweep, EveryCrashPointRecoversWithAtMostTheTailLost) {
+  const FaultKind kind = GetParam();
   // Discovery: run fault-free to learn the workload's op count.
   std::size_t total_ops = 0;
   {
@@ -99,36 +117,36 @@ TEST(PersistCrash, EveryCrashPointRecoversWithAtMostTheTailLost) {
     ASSERT_GT(total_ops, 40u);
   }
 
-  for (const FaultKind kind :
-       {FaultKind::kCrashBefore, FaultKind::kCrashAfter,
-        FaultKind::kShortWrite, FaultKind::kTornWrite}) {
-    for (std::size_t op = 0; op < total_ops; ++op) {
-      SCOPED_TRACE("fault kind " + std::to_string(static_cast<int>(kind)) +
-                   " at op " + std::to_string(op));
-      const ScopedTempDir dir("crash-sweep");
-      FaultPlan plan;
-      plan.after_ops = op;
-      plan.kind = kind;
-      plan.seed = op * 1000003ULL + static_cast<std::uint64_t>(kind) + 1;
-      FaultFs fs(real_fs(), plan);
+  for (std::size_t op = 0; op < total_ops; ++op) {
+    SCOPED_TRACE("fault at op " + std::to_string(op));
+    const ScopedTempDir dir("crash-sweep");
+    FaultPlan plan;
+    plan.after_ops = op;
+    plan.kind = kind;
+    plan.seed = op * 1000003ULL + static_cast<std::uint64_t>(kind) + 1;
+    FaultFs fs(real_fs(), plan);
 
-      std::vector<std::size_t> acknowledged;
-      bool crashed = false;
-      try {
-        run_workload(fs, dir.path(), &acknowledged);
-      } catch (const CrashError&) {
-        crashed = true;
-      }
-      if (!crashed) {
-        // The only uncrashed case: the fault fired inside the store
-        // destructor's final sync, where it is deliberately swallowed —
-        // by then every record was acknowledged.
-        EXPECT_EQ(acknowledged.size(), kRecords);
-      }
-      check_recovery(dir.path(), acknowledged);
+    std::vector<std::size_t> acknowledged;
+    bool crashed = false;
+    try {
+      run_workload(fs, dir.path(), &acknowledged);
+    } catch (const CrashError&) {
+      crashed = true;
     }
+    if (!crashed) {
+      // The only uncrashed case: the fault fired inside the store
+      // destructor's final sync, where it is deliberately swallowed —
+      // by then every record was acknowledged.
+      EXPECT_EQ(acknowledged.size(), kRecords);
+    }
+    check_recovery(dir.path(), acknowledged);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    FaultKinds, PersistCrashSweep,
+    ::testing::Values(FaultKind::kCrashBefore, FaultKind::kCrashAfter,
+                      FaultKind::kShortWrite, FaultKind::kTornWrite));
 
 TEST(PersistCrash, TransientIoFailuresSurfaceWithoutCorruptingTheStore) {
   // kFailOp: the op fails with IoError but the "filesystem" (and the

@@ -121,6 +121,15 @@ TEST(ScenarioValidation, TopLevelShape) {
             "scenario request: unknown field 'tll'");
 }
 
+TEST(ScenarioValidation, PriorityIsAnUnknownField) {
+  // The serve placement that read it is gone, and gen never emitted it:
+  // a line carrying it gets the parser's plain unknown-field record.
+  EXPECT_EQ(validation_error_of(R"({"priority":2})"),
+            "scenario request: unknown field 'priority'");
+  EXPECT_EQ(validation_error_of(R"({"tl":150,"priority":1})"),
+            "scenario request: unknown field 'priority'");
+}
+
 TEST(ScenarioValidation, ScalarFields) {
   EXPECT_EQ(validation_error_of(R"({"tl":"hot"})"),
             "scenario request: tl: expected a number, got string");

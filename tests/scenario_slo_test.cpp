@@ -139,8 +139,7 @@ TEST(ServeSlo, ByteIdenticalAcrossThreadsAndPolicies) {
 
   for (const dispatch::SchedulePolicy policy :
        {dispatch::SchedulePolicy::kFifo, dispatch::SchedulePolicy::kLjf,
-        dispatch::SchedulePolicy::kEdf, dispatch::SchedulePolicy::kPriority,
-        dispatch::SchedulePolicy::kSrpt}) {
+        dispatch::SchedulePolicy::kEdf}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       ServeOptions options;
       options.policy = policy;
