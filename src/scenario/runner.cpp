@@ -330,6 +330,8 @@ void run_stcl_sweep(const ScenarioRequest& request,
   }
 }
 
+}  // namespace
+
 void run_ptrace(const ScenarioRequest& request, const core::PreparedSoc& soc,
                 ScenarioResult& result) {
   const thermal::PowerTrace trace =
@@ -355,7 +357,10 @@ void run_ptrace(const ScenarioRequest& request, const core::PreparedSoc& soc,
     thermal::ThermalAnalyzer::Chained step = analyzer.simulate_session_from(
         row, request.ptrace.step_duration, state);
     state = std::move(step.final_state);
-    if (step.session.max_temperature > result.ptrace.max_temperature) {
+    // The maximum starts from the first step, not from 0 °C: at a
+    // sub-zero ambient every step can peak below 0.
+    if (&row == &trace.steps.front() ||
+        step.session.max_temperature > result.ptrace.max_temperature) {
       result.ptrace.max_temperature = step.session.max_temperature;
       hottest = step.session.hottest_block;
     }
@@ -363,6 +368,8 @@ void run_ptrace(const ScenarioRequest& request, const core::PreparedSoc& soc,
   result.ptrace.hottest = soc.soc.flp.block(hottest).name;
   result.simulation_effort = analyzer.simulation_effort();
 }
+
+namespace {
 
 void run_chained(const ScenarioRequest& request, const core::PreparedSoc& soc,
                  ScenarioResult& result) {

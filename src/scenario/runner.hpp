@@ -128,6 +128,12 @@ JsonValue to_json(const ScenarioResult& result);
 /// SoCs on the paper's 20..100 STCL axis.
 double auto_stc_scale(SocKind kind);
 
+/// A kind-ptrace request's replay on `soc`, which run() calls once the
+/// SoC is built; fills result.ptrace and result.simulation_effort.
+/// Public so a test can pick the package, e.g. a sub-zero ambient.
+void run_ptrace(const ScenarioRequest& request, const core::PreparedSoc& soc,
+                ScenarioResult& result);
+
 class ScenarioRunner {
  public:
   ScenarioRunner() = default;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <istream>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -19,15 +20,20 @@ namespace thermo::scenario {
 
 namespace {
 
-/// One non-blank input line after the parse pass: either a runnable
-/// request (id resolved) or a ready-made ok:false record. Parsing
-/// happens up front on the calling thread —
-/// the dispatch engine needs the canonical serialization (the memo's
-/// content address) and the cost estimate before placement, and a
-/// parse costs microseconds next to a scheduler run.
+/// One parsed input line: either a runnable request (id resolved, with
+/// the engine's Job for it) or a ready-made ok:false record. Parsing
+/// happens up front on the calling thread — the dispatch engine needs
+/// the cost estimate and the canonical serialization (the memo's content
+/// address) before placement. A line that repeats an earlier line byte
+/// for byte shares that line's PreparedLine when its record cannot
+/// depend on where it stands: the earlier line parsed valid, with an
+/// explicit id and a finite cost. Other lines (a `line-N` id, an error
+/// record) are prepared one by one.
 struct PreparedLine {
   bool valid = false;
+  bool shareable = false;     ///< verbatim repeats may reuse this line
   ScenarioRequest request;    ///< when valid
+  dispatch::Job job;          ///< when valid
   std::string error_record;   ///< when !valid: the serialized record
   std::string id;             ///< resolved id, for the timing summary
 };
@@ -45,21 +51,49 @@ PreparedLine failed_line(std::string id, std::string error) {
   return failed;
 }
 
-PreparedLine prepare_line(const std::string& text, std::size_t line_number) {
+/// `keyed`: serialize the memo key (only when the memo will read it).
+PreparedLine prepare_line(const std::string& text, std::size_t line_number,
+                          bool keyed) {
+  auto& registry = obs::MetricsRegistry::instance();
+  static obs::Counter& parse_errors = registry.counter("scenario.parse_errors");
+  static obs::Histogram& parse_ns = registry.histogram("scenario.parse_ns");
   PreparedLine prepared;
   try {
+    const obs::ScopedTimer parse_timer(parse_ns);
     prepared.request = parse_request_line(text);
-    if (prepared.request.id.empty()) {
-      prepared.request.id = "line-" + std::to_string(line_number);
-    }
-    prepared.id = prepared.request.id;
-    prepared.valid = true;
   } catch (const Error& e) {
     // Malformed JSON or an invalid request body: the record carries the
     // parser's message and the line NUMBER; the rest of the batch is
     // unaffected.
+    parse_errors.add();
     return failed_line("line-" + std::to_string(line_number), e.what());
   }
+  ScenarioRequest& request = prepared.request;
+  prepared.shareable = !request.id.empty();
+  if (request.id.empty()) request.id = "line-" + std::to_string(line_number);
+  prepared.id = request.id;
+  // A positive but tiny solver.dt overflows the step count, and a
+  // non-finite cost would abort the placement of the whole batch.
+  prepared.job.cost = estimate_request_cost(request);
+  if (!std::isfinite(prepared.job.cost)) {
+    return failed_line(prepared.id,
+                       "scenario request: estimated cost is not finite "
+                       "(solver.dt too small for the test lengths)");
+  }
+  if (keyed) {
+    // The canonical serialization is the memo's content address
+    // (identical bytes ⇔ identical record — the id default is already
+    // resolved, so two lines that differ only in it do not alias). It
+    // strips the SLO envelope: the deadline only says how urgently to
+    // serve, the record is identical — two requests differing only
+    // there must share one cache entry.
+    ScenarioRequest key_form = request;
+    key_form.deadline_s = 0.0;
+    prepared.job.memo_key = to_json_line(key_form);
+  }
+  prepared.job.deadline =
+      request.deadline_s > 0.0 ? request.deadline_s : dispatch::kNoDeadline;
+  prepared.valid = true;
   return prepared;
 }
 
@@ -78,61 +112,41 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
                           ScenarioRunner& runner, const ServeOptions& options) {
   const auto batch_start = std::chrono::steady_clock::now();
   obs::TraceSpan batch_span("serve.batch");
-  auto& registry = obs::MetricsRegistry::instance();
-  static obs::Counter& requests_metric = registry.counter("scenario.requests");
-  static obs::Counter& parse_errors_metric =
-      registry.counter("scenario.parse_errors");
-  static obs::Histogram& parse_ns = registry.histogram("scenario.parse_ns");
+  static obs::Counter& requests_metric =
+      obs::MetricsRegistry::instance().counter("scenario.requests");
 
-  std::vector<PreparedLine> lines;
+  // `prepared` holds one entry per line actually parsed; `source` maps
+  // every request line to its entry. `shared` finds a verbatim repeat
+  // of a shareable line: it is keyed by the full line bytes (after the
+  // CR strip) and compares them in full, so a hash collision only costs
+  // a parse.
+  std::vector<PreparedLine> prepared;
+  std::vector<std::size_t> source;
   {
     obs::TraceSpan parse_span("serve.parse");
+    std::unordered_map<std::string, std::size_t> shared;
     std::string raw;
     std::size_t number = 0;
     while (std::getline(in, raw)) {
       ++number;
       if (!raw.empty() && raw.back() == '\r') raw.pop_back();  // CRLF input
       if (trim(raw).empty()) continue;
-      const obs::ScopedTimer line_timer(parse_ns);
-      lines.push_back(prepare_line(raw, number));
-      if (!lines.back().valid) parse_errors_metric.add();
-    }
-  }
-  const std::size_t n = lines.size();
-  requests_metric.add(n);
-
-  // Job descriptions for the engine: the canonical serialization is the
-  // memo's content address (identical bytes ⇔ identical record — the
-  // id default is already resolved above, so two lines that differ only
-  // in it do not alias). Keys are only serialized when the memo will
-  // actually read them.
-  std::vector<dispatch::Job> jobs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (lines[i].valid) {
-      // A positive but tiny solver.dt overflows the step count, and a
-      // non-finite cost would abort the placement of the whole batch.
-      const double cost = estimate_request_cost(lines[i].request);
-      if (!std::isfinite(cost)) {
-        lines[i] = failed_line(lines[i].id,
-                               "scenario request: estimated cost is not "
-                               "finite (solver.dt too small for the test "
-                               "lengths)");
+      if (const auto it = shared.find(raw); it != shared.end()) {
+        source.push_back(it->second);
         continue;
       }
-      jobs[i].cost = cost;
-      if (options.dedup) {
-        // The memo key strips the SLO envelope: the deadline only says
-        // how urgently to serve, the record is identical — two requests
-        // differing only there must share one cache entry.
-        ScenarioRequest keyed = lines[i].request;
-        keyed.deadline_s = 0.0;
-        jobs[i].memo_key = to_json_line(keyed);
+      source.push_back(prepared.size());
+      prepared.push_back(prepare_line(raw, number, options.dedup));
+      if (prepared.back().shareable) {
+        shared.emplace(std::move(raw), source.back());
       }
-      jobs[i].deadline = lines[i].request.deadline_s > 0.0
-                             ? lines[i].request.deadline_s
-                             : dispatch::kNoDeadline;
     }
   }
+  const std::size_t n = source.size();
+  requests_metric.add(n);
+
+  std::vector<dispatch::Job> jobs(n);
+  for (std::size_t i = 0; i < n; ++i) jobs[i] = prepared[source[i]].job;
 
   ServeSummary summary;
   summary.requests = n;
@@ -158,8 +172,9 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
   const dispatch::EngineStats stats = dispatch::run_batch(
       jobs,
       [&](std::size_t i) {
-        if (!lines[i].valid) return lines[i].error_record;
-        return to_json(runner.run(lines[i].request)).dump();
+        const PreparedLine& line = prepared[source[i]];
+        if (!line.valid) return line.error_record;
+        return to_json(runner.run(line.request)).dump();
       },
       writer, engine_options);
 
@@ -170,8 +185,9 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
   summary.max_buffered = stats.max_buffered;
   summary.request_timings.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
+    const PreparedLine& line = prepared[source[i]];
     RequestTiming& timing = summary.request_timings[i];
-    timing.id = lines[i].id;
+    timing.id = line.id;
     timing.ok = ok_flags[i] != 0;
     timing.memo_hit = stats.timings[i].memo_hit;
     timing.cost = jobs[i].cost;
@@ -179,8 +195,8 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
     timing.cpu_seconds = stats.timings[i].cpu_seconds;
     timing.queue_wait_seconds = stats.timings[i].wait_seconds;
     timing.done_seconds = stats.timings[i].done_seconds;
-    if (lines[i].valid && lines[i].request.deadline_s > 0.0) {
-      timing.deadline_s = lines[i].request.deadline_s;
+    if (line.valid && line.request.deadline_s > 0.0) {
+      timing.deadline_s = line.request.deadline_s;
       timing.deadline_met = timing.done_seconds <= timing.deadline_s;
       ++summary.deadline_requests;
       if (timing.deadline_met) {

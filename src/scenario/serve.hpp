@@ -10,6 +10,8 @@
 //   * a malformed or invalid request line yields an `ok:false` record in
 //     its slot — one bad request never aborts the batch;
 //   * requests without an "id" are assigned "line-<input line number>";
+//   * each distinct line is parsed once: a verbatim repeat of a valid
+//     line with an explicit "id" reuses that line's parse;
 //   * the output bytes are identical for any thread count, schedule
 //     policy, and dedup setting (results are streamed in index order;
 //     every record is a pure function of its request line — placement

@@ -8,11 +8,37 @@
 #include <filesystem>
 #include <string>
 
+#if defined(__linux__)
+#include <sys/vfs.h>
+#include <unistd.h>
+#endif
+
 #include "util/rng.hpp"
 
 namespace thermo::testing {
 
-/// A unique scratch directory path under the gtest temp dir, recursively
+/// Where scratch directories go: /dev/shm when it is a writable tmpfs,
+/// else the gtest temp dir. Stores sync every record; on tmpfs a sync
+/// returns at once, so the crash sweeps do not wait on a disk. They test
+/// the same thing there: a crash is an exception, and recovery reads
+/// what the page cache holds.
+inline const std::string& scratch_root() {
+  static const std::string root = [] {
+#if defined(__linux__)
+    constexpr long kTmpfsMagic = 0x01021994;
+    struct statfs fs {};
+    if (::statfs("/dev/shm", &fs) == 0 &&
+        static_cast<long>(fs.f_type) == kTmpfsMagic &&
+        ::access("/dev/shm", W_OK) == 0) {
+      return std::string("/dev/shm/");
+    }
+#endif
+    return ::testing::TempDir();
+  }();
+  return root;
+}
+
+/// A unique scratch directory path under scratch_root(), recursively
 /// removed on scope exit. The directory itself is NOT created — stores
 /// with create_if_missing exercise their own creation path.
 class ScopedTempDir {
@@ -26,7 +52,11 @@ class ScopedTempDir {
     for (char& c : name) {
       if (c == '/' || c == '\\') c = '_';
     }
-    path_ = ::testing::TempDir() + name;
+#if defined(__linux__)
+    name += '-';  // /dev/shm is shared by every process on the machine
+    name += std::to_string(::getpid());
+#endif
+    path_ = scratch_root() + name;
     std::filesystem::remove_all(path_);
   }
   ~ScopedTempDir() {

@@ -3,17 +3,22 @@
 // × dedup {on,off} on a randomized batch with invalid lines in place —
 // plus request cost estimation (the exact formula, its monotonicity and
 // ranking), per-request timings, duplicate-batch memoization through a
-// disk memo, and the summary JSON payload.
+// disk memo, verbatim repeats sharing one parse, and the summary JSON
+// payload.
 #include "scenario/serve.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "dispatch/disk_result_memo.hpp"
+#include "gen/generator.hpp"
+#include "obs/metrics.hpp"
 #include "scenario/cost.hpp"
 #include "gen_test_util.hpp"
 #include "persist_test_util.hpp"
@@ -228,6 +233,201 @@ TEST(ServeDispatch, SharedMemoDedupsAcrossBatches) {
   EXPECT_EQ(second.summary.memo_hits, 46u);
   EXPECT_EQ(second.summary.executed, 4u);
   EXPECT_EQ(second.records, first.records);
+}
+
+// --- verbatim repeats share one parse --------------------------------
+
+std::vector<std::string> split_records(const std::string& records) {
+  std::vector<std::string> out;
+  std::istringstream lines(records);
+  for (std::string line; std::getline(lines, line);) out.push_back(line);
+  return out;
+}
+
+std::uint64_t counter(const char* name) {
+  return obs::MetricsRegistry::instance().counter(name).value();
+}
+
+/// Lines actually parsed: scenario.parse_ns records one sample each.
+std::uint64_t parse_samples() {
+  return obs::MetricsRegistry::instance().histogram("scenario.parse_ns").count();
+}
+
+/// Serves `input` at 1 and then 4 threads, each from a reset metrics
+/// registry, and hands every run to `check`.
+template <typename Check>
+void serve_at_1_and_4_threads(const std::string& input, ServeOptions options,
+                              const Check& check) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    options.threads = threads;
+    obs::MetricsRegistry::instance().reset();
+    check(run_serve(input, options));
+  }
+}
+
+TEST(ServeCollapse, RepeatsWithoutAnIdKeepTheirOwnLineNumbers) {
+  // Each copy's record holds its own line number, so nothing is shared:
+  // three parses, three memo keys, three executions.
+  const std::string line = R"({"soc":{"kind":"fig1"},"stcl":40})" "\n";
+  serve_at_1_and_4_threads(line + line + line, {}, [](const RunOutput& run) {
+    const std::vector<std::string> records = split_records(run.records);
+    ASSERT_EQ(records.size(), 3u);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const std::string head = "{\"id\":\"line-" + std::to_string(i + 1) + "\"";
+      ASSERT_EQ(records[i].rfind(head, 0), 0u) << records[i];
+      EXPECT_EQ(records[i].substr(head.size()),
+                records[0].substr(head.size()));
+    }
+    EXPECT_EQ(run.summary.succeeded, 3u);
+    EXPECT_EQ(run.summary.executed, 3u);
+    EXPECT_EQ(run.summary.memo_hits, 0u);
+    EXPECT_EQ(parse_samples(), 3u);
+  });
+}
+
+TEST(ServeCollapse, MalformedRepeatsEachFailAndCount) {
+  const std::string broken = "{oops\n";
+  const std::string invalid = R"({"id":"bad","tl":-40})" "\n";
+  serve_at_1_and_4_threads(
+      broken + invalid + broken + invalid, {}, [](const RunOutput& run) {
+        const std::vector<std::string> records = split_records(run.records);
+        ASSERT_EQ(records.size(), 4u);
+        for (std::size_t i = 0; i < records.size(); ++i) {
+          EXPECT_EQ(records[i].rfind("{\"id\":\"line-" + std::to_string(i + 1) +
+                                         "\",\"ok\":false,\"error\":",
+                                     0),
+                    0u)
+              << records[i];
+        }
+        EXPECT_NE(records[2].find("json: line 1"), std::string::npos);
+        EXPECT_NE(records[3].find("tl: must be finite and > 0"),
+                  std::string::npos);
+        EXPECT_EQ(run.summary.failed, 4u);
+        EXPECT_EQ(counter("scenario.requests"), 4u);
+        EXPECT_EQ(counter("scenario.parse_errors"), 4u);
+        EXPECT_EQ(parse_samples(), 4u);
+      });
+}
+
+TEST(ServeCollapse, CrlfAndLfCopiesShareOneParse) {
+  const std::string line = R"({"id":"x","soc":{"kind":"fig1"},"stcl":40})";
+  const std::string input = line + "\r\n" + line + "\n";
+  for (const bool dedup : {true, false}) {
+    SCOPED_TRACE(dedup ? "dedup on" : "dedup off");
+    ServeOptions options;
+    options.dedup = dedup;
+    serve_at_1_and_4_threads(input, options, [&](const RunOutput& run) {
+      const std::vector<std::string> records = split_records(run.records);
+      ASSERT_EQ(records.size(), 2u);
+      EXPECT_EQ(records[1], records[0]);
+      EXPECT_EQ(run.summary.succeeded, 2u);
+      EXPECT_EQ(run.summary.executed, dedup ? 1u : 2u);
+      EXPECT_EQ(run.summary.memo_hits, dedup ? 1u : 0u);
+      EXPECT_EQ(parse_samples(), 1u);
+    });
+  }
+}
+
+TEST(ServeCollapse, RepeatedNonFiniteCostFailsEachLine) {
+  const std::string line = R"({"id":"tiny","solver":{"dt":1e-320}})" "\n";
+  const std::string record =
+      R"({"id":"tiny","ok":false,"error":"scenario request: estimated cost )"
+      R"x(is not finite (solver.dt too small for the test lengths)"})x" "\n";
+  serve_at_1_and_4_threads(line + line, {}, [&](const RunOutput& run) {
+    EXPECT_EQ(run.records, record + record);
+    EXPECT_EQ(run.summary.failed, 2u);
+    EXPECT_EQ(run.summary.memo_hits, 0u);
+    EXPECT_EQ(parse_samples(), 2u);
+    EXPECT_EQ(counter("scenario.parse_errors"), 0u);  // it parsed
+  });
+}
+
+TEST(ServeCollapse, DeadlineRepeatsEachCountInTheSlo) {
+  const std::string line =
+      R"({"id":"d","soc":{"kind":"fig1"},"stcl":40,"deadline_s":1000})" "\n";
+  serve_at_1_and_4_threads(line + line + line, {}, [](const RunOutput& run) {
+    EXPECT_EQ(run.summary.deadline_requests, 3u);
+    EXPECT_EQ(run.summary.deadline_met, 3u);
+    EXPECT_EQ(run.summary.deadline_missed, 0u);
+    for (const RequestTiming& timing : run.summary.request_timings) {
+      EXPECT_EQ(timing.deadline_s, 1000.0);
+    }
+    const JsonValue json = serve_summary_to_json(run.summary);
+    EXPECT_EQ(json.find("slo")->find("deadline_requests")->as_number(), 3.0);
+    EXPECT_EQ(run.summary.executed, 1u);
+    EXPECT_EQ(run.summary.memo_hits, 2u);
+  });
+}
+
+TEST(ServeCollapse, DedupOffStillExecutesEveryValidLine) {
+  // Sharing a parse never shares an execution: dedup alone decides that.
+  const std::string line = R"({"id":"r","soc":{"kind":"fig1"},"stcl":40})" "\n";
+  const std::string input = line + "{oops\n" + line + line;
+  ServeOptions on;
+  const RunOutput reference = run_serve(input, on);
+  ServeOptions off;
+  off.dedup = false;
+  serve_at_1_and_4_threads(input, off, [&](const RunOutput& run) {
+    EXPECT_EQ(run.records, reference.records);
+    EXPECT_EQ(run.summary.executed, 4u);
+    EXPECT_EQ(run.summary.memo_hits, 0u);
+    EXPECT_EQ(counter("scenario.run.stcl_sweep"), 3u);
+    EXPECT_EQ(parse_samples(), 2u);
+  });
+  serve_at_1_and_4_threads(input, on, [&](const RunOutput& run) {
+    EXPECT_EQ(run.records, reference.records);
+    EXPECT_EQ(run.summary.executed, 2u);  // the first copy and "{oops"
+    EXPECT_EQ(run.summary.memo_hits, 2u);
+    EXPECT_EQ(counter("scenario.run.stcl_sweep"), 1u);
+  });
+}
+
+TEST(ServeCollapse, SharedParsesMatchReparsedRepeats) {
+  // The same gen stream served verbatim, and with every repeat re-spaced
+  // ("{ " for "{") so that no line repeats byte for byte but every
+  // canonical key is kept: bytes, memo hits, executions and disk hits
+  // match, cold and warm.
+  gen::GenConfig config;
+  config.seed = 41;
+  config.count = 300;
+  config.zipf_skew = 3.0;
+  config.dup_rate = 0.9;
+  const gen::GeneratedStream stream = gen::generate_stream(config);
+  ASSERT_GT(stream.stats.duplicates, 200u);
+  std::string verbatim;
+  std::string respaced;
+  std::set<std::string> seen;
+  for (const std::string& line : stream.lines) {
+    verbatim += line + "\n";
+    respaced += (seen.insert(line).second ? line : "{ " + line.substr(1)) + "\n";
+  }
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const thermo::testing::ScopedTempDir verbatim_dir(
+        "verbatim-" + std::to_string(threads));
+    const thermo::testing::ScopedTempDir respaced_dir(
+        "respaced-" + std::to_string(threads));
+    for (const char* pass : {"cold", "warm"}) {
+      SCOPED_TRACE(pass);
+      const auto serve = [&](const std::string& input, const std::string& dir) {
+        dispatch::DiskResultMemo memo(dir);
+        ServeOptions options;
+        options.threads = threads;
+        options.disk_memo = &memo;
+        return run_serve(input, options);
+      };
+      const RunOutput shared = serve(verbatim, verbatim_dir.path());
+      const RunOutput reparsed = serve(respaced, respaced_dir.path());
+      EXPECT_EQ(shared.records, reparsed.records);
+      EXPECT_EQ(shared.summary.succeeded, stream.stats.count);
+      EXPECT_EQ(shared.summary.memo_hits, reparsed.summary.memo_hits);
+      EXPECT_EQ(shared.summary.executed, reparsed.summary.executed);
+      EXPECT_EQ(shared.summary.disk_hits, reparsed.summary.disk_hits);
+      EXPECT_EQ(shared.summary.disk_records, reparsed.summary.disk_records);
+    }
+  }
 }
 
 TEST(ServeDispatch, SummaryJsonSchemaAndCounts) {

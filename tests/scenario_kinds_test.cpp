@@ -210,6 +210,22 @@ TEST(KindServe, ChainedGoldenRecord) {
       R"("safe":true},"simulation_effort":2})");
 }
 
+// The RC network is linear with the ambient as its offset, so at an
+// ambient of -200 °C instead of 45 °C the golden replay peaks 245 K
+// lower, in the same block: below 0 °C, where a maximum seeded at 0 °C
+// would report 0 and name block 0 (C1).
+TEST(SubZeroAmbient, PtraceReportsItsHottestStep) {
+  const ScenarioRequest request = parse_request_line(kPtraceInput);
+  core::SocSpec soc = ScenarioRunner::build_soc(request.soc);
+  soc.package.ambient = -200.0;
+  const core::PreparedModel model(soc);
+  ScenarioResult result;
+  run_ptrace(request, core::PreparedSoc{soc, model}, result);
+  EXPECT_EQ(result.ptrace.steps, 2u);
+  EXPECT_NEAR(result.ptrace.max_temperature, 98.53929376077154 - 245.0, 1e-9);
+  EXPECT_EQ(result.ptrace.hottest, "C4");
+}
+
 TEST(KindServe, EmptyTraceIsARuntimeError) {
   ScenarioRunner runner;
   const ScenarioResult result = runner.run(parse_request_line(
