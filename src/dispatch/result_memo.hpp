@@ -7,10 +7,10 @@
 // batch or across batches. The memo maps that address to the record so
 // duplicates cost a lookup instead of a scheduler run.
 //
-// Addressing is FNV-1a 64 over the key bytes — but the full key is
-// stored and compared too, so a hash collision degrades to a plain miss
-// path rather than ever serving the wrong record (content-addressed,
-// not hash-trusted).
+// Lookup hashes the key bytes (std::hash<std::string_view>), but the
+// full key is stored and compared too, so a hash collision degrades to
+// a plain miss path rather than ever serving the wrong record
+// (content-addressed, not hash-trusted).
 //
 // Like ThermalSolverCache and ScenarioRunner's model cache, capacity is
 // LRU-capped: a long-lived server fed ever-fresh requests cannot grow
@@ -43,8 +43,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-
-#include "util/hash.hpp"
 
 namespace thermo::dispatch {
 
@@ -82,23 +80,13 @@ class ResultMemo {
     std::list<std::string>::iterator recency;
   };
 
-  /// The FNV address IS the bucket hash: thermo::fnv1a64 (util/hash.hpp),
-  /// the function the disk store addresses records with, so memory and
-  /// disk tiers agree on every key. The map keys are string_views
-  /// into lru_'s nodes (the one owned copy of each key — list nodes
-  /// never move), which also gives allocation-free find().
-  struct FnvHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view key) const {
-      return static_cast<std::size_t>(::thermo::fnv1a64(key));
-    }
-  };
-
   std::size_t capacity_;
   mutable std::mutex mutex_;
   std::list<std::string> lru_;  ///< keys, most recently used first
-  std::unordered_map<std::string_view, Entry, FnvHash, std::equal_to<>>
-      entries_;
+  /// Keyed by string_views into lru_'s nodes (the one owned copy of each
+  /// key — list nodes never move), which also gives allocation-free
+  /// find().
+  std::unordered_map<std::string_view, Entry> entries_;
 };
 
 }  // namespace thermo::dispatch

@@ -13,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "scenario/cost.hpp"
+#include "sweep/for_each_index.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -21,14 +22,14 @@ namespace thermo::scenario {
 namespace {
 
 /// One parsed input line: either a runnable request (id resolved, with
-/// the engine's Job for it) or a ready-made ok:false record. Parsing
-/// happens up front on the calling thread — the dispatch engine needs
-/// the cost estimate and the canonical serialization (the memo's content
-/// address) before placement. A line that repeats an earlier line byte
-/// for byte shares that line's PreparedLine when its record cannot
-/// depend on where it stands: the earlier line parsed valid, with an
-/// explicit id and a finite cost. Other lines (a `line-N` id, an error
-/// record) are prepared one by one.
+/// the engine's Job for it) or a ready-made ok:false record. Every line
+/// is prepared before execution starts, on up to `threads` workers — the
+/// dispatch engine needs the cost estimate and the canonical
+/// serialization (the memo's content address) before placement. A line
+/// that repeats an earlier line byte for byte shares that line's
+/// PreparedLine when its record cannot depend on where it stands: the
+/// earlier line parsed valid, with an explicit id and a finite cost.
+/// Other lines (a `line-N` id, an error record) are prepared one by one.
 struct PreparedLine {
   bool valid = false;
   bool shareable = false;     ///< verbatim repeats may reuse this line
@@ -116,31 +117,62 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
       obs::MetricsRegistry::instance().counter("scenario.requests");
 
   // `prepared` holds one entry per line actually parsed; `source` maps
-  // every request line to its entry. `shared` finds a verbatim repeat
-  // of a shareable line: it is keyed by the full line bytes (after the
-  // CR strip) and compares them in full, so a hash collision only costs
-  // a parse.
+  // every request line to its entry. The front end runs in three steps:
+  //   1. ingest (serial): read the lines, strip CR, skip blank lines, and
+  //      group them by their full bytes in `table`, which keeps the one
+  //      copy of each distinct line and compares keys in full, so a hash
+  //      collision never merges two lines;
+  //   2. prepare (parallel): prepare_line on each distinct line's first
+  //      occurrence, slot g for distinct line g;
+  //   3. whether a line may be shared depends only on its bytes, so a
+  //      distinct line whose first occurrence is not shareable (a
+  //      `line-N` id, an error record) has each repeat prepared under its
+  //      own line number, in a second fan-out that is usually empty.
+  // Every slot is written by one index only, so the entries do not
+  // depend on the thread count.
   std::vector<PreparedLine> prepared;
   std::vector<std::size_t> source;
   {
     obs::TraceSpan parse_span("serve.parse");
-    std::unordered_map<std::string, std::size_t> shared;
+    std::unordered_map<std::string, std::size_t> table;
+    std::vector<const std::string*> texts;   // per distinct line
+    std::vector<std::size_t> first_number;   // per distinct line
+    std::vector<std::size_t> numbers;        // per request line
     std::string raw;
     std::size_t number = 0;
     while (std::getline(in, raw)) {
       ++number;
       if (!raw.empty() && raw.back() == '\r') raw.pop_back();  // CRLF input
       if (trim(raw).empty()) continue;
-      if (const auto it = shared.find(raw); it != shared.end()) {
-        source.push_back(it->second);
-        continue;
+      const auto [it, fresh] = table.try_emplace(std::move(raw), texts.size());
+      if (fresh) {
+        texts.push_back(&it->first);
+        first_number.push_back(number);
       }
-      source.push_back(prepared.size());
-      prepared.push_back(prepare_line(raw, number, options.dedup));
-      if (prepared.back().shareable) {
-        shared.emplace(std::move(raw), source.back());
+      source.push_back(it->second);
+      numbers.push_back(number);
+    }
+
+    prepared.resize(texts.size());
+    sweep::for_each_index(options.threads, texts.size(), [&](std::size_t g) {
+      prepared[g] = prepare_line(*texts[g], first_number[g], options.dedup);
+    });
+
+    std::vector<std::size_t> own;  // repeats of a line that is not shared
+    for (std::size_t i = 0; i < source.size(); ++i) {
+      const std::size_t g = source[i];
+      if (numbers[i] != first_number[g] && !prepared[g].shareable) {
+        own.push_back(i);
       }
     }
+    const std::size_t distinct = texts.size();
+    prepared.resize(distinct + own.size());
+    sweep::for_each_index(options.threads, own.size(), [&](std::size_t k) {
+      const std::size_t i = own[k];
+      prepared[distinct + k] =
+          prepare_line(*texts[source[i]], numbers[i], options.dedup);
+    });
+    for (std::size_t k = 0; k < own.size(); ++k) source[own[k]] = distinct + k;
   }
   const std::size_t n = source.size();
   requests_metric.add(n);

@@ -11,7 +11,8 @@
 //     its slot — one bad request never aborts the batch;
 //   * requests without an "id" are assigned "line-<input line number>";
 //   * each distinct line is parsed once: a verbatim repeat of a valid
-//     line with an explicit "id" reuses that line's parse;
+//     line with an explicit "id" reuses that line's parse; lines are
+//     prepared on up to `threads` workers before any request runs;
 //   * the output bytes are identical for any thread count, schedule
 //     policy, and dedup setting (results are streamed in index order;
 //     every record is a pure function of its request line — placement
@@ -38,7 +39,10 @@ class DiskResultMemo;
 namespace thermo::scenario {
 
 struct ServeOptions {
-  /// Worker threads; 0 picks std::thread::hardware_concurrency.
+  /// Worker threads, both for preparing the lines (parse, cost, memo
+  /// key) and for executing the requests; 0 picks
+  /// std::thread::hardware_concurrency. Records, ids and summary counts
+  /// do not depend on it.
   std::size_t threads = 0;
   /// Execution-start order: kFifo = input order (historical behaviour),
   /// kLjf = longest-job-first by estimated cost — cuts makespan on

@@ -1,9 +1,9 @@
-// Content-address hashing shared by the in-memory result memo
-// (src/dispatch) and the on-disk segment store (src/persist): both key
-// records by the FNV-1a 64-bit digest of the same canonical
-// serialization, so a memory entry and a disk record for one request
-// always agree on their address. Living in util keeps persist free of
-// any dispatch dependency (persist sits on util only).
+// FNV-1a 64-bit: the checksum of the on-disk segment format
+// (src/persist, docs/PERSIST.md). Records are addressed by their full
+// canonical key, in memory and on disk; this digest only detects torn
+// or corrupted frames, so its bytes are part of the file format and
+// must not change. Living in util keeps persist free of any dispatch
+// dependency (persist sits on util only).
 #pragma once
 
 #include <cstdint>

@@ -3,8 +3,8 @@
 // × dedup {on,off} on a randomized batch with invalid lines in place —
 // plus request cost estimation (the exact formula, its monotonicity and
 // ranking), per-request timings, duplicate-batch memoization through a
-// disk memo, verbatim repeats sharing one parse, and the summary JSON
-// payload.
+// disk memo, verbatim repeats sharing one parse, lines prepared on the
+// worker pool, and the summary JSON payload.
 #include "scenario/serve.hpp"
 
 #include <gtest/gtest.h>
@@ -427,6 +427,130 @@ TEST(ServeCollapse, SharedParsesMatchReparsedRepeats) {
       EXPECT_EQ(shared.summary.disk_hits, reparsed.summary.disk_hits);
       EXPECT_EQ(shared.summary.disk_records, reparsed.summary.disk_records);
     }
+  }
+}
+
+// --- request lines are prepared on the worker pool -------------------
+
+/// Everything serve reports that may not depend on the thread count:
+/// the records, the summary's count objects, each request's facts, and
+/// the parse counters.
+struct ServeFacts {
+  std::string records;
+  std::string counts;    ///< requests, ok, failed and the count objects
+  std::string requests;  ///< id, ok, memo_hit, cost, deadline_s per request
+  std::uint64_t parse_samples = 0;
+  std::uint64_t parse_errors = 0;
+};
+
+ServeFacts serve_facts(const std::string& input, const ServeOptions& options) {
+  obs::MetricsRegistry::instance().reset();
+  const RunOutput run = run_serve(input, options);
+  ServeFacts facts;
+  facts.records = run.records;
+  const JsonValue json = serve_summary_to_json(run.summary);
+  for (const char* key : {"requests", "ok", "failed", "memo", "slo",
+                          "disk_cache", "model_cache"}) {
+    facts.counts += std::string(key) + "=" + json.find(key)->dump() + "\n";
+  }
+  for (const JsonValue& timing : json.find("request_timings")->items()) {
+    for (const char* key : {"id", "ok", "memo_hit", "cost", "deadline_s"}) {
+      if (const JsonValue* value = timing.find(key)) {
+        facts.requests += value->dump();
+      }
+      facts.requests += ",";
+    }
+    facts.requests += "\n";
+  }
+  facts.parse_samples = parse_samples();
+  facts.parse_errors = counter("scenario.parse_errors");
+  return facts;
+}
+
+void expect_same_facts(const ServeFacts& run, const ServeFacts& reference) {
+  EXPECT_EQ(run.records, reference.records);
+  EXPECT_EQ(run.counts, reference.counts);
+  EXPECT_EQ(run.requests, reference.requests);
+  EXPECT_EQ(run.parse_samples, reference.parse_samples);
+  EXPECT_EQ(run.parse_errors, reference.parse_errors);
+}
+
+/// The ServeCollapse cases in one stream: id-less, malformed, CRLF,
+/// non-finite-cost and deadline repeats, interleaved with blank lines.
+std::string edge_case_stream() {
+  const std::string anonymous = R"({"soc":{"kind":"fig1"},"stcl":40})";
+  const std::string broken = "{oops";
+  const std::string invalid = R"({"id":"bad","tl":-40})";
+  const std::string shared = R"({"id":"x","soc":{"kind":"fig1"},"stcl":40})";
+  const std::string tiny = R"({"id":"tiny","solver":{"dt":1e-320}})";
+  const std::string deadline =
+      R"({"id":"d","soc":{"kind":"fig1"},"stcl":40,"deadline_s":1000})";
+  std::string input;
+  for (int round = 0; round < 3; ++round) {
+    input += anonymous + "\n" + broken + "\n" + shared + "\r\n" + invalid +
+             "\n\n" + tiny + "\n" + deadline + "\n" + shared + "\n";
+  }
+  return input;
+}
+
+/// A 300-line gen stream with repeats and the default kind mix.
+std::string gen_stream_300() {
+  gen::GenConfig config;
+  config.seed = 43;
+  config.count = 300;
+  config.zipf_skew = 3.0;
+  config.dup_rate = 0.3;
+  std::string input;
+  for (const std::string& line : gen::generate_stream(config).lines) {
+    input += line + "\n";
+  }
+  return input;
+}
+
+TEST(ServeParallelPrepare, EveryThreadCountMatchesTheInlineRun) {
+  for (const std::string& input : {edge_case_stream(), gen_stream_300()}) {
+    for (const bool dedup : {true, false}) {
+      SCOPED_TRACE(dedup ? "dedup on" : "dedup off");
+      ServeOptions options;
+      options.dedup = dedup;
+      options.threads = 1;
+      const ServeFacts inline_run = serve_facts(input, options);
+      ASSERT_FALSE(inline_run.records.empty());
+      for (const std::size_t threads : {2, 3, 4, 8}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        options.threads = threads;
+        expect_same_facts(serve_facts(input, options), inline_run);
+      }
+    }
+  }
+}
+
+TEST(ServeParallelPrepare, ManyIdlessCopiesEachKeepTheirLineNumber) {
+  const std::string line = R"({"soc":{"kind":"fig1"},"stcl":40})" "\n";
+  std::string input;
+  for (int i = 0; i < 2000; ++i) input += line;
+  ServeOptions options;
+  options.threads = 4;
+  const ServeFacts run = serve_facts(input, options);
+  const std::vector<std::string> records = split_records(run.records);
+  ASSERT_EQ(records.size(), 2000u);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::string head = "{\"id\":\"line-" + std::to_string(i + 1) + "\"";
+    ASSERT_EQ(records[i].rfind(head, 0), 0u) << records[i];
+  }
+  EXPECT_EQ(run.parse_samples, 2000u);
+  EXPECT_EQ(run.parse_errors, 0u);
+}
+
+TEST(ServeParallelPrepare, BatchesSmallerThanThePool) {
+  const std::string a = R"({"id":"a","soc":{"kind":"fig1"},"stcl":40})" "\n";
+  const std::string b = R"({"soc":{"kind":"fig1"},"stcl":45})" "\n";
+  for (const std::string& input : {a, a + "{oops\n" + b}) {
+    ServeOptions options;
+    options.threads = 1;
+    const ServeFacts inline_run = serve_facts(input, options);
+    options.threads = 8;
+    expect_same_facts(serve_facts(input, options), inline_run);
   }
 }
 
