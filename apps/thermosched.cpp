@@ -27,7 +27,7 @@
 //             --dedup on|off, --summary-json PATH,
 //             --cache-dir PATH (persistent
 //             disk-backed result cache — docs/PERSIST.md),
-//             --trace PATH, --metrics-json PATH, --metrics
+//             --trace PATH, --metrics
 //             (observability artifacts — docs/OBSERVABILITY.md)
 //   cache     Inspect or maintain a --cache-dir directory:
 //             `cache stats` prints store statistics, `cache verify`
@@ -106,9 +106,8 @@ struct CommonArgs {
   std::string summary_json_path;
   // serve observability artifacts (docs/OBSERVABILITY.md) — none of
   // these may change the results stream's bytes.
-  std::string trace_path;         // --trace: Chrome traceEvents JSON
-  std::string metrics_json_path;  // --metrics-json: registry snapshot
-  bool metrics_table = false;     // --metrics: stderr metric table
+  std::string trace_path;      // --trace: Chrome traceEvents JSON
+  bool metrics_table = false;  // --metrics: stderr metric table
   std::string cache_dir;  // serve + cache (docs/PERSIST.md)
   // gen-only knobs (docs/GEN.md)
   long long gen_count = 1000;
@@ -220,8 +219,7 @@ void print_global_usage(std::ostream& out) {
          "            [--in PATH|-] [--out PATH|-] [--threads N]\n"
          "            [--schedule-policy fifo|ljf|edf]\n"
          "            [--dedup on|off] [--summary-json PATH]\n"
-         "            [--cache-dir PATH] [--trace PATH]\n"
-         "            [--metrics-json PATH] [--metrics]\n"
+         "            [--cache-dir PATH] [--trace PATH] [--metrics]\n"
          "  cache     Inspect/maintain a --cache-dir result cache\n"
          "            (docs/PERSIST.md): stats | verify | compact\n"
          "            --cache-dir PATH\n"
@@ -246,10 +244,10 @@ void print_global_usage(std::ostream& out) {
          "--summary-json writes per-batch execution stats (makespan,\n"
          "tail latency, memo hit rate, per-request timings) to PATH.\n"
          "--trace records per-thread spans for the batch and writes\n"
-         "Chrome traceEvents JSON to PATH; --metrics-json writes the\n"
-         "process-wide counter/histogram snapshot; --metrics prints it\n"
-         "as stderr tables. Observability never changes the output\n"
-         "bytes (docs/OBSERVABILITY.md).\n"
+         "Chrome traceEvents JSON to PATH; --metrics prints the\n"
+         "process-wide counter/histogram snapshot as stderr tables (the\n"
+         "summary JSON holds it as `metrics`). Observability never\n"
+         "changes the output bytes (docs/OBSERVABILITY.md).\n"
          "--cache-dir persists result records to a crash-safe on-disk\n"
          "store keyed by request content: a restarted server answers\n"
          "previously computed requests from disk without executing them\n"
@@ -395,7 +393,7 @@ int cmd_sweep(const CommonArgs& args) {
 }
 
 /// Writes `text` and a newline to `path`, a serve artifact of the given
-/// kind ("summary", "trace", "metrics"). A file that cannot be opened,
+/// kind ("summary" or "trace"). A file that cannot be opened,
 /// or a full disk, is a runtime error rather than a truncated artifact.
 void write_artifact(const std::string& path, const std::string& kind,
                     const std::string& text) {
@@ -473,10 +471,6 @@ int cmd_serve(const CommonArgs& args) {
   }
   if (tracing) {
     write_artifact(args.trace_path, "trace", trace.snapshot_json().dump());
-  }
-  if (!args.metrics_json_path.empty()) {
-    write_artifact(args.metrics_json_path, "metrics",
-                   obs::MetricsRegistry::instance().to_json().dump());
   }
 
   // Summary goes to stderr: with --out -, stdout is the results stream
@@ -737,10 +731,6 @@ int main(int argc, char** argv) {
                    "chrome://tracing or Perfetto; output bytes "
                    "unchanged — docs/OBSERVABILITY.md)",
                    &args.trace_path);
-    cli.add_string("metrics-json",
-                   "Write the process-wide metrics snapshot (counters + "
-                   "latency histograms) to PATH after the batch",
-                   &args.metrics_json_path);
     cli.add_flag("metrics",
                  "Print the metrics snapshot as stderr tables after the "
                  "batch summary",

@@ -28,11 +28,12 @@
 #             (exit 0) run after it, `cache compact` before the last
 #             config; every later config must execute 0 requests and
 #             take one disk hit per persisted record.
-#      trace  every non-reference config adds --trace, --metrics-json
-#             and --metrics; each trace must pass CHECK_TRACE (balanced
-#             B/E spans, per-thread monotonic timestamps) with at least
-#             RECORDS events, and each metrics file must name the
-#             dispatch, scenario and thermal counters below.
+#      trace  every non-reference config adds --trace and --metrics;
+#             each trace must pass CHECK_TRACE (balanced B/E spans,
+#             per-thread monotonic timestamps) with at least RECORDS
+#             events, and the `metrics` member of each such config's
+#             summary must name the dispatch, scenario and thermal
+#             metrics below.
 #
 # Usage: cmake -DSCHED_BIN=<thermosched> -DWORK_DIR=<scratch dir>
 #              (-DGEN_ARGS=<flag;value;...> | -DBATCH=<line;line;...>)
@@ -151,7 +152,6 @@ foreach(config IN LISTS CONFIGS)
   set(outfile "${WORK_DIR}/results_${index}_t${threads}_${policy}_${dedup}.jsonl")
   set(summary "${WORK_DIR}/summary_${index}.json")
   set(trace "${WORK_DIR}/trace_${index}.json")
-  set(metrics "${WORK_DIR}/metrics_${index}.json")
   set(command "${SCHED_BIN}" serve --in "${requests}" --out "${outfile}"
       --threads ${threads} --schedule-policy ${policy} --dedup ${dedup}
       --summary-json "${summary}")
@@ -161,8 +161,7 @@ foreach(config IN LISTS CONFIGS)
       run_checked("${SCHED_BIN}" cache compact --cache-dir "${cache_dir}")
     endif()
   elseif(MODE STREQUAL "trace" AND NOT "${reference}" STREQUAL "")
-    list(APPEND command --trace "${trace}" --metrics-json "${metrics}"
-         --metrics)
+    list(APPEND command --trace "${trace}" --metrics)
   endif()
   run_checked(${command})
 
@@ -217,8 +216,8 @@ foreach(config IN LISTS CONFIGS)
   elseif(MODE STREQUAL "trace")
     run_checked("${PYTHON_BIN}" "${CHECK_TRACE}" "${trace}"
                 --min-events ${RECORDS})
-    file(READ "${metrics}" metrics_text)
-    check_needles("metrics ${metrics}" "${metrics_text}"
+    summary_field(metrics_text "${summary}" metrics)
+    check_needles("metrics of ${summary}" "${metrics_text}"
       "\"dispatch.jobs\"" "\"dispatch.exec_ns\"" "\"dispatch.queue_wait_ns\""
       "\"scenario.requests\"" "\"thermal.factor_ns\"")
   endif()

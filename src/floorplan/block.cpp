@@ -4,16 +4,6 @@
 
 namespace thermo::floorplan {
 
-const char* side_name(Side side) {
-  switch (side) {
-    case Side::kNorth: return "north";
-    case Side::kSouth: return "south";
-    case Side::kEast: return "east";
-    case Side::kWest: return "west";
-  }
-  return "?";
-}
-
 double Block::centroid_to_side(Side side) const {
   switch (side) {
     case Side::kNorth:

@@ -9,9 +9,6 @@ namespace thermo::floorplan {
 
 enum class Side { kNorth, kSouth, kEast, kWest };
 
-/// Human-readable side name ("north"...).
-const char* side_name(Side side);
-
 /// All four sides, in a fixed iteration order.
 inline constexpr Side kAllSides[] = {Side::kNorth, Side::kSouth, Side::kEast,
                                      Side::kWest};

@@ -4,9 +4,9 @@
 // The registry answers "where did the p95 go" for the serve pipeline
 // without printf archaeology: every hot layer (dispatch, scenario,
 // thermal, persist, sweep) records into named metrics, and one snapshot
-// — `thermosched serve --metrics-json` or the summary's `metrics`
-// section — exposes exact counts and latency quantiles for the whole
-// process.
+// — the `metrics` member of `thermosched serve --summary-json`, or the
+// `--metrics` stderr tables — exposes exact counts and latency
+// quantiles for the whole process.
 //
 // Design constraints, in order:
 //   * Observability must never change output bytes. Metrics record

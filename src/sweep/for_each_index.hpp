@@ -3,9 +3,9 @@
 // Every parallel loop in the code base is "call fn(i) for each i in
 // [0, n), results land in slot i": one Algorithm 1 run per STCL value
 // (core::sweep_stcl, Section 5's STCL scan), one serve request per job
-// (dispatch::run_batch), one TAM width per schedule
-// (examples/tam_exploration.cpp). This function is that loop, and the
-// only place that decides how many threads run it.
+// (dispatch::run_batch), one distinct request line per preparation
+// (scenario::serve_stream). This function is that loop, and the only
+// place that decides how many threads run it.
 //
 // Workers pull indices from one shared atomic counter: cheap dynamic
 // load balancing (a steady solve and a long transient differ wildly in

@@ -52,7 +52,6 @@ class JsonValue {
   bool is_bool() const { return type_ == Type::kBool; }
   bool is_number() const { return type_ == Type::kNumber; }
   bool is_string() const { return type_ == Type::kString; }
-  bool is_array() const { return type_ == Type::kArray; }
   bool is_object() const { return type_ == Type::kObject; }
 
   /// Human-readable type name ("null", "bool", "number", ...), used in

@@ -20,8 +20,6 @@ class Table {
   /// Convenience: formats each double with the given precision.
   void add_numeric_row(const std::vector<double>& values, int precision = 2);
 
-  std::size_t row_count() const { return rows_.size(); }
-  std::size_t column_count() const { return header_.size(); }
   const std::vector<std::string>& header() const { return header_; }
   const std::vector<std::string>& row(std::size_t i) const;
 
