@@ -4,14 +4,11 @@
 #include <cstdint>
 #include <ctime>
 #include <optional>
-#include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sweep/for_each_index.hpp"
-#include "util/error.hpp"
 
 namespace thermo::dispatch {
 
@@ -63,49 +60,39 @@ std::uint64_t to_ns(std::chrono::steady_clock::duration d) {
 }  // namespace
 
 EngineStats run_batch(const std::vector<Job>& jobs,
+                      const std::vector<std::size_t>& job_of_line,
                       const std::function<std::string(std::size_t)>& execute,
                       OrderedWriter& writer, const EngineOptions& options) {
-  const std::size_t n = jobs.size();
+  const std::size_t lines = job_of_line.size();
   EngineStats stats;
-  stats.timings.resize(n);
+  stats.timings.resize(lines);
   EngineMetrics& metrics = engine_metrics();
   obs::TraceSpan batch_span("dispatch.batch");
 
-  // Dedup planning runs on the calling thread, before any worker
-  // starts: which jobs execute, which are answered from the memo, and
-  // which duplicate a leader is a pure function of the batch content —
-  // never of worker timing — so hit counts are deterministic.
-  ResultMemo* const memo = options.dedup ? options.memo : nullptr;
-  std::vector<std::vector<std::size_t>> duplicates(n);
+  std::vector<std::vector<std::size_t>> lines_of(jobs.size());
+  for (std::size_t i = 0; i < lines; ++i) {
+    lines_of.at(job_of_line[i]).push_back(i);
+  }
+
+  // Memo planning, on the calling thread before any worker starts, so
+  // which jobs execute never depends on worker timing: each keyed job is
+  // looked up once, at its first line, and a found record is written to
+  // its lines in input order (an all-hit batch buffers nothing).
+  std::vector<std::optional<std::string>> found(jobs.size());
   std::vector<std::size_t> scheduled;
-  scheduled.reserve(n);
-  if (options.dedup) {
-    std::unordered_map<std::string_view, std::size_t> leader_by_key;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::string& key = jobs[i].memo_key;
-      if (key.empty()) {
-        scheduled.push_back(i);
-        continue;
+  for (std::size_t i = 0; i < lines; ++i) {
+    const std::size_t j = job_of_line[i];
+    const std::vector<std::size_t>& own = lines_of[j];
+    if (i == own.front()) {
+      if (options.memo != nullptr && !jobs[j].memo_key.empty()) {
+        found[j] = options.memo->find(jobs[j].memo_key);
       }
-      if (auto cached = memo != nullptr ? memo->find(key) : std::nullopt) {
-        // Known from a previous batch: stream it out right away.
-        stats.timings[i].memo_hit = true;
-        ++stats.memo_hits;
-        writer.push(i, std::move(*cached));
-        continue;
-      }
-      const auto [it, inserted] = leader_by_key.emplace(key, i);
-      if (inserted) {
-        scheduled.push_back(i);
-      } else {
-        // Within-batch duplicate: ride on the leader's execution.
-        duplicates[it->second].push_back(i);
-        stats.timings[i].memo_hit = true;
-        ++stats.memo_hits;
-      }
+      if (!found[j]) scheduled.push_back(j);
     }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) scheduled.push_back(i);
+    stats.timings[i].memo_hit = found[j] || i != own.front();
+    if (found[j]) {
+      writer.push(i, i == own.back() ? std::move(*found[j]) : *found[j]);
+    }
   }
 
   std::vector<std::size_t> order;
@@ -120,36 +107,37 @@ EngineStats run_batch(const std::vector<Job>& jobs,
   // of the first possible execution start". Declared before run_one so
   // the lambda can capture it; assigned right before workers start.
   std::chrono::steady_clock::time_point exec_start;
-  const auto run_one = [&](std::size_t i) {
+  const auto run_one = [&](std::size_t j) {
     const auto wall_start = std::chrono::steady_clock::now();
     const double cpu_start = thread_cpu_seconds();
     std::string record;
     {
       obs::TraceSpan exec_span("dispatch.exec");
-      record = execute(i);
+      record = execute(j);
     }
     const auto done = std::chrono::steady_clock::now();
-    stats.timings[i].cpu_seconds = thread_cpu_seconds() - cpu_start;
-    stats.timings[i].wall_seconds =
+    const std::vector<std::size_t>& own = lines_of[j];
+    JobTiming& first = stats.timings[own.front()];
+    first.cpu_seconds = thread_cpu_seconds() - cpu_start;
+    first.wall_seconds =
         std::chrono::duration<double>(done - wall_start).count();
     // Queue wait shares done_seconds' clock origin: how long placement
     // (plus worker contention) held this job back.
-    stats.timings[i].wait_seconds =
+    first.wait_seconds =
         std::chrono::duration<double>(wall_start - exec_start).count();
     metrics.queue_wait_ns.record(to_ns(wall_start - exec_start));
     metrics.exec_ns.record(to_ns(done - wall_start));
     const double done_seconds =
         std::chrono::duration<double>(done - exec_start).count();
-    stats.timings[i].done_seconds = done_seconds;
-    if (memo != nullptr && !jobs[i].memo_key.empty()) {
-      memo->insert(jobs[i].memo_key, record);
+    if (options.memo != nullptr && !jobs[j].memo_key.empty()) {
+      options.memo->insert(jobs[j].memo_key, record);
     }
-    for (const std::size_t dup : duplicates[i]) {
-      // A duplicate's record exists exactly when its leader's does.
-      stats.timings[dup].done_seconds = done_seconds;
-      writer.push(dup, record);
+    for (const std::size_t line : own) {
+      // Every line's record exists exactly when the job's does.
+      stats.timings[line].done_seconds = done_seconds;
+      if (line != own.front()) writer.push(line, record);
     }
-    writer.push(i, std::move(record));
+    writer.push(own.front(), std::move(record));
   };
 
   exec_start = std::chrono::steady_clock::now();
@@ -165,9 +153,9 @@ EngineStats run_batch(const std::vector<Job>& jobs,
   stats.max_buffered = writer.max_buffered();
   writer.finish();
   metrics.batches.add();
-  metrics.jobs.add(n);
+  metrics.jobs.add(lines);
   metrics.executed.add(stats.executed);
-  metrics.memo_hits.add(stats.memo_hits);
+  metrics.memo_hits.add(lines - stats.executed);
   return stats;
 }
 

@@ -26,10 +26,9 @@
 // single-writer-per-key *value* semantics it is built on: all writers
 // of one key must derive the record from the key's content, so racing
 // inserts carry identical bytes and first-insert-wins loses nothing.
-// The engine's dedup planning upholds this (one leader executes per
-// key); insert() enforces it with an identical-bytes invariant check —
-// a divergent record for a present key throws LogicError instead of
-// silently keeping either copy.
+// The engine upholds this (one job executes per key); insert() enforces
+// it with an identical-bytes check — a divergent record for a present
+// key throws LogicError instead of silently keeping either copy.
 //
 // find() and insert() are virtual so a batch engine holding a plain
 // `ResultMemo*` can transparently be handed a DiskResultMemo (the

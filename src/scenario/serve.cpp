@@ -5,6 +5,7 @@
 #include <cmath>
 #include <istream>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -177,8 +178,29 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
   const std::size_t n = source.size();
   requests_metric.add(n);
 
-  std::vector<dispatch::Job> jobs(n);
-  for (std::size_t i = 0; i < n; ++i) jobs[i] = prepared[source[i]].job;
+  // One job per distinct memo key, led by its first line, and one per
+  // keyless line (dedup off, or an error record). `job_of_key` sees each
+  // PreparedLine once: distinct lines may share a key (another deadline,
+  // spacing or field order).
+  std::vector<dispatch::Job> jobs;
+  std::vector<std::size_t> job_source;  // per job: its PreparedLine
+  std::vector<std::size_t> job_of_line(n);
+  std::vector<std::size_t> job_of_slot(prepared.size(), n);  // n: none yet
+  std::unordered_map<std::string_view, std::size_t> job_of_key;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t g = source[i];
+    const std::string& key = prepared[g].job.memo_key;
+    std::size_t& j = job_of_slot[g];
+    if (j == n || key.empty()) {
+      j = key.empty() ? jobs.size()
+                      : job_of_key.try_emplace(key, jobs.size()).first->second;
+      if (j == jobs.size()) {
+        jobs.push_back(prepared[g].job);
+        job_source.push_back(g);
+      }
+    }
+    job_of_line[i] = j;
+  }
 
   ServeSummary summary;
   summary.requests = n;
@@ -197,14 +219,13 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
   dispatch::EngineOptions engine_options;
   engine_options.threads = options.threads;
   engine_options.policy = options.policy;
-  engine_options.dedup = options.dedup;
-  engine_options.memo = options.disk_memo;
+  engine_options.memo = options.dedup ? options.disk_memo : nullptr;
   const std::size_t disk_hits_before =
       options.disk_memo != nullptr ? options.disk_memo->disk_hits() : 0;
   const dispatch::EngineStats stats = dispatch::run_batch(
-      jobs,
-      [&](std::size_t i) {
-        const PreparedLine& line = prepared[source[i]];
+      jobs, job_of_line,
+      [&](std::size_t j) {
+        const PreparedLine& line = prepared[job_source[j]];
         if (!line.valid) return line.error_record;
         return to_json(runner.run(line.request)).dump();
       },
@@ -213,7 +234,7 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
   summary.threads = stats.threads;
   summary.makespan_seconds = stats.makespan_seconds;
   summary.executed = stats.executed;
-  summary.memo_hits = stats.memo_hits;
+  summary.memo_hits = n - stats.executed;
   summary.max_buffered = stats.max_buffered;
   summary.request_timings.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -222,7 +243,7 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
     timing.id = line.id;
     timing.ok = ok_flags[i] != 0;
     timing.memo_hit = stats.timings[i].memo_hit;
-    timing.cost = jobs[i].cost;
+    timing.cost = line.job.cost;
     timing.wall_seconds = stats.timings[i].wall_seconds;
     timing.cpu_seconds = stats.timings[i].cpu_seconds;
     timing.queue_wait_seconds = stats.timings[i].wait_seconds;

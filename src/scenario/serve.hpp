@@ -49,18 +49,15 @@ struct ServeOptions {
   /// skewed batches (bench_serve_gates gates this). Output bytes do not
   /// depend on the choice.
   dispatch::SchedulePolicy policy = dispatch::SchedulePolicy::kFifo;
-  /// Memoize result records by canonical request content so duplicate
-  /// requests (within this batch, or across batches via `disk_memo`)
-  /// execute once. Off = every request executes; output bytes are
-  /// unchanged.
+  /// Group requests by canonical content so duplicates (within this
+  /// batch, or across batches via `disk_memo`) execute once. Off = every
+  /// request executes; output bytes are unchanged.
   bool dedup = true;
   /// Disk-backed memo (borrowed) — what `thermosched serve --cache-dir`
   /// wires in; nullptr = within-batch dedup only. When set, results are
-  /// durably cached across batches and *processes*: a cold restart
-  /// serving the same batch answers from disk instead of executing. Output bytes are
-  /// unchanged (the cache changes when work runs, never what is
-  /// written). Ignored when dedup is off — without content addressing
-  /// there is nothing to key the cache by.
+  /// durably cached across batches and *processes*, and each distinct
+  /// request is looked up once per batch. Output bytes are unchanged.
+  /// Ignored when dedup is off: there is nothing to key the cache by.
   dispatch::DiskResultMemo* disk_memo = nullptr;
 };
 
@@ -103,7 +100,7 @@ struct ServeSummary {
   std::size_t memo_hits = 0;      ///< requests answered from the memo
   std::size_t max_buffered = 0;   ///< ordered-writer high-water mark
   bool disk_cache_enabled = false;   ///< a disk_memo served this batch
-  std::size_t disk_hits = 0;         ///< memo finds answered from disk
+  std::size_t disk_hits = 0;         ///< distinct keys read from disk
   std::size_t disk_records = 0;      ///< records on disk after the batch
   std::size_t disk_segments = 0;     ///< segment files after the batch
   std::uint64_t disk_bytes = 0;      ///< segment bytes after the batch

@@ -1,17 +1,21 @@
 // The dispatch layer in isolation: the execution_order policies, the
 // content-addressed result memo (FNV addressing, LRU), the streaming
-// ordered writer, and the engine's hard invariant — output bytes identical across thread counts, policies,
-// and dedup settings.
+// ordered writer, and the engine's hard invariant — output bytes identical
+// across thread counts, policies, and job grouping.
 #include "dispatch/engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <limits>
+#include <map>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -243,37 +247,67 @@ TEST(OrderedWriter, GuardsAgainstMisuse) {
   EXPECT_THROW(writer.finish(), LogicError);  // index 1 never arrived
 }
 
-/// A batch whose records are pure functions of the key content: job i
-/// computes "v:<payload>". Payloads repeat to exercise dedup.
+/// A batch whose records are pure functions of the key content: a job
+/// computes "v:<payload>". Payloads repeat across lines; `grouped`
+/// hands the engine one keyed job per distinct payload, as serve does
+/// with dedup on, and otherwise one keyless job per line, as with dedup
+/// off.
 struct FakeBatch {
-  std::vector<std::string> payloads;
+  std::vector<std::string> payloads;  ///< one per line
 
-  std::vector<Job> jobs(bool keyed = true) const {
-    std::vector<Job> out(payloads.size());
+  struct Plan {
+    std::vector<Job> jobs;
+    std::vector<std::string> job_payloads;
+    std::vector<std::size_t> job_of_line;
+  };
+
+  Plan plan(bool grouped) const {
+    Plan plan;
+    std::map<std::string, std::size_t> job_of_payload;
     for (std::size_t i = 0; i < payloads.size(); ++i) {
-      if (keyed) out[i].memo_key = payloads[i];
-      out[i].cost = static_cast<double>(payloads[i].size());
-      // Deterministic SLO spread so edf actually reorders: every third
-      // job carries a deadline.
-      if (i % 3 == 0) out[i].deadline = 1.0 + static_cast<double>(i % 5);
+      const auto [it, fresh] =
+          job_of_payload.try_emplace(payloads[i], plan.jobs.size());
+      if (fresh || !grouped) {
+        Job job;
+        if (grouped) job.memo_key = payloads[i];
+        job.cost = static_cast<double>(payloads[i].size());
+        // Deterministic SLO spread so edf actually reorders: every third
+        // line's job carries a deadline.
+        if (i % 3 == 0) job.deadline = 1.0 + static_cast<double>(i % 5);
+        plan.jobs.push_back(std::move(job));
+        plan.job_payloads.push_back(payloads[i]);
+      }
+      plan.job_of_line.push_back(grouped ? it->second : plan.jobs.size() - 1);
     }
-    return out;
+    return plan;
   }
 
   std::string run(const EngineOptions& options, EngineStats* stats_out = nullptr,
-                  std::atomic<std::size_t>* executions = nullptr) const {
+                  std::atomic<std::size_t>* executions = nullptr,
+                  bool grouped = true) const {
+    const Plan plan = this->plan(grouped);
     std::ostringstream out;
     OrderedWriter writer(out, payloads.size());
     const EngineStats stats = run_batch(
-        this->jobs(),
-        [&](std::size_t i) {
+        plan.jobs, plan.job_of_line,
+        [&](std::size_t j) {
           if (executions != nullptr) executions->fetch_add(1);
-          return "v:" + payloads[i];
+          return "v:" + plan.job_payloads[j];
         },
         writer, options);
     if (stats_out != nullptr) *stats_out = stats;
     return out.str();
   }
+};
+
+/// A memory memo that counts its lookups.
+class CountingMemo final : public ResultMemo {
+ public:
+  std::optional<std::string> find(std::string_view key) override {
+    finds.fetch_add(1);
+    return ResultMemo::find(key);
+  }
+  std::atomic<std::size_t> finds{0};
 };
 
 TEST(Engine, OutputBytesInvariantAcrossThreadsPolicyAndDedup) {
@@ -294,14 +328,13 @@ TEST(Engine, OutputBytesInvariantAcrossThreadsPolicyAndDedup) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     for (const SchedulePolicy policy :
          {SchedulePolicy::kFifo, SchedulePolicy::kLjf, SchedulePolicy::kEdf}) {
-      for (const bool dedup : {true, false}) {
+      for (const bool grouped : {true, false}) {
         EngineOptions options;
         options.threads = threads;
         options.policy = policy;
-        options.dedup = dedup;
-        EXPECT_EQ(batch.run(options), expected)
+        EXPECT_EQ(batch.run(options, nullptr, nullptr, grouped), expected)
             << "threads=" << threads << " policy="
-            << schedule_policy_name(policy) << " dedup=" << dedup;
+            << schedule_policy_name(policy) << " grouped=" << grouped;
       }
     }
   }
@@ -316,25 +349,13 @@ TEST(Engine, DedupExecutesEachDistinctKeyOnce) {
   std::atomic<std::size_t> executions{0};
   batch.run(options, &stats, &executions);
   EXPECT_EQ(executions.load(), 3u);  // a, b, c
-  EXPECT_EQ(stats.executed, 3u);
-  EXPECT_EQ(stats.memo_hits, 3u);  // the three within-batch duplicates
+  EXPECT_EQ(stats.executed, 3u);     // so the other three lines are hits
   EXPECT_FALSE(stats.timings[0].memo_hit);
+  EXPECT_FALSE(stats.timings[1].memo_hit);
   EXPECT_TRUE(stats.timings[2].memo_hit);
+  EXPECT_FALSE(stats.timings[3].memo_hit);
   EXPECT_TRUE(stats.timings[4].memo_hit);
   EXPECT_TRUE(stats.timings[5].memo_hit);
-}
-
-TEST(Engine, DedupOffExecutesEverything) {
-  FakeBatch batch;
-  batch.payloads = {"a", "a", "a"};
-  EngineOptions options;
-  options.threads = 2;
-  options.dedup = false;
-  EngineStats stats;
-  std::atomic<std::size_t> executions{0};
-  batch.run(options, &stats, &executions);
-  EXPECT_EQ(executions.load(), 3u);
-  EXPECT_EQ(stats.memo_hits, 0u);
 }
 
 TEST(Engine, SharedMemoDedupsAcrossBatches) {
@@ -349,15 +370,91 @@ TEST(Engine, SharedMemoDedupsAcrossBatches) {
   std::atomic<std::size_t> executions{0};
   const std::string out_first = batch.run(options, &first, &executions);
   EXPECT_EQ(executions.load(), 3u);
-  EXPECT_EQ(first.memo_hits, 1u);  // the within-batch duplicate "x"
+  EXPECT_EQ(first.executed, 3u);  // the fourth line rides on the first
 
   // Identical batch again: everything is answered from the memo.
   EngineStats second;
   const std::string out_second = batch.run(options, &second, &executions);
   EXPECT_EQ(executions.load(), 3u);  // nothing new ran
-  EXPECT_EQ(second.memo_hits, 4u);
   EXPECT_EQ(second.executed, 0u);
+  for (const JobTiming& timing : second.timings) EXPECT_TRUE(timing.memo_hit);
   EXPECT_EQ(out_second, out_first);
+}
+
+TEST(Engine, FindsEachKeyedJobOnce) {
+  // Six lines, three keyed jobs: the memo is asked once per job, cold or
+  // warm, never once per line; keyless jobs are never looked up.
+  FakeBatch batch;
+  batch.payloads = {"a", "b", "a", "c", "b", "a"};
+  CountingMemo memo;
+  EngineOptions options;
+  options.threads = 2;
+  options.memo = &memo;
+  EngineStats stats;
+  const std::string cold = batch.run(options, &stats);
+  EXPECT_EQ(memo.finds.load(), 3u);
+  EXPECT_EQ(stats.executed, 3u);
+  EXPECT_EQ(batch.run(options, &stats), cold);
+  EXPECT_EQ(memo.finds.load(), 6u);
+  EXPECT_EQ(stats.executed, 0u);
+  batch.run(options, &stats, nullptr, /*grouped=*/false);
+  EXPECT_EQ(memo.finds.load(), 6u);
+  EXPECT_EQ(stats.executed, 6u);
+}
+
+TEST(Engine, AllHitBatchStreamsWithoutBuffering) {
+  // Every job's lines are spread over the batch; found records are
+  // written in input order, so none waits in the writer.
+  FakeBatch batch;
+  batch.payloads = {"a", "b", "a", "c", "b", "a", "c"};
+  ResultMemo memo;
+  EngineOptions options;
+  options.memo = &memo;
+  EngineStats stats;
+  const std::string cold = batch.run(options, &stats);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    options.threads = threads;
+    EXPECT_EQ(batch.run(options, &stats), cold);
+    EXPECT_EQ(stats.executed, 0u);
+    EXPECT_EQ(stats.max_buffered, 0u) << "threads=" << threads;
+  }
+}
+
+TEST(Engine, OneJobAnswersEachOfItsLines) {
+  // Job 0 answers lines 0, 2 and 5. Line 0 carries the execution's
+  // timing; lines 2 and 5 get the same record and are memo hits that
+  // share its completion.
+  const std::vector<Job> jobs(4);
+  const std::vector<std::size_t> job_of_line = {0, 1, 0, 2, 3, 0};
+  std::ostringstream out;
+  OrderedWriter writer(out, job_of_line.size());
+  std::atomic<std::size_t> executions{0};
+  EngineOptions options;
+  options.threads = 2;
+  const EngineStats stats = run_batch(
+      jobs, job_of_line,
+      [&](std::size_t j) {
+        executions.fetch_add(1);
+        if (j == 0) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        return "r" + std::to_string(j);
+      },
+      writer, options);
+  EXPECT_EQ(out.str(), "r0\nr1\nr0\nr2\nr3\nr0\n");
+  EXPECT_EQ(executions.load(), 4u);
+  EXPECT_EQ(stats.executed, 4u);
+  EXPECT_FALSE(stats.timings[0].memo_hit);
+  EXPECT_GT(stats.timings[0].wall_seconds, 0.0);
+  for (const std::size_t line : {std::size_t{2}, std::size_t{5}}) {
+    const JobTiming& timing = stats.timings[line];
+    EXPECT_TRUE(timing.memo_hit) << "line " << line;
+    EXPECT_EQ(timing.wall_seconds, 0.0) << "line " << line;
+    EXPECT_EQ(timing.cpu_seconds, 0.0) << "line " << line;
+    EXPECT_EQ(timing.wait_seconds, 0.0) << "line " << line;
+    EXPECT_EQ(timing.done_seconds, stats.timings[0].done_seconds);
+  }
+  for (const std::size_t line : {std::size_t{1}, std::size_t{3}, std::size_t{4}}) {
+    EXPECT_FALSE(stats.timings[line].memo_hit) << "line " << line;
+  }
 }
 
 TEST(Engine, KeylessJobsAlwaysExecuteAndNeverEnterTheMemo) {
@@ -371,7 +468,7 @@ TEST(Engine, KeylessJobsAlwaysExecuteAndNeverEnterTheMemo) {
     options.memo = &memo;
     std::vector<Job> jobs(2);  // both keyless
     run_batch(
-        jobs,
+        jobs, {0, 1},
         [&](std::size_t i) {
           executions.fetch_add(1);
           return "r" + std::to_string(i);
@@ -431,7 +528,7 @@ TEST(Engine, ExecuteExceptionPropagates) {
   options.threads = 2;
   EXPECT_THROW(
       run_batch(
-          jobs,
+          jobs, {0, 1},
           [&](std::size_t i) -> std::string {
             if (i == 1) throw NumericalError("solver blew up");
             return "ok";
@@ -444,7 +541,7 @@ TEST(Engine, EmptyBatchIsANoOp) {
   std::ostringstream out;
   OrderedWriter writer(out, 0);
   const EngineStats stats = run_batch(
-      {}, [](std::size_t) { return std::string{}; }, writer);
+      {}, {}, [](std::size_t) { return std::string{}; }, writer);
   EXPECT_TRUE(stats.timings.empty());
   EXPECT_EQ(stats.executed, 0u);
   EXPECT_EQ(out.str(), "");

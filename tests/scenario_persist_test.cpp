@@ -154,6 +154,54 @@ TEST(ScenarioPersist, SecondBatchExtendsTheCacheInsteadOfReplacingIt) {
   EXPECT_EQ(replay_b.summary.executed, 0u);
 }
 
+TEST(ScenarioPersist, EachDistinctKeyIsReadFromDiskOncePerBatch) {
+  // 20 distinct requests, the stream repeated three times, over a memory
+  // tier of 4: promotions during planning evict keys that later lines
+  // still need, yet each distinct key is looked up, and read from disk,
+  // once per batch.
+  constexpr std::size_t kKeys = 20;
+  const ScopedTempDir dir("serve-cache");
+  std::string input;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const std::string& line : testing::small_gen_lines(kKeys, 13)) {
+      input += line + "\n";
+    }
+  }
+  auto& registry = obs::MetricsRegistry::instance();
+  const auto store_gets = [&registry] {
+    return registry.counter("persist.get_hits").value() +
+           registry.counter("persist.get_misses").value();
+  };
+  const auto serve_small = [&] {
+    std::istringstream in(input);
+    std::ostringstream out;
+    ScenarioRunner runner;
+    dispatch::DiskResultMemo::Options small;
+    small.memory_capacity = 4;
+    dispatch::DiskResultMemo memo(dir.path(), small);
+    ServeOptions options;
+    options.threads = 2;
+    options.disk_memo = &memo;
+    const ServeSummary summary = serve_stream(in, out, runner, options);
+    return RunOutput{out.str(), summary};
+  };
+
+  std::uint64_t gets_before = store_gets();
+  const RunOutput cold = serve_small();
+  ASSERT_EQ(cold.summary.failed, 0u);
+  EXPECT_EQ(cold.summary.executed, kKeys);
+  EXPECT_EQ(cold.summary.disk_hits, 0u);
+  EXPECT_EQ(store_gets() - gets_before, kKeys);
+
+  gets_before = store_gets();
+  const RunOutput warm = serve_small();
+  EXPECT_EQ(warm.records, cold.records);
+  EXPECT_EQ(warm.summary.executed, 0u);
+  EXPECT_EQ(warm.summary.memo_hits, 3 * kKeys);
+  EXPECT_EQ(warm.summary.disk_hits, kKeys);
+  EXPECT_EQ(store_gets() - gets_before, kKeys);
+}
+
 /// The `calibration.v1` blob older builds wrote next to the segments
 /// (framed "thermoblob v1 <length> <fnv1a64>\n<payload>"), verbatim.
 constexpr std::string_view kOldCalibrationBlob =
