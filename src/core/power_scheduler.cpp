@@ -67,7 +67,6 @@ ScheduleResult PowerConstrainedScheduler::generate(
       const thermal::SessionSimulation sim =
           analyzer->simulate_session(session.power_map(soc), outcome.length);
       outcome.max_temperature = sim.max_temperature;
-      outcome.hottest_core = sim.hottest_block;
     }
     result.outcomes.push_back(outcome);
     result.schedule.sessions.push_back(std::move(session));

@@ -29,15 +29,6 @@ std::vector<double> TestSession::power_map(const SocSpec& soc) const {
   return power;
 }
 
-std::vector<bool> TestSession::active_mask(const SocSpec& soc) const {
-  std::vector<bool> mask(soc.core_count(), false);
-  for (std::size_t core : cores) {
-    THERMO_REQUIRE(core < soc.core_count(), "session core index out of range");
-    mask[core] = true;
-  }
-  return mask;
-}
-
 std::string TestSession::to_string(const SocSpec& soc) const {
   std::ostringstream os;
   os << '{';
@@ -53,12 +44,6 @@ double TestSchedule::total_length(const SocSpec& soc) const {
   double total = 0.0;
   for (const TestSession& session : sessions) total += session.length(soc);
   return total;
-}
-
-std::size_t TestSchedule::scheduled_core_count() const {
-  std::size_t count = 0;
-  for (const TestSession& session : sessions) count += session.size();
-  return count;
 }
 
 bool TestSchedule::is_complete(const SocSpec& soc) const {

@@ -27,9 +27,6 @@ struct TestSession {
   /// Per-block power vector: test power for members, 0 elsewhere.
   std::vector<double> power_map(const SocSpec& soc) const;
 
-  /// Active-mask form (size = core count).
-  std::vector<bool> active_mask(const SocSpec& soc) const;
-
   /// "{C2, C3, C4}" using block names.
   std::string to_string(const SocSpec& soc) const;
 };
@@ -41,9 +38,6 @@ struct TestSchedule {
 
   /// Total test application time = sum of session lengths [s].
   double total_length(const SocSpec& soc) const;
-
-  /// Number of scheduled core tests across all sessions.
-  std::size_t scheduled_core_count() const;
 
   /// True when every core of the SoC appears in exactly one session.
   bool is_complete(const SocSpec& soc) const;

@@ -20,7 +20,6 @@ struct SessionOutcome {
   TestSession session;
   double length = 0.0;           ///< [s]
   double max_temperature = 0.0;  ///< hottest core peak during session [deg C]
-  std::size_t hottest_core = 0;
 };
 
 struct ScheduleResult {
@@ -34,12 +33,9 @@ struct ScheduleResult {
 
   /// The paper's "simulation effort": cumulative simulated test-session
   /// time until the thermal-safe schedule was found, *including*
-  /// discarded attempts [s]. The sequential pre-pass is reported
-  /// separately (precheck_effort), matching the paper's accounting.
+  /// discarded attempts [s]. The per-core pre-pass is not counted,
+  /// matching the paper's accounting.
   double simulation_effort = 0.0;
-
-  /// Simulated time spent in the per-core pre-pass [s].
-  double precheck_effort = 0.0;
 
   /// Hottest core temperature across all committed sessions, 0 when
   /// there are none [deg C] (max_outcome_temperature).
@@ -51,10 +47,6 @@ struct ScheduleResult {
 
   /// Total simulate() calls (committed + discarded).
   std::size_t simulation_count = 0;
-
-  /// Best-case module temperatures: per-core solo peak temperature from
-  /// the pre-pass [deg C] (empty for schedulers that skip the pre-pass).
-  std::vector<double> bcmt;
 
   /// Human-readable notes (e.g. solo-violating cores and how they were
   /// handled).

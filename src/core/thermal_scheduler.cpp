@@ -78,7 +78,6 @@ SoloPrepass solo_prepass(const SocSpec& soc,
                                          soc.tests[i].length)
                           .core_peak[0];
   }
-  prepass.effort = analyzer.simulation_effort();
   analyzer.reset_effort();
   analyzer.flush_counters();
   return prepass;
@@ -120,29 +119,20 @@ ScheduleResult ThermalAwareScheduler::schedule(
   effective_tl_ = options_.temperature_limit;
 
   // ---- Pre-pass results (paper lines 1-7) and the solo policy ----
-  result.bcmt = prepass.bcmt;
-  result.precheck_effort = prepass.effort;
-  std::vector<bool> excluded(n, false);
   for (std::size_t i = 0; i < n; ++i) {
-    if (result.bcmt[i] < effective_tl_) continue;
+    if (prepass.bcmt[i] < effective_tl_) continue;
     std::ostringstream note;
     note << "core '" << soc.flp.block(i).name << "' violates TL alone ("
-         << result.bcmt[i] << " >= " << effective_tl_ << " C)";
+         << prepass.bcmt[i] << " >= " << effective_tl_ << " C)";
     switch (options_.solo_policy) {
       case SoloViolationPolicy::kThrow:
         throw InvalidArgument(
             note.str() +
             "; fix the core's test infrastructure, raise TL, or use "
-            "SoloViolationPolicy::kExclude/kRaiseLimit");
-      case SoloViolationPolicy::kRaiseLimit: {
-        effective_tl_ = result.bcmt[i] + kRaiseLimitMargin;
+            "SoloViolationPolicy::kRaiseLimit");
+      case SoloViolationPolicy::kRaiseLimit:
+        effective_tl_ = prepass.bcmt[i] + kRaiseLimitMargin;
         note << "; raised TL to " << effective_tl_ << " C";
-        result.notes.push_back(note.str());
-        break;
-      }
-      case SoloViolationPolicy::kExclude:
-        excluded[i] = true;
-        note << "; excluded from the schedule";
         result.notes.push_back(note.str());
         break;
     }
@@ -150,9 +140,8 @@ ScheduleResult ThermalAwareScheduler::schedule(
 
   // ---- Main loop (paper lines 8-28) ----
   std::vector<double> weight(n, 1.0);
-  std::vector<bool> scheduled = excluded;  // excluded cores are never visited
-  std::size_t remaining = static_cast<std::size_t>(
-      std::count(scheduled.begin(), scheduled.end(), false));
+  std::vector<bool> scheduled(n, false);
+  std::size_t remaining = n;
   std::vector<double> solo_tc(n, 0.0);
   {
     const std::vector<bool> none(n, false);
@@ -180,7 +169,6 @@ ScheduleResult ThermalAwareScheduler::schedule(
   std::vector<std::size_t> live;
   live.reserve(remaining);
   for (std::size_t core : order) {
-    if (scheduled[core]) continue;
     if (hopeless(core)) {
       dropped[core] = 1;
     } else {
@@ -275,7 +263,6 @@ ScheduleResult ThermalAwareScheduler::schedule(
     outcome.session = session;
     outcome.length = length;
     outcome.max_temperature = sim.max_temperature;
-    outcome.hottest_core = sim.hottest_block;
     result.outcomes.push_back(outcome);
     result.schedule.sessions.push_back(std::move(session));
     for (std::size_t core : result.schedule.sessions.back().cores) {

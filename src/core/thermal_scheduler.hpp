@@ -13,8 +13,8 @@
 //      STCL, so sweep_stcl runs it once and hands it to every point's
 //      generate(PreparedSoc, analyzer, prepass).
 //      Cores violating TL are handled per SoloViolationPolicy inside
-//      generate() (the paper offers "fix the core's test infrastructure
-//      or raise TL"; we additionally support excluding the core).
+//      generate(), with the paper's two remedies: "fix the core's test
+//      infrastructure" (refuse) or "raise TL". Every core is scheduled.
 //   2. *Session construction* (lines 9-15): scan the unscheduled cores
 //      in a deterministic order and greedily add each core whose
 //      addition keeps STC(TS) <= STCL. Each candidate re-evaluates only
@@ -58,8 +58,7 @@ namespace thermo::core {
 /// What to do with a core whose *solo* test already violates TL.
 enum class SoloViolationPolicy {
   kThrow,       ///< refuse to schedule (default; mirrors "fix the core")
-  kRaiseLimit,  ///< raise TL to the hottest solo temperature + 1 K
-  kExclude      ///< drop the core from the schedule and note it
+  kRaiseLimit   ///< raise TL to the hottest solo temperature + 1 K
 };
 
 /// Order in which candidate cores are scanned during session
@@ -87,7 +86,6 @@ struct ThermalSchedulerOptions {
 /// Output of the solo pre-pass (paper lines 1-7).
 struct SoloPrepass {
   std::vector<double> bcmt;  ///< BCMT(i): core i's peak temperature alone
-  double effort = 0.0;       ///< simulated time it cost [s]
 };
 
 /// Validates `soc` against the analyzer, then simulates every core alone

@@ -38,11 +38,6 @@ void OrderedWriter::push(std::size_t index, std::string record) {
   }
 }
 
-std::size_t OrderedWriter::written() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return next_;
-}
-
 std::size_t OrderedWriter::max_buffered() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return max_buffered_;

@@ -49,9 +49,6 @@ class OrderedWriter {
   /// — draining any buffered successors — and buffers otherwise.
   void push(std::size_t index, std::string record);
 
-  /// Records written to the sink so far.
-  std::size_t written() const;
-
   /// High-water mark of simultaneously buffered (completed but not yet
   /// writable) records.
   std::size_t max_buffered() const;

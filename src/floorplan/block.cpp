@@ -16,18 +16,6 @@ double Block::centroid_to_side(Side side) const {
   return 0.0;
 }
 
-double Block::side_length(Side side) const {
-  switch (side) {
-    case Side::kNorth:
-    case Side::kSouth:
-      return width;
-    case Side::kEast:
-    case Side::kWest:
-      return height;
-  }
-  return 0.0;
-}
-
 bool Block::overlaps(const Block& other, double tol) const {
   const double overlap_x =
       std::min(right(), other.right()) - std::max(left(), other.left());

@@ -25,14 +25,9 @@ struct Block {
   double right() const { return x + width; }
   double bottom() const { return y; }
   double top() const { return y + height; }
-  double center_x() const { return x + width / 2.0; }
-  double center_y() const { return y + height / 2.0; }
 
   /// Distance from the centroid to the given side's edge.
   double centroid_to_side(Side side) const;
-
-  /// Length of the given side (width for N/S, height for E/W).
-  double side_length(Side side) const;
 
   /// True when the interiors of the two blocks intersect (touching
   /// edges do not count as overlap).

@@ -171,25 +171,6 @@ const std::vector<Adjacency>& Floorplan::adjacencies() const {
   return adjacencies_;
 }
 
-double Floorplan::shared_edge(std::size_t i, std::size_t j) const {
-  THERMO_REQUIRE(i < blocks_.size() && j < blocks_.size(),
-                 "shared_edge: index out of range");
-  compute_cache();
-  const IndexPair key{std::min(i, j), std::max(i, j)};
-  const auto it = std::lower_bound(
-      adjacencies_.begin(), adjacencies_.end(), key,
-      [](const Adjacency& e, const IndexPair& k) {
-        return IndexPair{e.a, e.b} < k;
-      });
-  return it != adjacencies_.end() && it->a == key.first && it->b == key.second
-             ? it->shared_length
-             : 0.0;
-}
-
-bool Floorplan::are_adjacent(std::size_t i, std::size_t j) const {
-  return shared_edge(i, j) > kGeomTol;
-}
-
 std::vector<std::size_t> Floorplan::neighbours(std::size_t i) const {
   THERMO_REQUIRE(i < blocks_.size(), "neighbours: index out of range");
   compute_cache();
@@ -262,29 +243,10 @@ ValidationReport Floorplan::validate() const {
     report.errors.push_back(os.str());
   }
 
-  compute_cache();
   double block_area = 0.0;
   for (const Block& b : blocks_) block_area += b.area();
   const double bbox_area = chip_area();
   report.coverage = bbox_area > 0.0 ? block_area / bbox_area : 0.0;
-  if (report.coverage < 0.95) {
-    std::ostringstream os;
-    os << "blocks cover only " << report.coverage * 100.0
-       << "% of the chip bounding box";
-    report.warnings.push_back(os.str());
-  }
-  std::vector<std::size_t> degree(n, 0);
-  for (const Adjacency& e : adjacencies_) {
-    ++degree[e.a];
-    ++degree[e.b];
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (degree[i] == 0 && boundary_exposure(i) <= kGeomTol) {
-      report.warnings.push_back("block '" + blocks_[i].name +
-                                "' is thermally detached (no neighbours, no "
-                                "boundary exposure)");
-    }
-  }
 
   report.ok = report.errors.empty();
   return report;

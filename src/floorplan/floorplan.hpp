@@ -41,9 +41,8 @@ struct Adjacency {
 /// Result of Floorplan::validate().
 struct ValidationReport {
   bool ok = true;
-  std::vector<std::string> errors;    ///< overlaps, non-positive dims...
-  std::vector<std::string> warnings;  ///< coverage gaps, detached blocks
-  double coverage = 0.0;              ///< sum(block areas) / bbox area
+  std::vector<std::string> errors;  ///< overlapping blocks, no blocks
+  double coverage = 0.0;            ///< sum(block areas) / bbox area
 };
 
 class Floorplan {
@@ -77,15 +76,8 @@ class Floorplan {
 
   /// All lateral adjacencies (each unordered pair listed once, a < b),
   /// sorted by (a, b). The one stored form of the adjacency graph:
-  /// shared_edge, neighbours and validate() read it.
+  /// neighbours and the thermal models read it.
   const std::vector<Adjacency>& adjacencies() const;
-
-  /// Shared edge length between blocks i and j (0 when not adjacent);
-  /// a binary search of adjacencies() for (min, max).
-  double shared_edge(std::size_t i, std::size_t j) const;
-
-  /// True when the blocks abut with positive shared edge length.
-  bool are_adjacent(std::size_t i, std::size_t j) const;
 
   /// Indices of blocks adjacent to `i`, in increasing index order (a
   /// scan of adjacencies(), O(adjacency count)).
@@ -98,10 +90,9 @@ class Floorplan {
   /// Total boundary exposure over all four sides.
   double boundary_exposure(std::size_t i) const;
 
-  /// Checks geometric consistency: positive dimensions, no pairwise
-  /// overlap (a sweep over blocks sorted by left edge, errors listed in
-  /// (i, j) order); warns about poor area coverage (< 95 % of bbox) and
-  /// blocks with no neighbours and no boundary exposure.
+  /// Checks geometric consistency: no pairwise overlap (a sweep over
+  /// blocks sorted by left edge, errors listed in (i, j) order), and
+  /// reports the area coverage of the bounding box.
   ValidationReport validate() const;
 
   /// Throws InvalidArgument when validate() reports errors. A pass is

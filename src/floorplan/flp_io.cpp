@@ -65,20 +65,4 @@ Floorplan load_flp(const std::string& path) {
   return parse_flp(in, std::move(name));
 }
 
-void write_flp(const Floorplan& fp, std::ostream& out) {
-  out << "# floorplan: " << fp.name() << "\n";
-  out << "# <unit-name> <width> <height> <left-x> <bottom-y>  (metres)\n";
-  out.precision(9);
-  for (const Block& b : fp.blocks()) {
-    out << b.name << '\t' << b.width << '\t' << b.height << '\t' << b.x << '\t'
-        << b.y << '\n';
-  }
-}
-
-std::string to_flp_string(const Floorplan& fp) {
-  std::ostringstream os;
-  write_flp(fp, os);
-  return os.str();
-}
-
 }  // namespace thermo::floorplan

@@ -1,4 +1,4 @@
-// HotSpot .flp format reader/writer.
+// HotSpot .flp format reader.
 //
 // Format (one block per line):
 //   <unit-name> <width> <height> <left-x> <bottom-y>
@@ -21,11 +21,5 @@ Floorplan parse_flp_string(const std::string& text, std::string name = "flp");
 
 /// Loads a .flp file. Throws ParseError when the file cannot be opened.
 Floorplan load_flp(const std::string& path);
-
-/// Writes in HotSpot .flp format (round-trips through parse_flp).
-void write_flp(const Floorplan& fp, std::ostream& out);
-
-/// Serializes to a .flp string.
-std::string to_flp_string(const Floorplan& fp);
 
 }  // namespace thermo::floorplan

@@ -86,7 +86,6 @@ JsonValue TraceRecorder::snapshot_json() const {
     out.set("ts", JsonValue::number(static_cast<double>(ts) / 1000.0));
     out.set("pid", JsonValue::number(1.0));
     out.set("tid", JsonValue::number(static_cast<double>(tid)));
-    if (phase == 'i') out.set("s", JsonValue::string("t"));
     events.append(std::move(out));
   };
 
@@ -106,14 +105,11 @@ JsonValue TraceRecorder::snapshot_json() const {
       last_ts = event.ts_ns;
       if (event.phase == 'B') {
         open.push_back(event.name);
-        emit(event.name, 'B', event.ts_ns, ring->tid);
-      } else if (event.phase == 'E') {
+      } else {
         if (open.empty()) continue;  // begin was dropped by wraparound
         open.pop_back();
-        emit(event.name, 'E', event.ts_ns, ring->tid);
-      } else {
-        emit(event.name, event.phase, event.ts_ns, ring->tid);
       }
+      emit(event.name, event.phase, event.ts_ns, ring->tid);
     }
     const std::uint64_t close_ts = std::max(last_ts, end_offset);
     while (!open.empty()) {

@@ -38,7 +38,7 @@ namespace thermo::obs {
 struct TraceEvent {
   const char* name = nullptr;
   std::uint64_t ts_ns = 0;  ///< monotonic, relative to start()
-  char phase = 0;           ///< 'B' begin, 'E' end, 'i' instant
+  char phase = 0;           ///< 'B' begin or 'E' end
 };
 
 class TraceRecorder {
@@ -68,7 +68,7 @@ class TraceRecorder {
   /// registration order starting at 1. Call after stop().
   JsonValue snapshot_json() const;
 
-  /// Hot path, called via TraceSpan/trace_instant when active().
+  /// Hot path, called via TraceSpan when active().
   static void record(const char* name, char phase);
 
   static constexpr std::size_t kDefaultCapacity = 1u << 15;
@@ -113,10 +113,5 @@ class TraceSpan {
  private:
   const char* name_ = nullptr;
 };
-
-/// Zero-duration marker ('i' phase).
-inline void trace_instant(const char* name) {
-  if (TraceRecorder::active()) TraceRecorder::record(name, 'i');
-}
 
 }  // namespace thermo::obs

@@ -132,13 +132,6 @@ class RealFs final : public Fs {
     return fs::exists(path, ec);
   }
 
-  std::uint64_t file_size(const std::string& path) override {
-    std::error_code ec;
-    const std::uintmax_t size = fs::file_size(path, ec);
-    if (ec) throw IoError("cannot stat '" + path + "': " + ec.message());
-    return static_cast<std::uint64_t>(size);
-  }
-
   void rename_file(const std::string& from, const std::string& to) override {
     std::error_code ec;
     fs::rename(from, to, ec);

@@ -74,7 +74,6 @@ class Fs {
   virtual std::vector<std::string> list_dir(const std::string& dir) = 0;
   virtual void create_directories(const std::string& dir) = 0;
   virtual bool exists(const std::string& path) = 0;
-  virtual std::uint64_t file_size(const std::string& path) = 0;
   /// Atomic replace (POSIX rename semantics) — the commit point of
   /// crash-safe compaction.
   virtual void rename_file(const std::string& from, const std::string& to) = 0;

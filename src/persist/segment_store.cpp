@@ -460,11 +460,6 @@ std::optional<std::string> SegmentStore::get(std::string_view key) {
   return std::string(view.value);
 }
 
-bool SegmentStore::contains(std::string_view key) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return index_.find(std::string(key)) != index_.end();
-}
-
 SegmentStore::VerifyReport SegmentStore::verify() {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (active_) active_->sync();

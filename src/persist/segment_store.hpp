@@ -101,8 +101,6 @@ class SegmentStore {
   /// is dropped from the index and reported as a miss — never served.
   std::optional<std::string> get(std::string_view key);
 
-  bool contains(std::string_view key) const;
-
   /// Appends {key, value} unless the key is already present (first
   /// insert wins; returns false without touching disk). Every appended
   /// record is fsynced, so it is durable when this returns true. A

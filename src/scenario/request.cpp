@@ -285,16 +285,14 @@ core::SoloViolationPolicy parse_solo_policy(const JsonValue& v) {
   const std::string name = require_string(v, "solo_policy");
   if (name == "throw") return core::SoloViolationPolicy::kThrow;
   if (name == "raise-limit") return core::SoloViolationPolicy::kRaiseLimit;
-  if (name == "exclude") return core::SoloViolationPolicy::kExclude;
   fail("solo_policy", "unknown policy '" + name +
-                          "' (expected 'throw', 'raise-limit', or 'exclude')");
+                          "' (expected 'throw' or 'raise-limit')");
 }
 
 const char* solo_policy_name(core::SoloViolationPolicy policy) {
   switch (policy) {
     case core::SoloViolationPolicy::kThrow: return "throw";
     case core::SoloViolationPolicy::kRaiseLimit: return "raise-limit";
-    case core::SoloViolationPolicy::kExclude: return "exclude";
   }
   return "?";
 }

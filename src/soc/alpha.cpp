@@ -46,10 +46,7 @@ constexpr double kTestPowerCalibration = 2.75;
 
 }  // namespace
 
-core::SocSpec alpha_soc() { return alpha_soc_scaled(1.0); }
-
-core::SocSpec alpha_soc_scaled(double power_scale) {
-  THERMO_REQUIRE(power_scale > 0.0, "power scale must be positive");
+core::SocSpec alpha_soc() {
   core::SocSpec soc;
   soc.name = "alpha21364-15";
   soc.flp.set_name(soc.name);
@@ -64,7 +61,7 @@ core::SocSpec alpha_soc_scaled(double power_scale) {
 
     core::CoreTest test;
     test.power = unit.functional_power * unit.test_factor *
-                 kTestPowerCalibration * power_scale;
+                 kTestPowerCalibration;
     test.length = 1.0;  // uniform 1 s tests; see docs/ARCHITECTURE.md,
                         // "Deviations from the paper"
     soc.tests.push_back(test);

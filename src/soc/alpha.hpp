@@ -19,10 +19,6 @@ namespace thermo::soc {
 /// The 15-core Alpha-like SoC with default package and test set.
 core::SocSpec alpha_soc();
 
-/// Same SoC with every test power multiplied by `power_scale`
-/// (calibration hook for exploring other thermal regimes).
-core::SocSpec alpha_soc_scaled(double power_scale);
-
 /// STC normalization placing this SoC's session-characteristic range
 /// onto the paper's STCL axis (20..100): with this scale, single-core
 /// STCs fall around 3.6-23.8 and multi-core sessions span 20-100+.

@@ -91,7 +91,8 @@ PowerTrace load_ptrace(const std::string& path) {
   return parse_ptrace(in);
 }
 
-void write_ptrace(const PowerTrace& trace, std::ostream& out) {
+std::string to_ptrace_string(const PowerTrace& trace) {
+  std::ostringstream out;
   for (std::size_t u = 0; u < trace.unit_names.size(); ++u) {
     out << (u == 0 ? "" : "\t") << trace.unit_names[u];
   }
@@ -105,12 +106,7 @@ void write_ptrace(const PowerTrace& trace, std::ostream& out) {
     }
     out << '\n';
   }
-}
-
-std::string to_ptrace_string(const PowerTrace& trace) {
-  std::ostringstream os;
-  write_ptrace(trace, os);
-  return os.str();
+  return out.str();
 }
 
 }  // namespace thermo::thermal

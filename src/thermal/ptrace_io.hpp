@@ -17,7 +17,6 @@ struct PowerTrace {
   /// steps[t][u] = power of unit u at step t [W].
   std::vector<std::vector<double>> steps;
 
-  std::size_t unit_count() const { return unit_names.size(); }
   std::size_t step_count() const { return steps.size(); }
 
   /// Reorders columns to match the floorplan's block order. Throws
@@ -32,8 +31,7 @@ PowerTrace parse_ptrace_string(const std::string& text);
 /// Loads a .ptrace file; throws ParseError when unreadable.
 PowerTrace load_ptrace(const std::string& path);
 
-/// Writes .ptrace text (round-trips through parse_ptrace).
-void write_ptrace(const PowerTrace& trace, std::ostream& out);
+/// Formats .ptrace text (round-trips through parse_ptrace).
 std::string to_ptrace_string(const PowerTrace& trace);
 
 }  // namespace thermo::thermal

@@ -127,7 +127,7 @@ void stamp_conductance(linalg::SparseMatrix::Builder& builder, std::size_t a,
   builder.add(b, a, -g);
 }
 
-std::array<double, kPackageNodes> stamp_package(
+void stamp_package(
     linalg::SparseMatrix::Builder& builder, std::size_t first,
     const PackageParams& package) {
   const std::size_t sp_c = first;
@@ -185,15 +185,12 @@ std::array<double, kPackageNodes> stamp_package(
   // A degenerate package (sink == spreader) keeps the periphery
   // grounded through a tiny leak so G stays non-singular.
   const double g_side = a_side > 0.0 ? a_side / (package.r_convec * a_sink) : 1e-9;
-  std::array<double, kPackageNodes> ambient{};
-  ambient[5] = a_spr / (package.r_convec * a_sink);
-  for (std::size_t k = 6; k < kPackageNodes; ++k) ambient[k] = g_side;
   for (std::size_t k = 5; k < kPackageNodes; ++k) {
-    THERMO_ENSURE(std::isfinite(ambient[k]) && ambient[k] > 0.0,
+    const double ambient = k == 5 ? a_spr / (package.r_convec * a_sink) : g_side;
+    THERMO_ENSURE(std::isfinite(ambient) && ambient > 0.0,
                   "ambient conductance must be positive");
-    builder.add(first + k, first + k, ambient[k]);
+    builder.add(first + k, first + k, ambient);
   }
-  return ambient;
 }
 
 RCModel::RCModel(const fp::Floorplan& floorplan, const PackageParams& package)
@@ -224,10 +221,7 @@ void RCModel::build(const fp::Floorplan& floorplan) {
     stamp_conductance(builder, i, sp_c,
                       vertical_conductance(floorplan.block(i).area(), package_));
   }
-  ambient_conductance_.assign(n, 0.0);
-  const auto package_ambient = stamp_package(builder, sp_c, package_);
-  ambient_conductance_.insert(ambient_conductance_.end(),
-                              package_ambient.begin(), package_ambient.end());
+  stamp_package(builder, sp_c, package_);
 
   const std::size_t sp_n = sp_c + 1, sp_s = sp_c + 2, sp_e = sp_c + 3,
                     sp_w = sp_c + 4;
@@ -290,11 +284,6 @@ double RCModel::conductance_between(std::size_t a, std::size_t b) const {
                  "node index out of range");
   THERMO_REQUIRE(a != b, "conductance_between requires two distinct nodes");
   return -sparse_.at(a, b);
-}
-
-double RCModel::conductance_to_ambient(std::size_t node) const {
-  THERMO_REQUIRE(node < node_count(), "node index out of range");
-  return ambient_conductance_[node];
 }
 
 }  // namespace thermo::thermal

@@ -44,7 +44,6 @@
 // opposite modelling choice on purpose — see the paper, Section 2.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -81,9 +80,9 @@ void stamp_conductance(linalg::SparseMatrix::Builder& builder,
 
 /// Stamps the package network on nodes [first, first + kPackageNodes),
 /// `first` being the spreader centre. Call it after the die stamps, so
-/// every model sums each diagonal in the same order. Returns each
-/// package node's conductance to ambient (already on the diagonal).
-std::array<double, kPackageNodes> stamp_package(
+/// every model sums each diagonal in the same order. The sink nodes'
+/// conductances to ambient go on the diagonal alone.
+void stamp_package(
     linalg::SparseMatrix::Builder& builder, std::size_t first,
     const PackageParams& package);
 
@@ -260,9 +259,6 @@ class RCModel {
   /// Direct conductance between two nodes [W/K] (0 when not connected).
   double conductance_between(std::size_t a, std::size_t b) const;
 
-  /// Sum over row `node` of conductance to ambient [W/K].
-  double conductance_to_ambient(std::size_t node) const;
-
  private:
   void build(const floorplan::Floorplan& floorplan);
 
@@ -271,7 +267,6 @@ class RCModel {
   std::size_t block_count_ = 0;
   linalg::SparseMatrix sparse_;
   std::vector<double> capacitance_;
-  std::vector<double> ambient_conductance_;
   std::shared_ptr<SteadyFactorSlot> steady_;  // tabulates the blocks
   std::shared_ptr<StepResponseTable> step_responses_ =
       std::make_shared<StepResponseTable>();

@@ -52,7 +52,6 @@ void CliParser::add_string(const std::string& name, const std::string& help,
 }
 
 bool CliParser::parse(int argc, const char* const* argv) {
-  positional_.clear();
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -60,8 +59,7 @@ bool CliParser::parse(int argc, const char* const* argv) {
       return false;
     }
     if (!starts_with(arg, "--")) {
-      positional_.push_back(arg);
-      continue;
+      throw ParseError("unexpected argument '" + arg + "'");
     }
     std::string body = arg.substr(2);
     std::string value;

@@ -24,11 +24,9 @@ class CliParser {
 
   /// Parses `--name value` / `--name=value` / `--flag` arguments.
   /// Returns false (after printing usage) when --help was requested.
-  /// Throws ParseError on unknown options or malformed values.
+  /// Throws ParseError on unknown options, malformed values, or any
+  /// argument that is neither an option nor an option's value.
   bool parse(int argc, const char* const* argv);
-
-  /// Positional arguments left over after option parsing.
-  const std::vector<std::string>& positional() const { return positional_; }
 
   std::string usage() const;
 
@@ -45,7 +43,6 @@ class CliParser {
   std::string description_;
   std::map<std::string, Option> options_;
   std::vector<std::string> order_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace thermo

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace thermo {
 
@@ -16,13 +15,6 @@ void Table::add_row(std::vector<std::string> row) {
                  "row has more cells than the header");
   row.resize(header_.size());
   rows_.push_back(std::move(row));
-}
-
-void Table::add_numeric_row(const std::vector<double>& values, int precision) {
-  std::vector<std::string> row;
-  row.reserve(values.size());
-  for (double v : values) row.push_back(format_double(v, precision));
-  add_row(std::move(row));
 }
 
 const std::vector<std::string>& Table::row(std::size_t i) const {

@@ -17,9 +17,6 @@ class Table {
   /// Appends a row; it must not be wider than the header.
   void add_row(std::vector<std::string> row);
 
-  /// Convenience: formats each double with the given precision.
-  void add_numeric_row(const std::vector<double>& values, int precision = 2);
-
   const std::vector<std::string>& header() const { return header_; }
   const std::vector<std::string>& row(std::size_t i) const;
 

@@ -98,23 +98,18 @@ std::string ascii_block_map(const floorplan::Floorplan& fp,
 }
 
 std::string svg_floorplan(const floorplan::Floorplan& fp,
-                          const std::vector<double>& block_values,
-                          const SvgOptions& options) {
+                          const std::vector<double>& block_values) {
   fp.require_valid();
   THERMO_REQUIRE(block_values.size() == fp.size(),
                  "one value per block required");
-  THERMO_REQUIRE(options.scale > 0.0, "scale must be positive");
+  constexpr double kScale = 40000.0;  // pixels per metre
 
-  double lo = options.range_lo, hi = options.range_hi;
-  if (lo >= hi) {
-    const auto [lo_it, hi_it] =
-        std::minmax_element(block_values.begin(), block_values.end());
-    lo = *lo_it;
-    hi = *hi_it;
-  }
+  const auto [lo_it, hi_it] =
+      std::minmax_element(block_values.begin(), block_values.end());
+  const double lo = *lo_it, hi = *hi_it;
 
-  const double w = fp.chip_width() * options.scale;
-  const double h = fp.chip_height() * options.scale;
+  const double w = fp.chip_width() * kScale;
+  const double h = fp.chip_height() * kScale;
   std::ostringstream svg;
   svg << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << w
       << "\" height=\"" << h << "\" viewBox=\"0 0 " << w << ' ' << h
@@ -123,27 +118,21 @@ std::string svg_floorplan(const floorplan::Floorplan& fp,
     const floorplan::Block& block = fp.block(b);
     const double t = hi > lo ? (block_values[b] - lo) / (hi - lo) : 0.0;
     const Rgb rgb = colour_of(t);
-    const double x = (block.left() - fp.min_x()) * options.scale;
+    const double x = (block.left() - fp.min_x()) * kScale;
     // SVG y grows downward; floorplan y grows upward.
-    const double y = h - (block.top() - fp.min_y()) * options.scale;
-    const double bw = block.width * options.scale;
-    const double bh = block.height * options.scale;
+    const double y = h - (block.top() - fp.min_y()) * kScale;
+    const double bw = block.width * kScale;
+    const double bh = block.height * kScale;
     svg << "  <rect x=\"" << x << "\" y=\"" << y << "\" width=\"" << bw
         << "\" height=\"" << bh << "\" fill=\"rgb(" << rgb.r << ',' << rgb.g
         << ',' << rgb.b << ")\" stroke=\"black\" stroke-width=\"1\"/>\n";
-    if (options.show_names || options.show_values) {
-      std::string label;
-      if (options.show_names) label = block.name;
-      if (options.show_values) {
-        if (!label.empty()) label += ' ';
-        label += format_double(block_values[b], 1);
-      }
-      svg << "  <text x=\"" << x + bw / 2 << "\" y=\"" << y + bh / 2
-          << "\" text-anchor=\"middle\" dominant-baseline=\"middle\" "
-             "font-size=\""
-          << std::max(8.0, std::min(bw, bh) / 6.0) << "\">" << label
-          << "</text>\n";
-    }
+    const std::string label =
+        block.name + ' ' + format_double(block_values[b], 1);
+    svg << "  <text x=\"" << x + bw / 2 << "\" y=\"" << y + bh / 2
+        << "\" text-anchor=\"middle\" dominant-baseline=\"middle\" "
+           "font-size=\""
+        << std::max(8.0, std::min(bw, bh) / 6.0) << "\">" << label
+        << "</text>\n";
   }
   svg << "</svg>\n";
   return svg.str();

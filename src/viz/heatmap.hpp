@@ -38,24 +38,13 @@ std::string ascii_block_map(const floorplan::Floorplan& fp,
                             const std::vector<double>& block_values,
                             std::size_t width = 48);
 
-struct SvgOptions {
-  double scale = 40000.0;  ///< pixels per metre (16 mm die -> 640 px)
-  bool show_names = true;  ///< block name label per block
-  bool show_values = true; ///< numeric value appended to the label
-  /// Colour range; when lo == hi the range is taken from the data.
-  /// Fixing it makes colours comparable across frames (e.g. the same
-  /// schedule at two TL values).
-  double range_lo = 0.0;
-  double range_hi = 0.0;
-};
-
-/// Renders the floorplan as a standalone SVG document, colouring each
-/// block by its value on a blue -> cyan -> yellow -> red ramp (cool to
-/// hot). Block values may be temperatures, power densities, weights...
-/// Throws InvalidArgument unless block_values.size() matches the
-/// floorplan.
+/// Renders the floorplan as a standalone SVG document at 40,000 pixels
+/// per metre (a 16 mm die is 640 px), colouring each block by its value
+/// on a blue -> cyan -> yellow -> red ramp (cool to hot) between the
+/// values' min and max, and labelling it with its name and value. Block
+/// values may be temperatures, power densities, weights... Throws
+/// InvalidArgument unless block_values.size() matches the floorplan.
 std::string svg_floorplan(const floorplan::Floorplan& fp,
-                          const std::vector<double>& block_values,
-                          const SvgOptions& options = {});
+                          const std::vector<double>& block_values);
 
 }  // namespace thermo::viz

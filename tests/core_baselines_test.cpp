@@ -99,7 +99,7 @@ TEST_F(BaselineTest, SequentialSchedulerOneCorePerSession) {
   EXPECT_TRUE(result.schedule.is_complete(soc_));
   EXPECT_DOUBLE_EQ(result.schedule_length,
                    static_cast<double>(soc_.core_count()));
-  EXPECT_EQ(result.bcmt.size(), soc_.core_count());
+  EXPECT_EQ(result.outcomes.size(), soc_.core_count());
 }
 
 TEST_F(BaselineTest, SequentialIsCoolestSchedule) {

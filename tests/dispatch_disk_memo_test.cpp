@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -68,7 +70,13 @@ TEST(DiskResultMemo, InsertIsDurableBeforeItReturns) {
   // Default store mode is fsync-per-record: the bytes are on disk the
   // moment insert() returns, not at close.
   EXPECT_EQ(memo.store().stats().appends, 1u);
-  EXPECT_TRUE(memo.store().contains("k"));
+  EXPECT_EQ(memo.store().stats().records, 1u);
+  std::ifstream segment(dir.path() + "/" +
+                            persist::SegmentStore::segment_name(1),
+                        std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(segment)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_NE(bytes.find("record"), std::string::npos);
 }
 
 TEST(DiskResultMemo, MemoryEvictionDoesNotLoseDurableRecords) {

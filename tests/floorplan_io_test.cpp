@@ -55,14 +55,31 @@ TEST(FlpIo, EmptyInputGivesEmptyFloorplan) {
   EXPECT_TRUE(fp.empty());
 }
 
+// HotSpot .flp text of test_helpers' nine_floorplan(), as a HotSpot
+// user would write it: tab-separated, %g-style metres.
+constexpr const char* kNineFlp =
+    "# floorplan: nine\n"
+    "# <unit-name> <width> <height> <left-x> <bottom-y>  (metres)\n"
+    "b0_0\t0.002\t0.002\t0\t0\n"
+    "b0_1\t0.002\t0.002\t0.002\t0\n"
+    "b0_2\t0.002\t0.002\t0.004\t0\n"
+    "b1_0\t0.002\t0.002\t0\t0.002\n"
+    "b1_1\t0.002\t0.002\t0.002\t0.002\n"
+    "b1_2\t0.002\t0.002\t0.004\t0.002\n"
+    "b2_0\t0.002\t0.002\t0\t0.004\n"
+    "b2_1\t0.002\t0.002\t0.002\t0.004\n"
+    "b2_2\t0.002\t0.002\t0.004\t0.004\n";
+
 TEST(FlpIo, RoundTripPreservesGeometry) {
   const Floorplan original = thermo::testing::nine_floorplan();
-  const Floorplan parsed = parse_flp_string(to_flp_string(original));
+  const Floorplan parsed = parse_flp_string(kNineFlp);
   ASSERT_EQ(parsed.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ(parsed.block(i).name, original.block(i).name);
     EXPECT_NEAR(parsed.block(i).width, original.block(i).width, 1e-15);
+    EXPECT_NEAR(parsed.block(i).height, original.block(i).height, 1e-15);
     EXPECT_NEAR(parsed.block(i).x, original.block(i).x, 1e-15);
+    EXPECT_NEAR(parsed.block(i).y, original.block(i).y, 1e-15);
   }
   EXPECT_EQ(parsed.adjacencies().size(), original.adjacencies().size());
 }
@@ -75,7 +92,8 @@ TEST(FlpIo, LoadFileAndDeriveName) {
   const std::string path = ::testing::TempDir() + "/mychip.flp";
   {
     std::ofstream out(path);
-    write_flp(thermo::testing::quad_floorplan(), out);
+    out << "a 0.001 0.001 0 0\nb 0.001 0.001 0.001 0\n"
+           "c 0.001 0.001 0 0.001\nd 0.001 0.001 0.001 0.001\n";
   }
   const Floorplan fp = load_flp(path);
   EXPECT_EQ(fp.name(), "mychip");

@@ -171,24 +171,8 @@ TEST(MetricsRegistry, SnapshotIsByteStable) {
 
 TEST(Trace, InactiveRecorderCostsOneBranch) {
   ASSERT_FALSE(TraceRecorder::active());
-  // These must be no-ops (and not crash) with no trace running.
+  // This must be a no-op (and not crash) with no trace running.
   { TraceSpan span("obs_test.inactive"); }
-  trace_instant("obs_test.inactive");
-}
-
-TEST(Trace, RingWraparoundDropsOldestWithExactAccounting) {
-  TraceRecorder& recorder = TraceRecorder::instance();
-  recorder.start(64);
-  for (int i = 0; i < 200; ++i) trace_instant("obs_test.wrap");
-  recorder.stop();
-  EXPECT_EQ(recorder.dropped_events(), 200u - 64u);
-  const JsonValue snapshot = recorder.snapshot_json();
-  const JsonValue* events = snapshot.find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  EXPECT_EQ(events->items().size(), 64u);
-  const JsonValue* dropped = snapshot.find("otherData");
-  ASSERT_NE(dropped, nullptr);
-  EXPECT_EQ(dropped->find("dropped_events")->as_number(), 136.0);
 }
 
 /// Walks a traceEvents array asserting per-tid monotonic timestamps and
@@ -208,7 +192,8 @@ void expect_balanced_and_monotonic(const JsonValue& events) {
     last_ts[tid] = ts;
     if (phase == "B") {
       open[tid].push_back(name);
-    } else if (phase == "E") {
+    } else {
+      ASSERT_EQ(phase, "E") << name;
       ASSERT_FALSE(open[tid].empty()) << "unmatched E for " << name;
       EXPECT_EQ(open[tid].back(), name);
       open[tid].pop_back();
@@ -219,6 +204,24 @@ void expect_balanced_and_monotonic(const JsonValue& events) {
   }
 }
 
+TEST(Trace, RingWraparoundDropsOldestWithExactAccounting) {
+  TraceRecorder& recorder = TraceRecorder::instance();
+  recorder.start(64);
+  // 100 spans record 200 events; the ring keeps the last 64, which start
+  // on a 'B' (event 136), so all 64 export as 32 balanced spans.
+  for (int i = 0; i < 100; ++i) TraceSpan span("obs_test.wrap");
+  recorder.stop();
+  EXPECT_EQ(recorder.dropped_events(), 200u - 64u);
+  const JsonValue snapshot = recorder.snapshot_json();
+  const JsonValue* events = snapshot.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  EXPECT_EQ(events->items().size(), 64u);
+  expect_balanced_and_monotonic(*events);
+  const JsonValue* dropped = snapshot.find("otherData");
+  ASSERT_NE(dropped, nullptr);
+  EXPECT_EQ(dropped->find("dropped_events")->as_number(), 136.0);
+}
+
 TEST(Trace, JsonRoundTripsBalancedAcrossThreads) {
   TraceRecorder& recorder = TraceRecorder::instance();
   recorder.start(1u << 12);
@@ -227,7 +230,6 @@ TEST(Trace, JsonRoundTripsBalancedAcrossThreads) {
     threads.emplace_back([] {
       for (int i = 0; i < 50; ++i) {
         TraceSpan outer("obs_test.outer");
-        trace_instant("obs_test.tick");
         TraceSpan inner("obs_test.inner");
       }
     });
@@ -241,8 +243,8 @@ TEST(Trace, JsonRoundTripsBalancedAcrossThreads) {
   const JsonValue parsed = parse_json(dumped);
   const JsonValue* events = parsed.find("traceEvents");
   ASSERT_NE(events, nullptr);
-  // 4 threads x 50 iterations x (outer B/E + instant + inner B/E).
-  EXPECT_EQ(events->items().size(), 4u * 50u * 5u);
+  // 4 threads x 50 iterations x (outer B/E + inner B/E).
+  EXPECT_EQ(events->items().size(), 4u * 50u * 4u);
   expect_balanced_and_monotonic(*events);
 }
 

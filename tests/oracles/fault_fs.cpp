@@ -142,10 +142,6 @@ bool FaultFs::exists(const std::string& path) {
   return charged(*this, [&] { return base_.exists(path); });
 }
 
-std::uint64_t FaultFs::file_size(const std::string& path) {
-  return charged(*this, [&] { return base_.file_size(path); });
-}
-
 void FaultFs::rename_file(const std::string& from, const std::string& to) {
   charged(*this, [&] { base_.rename_file(from, to); });
 }

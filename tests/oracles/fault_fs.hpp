@@ -75,7 +75,6 @@ class FaultFs : public Fs {
   std::vector<std::string> list_dir(const std::string& dir) override;
   void create_directories(const std::string& dir) override;
   bool exists(const std::string& path) override;
-  std::uint64_t file_size(const std::string& path) override;
   void rename_file(const std::string& from, const std::string& to) override;
   void remove_file(const std::string& path) override;
 

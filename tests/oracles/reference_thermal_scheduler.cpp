@@ -49,25 +49,17 @@ ReferenceSchedule reference_thermal_schedule(
   ScheduleResult& result = out.result;
   analyzer.reset_effort();
   double tl = options.temperature_limit;
-  result.bcmt = prepass.bcmt;
-  result.precheck_effort = prepass.effort;
-  std::vector<bool> excluded(n, false);
   for (std::size_t i = 0; i < n; ++i) {
-    if (result.bcmt[i] < tl) continue;
+    if (prepass.bcmt[i] < tl) continue;
     std::ostringstream note;
     note << "core '" << soc.flp.block(i).name << "' violates TL alone ("
-         << result.bcmt[i] << " >= " << tl << " C)";
+         << prepass.bcmt[i] << " >= " << tl << " C)";
     switch (options.solo_policy) {
       case SoloViolationPolicy::kThrow:
         throw InvalidArgument(note.str());
       case SoloViolationPolicy::kRaiseLimit:
-        tl = result.bcmt[i] + 1.0;
+        tl = prepass.bcmt[i] + 1.0;
         note << "; raised TL to " << tl << " C";
-        result.notes.push_back(note.str());
-        break;
-      case SoloViolationPolicy::kExclude:
-        excluded[i] = true;
-        note << "; excluded from the schedule";
         result.notes.push_back(note.str());
         break;
     }
@@ -75,7 +67,7 @@ ReferenceSchedule reference_thermal_schedule(
   out.effective_temperature_limit = tl;
 
   std::vector<double> weight(n, 1.0);
-  std::vector<bool> scheduled = excluded;
+  std::vector<bool> scheduled(n, false);
   const std::vector<std::size_t> order =
       reference_order(soc, model, options.core_order);
   const std::vector<bool> none(n, false);
@@ -135,7 +127,6 @@ ReferenceSchedule reference_thermal_schedule(
     outcome.session = session;
     outcome.length = length;
     outcome.max_temperature = sim.max_temperature;
-    outcome.hottest_core = sim.hottest_block;
     result.outcomes.push_back(outcome);
     for (std::size_t core : session.cores) scheduled[core] = true;
     result.schedule.sessions.push_back(std::move(session));

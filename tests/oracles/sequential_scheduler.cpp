@@ -23,8 +23,6 @@ ScheduleResult SequentialScheduler::generate(
       const thermal::SessionSimulation sim =
           analyzer->simulate_session(session.power_map(soc), outcome.length);
       outcome.max_temperature = sim.max_temperature;
-      outcome.hottest_core = sim.hottest_block;
-      result.bcmt.push_back(sim.peak_temperature[i]);
     }
     result.outcomes.push_back(outcome);
     result.schedule.sessions.push_back(std::move(session));

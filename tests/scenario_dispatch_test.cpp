@@ -108,6 +108,18 @@ TEST(ServeDispatch, InvalidLinesFailInPlace) {
   EXPECT_NE(records[43].find("requires both min and max"), std::string::npos);
 }
 
+TEST(ServeDispatch, ExcludePolicyLineGetsAnExactError) {
+  // A line that does not parse is answered under its line number.
+  const std::string good = R"({"id":"good","soc":{"kind":"alpha"}})" "\n";
+  const RunOutput run = run_serve(
+      good + R"({"id":"hot","tl":100,"solo_policy":"exclude"})" "\n", {});
+  EXPECT_EQ(run.records,
+            run_serve(good, {}).records +
+                R"({"id":"line-2","ok":false,"error":"scenario request: )"
+                R"x(solo_policy: unknown policy 'exclude' (expected 'throw' )x"
+                R"x(or 'raise-limit')"})x" "\n");
+}
+
 TEST(ServeDispatch, NonFiniteCostFailsOnlyItsLine) {
   // dt = 1e-320 parses (positive, finite) but overflows the cost
   // estimate's step count: that line alone fails, and is not memoized.

@@ -260,7 +260,7 @@ TEST(KindServe, CoolingGapReducesChainedPeak) {
 
 // --- .flp costs read the real block count ----------------------------
 
-std::string write_flp(const std::string& name, int blocks) {
+std::string make_flp_file(const std::string& name, int blocks) {
   const std::string path = ::testing::TempDir() + "/" + name;
   std::ofstream out(path);
   out << "# comment line\n\n";
@@ -289,7 +289,7 @@ ScenarioRequest synthetic_request(std::size_t cores) {
 }
 
 TEST(FlpCost, BlockCountIsReadFromTheFile) {
-  const std::string path = write_flp("cost3.flp", 3);
+  const std::string path = make_flp_file("cost3.flp", 3);
   // Comments and blank lines don't count: 3 blocks cost as 3 cores.
   EXPECT_EQ(estimate_request_cost(flp_request(path)),
             estimate_request_cost(synthetic_request(3)));
@@ -303,8 +303,8 @@ TEST(FlpCost, UnreadableFileFallsBackToTheGuess) {
 TEST(FlpCost, RankingFollowsBlockCount) {
   // Regression for the old fixed guess: a 60-block floorplan must now
   // rank above a 3-block one (both previously scored as "40 cores").
-  const std::string small = write_flp("rank3.flp", 3);
-  const std::string large = write_flp("rank60.flp", 60);
+  const std::string small = make_flp_file("rank3.flp", 3);
+  const std::string large = make_flp_file("rank60.flp", 60);
   EXPECT_GT(estimate_request_cost(flp_request(large)),
             estimate_request_cost(flp_request(small)));
   // And the real count slots .flp requests correctly among synthetics.

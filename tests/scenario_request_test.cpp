@@ -81,7 +81,7 @@ TEST(ScenarioParse, FieldsAreApplied) {
   const ScenarioRequest r = parse_request_line(
       R"({"id":"x","soc":{"kind":"flp","path":"a.flp","density":2e6,)"
       R"("power_scale":1.5},"tl":140,"stcl":{"min":20,"max":60,"step":20},)"
-      R"("stc_scale":0.01,"weight_factor":1.2,"solo_policy":"exclude",)"
+      R"("stc_scale":0.01,"weight_factor":1.2,"solo_policy":"throw",)"
       R"("core_order":"desc-power",)"
       R"("solver":{"dt":0.01,"transient":false,"backend":"sparse"}})");
   EXPECT_EQ(r.id, "x");
@@ -96,7 +96,7 @@ TEST(ScenarioParse, FieldsAreApplied) {
   EXPECT_DOUBLE_EQ(values[2], 60.0);
   EXPECT_DOUBLE_EQ(r.stc_scale, 0.01);
   EXPECT_DOUBLE_EQ(r.weight_factor, 1.2);
-  EXPECT_EQ(r.solo_policy, core::SoloViolationPolicy::kExclude);
+  EXPECT_EQ(r.solo_policy, core::SoloViolationPolicy::kThrow);
   EXPECT_EQ(r.core_order, core::CoreOrder::kDescendingPower);
   EXPECT_DOUBLE_EQ(r.solver.dt, 0.01);
   EXPECT_FALSE(r.solver.transient);
@@ -184,9 +184,13 @@ TEST(ScenarioValidation, StclSpan) {
 }
 
 TEST(ScenarioValidation, EnumsAndSolver) {
-  EXPECT_EQ(validation_error_of(R"({"solo_policy":"explode"})"),
-            "scenario request: solo_policy: unknown policy 'explode' "
-            "(expected 'throw', 'raise-limit', or 'exclude')");
+  // The paper's two remedies for a core that breaks TL alone are the only
+  // solo policies; "exclude" is not one.
+  for (const std::string policy : {"explode", "exclude"}) {
+    EXPECT_EQ(validation_error_of(R"({"solo_policy":")" + policy + "\"}"),
+              "scenario request: solo_policy: unknown policy '" + policy +
+                  "' (expected 'throw' or 'raise-limit')");
+  }
   EXPECT_EQ(validation_error_of(R"({"core_order":"random"})"),
             "scenario request: core_order: unknown order 'random' (expected "
             "'input', 'desc-power', 'desc-solo-tc', or 'asc-solo-tc')");

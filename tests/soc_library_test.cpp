@@ -3,6 +3,8 @@
 
 #include <algorithm>
 
+#include "scenario/request.hpp"
+#include "scenario/runner.hpp"
 #include "soc/alpha.hpp"
 #include "soc/fig1.hpp"
 #include "soc/synthetic.hpp"
@@ -54,12 +56,19 @@ TEST(AlphaSoc, UniformOneSecondTests) {
 }
 
 TEST(AlphaSoc, PowerScaleMultipliesUniformly) {
+  // A request's power_scale is the one way to scale the Alpha SoC.
   const core::SocSpec base = alpha_soc();
-  const core::SocSpec scaled = alpha_soc_scaled(2.0);
+  scenario::SocSelector selector;
+  selector.kind = scenario::SocKind::kAlpha;
+  selector.power_scale = 2.0;
+  const core::SocSpec scaled = scenario::ScenarioRunner::build_soc(selector);
+  ASSERT_EQ(scaled.core_count(), base.core_count());
   for (std::size_t i = 0; i < base.core_count(); ++i) {
     EXPECT_NEAR(scaled.tests[i].power, 2.0 * base.tests[i].power, 1e-9);
   }
-  EXPECT_THROW(alpha_soc_scaled(0.0), InvalidArgument);
+  EXPECT_THROW(scenario::parse_request_line(
+                   R"({"soc":{"kind":"alpha","power_scale":0}})"),
+               InvalidArgument);
 }
 
 TEST(AlphaSoc, StcScaleIsPositive) {

@@ -13,7 +13,7 @@ TEST(Ptrace, ParsesHeaderAndRows) {
       "a b c\n"
       "1.0 2.0 3.0\n"
       "0.5 0.0 1.5\n");
-  ASSERT_EQ(trace.unit_count(), 3u);
+  ASSERT_EQ(trace.unit_names.size(), 3u);
   ASSERT_EQ(trace.step_count(), 2u);
   EXPECT_EQ(trace.unit_names[1], "b");
   EXPECT_DOUBLE_EQ(trace.steps[1][2], 1.5);
@@ -25,7 +25,7 @@ TEST(Ptrace, SkipsCommentsAndBlankLines) {
       "\n"
       "x y\n"
       "1 2  # step 0\n");
-  EXPECT_EQ(trace.unit_count(), 2u);
+  EXPECT_EQ(trace.unit_names.size(), 2u);
   EXPECT_EQ(trace.step_count(), 1u);
 }
 

@@ -143,9 +143,12 @@ TEST_F(SteadyStateTest, DissipatedHeatMatchesInjectedPower) {
   std::vector<double> power(9, 0.0);
   power[3] = 12.0;
   const auto r = rise(model_, solve_steady_state(model_, power));
+  // A node's conductance to ambient is its row sum of G (Kirchhoff).
+  const std::vector<double> to_ambient = linalg::multiply(
+      model_.conductance_sparse(), std::vector<double>(model_.node_count(), 1.0));
   double outflow = 0.0;
   for (std::size_t n = 0; n < model_.node_count(); ++n) {
-    outflow += model_.conductance_to_ambient(n) * r[n];
+    outflow += to_ambient[n] * r[n];
   }
   EXPECT_NEAR(outflow, 12.0, 1e-8);
 }

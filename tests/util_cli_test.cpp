@@ -85,11 +85,19 @@ TEST(Cli, FlagWithValueThrows) {
 }
 
 TEST(Cli, CollectsPositionalArguments) {
+  // No program takes a positional argument, so a stray word (an input
+  // file whose --in was forgotten) is an error, not silently ignored.
   CliParser cli("prog", "test");
-  auto args = argv_of({"prog", "file1", "file2"});
-  EXPECT_TRUE(cli.parse(static_cast<int>(args.size()), args.data()));
-  ASSERT_EQ(cli.positional().size(), 2u);
-  EXPECT_EQ(cli.positional()[0], "file1");
+  std::string in;
+  cli.add_string("in", "input", &in);
+  auto args = argv_of({"prog", "--in", "a.jsonl", "file1", "file2"});
+  try {
+    cli.parse(static_cast<int>(args.size()), args.data());
+    FAIL() << "a stray argument must throw";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(std::string(e.what()), "unexpected argument 'file1'");
+  }
+  EXPECT_EQ(in, "a.jsonl");
 }
 
 TEST(Cli, HelpReturnsFalse) {

@@ -30,13 +30,6 @@ TEST(Table, RowAccessOutOfRangeThrows) {
   EXPECT_THROW(t.row(0), InvalidArgument);
 }
 
-TEST(Table, NumericRowFormatting) {
-  Table t({"x", "y"});
-  t.add_numeric_row({1.234, 5.0}, 1);
-  EXPECT_EQ(t.row(0)[0], "1.2");
-  EXPECT_EQ(t.row(0)[1], "5.0");
-}
-
 TEST(Table, PrintAlignsColumns) {
   Table t({"name", "v"});
   t.add_row({"long-name", "1"});

@@ -71,25 +71,5 @@ TEST(SvgFloorplan, HottestBlockIsRed) {
   EXPECT_NE(svg.find("rgb(0,0,255)"), std::string::npos);
 }
 
-TEST(SvgFloorplan, RespectsExplicitRange) {
-  const floorplan::Floorplan fp = quad_floorplan();
-  SvgOptions options;
-  options.range_lo = 0.0;
-  options.range_hi = 200.0;
-  const std::string svg = svg_floorplan(fp, {100.0, 100.0, 100.0, 100.0},
-                                        options);
-  // Mid-range -> green-ish, not red.
-  EXPECT_EQ(svg.find("rgb(255,0,0)"), std::string::npos);
-}
-
-TEST(SvgFloorplan, LabelsCanBeDisabled) {
-  const floorplan::Floorplan fp = quad_floorplan();
-  SvgOptions options;
-  options.show_names = false;
-  options.show_values = false;
-  const std::string svg = svg_floorplan(fp, {1.0, 2.0, 3.0, 4.0}, options);
-  EXPECT_EQ(svg.find("<text"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace thermo::viz

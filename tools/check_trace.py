@@ -7,8 +7,8 @@ well formed:
 
 1. The document parses as JSON with a ``traceEvents`` array and an
    ``otherData.dropped_events`` count.
-2. Every event carries name/cat/ph/ts/pid/tid; ``ph`` is one of
-   ``B``/``E``/``i``; ``ts`` is a non-negative number.
+2. Every event carries name/cat/ph/ts/pid/tid; ``ph`` is ``B`` or
+   ``E`` (the recorder has spans only); ``ts`` is a non-negative number.
 3. Per thread (``tid``), timestamps are non-decreasing — the recorder
    uses one monotonic clock, so out-of-order events mean a broken ring.
 4. Per thread, ``B``/``E`` events are stack-balanced with matching
@@ -28,7 +28,7 @@ import json
 import sys
 from pathlib import Path
 
-PHASES = {"B", "E", "i"}
+PHASES = {"B", "E"}
 REQUIRED_KEYS = ("name", "cat", "ph", "ts", "pid", "tid")
 
 
@@ -73,7 +73,7 @@ def main() -> None:
         if not isinstance(name, str) or not name:
             fail(f"{where}: empty or non-string name")
         if phase not in PHASES:
-            fail(f"{where}: phase '{phase}' is not one of B/E/i")
+            fail(f"{where}: phase '{phase}' is not B or E")
         if not isinstance(ts, (int, float)) or ts < 0:
             fail(f"{where}: ts {ts!r} is not a non-negative number")
         if tid in last_ts and ts < last_ts[tid]:
@@ -84,7 +84,7 @@ def main() -> None:
         stack = open_spans.setdefault(tid, [])
         if phase == "B":
             stack.append(name)
-        elif phase == "E":
+        else:
             if not stack:
                 fail(f"{where}: 'E' for '{name}' on tid {tid} with no "
                      f"open span")
