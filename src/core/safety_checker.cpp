@@ -51,7 +51,6 @@ SafetyReport SafetyChecker::check(const SocSpec& soc,
             SafetyViolation{s, core, sim.peak_temperature[core]});
       }
     }
-    report.session_max_temperature.push_back(session_max);
     report.max_temperature =
         s == 0 ? session_max : std::max(report.max_temperature, session_max);
   }

@@ -25,8 +25,6 @@ struct SafetyReport {
   bool safe = true;
   /// Hottest core across all sessions, 0 for no sessions [deg C].
   double max_temperature = 0.0;
-  /// Per-session hottest-core temperature [deg C].
-  std::vector<double> session_max_temperature;
   std::vector<SafetyViolation> violations;
 
   std::string to_string(const SocSpec& soc) const;

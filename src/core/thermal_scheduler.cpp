@@ -128,8 +128,8 @@ ScheduleResult ThermalAwareScheduler::schedule(
       case SoloViolationPolicy::kThrow:
         throw InvalidArgument(
             note.str() +
-            "; fix the core's test infrastructure, raise TL, or use "
-            "SoloViolationPolicy::kRaiseLimit");
+            "; fix the core's test infrastructure, raise TL, or use solo "
+            "policy 'raise-limit'");
       case SoloViolationPolicy::kRaiseLimit:
         effective_tl_ = prepass.bcmt[i] + kRaiseLimitMargin;
         note << "; raised TL to " << effective_tl_ << " C";

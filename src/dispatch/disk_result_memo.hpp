@@ -41,8 +41,10 @@ namespace thermo::dispatch {
 /// path solve, which moves the last bits of steady one-core fields.
 /// Revision 5: transient session peaks are sums of each model's unit-step
 /// responses (superposition), not a stepped session, which moves the last
-/// bits of transient Algorithm 1 temperatures.
-inline constexpr std::uint32_t kResultSchemaRevision = 5;
+/// bits of transient Algorithm 1 temperatures. Revision 6: the error of
+/// a `"throw"` request whose core breaks TL alone names the request's
+/// solo policy 'raise-limit', not the library enum.
+inline constexpr std::uint32_t kResultSchemaRevision = 6;
 
 class DiskResultMemo final : public ResultMemo {
  public:

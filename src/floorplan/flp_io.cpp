@@ -14,11 +14,7 @@ Floorplan parse_flp(std::istream& in, std::string name) {
   std::size_t line_number = 0;
   while (std::getline(in, line)) {
     ++line_number;
-    // Strip comment.
-    if (auto hash = line.find('#'); hash != std::string::npos) {
-      line.erase(hash);
-    }
-    const auto fields = split_whitespace(line);
+    const auto fields = split_whitespace(line_content(line));
     if (fields.empty()) continue;
     if (fields.size() != 5) {
       std::ostringstream os;

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "thermal/rc_model.hpp"
+#include "util/strings.hpp"
 
 namespace thermo::scenario {
 
@@ -31,19 +32,13 @@ constexpr double kPerRequest = 1000.0;
 /// degrades ljf toward fifo, nothing more.
 constexpr std::size_t kFlpCoreGuess = 40;
 
-/// True when the line still has content after stripping a '#' comment
-/// and whitespace — exactly the lines flp_io/ptrace_io parse.
-bool content_line(const std::string& line) {
-  std::size_t end = line.find('#');
-  if (end == std::string::npos) end = line.size();
-  return line.find_first_not_of(" \t\r\n", 0) < end;
-}
-
+/// Lines with content (line_content), exactly the lines flp_io and
+/// ptrace_io parse.
 std::size_t count_content_lines(std::istream& in) {
   std::size_t count = 0;
   std::string line;
   while (std::getline(in, line)) {
-    if (content_line(line)) ++count;
+    if (!line_content(line).empty()) ++count;
   }
   return count;
 }

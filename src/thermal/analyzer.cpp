@@ -69,6 +69,7 @@ SessionSimulation ThermalAnalyzer::finish_session(
 SessionPeaks ThermalAnalyzer::session_peaks(
     std::span<const std::size_t> cores, std::span<const double> core_power,
     double duration) {
+  THERMO_REQUIRE(!cores.empty(), "session needs at least one core");
   for (const std::size_t core : cores) {
     THERMO_REQUIRE(core < model_->block_count(), "block index out of range");
   }
@@ -101,18 +102,15 @@ SessionPeaks ThermalAnalyzer::session_peaks(
   // core would add +0, so it is skipped), so one core reads
   // ambient + p·uᵢ(d)[i] as its pre-pass did.
   const double ambient = model_->package().ambient;
-  const bool solo = cores.size() == 1;
-  bool heats = false;
   if (!options_.transient) {
-    if (solo) {
+    if (cores.size() == 1) {
       out.core_peak[0] *= model_->self_resistance()[cores[0]];
+      ++pending_solo_lookups_;
     } else {
       model_->steady_factor().solve_subset(cores, out.core_peak, scratch_);
+      ++pending_solves_;
     }
-    for (double& peak : out.core_peak) {
-      heats = heats || peak > 0.0;
-      peak += ambient;
-    }
+    for (double& peak : out.core_peak) peak += ambient;
   } else {
     std::fill(out.core_peak.begin(), out.core_peak.end(), ambient);
     for (std::size_t j = 0; j < cores.size(); ++j) {
@@ -122,37 +120,14 @@ SessionPeaks ThermalAnalyzer::session_peaks(
         out.core_peak[t] += core_power[j] * response[cores[t]];
       }
     }
-    for (const double peak : out.core_peak) heats = heats || peak > ambient;
   }
   // G is an irreducibly diagonally dominant M-matrix, and a backward-Euler
   // rise from ambient never falls, so under either oracle the block
-  // maximum of a positive rise lies on a powered core; scanning the cores
-  // with ties to the lower index matches max_element's first maximum over
-  // all blocks.
-  for (std::size_t t = 0; t < cores.size(); ++t) {
-    if (t == 0 || out.core_peak[t] > out.max_temperature ||
-        (out.core_peak[t] == out.max_temperature &&
-         cores[t] < out.hottest_block)) {
-      out.max_temperature = out.core_peak[t];
-      out.hottest_block = cores[t];
-    }
-  }
-  if (heats) {
-    if (!options_.transient) ++(solo ? pending_solo_lookups_ : pending_solves_);
-    simulation_effort_ += duration;
-    ++simulation_count_;
-    return out;
-  }
-  std::vector<double> block_power(model_->block_count(), 0.0);
-  for (std::size_t t = 0; t < cores.size(); ++t) {
-    block_power[cores[t]] = core_power[t];
-  }
-  const SessionSimulation sim = simulate_session(block_power, duration);
-  for (std::size_t t = 0; t < cores.size(); ++t) {
-    out.core_peak[t] = sim.peak_temperature[cores[t]];
-  }
-  out.max_temperature = sim.max_temperature;
-  out.hottest_block = sim.hottest_block;
+  // maximum lies on a powered core, or is ambient when nothing heats.
+  out.max_temperature =
+      *std::max_element(out.core_peak.begin(), out.core_peak.end());
+  simulation_effort_ += duration;
+  ++simulation_count_;
   return out;
 }
 

@@ -53,9 +53,9 @@ struct SessionSimulation {
 struct SessionPeaks {
   /// core_peak[t]: peak temperature of the t-th session core [deg C].
   std::vector<double> core_peak;
-  /// Maximum over all blocks [deg C], and the first block reaching it.
+  /// Maximum over the session's cores, which is the block maximum
+  /// [deg C].
   double max_temperature = 0.0;
-  std::size_t hottest_block = 0;
 };
 
 /// ThermalAnalyzer::Options (declared outside the class so that its
@@ -104,24 +104,23 @@ class ThermalAnalyzer {
   SessionSimulation simulate_session(const std::vector<double>& block_power,
                                      double duration);
 
-  /// The cores' peaks, max_temperature and hottest_block of the session
-  /// in which core cores[t] dissipates core_power[t] watts for `duration`
-  /// seconds and every other block nothing: simulate_session on that
-  /// power map, with the same checks and the same effort and count
-  /// charge. `cores` must be distinct block indices and `core_power` must
-  /// hold one power per core (InvalidArgument otherwise). Algorithm 1
-  /// asks it about each core alone in the solo pre-pass and about each
-  /// candidate session in validation. The steady oracle answers a
-  /// one-core session whose rise is positive from RCModel::self_resistance
-  /// (ambient + p·rᵢ, within 1e-13 relative of the full solve on the
-  /// rise; docs/SOLVERS.md "Self-resistance table"), with the core as the
-  /// hottest block. Otherwise it solves only the union of the cores'
+  /// The cores' peaks and max_temperature of the session in which core
+  /// cores[t] dissipates core_power[t] watts for `duration` seconds and
+  /// every other block nothing: simulate_session on that power map, with
+  /// the same checks and the same effort and count charge. `cores` must
+  /// be non-empty distinct block indices and `core_power` must hold one
+  /// power per core (InvalidArgument otherwise). Algorithm 1 asks it
+  /// about each core alone in the solo pre-pass and about each candidate
+  /// session in validation. The steady oracle answers a one-core session
+  /// from RCModel::self_resistance (ambient + p·rᵢ, within 1e-13 relative
+  /// of the full solve on the rise; docs/SOLVERS.md "Self-resistance
+  /// table") and a larger one by solving only the union of the cores'
   /// elimination-tree paths (SparseCholeskyFactor::solve_subset), so the
   /// peaks are bit for bit those of the full solve. The transient oracle
   /// answers by superposition: core i's rise is Σⱼ pⱼ·uⱼ(d)[i], summed
   /// over the powered cores j in session order, with uⱼ(d) the model's
-  /// unit-step response (RCModel::step_responses, unit_step_response),
-  /// so a one-core session reads ambient + p·uᵢ(d)[i] and repeats its
+  /// unit-step response (RCModel::step_responses, unit_step_response), so
+  /// a one-core session reads ambient + p·uᵢ(d)[i] and repeats its
   /// pre-pass peak bit for bit. It is within 1e-12 relative of the
   /// stepped session on the rise (docs/SOLVERS.md "Transient response
   /// table"). An uncached response costs one unit simulation, so a
@@ -129,8 +128,8 @@ class ThermalAnalyzer {
   /// the table's byte cap a response is computed without being stored,
   /// with the same bits. Either oracle takes the maximum over the cores,
   /// which the maximum principle makes the block maximum (docs/SOLVERS.md
-  /// "Path solves"), and falls back to the full session when no core
-  /// heats up.
+  /// "Path solves"); when no core heats up, every peak and the maximum
+  /// are ambient, as the full session's are.
   SessionPeaks session_peaks(std::span<const std::size_t> cores,
                              std::span<const double> core_power,
                              double duration);

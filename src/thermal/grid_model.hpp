@@ -13,13 +13,13 @@
 // expose intra-block temperature gradients that block granularity hides.
 // Steady state only. Like RCModel, the model owns the symbolic analysis
 // of G's pattern (in minimum-degree order) and its sparse LDLᵗ factor of
-// G (SteadyFactorSlot), built on the first solve and shared by copies,
-// so repeated solves on one grid pay a single factorization — 100k-node
-// grids (317×317+) factor once and back-substitute per power map.
+// G (SteadyFactorSlot), built on the first solve, so repeated solves on
+// one grid pay a single factorization — 100k-node grids (317×317+)
+// factor once and back-substitute per power map. The slot is a member,
+// so a model is neither copied nor moved; programs build it in place.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "floorplan/floorplan.hpp"
@@ -69,9 +69,9 @@ class GridThermalModel {
   const linalg::SparseMatrix& conductance() const { return conductance_; }
 
   /// Sparse LDLᵗ factor of conductance(), built on the first call
-  /// (thread-safe) and shared with every copy of this model.
+  /// (thread-safe).
   const linalg::SparseCholeskyFactor& steady_factor() const {
-    return steady_->get(conductance_);
+    return steady_.get(conductance_);
   }
 
  private:
@@ -88,8 +88,7 @@ class GridThermalModel {
   std::vector<double> block_area_;
   /// coverage_[b] lists (cell, fraction-of-cell-area) pairs.
   std::vector<std::vector<std::pair<std::size_t, double>>> coverage_;
-  std::shared_ptr<SteadyFactorSlot> steady_ =
-      std::make_shared<SteadyFactorSlot>();
+  mutable SteadyFactorSlot steady_;
 };
 
 }  // namespace thermo::thermal

@@ -45,10 +45,7 @@ PowerTrace parse_ptrace(std::istream& in) {
   std::size_t line_number = 0;
   while (std::getline(in, line)) {
     ++line_number;
-    if (auto hash = line.find('#'); hash != std::string::npos) {
-      line.erase(hash);
-    }
-    const auto fields = split_whitespace(line);
+    const auto fields = split_whitespace(line_content(line));
     if (fields.empty()) continue;
     if (trace.unit_names.empty()) {
       trace.unit_names = fields;

@@ -194,12 +194,13 @@ void stamp_package(
 }
 
 RCModel::RCModel(const fp::Floorplan& floorplan, const PackageParams& package)
-    : package_(package), identity_(next_identity()) {
+    : package_(package),
+      identity_(next_identity()),
+      block_count_(floorplan.size()),
+      steady_(block_count_) {
   package_.validate();
   floorplan.require_valid();
-  block_count_ = floorplan.size();
   build(floorplan);
-  steady_ = std::make_shared<SteadyFactorSlot>(block_count_);
 }
 
 void RCModel::build(const fp::Floorplan& floorplan) {

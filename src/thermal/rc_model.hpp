@@ -28,10 +28,11 @@
 // The model owns its derived steady-state state: the symbolic analysis
 // of G's pattern (its fill-reducing order included), the sparse LDLᵗ
 // factor of G and each block's self-resistance (G⁻¹)ᵢᵢ, each built on
-// first use and shared by every copy of the model (SteadyFactorSlot);
-// the analysis also serves the model's transient steppers. It also owns
-// the transient oracle's unit-step responses, filled as they are first
-// asked for and shared the same way (StepResponseTable). Transient
+// first use (SteadyFactorSlot); the analysis also serves the model's
+// transient steppers. It also owns the transient oracle's unit-step
+// responses, filled as they are first asked for (StepResponseTable).
+// Both are members, so a model is neither copied nor moved: programs
+// build it in place and share it through a shared_ptr. Transient
 // steppers, one per (model, dt), stay in ThermalSolverCache
 // (solver_cache.hpp).
 //
@@ -98,8 +99,7 @@ void stamp_package(
 /// `thermal.ordering_ns` nested inside; G's factorization records
 /// `thermal.factor` and `thermal.factor_ns`, as every factorization
 /// does, and the table `thermal.self_resistance` and
-/// `thermal.self_resistance_ns`. A model holds its slot through a
-/// shared_ptr, so copies of the model share all three.
+/// `thermal.self_resistance_ns`.
 class SteadyFactorSlot {
  public:
   /// The slot tabulates nodes [0, table_nodes); 0 builds no table.
@@ -138,9 +138,7 @@ class SteadyFactorSlot {
 /// and every other key stays readable. Rows are never changed or erased,
 /// so a returned row stays valid for the table's lifetime. The rows hold
 /// at most kMaxBytes; past that a caller computes a response without
-/// storing it, which gives the same bits. A model holds its table
-/// through a shared_ptr, so copies of the model share it and it dies
-/// with the last of them.
+/// storing it, which gives the same bits. It dies with its model.
 class StepResponseTable {
  public:
   /// Cap on the rows' payload per model: 512 rows of a 1024-block
@@ -208,9 +206,8 @@ class RCModel {
   /// Process-unique identity of the network, assigned at construction.
   /// An RCModel is immutable after construction, so the identity keys
   /// its transient steppers in ThermalSolverCache: same identity ⇒ same
-  /// G and C, always. Copies share the identity (they hold identical
-  /// matrices); every freshly *constructed* model gets a new one, which
-  /// is what invalidates stale cache entries.
+  /// G and C, always. Every constructed model gets a new one, which is
+  /// what invalidates stale cache entries.
   std::uint64_t identity() const { return identity_; }
 
   /// Symmetric positive-definite conductance matrix G [W/K] over all
@@ -219,34 +216,32 @@ class RCModel {
   /// built from it as-is.
   const linalg::SparseMatrix& conductance_sparse() const { return sparse_; }
 
-  /// Sparse LDLᵗ factor of G, built on the first call (thread-safe) and
-  /// shared with every copy of this model. Every steady-state solve on
-  /// the model back-substitutes through it.
+  /// Sparse LDLᵗ factor of G, built on the first call (thread-safe).
+  /// Every steady-state solve on the model back-substitutes through it.
   const linalg::SparseCholeskyFactor& steady_factor() const {
-    return steady_->get(sparse_);
+    return steady_.get(sparse_);
   }
 
   /// The symbolic analysis of G's pattern (SteadyFactorSlot::symbolic),
-  /// built on the first call (thread-safe) and shared with every copy of
-  /// this model. steady_factor() and every transient stepper of the
-  /// model factor with it.
+  /// built on the first call (thread-safe). steady_factor() and every
+  /// transient stepper of the model factor with it.
   const std::shared_ptr<const linalg::SymbolicCholesky>& symbolic() const {
-    return steady_->symbolic(sparse_);
+    return steady_.symbolic(sparse_);
   }
 
   /// Self-resistance per block [K/W]: entry i is (G⁻¹)ᵢᵢ, block i's
   /// steady rise per watt when it alone dissipates. Built with
-  /// steady_factor() (whichever is called first builds both) and shared
-  /// the same way. A steady one-core session peaks at ambient + pᵢ·rᵢ
+  /// steady_factor() (whichever is called first builds both). A steady
+  /// one-core session peaks at ambient + pᵢ·rᵢ
   /// (ThermalAnalyzer::session_peaks; docs/SOLVERS.md "Self-resistance
   /// table").
   const std::vector<double>& self_resistance() const {
-    return steady_->self_resistance(sparse_);
+    return steady_.self_resistance(sparse_);
   }
 
   /// The transient oracle's unit-step responses of this model, filled
-  /// by ThermalAnalyzer::session_peaks and shared with every copy.
-  StepResponseTable& step_responses() const { return *step_responses_; }
+  /// by ThermalAnalyzer::session_peaks.
+  StepResponseTable& step_responses() const { return step_responses_; }
 
   /// Per-node heat capacity [J/K] (all positive).
   const std::vector<double>& capacitance() const { return capacitance_; }
@@ -267,9 +262,8 @@ class RCModel {
   std::size_t block_count_ = 0;
   linalg::SparseMatrix sparse_;
   std::vector<double> capacitance_;
-  std::shared_ptr<SteadyFactorSlot> steady_;  // tabulates the blocks
-  std::shared_ptr<StepResponseTable> step_responses_ =
-      std::make_shared<StepResponseTable>();
+  mutable SteadyFactorSlot steady_;  // tabulates the blocks
+  mutable StepResponseTable step_responses_;
 };
 
 }  // namespace thermo::thermal

@@ -16,9 +16,9 @@
 //
 // Keying: RCModel::identity() is process-unique per *construction*, so
 // a rebuilt model (changed floorplan or package) can never alias a
-// stale stepper; copies of a model share its identity and therefore
-// its steppers (an RCModel is immutable after construction, so this is
-// always sound). The dt key is the step's exact bit pattern.
+// stale stepper; every analyzer sharing a model shares its steppers (an
+// RCModel is immutable after construction, so this is always sound).
+// The dt key is the step's exact bit pattern.
 //
 // Concurrency: lookups take one mutex, but factorization itself runs
 // OUTSIDE it — a factorization never stalls other workers' lookups.

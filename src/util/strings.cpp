@@ -44,6 +44,10 @@ std::vector<std::string> split_whitespace(std::string_view s) {
   return out;
 }
 
+std::string_view line_content(std::string_view line) {
+  return trim(line.substr(0, line.find('#')));
+}
+
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.substr(0, prefix.size()) == prefix;
 }

@@ -17,6 +17,11 @@ std::vector<std::string> split(std::string_view s, char sep);
 /// Splits on runs of ASCII whitespace; no empty fields are produced.
 std::vector<std::string> split_whitespace(std::string_view s);
 
+/// The content of one `.flp` or `.ptrace` line: what precedes its first
+/// '#' (a comment), trimmed. Empty for a blank or comment-only line,
+/// which the parsers skip.
+std::string_view line_content(std::string_view line);
+
 /// True if `s` begins with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix);
 

@@ -1,6 +1,8 @@
 // Chained-session simulation: residual heat carrying between sessions.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/safety_checker.hpp"
 #include "core/thermal_scheduler.hpp"
 #include "oracles/sequential_scheduler.hpp"
@@ -58,21 +60,27 @@ TEST_F(ChainedTest, ChainedCheckerIsAtLeastAsHotAsIndependent) {
   const SequentialScheduler scheduler;
   const ScheduleResult result = scheduler.generate(soc_, &analyzer_);
 
-  const SafetyChecker independent(1000.0);
+  // At the lowest limit every active core is a violation, so the
+  // reports list each session core's peak.
+  const double everything = std::numeric_limits<double>::lowest();
+  const SafetyChecker independent(everything);
   const SafetyReport ri = independent.check(soc_, result.schedule, analyzer_);
 
   SafetyChecker::Options copt;
   copt.chained = true;
   copt.cooling_gap = 0.0;
-  const SafetyChecker chained(1000.0, copt);
+  const SafetyChecker chained(everything, copt);
   const SafetyReport rc = chained.check(soc_, result.schedule, analyzer_);
 
   EXPECT_GE(rc.max_temperature + 1e-9, ri.max_temperature);
-  for (std::size_t s = 1; s < rc.session_max_temperature.size(); ++s) {
-    // Later sessions start warm, so each chained session is at least as
+  ASSERT_EQ(rc.violations.size(), ri.violations.size());
+  ASSERT_EQ(rc.violations.size(), soc_.core_count());
+  for (std::size_t v = 0; v < rc.violations.size(); ++v) {
+    // Later sessions start warm, so each chained core peaks at least as
     // hot as its independent counterpart.
-    EXPECT_GE(rc.session_max_temperature[s] + 1e-9,
-              ri.session_max_temperature[s]);
+    EXPECT_EQ(rc.violations[v].core, ri.violations[v].core);
+    EXPECT_GE(rc.violations[v].peak_temperature + 1e-9,
+              ri.violations[v].peak_temperature);
   }
 }
 

@@ -205,9 +205,8 @@ TEST(SubZeroAmbient, SafetyReportGivesTheSparseSessionItsPeak) {
     const core::SafetyReport report =
         core::SafetyChecker(0.0, {.chained = chained, .cooling_gap = 0.0})
             .check(soc, schedule, analyzer);
-    ASSERT_EQ(report.session_max_temperature.size(), 1u);
-    EXPECT_EQ(report.session_max_temperature[0], peak);
     EXPECT_EQ(report.max_temperature, peak);
+    EXPECT_TRUE(report.violations.empty());
     EXPECT_TRUE(report.safe);
   }
   EXPECT_EQ(core::SafetyChecker(0.0)
@@ -241,16 +240,14 @@ TEST(SubZeroAmbient, SchedulersReportTheirHottestSession) {
   EXPECT_LT(thermal_aware.max_temperature, 0.0);
   EXPECT_EQ(thermal_aware.max_temperature, hottest(thermal_aware));
 
+  // The check steps each session; the scheduler summed unit-step
+  // responses, within 1e-12 relative on the rise (docs/SOLVERS.md).
   const core::SafetyReport report =
       core::SafetyChecker(-50.0).check(alpha, thermal_aware.schedule, analyzer);
-  ASSERT_EQ(report.session_max_temperature.size(),
-            thermal_aware.outcomes.size());
-  for (const double session_max : report.session_max_temperature) {
-    EXPECT_LT(session_max, 0.0);
-  }
-  EXPECT_EQ(report.max_temperature,
-            *std::max_element(report.session_max_temperature.begin(),
-                              report.session_max_temperature.end()));
+  const double rise = thermal_aware.max_temperature - alpha.package.ambient;
+  EXPECT_NEAR(report.max_temperature - alpha.package.ambient, rise,
+              1e-12 * rise);
+  EXPECT_TRUE(report.safe);
 
   const core::ScheduleResult power =
       core::PowerConstrainedScheduler(

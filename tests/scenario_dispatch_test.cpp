@@ -298,6 +298,18 @@ TEST(ServeCollapse, RepeatsWithoutAnIdKeepTheirOwnLineNumbers) {
   });
 }
 
+// A "throw" request whose core breaks TL alone fails with an error that
+// names the request value to use instead, not a library name.
+TEST(ServeRecords, ThrowPolicyErrorNamesTheRequestValue) {
+  const RunOutput run =
+      run_serve(R"({"tl":100,"solo_policy":"throw"})" "\n", ServeOptions{});
+  EXPECT_EQ(run.records,
+            "{\"id\":\"line-1\",\"ok\":false,\"error\":\"core 'Icache' "
+            "violates TL alone (131.437 >= 100 C); fix the core's test "
+            "infrastructure, raise TL, or use solo policy 'raise-limit'\"}\n");
+  EXPECT_EQ(run.summary.failed, 1u);
+}
+
 TEST(ServeCollapse, MalformedRepeatsEachFailAndCount) {
   const std::string broken = "{oops\n";
   const std::string invalid = R"({"id":"bad","tl":-40})" "\n";

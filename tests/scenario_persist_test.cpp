@@ -225,12 +225,13 @@ TEST(ScenarioPersist, OldCacheDirWithCalibrationBlobStillWorks) {
     keys.push_back(to_json_line(parse_request_line(line)));
   }
 
-  for (const std::uint32_t revision : {1u, 4u}) {
+  for (const std::uint32_t revision : {1u, 4u, 5u}) {
     SCOPED_TRACE("revision " + std::to_string(revision));
     // A directory left by an older build: stale records stored under the
     // current keys, so only the revision wipe keeps them from being served,
     // plus the calibration blob revision-1 builds wrote. Revision 4 is the
-    // last before transient peaks came from unit-step responses.
+    // last before transient peaks came from unit-step responses, and 5 the
+    // last before the "throw" error named the request's solo policy.
     const ScopedTempDir dir("serve-cache");
     {
       persist::StoreOptions old;

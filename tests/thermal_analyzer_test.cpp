@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -163,10 +164,10 @@ TEST_F(AnalyzerTest, SoloPeakChecksInputsLikeASession) {
 }
 
 // session_peaks is Algorithm 1's validation oracle: under either oracle
-// it returns simulate_session's peaks at the session cores, its maximum
-// (the transient ones within expect_peak's tolerance) and hottest block,
-// and charges the same effort and count. The
-// all-zero session takes the no-rise fallback under both oracles.
+// it returns simulate_session's peaks at the session cores and its
+// maximum (the transient ones within expect_peak's tolerance), whose
+// block is a session core when a core heats, and charges the same effort
+// and count. The all-zero session reads ambient under both oracles.
 // (Bit-equality at scale and under ties: property_test.cpp.)
 TEST_F(AnalyzerTest, SessionPeaksMatchASessionUnderBothOracles) {
   const std::vector<std::pair<Cores, Powers>> sessions = {
@@ -194,7 +195,12 @@ TEST_F(AnalyzerTest, SessionPeaksMatchASessionUnderBothOracles) {
       }
       expect_peak(transient, peaks.max_temperature, sim.max_temperature,
                   pkg_.ambient);
-      EXPECT_EQ(peaks.hottest_block, sim.hottest_block);
+      if (sim.max_temperature > pkg_.ambient) {
+        EXPECT_NE(std::find(cores.begin(), cores.end(), sim.hottest_block),
+                  cores.end());
+      } else {
+        EXPECT_EQ(peaks.max_temperature, pkg_.ambient);
+      }
     }
     EXPECT_EQ(path.simulation_effort(), full.simulation_effort());
     EXPECT_EQ(path.simulation_count(), sessions.size());
@@ -218,6 +224,9 @@ TEST_F(AnalyzerTest, SessionPeaksChecksInputsLikeASession) {
                   oracle->simulate_session({power, 0.0, 0.0, 0.0}, duration);
                 }));
     }
+    EXPECT_EQ(error([&] { oracle->session_peaks(Cores{}, Powers{}, 1.0); }),
+              "precondition failed [!cores.empty()]: "
+              "session needs at least one core");
     EXPECT_EQ(error([&] { oracle->session_peaks(Cores{4}, Powers{1.0}, 1.0); }),
               "precondition failed [core < model_->block_count()]: "
               "block index out of range");
@@ -251,7 +260,7 @@ TEST_F(AnalyzerTest, SessionPeaksChecksInputsLikeASession) {
     EXPECT_EQ(peaks.core_peak,
               (std::vector<double>{sim.peak_temperature[1],
                                    sim.peak_temperature[0]}));
-    EXPECT_EQ(peaks.hottest_block, sim.hottest_block);
+    EXPECT_EQ(peaks.max_temperature, sim.max_temperature);
     EXPECT_EQ(oracle->simulation_count(), 2u);
   }
 }

@@ -18,6 +18,7 @@
 #include "oracles/min_degree_reference.hpp"
 #include "soc/fig1.hpp"
 #include "soc/synthetic.hpp"
+#include "thermal/analyzer.hpp"
 #include "thermal/grid_model.hpp"
 #include "thermal/rc_model.hpp"
 #include "thermal/solver_cache.hpp"
@@ -95,26 +96,30 @@ std::uint64_t samples(const char* histogram) {
 }
 
 // A model analyzes its pattern once, on first use, whichever factor asks
-// first; its copies, G's factor and the steppers of every dt share that
-// one analysis (the same object), and each of those factors gives the
-// bits of one built on an analysis of its own.
+// first; G's factor and the steppers of every dt, asked for through any
+// analyzer sharing the model, share that one analysis (the same object),
+// and each of those factors gives the bits of one built on an analysis
+// of its own.
 TEST(ThermalOrdering, OneOrderingPerModelServesEveryFactor) {
   const core::SocSpec soc = synthetic_soc(246);
-  const thermal::RCModel model(soc.flp, soc.package);
+  const auto shared =
+      std::make_shared<const thermal::RCModel>(soc.flp, soc.package);
+  const thermal::ThermalAnalyzer first(shared);
+  const thermal::ThermalAnalyzer second(shared);
+  const thermal::RCModel& model = first.model();
   const std::uint64_t orderings = samples("thermal.ordering_ns");
   const std::uint64_t analyses = samples("thermal.symbolic_ns");
   thermal::ThermalSolverCache cache;
   const auto stepper = cache.sparse_stepper(model, 0.01);
   EXPECT_EQ(samples("thermal.ordering_ns"), orderings + 1);
   EXPECT_EQ(samples("thermal.symbolic_ns"), analyses + 1);
-  const thermal::RCModel copy = model;
-  const auto other = cache.sparse_stepper(copy, 1e-3);
-  const linalg::SparseCholeskyFactor& steady = copy.steady_factor();
+  const auto other = cache.sparse_stepper(second.model(), 1e-3);
+  const linalg::SparseCholeskyFactor& steady = second.model().steady_factor();
   EXPECT_EQ(samples("thermal.ordering_ns"), orderings + 1);
   EXPECT_EQ(samples("thermal.symbolic_ns"), analyses + 1);
 
   const linalg::SymbolicCholesky* const symbolic = model.symbolic().get();
-  EXPECT_EQ(copy.symbolic().get(), symbolic);
+  EXPECT_EQ(second.model().symbolic().get(), symbolic);
   EXPECT_EQ(&stepper->factor().symbolic(), symbolic);
   EXPECT_EQ(&other->factor().symbolic(), symbolic);
   EXPECT_EQ(&steady.symbolic(), symbolic);

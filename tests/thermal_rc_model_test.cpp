@@ -7,10 +7,13 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "oracles/sparse_ops.hpp"
 #include "test_helpers.hpp"
+#include "thermal/analyzer.hpp"
+#include "thermal/grid_model.hpp"
 #include "util/error.hpp"
 
 namespace thermo::thermal {
@@ -187,14 +190,31 @@ TEST(RcModelSteadyFactor, ConcurrentFirstCallsFactorOnce) {
   EXPECT_EQ(seen.front()->size(), model->node_count());
 }
 
-TEST(RcModelSteadyFactor, CopiesShareTheFactorRebuildsDoNot) {
-  const RCModel model(nine_floorplan(), PackageParams{});
-  const RCModel copy = model;  // NOLINT(performance-unnecessary-copy-initialization)
-  const RCModel rebuilt(nine_floorplan(), PackageParams{});
+// A model owns what it derives, so it is built in place and shared
+// through a shared_ptr, never copied.
+static_assert(!std::is_copy_constructible_v<RCModel>);
+static_assert(!std::is_copy_constructible_v<GridThermalModel>);
+
+TEST(RcModelSteadyFactor, AnalyzersSharingAModelShareItsFactorRebuildsDoNot) {
+  const auto model =
+      std::make_shared<const RCModel>(nine_floorplan(), PackageParams{});
+  ThermalAnalyzer::Options steady;
+  steady.transient = false;
+  ThermalAnalyzer first(model, steady);
+  ThermalAnalyzer second(model, steady);
+  ThermalAnalyzer rebuilt(
+      std::make_shared<const RCModel>(nine_floorplan(), PackageParams{}),
+      steady);
+  const std::vector<std::size_t> cores = {0, 4};
+  const std::vector<double> power = {2.0, 3.0};
   const std::uint64_t before = factorizations();
-  EXPECT_EQ(&copy.steady_factor(), &model.steady_factor());
+  const SessionPeaks a = first.session_peaks(cores, power, 1.0);
   EXPECT_EQ(factorizations() - before, 1u);
-  EXPECT_NE(&rebuilt.steady_factor(), &model.steady_factor());
+  EXPECT_EQ(second.session_peaks(cores, power, 1.0).core_peak, a.core_peak);
+  EXPECT_EQ(&second.model().steady_factor(), &first.model().steady_factor());
+  EXPECT_EQ(factorizations() - before, 1u);
+  EXPECT_EQ(rebuilt.session_peaks(cores, power, 1.0).core_peak, a.core_peak);
+  EXPECT_NE(&rebuilt.model().steady_factor(), &first.model().steady_factor());
   EXPECT_EQ(factorizations() - before, 2u);
 }
 

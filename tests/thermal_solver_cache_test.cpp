@@ -15,6 +15,7 @@
 #include "linalg/sparse_cholesky.hpp"
 #include "obs/metrics.hpp"
 #include "test_helpers.hpp"
+#include "thermal/analyzer.hpp"
 #include "thermal/grid_model.hpp"
 #include "thermal/steady_state.hpp"
 #include "thermal/transient.hpp"
@@ -106,13 +107,21 @@ TEST(ThermalSolverCacheTest, RepeatLookupsHitTheCache) {
   EXPECT_EQ(first.get(), second.get());  // literally the same factor
 }
 
-TEST(ThermalSolverCacheTest, CopiesShareIdentityAndFactors) {
+TEST(ThermalSolverCacheTest, AnalyzersSharingAModelShareItsSteppers) {
   ThermalSolverCache& cache = ThermalSolverCache::instance();
-  const RCModel model(nine_floorplan(), PackageParams{});
-  const RCModel copy = model;  // NOLINT(performance-unnecessary-copy-initialization)
-  EXPECT_EQ(model.identity(), copy.identity());
-  EXPECT_EQ(cache.sparse_stepper(model, 1e-3).get(),
-            cache.sparse_stepper(copy, 1e-3).get());
+  const auto model =
+      std::make_shared<const RCModel>(nine_floorplan(), PackageParams{});
+  ThermalAnalyzer first(model);
+  ThermalAnalyzer second(model);
+  EXPECT_EQ(first.model().identity(), second.model().identity());
+  const std::uint64_t misses_before = cache_misses();
+  const std::vector<double> power = centre_power(9, 10.0);
+  const SessionSimulation a = first.simulate_session(power, 0.01);
+  EXPECT_EQ(second.simulate_session(power, 0.01).peak_temperature,
+            a.peak_temperature);
+  EXPECT_EQ(cache_misses() - misses_before, 1u);
+  EXPECT_EQ(cache.sparse_stepper(first.model(), 1e-3).get(),
+            cache.sparse_stepper(second.model(), 1e-3).get());
 }
 
 TEST(ThermalSolverCacheTest, DistinctModelsNeverAliasEntries) {
@@ -270,13 +279,15 @@ TEST(SparseSolverCacheTest, RepeatSparseLookupsHitTheCache) {
 
 TEST(SparseSolverCacheTest, DistinctModelsNeverAlias) {
   ThermalSolverCache cache(8);
-  const RCModel a(nine_floorplan(), PackageParams{});
+  const auto a =
+      std::make_shared<const RCModel>(nine_floorplan(), PackageParams{});
   const RCModel b(nine_floorplan(), PackageParams{});
-  EXPECT_NE(cache.sparse_stepper(a, 1e-3).get(),
+  EXPECT_NE(cache.sparse_stepper(*a, 1e-3).get(),
             cache.sparse_stepper(b, 1e-3).get());
-  const RCModel copy = a;  // NOLINT(performance-unnecessary-copy-initialization)
-  EXPECT_EQ(cache.sparse_stepper(a, 1e-3).get(),
-            cache.sparse_stepper(copy, 1e-3).get());
+  const ThermalAnalyzer first(a);
+  const ThermalAnalyzer second(a);
+  EXPECT_EQ(cache.sparse_stepper(first.model(), 1e-3).get(),
+            cache.sparse_stepper(second.model(), 1e-3).get());
 }
 
 TEST(SparseSolverCacheTest, SparseStepperIsCachedPerDt) {

@@ -52,6 +52,17 @@ TEST(SplitWhitespace, EmptyInputGivesNoFields) {
   EXPECT_TRUE(split_whitespace(" \t ").empty());
 }
 
+// The one rule for `.flp`/`.ptrace` lines: a '#' starts a comment, and
+// what is left is trimmed; an empty result is a line the parsers skip.
+TEST(LineContent, StripsTheCommentAndTrims) {
+  EXPECT_EQ(line_content("  core 1 2 3 4 # note\r"), "core 1 2 3 4");
+  EXPECT_EQ(line_content("a\tb"), "a\tb");
+  EXPECT_EQ(line_content("# only a comment"), "");
+  EXPECT_EQ(line_content(" \t\r"), "");
+  EXPECT_EQ(line_content("   #x y"), "");
+  EXPECT_EQ(line_content(""), "");
+}
+
 TEST(StartsWith, Basics) {
   EXPECT_TRUE(starts_with("floorplan", "floor"));
   EXPECT_FALSE(starts_with("floor", "floorplan"));
