@@ -83,6 +83,9 @@ namespace {
 constexpr int kExitOk = 0;
 constexpr int kExitRuntimeError = 1;
 constexpr int kExitUsageError = 2;
+/// Upper bound on --threads: serve and sweep start up to that many OS
+/// threads.
+constexpr long long kMaxThreads = 1024;
 
 struct CommonArgs {
   std::string flp_path;
@@ -614,10 +617,13 @@ int cmd_cache(const std::string& action, const CommonArgs& args) {
 
 int cmd_info(const CommonArgs& args) {
   const core::SocSpec soc = build_soc(args);
+  double block_area = 0.0;
+  for (const floorplan::Block& b : soc.flp.blocks()) block_area += b.area();
+  const double coverage = block_area / soc.flp.chip_area();
   std::cout << "SoC '" << soc.name << "': " << soc.core_count()
             << " cores, die " << soc.flp.chip_width() * 1e3 << " x "
             << soc.flp.chip_height() * 1e3 << " mm, coverage "
-            << format_double(soc.flp.validate().coverage * 100.0, 1) << "%\n";
+            << format_double(coverage * 100.0, 1) << "%\n";
   Table table({"core", "area [mm2]", "test power [W]",
                "density [W/mm2]", "neighbours", "boundary [mm]"});
   for (std::size_t i = 0; i < soc.core_count(); ++i) {
@@ -806,6 +812,10 @@ int main(int argc, char** argv) {
     }
     if ((is_sweep || is_serve) && args.threads < 0) {
       throw InvalidArgument("--threads must be >= 0");
+    }
+    if ((is_sweep || is_serve) && args.threads > kMaxThreads) {
+      throw InvalidArgument("--threads must be <= " +
+                            std::to_string(kMaxThreads));
     }
     // Numeric flags take the bounds and wording of the request fields
     // they mirror (scenario/request.cpp), so a bad value is a usage

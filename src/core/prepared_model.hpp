@@ -20,8 +20,7 @@
 //
 // Thread safety: every const member is safe to call concurrently.
 // Neither model keeps the floorplan: both read soc.flp during
-// construction only (validating it first), so readers on several
-// workers never touch it.
+// construction only.
 #pragma once
 
 #include <memory>
@@ -35,8 +34,8 @@ namespace thermo::core {
 class PreparedModel {
  public:
   /// Builds the RC network and the session model (SessionModelOptions{})
-  /// of soc's floorplan and package, which the RCModel validates. Keeps
-  /// no reference to soc; does not read soc.tests or soc.name.
+  /// of soc's floorplan and package. Keeps no reference to soc; does not
+  /// read soc.tests or soc.name.
   explicit PreparedModel(const SocSpec& soc);
 
   const std::shared_ptr<const thermal::RCModel>& rc_model() const {

@@ -19,7 +19,6 @@ SessionThermalModel::SessionThermalModel(const fp::Floorplan& floorplan,
                                          SessionModelOptions options)
     : options_(options) {
   package.validate();
-  floorplan.require_valid();
   options_.validate();
 
   const std::size_t n = floorplan.size();

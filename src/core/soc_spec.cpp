@@ -18,7 +18,12 @@ double SocSpec::power_density(std::size_t i) const {
 }
 
 void SocSpec::validate() const {
-  flp.require_valid();
+  if (flp.empty()) {
+    // The default floorplan, the one without blocks: the text of the
+    // Floorplan constructor's own empty check.
+    throw InvalidArgument("invalid floorplan '" + flp.name() +
+                          "':\n  - floorplan has no blocks");
+  }
   package.validate();
   THERMO_REQUIRE(tests.size() == flp.size(),
                  "SocSpec '" + name + "': tests.size() (" +

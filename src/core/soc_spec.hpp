@@ -24,7 +24,7 @@ struct CoreTest {
 
 struct SocSpec {
   std::string name;
-  floorplan::Floorplan flp;
+  floorplan::Floorplan flp;  ///< immutable; copies share it
   thermal::PackageParams package;
   /// One entry per floorplan block.
   std::vector<CoreTest> tests;
@@ -37,11 +37,10 @@ struct SocSpec {
   /// Power density of core i [W/m^2].
   double power_density(std::size_t i) const;
 
-  /// Throws InvalidArgument unless the floorplan is valid, tests.size()
-  /// matches the block count, and every power/length is finite and
-  /// positive (length) / non-negative (power). The floorplan remembers
-  /// that it passed (Floorplan::require_valid), so re-validating a copy
-  /// of a validated SoC costs O(n), spent on the tests alone.
+  /// Throws InvalidArgument unless the floorplan has blocks (a built
+  /// floorplan is valid), tests.size() matches the block count, and
+  /// every power/length is finite and positive (length) / non-negative
+  /// (power). O(n), spent on the tests.
   void validate() const;
 };
 

@@ -45,73 +45,51 @@ void abutment_candidates(const std::vector<Block>& blocks, Edge near, Edge far,
   }
 }
 
-}  // namespace
-
-std::size_t Floorplan::add_block(Block block) {
-  THERMO_REQUIRE(!block.name.empty(), "block name must be non-empty");
-  THERMO_REQUIRE(block.width > 0.0 && block.height > 0.0,
-                 "block '" + block.name + "' must have positive dimensions");
-  THERMO_REQUIRE(std::isfinite(block.x) && std::isfinite(block.y) &&
-                     std::isfinite(block.width) && std::isfinite(block.height),
-                 "block '" + block.name + "' has non-finite geometry");
-  THERMO_REQUIRE(!index_.contains(block.name),
-                 "duplicate block name '" + block.name + "'");
-  index_.emplace(block.name, blocks_.size());
-  blocks_.push_back(std::move(block));
-  invalidate_cache();
-  return blocks_.size() - 1;
-}
-
-const Block& Floorplan::block(std::size_t i) const {
-  THERMO_REQUIRE(i < blocks_.size(), "block index out of range");
-  return blocks_[i];
-}
-
-std::optional<std::size_t> Floorplan::index_of(std::string_view name) const {
-  const auto it = index_.find(name);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
-}
-
-void Floorplan::invalidate_cache() {
-  cache_valid_ = false;
-  validated_ = false;
-}
-
-void Floorplan::compute_cache() const {
-  if (cache_valid_) return;
-  const std::size_t n = blocks_.size();
-  adjacencies_.clear();
-  boundary_.assign(n, {0.0, 0.0, 0.0, 0.0});
-
-  if (n == 0) {
-    min_x_ = min_y_ = max_x_ = max_y_ = 0.0;
-    cache_valid_ = true;
-    return;
+/// Pairs (i, j), i < j, of overlapping blocks, sorted. A sweep over
+/// blocks sorted by left edge: an active block whose right edge lies at
+/// or before the current block's left edge has an x-overlap <= 0 with
+/// it and with every later block, so it leaves the active list; each
+/// remaining pair gets the all-pairs overlap test.
+std::vector<IndexPair> overlapping_pairs(const std::vector<Block>& blocks) {
+  std::vector<std::size_t> by_left(blocks.size());
+  std::iota(by_left.begin(), by_left.end(), std::size_t{0});
+  std::sort(by_left.begin(), by_left.end(), [&](std::size_t a, std::size_t b) {
+    return std::pair{blocks[a].left(), a} < std::pair{blocks[b].left(), b};
+  });
+  std::vector<std::size_t> active;
+  std::vector<IndexPair> overlapping;
+  for (const std::size_t k : by_left) {
+    const Block& current = blocks[k];
+    std::erase_if(active, [&](std::size_t a) {
+      return blocks[a].right() <= current.left();
+    });
+    for (const std::size_t a : active) {
+      const std::size_t i = std::min(a, k);
+      const std::size_t j = std::max(a, k);
+      if (blocks[i].overlaps(blocks[j], kGeomTol)) {
+        overlapping.emplace_back(i, j);
+      }
+    }
+    active.push_back(k);
   }
+  std::sort(overlapping.begin(), overlapping.end());
+  return overlapping;
+}
 
-  min_x_ = blocks_[0].left();
-  max_x_ = blocks_[0].right();
-  min_y_ = blocks_[0].bottom();
-  max_y_ = blocks_[0].top();
-  for (const Block& b : blocks_) {
-    min_x_ = std::min(min_x_, b.left());
-    max_x_ = std::max(max_x_, b.right());
-    min_y_ = std::min(min_y_, b.bottom());
-    max_y_ = std::max(max_y_, b.top());
-  }
-
-  // Only pairs with a top/bottom or right/left edge within tolerance
-  // can abut; test those, in (i, j) order, with the per-pair rule.
+/// Every abutting pair, sorted by (a, b). Only pairs with a top/bottom
+/// or right/left edge within tolerance can abut; those are tested, in
+/// (i, j) order, with the per-pair rule.
+std::vector<Adjacency> find_adjacencies(const std::vector<Block>& blocks) {
   std::vector<IndexPair> candidates;
-  abutment_candidates(blocks_, &Block::top, &Block::bottom, candidates);
-  abutment_candidates(blocks_, &Block::right, &Block::left, candidates);
+  abutment_candidates(blocks, &Block::top, &Block::bottom, candidates);
+  abutment_candidates(blocks, &Block::right, &Block::left, candidates);
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
+  std::vector<Adjacency> adjacencies;
   for (const auto& [i, j] : candidates) {
-    const Block& a = blocks_[i];
-    const Block& b = blocks_[j];
+    const Block& a = blocks[i];
+    const Block& b = blocks[j];
     double length = 0.0;
     Side side = Side::kNorth;
     // Vertical abutment: a's top touches b's bottom or vice versa.
@@ -130,11 +108,60 @@ void Floorplan::compute_cache() const {
     }
     // The candidates are sorted and distinct, so the list comes out
     // sorted by (a, b).
-    if (length > kGeomTol) adjacencies_.push_back(Adjacency{i, j, length, side});
+    if (length > kGeomTol) adjacencies.push_back(Adjacency{i, j, length, side});
+  }
+  return adjacencies;
+}
+
+}  // namespace
+
+Floorplan::Data::Data(std::string name, const BlockSource& next)
+    : name_(std::move(name)) {
+  // 1. Each block as it arrives.
+  while (std::optional<Block> arrived = next()) {
+    Block& block = *arrived;
+    THERMO_REQUIRE(!block.name.empty(), "block name must be non-empty");
+    THERMO_REQUIRE(block.width > 0.0 && block.height > 0.0,
+                   "block '" + block.name + "' must have positive dimensions");
+    THERMO_REQUIRE(std::isfinite(block.x) && std::isfinite(block.y) &&
+                       std::isfinite(block.width) && std::isfinite(block.height),
+                   "block '" + block.name + "' has non-finite geometry");
+    THERMO_REQUIRE(!index_.contains(block.name),
+                   "duplicate block name '" + block.name + "'");
+    index_.emplace(block.name, blocks_.size());
+    blocks_.push_back(std::move(block));
   }
 
+  // 2. The whole: at least one block, no two overlapping.
+  std::vector<std::string> errors;
+  if (blocks_.empty()) errors.push_back("floorplan has no blocks");
+  for (const auto& [i, j] : overlapping_pairs(blocks_)) {
+    std::ostringstream os;
+    os << "blocks '" << blocks_[i].name << "' and '" << blocks_[j].name
+       << "' overlap";
+    errors.push_back(os.str());
+  }
+  if (!errors.empty()) {
+    std::string message = "invalid floorplan '" + name_ + "':";
+    for (const auto& e : errors) message += "\n  - " + e;
+    throw InvalidArgument(message);
+  }
+
+  // 3. The derived geometry.
+  min_x_ = blocks_[0].left();
+  max_x_ = blocks_[0].right();
+  min_y_ = blocks_[0].bottom();
+  max_y_ = blocks_[0].top();
+  for (const Block& b : blocks_) {
+    min_x_ = std::min(min_x_, b.left());
+    max_x_ = std::max(max_x_, b.right());
+    min_y_ = std::min(min_y_, b.bottom());
+    max_y_ = std::max(max_y_, b.top());
+  }
+  adjacencies_ = find_adjacencies(blocks_);
   // Boundary exposure: portion of each block side lying on the bbox edge.
-  for (std::size_t i = 0; i < n; ++i) {
+  boundary_.assign(blocks_.size(), {0.0, 0.0, 0.0, 0.0});
+  for (std::size_t i = 0; i < blocks_.size(); ++i) {
     const Block& b = blocks_[i];
     auto& exposure = boundary_[i];
     if (std::fabs(b.top() - max_y_) < kGeomTol) exposure[0] = b.width;
@@ -142,42 +169,40 @@ void Floorplan::compute_cache() const {
     if (std::fabs(b.right() - max_x_) < kGeomTol) exposure[2] = b.height;
     if (std::fabs(b.left() - min_x_) < kGeomTol) exposure[3] = b.height;
   }
-
-  cache_valid_ = true;
 }
 
-double Floorplan::chip_width() const {
-  compute_cache();
-  return max_x_ - min_x_;
+Floorplan::Floorplan() {
+  static const std::shared_ptr<const Data> empty = std::make_shared<Data>();
+  data_ = empty;
 }
 
-double Floorplan::chip_height() const {
-  compute_cache();
-  return max_y_ - min_y_;
+Floorplan::Floorplan(std::string name, std::vector<Block> blocks)
+    : Floorplan(std::move(name),
+                [&blocks, i = std::size_t{0}]() mutable -> std::optional<Block> {
+                  if (i == blocks.size()) return std::nullopt;
+                  return std::move(blocks[i++]);
+                }) {}
+
+Floorplan::Floorplan(std::string name, const BlockSource& next)
+    : data_(std::make_shared<const Data>(std::move(name), next)) {}
+
+const Block& Floorplan::block(std::size_t i) const {
+  THERMO_REQUIRE(i < data_->blocks_.size(), "block index out of range");
+  return data_->blocks_[i];
 }
 
-double Floorplan::min_x() const {
-  compute_cache();
-  return min_x_;
-}
-
-double Floorplan::min_y() const {
-  compute_cache();
-  return min_y_;
-}
-
-const std::vector<Adjacency>& Floorplan::adjacencies() const {
-  compute_cache();
-  return adjacencies_;
+std::optional<std::size_t> Floorplan::index_of(std::string_view name) const {
+  const auto it = data_->index_.find(name);
+  if (it == data_->index_.end()) return std::nullopt;
+  return it->second;
 }
 
 std::vector<std::size_t> Floorplan::neighbours(std::size_t i) const {
-  THERMO_REQUIRE(i < blocks_.size(), "neighbours: index out of range");
-  compute_cache();
+  THERMO_REQUIRE(i < size(), "neighbours: index out of range");
   // Pairs (a, i) with a < i precede every (i, b) in (a, b) order, and
   // each run is ascending, so the scan yields ascending indices.
   std::vector<std::size_t> out;
-  for (const Adjacency& e : adjacencies_) {
+  for (const Adjacency& e : data_->adjacencies_) {
     if (e.b == i) out.push_back(e.a);
     if (e.a == i) out.push_back(e.b);
   }
@@ -185,13 +210,13 @@ std::vector<std::size_t> Floorplan::neighbours(std::size_t i) const {
 }
 
 double Floorplan::boundary_exposure(std::size_t i, Side side) const {
-  THERMO_REQUIRE(i < blocks_.size(), "boundary_exposure: index out of range");
-  compute_cache();
+  THERMO_REQUIRE(i < size(), "boundary_exposure: index out of range");
+  const auto& exposure = data_->boundary_[i];
   switch (side) {
-    case Side::kNorth: return boundary_[i][0];
-    case Side::kSouth: return boundary_[i][1];
-    case Side::kEast: return boundary_[i][2];
-    case Side::kWest: return boundary_[i][3];
+    case Side::kNorth: return exposure[0];
+    case Side::kSouth: return exposure[1];
+    case Side::kEast: return exposure[2];
+    case Side::kWest: return exposure[3];
   }
   return 0.0;
 }
@@ -200,67 +225,6 @@ double Floorplan::boundary_exposure(std::size_t i) const {
   double total = 0.0;
   for (Side side : kAllSides) total += boundary_exposure(i, side);
   return total;
-}
-
-ValidationReport Floorplan::validate() const {
-  ValidationReport report;
-  const std::size_t n = blocks_.size();
-  if (n == 0) {
-    report.ok = false;
-    report.errors.push_back("floorplan has no blocks");
-    return report;
-  }
-  // Sweep over blocks sorted by left edge. An active block whose right
-  // edge lies at or before the current block's left edge has an
-  // x-overlap <= 0 with it and with every later block, so it leaves the
-  // active list; each remaining pair gets the all-pairs overlap test.
-  std::vector<std::size_t> by_left(n);
-  std::iota(by_left.begin(), by_left.end(), std::size_t{0});
-  std::sort(by_left.begin(), by_left.end(), [&](std::size_t a, std::size_t b) {
-    return std::pair{blocks_[a].left(), a} < std::pair{blocks_[b].left(), b};
-  });
-  std::vector<std::size_t> active;
-  std::vector<IndexPair> overlapping;
-  for (const std::size_t k : by_left) {
-    const Block& current = blocks_[k];
-    std::erase_if(active, [&](std::size_t a) {
-      return blocks_[a].right() <= current.left();
-    });
-    for (const std::size_t a : active) {
-      const std::size_t i = std::min(a, k);
-      const std::size_t j = std::max(a, k);
-      if (blocks_[i].overlaps(blocks_[j], kGeomTol)) {
-        overlapping.emplace_back(i, j);
-      }
-    }
-    active.push_back(k);
-  }
-  std::sort(overlapping.begin(), overlapping.end());
-  for (const auto& [i, j] : overlapping) {
-    std::ostringstream os;
-    os << "blocks '" << blocks_[i].name << "' and '" << blocks_[j].name
-       << "' overlap";
-    report.errors.push_back(os.str());
-  }
-
-  double block_area = 0.0;
-  for (const Block& b : blocks_) block_area += b.area();
-  const double bbox_area = chip_area();
-  report.coverage = bbox_area > 0.0 ? block_area / bbox_area : 0.0;
-
-  report.ok = report.errors.empty();
-  return report;
-}
-
-void Floorplan::require_valid() const {
-  if (validated_) return;
-  const ValidationReport report = validate();
-  if (!report.ok) {
-    std::string message = "invalid floorplan '" + name_ + "':";
-    for (const auto& e : report.errors) message += "\n  - " + e;
-    throw InvalidArgument(message);
-  }
-  validated_ = true;
 }
 
 }  // namespace thermo::floorplan

@@ -3,20 +3,17 @@
 // geometric substrate for both the RC thermal model and the paper's test
 // session thermal model.
 //
-// Derived state is cached on the floorplan itself: the geometry is
-// computed lazily on first use, and a passing require_valid() is
-// remembered, so re-validating a floorplan (or a copy of one; copies
-// carry both) costs nothing. add_block drops both. A failed validation
-// is never remembered: every call re-checks and throws the same message.
-//
-// Concurrency: const members are safe to call from several threads only
-// once the floorplan has passed require_valid(), which fills the lazy
-// geometry and the pass record. Validate a floorplan before sharing it.
+// A floorplan is checked and complete from the moment it exists: its
+// constructor rejects bad blocks and overlaps, then derives the bounding
+// box, the adjacency list and the boundary exposure. Nothing changes it
+// afterwards, so copies share one immutable body and any thread may
+// read a floorplan, or copy it, at any time.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -38,46 +35,59 @@ struct Adjacency {
   Side side_of_a = Side::kNorth;
 };
 
-/// Result of Floorplan::validate().
-struct ValidationReport {
-  bool ok = true;
-  std::vector<std::string> errors;  ///< overlapping blocks, no blocks
-  double coverage = 0.0;            ///< sum(block areas) / bbox area
-};
-
 class Floorplan {
  public:
-  Floorplan() = default;
-  explicit Floorplan(std::string name) : name_(std::move(name)) {}
+  /// Yields the next block, or std::nullopt after the last.
+  using BlockSource = std::function<std::optional<Block>()>;
 
-  const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
+  /// The empty floorplan: no name, no blocks. The one floorplan without
+  /// blocks; SocSpec::validate, GridThermalModel and the viz maps
+  /// reject it.
+  Floorplan();
 
-  /// Adds a block (positive width/height, unique non-empty name required)
-  /// and returns its index. Invalidates cached adjacency.
-  std::size_t add_block(Block block);
+  /// Checks, in order: each block in block order (non-empty name,
+  /// positive and finite geometry, a name no earlier block has); then
+  /// that there is a block and that no two overlap, which throws
+  /// InvalidArgument "invalid floorplan '<name>':" with one
+  /// "\n  - <error>" per fault (overlaps in (i, j) order). Then derives
+  /// the bounding box, the adjacencies and the boundary exposure.
+  Floorplan(std::string name, std::vector<Block> blocks);
 
-  std::size_t size() const { return blocks_.size(); }
-  bool empty() const { return blocks_.empty(); }
+  /// As above, with the blocks drawn from `next` one at a time and each
+  /// checked as it arrives, so a bad block fails before `next` is asked
+  /// for a later one (a reader's error on a later line comes after it).
+  Floorplan(std::string name, const BlockSource& next);
+
+  /// Copies share the body. There is no move: a moved-from floorplan
+  /// would have none, so a move copies.
+  Floorplan(const Floorplan&) = default;
+  Floorplan& operator=(const Floorplan&) = default;
+
+  const std::string& name() const { return data_->name_; }
+
+  std::size_t size() const { return data_->blocks_.size(); }
+  bool empty() const { return data_->blocks_.empty(); }
   const Block& block(std::size_t i) const;
-  const std::vector<Block>& blocks() const { return blocks_; }
+  const std::vector<Block>& blocks() const { return data_->blocks_; }
 
   /// Index of the block with this name, std::nullopt when absent.
   std::optional<std::size_t> index_of(std::string_view name) const;
 
-  // --- derived geometry (computed lazily, cached) ---
+  // --- derived geometry ---
 
   /// Chip bounding box.
-  double chip_width() const;
-  double chip_height() const;
-  double min_x() const;
-  double min_y() const;
+  double chip_width() const { return data_->max_x_ - data_->min_x_; }
+  double chip_height() const { return data_->max_y_ - data_->min_y_; }
+  double min_x() const { return data_->min_x_; }
+  double min_y() const { return data_->min_y_; }
   double chip_area() const { return chip_width() * chip_height(); }
 
   /// All lateral adjacencies (each unordered pair listed once, a < b),
   /// sorted by (a, b). The one stored form of the adjacency graph:
   /// neighbours and the thermal models read it.
-  const std::vector<Adjacency>& adjacencies() const;
+  const std::vector<Adjacency>& adjacencies() const {
+    return data_->adjacencies_;
+  }
 
   /// Indices of blocks adjacent to `i`, in increasing index order (a
   /// scan of adjacencies(), O(adjacency count)).
@@ -90,20 +100,7 @@ class Floorplan {
   /// Total boundary exposure over all four sides.
   double boundary_exposure(std::size_t i) const;
 
-  /// Checks geometric consistency: no pairwise overlap (a sweep over
-  /// blocks sorted by left edge, errors listed in (i, j) order), and
-  /// reports the area coverage of the bounding box.
-  ValidationReport validate() const;
-
-  /// Throws InvalidArgument when validate() reports errors. A pass is
-  /// remembered until the next add_block, so later calls (on this
-  /// floorplan or a copy) return at once.
-  void require_valid() const;
-
  private:
-  void invalidate_cache();
-  void compute_cache() const;
-
   /// Transparent hash so index_of looks names up without a copy.
   struct NameHash {
     using is_transparent = void;
@@ -112,20 +109,25 @@ class Floorplan {
     }
   };
 
-  std::string name_;
-  std::vector<Block> blocks_;
-  /// Block name -> index: O(1) duplicate checks in add_block.
-  std::unordered_map<std::string, std::size_t, NameHash, std::equal_to<>>
-      index_;
+  /// What a floorplan holds; built whole, then never changed.
+  struct Data {
+    /// The empty floorplan's body.
+    Data() = default;
+    /// The checks and derivations of Floorplan(name, next).
+    Data(std::string name, const BlockSource& next);
 
-  // lazily computed
-  mutable bool cache_valid_ = false;
-  /// Set by a passing require_valid(), cleared by invalidate_cache().
-  mutable bool validated_ = false;
-  /// Sorted by (a, b): O(edges) storage, one entry per abutting pair.
-  mutable std::vector<Adjacency> adjacencies_;
-  mutable double min_x_ = 0.0, min_y_ = 0.0, max_x_ = 0.0, max_y_ = 0.0;
-  mutable std::vector<std::array<double, 4>> boundary_;  // N,S,E,W per block
+    std::string name_;
+    std::vector<Block> blocks_;
+    /// Block name -> index: O(1) duplicate checks.
+    std::unordered_map<std::string, std::size_t, NameHash, std::equal_to<>>
+        index_;
+    double min_x_ = 0.0, min_y_ = 0.0, max_x_ = 0.0, max_y_ = 0.0;
+    /// Sorted by (a, b): O(edges) storage, one entry per abutting pair.
+    std::vector<Adjacency> adjacencies_;
+    std::vector<std::array<double, 4>> boundary_;  // N,S,E,W per block
+  };
+
+  std::shared_ptr<const Data> data_;
 };
 
 /// Geometric tolerance (metres) used for abutment tests: edges closer

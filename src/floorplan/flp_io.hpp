@@ -13,7 +13,9 @@
 namespace thermo::floorplan {
 
 /// Parses .flp text. Throws ParseError with a line number on malformed
-/// input; throws InvalidArgument for duplicate names / bad dimensions.
+/// input, and InvalidArgument as the Floorplan constructor does (bad or
+/// duplicate blocks at their own line; no blocks or overlaps after the
+/// last).
 Floorplan parse_flp(std::istream& in, std::string name = "flp");
 
 /// Parses .flp from a string.

@@ -83,19 +83,18 @@ Floorplan make_slicing_floorplan(Rng& rng, const SlicingOptions& options) {
     push(regions.size() - 1);
   }
 
-  Floorplan fp("slicing" + std::to_string(options.block_count));
+  std::vector<Block> blocks;
   for (std::size_t i = 0; i < regions.size(); ++i) {
     Block block;
-    // Appended: GCC 12 flags `"c" + std::to_string(i)` (-Wrestrict).
-    block.name = "c";
-    block.name.append(std::to_string(i));
+    block.name = 'c' + std::to_string(i);
     block.x = regions[i].x;
     block.y = regions[i].y;
     block.width = regions[i].w;
     block.height = regions[i].h;
-    fp.add_block(std::move(block));
+    blocks.push_back(std::move(block));
   }
-  return fp;
+  return Floorplan("synthetic-" + std::to_string(options.block_count),
+                   std::move(blocks));
 }
 
 }  // namespace thermo::floorplan

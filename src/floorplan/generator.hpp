@@ -2,13 +2,11 @@
 // tests and synthetic-SoC scenarios (soc::make_synthetic_soc builds on
 // it).
 //
-// The generator guarantees what Floorplan::validate() checks — blocks
-// with positive dimensions, pairwise non-overlapping, covering the die
-// exactly — so downstream code (RCModel construction, the session
-// model's adjacency walk) can rely on a well-formed adjacency graph
-// without re-validating. It is deterministic for a given Rng state,
-// which is how scenario requests reproduce "the same random SoC" from a
-// seed (docs/SERVE.md, soc.kind = "synthetic").
+// The generator's blocks pass the Floorplan constructor's checks by
+// design — positive dimensions, pairwise non-overlapping, covering the
+// die exactly. It is deterministic for a given Rng state, which is how
+// scenario requests reproduce "the same random SoC" from a seed
+// (docs/SERVE.md, soc.kind = "synthetic").
 #pragma once
 
 #include <cstddef>
@@ -39,9 +37,11 @@ struct SlicingOptions {
 /// hierarchical layouts: a mix of large and small rectangles with
 /// irregular adjacency, unlike a uniform lattice. Always valid
 /// and fully covering; deterministic for a given RNG state. Blocks are
-/// named "c<index>" in creation order. Throws InvalidArgument on
-/// non-positive dimensions, min_cut_fraction outside (0, 0.5), or a
-/// block_count unreachable without violating min_block_dim.
+/// named "c<index>" in creation order; the floorplan is named
+/// "synthetic-<block_count>", which soc::make_synthetic_soc takes as
+/// its SoC's name. Throws InvalidArgument on non-positive dimensions,
+/// min_cut_fraction outside (0, 0.5), or a block_count unreachable
+/// without violating min_block_dim.
 Floorplan make_slicing_floorplan(Rng& rng, const SlicingOptions& options = {});
 
 }  // namespace thermo::floorplan

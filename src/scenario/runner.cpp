@@ -227,12 +227,7 @@ core::SocSpec ScenarioRunner::soc_for(Entry& entry,
       if (key == unscaled) built = soc;
     }
     if (built == nullptr) {
-      // The floorplan is validated before any worker shares it: that
-      // fills its lazy geometry and its validation record, which every
-      // copy carries.
-      core::SocSpec soc = make_soc(unscaled);
-      soc.flp.require_valid();
-      built = std::make_shared<const core::SocSpec>(std::move(soc));
+      built = std::make_shared<const core::SocSpec>(make_soc(unscaled));
       if (entry.socs.size() >= kMaxSocsPerModel) {
         entry.socs.erase(entry.socs.begin());
       }

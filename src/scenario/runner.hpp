@@ -6,10 +6,9 @@
 // runner instead of one process each: every request whose SocSelector
 // has the same geometry_key() shares one cache entry, and the entry
 // holds everything built from that geometry, each part on first use:
-//   * per selector without its power_scale, the SoC, built and its
-//     floorplan validated once; a request copies it, scales its test
-//     powers and validates the copy, which costs O(n) because the
-//     floorplan remembers its pass (Floorplan::require_valid);
+//   * per selector without its power_scale, the SoC, built once; a
+//     request copies it, which shares its floorplan, then scales its
+//     test powers and validates the copy in O(n);
 //   * one core::PreparedModel: the RCModel, which on the first
 //     steady-oracle request factors G and tabulates every block's
 //     self-resistance (G⁻¹)ᵢᵢ, and keeps both (RCModel::steady_factor,
@@ -27,11 +26,9 @@
 // serve_stream fans requests across threads (dispatch::run_batch). The
 // geometry map is guarded by the runner's mutex; an entry's parts are
 // built under the entry's own mutex, never under the runner's, and are
-// read-only once built (the floorplans' lazy geometry and validation
-// record are filled before they are shared). The Stats counts are
-// relaxed atomics, so no build takes the runner's mutex. A failed build
-// caches nothing, so every request that hits it gets the same ok:false
-// record. Per-request failures — bad .flp paths, scheduler throws — are
+// read-only once built. The Stats counts are relaxed atomics, so no
+// build takes the runner's mutex. A failed build caches nothing, so
+// every request that hits it gets the same ok:false record. Per-request failures — bad .flp paths, scheduler throws — are
 // captured in the result record (`ok:false` + the error message); run()
 // itself only propagates non-thermo exceptions (e.g. bad_alloc).
 //

@@ -49,7 +49,7 @@ constexpr double kTestPowerCalibration = 2.75;
 core::SocSpec alpha_soc() {
   core::SocSpec soc;
   soc.name = "alpha21364-15";
-  soc.flp.set_name(soc.name);
+  std::vector<floorplan::Block> blocks;
   for (const UnitSpec& unit : kUnits) {
     floorplan::Block block;
     block.name = unit.name;
@@ -57,7 +57,7 @@ core::SocSpec alpha_soc() {
     block.y = unit.y0 * kMm;
     block.width = (unit.x1 - unit.x0) * kMm;
     block.height = (unit.y1 - unit.y0) * kMm;
-    soc.flp.add_block(std::move(block));
+    blocks.push_back(std::move(block));
 
     core::CoreTest test;
     test.power = unit.functional_power * unit.test_factor *
@@ -66,6 +66,7 @@ core::SocSpec alpha_soc() {
                         // "Deviations from the paper"
     soc.tests.push_back(test);
   }
+  soc.flp = floorplan::Floorplan(soc.name, std::move(blocks));
   soc.package = thermal::PackageParams{};
   soc.validate();
   return soc;

@@ -29,7 +29,7 @@ constexpr double kTestPowerWatts = 15.0;  // P(Ci) = 15 W, i = 1..7
 core::SocSpec fig1_soc() {
   core::SocSpec soc;
   soc.name = "fig1-hypothetical";
-  soc.flp.set_name(soc.name);
+  std::vector<floorplan::Block> blocks;
   for (const UnitSpec& unit : kUnits) {
     floorplan::Block block;
     block.name = unit.name;
@@ -37,9 +37,10 @@ core::SocSpec fig1_soc() {
     block.y = unit.y0 * kMm;
     block.width = (unit.x1 - unit.x0) * kMm;
     block.height = (unit.y1 - unit.y0) * kMm;
-    soc.flp.add_block(std::move(block));
+    blocks.push_back(std::move(block));
     soc.tests.push_back(core::CoreTest{kTestPowerWatts, 1.0});
   }
+  soc.flp = floorplan::Floorplan(soc.name, std::move(blocks));
   soc.package = thermal::PackageParams{};
   soc.validate();
   return soc;

@@ -23,8 +23,7 @@ core::SocSpec make_synthetic_soc(Rng& rng, const SyntheticOptions& options) {
 
   core::SocSpec soc;
   soc.flp = floorplan::make_slicing_floorplan(rng, slicing);
-  soc.name = "synthetic-" + std::to_string(options.core_count);
-  soc.flp.set_name(soc.name);
+  soc.name = soc.flp.name();
   soc.package = thermal::PackageParams{};
 
   for (std::size_t i = 0; i < soc.flp.size(); ++i) {

@@ -19,7 +19,7 @@ GridThermalModel::GridThermalModel(const floorplan::Floorplan& fp,
                                    GridOptions options)
     : package_(package), options_(options) {
   package_.validate();
-  fp.require_valid();
+  THERMO_REQUIRE(!fp.empty(), "floorplan has no blocks");
   THERMO_REQUIRE(options_.rows >= 2 && options_.cols >= 2,
                  "grid needs at least 2x2 cells");
 

@@ -45,9 +45,8 @@ struct GridSteadyResult {
 
 class GridThermalModel {
  public:
-  /// Builds the grid over `fp`, which must be valid (validating it
-  /// records the pass on the caller's floorplan); the model keeps only
-  /// each block's area and cell coverage, not the floorplan.
+  /// Builds the grid over `fp`, which must have blocks; the model keeps
+  /// only each block's area and cell coverage, not the floorplan.
   GridThermalModel(const floorplan::Floorplan& fp,
                    const PackageParams& package, GridOptions options = {});
 

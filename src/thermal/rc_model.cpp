@@ -199,7 +199,6 @@ RCModel::RCModel(const fp::Floorplan& floorplan, const PackageParams& package)
       block_count_(floorplan.size()),
       steady_(block_count_) {
   package_.validate();
-  floorplan.require_valid();
   build(floorplan);
 }
 

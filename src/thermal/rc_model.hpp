@@ -187,10 +187,9 @@ const double* StepResponseTable::row(const Key& key, std::size_t size,
 
 class RCModel {
  public:
-  /// Builds the network. The floorplan must be valid (no overlaps);
-  /// validating it fills its lazy geometry and records the pass on the
-  /// caller's floorplan, and the model keeps no copy of it. Throws
-  /// InvalidArgument otherwise.
+  /// Builds the network over `fp`'s blocks and adjacencies; the model
+  /// keeps no copy of the floorplan. Throws InvalidArgument when the
+  /// package is invalid.
   /// Assembly is sparse-first: conductances stamp straight into a CSR
   /// builder, so construction is O(nnz) time and memory.
   RCModel(const floorplan::Floorplan& fp, const PackageParams& package);

@@ -61,7 +61,7 @@ std::string ascii_heatmap(const std::vector<double>& cells, std::size_t rows,
 std::string ascii_block_map(const floorplan::Floorplan& fp,
                             const std::vector<double>& block_values,
                             std::size_t width) {
-  fp.require_valid();
+  THERMO_REQUIRE(!fp.empty(), "floorplan has no blocks");
   THERMO_REQUIRE(block_values.size() == fp.size(),
                  "one value per block required");
   THERMO_REQUIRE(width >= 4, "width must be at least 4");
@@ -99,7 +99,7 @@ std::string ascii_block_map(const floorplan::Floorplan& fp,
 
 std::string svg_floorplan(const floorplan::Floorplan& fp,
                           const std::vector<double>& block_values) {
-  fp.require_valid();
+  THERMO_REQUIRE(!fp.empty(), "floorplan has no blocks");
   THERMO_REQUIRE(block_values.size() == fp.size(),
                  "one value per block required");
   constexpr double kScale = 40000.0;  // pixels per metre

@@ -32,8 +32,8 @@ std::string ascii_heatmap(const std::vector<double>& cells, std::size_t rows,
 /// (height follows the die aspect ratio, halved to compensate for
 /// terminal cells being ~2x taller than wide), each sample taking the
 /// ramp character of the block containing it. Gaps between blocks
-/// render as spaces. Throws InvalidArgument unless block_values.size()
-/// matches the floorplan.
+/// render as spaces. Throws InvalidArgument unless the floorplan has
+/// blocks and block_values.size() matches it.
 std::string ascii_block_map(const floorplan::Floorplan& fp,
                             const std::vector<double>& block_values,
                             std::size_t width = 48);
@@ -43,7 +43,8 @@ std::string ascii_block_map(const floorplan::Floorplan& fp,
 /// on a blue -> cyan -> yellow -> red ramp (cool to hot) between the
 /// values' min and max, and labelling it with its name and value. Block
 /// values may be temperatures, power densities, weights... Throws
-/// InvalidArgument unless block_values.size() matches the floorplan.
+/// InvalidArgument unless the floorplan has blocks and
+/// block_values.size() matches it.
 std::string svg_floorplan(const floorplan::Floorplan& fp,
                           const std::vector<double>& block_values);
 

@@ -178,9 +178,8 @@ TEST_F(SessionModelTest, VerticalPathMakesEnclosedCoreFinite) {
 }
 
 TEST_F(SessionModelTest, VerticalResistanceShrinksWithArea) {
-  floorplan::Floorplan fp("two");
-  fp.add_block({"small", 1e-3, 1e-3, 0.0, 0.0});
-  fp.add_block({"large", 4e-3, 1e-3, 1e-3, 0.0});
+  const floorplan::Floorplan fp("two", {{"small", 1e-3, 1e-3, 0.0, 0.0},
+                                        {"large", 4e-3, 1e-3, 1e-3, 0.0}});
   const SessionThermalModel m(fp, pkg_, {});
   EXPECT_GT(m.vertical_resistance(0), m.vertical_resistance(1));
 }

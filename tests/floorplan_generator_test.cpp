@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -61,9 +62,7 @@ TEST_P(SlicingProperty, AlwaysValidAndCovering) {
     options.block_count = GetParam();
     const Floorplan fp = make_slicing_floorplan(rng, options);
     EXPECT_EQ(fp.size(), GetParam());
-    const ValidationReport report = fp.validate();
-    EXPECT_TRUE(report.ok) << "seed " << seed;
-    EXPECT_NEAR(report.coverage, 1.0, 1e-9) << "seed " << seed;
+    EXPECT_NEAR(thermo::testing::coverage(fp), 1.0, 1e-9) << "seed " << seed;
     // Every block must be thermally reachable: neighbour or boundary.
     for (std::size_t i = 0; i < fp.size(); ++i) {
       EXPECT_TRUE(!fp.neighbours(i).empty() || fp.boundary_exposure(i) > 0.0);

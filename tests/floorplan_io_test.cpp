@@ -50,9 +50,37 @@ TEST(FlpIo, NegativeDimensionRejected) {
   EXPECT_THROW(parse_flp_string("a -1 1 0 0\n"), InvalidArgument);
 }
 
-TEST(FlpIo, EmptyInputGivesEmptyFloorplan) {
-  const Floorplan fp = parse_flp_string("# only comments\n\n");
-  EXPECT_TRUE(fp.empty());
+/// The what() of what parsing `text` throws, "" when it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    parse_flp_string(text);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FlpIo, EmptyInputIsRejectedAsAFloorplanWithoutBlocks) {
+  EXPECT_EQ(parse_error("# only comments\n\n"),
+            "invalid floorplan 'flp':\n  - floorplan has no blocks");
+}
+
+TEST(FlpIo, ABadBlockFailsAtItsLineBeforeALaterParseError) {
+  const std::string duplicate =
+      "precondition failed [!index_.contains(block.name)]: "
+      "duplicate block name 'a'";
+  EXPECT_EQ(parse_error("a 1 1 0 0\na 1 1 1 0\nb 1 1 2 0\nc x 1 3 0\n"),
+            duplicate);
+  EXPECT_EQ(parse_error("a 1 1 0 0\nz 0 1 1 0\nc 1 1\n"),
+            "precondition failed [block.width > 0.0 && block.height > 0.0]: "
+            "block 'z' must have positive dimensions");
+  // A parse error before the bad block still comes first, and a bad
+  // block before an overlap.
+  EXPECT_EQ(parse_error("a 1 1 0 0\nc x 1 3 0\na 1 1 1 0\n"),
+            "flp line 2: field 'width' is not a number: 'x'");
+  EXPECT_EQ(parse_error("a 2 2 0 0\nb 2 2 1 1\na 1 1 5 0\n"), duplicate);
+  EXPECT_EQ(parse_error("a 2 2 0 0\nb 2 2 1 1\n"),
+            "invalid floorplan 'flp':\n  - blocks 'a' and 'b' overlap");
 }
 
 // HotSpot .flp text of test_helpers' nine_floorplan(), as a HotSpot

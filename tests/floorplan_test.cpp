@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "test_helpers.hpp"
@@ -15,6 +17,7 @@
 namespace thermo::floorplan {
 namespace {
 
+using thermo::testing::coverage;
 using thermo::testing::idx;
 using thermo::testing::nine_floorplan;
 using thermo::testing::quad_floorplan;
@@ -28,6 +31,18 @@ double shared_length(const Floorplan& fp, std::size_t i, std::size_t j) {
     }
   }
   return 0.0;
+}
+
+/// The what() of the InvalidArgument that building `blocks` as `name`
+/// throws, "" when it builds.
+std::string construction_error(const std::string& name,
+                               std::vector<Block> blocks) {
+  try {
+    const Floorplan fp(name, std::move(blocks));
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(Block, GeometryAccessors) {
@@ -48,8 +63,7 @@ TEST(Block, CentroidToSideUsesCorrectAxis) {
 TEST(Block, SideLength) {
   // A lone block lies on the bounding box with all four sides: width
   // for N/S, height for E/W.
-  Floorplan fp("lone");
-  fp.add_block({"x", 2e-3, 4e-3, 0.0, 0.0});
+  const Floorplan fp("lone", {{"x", 2e-3, 4e-3, 0.0, 0.0}});
   EXPECT_DOUBLE_EQ(fp.boundary_exposure(0, Side::kNorth), 2e-3);
   EXPECT_DOUBLE_EQ(fp.boundary_exposure(0, Side::kSouth), 2e-3);
   EXPECT_DOUBLE_EQ(fp.boundary_exposure(0, Side::kEast), 4e-3);
@@ -66,13 +80,40 @@ TEST(Block, OverlapDetection) {
   EXPECT_FALSE(a.overlaps(apart));
 }
 
-TEST(Floorplan, AddBlockValidation) {
-  Floorplan fp("t");
-  EXPECT_THROW(fp.add_block({"", 1e-3, 1e-3, 0, 0}), InvalidArgument);
-  EXPECT_THROW(fp.add_block({"z", 0.0, 1e-3, 0, 0}), InvalidArgument);
-  EXPECT_THROW(fp.add_block({"z", 1e-3, -1e-3, 0, 0}), InvalidArgument);
-  fp.add_block({"a", 1e-3, 1e-3, 0, 0});
-  EXPECT_THROW(fp.add_block({"a", 1e-3, 1e-3, 5e-3, 0}), InvalidArgument);
+TEST(Floorplan, ConstructorChecksEachBlockInOrder) {
+  const Block a{"a", 1e-3, 1e-3, 0, 0};
+  EXPECT_EQ(construction_error("t", {a, {"", 1e-3, 1e-3, 1e-3, 0}}),
+            "precondition failed [!block.name.empty()]: "
+            "block name must be non-empty");
+  const std::string dimensions =
+      "precondition failed [block.width > 0.0 && block.height > 0.0]: "
+      "block 'z' must have positive dimensions";
+  EXPECT_EQ(construction_error("t", {a, {"z", 0.0, 1e-3, 1e-3, 0}}),
+            dimensions);
+  EXPECT_EQ(construction_error("t", {a, {"z", 1e-3, -1e-3, 1e-3, 0}}),
+            dimensions);
+  EXPECT_EQ(
+      construction_error(
+          "t", {a, {"z", 1e-3, 1e-3, std::numeric_limits<double>::infinity(),
+                    0}}),
+      "precondition failed [std::isfinite(block.x) && std::isfinite(block.y) "
+      "&& std::isfinite(block.width) && std::isfinite(block.height)]: "
+      "block 'z' has non-finite geometry");
+  const std::string duplicate =
+      "precondition failed [!index_.contains(block.name)]: "
+      "duplicate block name 'a'";
+  EXPECT_EQ(construction_error("t", {a, {"a", 1e-3, 1e-3, 5e-3, 0}}),
+            duplicate);
+  // Each block is checked before the whole: a duplicate after an
+  // overlapping pair names the duplicate, and the first bad block wins.
+  EXPECT_EQ(construction_error("t", {a,
+                                     {"b", 1e-3, 1e-3, 0.5e-3, 0},
+                                     {"a", 1e-3, 1e-3, 5e-3, 0}}),
+            duplicate);
+  EXPECT_EQ(construction_error("t", {a,
+                                     {"a", 1e-3, 1e-3, 5e-3, 0},
+                                     {"z", 0.0, 1e-3, 7e-3, 0}}),
+            duplicate);
 }
 
 TEST(Floorplan, IndexOfFindsBlocks) {
@@ -109,9 +150,8 @@ TEST(Floorplan, SharedEdgeLengthFullSide) {
 }
 
 TEST(Floorplan, PartialSharedEdge) {
-  Floorplan fp("partial");
-  fp.add_block({"left", 1e-3, 2e-3, 0.0, 0.0});
-  fp.add_block({"right", 1e-3, 1e-3, 1e-3, 0.5e-3});
+  const Floorplan fp("partial", {{"left", 1e-3, 2e-3, 0.0, 0.0},
+                                 {"right", 1e-3, 1e-3, 1e-3, 0.5e-3}});
   // overlap of [0,2] and [0.5,1.5]
   EXPECT_DOUBLE_EQ(shared_length(fp, 0, 1), 1e-3);
 }
@@ -145,91 +185,48 @@ TEST(Floorplan, EdgeBlockHasOneExposedSide) {
   EXPECT_DOUBLE_EQ(fp.boundary_exposure(edge), 2e-3);
 }
 
-TEST(Floorplan, ValidateAcceptsCleanFloorplan) {
-  const ValidationReport report = nine_floorplan().validate();
-  EXPECT_TRUE(report.ok);
-  EXPECT_TRUE(report.errors.empty());
-  EXPECT_NEAR(report.coverage, 1.0, 1e-12);
+TEST(Floorplan, ConstructorAcceptsCleanFloorplan) {
+  const Floorplan fp = nine_floorplan();
+  EXPECT_EQ(fp.size(), 9u);
+  EXPECT_NEAR(coverage(fp), 1.0, 1e-12);
 }
 
-TEST(Floorplan, ValidateDetectsOverlap) {
-  Floorplan fp("bad");
-  fp.add_block({"a", 2e-3, 2e-3, 0.0, 0.0});
-  fp.add_block({"b", 2e-3, 2e-3, 1e-3, 1e-3});
-  const ValidationReport report = fp.validate();
-  EXPECT_FALSE(report.ok);
-  ASSERT_EQ(report.errors.size(), 1u);
-  EXPECT_NE(report.errors[0].find("overlap"), std::string::npos);
-  EXPECT_THROW(fp.require_valid(), InvalidArgument);
+TEST(Floorplan, ConstructorRejectsOverlap) {
+  EXPECT_EQ(construction_error("bad", {{"a", 2e-3, 2e-3, 0.0, 0.0},
+                                       {"b", 2e-3, 2e-3, 1e-3, 1e-3}}),
+            "invalid floorplan 'bad':\n  - blocks 'a' and 'b' overlap");
+  // Every overlapping pair is listed, in (i, j) order.
+  std::vector<Block> blocks = quad_floorplan().blocks();
+  blocks.push_back({"e", 1e-3, 1e-3, 0.5e-3, 0.5e-3});  // overlaps a, b, c, d
+  blocks.push_back({"f", 1e-3, 1e-3, 1.5e-3, 1.5e-3});  // overlaps d
+  EXPECT_EQ(construction_error("quad+", blocks),
+            "invalid floorplan 'quad+':"
+            "\n  - blocks 'a' and 'e' overlap"
+            "\n  - blocks 'b' and 'e' overlap"
+            "\n  - blocks 'c' and 'e' overlap"
+            "\n  - blocks 'd' and 'e' overlap"
+            "\n  - blocks 'd' and 'f' overlap");
+  // A block beside the others, not over them, builds.
+  blocks.resize(4);
+  blocks.push_back({"e", 1e-3, 1e-3, 2e-3, 0.0});
+  EXPECT_EQ(construction_error("quad+", blocks), "");
 }
 
-TEST(Floorplan, ValidateWarnsAboutPoorCoverage) {
-  Floorplan fp("sparse");
-  fp.add_block({"a", 1e-3, 1e-3, 0.0, 0.0});
-  fp.add_block({"b", 1e-3, 1e-3, 9e-3, 9e-3});
-  const ValidationReport report = fp.validate();
-  EXPECT_TRUE(report.ok);  // poor coverage is not an error
-  EXPECT_TRUE(report.errors.empty());
-  EXPECT_LT(report.coverage, 0.05);
+TEST(Floorplan, PoorCoverageIsNotAnError) {
+  const Floorplan fp("sparse", {{"a", 1e-3, 1e-3, 0.0, 0.0},
+                                {"b", 1e-3, 1e-3, 9e-3, 9e-3}});
+  EXPECT_LT(coverage(fp), 0.05);
 }
 
-TEST(Floorplan, ValidateRejectsEmpty) {
-  const Floorplan fp("empty");
-  EXPECT_FALSE(fp.validate().ok);
-  EXPECT_THROW(fp.require_valid(), InvalidArgument);
-}
-
-TEST(Floorplan, CacheInvalidatedByAddBlock) {
-  Floorplan fp("grow");
-  fp.add_block({"a", 1e-3, 1e-3, 0.0, 0.0});
-  EXPECT_DOUBLE_EQ(fp.chip_width(), 1e-3);
-  fp.add_block({"b", 1e-3, 1e-3, 1e-3, 0.0});
-  EXPECT_DOUBLE_EQ(fp.chip_width(), 2e-3);
-  EXPECT_GT(shared_length(fp, 0, 1), 0.0);
-}
-
-// require_valid() remembers a pass, and only a pass: a failure is
-// re-checked (and re-thrown with the same text) on every call, and
-// add_block drops a recorded pass, on the floorplan and on copies.
-std::string validation_error(const Floorplan& fp) {
-  try {
-    fp.require_valid();
-  } catch (const InvalidArgument& e) {
-    return e.what();
-  }
-  return "";
-}
-
-TEST(FloorplanValidationMemo, InvalidFloorplanThrowsTheSameMessageEveryTime) {
-  Floorplan fp("bad");
-  fp.add_block({"a", 2e-3, 2e-3, 0.0, 0.0});
-  fp.add_block({"b", 2e-3, 2e-3, 1e-3, 1e-3});
-  const std::string first = validation_error(fp);
-  EXPECT_NE(first.find("'a' and 'b' overlap"), std::string::npos) << first;
-  EXPECT_EQ(validation_error(fp), first);
-  EXPECT_EQ(validation_error(fp), first);
-  const Floorplan copy = fp;
-  EXPECT_EQ(validation_error(copy), first);
-}
-
-TEST(FloorplanValidationMemo, OverlapAddedAfterAPassIsCaught) {
-  Floorplan fp = quad_floorplan();
-  ASSERT_EQ(validation_error(fp), "");
-  Floorplan copy = fp;  // carries the pass
-  EXPECT_EQ(validation_error(copy), "");
-
-  fp.add_block({"e", 1e-3, 1e-3, 0.5e-3, 0.5e-3});  // overlaps a, b, c, d
-  EXPECT_NE(validation_error(fp).find("'a' and 'e' overlap"),
-            std::string::npos);
-  copy.add_block({"e", 1e-3, 1e-3, 1.5e-3, 1.5e-3});  // overlaps d
-  EXPECT_NE(validation_error(copy).find("'d' and 'e' overlap"),
-            std::string::npos);
-
-  // A non-overlapping block after a pass validates afresh and passes.
-  Floorplan grown = quad_floorplan();
-  ASSERT_EQ(validation_error(grown), "");
-  grown.add_block({"e", 1e-3, 1e-3, 2e-3, 0.0});
-  EXPECT_EQ(validation_error(grown), "");
+TEST(Floorplan, ConstructorRejectsEmpty) {
+  EXPECT_EQ(construction_error("empty", {}),
+            "invalid floorplan 'empty':\n  - floorplan has no blocks");
+  // The default floorplan is the one without blocks.
+  const Floorplan none;
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.name(), "");
+  EXPECT_TRUE(none.adjacencies().empty());
+  EXPECT_EQ(none.chip_area(), 0.0);
 }
 
 TEST(Floorplan, OutOfRangeIndicesThrow) {
@@ -241,20 +238,67 @@ TEST(Floorplan, OutOfRangeIndicesThrow) {
 
 TEST(Floorplan, IndexOfSurvivesCopies) {
   Floorplan fp = quad_floorplan();
-  Floorplan copy = fp;
-  copy.add_block({"e", 1e-3, 1e-3, 2e-3, 0.0});
-  EXPECT_EQ(*copy.index_of("e"), 4u);
-  EXPECT_FALSE(fp.index_of("e").has_value());
+  const Floorplan copy = fp;
   EXPECT_EQ(*copy.index_of("c"), 2u);
-  EXPECT_THROW(copy.add_block({"b", 1e-3, 1e-3, 3e-3, 0.0}), InvalidArgument);
-  fp = copy;
-  EXPECT_EQ(*fp.index_of("e"), 4u);
-  EXPECT_FALSE(fp.index_of("f").has_value());
+  fp = Floorplan("other", {{"e", 1e-3, 1e-3, 0.0, 0.0}});
+  EXPECT_EQ(*fp.index_of("e"), 0u);
+  EXPECT_FALSE(fp.index_of("c").has_value());
+  EXPECT_EQ(*copy.index_of("d"), 3u);
+  EXPECT_FALSE(copy.index_of("e").has_value());
+}
+
+TEST(Floorplan, CopiesShareStorage) {
+  const Floorplan original = nine_floorplan();
+  Floorplan copy = original;
+  EXPECT_EQ(&copy.blocks(), &original.blocks());
+  EXPECT_EQ(&copy.adjacencies(), &original.adjacencies());
+  EXPECT_EQ(&copy.name(), &original.name());
+  // A move copies, so the source keeps its floorplan.
+  const Floorplan moved = std::move(copy);
+  EXPECT_EQ(&moved.blocks(), &original.blocks());
+  EXPECT_EQ(copy.size(), 9u);
+}
+
+TEST(Floorplan, FourThreadsMakeTheFirstReadsOfAFreshCopy) {
+  std::vector<Block> blocks;
+  for (std::size_t i = 0; i < 256; ++i) {
+    Block b;
+    b.name = 't' + std::to_string(i);
+    b.width = b.height = 1e-4;
+    b.x = static_cast<double>(i % 16) * 1e-4;
+    b.y = static_cast<double>(i / 16) * 1e-4;
+    blocks.push_back(std::move(b));
+  }
+  const Floorplan built("fresh", std::move(blocks));
+  const Floorplan copy = built;  // never read before the threads start
+
+  struct Reads {
+    double width = 0.0;
+    std::size_t adjacencies = 0;
+    double exposure = 0.0;
+  };
+  std::array<Reads, 4> reads;
+  std::vector<std::thread> threads;
+  for (Reads& r : reads) {
+    threads.emplace_back([&copy, &r] {
+      r.width = copy.chip_width();
+      r.adjacencies = copy.adjacencies().size();
+      for (std::size_t i = 0; i < copy.size(); ++i) {
+        r.exposure += copy.boundary_exposure(i);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const Reads& r : reads) {
+    EXPECT_EQ(r.width, built.chip_width());
+    EXPECT_EQ(r.adjacencies, 2u * 16u * 15u);
+    EXPECT_NEAR(r.exposure, 4.0 * 16e-4, 1e-15);
+  }
 }
 
 // --- Brute-force references -------------------------------------------
-// The all-pairs loops that validate() and the adjacency cache replaced
-// with sweeps over sorted edges. The sweeps must reproduce them exactly:
+// The all-pairs loops that the constructor's overlap check and its
+// adjacency list replaced with sweeps over sorted edges. The sweeps must reproduce them exactly:
 // same pairs, same (i, j) order, same bits.
 
 double reference_interval_overlap(double a0, double a1, double b0, double b1) {
@@ -317,8 +361,13 @@ std::array<double, 4> reference_exposure(const std::vector<Block>& blocks,
   return exposure;
 }
 
-ValidationReport reference_validate(const std::vector<Block>& blocks) {
-  ValidationReport report;
+struct ReferenceReport {
+  std::vector<std::string> errors;  ///< overlapping pairs, (i, j) order
+  double coverage = 0.0;            ///< sum(block areas) / bbox area
+};
+
+ReferenceReport reference_validate(const std::vector<Block>& blocks) {
+  ReferenceReport report;
   const std::size_t n = blocks.size();
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
@@ -333,15 +382,14 @@ ValidationReport reference_validate(const std::vector<Block>& blocks) {
   for (const Block& b : blocks) block_area += b.area();
   const double bbox_area = (box.max_x - box.min_x) * (box.max_y - box.min_y);
   report.coverage = bbox_area > 0.0 ? block_area / bbox_area : 0.0;
-  report.ok = report.errors.empty();
   return report;
 }
 
 /// Random blocks on a coarse lattice, so edges abut exactly, corners
 /// meet and interiors overlap often; some coordinates are then nudged
 /// by just under or just over kGeomTol (and around 2·kGeomTol).
-Floorplan random_messy_floorplan(Rng& rng, std::size_t count, double unit,
-                                 long long lattice) {
+std::vector<Block> random_messy_blocks(Rng& rng, std::size_t count,
+                                       double unit, long long lattice) {
   const double nudges[] = {0.0,   0.5,   0.999, 1.001,
                            1.5,   1.999, 2.001, 3.0};
   const auto nudge = [&](double value) {
@@ -349,30 +397,52 @@ Floorplan random_messy_floorplan(Rng& rng, std::size_t count, double unit,
     const double sign = rng.chance(0.5) ? 1.0 : -1.0;
     return value + sign * nudges[rng.uniform_index(8)] * kGeomTol;
   };
-  Floorplan fp("messy");
+  std::vector<Block> blocks;
   for (std::size_t i = 0; i < count; ++i) {
     Block b;
-    b.name = "b";
-    b.name.append(std::to_string(i));
+    b.name = 'b' + std::to_string(i);
     b.x = nudge(unit * static_cast<double>(rng.uniform_int(0, lattice)));
     b.y = nudge(unit * static_cast<double>(rng.uniform_int(0, lattice)));
     b.width = nudge(unit * static_cast<double>(rng.uniform_int(1, 4)));
     b.height = nudge(unit * static_cast<double>(rng.uniform_int(1, 4)));
-    fp.add_block(std::move(b));
+    blocks.push_back(std::move(b));
   }
-  return fp;
+  return blocks;
 }
 
-void expect_matches_reference(const Floorplan& fp, const std::string& label) {
-  const std::vector<Block>& blocks = fp.blocks();
-  const ValidationReport expected = reference_validate(blocks);
-  const ValidationReport report = fp.validate();
-  EXPECT_EQ(report.ok, expected.ok) << label;
-  EXPECT_EQ(report.errors, expected.errors) << label;
-  EXPECT_EQ(report.coverage, expected.coverage) << label;
+/// The blocks in order, without each one that overlaps a block kept
+/// before it (by the reference test).
+std::vector<Block> without_overlaps(const std::vector<Block>& blocks) {
+  std::vector<Block> kept;
+  for (const Block& b : blocks) {
+    if (std::none_of(kept.begin(), kept.end(), [&](const Block& k) {
+          return k.overlaps(b, kGeomTol);
+        })) {
+      kept.push_back(b);
+    }
+  }
+  return kept;
+}
+
+/// Builds `blocks` as `label` and checks the result against the
+/// references: the exact error text when any pair overlaps, else the
+/// coverage, the adjacencies, the neighbours and the exposures, bit for
+/// bit. Returns the overlap count.
+std::size_t expect_matches_reference(const std::vector<Block>& blocks,
+                                     const std::string& label) {
+  const ReferenceReport expected = reference_validate(blocks);
+  if (!expected.errors.empty()) {
+    std::string message = "invalid floorplan '" + label + "':";
+    for (const std::string& e : expected.errors) message += "\n  - " + e;
+    EXPECT_EQ(construction_error(label, blocks), message);
+    return expected.errors.size();
+  }
+  const Floorplan fp(label, blocks);
+  EXPECT_EQ(coverage(fp), expected.coverage) << label;
 
   const std::vector<Adjacency> adjacencies = reference_adjacencies(blocks);
-  ASSERT_EQ(fp.adjacencies().size(), adjacencies.size()) << label;
+  EXPECT_EQ(fp.adjacencies().size(), adjacencies.size()) << label;
+  if (fp.adjacencies().size() != adjacencies.size()) return 0;
   std::vector<std::vector<std::size_t>> edges(blocks.size());
   for (std::size_t k = 0; k < adjacencies.size(); ++k) {
     const Adjacency& want = adjacencies[k];
@@ -393,6 +463,7 @@ void expect_matches_reference(const Floorplan& fp, const std::string& label) {
     EXPECT_EQ(fp.boundary_exposure(i, Side::kEast), exposure[2]) << label;
     EXPECT_EQ(fp.boundary_exposure(i, Side::kWest), exposure[3]) << label;
   }
+  return 0;
 }
 
 TEST(FloorplanOracle, SweepsMatchAllPairsOnMessyFloorplans) {
@@ -403,10 +474,15 @@ TEST(FloorplanOracle, SweepsMatchAllPairsOnMessyFloorplans) {
     const std::size_t count = 1 + rng.uniform_index(seed % 4 == 0 ? 200 : 40);
     const double unit = seed % 2 == 0 ? 1e-4 : 1e-3;
     const long long lattice = seed % 3 == 0 ? 30 : 10;
-    const Floorplan fp = random_messy_floorplan(rng, count, unit, lattice);
-    expect_matches_reference(fp, "seed " + std::to_string(seed));
-    overlaps += fp.validate().errors.size();
-    adjacent += fp.adjacencies().size();
+    const std::vector<Block> blocks =
+        random_messy_blocks(rng, count, unit, lattice);
+    const std::string label = "seed " + std::to_string(seed);
+    overlaps += expect_matches_reference(blocks, label);
+    // The layout's blocks that overlap none kept before them build; their
+    // adjacencies keep the near-tolerance gaps.
+    const std::vector<Block> kept = without_overlaps(blocks);
+    EXPECT_EQ(expect_matches_reference(kept, label + " kept"), 0u);
+    adjacent += Floorplan(label, kept).adjacencies().size();
   }
   // The family must actually exercise both checks.
   EXPECT_GT(overlaps, 100u);
@@ -419,31 +495,29 @@ TEST(FloorplanOracle, GapsAroundTheToleranceMatchAllPairs) {
   // plus a corner-touching block that shares no edge length.
   for (const double gap : {0.0, 0.5, 0.999, 1.001, 1.999, 2.0, 2.001, -0.999,
                            -1.001, -1.999, -2.001}) {
-    Floorplan fp("gap");
-    fp.add_block({"a", 1e-3, 1e-3, 0.0, 0.0});
-    fp.add_block({"b", 1e-3, 1e-3, 1e-3 + gap * kGeomTol, 0.0});
-    fp.add_block({"c", 1e-3, 1e-3, 0.0, 1e-3 + gap * kGeomTol});
-    fp.add_block({"d", 1e-3, 1e-3, 1e-3, 1e-3});
-    fp.add_block({"e", 1e-3, 1e-3, 2e-3, 2e-3});
-    expect_matches_reference(fp, "gap " + std::to_string(gap));
+    expect_matches_reference({{"a", 1e-3, 1e-3, 0.0, 0.0},
+                              {"b", 1e-3, 1e-3, 1e-3 + gap * kGeomTol, 0.0},
+                              {"c", 1e-3, 1e-3, 0.0, 1e-3 + gap * kGeomTol},
+                              {"d", 1e-3, 1e-3, 1e-3, 1e-3},
+                              {"e", 1e-3, 1e-3, 2e-3, 2e-3}},
+                             "gap " + std::to_string(gap));
   }
 }
 
 TEST(FloorplanOracle, GridOfTouchingBlocksMatchesAllPairs) {
-  Floorplan fp("grid");
+  std::vector<Block> blocks;
   for (int r = 0; r < 20; ++r) {
     for (int c = 0; c < 20; ++c) {
       Block b;
-      b.name = "g";
-      b.name.append(std::to_string(r * 20 + c));
+      b.name = 'g' + std::to_string(r * 20 + c);
       b.width = b.height = 1e-4;
       b.x = c * 1e-4;
       b.y = r * 1e-4;
-      fp.add_block(std::move(b));
+      blocks.push_back(std::move(b));
     }
   }
-  expect_matches_reference(fp, "grid");
-  EXPECT_EQ(fp.adjacencies().size(), 2u * 20u * 19u);
+  EXPECT_EQ(expect_matches_reference(blocks, "grid"), 0u);
+  EXPECT_EQ(Floorplan("grid", blocks).adjacencies().size(), 2u * 20u * 19u);
 }
 
 }  // namespace

@@ -1156,14 +1156,15 @@ INSTANTIATE_TEST_SUITE_P(
 // core.
 TEST(SessionPeaksTies, MirrorSymmetricSessionsNameTheSameHottestBlock) {
   constexpr std::size_t m = 8;
-  floorplan::Floorplan fp("mirror");
+  std::vector<floorplan::Block> blocks;
   for (std::size_t r = 0; r < m; ++r) {
     for (std::size_t c = 0; c < m; ++c) {
-      fp.add_block({std::to_string(r * m + c), 1e-3, 1e-3,
-                    static_cast<double>(c) * 1e-3,
-                    static_cast<double>(r) * 1e-3});
+      blocks.push_back({std::to_string(r * m + c), 1e-3, 1e-3,
+                        static_cast<double>(c) * 1e-3,
+                        static_cast<double>(r) * 1e-3});
     }
   }
+  const floorplan::Floorplan fp("mirror", std::move(blocks));
   const auto model =
       std::make_shared<const thermal::RCModel>(fp, thermal::PackageParams{});
   thermal::ThermalAnalyzer::Options steady;

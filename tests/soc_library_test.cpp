@@ -8,6 +8,7 @@
 #include "soc/alpha.hpp"
 #include "soc/fig1.hpp"
 #include "soc/synthetic.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 
 namespace thermo::soc {
@@ -21,9 +22,7 @@ TEST(AlphaSoc, HasFifteenCoresAndValidates) {
 
 TEST(AlphaSoc, FloorplanFullyCoversDie) {
   const core::SocSpec soc = alpha_soc();
-  const floorplan::ValidationReport report = soc.flp.validate();
-  EXPECT_TRUE(report.ok);
-  EXPECT_NEAR(report.coverage, 1.0, 1e-9);
+  EXPECT_NEAR(thermo::testing::coverage(soc.flp), 1.0, 1e-9);
   EXPECT_NEAR(soc.flp.chip_width(), 0.016, 1e-12);
   EXPECT_NEAR(soc.flp.chip_height(), 0.016, 1e-12);
 }
@@ -78,9 +77,7 @@ TEST(AlphaSoc, StcScaleIsPositive) {
 TEST(Fig1Soc, SevenCoresFullCoverage) {
   const core::SocSpec soc = fig1_soc();
   EXPECT_EQ(soc.core_count(), 7u);
-  const floorplan::ValidationReport report = soc.flp.validate();
-  EXPECT_TRUE(report.ok);
-  EXPECT_NEAR(report.coverage, 1.0, 1e-9);
+  EXPECT_NEAR(thermo::testing::coverage(soc.flp), 1.0, 1e-9);
 }
 
 TEST(Fig1Soc, AllCoresDissipateFifteenWatts) {

@@ -15,12 +15,10 @@ namespace thermo::testing {
 ///   c d     (c,d on top row)
 ///   a b
 inline floorplan::Floorplan quad_floorplan() {
-  floorplan::Floorplan fp("quad");
-  fp.add_block({"a", 1e-3, 1e-3, 0.0, 0.0});
-  fp.add_block({"b", 1e-3, 1e-3, 1e-3, 0.0});
-  fp.add_block({"c", 1e-3, 1e-3, 0.0, 1e-3});
-  fp.add_block({"d", 1e-3, 1e-3, 1e-3, 1e-3});
-  return fp;
+  return floorplan::Floorplan("quad", {{"a", 1e-3, 1e-3, 0.0, 0.0},
+                                       {"b", 1e-3, 1e-3, 1e-3, 0.0},
+                                       {"c", 1e-3, 1e-3, 0.0, 1e-3},
+                                       {"d", 1e-3, 1e-3, 1e-3, 1e-3}});
 }
 
 /// 3x3 grid of 2 mm blocks named b<r>_<c>; the centre block b1_1 has no
@@ -34,7 +32,7 @@ inline floorplan::Floorplan quad_floorplan() {
 #pragma GCC diagnostic ignored "-Wrestrict"
 #endif
 inline floorplan::Floorplan nine_floorplan() {
-  floorplan::Floorplan fp("nine");
+  std::vector<floorplan::Block> blocks;
   for (int r = 0; r < 3; ++r) {
     for (int c = 0; c < 3; ++c) {
       floorplan::Block block;
@@ -43,10 +41,10 @@ inline floorplan::Floorplan nine_floorplan() {
       block.height = 2e-3;
       block.x = c * 2e-3;
       block.y = r * 2e-3;
-      fp.add_block(std::move(block));
+      blocks.push_back(std::move(block));
     }
   }
-  return fp;
+  return floorplan::Floorplan("nine", std::move(blocks));
 }
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
@@ -69,6 +67,14 @@ inline std::uint64_t factorizations() {
   return obs::MetricsRegistry::instance()
       .histogram("thermal.factor_ns")
       .count();
+}
+
+/// Sum of the block areas over the bounding-box area, summed in block
+/// order (what `thermosched info` prints as coverage).
+inline double coverage(const floorplan::Floorplan& fp) {
+  double block_area = 0.0;
+  for (const floorplan::Block& b : fp.blocks()) block_area += b.area();
+  return block_area / fp.chip_area();
 }
 
 /// Index lookup that asserts the name exists.

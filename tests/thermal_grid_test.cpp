@@ -30,10 +30,14 @@ TEST(GridModel, RejectsTinyGridsAndBadInputs) {
   EXPECT_THROW(
       GridThermalModel(quad_floorplan(), PackageParams{}, GridOptions{1, 8}),
       InvalidArgument);
-  floorplan::Floorplan bad("bad");
-  bad.add_block({"a", 2e-3, 2e-3, 0.0, 0.0});
-  bad.add_block({"b", 2e-3, 2e-3, 1e-3, 1e-3});
-  EXPECT_THROW(GridThermalModel(bad, PackageParams{}), InvalidArgument);
+  // The overlap fails the floorplan's constructor, so no grid is built.
+  EXPECT_THROW(GridThermalModel(floorplan::Floorplan(
+                                    "bad", {{"a", 2e-3, 2e-3, 0.0, 0.0},
+                                            {"b", 2e-3, 2e-3, 1e-3, 1e-3}}),
+                                PackageParams{}),
+               InvalidArgument);
+  EXPECT_THROW(GridThermalModel(floorplan::Floorplan(), PackageParams{}),
+               InvalidArgument);
 }
 
 TEST(GridModel, CoverageIsCompleteForAlignedGrid) {
@@ -54,9 +58,8 @@ TEST(GridModel, CoverageIsCompleteForAlignedGrid) {
 }
 
 TEST(GridModel, PartialCoverageForMisalignedBlocks) {
-  floorplan::Floorplan fp("mis");
-  fp.add_block({"a", 1.5e-3, 2e-3, 0.0, 0.0});
-  fp.add_block({"b", 0.5e-3, 2e-3, 1.5e-3, 0.0});
+  const floorplan::Floorplan fp("mis", {{"a", 1.5e-3, 2e-3, 0.0, 0.0},
+                                        {"b", 0.5e-3, 2e-3, 1.5e-3, 0.0}});
   const GridThermalModel grid(fp, PackageParams{}, GridOptions{2, 2});
   // Cell width 1 mm: block a covers cell (0,1) half.
   EXPECT_NEAR(grid.coverage(0, 0, 1), 0.5, 1e-9);

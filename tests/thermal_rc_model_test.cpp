@@ -116,18 +116,16 @@ TEST(RcModel, EveryBlockHasVerticalPath) {
 }
 
 TEST(RcModel, LargerBlockHasLargerVerticalConductance) {
-  floorplan::Floorplan fp("two");
-  fp.add_block({"small", 1e-3, 1e-3, 0.0, 0.0});
-  fp.add_block({"large", 4e-3, 1e-3, 1e-3, 0.0});
+  const floorplan::Floorplan fp("two", {{"small", 1e-3, 1e-3, 0.0, 0.0},
+                                        {"large", 4e-3, 1e-3, 1e-3, 0.0}});
   const RCModel model(fp, PackageParams{});
   EXPECT_GT(model.conductance_between(1, model.spreader_center_index()),
             model.conductance_between(0, model.spreader_center_index()));
 }
 
 TEST(RcModel, CapacitancesArePositiveAndScaleWithArea) {
-  floorplan::Floorplan fp("two");
-  fp.add_block({"small", 1e-3, 1e-3, 0.0, 0.0});
-  fp.add_block({"large", 4e-3, 1e-3, 1e-3, 0.0});
+  const floorplan::Floorplan fp("two", {{"small", 1e-3, 1e-3, 0.0, 0.0},
+                                        {"large", 4e-3, 1e-3, 1e-3, 0.0}});
   const RCModel model(fp, PackageParams{});
   const auto& c = model.capacitance();
   for (double v : c) EXPECT_GT(v, 0.0);
@@ -153,10 +151,12 @@ TEST(RcModel, ExpandPowerValidatesInput) {
 }
 
 TEST(RcModel, RejectsInvalidFloorplan) {
-  floorplan::Floorplan fp("bad");
-  fp.add_block({"a", 2e-3, 2e-3, 0.0, 0.0});
-  fp.add_block({"b", 2e-3, 2e-3, 1e-3, 1e-3});  // overlaps a
-  EXPECT_THROW(RCModel(fp, PackageParams{}), InvalidArgument);
+  // The overlap fails the floorplan's constructor, so no model is built.
+  EXPECT_THROW(RCModel(floorplan::Floorplan(
+                           "bad", {{"a", 2e-3, 2e-3, 0.0, 0.0},
+                                   {"b", 2e-3, 2e-3, 1e-3, 1e-3}}),
+                       PackageParams{}),
+               InvalidArgument);
 }
 
 TEST(RcModel, RejectsInvalidPackage) {

@@ -100,10 +100,9 @@ TEST_F(SteadyStateTest, MonotoneInPower) {
 }
 
 TEST_F(SteadyStateTest, SmallerBlockRunsHotterAtSamePower) {
-  floorplan::Floorplan fp("two");
-  fp.add_block({"small", 1e-3, 1e-3, 0.0, 0.0});
-  fp.add_block({"pad", 3e-3, 1e-3, 1e-3, 0.0});
-  fp.add_block({"large", 4e-3, 3e-3, 0.0, 1e-3});
+  const floorplan::Floorplan fp("two", {{"small", 1e-3, 1e-3, 0.0, 0.0},
+                                        {"pad", 3e-3, 1e-3, 1e-3, 0.0},
+                                        {"large", 4e-3, 3e-3, 0.0, 1e-3}});
   const RCModel model(fp, pkg_);
   const auto r_small = solve_steady_state(model, {10.0, 0.0, 0.0});
   const auto r_large = solve_steady_state(model, {0.0, 0.0, 10.0});

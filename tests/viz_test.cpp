@@ -48,6 +48,9 @@ TEST(AsciiBlockMap, ValidatesInputs) {
   const floorplan::Floorplan fp = quad_floorplan();
   EXPECT_THROW(ascii_block_map(fp, {1.0}), InvalidArgument);
   EXPECT_THROW(ascii_block_map(fp, {1.0, 2.0, 3.0, 4.0}, 2), InvalidArgument);
+  // The default floorplan has no blocks to draw.
+  EXPECT_THROW(ascii_block_map(floorplan::Floorplan(), {}), InvalidArgument);
+  EXPECT_THROW(svg_floorplan(floorplan::Floorplan(), {}), InvalidArgument);
 }
 
 TEST(SvgFloorplan, ContainsRectPerBlockAndLabels) {
