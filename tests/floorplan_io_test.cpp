@@ -60,7 +60,9 @@ std::string parse_error(const std::string& text) {
   return "";
 }
 
-TEST(FlpIo, EmptyInputIsRejectedAsAFloorplanWithoutBlocks) {
+// Empty input gives the empty floorplan's error: the constructor
+// rejects a floorplan without blocks.
+TEST(FlpIo, EmptyInputGivesEmptyFloorplan) {
   EXPECT_EQ(parse_error("# only comments\n\n"),
             "invalid floorplan 'flp':\n  - floorplan has no blocks");
 }

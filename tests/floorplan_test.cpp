@@ -80,7 +80,9 @@ TEST(Block, OverlapDetection) {
   EXPECT_FALSE(a.overlaps(apart));
 }
 
-TEST(Floorplan, ConstructorChecksEachBlockInOrder) {
+// The Validate* and AddBlock* tests below keep their names from the
+// former add_block/validate API; the constructor now runs those checks.
+TEST(Floorplan, AddBlockValidation) {
   const Block a{"a", 1e-3, 1e-3, 0, 0};
   EXPECT_EQ(construction_error("t", {a, {"", 1e-3, 1e-3, 1e-3, 0}}),
             "precondition failed [!block.name.empty()]: "
@@ -185,13 +187,13 @@ TEST(Floorplan, EdgeBlockHasOneExposedSide) {
   EXPECT_DOUBLE_EQ(fp.boundary_exposure(edge), 2e-3);
 }
 
-TEST(Floorplan, ConstructorAcceptsCleanFloorplan) {
+TEST(Floorplan, ValidateAcceptsCleanFloorplan) {
   const Floorplan fp = nine_floorplan();
   EXPECT_EQ(fp.size(), 9u);
   EXPECT_NEAR(coverage(fp), 1.0, 1e-12);
 }
 
-TEST(Floorplan, ConstructorRejectsOverlap) {
+TEST(Floorplan, ValidateDetectsOverlap) {
   EXPECT_EQ(construction_error("bad", {{"a", 2e-3, 2e-3, 0.0, 0.0},
                                        {"b", 2e-3, 2e-3, 1e-3, 1e-3}}),
             "invalid floorplan 'bad':\n  - blocks 'a' and 'b' overlap");
@@ -212,13 +214,14 @@ TEST(Floorplan, ConstructorRejectsOverlap) {
   EXPECT_EQ(construction_error("quad+", blocks), "");
 }
 
-TEST(Floorplan, PoorCoverageIsNotAnError) {
+// Poor coverage is no error: the floorplan builds.
+TEST(Floorplan, ValidateWarnsAboutPoorCoverage) {
   const Floorplan fp("sparse", {{"a", 1e-3, 1e-3, 0.0, 0.0},
                                 {"b", 1e-3, 1e-3, 9e-3, 9e-3}});
   EXPECT_LT(coverage(fp), 0.05);
 }
 
-TEST(Floorplan, ConstructorRejectsEmpty) {
+TEST(Floorplan, ValidateRejectsEmpty) {
   EXPECT_EQ(construction_error("empty", {}),
             "invalid floorplan 'empty':\n  - floorplan has no blocks");
   // The default floorplan is the one without blocks.
