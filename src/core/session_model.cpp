@@ -20,6 +20,7 @@ SessionThermalModel::SessionThermalModel(const fp::Floorplan& floorplan,
     : options_(options) {
   package.validate();
   options_.validate();
+  THERMO_REQUIRE(!floorplan.empty(), "floorplan has no blocks");
 
   const std::size_t n = floorplan.size();
   lateral_.assign(n, {});

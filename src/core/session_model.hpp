@@ -62,6 +62,8 @@ struct SessionModelOptions {
 
 class SessionThermalModel {
  public:
+  /// Throws InvalidArgument when the package or the options are invalid
+  /// or the floorplan has no blocks.
   SessionThermalModel(const floorplan::Floorplan& fp,
                       const thermal::PackageParams& package,
                       SessionModelOptions options = {});

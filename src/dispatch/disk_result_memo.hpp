@@ -4,9 +4,11 @@
 //
 // Tiering on find(): memory hit (the inherited LRU table) → disk hit
 // (persist::SegmentStore::get, checksum-verified; the record is promoted
-// into memory) → miss (the engine executes). insert() writes through:
-// the record is appended durably (the store fsyncs every record before
-// insert() returns) and cached in memory.
+// into memory) → miss (the engine executes). find_all() reads a batch's
+// disk hits on the pool and then promotes them on the calling thread in
+// key order, so it ends in the state a find() loop would. insert()
+// writes through: the record is appended durably (the store fsyncs
+// every record before insert() returns) and cached in memory.
 // First-insert-wins holds across both tiers for the same reason as in
 // the base class: records are pure functions of their content-address
 // keys, so any duplicate — racing threads, racing *processes*, a
@@ -23,6 +25,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "dispatch/result_memo.hpp"
 #include "persist/segment_store.hpp"
@@ -67,6 +70,15 @@ class DiskResultMemo final : public ResultMemo {
   /// Memory, then disk (with promotion into memory), then miss.
   std::optional<std::string> find(std::string_view key) override;
 
+  /// find() over `keys` in order, with the disk reads on up to `threads`
+  /// workers: (a) note the keys the memory tier lacks, (b) read and
+  /// verify them from the store in parallel, (c) replay the find()
+  /// sequence serially — memory hit, else the prefetched record, then
+  /// promotion. Records, disk_hits(), the store's get counters and the
+  /// memory tier's LRU order equal the serial loop's at any thread count.
+  std::vector<std::optional<std::string>> find_all(
+      const std::vector<std::string_view>& keys, std::size_t threads) override;
+
   /// Durably appends to disk (unless the key is already stored), then
   /// caches in memory. Propagates IoError from the disk append — a
   /// record must never be acknowledged as cached when it is not durable.
@@ -81,6 +93,11 @@ class DiskResultMemo final : public ResultMemo {
   const persist::SegmentStore& store() const { return store_; }
 
  private:
+  /// The store's record, or nullopt on a miss or a transient IoError.
+  std::optional<std::string> read_disk(std::string_view key);
+  /// Counts a disk hit and caches `record` in the memory tier.
+  void promote(std::string_view key, const std::string& record);
+
   persist::SegmentStore store_;
   std::atomic<std::size_t> disk_hits_{0};
 };

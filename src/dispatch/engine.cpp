@@ -38,6 +38,7 @@ struct EngineMetrics {
   obs::Histogram& queue_wait_ns;
   obs::Histogram& exec_ns;
   obs::Histogram& policy_sort_ns;
+  obs::Histogram& memo_ns;
 };
 
 EngineMetrics& engine_metrics() {
@@ -48,7 +49,8 @@ EngineMetrics& engine_metrics() {
                                registry.counter("dispatch.memo_hits"),
                                registry.histogram("dispatch.queue_wait_ns"),
                                registry.histogram("dispatch.exec_ns"),
-                               registry.histogram("dispatch.policy_sort_ns")};
+                               registry.histogram("dispatch.policy_sort_ns"),
+                               registry.histogram("dispatch.memo_ns")};
   return metrics;
 }
 
@@ -74,25 +76,38 @@ EngineStats run_batch(const std::vector<Job>& jobs,
     lines_of.at(job_of_line[i]).push_back(i);
   }
 
-  // Memo planning, on the calling thread before any worker starts, so
-  // which jobs execute never depends on worker timing: each keyed job is
-  // looked up once, at its first line, and a found record is written to
-  // its lines in input order (an all-hit batch buffers nothing).
+  // Memo planning, before any job executes, so which jobs execute never
+  // depends on worker timing: each keyed job is looked up once, at its
+  // first line, in one find_all() over the keys in first-line order (the
+  // reads may run on the pool; the outcome is a find() loop's). A found
+  // record is written to its job's lines in input order, from `found`
+  // itself: an all-hit batch copies and buffers nothing.
   std::vector<std::optional<std::string>> found(jobs.size());
+  if (options.memo != nullptr) {
+    std::vector<std::size_t> keyed;  // jobs, in first-line order
+    std::vector<std::string_view> keys;
+    for (std::size_t i = 0; i < lines; ++i) {
+      const std::size_t j = job_of_line[i];
+      if (i == lines_of[j].front() && !jobs[j].memo_key.empty()) {
+        keyed.push_back(j);
+        keys.push_back(jobs[j].memo_key);
+      }
+    }
+    obs::TraceSpan memo_span("dispatch.memo");
+    obs::ScopedTimer memo_timer(metrics.memo_ns);
+    std::vector<std::optional<std::string>> records =
+        options.memo->find_all(keys, options.threads);
+    for (std::size_t k = 0; k < keyed.size(); ++k) {
+      found[keyed[k]] = std::move(records[k]);
+    }
+  }
   std::vector<std::size_t> scheduled;
   for (std::size_t i = 0; i < lines; ++i) {
     const std::size_t j = job_of_line[i];
-    const std::vector<std::size_t>& own = lines_of[j];
-    if (i == own.front()) {
-      if (options.memo != nullptr && !jobs[j].memo_key.empty()) {
-        found[j] = options.memo->find(jobs[j].memo_key);
-      }
-      if (!found[j]) scheduled.push_back(j);
-    }
-    stats.timings[i].memo_hit = found[j] || i != own.front();
-    if (found[j]) {
-      writer.push(i, i == own.back() ? std::move(*found[j]) : *found[j]);
-    }
+    const bool first = i == lines_of[j].front();
+    if (first && !found[j]) scheduled.push_back(j);
+    stats.timings[i].memo_hit = found[j] || !first;
+    if (found[j]) writer.push(i, *found[j]);
   }
 
   std::vector<std::size_t> order;
@@ -135,9 +150,8 @@ EngineStats run_batch(const std::vector<Job>& jobs,
     for (const std::size_t line : own) {
       // Every line's record exists exactly when the job's does.
       stats.timings[line].done_seconds = done_seconds;
-      if (line != own.front()) writer.push(line, record);
+      writer.push(line, record);
     }
-    writer.push(own.front(), std::move(record));
   };
 
   exec_start = std::chrono::steady_clock::now();

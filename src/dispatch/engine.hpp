@@ -8,9 +8,12 @@
 // each output line, and a pure execute function. The engine owns *how*
 // the batch runs —
 //
-//   memo        each keyed job is looked up once in the ResultMemo, on
-//               the calling thread before any worker starts; a found
-//               record is written to the job's lines in input order;
+//   memo        each keyed job is looked up once, in one
+//               ResultMemo::find_all over the keys in first-line order
+//               before any job executes: lookups on the pool, with the
+//               outcome of a find() loop; a found record is written to
+//               the job's lines in input order on the calling thread,
+//               without a copy;
 //   placement   execution_order orders the other jobs' starts (fifo /
 //               ljf / edf);
 //   streaming   a job's record goes to the OrderedWriter for each of its

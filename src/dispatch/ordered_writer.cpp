@@ -12,18 +12,18 @@ OrderedWriter::OrderedWriter(std::ostream& out, std::size_t count,
                              Observer observer)
     : out_(out), count_(count), observer_(std::move(observer)) {}
 
-void OrderedWriter::write_locked(std::size_t index, const std::string& record) {
+void OrderedWriter::write_locked(std::size_t index, std::string_view record) {
   out_ << record << '\n';
   if (observer_) observer_(index, record);
 }
 
-void OrderedWriter::push(std::size_t index, std::string record) {
+void OrderedWriter::push(std::size_t index, std::string_view record) {
   const std::lock_guard<std::mutex> lock(mutex_);
   THERMO_REQUIRE(index < count_, "OrderedWriter index out of range");
   THERMO_REQUIRE(index >= next_ && buffered_.find(index) == buffered_.end(),
                  "OrderedWriter index pushed twice");
   if (index != next_) {
-    buffered_.emplace(index, std::move(record));
+    buffered_.emplace(index, record);
     max_buffered_ = std::max(max_buffered_, buffered_.size());
     return;
   }

@@ -18,6 +18,9 @@
 // push() is thread-safe; the sink is only ever touched under the lock
 // and records are written strictly sequentially, so the output bytes
 // are identical for any thread count, policy, or completion order.
+// push() takes a view and copies the record only when it must wait in
+// the buffer: a record written at once (every line of an all-hit batch)
+// goes from the caller's string to the sink with no copy.
 #pragma once
 
 #include <cstddef>
@@ -26,6 +29,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 namespace thermo::dispatch {
 
@@ -35,7 +39,7 @@ class OrderedWriter {
   /// under the writer's lock — must not call back into the writer).
   /// Lets front-ends tally per-record facts without re-buffering the
   /// batch.
-  using Observer = std::function<void(std::size_t index, const std::string&)>;
+  using Observer = std::function<void(std::size_t index, std::string_view)>;
 
   /// Writes `count` records to `out`, one line each ('\n'-terminated).
   /// The stream is borrowed and must outlive the writer.
@@ -46,8 +50,8 @@ class OrderedWriter {
 
   /// Hands over record `index` (0-based, < count, each index exactly
   /// once). Writes immediately when `index` is the next unwritten slot
-  /// — draining any buffered successors — and buffers otherwise.
-  void push(std::size_t index, std::string record);
+  /// — draining any buffered successors — and buffers a copy otherwise.
+  void push(std::size_t index, std::string_view record);
 
   /// High-water mark of simultaneously buffered (completed but not yet
   /// writable) records.
@@ -59,7 +63,7 @@ class OrderedWriter {
   void finish();
 
  private:
-  void write_locked(std::size_t index, const std::string& record);
+  void write_locked(std::size_t index, std::string_view record);
 
   std::ostream& out_;
   std::size_t count_;

@@ -18,6 +18,19 @@ std::optional<std::string> ResultMemo::find(std::string_view key) {
   return it->second.record;
 }
 
+std::vector<std::optional<std::string>> ResultMemo::find_all(
+    const std::vector<std::string_view>& keys, std::size_t /*threads*/) {
+  std::vector<std::optional<std::string>> records;
+  records.reserve(keys.size());
+  for (const std::string_view key : keys) records.push_back(find(key));
+  return records;
+}
+
+bool ResultMemo::resident(std::string_view key) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return entries_.contains(key);
+}
+
 void ResultMemo::insert(std::string_view key, std::string record) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = entries_.find(key);

@@ -30,9 +30,13 @@
 // it with an identical-bytes check — a divergent record for a present
 // key throws LogicError instead of silently keeping either copy.
 //
-// find() and insert() are virtual so a batch engine holding a plain
-// `ResultMemo*` can transparently be handed a DiskResultMemo (the
-// disk-backed subclass layered on persist::SegmentStore).
+// find(), find_all() and insert() are virtual so a batch engine holding
+// a plain `ResultMemo*` can transparently be handed a DiskResultMemo (the
+// disk-backed subclass layered on persist::SegmentStore). The engine
+// resolves a batch's keys with one find_all() and writes the found
+// records itself, in input order on the calling thread. A subclass may
+// run the lookups on the pool (DiskResultMemo reads its disk hits
+// there), but the outcome must be that of find() called key by key.
 #pragma once
 
 #include <cstddef>
@@ -42,6 +46,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 namespace thermo::dispatch {
 
@@ -63,6 +68,13 @@ class ResultMemo {
   /// entry's LRU stamp.
   virtual std::optional<std::string> find(std::string_view key);
 
+  /// The records of `keys`, index-aligned: exactly what find() called on
+  /// each key in order would return, leaving the memo (records, recency,
+  /// counters) as that loop would. `threads` bounds the workers a
+  /// subclass may read on (0 = hardware); this class loops over find().
+  virtual std::vector<std::optional<std::string>> find_all(
+      const std::vector<std::string_view>& keys, std::size_t threads);
+
   /// Stores `record` under `key` (first insert wins on a racing
   /// duplicate). Evicts the least recently used entry at capacity.
   /// Invariant: a duplicate insert must carry bytes identical to the
@@ -70,6 +82,11 @@ class ResultMemo {
   /// is the premise that makes first-insert-wins lossless. A divergent
   /// duplicate throws LogicError.
   virtual void insert(std::string_view key, std::string record);
+
+ protected:
+  /// Whether `key` is in the memory tier; unlike find(), leaves its
+  /// recency alone.
+  bool resident(std::string_view key) const;
 
  private:
   struct Entry {

@@ -1,14 +1,14 @@
 #include "persist/fs.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <algorithm>
 #include <utility>
-
-#if !defined(_WIN32)
-#include <unistd.h>
-#endif
 
 namespace thermo::persist {
 
@@ -51,11 +51,9 @@ class RealWritableFile final : public WritableFile {
     if (std::fflush(file_) != 0) {
       throw IoError("flush failed for '" + path_ + "'");
     }
-#if !defined(_WIN32)
     if (::fsync(::fileno(file_)) != 0) {
       throw IoError("fsync failed for '" + path_ + "'");
     }
-#endif
   }
 
   void close() override {
@@ -93,12 +91,22 @@ class RealFs final : public Fs {
 
   std::string read_range(const std::string& path, std::uint64_t offset,
                          std::size_t length) override {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw IoError("cannot read '" + path + "'");
-    in.seekg(static_cast<std::streamoff>(offset));
+    // One open/pread/close per record read: no stream object to build,
+    // and pread carries its own offset, so concurrent readers of one
+    // segment share nothing.
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) throw IoError("cannot read '" + path + "'");
     std::string bytes(length, '\0');
-    in.read(bytes.data(), static_cast<std::streamsize>(length));
-    if (static_cast<std::size_t>(in.gcount()) != length) {
+    std::size_t done = 0;
+    while (done < length) {
+      const ssize_t got = ::pread(fd, bytes.data() + done, length - done,
+                                  static_cast<off_t>(offset + done));
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) break;  // end of file or a read error: a short range
+      done += static_cast<std::size_t>(got);
+    }
+    ::close(fd);
+    if (done != length) {
       throw IoError("range [" + std::to_string(offset) + ", +" +
                     std::to_string(length) + ") overruns '" + path + "'");
     }

@@ -66,7 +66,8 @@ class Fs {
   virtual std::string read_file(const std::string& path) = 0;
   /// Byte range [offset, offset+length) of a file; throws IoError when
   /// the range overruns the file (a record the index points at must
-  /// exist in full).
+  /// exist in full). Must be safe to call concurrently: SegmentStore
+  /// serves gets under a shared lock.
   virtual std::string read_range(const std::string& path,
                                  std::uint64_t offset, std::size_t length) = 0;
   /// Regular-file names directly inside `dir`, sorted (deterministic
@@ -80,7 +81,8 @@ class Fs {
   virtual void remove_file(const std::string& path) = 0;
 };
 
-/// The process-wide real filesystem (cstdio + fsync + std::filesystem).
+/// The process-wide real filesystem (POSIX): cstdio appends + fsync,
+/// pread range reads, std::filesystem for the directory operations.
 Fs& real_fs();
 
 }  // namespace thermo::persist

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -278,7 +279,7 @@ SegmentStore::SegmentStore(std::string dir, StoreOptions options)
 
 SegmentStore::~SegmentStore() {
   try {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<std::shared_mutex> lock(mutex_);
     if (active_) {
       active_->sync();
       active_->close();
@@ -398,8 +399,8 @@ bool SegmentStore::put(std::string_view key, std::string_view value) {
   THERMO_REQUIRE(!key.empty(), "SegmentStore keys must be non-empty");
   THERMO_REQUIRE(key.size() <= kMaxLength && value.size() <= kMaxLength,
                  "SegmentStore record exceeds the 64 MiB field bound");
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (index_.find(std::string(key)) != index_.end()) return false;
+  const std::lock_guard<std::shared_mutex> lock(mutex_);
+  if (index_.find(key) != index_.end()) return false;
   const std::string frame = encode_frame(key, value);
   try {
     obs::TraceSpan append_span("persist.append");
@@ -434,26 +435,35 @@ bool SegmentStore::put(std::string_view key, std::string_view value) {
 }
 
 std::optional<std::string> SegmentStore::get(std::string_view key) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(std::string(key));
-  if (it == index_.end()) {
-    store_metrics().get_misses.add();
-    return std::nullopt;
+  Location loc;
+  std::string frame;
+  {
+    const std::shared_lock<std::shared_mutex> lock(mutex_);
+    const auto it = index_.find(key);
+    if (it == index_.end()) {
+      store_metrics().get_misses.add();
+      return std::nullopt;
+    }
+    loc = it->second;
+    // A failed read is TRANSIENT (it says nothing about the bytes on
+    // disk) and propagates as IoError — the caller may retry and the
+    // record stays indexed. Only a successful read whose bytes fail
+    // verification is evidence of corruption and may drop the entry.
+    // The read stays under the shared lock: compact() (exclusive) is
+    // what renames and removes segment files.
+    frame = fs_.read_range(segment_path(loc.seq), loc.offset, loc.frame_length);
   }
-  const Location loc = it->second;
-  // A failed read is TRANSIENT (it says nothing about the bytes on
-  // disk) and propagates as IoError — the caller may retry and the
-  // record stays indexed. Only a successful read whose bytes fail
-  // verification is evidence of corruption and may drop the entry.
-  const std::string frame =
-      fs_.read_range(segment_path(loc.seq), loc.offset, loc.frame_length);
   const FrameView view = decode_frame(frame);
   if (!view.ok || view.key != key) {
     // The bytes under this index entry are no longer what was written
     // (external truncation/corruption since open). Serving them would
-    // violate the never-wrong-bytes contract; degrade to a miss.
+    // violate the never-wrong-bytes contract; degrade to a miss. Other
+    // readers may have seen the same frame, and a compact() may have
+    // moved the key since: drop the entry only if it still points here.
     store_metrics().get_misses.add();
-    index_.erase(it);
+    const std::lock_guard<std::shared_mutex> lock(mutex_);
+    const auto it = index_.find(key);
+    if (it != index_.end() && it->second == loc) index_.erase(it);
     return std::nullopt;
   }
   store_metrics().get_hits.add();
@@ -461,7 +471,7 @@ std::optional<std::string> SegmentStore::get(std::string_view key) {
 }
 
 SegmentStore::VerifyReport SegmentStore::verify() {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<std::shared_mutex> lock(mutex_);
   if (active_) active_->sync();
   VerifyReport report;
   for (const std::string& name : fs_.list_dir(dir_)) {
@@ -479,7 +489,7 @@ SegmentStore::VerifyReport SegmentStore::verify() {
 std::size_t SegmentStore::compact() {
   obs::TraceSpan compact_span("persist.compact");
   obs::ScopedTimer compact_timer(store_metrics().compact_ns);
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<std::shared_mutex> lock(mutex_);
   if (active_) {
     active_->sync();
     active_->close();
@@ -539,7 +549,7 @@ std::size_t SegmentStore::compact() {
 }
 
 SegmentStore::Stats SegmentStore::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::shared_lock<std::shared_mutex> lock(mutex_);
   Stats out = stats_;
   out.records = index_.size();
   out.segments = segment_bytes_.size();

@@ -33,16 +33,20 @@
 // deleting inputs; a schema-revision mismatch invalidates the whole
 // store in one step (format bumps cannot half-apply).
 //
-// All operations are mutex-guarded; one store instance may be shared by
-// the dispatch engine's worker threads.
+// Concurrency: shared reads, exclusive writes. get() and stats() run
+// under a shared lock, so the dispatch engine's workers read records in
+// parallel; put(), compact(), verify() and the drop of a corrupt entry
+// take the lock exclusively. One store instance may be shared by any
+// number of threads.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -99,6 +103,7 @@ class SegmentStore {
   /// The record stored under `key`, checksum-verified at read time, or
   /// nullopt. A frame that fails re-verification (post-open corruption)
   /// is dropped from the index and reported as a miss — never served.
+  /// Runs under the shared lock; only the drop locks exclusively.
   std::optional<std::string> get(std::string_view key);
 
   /// Appends {key, value} unless the key is already present (first
@@ -159,6 +164,16 @@ class SegmentStore {
     std::uint32_t seq = 0;
     std::uint64_t offset = 0;
     std::size_t frame_length = 0;
+    bool operator==(const Location&) const = default;
+  };
+
+  /// Transparent hash: get() and put() look keys up by string_view,
+  /// without building a std::string of the (≈1 KB) key.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>{}(key);
+    }
   };
 
   std::string segment_path(std::uint32_t seq) const;
@@ -172,8 +187,8 @@ class SegmentStore {
   StoreOptions options_;
   Fs& fs_;
 
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, Location> index_;
+  mutable std::shared_mutex mutex_;
+  std::unordered_map<std::string, Location, KeyHash, std::equal_to<>> index_;
   std::unique_ptr<WritableFile> active_;
   std::uint32_t active_seq_ = 0;
   std::uint64_t active_offset_ = 0;

@@ -104,8 +104,8 @@ PreparedLine prepare_line(const std::string& text, std::size_t line_number,
 /// literal `"ok":false` cannot occur inside a JSON string value — the
 /// quotes there would be escaped as \" — so the substring test can only
 /// match the record's own ok member.
-bool record_is_ok(const std::string& record) {
-  return record.find("\"ok\":false") == std::string::npos;
+bool record_is_ok(std::string_view record) {
+  return record.find("\"ok\":false") == std::string_view::npos;
 }
 
 }  // namespace
@@ -209,11 +209,13 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
 
   // ok/failed are tallied as records stream out (memoized records never
   // pass through ScenarioResult, so the writer is the one place every
-  // record crosses).
-  std::vector<int> ok_flags(n, 0);
+  // record crosses). Every line of a job carries the job's record, so
+  // each record is scanned once, at its job's first written line.
+  std::vector<signed char> job_ok(jobs.size(), -1);  // -1: not yet seen
   dispatch::OrderedWriter writer(
-      out, n, [&](std::size_t index, const std::string& record) {
-        ok_flags[index] = record_is_ok(record) ? 1 : 0;
+      out, n, [&](std::size_t index, std::string_view record) {
+        signed char& ok = job_ok[job_of_line[index]];
+        if (ok < 0) ok = record_is_ok(record) ? 1 : 0;
       });
 
   dispatch::EngineOptions engine_options;
@@ -241,7 +243,7 @@ ServeSummary serve_stream(std::istream& in, std::ostream& out,
     const PreparedLine& line = prepared[source[i]];
     RequestTiming& timing = summary.request_timings[i];
     timing.id = line.id;
-    timing.ok = ok_flags[i] != 0;
+    timing.ok = job_ok[job_of_line[i]] == 1;
     timing.memo_hit = stats.timings[i].memo_hit;
     timing.cost = line.job.cost;
     timing.wall_seconds = stats.timings[i].wall_seconds;

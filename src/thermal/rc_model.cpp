@@ -199,6 +199,7 @@ RCModel::RCModel(const fp::Floorplan& floorplan, const PackageParams& package)
       block_count_(floorplan.size()),
       steady_(block_count_) {
   package_.validate();
+  THERMO_REQUIRE(!floorplan.empty(), "floorplan has no blocks");
   build(floorplan);
 }
 

@@ -189,7 +189,7 @@ class RCModel {
  public:
   /// Builds the network over `fp`'s blocks and adjacencies; the model
   /// keeps no copy of the floorplan. Throws InvalidArgument when the
-  /// package is invalid.
+  /// package is invalid or the floorplan has no blocks.
   /// Assembly is sparse-first: conductances stamp straight into a CSR
   /// builder, so construction is O(nnz) time and memory.
   RCModel(const floorplan::Floorplan& fp, const PackageParams& package);

@@ -214,6 +214,12 @@ TEST_F(SessionModelTest, ValidatesArguments) {
   EXPECT_THROW(SessionThermalModel(fp_, pkg_, bad), InvalidArgument);
 }
 
+TEST(SessionThermalModel, RejectsEmptyFloorplan) {
+  EXPECT_THROW(SessionThermalModel(floorplan::Floorplan(),
+                                   thermal::PackageParams{}, {}),
+               InvalidArgument);
+}
+
 // The session model's die resistances are the oracle's: every lateral
 // resistance is exactly 1 / RCModel's conductance across that adjacency,
 // every vertical one 1 / its conductance into the spreader centre.

@@ -1,15 +1,19 @@
 // DiskResultMemo: the two-tier (memory LRU over crash-safe segment
 // store) result memo behind `thermosched serve --cache-dir`. Covered
 // here: tier ordering and promotion, durable write-through, cold-process
-// inheritance, schema-revision invalidation, engine integration through
-// the polymorphic ResultMemo*, and I/O failure propagation.
+// inheritance, schema-revision invalidation, batch lookups (find_all)
+// against a find() loop, engine integration through the polymorphic
+// ResultMemo*, and I/O failure propagation.
 #include "dispatch/disk_result_memo.hpp"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <optional>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -110,6 +114,118 @@ TEST(DiskResultMemo, SchemaRevisionBumpInvalidatesTheCache) {
   EXPECT_EQ(memo.find("k"), std::nullopt);  // never served across formats
   memo.insert("k", "fresh record");
   EXPECT_EQ(memo.find("k"), "fresh record");
+}
+
+/// What one lookup pass did to a memo: the records, and how much the
+/// disk tier and the store counted while it ran.
+struct LookupPass {
+  std::vector<std::optional<std::string>> records;
+  std::size_t disk_hits = 0;
+  std::uint64_t get_hits = 0;
+  std::uint64_t get_misses = 0;
+  bool operator==(const LookupPass&) const = default;
+  friend void PrintTo(const LookupPass& pass, std::ostream* os) {
+    *os << "{disk_hits " << pass.disk_hits << ", get_hits " << pass.get_hits
+        << ", get_misses " << pass.get_misses << ", records";
+    for (const std::optional<std::string>& record : pass.records) {
+      *os << ' ' << (record ? std::to_string(record->size()) + "B" : "-");
+    }
+    *os << '}';
+  }
+};
+
+template <typename Lookup>
+LookupPass measure(DiskResultMemo& memo, Lookup lookup) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
+  const obs::Counter& hits = registry.counter("persist.get_hits");
+  const obs::Counter& misses = registry.counter("persist.get_misses");
+  const std::size_t disk_before = memo.disk_hits();
+  const std::uint64_t hits_before = hits.value();
+  const std::uint64_t misses_before = misses.value();
+  LookupPass pass;
+  pass.records = lookup();
+  pass.disk_hits = memo.disk_hits() - disk_before;
+  pass.get_hits = hits.value() - hits_before;
+  pass.get_misses = misses.value() - misses_before;
+  return pass;
+}
+
+TEST(DiskResultMemo, FindAllMatchesSerialFinds) {
+  // Twelve stored records; four are made resident before the lookups,
+  // the last one's frame is truncated under the open store (a read that
+  // overruns: a transient miss), two keys were never stored, and one key
+  // repeats. find_all over them must equal a find() loop on a twin memo:
+  // records, disk hits and store gets, and, through a later probe of
+  // every key, the memory tier's recency order.
+  constexpr std::size_t kStored = 12;
+  const ScopedTempDir source("diskmemo-source");
+  {
+    DiskResultMemo memo(source.path());
+    for (std::size_t i = 0; i < kStored; ++i) {
+      memo.insert(record_key(i), record_payload(i));
+    }
+  }
+  const std::vector<std::size_t> warm = {2, 0, 1, 3};
+  std::vector<std::string> texts;
+  for (const std::size_t i : {3, 0, 7, 11, 1, 5, 9, 2, 10, 4, 8, 6}) {
+    texts.push_back(record_key(i));
+    if (i == 7) texts.push_back("absent-a");
+    if (i == 9) texts.push_back("absent-b");
+    if (i == 4) texts.push_back(record_key(3));
+  }
+  const std::vector<std::string_view> keys(texts.begin(), texts.end());
+  const std::size_t distinct = kStored + 2;
+
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{4}, distinct}) {
+    for (const std::size_t threads : {1, 4}) {
+      SCOPED_TRACE("memory_capacity " + std::to_string(capacity) +
+                   ", threads " + std::to_string(threads));
+      const ScopedTempDir serial_dir("diskmemo-serial");
+      const ScopedTempDir batch_dir("diskmemo-batch");
+      DiskResultMemo::Options options;
+      options.memory_capacity = capacity;
+      std::vector<std::unique_ptr<DiskResultMemo>> memos;
+      for (const ScopedTempDir* dir : {&serial_dir, &batch_dir}) {
+        std::filesystem::copy(source.path(), dir->path(),
+                              std::filesystem::copy_options::recursive);
+        memos.push_back(std::make_unique<DiskResultMemo>(dir->path(), options));
+        for (const std::size_t i : warm) memos.back()->find(record_key(i));
+        const std::string segment =
+            dir->path() + "/" + persist::SegmentStore::segment_name(1);
+        std::filesystem::resize_file(
+            segment, std::filesystem::file_size(segment) - 3);
+      }
+      DiskResultMemo& serial = *memos[0];
+      DiskResultMemo& batch = *memos[1];
+
+      const LookupPass expected = measure(serial, [&] {
+        std::vector<std::optional<std::string>> records;
+        for (const std::string_view key : keys) records.push_back(serial.find(key));
+        return records;
+      });
+      const LookupPass actual =
+          measure(batch, [&] { return batch.find_all(keys, threads); });
+      EXPECT_EQ(actual, expected);
+      ASSERT_EQ(actual.records.size(), keys.size());
+      EXPECT_EQ(actual.records[0], record_payload(3));
+      EXPECT_EQ(actual.records[3], std::nullopt);  // absent-a
+      EXPECT_EQ(actual.records[4], std::nullopt);  // the truncated frame
+      EXPECT_GT(actual.disk_hits, 0u);
+
+      // Each probe is a memory hit or a disk read depending on what the
+      // lookups left resident, and in what order it is evicted.
+      for (std::size_t i = kStored; i-- > 0;) {
+        SCOPED_TRACE("probe " + record_key(i));
+        const auto probe = [&](DiskResultMemo& memo) {
+          return measure(memo, [&] {
+            return std::vector<std::optional<std::string>>{
+                memo.find(record_key(i))};
+          });
+        };
+        EXPECT_EQ(probe(batch), probe(serial));
+      }
+    }
+  }
 }
 
 TEST(DiskResultMemo, EngineServesAWholeBatchFromDiskAfterRestart) {

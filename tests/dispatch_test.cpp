@@ -221,10 +221,12 @@ TEST(ResultMemo, LruEvictionAtCapacity) {
 TEST(OrderedWriter, StreamsInOrderRegardlessOfPushOrder) {
   std::ostringstream out;
   std::vector<std::size_t> observed;
-  OrderedWriter writer(out, 4, [&](std::size_t index, const std::string&) {
+  OrderedWriter writer(out, 4, [&](std::size_t index, std::string_view) {
     observed.push_back(index);
   });
-  writer.push(2, "r2");
+  std::string r2 = "r2";
+  writer.push(2, r2);
+  r2 = "overwritten";  // a buffered record is the writer's own copy
   EXPECT_EQ(out.str(), "");  // 0 not written yet: nothing may stream
   writer.push(0, "r0");
   EXPECT_EQ(out.str(), "r0\n");  // 1 still missing, 2 stays buffered

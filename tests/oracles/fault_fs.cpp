@@ -68,6 +68,7 @@ FaultFs::FaultFs(Fs& base, FaultPlan plan)
     : base_(base), plan_(plan), rng_(plan.seed) {}
 
 bool FaultFs::charge(bool is_append) {
+  const std::lock_guard<std::mutex> lock(mutex_);
   if (crashed_) throw CrashError("filesystem crashed (op after crash point)");
   const std::size_t op = ops_++;
   if (op != plan_.after_ops) return false;

@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -80,17 +81,24 @@ class FaultFs : public Fs {
 
   /// Operations observed so far (the fault-free run's final value is the
   /// sweep's crash-point count).
-  std::size_t ops_seen() const { return ops_; }
+  std::size_t ops_seen() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return ops_;
+  }
   /// Whether the crash fault has fired (all further ops throw).
-  bool crashed() const { return crashed_; }
+  bool crashed() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return crashed_;
+  }
 
   // Internal surface for the wrapped file handles (they live in the
   // implementation file, so these cannot be private friends).
 
-  /// Charges one operation; throws per the plan when the fault op is
-  /// reached. Returns true when the caller (an append) should apply the
-  /// short/torn-write treatment. For kCrashAfter it only sets crashed()
-  /// — the operation wrapper performs the base op, then throws.
+  /// Charges one operation (under the counter's lock); throws per the
+  /// plan when the fault op is reached. Returns true when the caller (an
+  /// append) should apply the short/torn-write treatment. For
+  /// kCrashAfter it only sets crashed() — the operation wrapper performs
+  /// the base op, then throws.
   bool charge(bool is_append);
   const FaultPlan& plan() const { return plan_; }
   Rng& torn_rng() { return rng_; }
@@ -99,6 +107,9 @@ class FaultFs : public Fs {
   Fs& base_;
   FaultPlan plan_;
   Rng rng_;
+  /// Guards ops_ and crashed_: a store serves gets from several threads
+  /// at once, and each read_range is charged.
+  mutable std::mutex mutex_;
   std::size_t ops_ = 0;
   bool crashed_ = false;
 };

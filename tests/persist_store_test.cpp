@@ -1,6 +1,7 @@
 // SegmentStore in isolation: round-trips (binary-safe), first-put-wins,
-// rotation, reopen-by-scan, schema policies, verify, compaction, and
-// read-time checksum re-verification. Crash points and deliberate
+// rotation, reopen-by-scan, schema policies, verify, compaction,
+// read-time checksum re-verification, and concurrent gets beside a
+// writer; plus the real filesystem's range-read errors. Crash points and deliberate
 // corruption have their own suites (persist_crash_test,
 // persist_corruption_test).
 #include "persist/segment_store.hpp"
@@ -12,6 +13,8 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "persist_test_util.hpp"
 #include "util/error.hpp"
@@ -249,6 +252,95 @@ TEST(SegmentStore, GetReverifiesChecksumsAndDegradesToAMiss) {
   EXPECT_EQ(store.stats().records, 1u);  // dropped from the index
   EXPECT_EQ(store.get("victim"), std::nullopt);  // plain miss now
   EXPECT_EQ(store.get("witness"), "intact");
+}
+
+TEST(SegmentStore, ConcurrentGetsAndPuts) {
+  // Four readers get under the shared lock while a writer appends and
+  // rotates segments under the exclusive one. Every reader meets the
+  // one corrupt frame first; it is a miss for all of them and leaves the
+  // index exactly once.
+  constexpr std::size_t kStored = 64;
+  constexpr std::size_t kWritten = 48;
+  constexpr std::size_t kReaders = 4;
+  const ScopedTempDir dir("segstore");
+  StoreOptions options;
+  options.segment_size_cap = 2048;  // the writer rotates several times
+  SegmentStore store(dir.path(), options);
+  store.put("victim", std::string(64, 'x'));  // offset 40 is in its value
+  for (std::size_t i = 0; i < kStored; ++i) {
+    store.put(record_key(i), record_payload(i));
+  }
+  const std::string path = dir.path() + "/" + SegmentStore::segment_name(1);
+  {
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(file.good());
+    file.seekp(40);
+    file.put('y');
+  }
+
+  std::vector<std::size_t> wrong(kReaders, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      if (store.get("victim").has_value()) ++wrong[r];
+      for (int pass = 0; pass < 4; ++pass) {
+        for (std::size_t i = 0; i < kStored; ++i) {
+          if (store.get(record_key(i)) != record_payload(i)) ++wrong[r];
+        }
+        for (std::size_t i = 0; i < kWritten; ++i) {
+          // Present or not yet written; never other bytes.
+          const std::optional<std::string> value =
+              store.get(record_key(kStored + i));
+          if (value && *value != record_payload(kStored + i)) ++wrong[r];
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (std::size_t i = 0; i < kWritten; ++i) {
+      store.put(record_key(kStored + i), record_payload(kStored + i));
+    }
+  });
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(wrong, std::vector<std::size_t>(kReaders, 0));
+  EXPECT_GT(store.stats().segments, 2u);
+  EXPECT_EQ(store.stats().records, kStored + kWritten);  // victim dropped once
+  EXPECT_EQ(store.get("victim"), std::nullopt);
+  for (std::size_t i = 0; i < kStored + kWritten; ++i) {
+    EXPECT_EQ(store.get(record_key(i)), record_payload(i));
+  }
+}
+
+TEST(RealFs, ReadRangeOfAMissingFileCannotRead) {
+  const ScopedTempDir dir("realfs");
+  const std::string path = dir.path() + "/absent.log";
+  try {
+    real_fs().read_range(path, 0, 4);
+    FAIL() << "read_range of a missing file returned";
+  } catch (const IoError& error) {
+    EXPECT_EQ(std::string(error.what()), "cannot read '" + path + "'");
+  }
+}
+
+TEST(RealFs, ReadRangePastTheEndOverruns) {
+  const ScopedTempDir dir("realfs");
+  std::filesystem::create_directories(dir.path());
+  const std::string path = dir.path() + "/ten.log";
+  std::ofstream(path, std::ios::binary) << "0123456789";
+  EXPECT_EQ(real_fs().read_range(path, 6, 4), "6789");  // ends at EOF
+  EXPECT_EQ(real_fs().read_range(path, 10, 0), "");
+  for (const auto& [offset, length] :
+       std::vector<std::pair<std::uint64_t, std::size_t>>{{6, 5}, {12, 1}}) {
+    try {
+      real_fs().read_range(path, offset, length);
+      FAIL() << "read_range past the end returned";
+    } catch (const IoError& error) {
+      EXPECT_EQ(std::string(error.what()),
+                "range [" + std::to_string(offset) + ", +" +
+                    std::to_string(length) + ") overruns '" + path + "'");
+    }
+  }
 }
 
 TEST(SegmentStore, ForeignFilesInTheDirectoryAreIgnored) {

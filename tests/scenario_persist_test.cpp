@@ -202,6 +202,41 @@ TEST(ScenarioPersist, EachDistinctKeyIsReadFromDiskOncePerBatch) {
   EXPECT_EQ(store_gets() - gets_before, kKeys);
 }
 
+TEST(ScenarioPersist, MemoLookupIsTimedOncePerBatch) {
+  // `dispatch.memo_ns` times the engine's one find_all per batch: one
+  // sample for a serve with a memo, none without. Timing it (or not)
+  // never changes a byte.
+  const ScopedTempDir dir("serve-cache");
+  const std::string input = duplicated_batch();
+  ServeOptions options;
+  options.threads = 4;
+  auto& registry = obs::MetricsRegistry::instance();
+  const obs::Histogram& memo_ns = registry.histogram("dispatch.memo_ns");
+  const RunOutput cold = serve_once(input, dir.path(), options);
+  ASSERT_EQ(cold.summary.failed, 0u);
+
+  registry.reset();
+  const RunOutput warm = serve_once(input, dir.path(), options);
+  EXPECT_EQ(memo_ns.count(), 1u);
+  EXPECT_EQ(warm.summary.executed, 0u);
+  EXPECT_EQ(warm.records, cold.records);
+
+  registry.reset();
+  std::istringstream in(input);
+  std::ostringstream out;
+  ScenarioRunner runner;
+  serve_stream(in, out, runner, options);  // no memo
+  EXPECT_EQ(memo_ns.count(), 0u);
+  EXPECT_EQ(out.str(), cold.records);
+
+  obs::set_enabled(false);
+  const RunOutput quiet = serve_once(input, dir.path(), options);
+  obs::set_enabled(true);
+  EXPECT_EQ(memo_ns.count(), 0u);
+  EXPECT_EQ(quiet.records, cold.records);
+  EXPECT_EQ(quiet.summary.disk_hits, warm.summary.disk_hits);
+}
+
 /// The `calibration.v1` blob older builds wrote next to the segments
 /// (framed "thermoblob v1 <length> <fnv1a64>\n<payload>"), verbatim.
 constexpr std::string_view kOldCalibrationBlob =

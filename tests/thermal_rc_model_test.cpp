@@ -159,6 +159,13 @@ TEST(RcModel, RejectsInvalidFloorplan) {
                InvalidArgument);
 }
 
+TEST(RcModel, RejectsEmptyFloorplan) {
+  // A model of the package alone would schedule no cores; the empty
+  // floorplan is a caller's mistake, not a chip.
+  EXPECT_THROW(RCModel(floorplan::Floorplan(), PackageParams{}),
+               InvalidArgument);
+}
+
 TEST(RcModel, RejectsInvalidPackage) {
   PackageParams bad;
   bad.k_tim = 0.0;
